@@ -13,11 +13,8 @@ from fplcast.dataset import (
     generate_synthetic_season,
 )
 from fplcast.evaluation import spearman_tied
-from fplcast.harness import train_family, sliding_design, windowed_batch
+from fplcast.harness import FAMILIES, predict, train_family
 from fplcast.ingest import Position
-from fplcast import cnn as cnn_mod
-from fplcast.ridge import predict_ridge_batch
-from fplcast.gbm import predict_gbm_batch
 
 rows, strengths = generate_synthetic_season(seed=7, n_players=200, n_weeks=38)
 series = [s for s in build_series(rows) if s.key.position is Position.MID]
@@ -48,15 +45,7 @@ configs = {
 print(f"{'family':8} {'train MSE':>10} {'val MSE':>10} {'vs base':>8} {'spearman':>9}")
 for family, config in configs.items():
     fitted, train_mse, val_mse = train_family(family, config, train_ex, val_ex, seed=7)
-    if family == "ridge":
-        A, _ = sliding_design(val_ex, fitted.scaler)
-        pred = predict_ridge_batch(fitted.model, A)
-    elif family == "gbm":
-        A, _ = sliding_design(val_ex)
-        pred = predict_gbm_batch(fitted.model, A)
-    else:
-        batch = windowed_batch(val_ex, fitted.scaler)
-        pred, _ = cnn_mod.forward_batch(fitted.model, batch.X, batch.d)
+    pred = predict(FAMILIES[family], fitted.model, fitted.scaler, val_ex)
     rho = spearman_tied(val_y, pred)
     print(
         f"{family:8} {train_mse:10.3f} {val_mse:10.3f} "

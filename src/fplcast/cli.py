@@ -18,14 +18,12 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import serialize as ser
-from .cnn import TrainConfig
 from .dataset import (
     FeatureTier,
     PlayerSeries,
     SplitAssignment,
     assign_splits,
     build_series,
-    build_windows,
     generate_synthetic_season,
     sliding_average,
 )
@@ -38,25 +36,22 @@ from .evaluation import (
     spearman_by_gameweek,
     spearman_tied,
 )
-from .gbm import (
-    FeatureBudgetError,
-    GbmHyperparams,
-    predict_gbm_batch,
-    shapley_values,
-    split_importance,
-)
+from .gbm import FeatureBudgetError, shapley_values, split_importance
 from .harness import (
+    FAMILIES,
     CvConfig,
     GridSpec,
     cross_validate,
     default_grid,
     derive_seed,
+    model_family,
+    predict,
     run_grid,
     select_final,
     sliding_design,
+    split_windows,
     top_k_summary,
     train_family,
-    windowed_batch,
 )
 from .ingest import (
     Position,
@@ -69,7 +64,7 @@ from .ingest import (
     parse_gameweek_csv,
     parse_strengths_csv,
 )
-from .ridge import export_coefficients, predict_ridge_batch
+from .ridge import export_coefficients
 
 
 class CliError(Exception):
@@ -80,11 +75,9 @@ class CliError(Exception):
         self.category = category
 
 
-# Config keys and their defaults. Defaults mirror the module-level
-# defaults exactly (training ones are pulled from the dataclasses).
+# Config keys and their defaults; each family's keys and defaults come
+# from its registry record.
 def default_config() -> dict:
-    tc = TrainConfig()
-    hp = GbmHyperparams()
     return {
         "seed": 0,
         "difficulty_sign": "opponent_minus_own",
@@ -94,29 +87,16 @@ def default_config() -> dict:
         "fractions": [0.60, 0.25, 0.15],
         "n_bins": 4,
         "strat_on": "avg_score",
-        "ridge_lambda": 1.0,
-        "gbm_n_trees": hp.n_trees,
-        "gbm_max_depth": hp.max_depth,
-        "gbm_lambda_l2": hp.lambda_l2,
-        "gbm_num_leaves": hp.num_leaves,
-        "gbm_min_data_in_leaf": hp.min_data_in_leaf,
-        "gbm_eta": hp.eta,
-        "cnn_kernel": 1,
-        "cnn_filters": 64,
-        "cnn_hidden": 64,
-        "cnn_activation": "relu",
-        "cnn_lambda1": tc.lambda1,
-        "cnn_lambda2": tc.lambda2,
-        "epochs": tc.epochs,
-        "learning_rate": tc.learning_rate,
-        "batch_size": tc.batch_size,
-        "early_stop_tolerance": tc.early_stop_tolerance,
-        "patience": tc.patience,
+        **{
+            cli_key: default
+            for family in FAMILIES.values()
+            for cli_key, default in family.params.values()
+        },
         "shapley_background": 100,
         "extreme_k": 2,
         "cv_k": 5,
         "cv_bins": 4,
-        "grid_workers": 1,
+        "grid_workers": 1,  # accepted so older configs load; trials run serially
         "top_k": 10,
         "grid": None,
     }
@@ -198,50 +178,11 @@ def _flip_flag(config) -> bool:
     raise CliError("config", f"unknown difficulty_sign '{sign}'")
 
 
-def _flip_difficulty(examples, config):
-    if _flip_flag(config):
-        for ex in examples:
-            ex.d = -ex.d
-    return examples
-
-
 def _series_for_position(rows, position: Position) -> list[PlayerSeries]:
     series = [s for s in build_series(rows) if s.key.position == position]
     if not series:
         raise CliError("data", f"no players with position {position.value}")
     return series
-
-
-def _family_config(family: str, config: dict) -> dict:
-    base = {"w": config["w"], "tier": config["tier"]}
-    if family == "ridge":
-        base["lambda"] = config["ridge_lambda"]
-    elif family == "gbm":
-        base.update(
-            n_trees=config["gbm_n_trees"],
-            max_depth=config["gbm_max_depth"],
-            lambda_l2=config["gbm_lambda_l2"],
-            num_leaves=config["gbm_num_leaves"],
-            min_data_in_leaf=config["gbm_min_data_in_leaf"],
-            eta=config["gbm_eta"],
-        )
-    elif family == "cnn":
-        base.update(
-            k=config["cnn_kernel"],
-            filters=config["cnn_filters"],
-            hidden=config["cnn_hidden"],
-            activation=config["cnn_activation"],
-            lambda1=config["cnn_lambda1"],
-            lambda2=config["cnn_lambda2"],
-            epochs=config["epochs"],
-            learning_rate=config["learning_rate"],
-            batch_size=config["batch_size"],
-            early_stop_tolerance=config["early_stop_tolerance"],
-            patience=config["patience"],
-        )
-    else:
-        raise CliError("usage", f"unknown model family '{family}'")
-    return base
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +349,6 @@ def cmd_split(args, config) -> int:
     return 0
 
 
-def _split_examples(series, strengths, splits, split, w, tier, config):
-    examples = []
-    for s in series:
-        if splits.assignments.get(s.key) == split:
-            examples.extend(build_windows(s, w, tier, strengths))
-    return _flip_difficulty(examples, config)
-
-
 def _eval_report(examples, predictions, position, split, model_id) -> EvalReport:
     y = [float(e.y) for e in examples]
     return EvalReport(
@@ -428,34 +361,23 @@ def _eval_report(examples, predictions, position, split, model_id) -> EvalReport
     )
 
 
-def _predict_fitted(fitted, examples):
-    if fitted.family == "ridge":
-        A, _ = sliding_design(examples, fitted.scaler)
-        return predict_ridge_batch(fitted.model, A)
-    if fitted.family == "gbm":
-        A, _ = sliding_design(examples)
-        return predict_gbm_batch(fitted.model, A)
-    batch = windowed_batch(examples, fitted.scaler)
-    pred, _ = cnn_mod.forward_batch(fitted.model, batch.X, batch.d)
-    return pred
-
-
 def cmd_train(args, config) -> int:
     out = _out_dir(args)
     rows = _read_cleaned(args.cleaned)
     strengths = _read_strengths(args.strengths)
     splits = _read_splits(args.splits)
-    family = args.family
+    family = FAMILIES[args.family]
     w = int(config["w"])
     tier = FeatureTier(config["tier"])
-    family_config = _family_config(family, config)
+    family_config = family.from_cli(config)
+    flip = _flip_flag(config)
 
     reports = []
     for position in _positions(args.position):
         series = _series_for_position(rows, position)
-        train_ex = _split_examples(series, strengths, splits, "train", w, tier, config)
-        val_ex = _split_examples(
-            series, strengths, splits, "validation", w, tier, config
+        train_ex, val_ex = (
+            split_windows(series, strengths, w, tier, flip, splits, s)
+            for s in ("train", "validation")
         )
         if not train_ex or not val_ex:
             raise CliError(
@@ -463,18 +385,14 @@ def cmd_train(args, config) -> int:
             )
         seed = derive_seed(config["seed"], family_config)
         fitted, train_err, val_err = train_family(
-            family, family_config, train_ex, val_ex, seed
+            family.name, family_config, train_ex, val_ex, seed
         )
         ctx = ser.ModelContext(
             w=w, tier=tier.value, position=position.value, scaler=fitted.scaler
         )
-        model_path = out / f"model_{family}_{position.value}.txt"
-        if family == "ridge":
-            _write(model_path, ser.write_ridge(fitted.model, ctx))
-        elif family == "gbm":
-            _write(model_path, ser.write_gbm(fitted.model, ctx))
-        else:
-            _write(model_path, ser.write_cnn(fitted.model, ctx))
+        model_id = f"{family.name}_{position.value}"
+        _write(out / f"model_{model_id}.txt", family.write(fitted.model, ctx))
+        if "curve" in fitted.extras:
             _write(
                 out / f"learning_curve_{position.value}.csv",
                 ser.write_learning_curve(fitted.extras["curve"]),
@@ -483,13 +401,11 @@ def cmd_train(args, config) -> int:
         # One dataset file per (position, representation), in the form the
         # family consumed: window tensors for the cnn, window means for the
         # baselines. Test examples are never materialized here.
-        representation = "windowed" if family == "cnn" else "sliding"
-        if representation == "sliding":
-            examples = [sliding_average(e) for e in train_ex + val_ex]
-        else:
-            examples = train_ex + val_ex
+        examples = train_ex + val_ex
+        if family.representation == "sliding":
+            examples = [sliding_average(e) for e in examples]
         header = ser.DatasetHeader(
-            representation=representation,
+            representation=family.representation,
             position=position.value,
             w=w,
             tier=tier.value,
@@ -500,25 +416,19 @@ def cmd_train(args, config) -> int:
             scaler_std=fitted.scaler.std if fitted.scaler else None,
         )
         _write(
-            out / f"dataset_{position.value}_{representation}.txt",
+            out / f"dataset_{position.value}_{family.representation}.txt",
             ser.write_dataset(header, examples),
         )
-        model_id = f"{family}_{position.value}"
-        reports.append(
-            _eval_report(
-                train_ex, _predict_fitted(fitted, train_ex), position, "train", model_id
+        for split, examples in (("train", train_ex), ("validation", val_ex)):
+            predictions = predict(family, fitted.model, fitted.scaler, examples)
+            reports.append(
+                _eval_report(examples, predictions, position, split, model_id)
             )
-        )
-        reports.append(
-            _eval_report(
-                val_ex, _predict_fitted(fitted, val_ex), position, "validation", model_id
-            )
-        )
         print(
             f"{model_id}: train mse {train_err:.4f}, val mse {val_err:.4f}"
         )
-    _write(out / f"report_{family}.csv", ser.write_reports_csv(reports))
-    _log(out, f"train family={family} seed={config['seed']}")
+    _write(out / f"report_{family.name}.csv", ser.write_reports_csv(reports))
+    _log(out, f"train family={family.name} seed={config['seed']}")
     return 0
 
 
@@ -527,29 +437,11 @@ def _load_model(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise CliError("io", f"model file not found: {path}") from None
-    first = text.splitlines()[0] if text else ""
-    if first == ser.MAGIC_RIDGE:
-        model, ctx = ser.read_ridge(text)
-        return "ridge", model, ctx
-    if first == ser.MAGIC_GBM:
-        model, ctx = ser.read_gbm(text)
-        return "gbm", model, ctx
-    if first == ser.MAGIC_CNN:
-        model, ctx = ser.read_cnn(text)
-        return "cnn", model, ctx
-    raise CliError("format", f"unrecognized model file: {path}")
-
-
-def _predict_loaded(family, model, ctx, examples):
-    if family == "ridge":
-        A, _ = sliding_design(examples, ctx.scaler)
-        return predict_ridge_batch(model, A)
-    if family == "gbm":
-        A, _ = sliding_design(examples)
-        return predict_gbm_batch(model, A)
-    batch = windowed_batch(examples, ctx.scaler)
-    pred, _ = cnn_mod.forward_batch(model, batch.X, batch.d)
-    return pred
+    family = model_family(text)
+    if family is None:
+        raise CliError("format", f"unrecognized model file: {path}")
+    model, ctx = family.read(text)
+    return family, model, ctx
 
 
 def cmd_evaluate(args, config) -> int:
@@ -561,13 +453,13 @@ def cmd_evaluate(args, config) -> int:
     position = Position(ctx.position)
     series = _series_for_position(rows, position)
     tier = FeatureTier(ctx.tier)
-    examples = _split_examples(
-        series, strengths, splits, args.split, ctx.w, tier, config
+    examples = split_windows(
+        series, strengths, ctx.w, tier, _flip_flag(config), splits, args.split
     )
     if not examples:
         raise CliError("data", f"no {args.split} examples for {position.value}")
-    predictions = _predict_loaded(family, model, ctx, examples)
-    model_id = f"{family}_{position.value}"
+    predictions = predict(family, model, ctx.scaler, examples)
+    model_id = f"{family.name}_{position.value}"
     report = _eval_report(examples, predictions, position, args.split, model_id)
     if args.per_gameweek:
         gw = [e.target_gameweek for e in examples]
@@ -623,7 +515,6 @@ def cmd_gridsearch(args, config) -> int:
             splits,
             seed=config["seed"],
             position=position,
-            workers=int(config["grid_workers"]),
             flip_difficulty=_flip_flag(config),
         )
         axis_names = sorted({k for r in results for k in r.config})
@@ -683,7 +574,7 @@ def cmd_cv(args, config) -> int:
     rows = _read_cleaned(args.cleaned)
     strengths = _read_strengths(args.strengths)
     family = args.family
-    family_config = _family_config(family, config)
+    family_config = FAMILIES[family].from_cli(config)
     cv = CvConfig(
         k=int(config["cv_k"]),
         n_bins=int(config["cv_bins"]),
@@ -719,18 +610,17 @@ def cmd_rank(args, config) -> int:
     series = _series_for_position(rows, position)
     tier = FeatureTier(ctx.tier)
 
-    candidates = []
-    for s in series:
-        for ex in build_windows(s, ctx.w, tier, strengths):
-            if ex.target_gameweek == args.gameweek:
-                candidates.append(ex)
+    candidates = [
+        ex
+        for ex in split_windows(series, strengths, ctx.w, tier, _flip_flag(config))
+        if ex.target_gameweek == args.gameweek
+    ]
     if not candidates:
         raise CliError(
             "data",
             f"no rankable {position.value} players for gameweek {args.gameweek}",
         )
-    candidates = _flip_difficulty(candidates, config)
-    predictions = _predict_loaded(family, model, ctx, candidates)
+    predictions = predict(family, model, ctx.scaler, candidates)
     order = sorted(
         range(len(candidates)),
         key=lambda i: (-predictions[i], candidates[i].player.canonical_name),
@@ -755,84 +645,91 @@ def cmd_rank(args, config) -> int:
     return 0
 
 
+def _explain_coefficients(args, config, out, loaded):
+    models = {Position(ctx.position): model for _, model, ctx in loaded}
+    positions, features, coef, intercepts = export_coefficients(models)
+    _write(
+        out / "coefficients.csv",
+        ser.write_coefficient_table(positions, features, coef, intercepts),
+    )
+    print(f"wrote coefficients for {len(positions)} positions")
+
+
+def _explain_filter(args, config, out, loaded):
+    _, model, ctx = loaded[0]
+    _write(out / f"filters_{ctx.position}.csv", mean_normalized_filter_csv(model, ctx))
+    print(f"wrote mean filter ({model.kernel}x{model.n_features})")
+
+
+def _explain_shapley(args, config, out, loaded):
+    _, model, ctx = loaded[0]
+    rows = _read_cleaned(args.cleaned)
+    strengths = _read_strengths(args.strengths)
+    splits = _read_splits(args.splits)
+    position = Position(ctx.position)
+    series = _series_for_position(rows, position)
+    tier = FeatureTier(ctx.tier)
+    explain_ex, train_ex = (
+        split_windows(series, strengths, ctx.w, tier, _flip_flag(config), splits, s)
+        for s in (args.split, "train")
+    )
+    if not explain_ex:
+        raise CliError("data", f"no {args.split} examples to explain")
+    if args.example_index >= len(explain_ex):
+        raise CliError(
+            "usage",
+            f"example index {args.example_index} out of range "
+            f"({len(explain_ex)} available)",
+        )
+    A_train, _ = sliding_design(train_ex)
+    rng = np.random.default_rng(config["seed"])
+    n_background = min(int(config["shapley_background"]), A_train.shape[0])
+    background = A_train[
+        rng.choice(A_train.shape[0], size=n_background, replace=False)
+    ]
+    A_explain, _ = sliding_design([explain_ex[args.example_index]])
+    result = shapley_values(model, A_explain[0], background)
+    names = model.feature_names or [f"x{j}" for j in range(model.n_features)]
+    lines = ["feature,value,phi"]
+    for name, value, phi in zip(names, A_explain[0], result.phi):
+        lines.append(ser.csv_line([name, float(value), float(phi)]))
+    lines.append(ser.csv_line(["__base_value__", "", result.base_value]))
+    lines.append(
+        ser.csv_line(
+            ["__prediction__", "", result.base_value + float(result.phi.sum())]
+        )
+    )
+    _write(out / f"shapley_{position.value}.csv", "\n".join(lines) + "\n")
+    imp = split_importance(model)
+    imp_lines = ["feature,splits,percent"]
+    for name, count, pct in zip(names, imp.counts, imp.percentages):
+        imp_lines.append(ser.csv_line([name, int(count), float(pct)]))
+    _write(
+        out / f"split_importance_{position.value}.csv",
+        "\n".join(imp_lines) + "\n",
+    )
+    print(f"wrote shapley attribution for example {args.example_index}")
+
+
+_EXPLAINERS = {
+    "coefficients": _explain_coefficients,
+    "filter": _explain_filter,
+    "shapley": _explain_shapley,
+}
+
+
 def cmd_explain(args, config) -> int:
     out = _out_dir(args)
     loaded = [_load_model(path) for path in args.model]
     family = loaded[0][0]
-    if any(f != family for f, _, _ in loaded):
+    if any(f is not family for f, _, _ in loaded):
         raise CliError("usage", "all --model files must share one family")
-    kind = args.kind or {"ridge": "coefficients", "gbm": "shapley", "cnn": "filter"}[
-        family
-    ]
-    valid = {"ridge": "coefficients", "gbm": "shapley", "cnn": "filter"}
-    if valid[family] != kind:
+    kind = args.kind or family.explain
+    if kind != family.explain:
         raise CliError(
-            "usage", f"family {family} does not support explanation '{kind}'"
+            "usage", f"family {family.name} does not support explanation '{kind}'"
         )
-
-    if kind == "coefficients":
-        models = {Position(ctx.position): model for _, model, ctx in loaded}
-        positions, features, coef, intercepts = export_coefficients(models)
-        _write(
-            out / "coefficients.csv",
-            ser.write_coefficient_table(positions, features, coef, intercepts),
-        )
-        print(f"wrote coefficients for {len(positions)} positions")
-    elif kind == "filter":
-        _, model, ctx = loaded[0]
-        mean_filter = mean_normalized_filter_csv(model, ctx)
-        _write(out / f"filters_{ctx.position}.csv", mean_filter)
-        print(f"wrote mean filter ({model.kernel}x{model.n_features})")
-    else:
-        _, model, ctx = loaded[0]
-        rows = _read_cleaned(args.cleaned)
-        strengths = _read_strengths(args.strengths)
-        splits = _read_splits(args.splits)
-        position = Position(ctx.position)
-        series = _series_for_position(rows, position)
-        tier = FeatureTier(ctx.tier)
-        explain_ex = _split_examples(
-            series, strengths, splits, args.split, ctx.w, tier, config
-        )
-        train_ex = _split_examples(
-            series, strengths, splits, "train", ctx.w, tier, config
-        )
-        if not explain_ex:
-            raise CliError("data", f"no {args.split} examples to explain")
-        if args.example_index >= len(explain_ex):
-            raise CliError(
-                "usage",
-                f"example index {args.example_index} out of range "
-                f"({len(explain_ex)} available)",
-            )
-        A_train, _ = sliding_design(train_ex)
-        rng = np.random.default_rng(config["seed"])
-        n_background = min(int(config["shapley_background"]), A_train.shape[0])
-        background = A_train[
-            rng.choice(A_train.shape[0], size=n_background, replace=False)
-        ]
-        A_explain, _ = sliding_design([explain_ex[args.example_index]])
-        result = shapley_values(model, A_explain[0], background)
-        names = model.feature_names or [f"x{j}" for j in range(model.n_features)]
-        lines = ["feature,value,phi"]
-        for name, value, phi in zip(names, A_explain[0], result.phi):
-            lines.append(ser.csv_line([name, float(value), float(phi)]))
-        lines.append(ser.csv_line(["__base_value__", "", result.base_value]))
-        lines.append(
-            ser.csv_line(
-                ["__prediction__", "", result.base_value + float(result.phi.sum())]
-            )
-        )
-        _write(out / f"shapley_{position.value}.csv", "\n".join(lines) + "\n")
-        imp = split_importance(model)
-        imp_lines = ["feature,splits,percent"]
-        for name, count, pct in zip(names, imp.counts, imp.percentages):
-            imp_lines.append(ser.csv_line([name, int(count), float(pct)]))
-        _write(
-            out / f"split_importance_{position.value}.csv",
-            "\n".join(imp_lines) + "\n",
-        )
-        print(f"wrote shapley attribution for example {args.example_index}")
+    _EXPLAINERS[kind](args, config, out, loaded)
     _log(out, f"explain kind={kind}")
     return 0
 
@@ -849,8 +746,8 @@ def mean_normalized_filter_csv(model, ctx) -> str:
 def cmd_filters(args, config) -> int:
     out = _out_dir(args)
     family, model, ctx = _load_model(args.model)
-    if family != "cnn":
-        raise CliError("usage", f"filters requires a cnn model, got {family}")
+    if family.explain != "filter":
+        raise CliError("usage", f"filters requires a cnn model, got {family.name}")
     _write(out / f"filters_{ctx.position}.csv", mean_normalized_filter_csv(model, ctx))
     print(f"wrote mean filter for {ctx.position}")
     _log(out, f"filters model={args.model}")
@@ -891,13 +788,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cleaned", nargs="+", required=True)
     p.add_argument("--strengths", required=True)
     p.add_argument("--splits", required=True)
-    p.add_argument("--family", choices=["ridge", "gbm", "cnn"], required=True)
+    p.add_argument("--family", choices=list(FAMILIES), required=True)
 
     p = sub.add_parser("gridsearch", help="grid search over one family")
     p.add_argument("--cleaned", nargs="+", required=True)
     p.add_argument("--strengths", required=True)
     p.add_argument("--splits", required=True)
-    p.add_argument("--family", choices=["ridge", "gbm", "cnn"], required=True)
+    p.add_argument("--family", choices=list(FAMILIES), required=True)
     p.add_argument(
         "--finalize",
         action="store_true",
@@ -907,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
     p.add_argument("--cleaned", nargs="+", required=True)
     p.add_argument("--strengths", required=True)
-    p.add_argument("--family", choices=["ridge", "gbm", "cnn"], required=True)
+    p.add_argument("--family", choices=list(FAMILIES), required=True)
 
     p = sub.add_parser("evaluate", help="score a saved model on one split")
     p.add_argument("--model", required=True)
@@ -931,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="model attribution exports")
     p.add_argument("--model", nargs="+", required=True)
     p.add_argument(
-        "--kind", choices=["coefficients", "shapley", "filter"], default=None
+        "--kind", choices=[f.explain for f in FAMILIES.values()], default=None
     )
     p.add_argument("--cleaned", nargs="+", default=[])
     p.add_argument("--strengths", default=None)

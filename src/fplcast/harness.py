@@ -1,22 +1,25 @@
-"""Grid search, stratified k-fold CV, and final holdout evaluation.
+"""Model-family registry, grid search, stratified k-fold CV, and final
+holdout evaluation.
 
-Splits are fixed before a grid starts and shared by every configuration;
-each trial's training seed derives deterministically from the grid seed
-and the configuration, so editing one axis value leaves every other
-trial's randomness untouched. Test examples are never materialized until
-select_final runs.
+Every family shares one pipeline; FAMILIES holds all that differs between
+them. Splits are fixed before a grid starts and shared by every
+configuration; each trial's training seed derives deterministically from
+the grid seed and the configuration, so editing one axis value leaves
+every other trial's randomness untouched. Test examples are never
+materialized until select_final runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 import numpy as np
 
 from . import cnn as cnn_mod
+from . import serialize as ser
 from .cnn import Batch, TrainConfig
 from .dataset import (
     FeatureTier,
@@ -36,6 +39,8 @@ from .ingest import Position
 from .ridge import fit_ridge, predict_ridge_batch
 
 __all__ = [
+    "Family",
+    "FAMILIES",
     "GridSpec",
     "TrialResult",
     "CvConfig",
@@ -45,12 +50,181 @@ __all__ = [
     "cross_validate",
     "select_final",
     "train_family",
+    "predict",
+    "model_family",
+    "split_windows",
     "sliding_design",
     "windowed_batch",
     "default_grid",
 ]
 
-FAMILIES = ("ridge", "gbm", "cnn")
+
+@dataclass(frozen=True)
+class Family:
+    """Everything that differs between model families.
+
+    Functions reached through a record look their target up when called,
+    so rebinding a module function (a profiler's wrapper, a test's fake)
+    reaches every family.
+    """
+
+    name: str
+    representation: str  # "sliding" or "windowed"; also names the dataset file
+    scaled: bool  # z-score features with a scaler fitted on the train split
+    params: dict[str, tuple[str, object]]  # key -> (CLI config key, default)
+    # (params, train, val, seed, feature names) -> (model, extras), where
+    # train and val are design() results
+    fit: Callable
+    predict_batch: Callable  # (model, inputs) -> predictions
+    magic: str  # first line of the family's model file
+    write: Callable  # (model, ModelContext) -> text
+    read: Callable  # text -> (model, ModelContext)
+    explain: str  # the one explanation kind the family supports
+    grid: dict[str, list]  # default gridsearch axes
+
+    def resolve(self, config: dict) -> dict:
+        """This family's parameters from a trial config, typed like their
+        defaults."""
+        return {
+            key: type(default)(config.get(key, default))
+            for key, (_, default) in self.params.items()
+        }
+
+    def from_cli(self, cli_config: dict) -> dict:
+        """The trial config that a CLI config describes."""
+        return {
+            "w": cli_config["w"],
+            "tier": cli_config["tier"],
+            **{key: cli_config[cli_key] for key, (cli_key, _) in self.params.items()},
+        }
+
+    def fit_scaler(self, examples) -> ScalerParams | None:
+        if not self.scaled:
+            return None
+        if self.representation == "windowed":
+            return fit_scaler(examples, "windowed")
+        return fit_scaler([sliding_average(e) for e in examples], "sliding")
+
+    def design(self, examples, scaler: ScalerParams | None):
+        """(model inputs, targets): a design matrix or a window batch."""
+        if self.representation == "windowed":
+            batch = windowed_batch(examples, scaler)
+            return batch, batch.y
+        return sliding_design(examples, scaler)
+
+
+def _fit_ridge(p, train, val, seed, feature_names):
+    return fit_ridge(*train, lam=p["lambda"], feature_names=feature_names), {}
+
+
+def _fit_gbm(p, train, val, seed, feature_names):
+    return fit_gbm(*train, GbmHyperparams(**p), feature_names=feature_names), {}
+
+
+def _fit_cnn(p, train, val, seed, feature_names):
+    batch, p = train[0], dict(p)  # p keeps only TrainConfig keys once popped
+    _, w, f = batch.X.shape
+    model = cnn_mod.init_model(
+        w=w, k=p.pop("k"), f=f, n_filters=p.pop("filters"),
+        n_hidden=p.pop("hidden"), activation=p.pop("activation"), seed=seed,
+    )
+    best, curve = cnn_mod.train(model, batch, val[0], TrainConfig(**p, seed=seed))
+    return best, {"curve": curve}
+
+
+_GBM_DEFAULTS = GbmHyperparams()
+_CNN_DEFAULTS = TrainConfig()
+
+FAMILIES = {
+    "ridge": Family(
+        name="ridge",
+        representation="sliding",
+        scaled=True,
+        params={"lambda": ("ridge_lambda", 1.0)},
+        fit=_fit_ridge,
+        predict_batch=lambda model, A: predict_ridge_batch(model, A),
+        magic=ser.MAGIC_RIDGE,
+        write=lambda model, ctx: ser.write_ridge(model, ctx),
+        read=lambda text: ser.read_ridge(text),
+        explain="coefficients",
+        grid={"lambda": [0.01, 0.1, 1.0, 10.0, 100.0], "w": [3, 6, 9]},
+    ),
+    "gbm": Family(
+        name="gbm",
+        representation="sliding",
+        scaled=False,
+        params={
+            f.name: (f"gbm_{f.name}", getattr(_GBM_DEFAULTS, f.name))
+            for f in fields(GbmHyperparams)
+        },
+        fit=_fit_gbm,
+        predict_batch=lambda model, A: predict_gbm_batch(model, A),
+        magic=ser.MAGIC_GBM,
+        write=lambda model, ctx: ser.write_gbm(model, ctx),
+        read=lambda text: ser.read_gbm(text),
+        explain="shapley",
+        grid={
+            "n_trees": [50],
+            "max_depth": [3],
+            "num_leaves": [7],
+            "lambda_l2": [1.0, 10.0],
+            "min_data_in_leaf": [20, 70],
+            "eta": [0.05, 0.1],
+            "w": [3, 6, 9],
+        },
+    ),
+    "cnn": Family(
+        name="cnn",
+        representation="windowed",
+        scaled=True,
+        params={
+            "k": ("cnn_kernel", 1),
+            "filters": ("cnn_filters", 64),
+            "hidden": ("cnn_hidden", 64),
+            "activation": ("cnn_activation", "relu"),
+            "lambda1": ("cnn_lambda1", _CNN_DEFAULTS.lambda1),
+            "lambda2": ("cnn_lambda2", _CNN_DEFAULTS.lambda2),
+            **{
+                key: (key, getattr(_CNN_DEFAULTS, key))
+                for key in ("epochs", "learning_rate", "batch_size",
+                            "early_stop_tolerance", "patience")
+            },
+        },
+        fit=_fit_cnn,
+        predict_batch=lambda model, batch: cnn_mod.forward_batch(
+            model, batch.X, batch.d
+        )[0],
+        magic=ser.MAGIC_CNN,
+        write=lambda model, ctx: ser.write_cnn(model, ctx),
+        read=lambda text: ser.read_cnn(text),
+        explain="filter",
+        grid={
+            "w": [3, 6, 9],
+            "k": [1, 2, 3],
+            "tier": [t.value for t in FeatureTier],
+            "filters": [32, 64],
+            "hidden": [32, 64],
+        },
+    ),
+}
+
+
+def _family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown model family '{name}'")
+    return FAMILIES[name]
+
+
+def model_family(text: str) -> Family | None:
+    """The family whose model file `text` is, by its first line."""
+    first = text.splitlines()[0] if text else ""
+    return next((f for f in FAMILIES.values() if f.magic == first), None)
+
+
+def predict(family: Family, model, scaler: ScalerParams | None, examples) -> np.ndarray:
+    """One family's predictions for windowed examples."""
+    inputs, _ = family.design(examples, scaler)
+    return family.predict_batch(model, inputs)
 
 
 @dataclass
@@ -62,8 +236,7 @@ class GridSpec:
     fixed: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown model family '{self.family}'")
+        _family(self.family)
         for name, values in self.axes.items():
             if not values:
                 raise ValueError(f"grid axis '{name}' is empty")
@@ -141,22 +314,26 @@ def derive_seed(seed: int, config: dict) -> int:
     return stable_hash(seed, sorted(config.items())) % (2**31)
 
 
-def _windows_for_split(
+def split_windows(
     series_list: list[PlayerSeries],
     strengths,
-    splits: SplitAssignment,
-    split: str,
     w: int,
     tier: FeatureTier,
     flip_difficulty: bool = False,
+    splits: SplitAssignment | None = None,
+    split: str | None = None,
 ) -> list[WindowedExample]:
-    examples: list[WindowedExample] = []
-    for series in series_list:
-        if splits.assignments.get(series.key) == split:
-            examples.extend(build_windows(series, w, tier, strengths))
+    """Windows of every series, or only of the players `splits` assigns to
+    `split`. With `flip_difficulty` (difficulty_sign own_minus_opponent)
+    each example is a copy with the difficulty negated."""
+    examples = [
+        ex
+        for series in series_list
+        if splits is None or splits.assignments.get(series.key) == split
+        for ex in build_windows(series, w, tier, strengths)
+    ]
     if flip_difficulty:
-        for ex in examples:
-            ex.d = -ex.d
+        return [replace(ex, d=-ex.d) for ex in examples]
     return examples
 
 
@@ -168,89 +345,20 @@ def train_family(
     seed: int,
 ) -> tuple[FittedTrial, float, float]:
     """Fit one configuration; returns (fitted trial, train MSE, val MSE)."""
+    fam = _family(family)
     tier = FeatureTier(config.get("tier", "ptsonly"))
     feature_names = tier.columns() + ["difficulty_gap"]
     if not train_examples or not val_examples:
         raise ValueError("train and validation example sets must be non-empty")
-
-    if family == "ridge":
-        scaler = fit_scaler([sliding_average(e) for e in train_examples], "sliding")
-        A_train, y_train = sliding_design(train_examples, scaler)
-        A_val, y_val = sliding_design(val_examples, scaler)
-        model = fit_ridge(
-            A_train, y_train, lam=float(config.get("lambda", 1.0)),
-            feature_names=feature_names,
-        )
-        train_err = mse(y_train, predict_ridge_batch(model, A_train))
-        val_err = mse(y_val, predict_ridge_batch(model, A_val))
-        return (
-            FittedTrial(family, model, scaler, feature_names, dict(config)),
-            train_err,
-            val_err,
-        )
-
-    if family == "gbm":
-        A_train, y_train = sliding_design(train_examples)
-        A_val, y_val = sliding_design(val_examples)
-        hp = GbmHyperparams(
-            n_trees=int(config.get("n_trees", 50)),
-            max_depth=int(config.get("max_depth", 3)),
-            lambda_l2=float(config.get("lambda_l2", 10.0)),
-            num_leaves=int(config.get("num_leaves", 7)),
-            min_data_in_leaf=int(config.get("min_data_in_leaf", 70)),
-            eta=float(config.get("eta", 0.1)),
-        )
-        model = fit_gbm(A_train, y_train, hp, feature_names=feature_names)
-        train_err = mse(y_train, predict_gbm_batch(model, A_train))
-        val_err = mse(y_val, predict_gbm_batch(model, A_val))
-        return (
-            FittedTrial(family, model, None, feature_names, dict(config)),
-            train_err,
-            val_err,
-        )
-
-    if family == "cnn":
-        w = int(config.get("w", train_examples[0].X.shape[0]))
-        k = int(config.get("k", 1))
-        scaler = fit_scaler(train_examples, "windowed")
-        train_batch = windowed_batch(train_examples, scaler)
-        val_batch = windowed_batch(val_examples, scaler)
-        model = cnn_mod.init_model(
-            w=w,
-            k=k,
-            f=len(tier.columns()),
-            n_filters=int(config.get("filters", 64)),
-            n_hidden=int(config.get("hidden", 64)),
-            activation=str(config.get("activation", "relu")),
-            seed=seed,
-        )
-        tc = TrainConfig(
-            epochs=int(config.get("epochs", 250)),
-            learning_rate=float(config.get("learning_rate", 0.001)),
-            batch_size=int(config.get("batch_size", 32)),
-            early_stop_tolerance=float(config.get("early_stop_tolerance", 1e-4)),
-            patience=int(config.get("patience", 20)),
-            lambda1=float(config.get("lambda1", 0.0)),
-            lambda2=float(config.get("lambda2", 0.0)),
-            seed=seed,
-        )
-        best, curve = cnn_mod.train(model, train_batch, val_batch, tc)
-        train_pred, _ = cnn_mod.forward_batch(best, train_batch.X, train_batch.d)
-        val_pred, _ = cnn_mod.forward_batch(best, val_batch.X, val_batch.d)
-        return (
-            FittedTrial(
-                family,
-                best,
-                scaler,
-                feature_names,
-                dict(config),
-                extras={"curve": curve},
-            ),
-            mse(train_batch.y, train_pred),
-            mse(val_batch.y, val_pred),
-        )
-
-    raise ValueError(f"unknown model family '{family}'")
+    scaler = fam.fit_scaler(train_examples)
+    train = fam.design(train_examples, scaler)
+    val = fam.design(val_examples, scaler)
+    model, extras = fam.fit(fam.resolve(config), train, val, seed, feature_names)
+    return (
+        FittedTrial(family, model, scaler, feature_names, dict(config), extras),
+        mse(train[1], fam.predict_batch(model, train[0])),
+        mse(val[1], fam.predict_batch(model, val[0])),
+    )
 
 
 def _run_trial(
@@ -265,40 +373,30 @@ def _run_trial(
 ) -> TrialResult:
     trial_seed = derive_seed(grid_seed, config)
     started = time.perf_counter()
+    train_err = val_err = error = None
     try:
         w = int(config.get("w", 3))
         tier = FeatureTier(config.get("tier", "ptsonly"))
-        train_ex = _windows_for_split(
-            series_list, strengths, splits, "train", w, tier, flip_difficulty
-        )
-        val_ex = _windows_for_split(
-            series_list, strengths, splits, "validation", w, tier, flip_difficulty
+        train_ex, val_ex = (
+            split_windows(series_list, strengths, w, tier, flip_difficulty, splits, s)
+            for s in ("train", "validation")
         )
         _, train_err, val_err = train_family(
             family, config, train_ex, val_ex, trial_seed
         )
-        return TrialResult(
-            config=dict(config),
-            position=position,
-            family=family,
-            train_mse=train_err,
-            val_mse=val_err,
-            test_mse=None,
-            seed=trial_seed,
-            wall_time=time.perf_counter() - started,
-        )
     except Exception as exc:  # noqa: BLE001 - failed trials are data, not fatal
-        return TrialResult(
-            config=dict(config),
-            position=position,
-            family=family,
-            train_mse=None,
-            val_mse=None,
-            test_mse=None,
-            seed=trial_seed,
-            wall_time=time.perf_counter() - started,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        error = f"{type(exc).__name__}: {exc}"
+    return TrialResult(
+        config=dict(config),
+        position=position,
+        family=family,
+        train_mse=train_err,
+        val_mse=val_err,
+        test_mse=None,
+        seed=trial_seed,
+        wall_time=time.perf_counter() - started,
+        error=error,
+    )
 
 
 def run_grid(
@@ -308,7 +406,6 @@ def run_grid(
     splits: SplitAssignment,
     seed: int = 0,
     position: Position | None = None,
-    workers: int = 1,
     flip_difficulty: bool = False,
 ) -> list[TrialResult]:
     """One trial per cartesian configuration, sorted by validation MSE.
@@ -319,19 +416,13 @@ def run_grid(
     """
     if position is None:
         position = series_list[0].key.position if series_list else Position.MID
-    configs = grid.configurations()
-
-    def job(config):
-        return _run_trial(
+    results = [
+        _run_trial(
             grid.family, config, position, series_list, strengths, splits, seed,
             flip_difficulty,
         )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, configs))
-    else:
-        results = [job(c) for c in configs]
+        for config in grid.configurations()
+    ]
     results.sort(
         key=lambda r: (r.error is not None, r.val_mse if r.val_mse is not None else 0.0)
     )
@@ -365,15 +456,13 @@ def cross_validate(
     tier = FeatureTier(config.get("tier", "ptsonly"))
     train_errs, val_errs = [], []
     for held in range(cv.k):
-        train_series = [s for s, f in zip(series_list, folds) if f != held]
-        val_series = [s for s, f in zip(series_list, folds) if f == held]
-        train_ex = [
-            e for s in train_series for e in build_windows(s, w, tier, strengths)
-        ]
-        val_ex = [e for s in val_series for e in build_windows(s, w, tier, strengths)]
-        if flip_difficulty:
-            for ex in train_ex + val_ex:
-                ex.d = -ex.d
+        train_ex, val_ex = (
+            split_windows(fold_series, strengths, w, tier, flip_difficulty)
+            for fold_series in (
+                [s for s, f in zip(series_list, folds) if f != held],
+                [s for s, f in zip(series_list, folds) if f == held],
+            )
+        )
         seed = derive_seed(cv.seed, {**config, "fold": held})
         _, train_err, val_err = train_family(family, config, train_ex, val_ex, seed)
         train_errs.append(train_err)
@@ -421,64 +510,23 @@ def select_final(
     best = min(succeeded, key=lambda r: r.val_mse)
     w = int(best.config.get("w", 3))
     tier = FeatureTier(best.config.get("tier", "ptsonly"))
-    flip = flip_difficulty
-    train_ex = _windows_for_split(
-        series_list, strengths, splits, "train", w, tier, flip
-    )
-    val_ex = _windows_for_split(
-        series_list, strengths, splits, "validation", w, tier, flip
-    )
-    test_ex = _windows_for_split(
-        series_list, strengths, splits, "test", w, tier, flip
+    train_ex, val_ex, test_ex = (
+        split_windows(series_list, strengths, w, tier, flip_difficulty, splits, s)
+        for s in ("train", "validation", "test")
     )
     fitted, train_err, val_err = train_family(
         best.family, best.config, train_ex, val_ex, best.seed
     )
     if not test_ex:
         raise ValueError("holdout split has no examples")
-    if fitted.family == "ridge":
-        A, y = sliding_design(test_ex, fitted.scaler)
-        test_err = mse(y, predict_ridge_batch(fitted.model, A))
-    elif fitted.family == "gbm":
-        A, y = sliding_design(test_ex)
-        test_err = mse(y, predict_gbm_batch(fitted.model, A))
-    else:
-        batch = windowed_batch(test_ex, fitted.scaler)
-        pred, _ = cnn_mod.forward_batch(fitted.model, batch.X, batch.d)
-        test_err = mse(batch.y, pred)
+    fam = FAMILIES[best.family]
+    inputs, y = fam.design(test_ex, fitted.scaler)
+    test_err = mse(y, fam.predict_batch(fitted.model, inputs))
     final = replace(best, train_mse=train_err, val_mse=val_err, test_mse=test_err)
     return final, fitted
 
 
 def default_grid(family: str) -> GridSpec:
     """Search spaces used when no grid is configured."""
-    if family == "cnn":
-        return GridSpec(
-            family="cnn",
-            axes={
-                "w": [3, 6, 9],
-                "k": [1, 2, 3],
-                "tier": [t.value for t in FeatureTier],
-                "filters": [32, 64],
-                "hidden": [32, 64],
-            },
-        )
-    if family == "ridge":
-        return GridSpec(
-            family="ridge",
-            axes={"lambda": [0.01, 0.1, 1.0, 10.0, 100.0], "w": [3, 6, 9]},
-        )
-    if family == "gbm":
-        return GridSpec(
-            family="gbm",
-            axes={
-                "n_trees": [50],
-                "max_depth": [3],
-                "num_leaves": [7],
-                "lambda_l2": [1.0, 10.0],
-                "min_data_in_leaf": [20, 70],
-                "eta": [0.05, 0.1],
-                "w": [3, 6, 9],
-            },
-        )
-    raise ValueError(f"unknown model family '{family}'")
+    axes = _family(family).grid
+    return GridSpec(family=family, axes={k: list(v) for k, v in axes.items()})

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 import unicodedata
 import warnings
 from dataclasses import dataclass, field
@@ -273,12 +274,7 @@ def compute_difficulty(row: RawGameweekRow, strengths: TeamStrengthTable) -> int
 
 
 def _parse_int(value: str, column: str, line: int) -> int:
-    try:
-        as_float = float(value)
-    except ValueError:
-        raise RowParseError(
-            f"non-numeric value {value!r} in column '{column}'", line
-        ) from None
+    as_float = _parse_float(value, column, line)
     if as_float != int(as_float):
         raise RowParseError(
             f"non-integer value {value!r} in column '{column}'", line
@@ -288,11 +284,16 @@ def _parse_int(value: str, column: str, line: int) -> int:
 
 def _parse_float(value: str, column: str, line: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise RowParseError(
             f"non-numeric value {value!r} in column '{column}'", line
         ) from None
+    if not math.isfinite(number):
+        raise RowParseError(
+            f"non-finite value {value!r} in column '{column}'", line
+        )
+    return number
 
 
 def _parse_bool(value: str, column: str, line: int) -> bool:

@@ -8,6 +8,7 @@ exactly; text cells in CSV outputs are always quoted.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
@@ -390,6 +391,25 @@ def _parse_context(lines: list[str]) -> tuple[ModelContext, int]:
     return ctx, consumed
 
 
+def _model_reader(read):
+    """Make a model reader fail only with FormatError: a truncated or
+    corrupt file otherwise surfaces as whatever lookup or conversion
+    failed first."""
+
+    @functools.wraps(read)
+    def checked(text: str):
+        try:
+            return read(text)
+        except FormatError:
+            raise
+        except (IndexError, KeyError, ValueError) as exc:
+            raise FormatError(
+                f"truncated or corrupt model file ({type(exc).__name__}: {exc})"
+            ) from None
+
+    return checked
+
+
 # ---------------------------------------------------------------------------
 # Ridge model
 
@@ -409,6 +429,7 @@ def write_ridge(model: RidgeModel, ctx: ModelContext) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_model_reader
 def read_ridge(text: str) -> tuple[RidgeModel, ModelContext]:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC_RIDGE:
@@ -417,6 +438,7 @@ def read_ridge(text: str) -> tuple[RidgeModel, ModelContext]:
     rest = lines[1 + consumed :]
     lam = float(rest[0].split(" ", 1)[1])
     intercept = float(rest[1].split(" ", 1)[1])
+    n_features = int(rest[2].split(" ", 1)[1])
     names, weights = [], []
     for line in rest[3:]:
         if not line:
@@ -424,6 +446,8 @@ def read_ridge(text: str) -> tuple[RidgeModel, ModelContext]:
         _, name, weight = line.split("\t")
         names.append(name)
         weights.append(float(weight))
+    if len(names) != n_features:
+        raise FormatError(f"declared {n_features} features, found {len(names)}")
     model = RidgeModel(
         weights=np.array(weights), intercept=intercept, lam=lam, feature_names=names
     )
@@ -515,6 +539,7 @@ def write_gbm(model: GbmModel, ctx: ModelContext) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_model_reader
 def read_gbm(text: str) -> tuple[GbmModel, ModelContext]:
     lines = [l for l in text.splitlines() if l]
     if not lines or lines[0] != MAGIC_GBM:
@@ -569,6 +594,7 @@ def write_cnn(model: CnnModel, ctx: ModelContext) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_model_reader
 def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC_CNN:

@@ -107,8 +107,15 @@ class TestIngest:
         assert err.startswith("error:lookup:")
         assert "chelsea" in err
 
-    def test_parse_error_carries_line_number(self, tmp_path, capsys):
-        raw = write_raw(tmp_path, [raw_line("kane", 1, 90, 5).replace("90", "abc", 1)])
+    @pytest.mark.parametrize(
+        "column,value",
+        [("minutes", "abc")]
+        + [(c, v) for c in ("minutes", "influence") for v in ("inf", "nan", "1e400")],
+    )
+    def test_parse_error_carries_line_number(self, tmp_path, capsys, column, value):
+        cells = raw_line("kane", 1, 90, 5).split(",")
+        cells[HEADER.split(",").index(column)] = value
+        raw = write_raw(tmp_path, [",".join(cells)])
         strengths = tmp_path / "strengths.csv"
         strengths.write_text(STRENGTHS, encoding="utf-8")
         rc = main(
@@ -116,7 +123,9 @@ class TestIngest:
              "--strengths", str(strengths)]
         )
         assert rc == 1
-        assert "line 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:parse:") and err.count("\n") == 1
+        assert "line 2" in err and f"'{column}'" in err
 
 
 class TestConfig:
@@ -259,6 +268,25 @@ class TestEvaluateCommand:
         extremes = (out / "extremes_ridge_MID_test.csv").read_text()
         assert '"worst"' in extremes and '"best"' in extremes
 
+    def test_truncated_model_is_a_format_error(self, tmp_path, capsys):
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        main(
+            ["--out", str(out), "--seed", "5", "--position", "MID", "train",
+             "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
+             "--family", "gbm"]
+        )
+        model = out / "model_gbm_MID.txt"
+        lines = model.read_text().splitlines(keepends=True)
+        model.write_text("".join(lines[: len(lines) // 2]))
+        capsys.readouterr()
+        rc = main(
+            ["--out", str(out), "evaluate", "--model", str(model),
+             "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and err.count("\n") == 1
+
 
 class TestRankCommand:
     def test_descending_with_alphabetical_ties(self, tmp_path):
@@ -288,6 +316,48 @@ class TestRankCommand:
         np.testing.assert_allclose(
             sorted(tied), sorted(average_ranks([-p for p in predicted]))
         )
+
+
+class TestDifficultySign:
+    """difficulty_sign own_minus_opponent negates d wherever it is used."""
+
+    def train_ridge(self, tmp_path, out, cleaned, strengths, splits, sign):
+        config = tmp_path / f"{sign}.json"
+        config.write_text(json.dumps({"difficulty_sign": sign}), encoding="utf-8")
+        for pos in ("GK", "MID"):
+            assert main(
+                ["--config", str(config), "--out", str(out), "--seed", "5",
+                 "--position", pos, "train", "--cleaned", *cleaned,
+                 "--strengths", strengths, "--splits", splits, "--family", "ridge"]
+            ) == 0
+        assert main(
+            ["--out", str(out), "explain", "--kind", "coefficients", "--model",
+             str(out / "model_ridge_GK.txt"), str(out / "model_ridge_MID.txt")]
+        ) == 0
+
+    def test_dataset_and_coefficients_negate_difficulty(self, tmp_path):
+        from fplcast.serialize import read_coefficient_table, read_dataset
+
+        _, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        runs = {}
+        for sign in ("opponent_minus_own", "own_minus_opponent"):
+            out = tmp_path / sign
+            self.train_ridge(tmp_path, out, cleaned, strengths, splits, sign)
+            _, examples = read_dataset((out / "dataset_MID_sliding.txt").read_text())
+            table = read_coefficient_table((out / "coefficients.csv").read_text())
+            runs[sign] = examples, table
+        (default_ex, default_table), (flipped_ex, flipped_table) = runs.values()
+        assert any(e.d != 0 for e in default_ex)
+        assert [e.d for e in flipped_ex] == [-e.d for e in default_ex]
+        assert [e.y for e in flipped_ex] == [e.y for e in default_ex]
+
+        _, features, coef, intercepts = default_table
+        _, _, flipped_coef, flipped_intercepts = flipped_table
+        # Negation is exact in floating point, so the fit mirrors bit for bit.
+        gap = features.index("difficulty_gap")
+        sign = np.where(np.arange(len(features)) == gap, -1.0, 1.0)
+        np.testing.assert_array_equal(flipped_coef, coef * sign)
+        np.testing.assert_array_equal(flipped_intercepts, intercepts)
 
 
 class TestExplainCommands:
@@ -409,6 +479,25 @@ class TestGridsearchCommand:
         assert "MID" in summary
         assert summary["MID"]["test_mse"] is not None
         assert summary["MID"]["top_k"]["k"] == 2
+
+    def test_grid_workers_is_accepted_without_effect(self, tmp_path):
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid_workers": 2}), encoding="utf-8")
+        outputs = []
+        for extra, run_out in (([], tmp_path / "serial"),
+                               (["--config", str(config)], tmp_path / "workers")):
+            rc = main(
+                extra + ["--out", str(run_out), "--seed", "5", "--position", "MID",
+                         "gridsearch", "--cleaned", *cleaned, "--strengths", strengths,
+                         "--splits", splits, "--family", "ridge"]
+            )
+            assert rc == 0
+            outputs.append(
+                [(run_out / name).read_bytes()
+                 for name in ("trials_ridge_MID.csv", "summary_ridge.json")]
+            )
+        assert outputs[0] == outputs[1]
 
 
 class TestCvCommand:

@@ -10,6 +10,7 @@ from fplcast.harness import (
     derive_seed,
     run_grid,
     select_final,
+    split_windows,
     top_k_summary,
     train_family,
 )
@@ -90,13 +91,20 @@ class TestRunGrid:
         assert derive_seed(seed, touched) == derive_seed(seed, dict(touched))
         assert derive_seed(seed, touched) != derive_seed(seed, other)
 
-    def test_workers_do_not_change_results(self, mid_setup):
+
+class TestSplitWindows:
+    def test_flip_negates_copies(self, mid_setup):
         series, strengths, splits = mid_setup
-        a = run_grid(RIDGE_GRID, series, strengths, splits, seed=7, workers=1)
-        b = run_grid(RIDGE_GRID, series, strengths, splits, seed=7, workers=3)
-        assert [r.val_mse for r in a] == pytest.approx(
-            [r.val_mse for r in b], abs=1e-12
-        )
+        args = (series, strengths, 3, FeatureTier.PTSONLY)
+        plain = split_windows(*args, splits=splits, split="train")
+        before = [e.d for e in plain]
+        flipped = [split_windows(*args, True, splits, "train") for _ in range(2)]
+        assert any(before)
+        assert {splits.assignments[e.player] for e in plain} == {"train"}
+        for run in flipped:
+            assert [e.d for e in run] == [-d for d in before]
+            assert [e.y for e in run] == [e.y for e in plain]
+        assert [e.d for e in plain] == before
 
 
 def trial(val, error=None):

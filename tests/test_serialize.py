@@ -171,3 +171,46 @@ class TestReportWriters:
         lines = write_spearman_table(cells, ["cnn"]).splitlines()
         assert lines[0] == '"model","GK","DEF","MID","FWD"'
         assert lines[1].endswith('"null"')
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    """One small fitted model per family, with its model context."""
+    from fplcast.harness import FAMILIES, train_family
+    from fplcast.serialize import ModelContext
+
+    rows, strengths = generate_synthetic_season(seed=8, n_players=60, n_weeks=10)
+    series = [s for s in build_series(rows) if s.key.position is Position.MID]
+    splits = assign_splits(series, seed=8)
+    train_ex, val_ex = (
+        [e for s in series if splits.assignments[s.key] == split
+         for e in build_windows(s, 3, FeatureTier.PTSONLY, strengths)]
+        for split in ("train", "validation")
+    )
+    configs = {
+        "ridge": {},
+        "gbm": {"n_trees": 3, "min_data_in_leaf": 5},
+        "cnn": {"epochs": 1, "filters": 2, "hidden": 2},
+    }
+    models = {}
+    for name, config in configs.items():
+        fitted, _, _ = train_family(name, config, train_ex, val_ex, seed=8)
+        ctx = ModelContext(w=3, tier="ptsonly", position="MID", scaler=fitted.scaler)
+        models[name] = (FAMILIES[name], fitted.model, ctx)
+    return models
+
+
+class TestModelFileTruncation:
+    @pytest.mark.parametrize("name", ["ridge", "gbm", "cnn"])
+    def test_every_line_cut_round_trips_or_is_format_error(self, fitted_models, name):
+        family, model, ctx = fitted_models[name]
+        text = family.write(model, ctx)
+        lines = text.splitlines(keepends=True)
+        for cut in range(len(lines) + 1):
+            part = "".join(lines[:cut])
+            try:
+                loaded = family.read(part)
+            except FormatError:
+                continue
+            assert family.write(*loaded) == part, f"cut at line {cut} loaded"
+        assert family.write(*family.read(text)) == text
