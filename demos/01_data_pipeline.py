@@ -10,6 +10,7 @@ from fplcast.dataset import (
     assign_splits,
     build_series,
     build_windows,
+    concat_windows,
     fit_scaler,
     apply_scaler,
     generate_synthetic_season,
@@ -33,13 +34,13 @@ print("\n== Windowed examples ==")
 series = build_series(played)
 mid = [s for s in series if s.key.position is Position.MID]
 w, tier = 3, FeatureTier.PTS_MINUTES
-examples = [e for s in mid for e in build_windows(s, w, tier, strengths)]
-print(f"  {len(mid)} midfielders -> {len(examples)} windows of w={w}")
-example = examples[0]
-print(f"  one example: X shape {example.X.shape}, d={example.d}, y={example.y}")
-print(f"  window rows (points, minutes):\n{example.X}")
-sa = sliding_average(example)
-print(f"  sliding average: {np.round(sa.x, 2)}")
+windows = concat_windows([build_windows(s, w, tier, strengths) for s in mid])
+print(f"  {len(mid)} midfielders -> {len(windows)} windows of w={w}")
+X, d, y = windows.X[0], windows.d[0], windows.y[0]
+print(f"  one example: X shape {X.shape}, d={d}, y={y}")
+print(f"  window rows (points, minutes):\n{X}")
+means = sliding_average(windows)
+print(f"  sliding average: {np.round(means[0], 2)}")
 
 print("\n== Player-disjoint stratified splits ==")
 splits = assign_splits(mid, fractions=(0.6, 0.25, 0.15), n_bins=4, seed=42)
@@ -49,15 +50,12 @@ for bucket in splits.assignments.values():
 print(f"  players per split: {counts}")
 
 print("\n== Standard scaling (train statistics only) ==")
-train_examples = [
-    e
-    for s in mid
-    if splits.assignments[s.key] == "train"
-    for e in build_windows(s, w, tier, strengths)
-]
-scaler = fit_scaler(train_examples, "windowed")
+train = concat_windows(
+    [build_windows(s, w, tier, strengths)
+     for s in mid if splits.assignments[s.key] == "train"]
+)
+scaler = fit_scaler(train.X)
 print(f"  mu = {np.round(scaler.mean, 3)}")
 print(f"  sigma = {np.round(scaler.std, 3)}")
-scaled = apply_scaler(scaler, example)
-print(f"  scaled first window:\n{np.round(scaled.X, 3)}")
-print(f"  d and y pass through unscaled: d={scaled.d}, y={scaled.y}")
+print(f"  scaled first window:\n{np.round(apply_scaler(scaler, X), 3)}")
+print(f"  d and y pass through unscaled: d={d}, y={y}")

@@ -10,6 +10,7 @@ from fplcast.dataset import (
     assign_splits,
     build_series,
     build_windows,
+    concat_windows,
     generate_synthetic_season,
 )
 from fplcast.evaluation import spearman_tied
@@ -21,16 +22,16 @@ series = [s for s in build_series(rows) if s.key.position is Position.MID]
 splits = assign_splits(series, seed=7)
 
 w, tier = 3, FeatureTier.PTSONLY
-train_ex, val_ex = [], []
-for s in series:
-    bucket = splits.assignments[s.key]
-    if bucket == "train":
-        train_ex.extend(build_windows(s, w, tier, strengths))
-    elif bucket == "validation":
-        val_ex.extend(build_windows(s, w, tier, strengths))
+train_ex, val_ex = (
+    concat_windows(
+        [build_windows(s, w, tier, strengths)
+         for s in series if splits.assignments[s.key] == bucket]
+    )
+    for bucket in ("train", "validation")
+)
 
-val_y = np.array([float(e.y) for e in val_ex])
-train_y = np.array([float(e.y) for e in train_ex])
+val_y = val_ex.y.astype(float)
+train_y = train_ex.y.astype(float)
 baseline = float(np.mean((val_y - train_y.mean()) ** 2))
 print(f"midfielders: {len(train_ex)} train / {len(val_ex)} val examples")
 print(f"mean-predictor baseline val MSE: {baseline:.3f}\n")

@@ -10,6 +10,7 @@ from fplcast.dataset import (
     assign_splits,
     build_series,
     build_windows,
+    concat_windows,
     generate_synthetic_season,
 )
 from fplcast.harness import train_family, sliding_design
@@ -25,12 +26,10 @@ names = tier.columns() + ["difficulty_gap"]
 
 
 def examples_for(position, bucket, splits, series):
-    return [
-        e
-        for s in series
-        if splits.assignments[s.key] == bucket
-        for e in build_windows(s, w, tier, strengths)
-    ]
+    return concat_windows(
+        [build_windows(s, w, tier, strengths)
+         for s in series if splits.assignments[s.key] == bucket]
+    )
 
 
 print("== Ridge coefficients per position ==")

@@ -23,13 +23,13 @@ from .dataset import (
     FeatureTier,
     PlayerSeries,
     ScalerParams,
-    SlidingAverageExample,
     SplitAssignment,
-    WindowedExample,
+    WindowSet,
     apply_scaler,
     assign_splits,
     build_series,
     build_windows,
+    concat_windows,
     fit_scaler,
     generate_synthetic_season,
     sliding_average,

@@ -24,8 +24,8 @@ from .dataset import (
     SplitAssignment,
     assign_splits,
     build_series,
+    concat_windows,
     generate_synthetic_season,
-    sliding_average,
 )
 from .evaluation import (
     EvalReport,
@@ -321,9 +321,10 @@ def cmd_split(args, config) -> int:
     out = _out_dir(args)
     rows = _read_cleaned(args.cleaned)
     fractions = tuple(config["fractions"])
+    all_series = build_series(rows)
     merged: dict = {}
     for position in Position.ordered():
-        series = [s for s in build_series(rows) if s.key.position == position]
+        series = [s for s in all_series if s.key.position == position]
         if not series:
             continue
         part = assign_splits(
@@ -349,14 +350,13 @@ def cmd_split(args, config) -> int:
     return 0
 
 
-def _eval_report(examples, predictions, position, split, model_id) -> EvalReport:
-    y = [float(e.y) for e in examples]
+def _eval_report(windows, predictions, position, split, model_id) -> EvalReport:
     return EvalReport(
         position=position,
         split=split,
-        n=len(examples),
-        mse=mse(y, predictions),
-        spearman=spearman_tied(y, predictions) if len(y) >= 2 else None,
+        n=len(windows),
+        mse=mse(windows.y, predictions),
+        spearman=spearman_tied(windows.y, predictions) if len(windows) >= 2 else None,
         model_id=model_id,
     )
 
@@ -401,9 +401,6 @@ def cmd_train(args, config) -> int:
         # One dataset file per (position, representation), in the form the
         # family consumed: window tensors for the cnn, window means for the
         # baselines. Test examples are never materialized here.
-        examples = train_ex + val_ex
-        if family.representation == "sliding":
-            examples = [sliding_average(e) for e in examples]
         header = ser.DatasetHeader(
             representation=family.representation,
             position=position.value,
@@ -417,12 +414,12 @@ def cmd_train(args, config) -> int:
         )
         _write(
             out / f"dataset_{position.value}_{family.representation}.txt",
-            ser.write_dataset(header, examples),
+            ser.write_dataset(header, concat_windows([train_ex, val_ex])),
         )
-        for split, examples in (("train", train_ex), ("validation", val_ex)):
-            predictions = predict(family, fitted.model, fitted.scaler, examples)
+        for split, windows in (("train", train_ex), ("validation", val_ex)):
+            predictions = predict(family, fitted.model, fitted.scaler, windows)
             reports.append(
-                _eval_report(examples, predictions, position, split, model_id)
+                _eval_report(windows, predictions, position, split, model_id)
             )
         print(
             f"{model_id}: train mse {train_err:.4f}, val mse {val_err:.4f}"
@@ -453,28 +450,27 @@ def cmd_evaluate(args, config) -> int:
     position = Position(ctx.position)
     series = _series_for_position(rows, position)
     tier = FeatureTier(ctx.tier)
-    examples = split_windows(
+    windows = split_windows(
         series, strengths, ctx.w, tier, _flip_flag(config), splits, args.split
     )
-    if not examples:
+    if not windows:
         raise CliError("data", f"no {args.split} examples for {position.value}")
-    predictions = predict(family, model, ctx.scaler, examples)
+    predictions = predict(family, model, ctx.scaler, windows)
     model_id = f"{family.name}_{position.value}"
-    report = _eval_report(examples, predictions, position, args.split, model_id)
+    report = _eval_report(windows, predictions, position, args.split, model_id)
     if args.per_gameweek:
-        gw = [e.target_gameweek for e in examples]
         report.spearman = spearman_by_gameweek(
-            gw, [float(e.y) for e in examples], predictions
+            windows.target_gameweek, windows.y, predictions
         )
     _write(
         out / f"eval_{model_id}_{args.split}.csv", ser.write_reports_csv([report])
     )
     _write(
         out / f"predictions_{model_id}_{args.split}.csv",
-        ser.write_predictions_csv(export_predictions(examples, predictions)),
+        ser.write_predictions_csv(export_predictions(windows, predictions)),
     )
-    k = min(int(config["extreme_k"]), len(examples))
-    extremes = extreme_examples(examples, predictions, k)
+    k = min(int(config["extreme_k"]), len(windows))
+    extremes = extreme_examples(windows, predictions, k)
     lines = ["kind,true,predicted,squared_error,d,points_history"]
     for kind, entries in (("worst", extremes.worst), ("best", extremes.best)):
         for y, yhat, err, d, history in entries:
@@ -610,11 +606,8 @@ def cmd_rank(args, config) -> int:
     series = _series_for_position(rows, position)
     tier = FeatureTier(ctx.tier)
 
-    candidates = [
-        ex
-        for ex in split_windows(series, strengths, ctx.w, tier, _flip_flag(config))
-        if ex.target_gameweek == args.gameweek
-    ]
+    windows = split_windows(series, strengths, ctx.w, tier, _flip_flag(config))
+    candidates = windows.take(windows.target_gameweek == args.gameweek)
     if not candidates:
         raise CliError(
             "data",
@@ -623,7 +616,7 @@ def cmd_rank(args, config) -> int:
     predictions = predict(family, model, ctx.scaler, candidates)
     order = sorted(
         range(len(candidates)),
-        key=lambda i: (-predictions[i], candidates[i].player.canonical_name),
+        key=lambda i: (-predictions[i], candidates.players[i].canonical_name),
     )
     tied = average_ranks(-np.asarray(predictions))
     lines = ["rank,player,predicted,tied_rank"]
@@ -632,7 +625,7 @@ def cmd_rank(args, config) -> int:
             ser.csv_line(
                 [
                     rank_pos,
-                    candidates[i].player.canonical_name,
+                    candidates.players[i].canonical_name,
                     float(predictions[i]),
                     float(tied[i]),
                 ]
@@ -687,7 +680,7 @@ def _explain_shapley(args, config, out, loaded):
     background = A_train[
         rng.choice(A_train.shape[0], size=n_background, replace=False)
     ]
-    A_explain, _ = sliding_design([explain_ex[args.example_index]])
+    A_explain, _ = sliding_design(explain_ex.take([args.example_index]))
     result = shapley_values(model, A_explain[0], background)
     names = model.feature_names or [f"x{j}" for j in range(model.n_features)]
     lines = ["feature,value,phi"]

@@ -3,8 +3,8 @@
 A cleaned player series becomes one training example per retained gameweek
 that has a full window of w prior appearances: the w-by-f feature window,
 the following match's difficulty gap, and that match's points as the
-target. Baseline models consume the per-feature window means instead of
-the full window.
+target. Examples are held column by column in a WindowSet. Baseline models
+consume the per-feature window means instead of the full window.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ import enum
 import hashlib
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ingest import (
     NUMERIC_STATS,
@@ -29,12 +31,12 @@ from .ingest import (
 __all__ = [
     "PlayerSeries",
     "FeatureTier",
-    "WindowedExample",
-    "SlidingAverageExample",
+    "WindowSet",
     "SplitAssignment",
     "ScalerParams",
     "build_series",
     "build_windows",
+    "concat_windows",
     "sliding_average",
     "assign_splits",
     "fit_scaler",
@@ -88,28 +90,46 @@ class FeatureTier(enum.Enum):
         return list(NUMERIC_STATS)
 
 
-@dataclass
-class WindowedExample:
-    """One (window, difficulty, target) training triple."""
+@dataclass(frozen=True, eq=False)
+class WindowSet:
+    """(window, difficulty, target) examples, one row per example."""
 
-    X: np.ndarray  # w x f
-    d: int
-    y: int
-    player: CanonicalPlayerKey
-    position: Position
-    target_gameweek: int
+    X: np.ndarray  # n x w x f feature windows
+    d: np.ndarray  # n difficulty gaps (int)
+    y: np.ndarray  # n target points (int)
+    players: tuple[CanonicalPlayerKey, ...]  # n
+    target_gameweek: np.ndarray  # n (int)
+
+    @classmethod
+    def empty(cls, w: int, f: int) -> WindowSet:
+        """No windows, shaped for w weeks of f features."""
+        no_ints = np.zeros(0, dtype=np.int64)
+        return cls(np.zeros((0, w, f)), no_ints, no_ints, (), no_ints)
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def take(self, idx) -> WindowSet:
+        """The rows that `idx` (indices or a boolean mask) selects."""
+        rows = np.arange(len(self))[idx]
+        return WindowSet(
+            X=self.X[rows],
+            d=self.d[rows],
+            y=self.y[rows],
+            players=tuple(self.players[i] for i in rows),
+            target_gameweek=self.target_gameweek[rows],
+        )
 
 
-@dataclass
-class SlidingAverageExample:
-    """Column means of a window, for the linear and tree baselines."""
-
-    x: np.ndarray  # length f
-    d: int
-    y: int
-    player: CanonicalPlayerKey
-    position: Position
-    target_gameweek: int
+def concat_windows(parts: Sequence[WindowSet]) -> WindowSet:
+    """The rows of every part, in order; parts share w and f."""
+    return WindowSet(
+        X=np.concatenate([p.X for p in parts]),
+        d=np.concatenate([p.d for p in parts]),
+        y=np.concatenate([p.y for p in parts]),
+        players=tuple(key for p in parts for key in p.players),
+        target_gameweek=np.concatenate([p.target_gameweek for p in parts]),
+    )
 
 
 @dataclass
@@ -163,7 +183,7 @@ def build_windows(
     w: int,
     tier: FeatureTier,
     strengths: dict[str, TeamStrengthTable] | TeamStrengthTable,
-) -> list[WindowedExample]:
+) -> WindowSet:
     """Slide a w-week window over the series; the week after each window
     supplies the target points and difficulty.
 
@@ -173,32 +193,29 @@ def build_windows(
     if w < 1:
         raise ValueError(f"window size must be >= 1, got {w}")
     columns = tier.columns()
-    examples: list[WindowedExample] = []
+    windows, targets, d = [], [], []
     for season_rows in _split_by_season(series.rows):
         if len(season_rows) < w + 1:
             continue
+        table, season = strengths, season_rows[0].season
+        if isinstance(strengths, dict):
+            if season not in strengths:
+                raise KeyError(f"no strength table for season '{season}'")
+            table = strengths[season]
         feats = _feature_matrix(season_rows, columns)
-        for i in range(w, len(season_rows)):
-            target = season_rows[i]
-            if isinstance(strengths, dict):
-                if target.season not in strengths:
-                    raise KeyError(
-                        f"no strength table for season '{target.season}'"
-                    )
-                table = strengths[target.season]
-            else:
-                table = strengths
-            examples.append(
-                WindowedExample(
-                    X=feats[i - w : i].copy(),
-                    d=compute_difficulty(target, table),
-                    y=target.total_points,
-                    player=series.key,
-                    position=series.key.position,
-                    target_gameweek=target.gameweek,
-                )
-            )
-    return examples
+        # Window i holds rows i..i+w-1 and predicts row i+w.
+        windows.append(sliding_window_view(feats, w, axis=0)[:-1].transpose(0, 2, 1))
+        targets.extend(season_rows[w:])
+        d.extend(compute_difficulty(target, table) for target in season_rows[w:])
+    if not targets:
+        return WindowSet.empty(w, len(columns))
+    return WindowSet(
+        X=np.concatenate(windows),
+        d=np.array(d, dtype=np.int64),
+        y=np.array([t.total_points for t in targets], dtype=np.int64),
+        players=(series.key,) * len(targets),
+        target_gameweek=np.array([t.gameweek for t in targets], dtype=np.int64),
+    )
 
 
 def _split_by_season(rows: list[RawGameweekRow]) -> list[list[RawGameweekRow]]:
@@ -211,16 +228,9 @@ def _split_by_season(rows: list[RawGameweekRow]) -> list[list[RawGameweekRow]]:
     return segments
 
 
-def sliding_average(example: WindowedExample) -> SlidingAverageExample:
-    """Collapse a window to its per-feature arithmetic means."""
-    return SlidingAverageExample(
-        x=example.X.mean(axis=0),
-        d=example.d,
-        y=example.y,
-        player=example.player,
-        position=example.position,
-        target_gameweek=example.target_gameweek,
-    )
+def sliding_average(windows: WindowSet) -> np.ndarray:
+    """Per-feature arithmetic means of each window: n x f."""
+    return windows.X.mean(axis=1)
 
 
 def stable_hash(*parts) -> int:
@@ -304,63 +314,32 @@ def assign_splits(
     )
 
 
-def fit_scaler(examples, representation: str = "windowed") -> ScalerParams:
-    """Population mean/std per feature over the training examples.
-
-    Windowed examples pool every row of every window; sliding-average
-    examples use their mean vectors directly. Difficulty and target are
-    never scaled.
+def fit_scaler(A: np.ndarray) -> ScalerParams:
+    """Population mean/std per feature (the last axis) over the training
+    features: every row of every window, or one mean vector per window.
+    Difficulty and target are never scaled.
     """
-    if not examples:
+    A = np.asarray(A)
+    rows = A.reshape(-1, A.shape[-1])
+    if rows.shape[0] == 0:
         raise ValueError("cannot fit a scaler on zero examples")
-    if representation == "windowed":
-        stacked = np.vstack([e.X for e in examples])
-    elif representation == "sliding":
-        stacked = np.vstack([e.x for e in examples])
-    else:
-        raise ValueError(f"unknown representation '{representation}'")
-    return ScalerParams(
-        mean=stacked.mean(axis=0), std=stacked.std(axis=0), fitted_on="train"
-    )
+    return ScalerParams(mean=rows.mean(axis=0), std=rows.std(axis=0), fitted_on="train")
 
 
-def apply_scaler(params: ScalerParams, example):
-    """Return a copy of the example with z-scored features.
+def apply_scaler(params: ScalerParams, A: np.ndarray) -> np.ndarray:
+    """Z-scored copy of features whose last axis is the scaler's.
 
-    Features with zero training variance map to 0. d and y pass through.
+    Features with zero training variance map to 0.
     """
-    safe_std = np.where(params.std > 0, params.std, 1.0)
-    if isinstance(example, WindowedExample):
-        if example.X.shape[1] != params.mean.shape[0]:
-            raise ValueError(
-                f"feature count mismatch: example has {example.X.shape[1]}, "
-                f"scaler has {params.mean.shape[0]}"
-            )
-        z = (example.X - params.mean) / safe_std
-        z[:, params.std == 0] = 0.0
-        return WindowedExample(
-            X=z,
-            d=example.d,
-            y=example.y,
-            player=example.player,
-            position=example.position,
-            target_gameweek=example.target_gameweek,
-        )
-    if example.x.shape[0] != params.mean.shape[0]:
+    if A.shape[-1] != params.mean.shape[0]:
         raise ValueError(
-            f"feature count mismatch: example has {example.x.shape[0]}, "
+            f"feature count mismatch: features have {A.shape[-1]}, "
             f"scaler has {params.mean.shape[0]}"
         )
-    z = (example.x - params.mean) / safe_std
-    z[params.std == 0] = 0.0
-    return SlidingAverageExample(
-        x=z,
-        d=example.d,
-        y=example.y,
-        player=example.player,
-        position=example.position,
-        target_gameweek=example.target_gameweek,
-    )
+    safe_std = np.where(params.std > 0, params.std, 1.0)
+    z = (A - params.mean) / safe_std
+    z[..., params.std == 0] = 0.0
+    return z
 
 
 _SYNTH_TEAMS = 20

@@ -125,46 +125,47 @@ def spearman_by_gameweek(gameweeks, y_list, yhat_list) -> float | None:
     return float(np.mean(values)) if values else None
 
 
-def extreme_examples(examples, predictions, k: int) -> ExtremeExamples:
-    """Top/bottom k examples by squared error, ties broken by index.
+def extreme_examples(windows, predictions, k: int) -> ExtremeExamples:
+    """Top/bottom k windows by squared error, ties broken by index.
 
     Records the difficulty gap and the window's trailing per-week points
     column alongside each (true, predicted, squared error) triple.
     """
-    if k > len(examples):
-        raise ValueError(f"k={k} exceeds {len(examples)} examples")
-    if len(predictions) != len(examples):
+    if k > len(windows):
+        raise ValueError(f"k={k} exceeds {len(windows)} examples")
+    if len(predictions) != len(windows):
         raise ValueError("examples and predictions must align")
-    entries = []
-    for idx, (ex, pred) in enumerate(zip(examples, predictions)):
-        err = (float(ex.y) - float(pred)) ** 2
-        points_history = [float(p) for p in ex.X[:, 0]]
-        entries.append((err, idx, ex, float(pred), points_history))
-    by_err = sorted(entries, key=lambda t: (t[0], t[1]))
+    by_err = sorted(
+        ((float(y) - float(pred)) ** 2, idx)
+        for idx, (y, pred) in enumerate(zip(windows.y, predictions))
+    )
 
-    def record(t):
-        err, _idx, ex, pred, history = t
-        return (float(ex.y), pred, err, ex.d, history)
+    def record(err, idx):
+        history = [float(p) for p in windows.X[idx, :, 0]]
+        return (float(windows.y[idx]), float(predictions[idx]), err,
+                int(windows.d[idx]), history)
 
-    worst = [record(t) for t in sorted(by_err[-k:], key=lambda t: (-t[0], t[1]))]
-    best = [record(t) for t in by_err[:k]]
+    worst = [record(*t) for t in sorted(by_err[-k:], key=lambda t: (-t[0], t[1]))]
+    best = [record(*t) for t in by_err[:k]]
     return ExtremeExamples(worst=worst, best=best)
 
 
-def export_predictions(examples, predictions) -> list[dict]:
-    """One record per example: true, predicted, player, gameweek, position.
+def export_predictions(windows, predictions) -> list[dict]:
+    """One record per window: true, predicted, player, gameweek, position.
 
     Stable input order; feeds the predictions-vs-true scatter exports.
     """
-    if len(predictions) != len(examples):
+    if len(predictions) != len(windows):
         raise ValueError("examples and predictions must align")
     return [
         {
-            "true": float(ex.y),
+            "true": float(y),
             "predicted": float(pred),
-            "player": ex.player.canonical_name,
-            "gameweek": int(ex.target_gameweek),
-            "position": ex.position.value,
+            "player": player.canonical_name,
+            "gameweek": int(gameweek),
+            "position": player.position.value,
         }
-        for ex, pred in zip(examples, predictions)
+        for y, pred, player, gameweek in zip(
+            windows.y, predictions, windows.players, windows.target_gameweek
+        )
     ]

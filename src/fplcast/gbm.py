@@ -250,6 +250,8 @@ def fit_gbm(x_list, y_list, hp: GbmHyperparams | None = None,
         raise ValueError("need a non-empty 2-dimensional design matrix")
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{X.shape[0]} rows but {y.shape[0]} targets")
+    if not np.isfinite(X).all():
+        raise ValueError("design matrix must be finite")
     if not np.isfinite(y).all():
         raise ValueError("targets must be finite")
     if X.shape[0] < 2 * hp.min_data_in_leaf:

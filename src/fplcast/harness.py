@@ -26,9 +26,10 @@ from .dataset import (
     PlayerSeries,
     ScalerParams,
     SplitAssignment,
-    WindowedExample,
+    WindowSet,
     apply_scaler,
     build_windows,
+    concat_windows,
     fit_scaler,
     sliding_average,
     stable_hash,
@@ -98,19 +99,19 @@ class Family:
             **{key: cli_config[cli_key] for key, (cli_key, _) in self.params.items()},
         }
 
-    def fit_scaler(self, examples) -> ScalerParams | None:
+    def fit_scaler(self, windows: WindowSet) -> ScalerParams | None:
         if not self.scaled:
             return None
         if self.representation == "windowed":
-            return fit_scaler(examples, "windowed")
-        return fit_scaler([sliding_average(e) for e in examples], "sliding")
+            return fit_scaler(windows.X)
+        return fit_scaler(sliding_average(windows))
 
-    def design(self, examples, scaler: ScalerParams | None):
+    def design(self, windows: WindowSet, scaler: ScalerParams | None):
         """(model inputs, targets): a design matrix or a window batch."""
         if self.representation == "windowed":
-            batch = windowed_batch(examples, scaler)
+            batch = windowed_batch(windows, scaler)
             return batch, batch.y
-        return sliding_design(examples, scaler)
+        return sliding_design(windows, scaler)
 
 
 def _fit_ridge(p, train, val, seed, feature_names):
@@ -221,9 +222,11 @@ def model_family(text: str) -> Family | None:
     return next((f for f in FAMILIES.values() if f.magic == first), None)
 
 
-def predict(family: Family, model, scaler: ScalerParams | None, examples) -> np.ndarray:
-    """One family's predictions for windowed examples."""
-    inputs, _ = family.design(examples, scaler)
+def predict(
+    family: Family, model, scaler: ScalerParams | None, windows: WindowSet
+) -> np.ndarray:
+    """One family's predictions for a window set."""
+    inputs, _ = family.design(windows, scaler)
     return family.predict_batch(model, inputs)
 
 
@@ -288,25 +291,20 @@ class FittedTrial:
     extras: dict = field(default_factory=dict)
 
 
-def sliding_design(examples, scaler: ScalerParams | None = None):
+def sliding_design(windows: WindowSet, scaler: ScalerParams | None = None):
     """Design matrix for the baselines: sliding-average features then d."""
-    rows, y = [], []
-    for ex in examples:
-        sa = sliding_average(ex)
-        if scaler is not None:
-            sa = apply_scaler(scaler, sa)
-        rows.append(np.concatenate([sa.x, [float(sa.d)]]))
-        y.append(float(sa.y))
-    return np.array(rows), np.array(y)
+    A = sliding_average(windows)
+    if scaler is not None:
+        A = apply_scaler(scaler, A)
+    return np.column_stack([A, windows.d]), windows.y.astype(np.float64)
 
 
-def windowed_batch(examples, scaler: ScalerParams | None = None) -> Batch:
+def windowed_batch(windows: WindowSet, scaler: ScalerParams | None = None) -> Batch:
     """CNN tensors: scaled windows, raw difficulties, raw targets."""
-    scaled = [apply_scaler(scaler, ex) if scaler else ex for ex in examples]
     return Batch(
-        X=np.stack([ex.X for ex in scaled]),
-        d=np.array([float(ex.d) for ex in scaled]),
-        y=np.array([float(ex.y) for ex in scaled]),
+        X=apply_scaler(scaler, windows.X) if scaler else windows.X,
+        d=windows.d.astype(np.float64),
+        y=windows.y.astype(np.float64),
     )
 
 
@@ -322,37 +320,37 @@ def split_windows(
     flip_difficulty: bool = False,
     splits: SplitAssignment | None = None,
     split: str | None = None,
-) -> list[WindowedExample]:
+) -> WindowSet:
     """Windows of every series, or only of the players `splits` assigns to
     `split`. With `flip_difficulty` (difficulty_sign own_minus_opponent)
-    each example is a copy with the difficulty negated."""
-    examples = [
-        ex
+    the difficulty is negated."""
+    parts = [
+        build_windows(series, w, tier, strengths)
         for series in series_list
         if splits is None or splits.assignments.get(series.key) == split
-        for ex in build_windows(series, w, tier, strengths)
     ]
-    if flip_difficulty:
-        return [replace(ex, d=-ex.d) for ex in examples]
-    return examples
+    if not parts:
+        return WindowSet.empty(w, len(tier.columns()))
+    windows = concat_windows(parts)
+    return replace(windows, d=-windows.d) if flip_difficulty else windows
 
 
 def train_family(
     family: str,
     config: dict,
-    train_examples: list[WindowedExample],
-    val_examples: list[WindowedExample],
+    train_windows: WindowSet,
+    val_windows: WindowSet,
     seed: int,
 ) -> tuple[FittedTrial, float, float]:
     """Fit one configuration; returns (fitted trial, train MSE, val MSE)."""
     fam = _family(family)
     tier = FeatureTier(config.get("tier", "ptsonly"))
     feature_names = tier.columns() + ["difficulty_gap"]
-    if not train_examples or not val_examples:
+    if not train_windows or not val_windows:
         raise ValueError("train and validation example sets must be non-empty")
-    scaler = fam.fit_scaler(train_examples)
-    train = fam.design(train_examples, scaler)
-    val = fam.design(val_examples, scaler)
+    scaler = fam.fit_scaler(train_windows)
+    train = fam.design(train_windows, scaler)
+    val = fam.design(val_windows, scaler)
     model, extras = fam.fit(fam.resolve(config), train, val, seed, feature_names)
     return (
         FittedTrial(family, model, scaler, feature_names, dict(config), extras),

@@ -37,6 +37,8 @@ def fit_ridge(x_list, y_list, lam: float, feature_names: list[str] | None = None
         raise ValueError(f"{A.shape[0]} rows but {y.shape[0]} targets")
     if A.shape[0] == 0:
         raise ValueError("need at least one example")
+    if not (np.isfinite(A).all() and np.isfinite(y).all()):
+        raise ValueError("design matrix and targets must be finite")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if feature_names is None:

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnn import PARAM_NAMES, CnnModel, LearningCurve
-from .dataset import (
-    ScalerParams,
-    SlidingAverageExample,
-    SplitAssignment,
-    WindowedExample,
-)
+from .dataset import ScalerParams, SplitAssignment, WindowSet, sliding_average
 from .evaluation import EvalReport
 from .gbm import GbmHyperparams, GbmModel, RegressionTree, TreeNode
 from .ingest import CanonicalPlayerKey, Position, RawGameweekRow
@@ -59,6 +54,24 @@ def csv_line(cells) -> str:
 
 def _parse_csv_line(line: str) -> list[str]:
     return next(csv.reader(io.StringIO(line)))
+
+
+def _format_checked(read):
+    """Make a reader fail only with FormatError: a truncated or corrupt
+    file otherwise surfaces as whatever lookup or conversion failed first."""
+
+    @functools.wraps(read)
+    def checked(text: str):
+        try:
+            return read(text)
+        except FormatError:
+            raise
+        except (IndexError, KeyError, ValueError, csv.Error) as exc:
+            raise FormatError(
+                f"truncated or corrupt file ({type(exc).__name__}: {exc})"
+            ) from None
+
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +145,26 @@ def write_cleaned_csv(rows: list[RawGameweekRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_format_checked
 def read_cleaned_csv(text: str) -> list[RawGameweekRow]:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != _CLEANED_COLUMNS:
+    if next(reader, None) != _CLEANED_COLUMNS:
         raise FormatError("not a cleaned gameweek file (unexpected header)")
     rows = []
     for rec in reader:
         if not rec:
             continue
+        if len(rec) != len(_CLEANED_COLUMNS):
+            raise FormatError(
+                f"line {reader.line_num}: expected {len(_CLEANED_COLUMNS)} cells, "
+                f"found {len(rec)}"
+            )
         by = dict(zip(_CLEANED_COLUMNS, rec))
+        if by["was_home"] not in ("True", "False"):
+            raise FormatError(
+                f"line {reader.line_num}: was_home must be True or False, "
+                f"got {by['was_home']!r}"
+            )
         rows.append(
             RawGameweekRow(
                 player_name=by["name"],
@@ -179,6 +202,10 @@ def read_cleaned_csv(text: str) -> list[RawGameweekRow]:
 # Split assignments
 
 
+_SPLITS_HEADER = "player,position,split"
+_SPLIT_NAMES = ("train", "validation", "test")
+
+
 def write_splits(splits: SplitAssignment) -> str:
     lines = [
         MAGIC_SPLITS,
@@ -186,7 +213,7 @@ def write_splits(splits: SplitAssignment) -> str:
         "# fractions " + " ".join(fmt_num(f) for f in splits.fractions),
         f"# n_bins {splits.n_bins}",
         f"# strat_on {splits.strat_on}",
-        "player,position,split",
+        _SPLITS_HEADER,
     ]
     for key in sorted(
         splits.assignments, key=lambda k: (k.canonical_name, k.position.value)
@@ -197,25 +224,32 @@ def write_splits(splits: SplitAssignment) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_format_checked
 def read_splits(text: str) -> SplitAssignment:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC_SPLITS:
         raise FormatError("not a splits file")
     meta = {}
-    body_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("# ") and i > 0:
+    body_start = len(lines)
+    for i, line in enumerate(lines[1:], start=1):
+        if line.startswith("# "):
             key, _, value = line[2:].partition(" ")
             meta[key] = value
         elif not line.startswith("#"):
             body_start = i
             break
+    if lines[body_start : body_start + 1] != [_SPLITS_HEADER]:
+        raise FormatError(f"splits file lacks its column header {_SPLITS_HEADER!r}")
     assignments = {}
     for line in lines[body_start + 1 :]:
         if not line:
             continue
         name, pos, split = _parse_csv_line(line)
+        if split not in _SPLIT_NAMES:
+            raise FormatError(f"unknown split {split!r} for player {name!r}")
         assignments[CanonicalPlayerKey(name, Position(pos))] = split
+    if not assignments:
+        raise FormatError("splits file assigns no players")
     fr = tuple(float(v) for v in meta["fractions"].split())
     return SplitAssignment(
         assignments=assignments,
@@ -243,8 +277,18 @@ class DatasetHeader:
     scaler_std: np.ndarray | None = None
 
 
-def write_dataset(header: DatasetHeader, examples) -> str:
+def _dataset_columns(header: DatasetHeader) -> str:
     f = len(header.features)
+    if header.representation == "windowed":
+        feat_cols = [f"x{r}_{c}" for r in range(header.w) for c in range(f)]
+    else:
+        feat_cols = [f"x_{c}" for c in range(f)]
+    return ",".join(["player", "position", "target_gameweek", "d", "y"] + feat_cols)
+
+
+def write_dataset(header: DatasetHeader, windows: WindowSet) -> str:
+    """One row per window: the window itself, or for a sliding header its
+    per-feature means."""
     lines = [
         MAGIC_DATASET,
         f"# representation {header.representation}",
@@ -258,32 +302,32 @@ def write_dataset(header: DatasetHeader, examples) -> str:
     if header.scaler_mean is not None:
         lines.append("# scaler_mean " + " ".join(fmt_num(x) for x in header.scaler_mean))
         lines.append("# scaler_std " + " ".join(fmt_num(x) for x in header.scaler_std))
-    if header.representation == "windowed":
-        feat_cols = [f"x{r}_{c}" for r in range(header.w) for c in range(f)]
-    else:
-        feat_cols = [f"x_{c}" for c in range(f)]
-    lines.append(",".join(["player", "position", "target_gameweek", "d", "y"] + feat_cols))
-    for ex in examples:
-        values = ex.X.ravel() if header.representation == "windowed" else ex.x
+    lines.append(_dataset_columns(header))
+    windowed = header.representation == "windowed"
+    for player, gameweek, d, y, values in zip(
+        windows.players, windows.target_gameweek, windows.d, windows.y,
+        windows.X if windowed else sliding_average(windows),
+    ):
         lines.append(
             csv_line(
-                [
-                    ex.player.canonical_name,
-                    ex.position.value,
-                    ex.target_gameweek,
-                    ex.d,
-                    ex.y,
-                ]
-                + [float(v) for v in values]
+                [player.canonical_name, player.position.value, gameweek, d, y]
+                + [float(v) for v in values.ravel()]
             )
         )
     return "\n".join(lines) + "\n"
 
 
-def read_dataset(text: str) -> tuple[DatasetHeader, list]:
+@_format_checked
+def read_dataset(text: str) -> tuple[DatasetHeader, WindowSet]:
+    """The header and the rows; a sliding file's rows come back as
+    one-week windows of the means, which sliding_average returns as they
+    are."""
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC_DATASET:
         raise FormatError("not a dataset file")
+    # Every row ends in a float cell, which a cut inside it leaves parseable.
+    if not text.endswith("\n"):
+        raise FormatError("dataset file is truncated (no final newline)")
     meta: dict[str, str] = {}
     body_start = len(lines)
     for i, line in enumerate(lines[1:], start=1):
@@ -293,6 +337,10 @@ def read_dataset(text: str) -> tuple[DatasetHeader, list]:
         else:
             body_start = i
             break
+
+    def vector(key: str) -> np.ndarray | None:
+        return np.array([float(v) for v in meta[key].split()]) if key in meta else None
+
     header = DatasetHeader(
         representation=meta["representation"],
         position=meta["position"],
@@ -301,49 +349,38 @@ def read_dataset(text: str) -> tuple[DatasetHeader, list]:
         seed=int(meta["seed"]),
         fractions=tuple(float(v) for v in meta["fractions"].split()),  # type: ignore[arg-type]
         features=meta["features"].split(),
-        scaler_mean=(
-            np.array([float(v) for v in meta["scaler_mean"].split()])
-            if "scaler_mean" in meta
-            else None
-        ),
-        scaler_std=(
-            np.array([float(v) for v in meta["scaler_std"].split()])
-            if "scaler_std" in meta
-            else None
-        ),
+        scaler_mean=vector("scaler_mean"),
+        scaler_std=vector("scaler_std"),
     )
-    n_features = len(header.features)
-    examples = []
-    for line in lines[body_start + 1 :]:
+    if header.representation not in ("windowed", "sliding"):
+        raise FormatError(f"unknown representation {header.representation!r}")
+    if (header.scaler_mean is None) != (header.scaler_std is None):
+        raise FormatError("dataset file has only one of scaler_mean and scaler_std")
+    if lines[body_start : body_start + 1] != [_dataset_columns(header)]:
+        raise FormatError("dataset file lacks its column header")
+    w = header.w if header.representation == "windowed" else 1
+    f = len(header.features)
+    players, ints, values = [], [], []
+    for i, line in enumerate(lines[body_start + 1 :], start=body_start + 2):
         if not line:
             continue
         cells = _parse_csv_line(line)
-        player = CanonicalPlayerKey(cells[0], Position(cells[1]))
-        target_gw, d, y = int(cells[2]), int(cells[3]), int(cells[4])
-        values = np.array([float(v) for v in cells[5:]])
-        if header.representation == "windowed":
-            examples.append(
-                WindowedExample(
-                    X=values.reshape(header.w, n_features),
-                    d=d,
-                    y=y,
-                    player=player,
-                    position=player.position,
-                    target_gameweek=target_gw,
-                )
+        if len(cells) != 5 + w * f:
+            raise FormatError(
+                f"line {i}: expected {5 + w * f} cells, found {len(cells)}"
             )
-        else:
-            examples.append(
-                SlidingAverageExample(
-                    x=values,
-                    d=d,
-                    y=y,
-                    player=player,
-                    position=player.position,
-                    target_gameweek=target_gw,
-                )
-            )
-    return header, examples
+        players.append(CanonicalPlayerKey(cells[0], Position(cells[1])))
+        ints.append([int(c) for c in cells[2:5]])
+        values.append([float(v) for v in cells[5:]])
+    gameweek, d, y = np.array(ints, dtype=np.int64).reshape(-1, 3).T
+    windows = WindowSet(
+        X=np.array(values, dtype=np.float64).reshape(len(players), w, f),
+        d=d,
+        y=y,
+        players=tuple(players),
+        target_gameweek=gameweek,
+    )
+    return header, windows
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +428,6 @@ def _parse_context(lines: list[str]) -> tuple[ModelContext, int]:
     return ctx, consumed
 
 
-def _model_reader(read):
-    """Make a model reader fail only with FormatError: a truncated or
-    corrupt file otherwise surfaces as whatever lookup or conversion
-    failed first."""
-
-    @functools.wraps(read)
-    def checked(text: str):
-        try:
-            return read(text)
-        except FormatError:
-            raise
-        except (IndexError, KeyError, ValueError) as exc:
-            raise FormatError(
-                f"truncated or corrupt model file ({type(exc).__name__}: {exc})"
-            ) from None
-
-    return checked
-
-
 # ---------------------------------------------------------------------------
 # Ridge model
 
@@ -429,7 +447,7 @@ def write_ridge(model: RidgeModel, ctx: ModelContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-@_model_reader
+@_format_checked
 def read_ridge(text: str) -> tuple[RidgeModel, ModelContext]:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC_RIDGE:
@@ -539,7 +557,7 @@ def write_gbm(model: GbmModel, ctx: ModelContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-@_model_reader
+@_format_checked
 def read_gbm(text: str) -> tuple[GbmModel, ModelContext]:
     lines = [l for l in text.splitlines() if l]
     if not lines or lines[0] != MAGIC_GBM:
@@ -594,7 +612,7 @@ def write_cnn(model: CnnModel, ctx: ModelContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-@_model_reader
+@_format_checked
 def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC_CNN:
@@ -695,6 +713,7 @@ def write_coefficient_table(
     return "\n".join(lines) + "\n"
 
 
+@_format_checked
 def read_coefficient_table(text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     lines = [l for l in text.splitlines() if l]
     header = _parse_csv_line(lines[0])
@@ -702,6 +721,8 @@ def read_coefficient_table(text: str) -> tuple[list[str], list[str], np.ndarray,
     positions, coef_rows, intercepts = [], [], []
     for line in lines[1:]:
         cells = _parse_csv_line(line)
+        if len(cells) != len(header):
+            raise FormatError(f"expected {len(header)} cells, found {len(cells)}")
         positions.append(cells[0])
         coef_rows.append([float(v) for v in cells[1:-1]])
         intercepts.append(float(cells[-1]))
@@ -719,6 +740,7 @@ def write_predictions_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_format_checked
 def read_predictions_csv(text: str) -> list[dict]:
     lines = [l for l in text.splitlines() if l]
     records = []

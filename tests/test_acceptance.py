@@ -21,6 +21,7 @@ from fplcast.dataset import (
     assign_splits,
     build_series,
     build_windows,
+    concat_windows,
     generate_synthetic_season,
     sliding_average,
 )
@@ -294,14 +295,13 @@ def test_criterion_6_pipeline_worked_example():
     )
     rows = parse_gameweek_csv(rows_csv, "2021-22")
     [series] = build_series(rows)
-    examples = build_windows(series, 2, FeatureTier.FULL, strengths)
-    assert len(examples) == 1
-    [example] = examples
-    assert example.y == 2
-    assert example.d == -1  # brentford (2) - fulham (3)
-    sa = sliding_average(example)
+    windows = build_windows(series, 2, FeatureTier.FULL, strengths)
+    assert len(windows) == 1
+    assert windows.y[0] == 2
+    assert windows.d[0] == -1  # brentford (2) - fulham (3)
+    [means] = sliding_average(windows)
     cols = FeatureTier.FULL.columns()
-    assert sa.x[cols.index("total_points")] == pytest.approx(6.5)
+    assert means[cols.index("total_points")] == pytest.approx(6.5)
     report(
         "PASS criterion 6: two-week worked window yields y=2, d=-1, "
         "sliding points 6.5"
@@ -328,15 +328,15 @@ def test_criterion_7_desk_scale_end_to_end():
         position_started = time.perf_counter()
         series = [s for s in all_series if s.key.position == position]
         splits = assign_splits(series, seed=707)
-        train_ex, val_ex = [], []
-        for s in series:
-            bucket = splits.assignments[s.key]
-            if bucket == "train":
-                train_ex.extend(build_windows(s, w, tier, strengths))
-            elif bucket == "validation":
-                val_ex.extend(build_windows(s, w, tier, strengths))
-        train_y = np.array([float(e.y) for e in train_ex])
-        val_y = np.array([float(e.y) for e in val_ex])
+        train_ex, val_ex = (
+            concat_windows(
+                [build_windows(s, w, tier, strengths)
+                 for s in series if splits.assignments[s.key] == bucket]
+            )
+            for bucket in ("train", "validation")
+        )
+        train_y = train_ex.y.astype(float)
+        val_y = val_ex.y.astype(float)
         baseline = float(np.mean((val_y - train_y.mean()) ** 2))
         for family, config in (
             ("ridge", DESK_RIDGE),

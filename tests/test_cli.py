@@ -196,11 +196,11 @@ class TestTrainCommand:
         for s in build_series(rows):
             if s.key.position is not Position.MID:
                 continue
-            for ex in build_windows(s, 3, FeatureTier.PTSONLY, tables):
+            for y in build_windows(s, 3, FeatureTier.PTSONLY, tables).y:
                 if assignment[s.key] == "train":
-                    train_y.append(ex.y)
+                    train_y.append(y)
                 elif assignment[s.key] == "validation":
-                    val_y.append(ex.y)
+                    val_y.append(y)
         baseline = float(np.mean((np.array(val_y) - np.mean(train_y)) ** 2))
         assert val_mse < baseline
 
@@ -236,15 +236,15 @@ class TestTrainCommand:
              "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
              "--family", "ridge"]
         )
-        header, examples = read_dataset(
+        header, windows = read_dataset(
             (out / "dataset_MID_sliding.txt").read_text()
         )
         assert header.representation == "sliding"
         assert header.scaler_mean is not None  # ridge inputs are z-scored
-        assert len(examples) > 0
+        assert len(windows) > 0
         # Holdout discipline: only train and validation players appear.
         buckets = read_splits(open(splits).read()).assignments
-        assert {buckets[e.player] for e in examples} == {"train", "validation"}
+        assert {buckets[p] for p in windows.players} == {"train", "validation"}
 
 
 class TestEvaluateCommand:
@@ -282,6 +282,24 @@ class TestEvaluateCommand:
         rc = main(
             ["--out", str(out), "evaluate", "--model", str(model),
              "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and err.count("\n") == 1
+
+    def test_truncated_splits_is_a_format_error(self, tmp_path, capsys):
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        main(
+            ["--out", str(out), "--seed", "5", "--position", "MID", "train",
+             "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
+             "--family", "ridge"]
+        )
+        cut = tmp_path / "splits_cut.csv"
+        cut.write_text(open(splits).read().splitlines(keepends=True)[0])
+        capsys.readouterr()
+        rc = main(
+            ["--out", str(out), "evaluate", "--model", str(out / "model_ridge_MID.txt"),
+             "--cleaned", *cleaned, "--strengths", strengths, "--splits", str(cut)]
         )
         assert rc == 1
         err = capsys.readouterr().err
@@ -343,13 +361,13 @@ class TestDifficultySign:
         for sign in ("opponent_minus_own", "own_minus_opponent"):
             out = tmp_path / sign
             self.train_ridge(tmp_path, out, cleaned, strengths, splits, sign)
-            _, examples = read_dataset((out / "dataset_MID_sliding.txt").read_text())
+            _, windows = read_dataset((out / "dataset_MID_sliding.txt").read_text())
             table = read_coefficient_table((out / "coefficients.csv").read_text())
-            runs[sign] = examples, table
+            runs[sign] = windows, table
         (default_ex, default_table), (flipped_ex, flipped_table) = runs.values()
-        assert any(e.d != 0 for e in default_ex)
-        assert [e.d for e in flipped_ex] == [-e.d for e in default_ex]
-        assert [e.y for e in flipped_ex] == [e.y for e in default_ex]
+        assert any(default_ex.d != 0)
+        assert list(flipped_ex.d) == list(-default_ex.d)
+        assert list(flipped_ex.y) == list(default_ex.y)
 
         _, features, coef, intercepts = default_table
         _, _, flipped_coef, flipped_intercepts = flipped_table

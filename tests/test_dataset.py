@@ -4,14 +4,17 @@ import pytest
 from fplcast.dataset import (
     FeatureTier,
     PlayerSeries,
+    WindowSet,
     apply_scaler,
     assign_splits,
     build_series,
     build_windows,
+    concat_windows,
     fit_scaler,
     generate_synthetic_season,
     sliding_average,
 )
+from fplcast.harness import sliding_design, windowed_batch
 from fplcast.ingest import CanonicalPlayerKey, Position, TeamStrengthTable
 
 from conftest import make_row
@@ -35,23 +38,22 @@ def mitrovic_series():
 class TestBuildWindows:
     def test_worked_example(self, strengths):
         tier = FeatureTier.FULL
-        examples = build_windows(mitrovic_series(), 2, tier, strengths)
-        assert len(examples) == 1
-        ex = examples[0]
-        assert ex.y == 2
-        assert ex.d == -1
-        assert ex.target_gameweek == 3
+        windows = build_windows(mitrovic_series(), 2, tier, strengths)
+        assert len(windows) == 1
+        assert windows.y[0] == 2
+        assert windows.d[0] == -1
+        assert windows.target_gameweek[0] == 3
         cols = tier.columns()
-        assert ex.X.shape == (2, len(cols))
-        points = ex.X[:, cols.index("total_points")]
-        goals = ex.X[:, cols.index("goals_scored")]
+        assert windows.X.shape == (1, 2, len(cols))
+        points = windows.X[0, :, cols.index("total_points")]
+        goals = windows.X[0, :, cols.index("goals_scored")]
         assert list(points) == [1.0, 12.0]
         assert list(goals) == [0.0, 2.0]
 
     def test_series_of_length_w_yields_nothing(self, strengths):
         series = mitrovic_series()
         series.rows = series.rows[:2]
-        assert build_windows(series, 2, FeatureTier.PTSONLY, strengths) == []
+        assert len(build_windows(series, 2, FeatureTier.PTSONLY, strengths)) == 0
 
     def test_series_of_length_w_plus_one_yields_one(self, strengths):
         assert len(build_windows(mitrovic_series(), 2, FeatureTier.PTSONLY, strengths)) == 1
@@ -81,14 +83,106 @@ class TestBuildWindows:
         )
         tables = {"2020-21": TeamStrengthTable("2020-21", dict(strengths.entries)),
                   "2021-22": strengths}
-        examples = build_windows(series, 2, FeatureTier.PTSONLY, tables)
+        windows = build_windows(series, 2, FeatureTier.PTSONLY, tables)
         # One per season segment; none spanning gameweeks 3->1.
-        assert len(examples) == 2
-        assert [e.target_gameweek for e in examples] == [3, 3]
+        assert len(windows) == 2
+        assert list(windows.target_gameweek) == [3, 3]
 
     def test_w_below_one_rejected(self, strengths):
         with pytest.raises(ValueError):
             build_windows(mitrovic_series(), 0, FeatureTier.PTSONLY, strengths)
+
+
+class TestWindowSet:
+    def test_take_selects_rows_by_index_or_mask(self, strengths):
+        windows = build_windows(mitrovic_series(), 1, FeatureTier.PTSONLY, strengths)
+        picked = windows.take([1])
+        assert len(picked) == 1
+        assert (picked.y[0], picked.d[0]) == (windows.y[1], windows.d[1])
+        masked = windows.take(windows.target_gameweek == 3)
+        np.testing.assert_array_equal(masked.X, picked.X)
+        assert masked.players == picked.players
+
+    def test_concat_keeps_order(self, strengths):
+        windows = build_windows(mitrovic_series(), 1, FeatureTier.PTSONLY, strengths)
+        both = concat_windows([windows.take([1]), windows.take([0])])
+        assert list(both.target_gameweek) == [3, 2]
+        np.testing.assert_array_equal(both.X, windows.X[::-1])
+
+    def test_empty_has_window_shape(self):
+        empty = WindowSet.empty(3, 2)
+        assert len(empty) == 0 and not empty
+        assert empty.X.shape == (0, 3, 2)
+
+
+def _per_window_windows(series_list, w, tier):
+    """Each window sliced from its own series' feature rows, one at a time."""
+    out = []
+    for series in series_list:
+        seasons = sorted({r.season for r in series.rows})
+        for season in seasons:
+            rows = [r for r in series.rows if r.season == season]
+            feats = np.array(
+                [[float(getattr(r, c)) for c in tier.columns()] for r in rows]
+            )
+            out.extend(feats[i - w : i].copy() for i in range(w, len(rows)))
+    return out
+
+
+def _zscore(x, scaler):
+    """One window or mean vector z-scored on its own."""
+    z = (x - scaler.mean) / np.where(scaler.std > 0, scaler.std, 1.0)
+    z[..., scaler.std == 0] = 0.0
+    return z
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestColumnarOracle:
+    """The columnar design paths against the per-window computation:
+    each window's mean, each z-scored on its own, then d appended."""
+
+    @pytest.fixture(scope="class")
+    def season(self):
+        rows, strengths = generate_synthetic_season(seed=7, n_players=40, n_weeks=14)
+        return build_series(rows), strengths
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "scaled"])
+    @pytest.mark.parametrize("w", [1, 3, 9])
+    @pytest.mark.parametrize("tier", list(FeatureTier), ids=lambda t: t.value)
+    def test_matches_per_window_path(self, season, tier, w, scaled):
+        series, strengths = season
+        windows = concat_windows([build_windows(s, w, tier, strengths) for s in series])
+        per_window = _per_window_windows(series, w, tier)
+        _same_bits(windows.X, np.stack(per_window))
+
+        means = [x.mean(axis=0) for x in per_window]
+        mean_scaler = window_scaler = None
+        if scaled:
+            mean_scaler = fit_scaler(sliding_average(windows))
+            window_scaler = fit_scaler(windows.X)
+            for scaler, stacked in (
+                (mean_scaler, np.vstack(means)),
+                (window_scaler, np.vstack(per_window)),
+            ):
+                _same_bits(scaler.mean, stacked.mean(axis=0))
+                _same_bits(scaler.std, stacked.std(axis=0))
+            means = [_zscore(m, mean_scaler) for m in means]
+            per_window = [_zscore(x, window_scaler) for x in per_window]
+
+        A, y = sliding_design(windows, mean_scaler)
+        _same_bits(A, np.array(
+            [np.concatenate([m, [float(d)]]) for m, d in zip(means, windows.d)]
+        ))
+        _same_bits(y, np.array([float(v) for v in windows.y]))
+        batch = windowed_batch(windows, window_scaler)
+        _same_bits(batch.X, np.stack(per_window))
+        _same_bits(batch.d, np.array([float(v) for v in windows.d]))
+        _same_bits(batch.y, y)
 
 
 class TestFeatureTiers:
@@ -110,13 +204,14 @@ class TestFeatureTiers:
 class TestSlidingAverage:
     def test_worked_example_means(self, strengths):
         tier = FeatureTier.FULL
-        [ex] = build_windows(mitrovic_series(), 2, tier, strengths)
-        sa = sliding_average(ex)
+        windows = build_windows(mitrovic_series(), 2, tier, strengths)
+        [sa] = sliding_average(windows)
         cols = tier.columns()
-        assert sa.x[cols.index("total_points")] == pytest.approx(6.5)
-        assert sa.x[cols.index("goals_scored")] == pytest.approx(1.0)
-        assert sa.x[cols.index("assists")] == pytest.approx(0.0)
-        assert sa.d == ex.d and sa.y == ex.y
+        assert sa[cols.index("total_points")] == pytest.approx(6.5)
+        assert sa[cols.index("goals_scored")] == pytest.approx(1.0)
+        assert sa[cols.index("assists")] == pytest.approx(0.0)
+        [row], [y] = sliding_design(windows)
+        assert row[-1] == windows.d[0] and y == windows.y[0]
 
     def test_constant_window(self, strengths):
         rows = [
@@ -126,18 +221,18 @@ class TestSlidingAverage:
         series = PlayerSeries(
             key=CanonicalPlayerKey("someone", Position.FWD), rows=rows
         )
-        [ex] = build_windows(series, 3, FeatureTier.PTSONLY, strengths)
-        assert sliding_average(ex).x[0] == 4.0
+        windows = build_windows(series, 3, FeatureTier.PTSONLY, strengths)
+        assert sliding_average(windows).tolist() == [[4.0]]
 
     def test_w1_is_identity(self, strengths):
-        examples = build_windows(mitrovic_series(), 1, FeatureTier.PTSONLY, strengths)
-        for ex in examples:
-            assert sliding_average(ex).x[0] == ex.X[0, 0]
+        windows = build_windows(mitrovic_series(), 1, FeatureTier.PTSONLY, strengths)
+        np.testing.assert_array_equal(sliding_average(windows), windows.X[:, 0, :])
 
     def test_exact_mean_of_columns(self, strengths):
-        [ex] = build_windows(mitrovic_series(), 2, FeatureTier.FULL, strengths)
-        sa = sliding_average(ex)
-        np.testing.assert_allclose(sa.x, ex.X.sum(axis=0) / 2, rtol=0, atol=0)
+        windows = build_windows(mitrovic_series(), 2, FeatureTier.FULL, strengths)
+        np.testing.assert_allclose(
+            sliding_average(windows), windows.X.sum(axis=1) / 2, rtol=0, atol=0
+        )
 
 
 def _player(name, points):
@@ -213,81 +308,63 @@ class TestAssignSplits:
 
 
 class TestScaler:
-    def _examples(self, values):
-        from fplcast.dataset import WindowedExample
-
-        key = CanonicalPlayerKey("someone", Position.FWD)
-        return [
-            WindowedExample(
-                X=np.array([[v]], dtype=float),
-                d=0,
-                y=1,
-                player=key,
-                position=Position.FWD,
-                target_gameweek=2,
-            )
-            for v in values
-        ]
+    def _windows(self, values, d=0):
+        """One single-week, single-feature window per value."""
+        n = len(values)
+        return WindowSet(
+            X=np.array(values, dtype=float).reshape(n, 1, 1),
+            d=np.full(n, d),
+            y=np.ones(n, dtype=np.int64),
+            players=(CanonicalPlayerKey("someone", Position.FWD),) * n,
+            target_gameweek=np.full(n, 2),
+        )
 
     def test_two_point_example(self):
-        params = fit_scaler(self._examples([1.0, 3.0]), "windowed")
+        params = fit_scaler(self._windows([1.0, 3.0]).X)
         assert params.mean[0] == pytest.approx(2.0)
         assert params.std[0] == pytest.approx(1.0)  # population std
-        scaled = [apply_scaler(params, e) for e in self._examples([1.0, 3.0])]
-        assert scaled[0].X[0, 0] == pytest.approx(-1.0)
-        assert scaled[1].X[0, 0] == pytest.approx(1.0)
+        scaled = apply_scaler(params, self._windows([1.0, 3.0]).X)
+        assert scaled[0, 0, 0] == pytest.approx(-1.0)
+        assert scaled[1, 0, 0] == pytest.approx(1.0)
 
     def test_constant_feature_records_zero_std(self):
-        params = fit_scaler(self._examples([4.0, 4.0]), "windowed")
+        params = fit_scaler(self._windows([4.0, 4.0]).X)
         assert params.std[0] == 0.0
-        scaled = apply_scaler(params, self._examples([9.0])[0])
-        assert scaled.X[0, 0] == 0.0
+        scaled = apply_scaler(params, self._windows([9.0]).X)
+        assert scaled[0, 0, 0] == 0.0
 
     def test_training_data_centered_after_transform(self):
-        examples = self._examples([1.0, 2.0, 5.0, 9.0])
-        params = fit_scaler(examples, "windowed")
-        transformed = [apply_scaler(params, e).X[0, 0] for e in examples]
+        windows = self._windows([1.0, 2.0, 5.0, 9.0])
+        params = fit_scaler(windows.X)
+        transformed = apply_scaler(params, windows.X)[:, 0, 0]
         assert abs(np.mean(transformed)) < 1e-9
 
     def test_round_trip(self):
-        examples = self._examples([1.0, 2.0, 7.0])
-        params = fit_scaler(examples, "windowed")
-        for e in examples:
-            z = apply_scaler(params, e)
-            recovered = z.X * params.std + params.mean
-            np.testing.assert_allclose(recovered, e.X, atol=1e-9)
+        windows = self._windows([1.0, 2.0, 7.0])
+        params = fit_scaler(windows.X)
+        z = apply_scaler(params, windows.X)
+        recovered = z * params.std + params.mean
+        np.testing.assert_allclose(recovered, windows.X, atol=1e-9)
 
     def test_d_and_y_not_scaled(self):
-        examples = self._examples([1.0, 3.0])
-        examples[0].d = 3
-        params = fit_scaler(examples, "windowed")
-        scaled = apply_scaler(params, examples[0])
-        assert scaled.d == 3 and scaled.y == 1
+        windows = self._windows([1.0, 3.0], d=3)
+        params = fit_scaler(windows.X)
+        batch = windowed_batch(windows, params)
+        assert batch.d[0] == 3 and batch.y[0] == 1
+        [row, _], [y, _] = sliding_design(windows, fit_scaler(sliding_average(windows)))
+        assert row[-1] == 3 and y == 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            fit_scaler([], "windowed")
+            fit_scaler(WindowSet.empty(3, 1).X)
 
     def test_dimension_mismatch_rejected(self):
-        params = fit_scaler(self._examples([1.0, 3.0]), "windowed")
-        bad = self._examples([1.0])[0]
-        bad.X = np.zeros((1, 2))
+        params = fit_scaler(self._windows([1.0, 3.0]).X)
         with pytest.raises(ValueError):
-            apply_scaler(params, bad)
+            apply_scaler(params, np.zeros((1, 1, 2)))
 
     def test_windowed_pools_all_rows(self):
-        from fplcast.dataset import WindowedExample
-
-        key = CanonicalPlayerKey("someone", Position.FWD)
-        ex = WindowedExample(
-            X=np.array([[1.0], [3.0]]),
-            d=0,
-            y=1,
-            player=key,
-            position=Position.FWD,
-            target_gameweek=3,
-        )
-        params = fit_scaler([ex], "windowed")
+        params = fit_scaler(np.array([[[1.0], [3.0]]]))
         assert params.mean[0] == pytest.approx(2.0)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fplcast.dataset import WindowedExample
+from fplcast.dataset import WindowSet, concat_windows
 from fplcast.evaluation import (
     average_ranks,
     export_predictions,
@@ -149,21 +149,21 @@ class TestSpearmanByGameweek:
 
 
 def _example(y, d=0, points=(1.0, 2.0, 3.0), name="someone"):
+    """A one-window set."""
     key = CanonicalPlayerKey(name, Position.MID)
-    return WindowedExample(
-        X=np.array([[p] for p in points]),
-        d=d,
-        y=y,
-        player=key,
-        position=Position.MID,
-        target_gameweek=5,
+    return WindowSet(
+        X=np.array([[[p] for p in points]]),
+        d=np.array([d]),
+        y=np.array([y]),
+        players=(key,),
+        target_gameweek=np.array([5]),
     )
 
 
 class TestExtremeExamples:
     def test_outlier_dominates_worst(self):
         # The classic failure shape: a 21-point week predicted low.
-        examples = [_example(21), _example(2), _example(1)]
+        examples = concat_windows([_example(21), _example(2), _example(1)])
         predictions = [2.2, 2.0, 1.0]
         result = extreme_examples(examples, predictions, 2)
         worst_y, worst_pred, worst_err, _, _ = result.worst[0]
@@ -172,42 +172,42 @@ class TestExtremeExamples:
         assert result.worst[0][2] >= result.worst[1][2]
 
     def test_perfect_predictions_have_zero_best(self):
-        examples = [_example(3), _example(5)]
+        examples = concat_windows([_example(3), _example(5)])
         result = extreme_examples(examples, [3.0, 5.0], 1)
         assert result.best[0][2] == 0.0
 
     def test_k_equals_n_covers_everything(self):
-        examples = [_example(1), _example(2), _example(9)]
+        examples = concat_windows([_example(1), _example(2), _example(9)])
         result = extreme_examples(examples, [1.0, 1.0, 1.0], 3)
         assert len(result.worst) == 3 and len(result.best) == 3
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
-            extreme_examples([_example(1)], [1.0], 2)
+            extreme_examples(_example(1), [1.0], 2)
 
     def test_records_window_points_and_difficulty(self):
         [entry] = extreme_examples(
-            [_example(4, d=-2, points=(2.0, 3.0, 2.0))], [4.0], 1
+            _example(4, d=-2, points=(2.0, 3.0, 2.0)), [4.0], 1
         ).best
         assert entry[3] == -2
         assert entry[4] == [2.0, 3.0, 2.0]
 
     def test_tie_broken_by_index(self):
-        examples = [_example(1), _example(1)]
+        examples = concat_windows([_example(1), _example(1)])
         result = extreme_examples(examples, [2.0, 2.0], 1)
         assert result.worst[0] == result.best[0]
 
 
 class TestExportPredictions:
     def test_one_record_per_example(self):
-        examples = [_example(2, name="a"), _example(3, name="b")]
+        examples = concat_windows([_example(2, name="a"), _example(3, name="b")])
         records = export_predictions(examples, [2.5, 3.5])
         assert len(records) == 2
         assert records[0]["player"] == "a"
         assert records[1]["predicted"] == 3.5
 
     def test_round_trip(self):
-        examples = [_example(2, name="a"), _example(3, name="b")]
+        examples = concat_windows([_example(2, name="a"), _example(3, name="b")])
         records = export_predictions(examples, [2.5, 3.125])
         parsed = read_predictions_csv(write_predictions_csv(records))
         assert parsed == records

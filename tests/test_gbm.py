@@ -156,6 +156,13 @@ class TestFitGbm:
         with pytest.raises(ValueError):
             fit_gbm([[0.0]], [np.nan], GbmHyperparams(min_data_in_leaf=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_design(self, bad):
+        X = np.arange(8.0).reshape(4, 2)
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_gbm(X, np.arange(4.0), GbmHyperparams(min_data_in_leaf=1))
+
 
 class TestPredictGbm:
     def test_empty_tree_list_gives_base(self):

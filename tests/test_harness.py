@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fplcast.dataset import FeatureTier, assign_splits, build_series, build_windows
+from fplcast.dataset import (
+    FeatureTier,
+    assign_splits,
+    build_series,
+    build_windows,
+    concat_windows,
+)
 from fplcast.harness import (
     CvConfig,
     GridSpec,
@@ -97,14 +103,14 @@ class TestSplitWindows:
         series, strengths, splits = mid_setup
         args = (series, strengths, 3, FeatureTier.PTSONLY)
         plain = split_windows(*args, splits=splits, split="train")
-        before = [e.d for e in plain]
+        before = list(plain.d)
         flipped = [split_windows(*args, True, splits, "train") for _ in range(2)]
         assert any(before)
-        assert {splits.assignments[e.player] for e in plain} == {"train"}
+        assert {splits.assignments[p] for p in plain.players} == {"train"}
         for run in flipped:
-            assert [e.d for e in run] == [-d for d in before]
-            assert [e.y for e in run] == [e.y for e in plain]
-        assert [e.d for e in plain] == before
+            assert list(run.d) == [-d for d in before]
+            assert list(run.y) == list(plain.y)
+        assert list(plain.d) == before
 
 
 def trial(val, error=None):
@@ -212,13 +218,13 @@ class TestSelectFinal:
 class TestTrainFamilyContract:
     def test_families_agree_on_interface(self, mid_setup):
         series, strengths, splits = mid_setup
-        train_ex, val_ex = [], []
-        for s in series:
-            target = splits.assignments[s.key]
-            if target == "train":
-                train_ex.extend(build_windows(s, 3, FeatureTier.PTSONLY, strengths))
-            elif target == "validation":
-                val_ex.extend(build_windows(s, 3, FeatureTier.PTSONLY, strengths))
+        train_ex, val_ex = (
+            concat_windows(
+                [build_windows(s, 3, FeatureTier.PTSONLY, strengths)
+                 for s in series if splits.assignments[s.key] == target]
+            )
+            for target in ("train", "validation")
+        )
         for family, config in (
             ("ridge", {"lambda": 1.0, "w": 3}),
             ("gbm", {"min_data_in_leaf": 10, "w": 3}),

@@ -95,6 +95,20 @@ class TestFitRidge:
         with pytest.raises(ValueError):
             fit_ridge(np.zeros((3, 2)), np.zeros(4), lam=1.0)
 
+    @pytest.mark.parametrize(
+        "A, y",
+        [
+            ([[np.nan, 1], [2, 0], [1, 1]], [1, 2, 3]),
+            ([[1, 1], [2, np.inf], [1, 1]], [1, 2, 3]),
+            ([[1, 1], [2, 0], [1, 1]], [1, np.nan, 3]),
+            ([[1, 1], [2, 0], [1, 1]], [1, 2, -np.inf]),
+        ],
+        ids=["A-nan", "A-inf", "y-nan", "y-neg-inf"],
+    )
+    def test_non_finite_inputs_rejected(self, A, y):
+        with pytest.raises(ValueError, match="finite"):
+            fit_ridge(A, y, lam=1.0)
+
 
 class TestPredictRidge:
     def test_zero_weights_gives_intercept(self):

@@ -8,6 +8,7 @@ from fplcast.dataset import (
     assign_splits,
     build_series,
     build_windows,
+    concat_windows,
     generate_synthetic_season,
     sliding_average,
 )
@@ -19,7 +20,9 @@ from fplcast.serialize import (
     csv_line,
     fmt_num,
     read_cleaned_csv,
+    read_coefficient_table,
     read_dataset,
+    read_predictions_csv,
     read_splits,
     write_cleaned_csv,
     write_dataset,
@@ -78,18 +81,15 @@ class TestSplitsRoundTrip:
 
 
 class TestDatasetRoundTrip:
-    def _examples(self, season, representation):
+    def _windows(self, season):
         rows, strengths = season
         series = build_series(rows)
-        windowed = [
-            e for s in series for e in build_windows(s, 2, FeatureTier.PTS_ICT, strengths)
-        ]
-        if representation == "sliding":
-            return [sliding_average(e) for e in windowed]
-        return windowed
+        return concat_windows(
+            [build_windows(s, 2, FeatureTier.PTS_ICT, strengths) for s in series]
+        )
 
     def test_windowed_round_trip(self, season):
-        examples = self._examples(season, "windowed")
+        windows = self._windows(season)
         header = DatasetHeader(
             representation="windowed",
             position="MID",
@@ -101,22 +101,18 @@ class TestDatasetRoundTrip:
             scaler_mean=np.array([1.0] * 6),
             scaler_std=np.array([2.0] * 6),
         )
-        parsed_header, parsed = read_dataset(write_dataset(header, examples))
+        parsed_header, parsed = read_dataset(write_dataset(header, windows))
         assert parsed_header.w == 2
         assert parsed_header.tier == "pts_ict"
         np.testing.assert_array_equal(parsed_header.scaler_mean, header.scaler_mean)
-        assert len(parsed) == len(examples)
-        for a, b in zip(parsed, examples):
-            np.testing.assert_array_equal(a.X, b.X)
-            assert (a.d, a.y, a.player, a.target_gameweek) == (
-                b.d,
-                b.y,
-                b.player,
-                b.target_gameweek,
-            )
+        assert len(parsed) == len(windows)
+        np.testing.assert_array_equal(parsed.X, windows.X)
+        for column in ("d", "y", "target_gameweek"):
+            np.testing.assert_array_equal(getattr(parsed, column), getattr(windows, column))
+        assert parsed.players == windows.players
 
     def test_sliding_round_trip(self, season):
-        examples = self._examples(season, "sliding")
+        windows = self._windows(season)
         header = DatasetHeader(
             representation="sliding",
             position="MID",
@@ -126,9 +122,10 @@ class TestDatasetRoundTrip:
             fractions=(0.6, 0.25, 0.15),
             features=FeatureTier.PTS_ICT.columns(),
         )
-        _, parsed = read_dataset(write_dataset(header, examples))
-        for a, b in zip(parsed, examples):
-            np.testing.assert_array_equal(a.x, b.x)
+        _, parsed = read_dataset(write_dataset(header, windows))
+        # Rows come back as one-week windows of the means.
+        assert parsed.X.shape == (len(windows), 1, len(header.features))
+        np.testing.assert_array_equal(sliding_average(parsed), sliding_average(windows))
 
     def test_rejects_foreign_text(self):
         with pytest.raises(FormatError):
@@ -183,8 +180,8 @@ def fitted_models():
     series = [s for s in build_series(rows) if s.key.position is Position.MID]
     splits = assign_splits(series, seed=8)
     train_ex, val_ex = (
-        [e for s in series if splits.assignments[s.key] == split
-         for e in build_windows(s, 3, FeatureTier.PTSONLY, strengths)]
+        concat_windows([build_windows(s, 3, FeatureTier.PTSONLY, strengths)
+                        for s in series if splits.assignments[s.key] == split])
         for split in ("train", "validation")
     )
     configs = {
@@ -198,6 +195,38 @@ def fitted_models():
         ctx = ModelContext(w=3, tier="ptsonly", position="MID", scaler=fitted.scaler)
         models[name] = (FAMILIES[name], fitted.model, ctx)
     return models
+
+
+@pytest.fixture(scope="module")
+def data_files():
+    """(reader, writer of what it read, text) for each data file format."""
+    rows, strengths = generate_synthetic_season(seed=8, n_players=24, n_weeks=5)
+    series = build_series(rows)
+    windows = concat_windows(
+        [build_windows(s, 2, FeatureTier.PTS_MINUTES, strengths) for s in series]
+    )
+    files = {
+        "splits": (read_splits, write_splits, write_splits(assign_splits(series, seed=4))),
+        "cleaned": (read_cleaned_csv, write_cleaned_csv, write_cleaned_csv(rows)),
+    }
+    for representation in ("windowed", "sliding"):
+        header = DatasetHeader(
+            representation=representation,
+            position="MID",
+            w=2,
+            tier="pts_minutes",
+            seed=8,
+            fractions=(0.6, 0.25, 0.15),
+            features=FeatureTier.PTS_MINUTES.columns(),
+            scaler_mean=np.array([1.0, 2.0]),
+            scaler_std=np.array([3.0, 4.0]),
+        )
+        files[f"dataset_{representation}"] = (
+            read_dataset,
+            lambda loaded: write_dataset(*loaded),
+            write_dataset(header, windows),
+        )
+    return files
 
 
 class TestModelFileTruncation:
@@ -214,3 +243,66 @@ class TestModelFileTruncation:
                 continue
             assert family.write(*loaded) == part, f"cut at line {cut} loaded"
         assert family.write(*family.read(text)) == text
+
+    @pytest.mark.parametrize(
+        "name", ["splits", "cleaned", "dataset_windowed", "dataset_sliding"]
+    )
+    def test_every_cut_loads_a_prefix_or_is_format_error(self, data_files, name):
+        read, write, text = data_files[name]
+        lines = text.splitlines(keepends=True)
+        prefixes = {"".join(lines[:cut]) for cut in range(len(lines) + 1)}
+        # Every line boundary, then every character of the last line.
+        cuts = [len("".join(lines[:cut])) for cut in range(len(lines))]
+        cuts += range(len(text) - len(lines[-1]), len(text) + 1)
+        for cut in cuts:
+            try:
+                loaded = read(text[:cut])
+            except FormatError:
+                continue
+            assert write(loaded) in prefixes, f"cut at character {cut} loaded"
+        assert write(read(text)) == text
+
+    def test_cleaned_rows_need_26_cells_ending_in_a_bool(self, data_files):
+        _, _, text = data_files["cleaned"]
+        header, first, *_ = text.splitlines()
+        for bad in ("yes", "true", ""):
+            with pytest.raises(FormatError, match="was_home"):
+                read_cleaned_csv(f"{header}\n{first.rsplit(',', 1)[0]},{bad}\n")
+        with pytest.raises(FormatError, match="26 cells"):
+            read_cleaned_csv(f"{header}\n{first},True\n")
+
+    def test_splits_need_a_column_header_and_a_row(self, data_files):
+        _, _, text = data_files["splits"]
+        lines = text.splitlines(keepends=True)
+        header = lines.index("player,position,split\n")
+        with pytest.raises(FormatError, match="column header"):
+            read_splits("".join(lines[:header] + lines[header + 1 :]))
+        with pytest.raises(FormatError, match="no players"):
+            read_splits("".join(lines[: header + 1]))
+
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (read_coefficient_table, ""),
+            (read_coefficient_table, '"position","x0","intercept"\n"MID",1.5\n'),
+            (read_predictions_csv, "true,predicted,player,gameweek,position\n1.5\n"),
+        ],
+    )
+    def test_report_readers_fail_with_format_error(self, read, text):
+        with pytest.raises(FormatError):
+            read(text)
+
+    def test_dataset_header_is_checked(self, data_files):
+        _, _, text = data_files["dataset_sliding"]
+        lines = text.splitlines(keepends=True)
+        renamed = text.replace("# representation sliding", "# representation other")
+        no_std = "".join(l for l in lines if not l.startswith("# scaler_std"))
+        for bad, message in ((renamed, "representation"), (no_std, "scaler")):
+            with pytest.raises(FormatError, match=message):
+                read_dataset(bad)
+
+    def test_dataset_rows_need_every_cell(self, data_files):
+        _, _, text = data_files["dataset_windowed"]
+        *head, last = text.splitlines()
+        with pytest.raises(FormatError, match="cells"):
+            read_dataset("\n".join(head + [last.rsplit(",", 1)[0]]) + "\n")
