@@ -178,8 +178,8 @@ def _flip_flag(config) -> bool:
     raise CliError("config", f"unknown difficulty_sign '{sign}'")
 
 
-def _series_for_position(rows, position: Position) -> list[PlayerSeries]:
-    series = [s for s in build_series(rows) if s.key.position == position]
+def _series_for_position(all_series, position: Position) -> list[PlayerSeries]:
+    series = [s for s in all_series if s.key.position == position]
     if not series:
         raise CliError("data", f"no players with position {position.value}")
     return series
@@ -373,8 +373,9 @@ def cmd_train(args, config) -> int:
     flip = _flip_flag(config)
 
     reports = []
+    all_series = build_series(rows)
     for position in _positions(args.position):
-        series = _series_for_position(rows, position)
+        series = _series_for_position(all_series, position)
         train_ex, val_ex = (
             split_windows(series, strengths, w, tier, flip, splits, s)
             for s in ("train", "validation")
@@ -448,7 +449,7 @@ def cmd_evaluate(args, config) -> int:
     strengths = _read_strengths(args.strengths)
     splits = _read_splits(args.splits)
     position = Position(ctx.position)
-    series = _series_for_position(rows, position)
+    series = _series_for_position(build_series(rows), position)
     tier = FeatureTier(ctx.tier)
     windows = split_windows(
         series, strengths, ctx.w, tier, _flip_flag(config), splits, args.split
@@ -502,8 +503,9 @@ def cmd_gridsearch(args, config) -> int:
         grid = default_grid(family)
 
     summary = {}
+    all_series = build_series(rows)
     for position in _positions(args.position):
-        series = _series_for_position(rows, position)
+        series = _series_for_position(all_series, position)
         results = run_grid(
             grid,
             series,
@@ -578,8 +580,9 @@ def cmd_cv(args, config) -> int:
         seed=config["seed"],
     )
     lines = ["family,position,mean_train_mse,mean_val_mse"]
+    all_series = build_series(rows)
     for position in _positions(args.position):
-        series = _series_for_position(rows, position)
+        series = _series_for_position(all_series, position)
         train_err, val_err = cross_validate(
             family, family_config, series, strengths, cv,
             flip_difficulty=_flip_flag(config),
@@ -603,7 +606,7 @@ def cmd_rank(args, config) -> int:
     seasons = sorted({r.season for r in rows})
     season = args.season or seasons[-1]
     rows = [r for r in rows if r.season == season]
-    series = _series_for_position(rows, position)
+    series = _series_for_position(build_series(rows), position)
     tier = FeatureTier(ctx.tier)
 
     windows = split_windows(series, strengths, ctx.w, tier, _flip_flag(config))
@@ -660,7 +663,7 @@ def _explain_shapley(args, config, out, loaded):
     strengths = _read_strengths(args.strengths)
     splits = _read_splits(args.splits)
     position = Position(ctx.position)
-    series = _series_for_position(rows, position)
+    series = _series_for_position(build_series(rows), position)
     tier = FeatureTier(ctx.tier)
     explain_ex, train_ex = (
         split_windows(series, strengths, ctx.w, tier, _flip_flag(config), splits, s)

@@ -9,7 +9,12 @@ Split scoring uses score(S) = -(sum r)^2 / (|S| + lambda_l2) with
 gain = score(parent) - score(left) - score(right), and leaf values
 sum(r) / (|S| + lambda_l2). Candidate thresholds are midpoints between
 consecutive distinct sorted feature values (exact enumeration; the data
-here is small enough that histogram binning buys nothing).
+here is small enough that histogram binning buys nothing). X is fixed
+within a fit, so each feature is sorted once per fit (a stable sort) and
+every leaf keeps its rows in each feature's order: the exact greedy
+search over presorted columns of XGBoost (Chen & Guestrin 2016). A leaf
+searches all features in one array pass. Ties break to the lowest
+feature index, then the lowest threshold.
 """
 
 from __future__ import annotations
@@ -140,69 +145,79 @@ def _score(residual_sum: float, count: int, lam: float) -> float:
     return -(residual_sum * residual_sum) / (count + lam)
 
 
-def _best_split(X, r, idx, hp: GbmHyperparams):
+def _best_split(X, r, leaf, hp: GbmHyperparams):
     """Best (gain, feature, threshold, left_idx, right_idx) for one leaf.
 
-    Ties break to the lowest feature index, then the lowest threshold
-    (first maximum in the ascending threshold scan). Returns None when no
-    split has positive gain under the min-leaf constraint.
+    `leaf` is (idx, order, sorted_vals): the leaf's rows ascending, and
+    per feature the same rows in sort order with their values, as
+    (features x rows) arrays. Every feature is searched at once. Ties
+    break to the lowest feature index, then the lowest threshold (first
+    maximum in the ascending threshold scan). Returns None when no split
+    has positive gain under the min-leaf constraint.
     """
+    idx, order, sorted_vals = leaf
     n = idx.size
-    if n < 2 * hp.min_data_in_leaf:
+    m = hp.min_data_in_leaf
+    if n < 2 * m or order.shape[0] == 0:
         return None
     total = float(r[idx].sum())
     parent_score = _score(total, n, hp.lambda_l2)
-    best = None
-    for f in range(X.shape[1]):
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        cum = np.cumsum(r[idx][order])
-        boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
-        if boundaries.size == 0:
-            continue
-        n_left = boundaries + 1
-        n_right = n - n_left
-        ok = (n_left >= hp.min_data_in_leaf) & (n_right >= hp.min_data_in_leaf)
-        if not ok.any():
-            continue
-        boundaries = boundaries[ok]
-        n_left = n_left[ok]
-        n_right = n_right[ok]
-        sum_left = cum[boundaries]
-        sum_right = total - sum_left
-        gains = (
-            parent_score
-            + sum_left**2 / (n_left + hp.lambda_l2)
-            + sum_right**2 / (n_right + hp.lambda_l2)
-        )
-        k = int(np.argmax(gains))  # first max -> lowest threshold
-        if gains[k] <= 0:
-            continue
-        if best is None or gains[k] > best[0]:
-            threshold = float((sv[boundaries[k]] + sv[boundaries[k] + 1]) / 2.0)
-            go_left = vals <= threshold
-            best = (float(gains[k]), f, threshold, idx[go_left], idx[~go_left])
-    return best
+    # Column j splits the sorted rows after j; only j in [m-1, n-m-1]
+    # leaves at least m rows on each side.
+    sum_left = np.cumsum(r[order[:, : n - m]], axis=1)[:, m - 1 :]
+    sum_right = total - sum_left
+    n_left = np.arange(m, n - m + 1)
+    n_right = n - n_left
+    gains = (
+        parent_score
+        + sum_left**2 / (n_left + hp.lambda_l2)
+        + sum_right**2 / (n_right + hp.lambda_l2)
+    )
+    # No threshold falls between equal values.
+    gains[sorted_vals[:, m - 1 : n - m] == sorted_vals[:, m : n - m + 1]] = -np.inf
+    cols = np.argmax(gains, axis=1)  # first max -> lowest threshold
+    feature_gains = gains[np.arange(gains.shape[0]), cols]
+    f = int(np.argmax(feature_gains))  # first max -> lowest feature
+    if not feature_gains[f] > 0:
+        return None
+    b = m - 1 + int(cols[f])
+    threshold = float((sorted_vals[f, b] + sorted_vals[f, b + 1]) / 2.0)
+    go_left = X[idx, f] <= threshold
+    return float(feature_gains[f]), f, threshold, idx[go_left], idx[~go_left]
 
 
-def _grow_tree(X, r, hp: GbmHyperparams) -> RegressionTree:
+def _divide(leaf, left_idx, right_idx, n_rows: int):
+    """The two children of a split leaf, each feature's sort order kept."""
+    _, order, sorted_vals = leaf
+    goes_left = np.zeros(n_rows, dtype=bool)
+    goes_left[left_idx] = True
+    mask = goes_left[order]
+    n_features = order.shape[0]
+    return tuple(
+        (side_idx, order[side].reshape(n_features, -1),
+         sorted_vals[side].reshape(n_features, -1))
+        for side_idx, side in ((left_idx, mask), (right_idx, ~mask))
+    )
+
+
+def _grow_tree(X, r, order, sorted_vals, hp: GbmHyperparams) -> RegressionTree:
     n = X.shape[0]
     lam = hp.lambda_l2
-    all_idx = np.arange(n)
+    root = (np.arange(n), order, sorted_vals)
     tree = RegressionTree()
     tree.nodes.append(
         TreeNode(value=_leaf_value(float(r.sum()), n, lam), n_samples=n, depth=0)
     )
-    # Leaves eligible for expansion, each with its precomputed best split.
-    leaf_rows: dict[int, np.ndarray] = {0: all_idx}
-    candidates = {0: _best_split(X, r, all_idx, hp) if hp.max_depth > 0 else None}
+    # Every leaf with its rows and its precomputed best split (None when
+    # it cannot be expanded). Leaves at max_depth are never searched, so
+    # their rows are not divided out of the parent's arrays either.
+    leaves = {0: (root, _best_split(X, r, root, hp))}
 
     n_leaves = 1
     while n_leaves < hp.num_leaves:
         chosen_id, chosen = None, None
-        for node_id in sorted(leaf_rows):  # creation order breaks leaf ties
-            cand = candidates.get(node_id)
+        for node_id in sorted(leaves):  # creation order breaks leaf ties
+            cand = leaves[node_id][1]
             if cand is not None and (chosen is None or cand[0] > chosen[0]):
                 chosen_id, chosen = node_id, cand
         if chosen is None:
@@ -224,17 +239,13 @@ def _grow_tree(X, r, hp: GbmHyperparams) -> RegressionTree:
         parent.right = len(tree.nodes) - 1
         tree.split_gains.append(gain)
 
-        del leaf_rows[chosen_id], candidates[chosen_id]
-        for child_id, side_idx in (
-            (parent.left, left_idx),
-            (parent.right, right_idx),
-        ):
-            leaf_rows[child_id] = side_idx
-            candidates[child_id] = (
-                _best_split(X, r, side_idx, hp)
-                if child_depth < hp.max_depth
-                else None
-            )
+        leaf, _ = leaves.pop(chosen_id)
+        if child_depth < hp.max_depth:
+            left, right = _divide(leaf, left_idx, right_idx, n)
+            leaves[parent.left] = (left, _best_split(X, r, left, hp))
+            leaves[parent.right] = (right, _best_split(X, r, right, hp))
+        else:
+            leaves[parent.left] = leaves[parent.right] = (None, None)
         n_leaves += 1
     return tree
 
@@ -262,12 +273,15 @@ def fit_gbm(x_list, y_list, hp: GbmHyperparams | None = None,
             stacklevel=2,
         )
 
+    # X is fixed within a fit: sort each feature once, as (features x rows).
+    order = np.argsort(X, axis=0, kind="stable").T
+    sorted_vals = np.take_along_axis(X.T, order, axis=1)
     base = float(y.mean())
     pred = np.full(y.shape[0], base)
     trees: list[RegressionTree] = []
     for _ in range(hp.n_trees):
         residual = y - pred
-        tree = _grow_tree(X, residual, hp)
+        tree = _grow_tree(X, residual, order, sorted_vals, hp)
         trees.append(tree)
         pred += hp.eta * tree.predict_batch(X)
     return GbmModel(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,14 @@ def _format_checked(read):
             ) from None
 
     return checked
+
+
+def _finite(cell: str, line: int, column: str) -> float:
+    """float(cell), which must be finite."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise FormatError(f"line {line}: {column} must be finite, got {cell!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +174,7 @@ def read_cleaned_csv(text: str) -> list[RawGameweekRow]:
                 f"line {reader.line_num}: was_home must be True or False, "
                 f"got {by['was_home']!r}"
             )
+        line = reader.line_num
         rows.append(
             RawGameweekRow(
                 player_name=by["name"],
@@ -188,10 +198,10 @@ def read_cleaned_csv(text: str) -> list[RawGameweekRow]:
                 own_goals=int(by["own_goals"]),
                 penalties_saved=int(by["penalties_saved"]),
                 penalties_missed=int(by["penalties_missed"]),
-                influence=float(by["influence"]),
-                creativity=float(by["creativity"]),
-                threat=float(by["threat"]),
-                ict_index=float(by["ict_index"]),
+                influence=_finite(by["influence"], line, "influence"),
+                creativity=_finite(by["creativity"], line, "creativity"),
+                threat=_finite(by["threat"], line, "threat"),
+                ict_index=_finite(by["ict_index"], line, "ict_index"),
                 was_home=by["was_home"] == "True",
             )
         )
@@ -729,8 +739,11 @@ def read_coefficient_table(text: str) -> tuple[list[str], list[str], np.ndarray,
     return positions, features, np.array(coef_rows), np.array(intercepts)
 
 
+_PREDICTIONS_HEADER = "true,predicted,player,gameweek,position"
+
+
 def write_predictions_csv(records: list[dict]) -> str:
-    lines = ["true,predicted,player,gameweek,position"]
+    lines = [_PREDICTIONS_HEADER]
     for r in records:
         lines.append(
             csv_line(
@@ -742,17 +755,23 @@ def write_predictions_csv(records: list[dict]) -> str:
 
 @_format_checked
 def read_predictions_csv(text: str) -> list[dict]:
-    lines = [l for l in text.splitlines() if l]
+    lines = text.splitlines()
+    if not lines or lines[0] != _PREDICTIONS_HEADER:
+        raise FormatError("not a predictions file (unexpected header)")
     records = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
         cells = _parse_csv_line(line)
+        if len(cells) != 5:
+            raise FormatError(f"line {number}: expected 5 cells, found {len(cells)}")
         records.append(
             {
-                "true": float(cells[0]),
-                "predicted": float(cells[1]),
+                "true": _finite(cells[0], number, "true"),
+                "predicted": _finite(cells[1], number, "predicted"),
                 "player": cells[2],
                 "gameweek": int(cells[3]),
-                "position": cells[4],
+                "position": Position(cells[4]).value,
             }
         )
     return records

@@ -247,6 +247,26 @@ class TestTrainCommand:
         assert {buckets[p] for p in windows.players} == {"train", "validation"}
 
 
+    def test_non_finite_cleaned_cell_is_a_format_error(self, tmp_path, capsys):
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        path = out / "cleaned_MID.csv"
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        cells = first.split(",")
+        cells[header.split(",").index("influence")] = "nan"
+        path.write_text("".join([header, ",".join(cells), *rest]))
+        capsys.readouterr()
+        rc = main(
+            ["--out", str(out), "--seed", "5", "--position", "MID", "train",
+             "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
+             "--family", "cnn"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and err.count("\n") == 1
+        assert "line 2: influence" in err
+        assert not (out / "model_cnn_MID.txt").exists()
+
+
 class TestEvaluateCommand:
     def test_writes_reports_and_predictions(self, tmp_path):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)

@@ -1,9 +1,13 @@
 import itertools
+import warnings
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fplcast.dataset import FeatureTier, build_series, generate_synthetic_season
 from fplcast.gbm import (
     FeatureBudgetError,
     GbmHyperparams,
@@ -16,7 +20,11 @@ from fplcast.gbm import (
     shapley_values,
     split_importance,
     structural_violations,
+    _leaf_value,
+    _score,
 )
+from fplcast.harness import sliding_design, split_windows
+from fplcast.ingest import Position
 from fplcast.serialize import ModelContext, read_gbm, write_gbm
 
 TOY_HP = dict(n_trees=1, max_depth=3, num_leaves=2, min_data_in_leaf=1, eta=1.0)
@@ -162,6 +170,188 @@ class TestFitGbm:
         X[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             fit_gbm(X, np.arange(4.0), GbmHyperparams(min_data_in_leaf=1))
+
+
+# The exact split search as it stood before presorting: one stable argsort
+# per feature per candidate leaf, one feature at a time. fit_gbm must grow
+# the same trees, bit for bit.
+
+
+def _best_split(X, r, idx, hp: GbmHyperparams):
+    """Best (gain, feature, threshold, left_idx, right_idx) for one leaf.
+
+    Ties break to the lowest feature index, then the lowest threshold
+    (first maximum in the ascending threshold scan). Returns None when no
+    split has positive gain under the min-leaf constraint.
+    """
+    n = idx.size
+    if n < 2 * hp.min_data_in_leaf:
+        return None
+    total = float(r[idx].sum())
+    parent_score = _score(total, n, hp.lambda_l2)
+    best = None
+    for f in range(X.shape[1]):
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        cum = np.cumsum(r[idx][order])
+        boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
+        if boundaries.size == 0:
+            continue
+        n_left = boundaries + 1
+        n_right = n - n_left
+        ok = (n_left >= hp.min_data_in_leaf) & (n_right >= hp.min_data_in_leaf)
+        if not ok.any():
+            continue
+        boundaries = boundaries[ok]
+        n_left = n_left[ok]
+        n_right = n_right[ok]
+        sum_left = cum[boundaries]
+        sum_right = total - sum_left
+        gains = (
+            parent_score
+            + sum_left**2 / (n_left + hp.lambda_l2)
+            + sum_right**2 / (n_right + hp.lambda_l2)
+        )
+        k = int(np.argmax(gains))  # first max -> lowest threshold
+        if gains[k] <= 0:
+            continue
+        if best is None or gains[k] > best[0]:
+            threshold = float((sv[boundaries[k]] + sv[boundaries[k] + 1]) / 2.0)
+            go_left = vals <= threshold
+            best = (float(gains[k]), f, threshold, idx[go_left], idx[~go_left])
+    return best
+
+
+def _grow_tree(X, r, hp: GbmHyperparams) -> RegressionTree:
+    n = X.shape[0]
+    lam = hp.lambda_l2
+    all_idx = np.arange(n)
+    tree = RegressionTree()
+    tree.nodes.append(
+        TreeNode(value=_leaf_value(float(r.sum()), n, lam), n_samples=n, depth=0)
+    )
+    # Leaves eligible for expansion, each with its precomputed best split.
+    leaf_rows: dict[int, np.ndarray] = {0: all_idx}
+    candidates = {0: _best_split(X, r, all_idx, hp) if hp.max_depth > 0 else None}
+
+    n_leaves = 1
+    while n_leaves < hp.num_leaves:
+        chosen_id, chosen = None, None
+        for node_id in sorted(leaf_rows):  # creation order breaks leaf ties
+            cand = candidates.get(node_id)
+            if cand is not None and (chosen is None or cand[0] > chosen[0]):
+                chosen_id, chosen = node_id, cand
+        if chosen is None:
+            break
+        gain, feat, threshold, left_idx, right_idx = chosen
+        parent = tree.nodes[chosen_id]
+        child_depth = parent.depth + 1
+        for side_idx in (left_idx, right_idx):
+            tree.nodes.append(
+                TreeNode(
+                    value=_leaf_value(float(r[side_idx].sum()), side_idx.size, lam),
+                    n_samples=side_idx.size,
+                    depth=child_depth,
+                )
+            )
+        parent.feature = feat
+        parent.threshold = threshold
+        parent.left = len(tree.nodes) - 2
+        parent.right = len(tree.nodes) - 1
+        tree.split_gains.append(gain)
+
+        del leaf_rows[chosen_id], candidates[chosen_id]
+        for child_id, side_idx in (
+            (parent.left, left_idx),
+            (parent.right, right_idx),
+        ):
+            leaf_rows[child_id] = side_idx
+            candidates[child_id] = (
+                _best_split(X, r, side_idx, hp)
+                if child_depth < hp.max_depth
+                else None
+            )
+        n_leaves += 1
+    return tree
+
+
+def oracle_fit(X, y, hp: GbmHyperparams) -> tuple[float, list[RegressionTree]]:
+    """fit_gbm's boosting loop over the per-leaf-argsort trees."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    base = float(y.mean())
+    pred = np.full(y.shape[0], base)
+    trees = []
+    for _ in range(hp.n_trees):
+        tree = _grow_tree(X, y - pred, hp)
+        trees.append(tree)
+        pred += hp.eta * tree.predict_batch(X)
+    return base, trees
+
+
+def assert_same_trees(model: GbmModel, base: float, trees: list[RegressionTree]):
+    assert model.base_score == base
+    assert len(model.trees) == len(trees)
+    for got, want in zip(model.trees, trees):
+        assert got.split_gains == want.split_gains
+        assert len(got.nodes) == len(want.nodes)
+        for a, b in zip(got.nodes, want.nodes):
+            assert (a.feature, a.threshold, a.left, a.right, a.value,
+                    a.n_samples, a.depth) == (b.feature, b.threshold, b.left,
+                                              b.right, b.value, b.n_samples,
+                                              b.depth)
+
+
+TENTHS = st.integers(-15, 15).map(lambda k: k / 10)
+
+
+@st.composite
+def tied_problems(draw):
+    """Designs of one-decimal values (so values tie), plus a constant
+    column, a column holding both -0.0 and 0.0, and a duplicated column
+    (so gains tie across features)."""
+    n = draw(st.integers(2, 48))
+    f = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(TENTHS, min_size=f, max_size=f),
+                         min_size=n, max_size=n))
+    zeros = draw(st.lists(st.sampled_from([-0.0, 0.0, 0.5]), min_size=n, max_size=n))
+    zeros[0], zeros[-1] = -0.0, 0.0
+    X = np.column_stack([np.full(n, 0.7), zeros, np.array(rows)])
+    X = np.column_stack([X, X[:, 2]])
+    X = X[:, draw(st.permutations(range(X.shape[1])))]
+    y = np.array(draw(st.lists(st.one_of(TENTHS, st.floats(-10, 10)),
+                               min_size=n, max_size=n)))
+    hp = GbmHyperparams(
+        n_trees=draw(st.integers(1, 3)),
+        max_depth=draw(st.integers(1, 5)),
+        num_leaves=draw(st.integers(2, 31)),
+        min_data_in_leaf=draw(st.integers(1, n // 2 + 2)),
+        lambda_l2=draw(st.sampled_from([0.0, 1.0, 10.0])),
+        eta=draw(st.sampled_from([0.1, 0.5, 1.0])),
+    )
+    return X, y, hp
+
+
+class TestPresortedSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_problems())
+    def test_trees_equal_per_leaf_argsort_oracle(self, problem):
+        X, y, hp = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rows < 2 * min_data_in_leaf
+            model = fit_gbm(X, y, hp)
+        assert_same_trees(model, *oracle_fit(X, y, hp))
+
+    def test_full_tier_season_design_equals_oracle(self):
+        rows, strengths = generate_synthetic_season(seed=5, n_players=60, n_weeks=20)
+        series = [s for s in build_series(rows) if s.key.position == Position.MID]
+        X, y = sliding_design(split_windows(series, strengths, 3, FeatureTier.FULL))
+        assert X.shape[1] == 19
+        hp = GbmHyperparams(n_trees=5, min_data_in_leaf=20, lambda_l2=1.0)
+        model = fit_gbm(X, y, hp)
+        assert sum(len(t.split_gains) for t in model.trees) > 0
+        assert_same_trees(model, *oracle_fit(X, y, hp))
 
 
 class TestPredictGbm:

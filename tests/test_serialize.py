@@ -12,7 +12,7 @@ from fplcast.dataset import (
     generate_synthetic_season,
     sliding_average,
 )
-from fplcast.evaluation import EvalReport
+from fplcast.evaluation import EvalReport, export_predictions
 from fplcast.ingest import Position
 from fplcast.serialize import (
     DatasetHeader,
@@ -28,6 +28,7 @@ from fplcast.serialize import (
     write_dataset,
     write_learning_curve,
     write_mse_table,
+    write_predictions_csv,
     write_reports_csv,
     write_spearman_table,
     write_splits,
@@ -208,6 +209,11 @@ def data_files():
     files = {
         "splits": (read_splits, write_splits, write_splits(assign_splits(series, seed=4))),
         "cleaned": (read_cleaned_csv, write_cleaned_csv, write_cleaned_csv(rows)),
+        "predictions": (
+            read_predictions_csv,
+            write_predictions_csv,
+            write_predictions_csv(export_predictions(windows, windows.y / 3 + 0.25)),
+        ),
     }
     for representation in ("windowed", "sliding"):
         header = DatasetHeader(
@@ -245,7 +251,8 @@ class TestModelFileTruncation:
         assert family.write(*family.read(text)) == text
 
     @pytest.mark.parametrize(
-        "name", ["splits", "cleaned", "dataset_windowed", "dataset_sliding"]
+        "name",
+        ["splits", "cleaned", "dataset_windowed", "dataset_sliding", "predictions"],
     )
     def test_every_cut_loads_a_prefix_or_is_format_error(self, data_files, name):
         read, write, text = data_files[name]
@@ -271,6 +278,18 @@ class TestModelFileTruncation:
         with pytest.raises(FormatError, match="26 cells"):
             read_cleaned_csv(f"{header}\n{first},True\n")
 
+    @pytest.mark.parametrize(
+        "column", ["influence", "creativity", "threat", "ict_index"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_cleaned_float_cells_must_be_finite(self, data_files, column, value):
+        _, _, text = data_files["cleaned"]
+        header, first, second, *_ = text.splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index(column)] = value
+        with pytest.raises(FormatError, match=f"line 3: {column} must be finite"):
+            read_cleaned_csv("\n".join([header, first, ",".join(cells)]) + "\n")
+
     def test_splits_need_a_column_header_and_a_row(self, data_files):
         _, _, text = data_files["splits"]
         lines = text.splitlines(keepends=True)
@@ -286,6 +305,13 @@ class TestModelFileTruncation:
             (read_coefficient_table, ""),
             (read_coefficient_table, '"position","x0","intercept"\n"MID",1.5\n'),
             (read_predictions_csv, "true,predicted,player,gameweek,position\n1.5\n"),
+            (read_predictions_csv, "true,predicted,player,week,position\n"),
+            (read_predictions_csv, "true,predicted,player,gameweek,position\n"
+                                   '1.5,2.5,"kane",3,"FWD",1\n'),
+            (read_predictions_csv, "true,predicted,player,gameweek,position\n"
+                                   '1.5,2.5,"kane",3,"FW"\n'),
+            (read_predictions_csv, "true,predicted,player,gameweek,position\n"
+                                   '1.5,nan,"kane",3,"FWD"\n'),
         ],
     )
     def test_report_readers_fail_with_format_error(self, read, text):
