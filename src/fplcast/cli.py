@@ -671,7 +671,7 @@ def _explain_shapley(args, config, out, loaded):
     )
     if not explain_ex:
         raise CliError("data", f"no {args.split} examples to explain")
-    if args.example_index >= len(explain_ex):
+    if not 0 <= args.example_index < len(explain_ex):
         raise CliError(
             "usage",
             f"example index {args.example_index} out of range "

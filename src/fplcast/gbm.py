@@ -15,6 +15,12 @@ every leaf keeps its rows in each feature's order: the exact greedy
 search over presorted columns of XGBoost (Chen & Guestrin 2016). A leaf
 searches all features in one array pass. Ties break to the lowest
 feature index, then the lowest threshold.
+
+Shapley values are exact: every subset of features is enumerated. A tree
+reads only its own split features, so it sees the 2^m subsets only
+through their bits on those features. Each tree predicts one hybrid
+block per distinct restriction (a per-tree subset table) and gathers it
+back to every subset, tree by tree in model order.
 """
 
 from __future__ import annotations
@@ -334,6 +340,14 @@ def shapley_values(model: GbmModel, x, background) -> ShapleyResult:
     in S overridden by x. phi_j sums the weighted marginal contributions
     of j over every subset of the remaining features; this is exponential
     in the feature count, hence the hard budget.
+
+    A tree that splits on the k features `used` maps each subset to the
+    code of its bits on `used`. It predicts the background rows once per
+    distinct code (at most min(2^k, chunk) codes), with x taken on the
+    features that code selects, and gathers those predictions back to
+    every (subset, background row) cell. The cells add up tree by tree in
+    model order from the base score, as in predict_gbm_batch, so each
+    v(S) is the float that predicting every hybrid row gives.
     """
     x = np.asarray(x, dtype=np.float64)
     bg = np.asarray(background, dtype=np.float64)
@@ -354,15 +368,26 @@ def shapley_values(model: GbmModel, x, background) -> ShapleyResult:
     n_bg = bg.shape[0]
     masks = np.arange(n_subsets, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)  # subsets x m
+    used_by_tree = [
+        np.array(sorted({n.feature for n in tree.nodes if not n.is_leaf}), dtype=np.intp)
+        for tree in model.trees
+    ]
 
     v = np.empty(n_subsets, dtype=np.float64)
     chunk = max(1, (1 << 22) // max(1, n_bg * m))  # cap hybrid matrix size
     for start in range(0, n_subsets, chunk):
         stop = min(start + chunk, n_subsets)
-        take_x = np.repeat(bits[start:stop], n_bg, axis=0)
-        hybrid = np.where(take_x, x[None, :], np.tile(bg, (stop - start, 1)))
-        preds = predict_gbm_batch(model, hybrid)
-        v[start:stop] = preds.reshape(stop - start, n_bg).mean(axis=1)
+        out = np.full((stop - start, n_bg), model.base_score)
+        for tree, used in zip(model.trees, used_by_tree):
+            restricted = bits[start:stop, used]
+            codes = (restricted << np.arange(used.size)).sum(axis=1)
+            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            take_x = np.repeat(restricted[first], n_bg, axis=0)
+            hybrid = np.tile(bg, (first.size, 1))
+            hybrid[:, used] = np.where(take_x, x[used], hybrid[:, used])
+            preds = tree.predict_batch(hybrid).reshape(first.size, n_bg)
+            out += (model.eta * preds)[inverse]
+        v[start:stop] = out.mean(axis=1)
 
     sizes = bits.sum(axis=1)
     fact = [math.factorial(i) for i in range(m + 1)]

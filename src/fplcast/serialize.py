@@ -75,6 +75,14 @@ def _format_checked(read):
     return checked
 
 
+def _require_final_newline(text: str, what: str) -> None:
+    """Every writer ends its file with a newline. A cut inside the last
+    line can leave a shorter number that still parses, so a file without
+    one is truncated."""
+    if not text.endswith("\n"):
+        raise FormatError(f"{what} is truncated (no final newline)")
+
+
 def _finite(cell: str, line: int, column: str) -> float:
     """float(cell), which must be finite."""
     value = float(cell)
@@ -335,9 +343,7 @@ def read_dataset(text: str) -> tuple[DatasetHeader, WindowSet]:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC_DATASET:
         raise FormatError("not a dataset file")
-    # Every row ends in a float cell, which a cut inside it leaves parseable.
-    if not text.endswith("\n"):
-        raise FormatError("dataset file is truncated (no final newline)")
+    _require_final_newline(text, "dataset file")
     meta: dict[str, str] = {}
     body_start = len(lines)
     for i, line in enumerate(lines[1:], start=1):
@@ -462,6 +468,7 @@ def read_ridge(text: str) -> tuple[RidgeModel, ModelContext]:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC_RIDGE:
         raise FormatError("not a ridge model file")
+    _require_final_newline(text, "ridge model file")
     ctx, consumed = _parse_context(lines[1:])
     rest = lines[1 + consumed :]
     lam = float(rest[0].split(" ", 1)[1])
@@ -508,7 +515,7 @@ def _dump_tree(tree: RegressionTree) -> list[str]:
     return lines
 
 
-def _parse_tree(lines: list[str], start: int) -> tuple[RegressionTree, int]:
+def _parse_tree(lines: list[str], start: int, n_features: int) -> tuple[RegressionTree, int]:
     gains_line = lines[start]
     if not gains_line.startswith("gains"):
         raise FormatError(f"expected gains line, got {gains_line!r}")
@@ -526,9 +533,12 @@ def _parse_tree(lines: list[str], start: int) -> tuple[RegressionTree, int]:
                 TreeNode(value=float(parts[1]), n_samples=int(parts[2]), depth=depth)
             )
         elif parts[0] == "I":
+            feature = int(parts[1])
+            if not 0 <= feature < n_features:
+                raise FormatError(f"split feature {feature} outside [0, {n_features})")
             tree.nodes.append(
                 TreeNode(
-                    feature=int(parts[1]),
+                    feature=feature,
                     threshold=float(parts[2]),
                     n_samples=int(parts[3]),
                     depth=depth,
@@ -572,6 +582,7 @@ def read_gbm(text: str) -> tuple[GbmModel, ModelContext]:
     lines = [l for l in text.splitlines() if l]
     if not lines or lines[0] != MAGIC_GBM:
         raise FormatError("not a gbm model file")
+    _require_final_newline(text, "gbm model file")
     ctx, consumed = _parse_context(lines[1:])
     rest = lines[1 + consumed :]
     base = float(rest[0].split()[1])
@@ -594,7 +605,7 @@ def read_gbm(text: str) -> tuple[GbmModel, ModelContext]:
     for _ in range(n_trees):
         if not rest[pos].startswith("tree "):
             raise FormatError(f"expected tree marker at line {pos + 1}")
-        tree, pos = _parse_tree(rest, pos + 1)
+        tree, pos = _parse_tree(rest, pos + 1, n_features)
         trees.append(tree)
     model = GbmModel(
         base_score=base,
@@ -627,6 +638,7 @@ def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC_CNN:
         raise FormatError("not a cnn model file")
+    _require_final_newline(text, "cnn model file")
     ctx, consumed = _parse_context(lines[1:])
     lines = lines[1 + consumed :]
     activation = lines[0].split()[1]
@@ -725,6 +737,7 @@ def write_coefficient_table(
 
 @_format_checked
 def read_coefficient_table(text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    _require_final_newline(text, "coefficient table")
     lines = [l for l in text.splitlines() if l]
     header = _parse_csv_line(lines[0])
     features = header[1:-1]

@@ -437,6 +437,25 @@ class TestExplainCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:budget:")
 
+    @pytest.mark.parametrize("index", ["-1", "100000"])
+    def test_shapley_example_index_out_of_range(self, tmp_path, capsys, index):
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path, seed=3)
+        main(
+            ["--out", str(out), "--seed", "3", "--position", "MID", "train",
+             "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
+             "--family", "gbm"]
+        )
+        capsys.readouterr()
+        rc = main(
+            ["--out", str(out), "explain", "--model", str(out / "model_gbm_MID.txt"),
+             "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
+             "--example-index", index]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:usage:") and err.count("\n") == 1
+        assert not list(out.glob("shapley_*.csv"))
+
     def test_cnn_filter_csv_shape(self, tmp_path):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)
         config = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from math import factorial
 
@@ -445,6 +446,116 @@ def shapley_oracle(model, x, background):
     return phi, v(())
 
 
+def enumeration_oracle(model, x, background):
+    """Vectorized subset enumeration: every hybrid row of every subset
+    through predict_gbm_batch, then row means. The exact floats
+    shapley_values must reproduce."""
+    x = np.asarray(x, dtype=np.float64)
+    bg = np.asarray(background, dtype=np.float64)
+    m = x.shape[0]
+    n_subsets = 1 << m
+    n_bg = bg.shape[0]
+    masks = np.arange(n_subsets, dtype=np.uint32)
+    bits = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)  # subsets x m
+
+    v = np.empty(n_subsets, dtype=np.float64)
+    chunk = max(1, (1 << 22) // max(1, n_bg * m))  # cap hybrid matrix size
+    for start in range(0, n_subsets, chunk):
+        stop = min(start + chunk, n_subsets)
+        take_x = np.repeat(bits[start:stop], n_bg, axis=0)
+        hybrid = np.where(take_x, x[None, :], np.tile(bg, (stop - start, 1)))
+        preds = predict_gbm_batch(model, hybrid)
+        v[start:stop] = preds.reshape(stop - start, n_bg).mean(axis=1)
+
+    sizes = bits.sum(axis=1)
+    fact = [math.factorial(i) for i in range(m + 1)]
+    weight_by_size = np.array(
+        [fact[s] * fact[m - s - 1] / fact[m] for s in range(m)], dtype=np.float64
+    )
+    phi = np.zeros(m, dtype=np.float64)
+    for j in range(m):
+        without_j = masks[~bits[:, j]]
+        with_j = without_j | (1 << j)
+        w = weight_by_size[sizes[without_j]]
+        phi[j] = float(np.sum(w * (v[with_j] - v[without_j])))
+    return phi, float(v[0])
+
+
+def assert_equals_enumeration_oracle(model, x, background):
+    result = shapley_values(model, x, background)
+    phi, base_value = enumeration_oracle(model, x, background)
+    assert result.phi.tolist() == phi.tolist()
+    assert result.base_value == base_value
+
+
+# A small pool, so thresholds often equal x or background values.
+POOL = [-1.0, -0.5, 0.0, 0.1, 0.5, 1.0]
+
+
+@st.composite
+def hand_built_trees(draw, m):
+    """A tree over m features: a single leaf, a random tree, a path that
+    splits on every feature, or a path that splits on one feature twice."""
+    nodes: list[TreeNode] = []
+    thresholds = st.one_of(st.sampled_from(POOL), st.floats(-1.5, 1.5))
+
+    def add_leaf(depth):
+        nodes.append(TreeNode(value=draw(st.floats(-10, 10)), depth=depth))
+        return len(nodes) - 1
+
+    def add_split(feature, depth, grow_left, grow_right):
+        i = len(nodes)
+        nodes.append(TreeNode(feature=feature, threshold=draw(thresholds), depth=depth))
+        nodes[i].left = grow_left(depth + 1)
+        nodes[i].right = grow_right(depth + 1)
+        return i
+
+    def grow_random(depth):
+        if depth >= 4 or not draw(st.booleans()):
+            return add_leaf(depth)
+        return add_split(draw(st.integers(0, m - 1)), depth, grow_random, grow_random)
+
+    def grow_path(features):
+        def grow(depth):
+            if depth == len(features):
+                return add_leaf(depth)
+            if draw(st.booleans()):
+                return add_split(features[depth], depth, grow, add_leaf)
+            return add_split(features[depth], depth, add_leaf, grow)
+        return grow
+
+    kind = draw(st.sampled_from(["leaf", "random", "every_feature", "repeat"]))
+    if kind == "leaf":
+        add_leaf(0)
+    elif kind == "random":
+        grow_random(0)
+    elif kind == "every_feature":
+        grow_path(draw(st.permutations(range(m))))(0)
+    else:
+        f = draw(st.integers(0, m - 1))
+        grow_path([f, draw(st.integers(0, m - 1)), f])(0)
+    return RegressionTree(nodes=nodes)
+
+
+@st.composite
+def shapley_problems(draw):
+    m = draw(st.integers(1, 10))
+    model = GbmModel(
+        base_score=draw(st.floats(-5, 5)),
+        trees=draw(st.lists(hand_built_trees(m), max_size=6)),
+        eta=draw(st.sampled_from([0.1, 0.3, 1.0])),
+        hyperparams=GbmHyperparams(),
+        n_features=m,
+    )
+    values = st.lists(st.sampled_from(POOL), min_size=m, max_size=m)
+    background = np.array(draw(st.lists(values, min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        x = background[draw(st.integers(0, len(background) - 1))].copy()
+    else:
+        x = np.array(draw(values))
+    return model, x, background
+
+
 def fitted_small_model(seed, n_features=4):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(60, n_features))
@@ -566,6 +677,27 @@ class TestShapley:
         background[:, jprime] = background[:, j]
         result = shapley_values(sym, x, background)
         assert result.phi[j] == pytest.approx(result.phi[jprime], abs=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shapley_problems())
+    def test_equals_enumeration_oracle_on_hand_built_trees(self, problem):
+        assert_equals_enumeration_oracle(*problem)
+
+    def test_equals_enumeration_oracle_over_several_chunks(self):
+        model, X = fitted_small_model(seed=24, n_features=10)
+        background = np.random.default_rng(24).normal(size=(450, 10))
+        assert (1 << 22) // (450 * 10) < 1 << 10  # more than one chunk
+        assert_equals_enumeration_oracle(model, X[0], background)
+
+    def test_equals_enumeration_oracle_on_a_12_feature_season_design(self):
+        rows, strengths = generate_synthetic_season(seed=5, n_players=60, n_weeks=20)
+        series = [s for s in build_series(rows) if s.key.position == Position.MID]
+        X, y = sliding_design(split_windows(series, strengths, 3, FeatureTier.FULL))
+        X = X[:, list(range(11)) + [18]]  # full[:11] and difficulty
+        model = fit_gbm(X, y)
+        assert sum(len(t.split_gains) for t in model.trees) > 0
+        background = X[np.random.default_rng(5).choice(len(X), 40, replace=False)]
+        assert_equals_enumeration_oracle(model, X[0], background)
 
     def test_budget_error_above_fifteen_features(self):
         model = GbmModel(0.0, [], 1.0, GbmHyperparams(), n_features=16)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fplcast.cnn import LearningCurve
 from fplcast.dataset import (
@@ -25,6 +27,7 @@ from fplcast.serialize import (
     read_predictions_csv,
     read_splits,
     write_cleaned_csv,
+    write_coefficient_table,
     write_dataset,
     write_learning_curve,
     write_mse_table,
@@ -235,6 +238,40 @@ def data_files():
     return files
 
 
+@pytest.fixture(scope="module")
+def model_files(fitted_models):
+    """(reader, writer of what it read, text) for each model file format."""
+    files = {
+        name: (family.read, lambda loaded, family=family: family.write(*loaded),
+               family.write(model, ctx))
+        for name, (family, model, ctx) in fitted_models.items()
+    }
+    files["coefficients"] = (
+        read_coefficient_table,
+        lambda loaded: write_coefficient_table(*loaded),
+        write_coefficient_table(["GK", "MID"], ["x0", "x1"],
+                                np.array([[0.1, 1 / 3], [2.5, -1e-7]]),
+                                np.array([0.7, 1 / 7])),
+    )
+    return files
+
+
+def assert_every_cut_loads_a_prefix_or_fails(read, write, text):
+    """Cut `text` at every line boundary, then at every character of its
+    last line: each cut loads a line prefix of `text` or is a FormatError."""
+    lines = text.splitlines(keepends=True)
+    prefixes = {"".join(lines[:cut]) for cut in range(len(lines) + 1)}
+    cuts = [len("".join(lines[:cut])) for cut in range(len(lines))]
+    cuts += range(len(text) - len(lines[-1]), len(text) + 1)
+    for cut in cuts:
+        try:
+            loaded = read(text[:cut])
+        except FormatError:
+            continue
+        assert write(loaded) in prefixes, f"cut at character {cut} loaded"
+    assert write(read(text)) == text
+
+
 class TestModelFileTruncation:
     @pytest.mark.parametrize("name", ["ridge", "gbm", "cnn"])
     def test_every_line_cut_round_trips_or_is_format_error(self, fitted_models, name):
@@ -255,19 +292,11 @@ class TestModelFileTruncation:
         ["splits", "cleaned", "dataset_windowed", "dataset_sliding", "predictions"],
     )
     def test_every_cut_loads_a_prefix_or_is_format_error(self, data_files, name):
-        read, write, text = data_files[name]
-        lines = text.splitlines(keepends=True)
-        prefixes = {"".join(lines[:cut]) for cut in range(len(lines) + 1)}
-        # Every line boundary, then every character of the last line.
-        cuts = [len("".join(lines[:cut])) for cut in range(len(lines))]
-        cuts += range(len(text) - len(lines[-1]), len(text) + 1)
-        for cut in cuts:
-            try:
-                loaded = read(text[:cut])
-            except FormatError:
-                continue
-            assert write(loaded) in prefixes, f"cut at character {cut} loaded"
-        assert write(read(text)) == text
+        assert_every_cut_loads_a_prefix_or_fails(*data_files[name])
+
+    @pytest.mark.parametrize("name", ["ridge", "gbm", "cnn", "coefficients"])
+    def test_model_file_cuts_load_a_prefix_or_are_format_errors(self, model_files, name):
+        assert_every_cut_loads_a_prefix_or_fails(*model_files[name])
 
     def test_cleaned_rows_need_26_cells_ending_in_a_bool(self, data_files):
         _, _, text = data_files["cleaned"]
@@ -332,3 +361,39 @@ class TestModelFileTruncation:
         *head, last = text.splitlines()
         with pytest.raises(FormatError, match="cells"):
             read_dataset("\n".join(head + [last.rsplit(",", 1)[0]]) + "\n")
+
+
+@st.composite
+def corruptions(draw, text):
+    """`text` with one byte flipped, or one line replaced by random text."""
+    if draw(st.booleans()):
+        data = bytearray(text.encode())
+        at = draw(st.integers(0, len(data) - 1))
+        data[at] ^= draw(st.integers(1, 255))
+        return data.decode("utf-8", errors="replace")
+    lines = text.splitlines(keepends=True)
+    at = draw(st.integers(0, len(lines) - 1))
+    lines[at] = draw(st.text(max_size=40)) + "\n"
+    return "".join(lines)
+
+
+class TestModelFileCorruption:
+    @pytest.mark.parametrize("feature", ["-1", "2"])
+    def test_gbm_split_feature_must_be_in_range(self, model_files, feature):
+        read, _, text = model_files["gbm"]  # 2 features
+        with pytest.raises(FormatError, match="split feature"):
+            read(text.replace("\nI 0 ", f"\nI {feature} ", 1))
+
+    @pytest.mark.parametrize("name", ["ridge", "gbm", "cnn"])
+    def test_every_corruption_loads_or_is_format_error(self, model_files, name):
+        read, _, text = model_files[name]
+
+        @settings(max_examples=300, deadline=None)
+        @given(corruptions(text))
+        def check(corrupted):
+            try:
+                read(corrupted)
+            except FormatError:
+                pass
+
+        check()
