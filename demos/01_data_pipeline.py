@@ -26,7 +26,7 @@ print(f"  token-sort match for 'heung-min son': {match}")
 
 print("\n== Synthetic season ==")
 rows, strengths = generate_synthetic_season(seed=42, n_players=120, n_weeks=20)
-print(f"  {len(rows)} rows for {len({r.player_name for r in rows})} players")
+print(f"  {len(rows)} rows for {len(set(rows.player_name))} players")
 played = drop_benched(rows)
 print(f"  {len(rows) - len(played)} benched rows dropped (synthetic players all play)")
 

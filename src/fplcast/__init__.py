@@ -9,8 +9,8 @@ scored with the tie-aware Spearman correlation.
 
 from .ingest import (
     CanonicalPlayerKey,
+    GameweekTable,
     Position,
-    RawGameweekRow,
     TeamStrengthTable,
     canonicalize_name,
     compute_difficulty,

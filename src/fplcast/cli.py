@@ -54,6 +54,7 @@ from .harness import (
     train_family,
 )
 from .ingest import (
+    GameweekTable,
     Position,
     RowParseError,
     SchemaError,
@@ -106,9 +107,7 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
     config = default_config()
     if path is not None:
         try:
-            user = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise CliError("io", f"config file not found: {path}") from None
+            user = json.loads(_read_text(path, "config"))
         except json.JSONDecodeError as exc:
             raise CliError("config", f"config is not valid JSON: {exc}") from None
         for key, value in user.items():
@@ -126,9 +125,24 @@ def _positions(flag: str) -> list[Position]:
     return [Position(flag)]
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the `what` file at `path`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise CliError("io", f"cannot read {what} file {path}: {reason}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError("format", f"{what} file {path} is not UTF-8: {exc}") from None
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise CliError("io", f"cannot create output directory {out}: {reason}") from None
     return out
 
 
@@ -143,30 +157,21 @@ def _log(out: Path, message: str):
         fh.write(f"{stamp} {message}\n")
 
 
-def _read_cleaned(paths: list[str]):
-    rows = []
-    for path in paths:
-        try:
-            rows.extend(ser.read_cleaned_csv(Path(path).read_text(encoding="utf-8")))
-        except FileNotFoundError:
-            raise CliError("io", f"cleaned file not found: {path}") from None
-    if not rows:
+def _read_cleaned(paths: list[str]) -> GameweekTable:
+    table = GameweekTable.concat(
+        [ser.read_cleaned_csv(_read_text(path, "cleaned")) for path in paths]
+    )
+    if not len(table):
         raise CliError("data", "no cleaned rows found")
-    return rows
+    return table
 
 
 def _read_strengths(path: str):
-    try:
-        return parse_strengths_csv(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError("io", f"strengths file not found: {path}") from None
+    return parse_strengths_csv(_read_text(path, "strengths"))
 
 
 def _read_splits(path: str) -> SplitAssignment:
-    try:
-        return ser.read_splits(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError("io", f"splits file not found: {path}") from None
+    return ser.read_splits(_read_text(path, "splits"))
 
 
 def _flip_flag(config) -> bool:
@@ -194,57 +199,51 @@ def cmd_ingest(args, config) -> int:
     strengths = _read_strengths(args.strengths)
     threshold = float(config["fuzzy_threshold"])
 
-    all_rows = []
-    read_counts = []
+    parts = []
     for raw_item in args.raw:
         season, sep, path = raw_item.partition("=")
         if not sep:
             raise CliError("usage", "--raw items must look like SEASON=PATH")
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise CliError("io", f"raw file not found: {path}") from None
-        rows = parse_gameweek_csv(text, season)
-        read_counts.append((path, len(rows)))
-        all_rows.extend(rows)
+        parts.append((path, parse_gameweek_csv(_read_text(path, "raw"), season)))
+    read = GameweekTable.concat([table for _, table in parts])
 
     # Canonicalize and merge near-duplicate spellings, per position.
     registry: dict[Position, list[str]] = {p: [] for p in Position}
     resolutions = []
-    for row in all_rows:
-        canon = canonicalize_name(row.player_name)
-        known = registry[row.position]
-        if canon in known:
-            row.player_name = canon
-            continue
-        if known:
-            match = fuzzy_match(canon, known, threshold)
-            if match is not None:
+    names = []
+    for name, position in zip(read.player_name, read.position):
+        canon = canonicalize_name(name)
+        known = registry[position]
+        if canon not in known:
+            match = fuzzy_match(canon, known, threshold) if known else None
+            if match is None:
+                known.append(canon)
+            else:
                 # Any mapping between distinct spellings is a resolution,
                 # including score-1.0 token reorderings.
-                row.player_name = match[0]
                 resolutions.append((canon, match[0], match[1]))
-                continue
-        known.append(canon)
-        row.player_name = canon
+                canon = match[0]
+        names.append(canon)
 
-    kept = drop_benched(all_rows)
-    dropped = len(all_rows) - len(kept)
+    kept = drop_benched(read.replace(player_name=names))
+    dropped = len(read) - len(kept)
 
     # Every (season, team) pair must have a strength rating.
-    for row in kept:
-        if row.season not in strengths:
-            raise TeamLookupError(f"no strength table for season '{row.season}'")
-        strengths[row.season].strength(row.team)
-        strengths[row.season].strength(row.opponent)
+    for season, team, opponent in zip(kept.season, kept.team, kept.opponent):
+        if season not in strengths:
+            raise TeamLookupError(f"no strength table for season '{season}'")
+        strengths[season].strength(team)
+        strengths[season].strength(opponent)
 
-    per_position = {p: [r for r in kept if r.position == p] for p in Position.ordered()}
+    per_position = {
+        p: kept.take([q is p for q in kept.position]) for p in Position.ordered()
+    }
     for position, rows in per_position.items():
         _write(out / f"cleaned_{position.value}.csv", ser.write_cleaned_csv(rows))
 
     report = [
         "ingest report",
-        *[f"read {count} rows from {path}" for path, count in read_counts],
+        *[f"read {len(table)} rows from {path}" for path, table in parts],
         f"dropped: {dropped} benched appearances",
         *[
             f"kept {len(rows)} rows for {position.value}"
@@ -267,45 +266,7 @@ def cmd_synth(args, config) -> int:
     rows, strengths = generate_synthetic_season(
         seed=config["seed"], n_players=args.players, n_weeks=args.weeks
     )
-    header = (
-        "name,position,GW,team,opponent_team,minutes,total_points,goals_scored,"
-        "assists,clean_sheets,goals_conceded,saves,bps,bonus,yellow_cards,"
-        "red_cards,own_goals,penalties_saved,penalties_missed,influence,"
-        "creativity,threat,ict_index,was_home"
-    )
-    lines = [header]
-    for r in rows:
-        lines.append(
-            ser.csv_line(
-                [
-                    r.player_name,
-                    r.position.value,
-                    r.gameweek,
-                    r.team,
-                    r.opponent,
-                    r.minutes,
-                    r.total_points,
-                    r.goals_scored,
-                    r.assists,
-                    r.clean_sheets,
-                    r.goals_conceded,
-                    r.saves,
-                    r.bps,
-                    r.bonus,
-                    r.yellow_cards,
-                    r.red_cards,
-                    r.own_goals,
-                    r.penalties_saved,
-                    r.penalties_missed,
-                    r.influence,
-                    r.creativity,
-                    r.threat,
-                    r.ict_index,
-                    r.was_home,
-                ]
-            )
-        )
-    _write(out / "synthetic_gameweeks.csv", "\n".join(lines) + "\n")
+    _write(out / "synthetic_gameweeks.csv", ser.write_raw_csv(rows))
     strength_lines = ["season,team,strength"]
     for team in sorted(strengths.entries):
         strength_lines.append(
@@ -431,10 +392,7 @@ def cmd_train(args, config) -> int:
 
 
 def _load_model(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise CliError("io", f"model file not found: {path}") from None
+    text = _read_text(path, "model")
     family = model_family(text)
     if family is None:
         raise CliError("format", f"unrecognized model file: {path}")
@@ -603,9 +561,8 @@ def cmd_rank(args, config) -> int:
     rows = _read_cleaned(args.cleaned)
     strengths = _read_strengths(args.strengths)
     position = Position(ctx.position)
-    seasons = sorted({r.season for r in rows})
-    season = args.season or seasons[-1]
-    rows = [r for r in rows if r.season == season]
+    season = args.season or max(rows.season)
+    rows = rows.take([s == season for s in rows.season])
     series = _series_for_position(build_series(rows), position)
     tier = FeatureTier(ctx.tier)
 
@@ -852,32 +809,33 @@ _COMMANDS = {
 }
 
 
+# Error category of each failure main() reports, most specific first.
+_CATEGORIES = (
+    (SchemaError, "schema"),
+    (RowParseError, "parse"),
+    (TeamLookupError, "lookup"),
+    (FeatureBudgetError, "budget"),
+    (ser.FormatError, "format"),
+    (ValueError, "data"),
+    (KeyError, "data"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, args.seed)
         return _COMMANDS[args.command](args, config)
-    except CliError as exc:
-        print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return 1
-    except SchemaError as exc:
-        print(f"error:schema: {exc}", file=sys.stderr)
-        return 1
-    except RowParseError as exc:
-        print(f"error:parse: {exc}", file=sys.stderr)
-        return 1
-    except TeamLookupError as exc:
-        print(f"error:lookup: {exc.args[0]}", file=sys.stderr)
-        return 1
-    except FeatureBudgetError as exc:
-        print(f"error:budget: {exc}", file=sys.stderr)
-        return 1
-    except ser.FormatError as exc:
-        print(f"error:format: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        print(f"error:data: {exc}", file=sys.stderr)
+    except (CliError, *(kind for kind, _ in _CATEGORIES)) as exc:
+        if isinstance(exc, CliError):
+            category = exc.category
+        else:
+            category = next(c for kind, c in _CATEGORIES if isinstance(exc, kind))
+        # A KeyError's str() quotes its message; a lookup error shows it bare.
+        message = exc.args[0] if isinstance(exc, TeamLookupError) else str(exc)
+        # Cell text in a message may hold line breaks; the report is one line.
+        print(f"error:{category}: " + " ".join(message.splitlines()), file=sys.stderr)
         return 1
 
 

@@ -148,6 +148,9 @@ class Batch:
         return Batch(self.X[idx], self.d[idx], self.y[idx])
 
 
+ACTIVATIONS = ("relu", "tanh")
+
+
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
         return np.maximum(z, 0.0)

@@ -19,10 +19,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .ingest import (
+    GAMEWEEK_SCHEMA,
     NUMERIC_STATS,
     CanonicalPlayerKey,
+    GameweekTable,
     Position,
-    RawGameweekRow,
     TeamStrengthTable,
     canonicalize_name,
     compute_difficulty,
@@ -53,16 +54,16 @@ class PlayerSeries:
     """All retained rows for one player, in chronological order."""
 
     key: CanonicalPlayerKey
-    rows: list[RawGameweekRow]
+    table: GameweekTable
 
     @property
     def avg_score(self) -> float:
-        return float(np.mean([r.total_points for r in self.rows]))
+        return float(np.mean(self.table.total_points))
 
     @property
     def stdev_score(self) -> float:
         # Population standard deviation, consistent with the scaler.
-        return float(np.std([r.total_points for r in self.rows]))
+        return float(np.std(self.table.total_points))
 
 
 class FeatureTier(enum.Enum):
@@ -155,27 +156,33 @@ class ScalerParams:
     fitted_on: str = "train"
 
 
-def build_series(rows: list[RawGameweekRow]) -> list[PlayerSeries]:
+def _runs(keys: Sequence) -> list[slice]:
+    """The maximal runs of equal consecutive keys, as slices."""
+    if not keys:
+        return []
+    bounds = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def build_series(table: GameweekTable) -> list[PlayerSeries]:
     """Group cleaned rows into per-player series ordered chronologically.
 
     Rows must already carry canonical player names. A player appearing in
     two seasons forms a single series; rows order by (season, kickoff_order).
     """
-    by_key: dict[CanonicalPlayerKey, list[RawGameweekRow]] = {}
-    for row in rows:
-        key = CanonicalPlayerKey(canonicalize_name(row.player_name), row.position)
-        by_key.setdefault(key, []).append(row)
-    series = []
-    for key in sorted(by_key, key=lambda k: (k.canonical_name, k.position.value)):
-        ordered = sorted(by_key[key], key=lambda r: (r.season, r.kickoff_order))
-        series.append(PlayerSeries(key=key, rows=ordered))
-    return series
-
-
-def _feature_matrix(rows: list[RawGameweekRow], columns: list[str]) -> np.ndarray:
-    return np.array(
-        [[float(getattr(r, c)) for c in columns] for r in rows], dtype=np.float64
+    canonical = {name: canonicalize_name(name) for name in set(table.player_name)}
+    keys = [
+        CanonicalPlayerKey(canonical[name], position)
+        for name, position in zip(table.player_name, table.position)
+    ]
+    kickoff_order = table.kickoff_order.tolist()
+    order = sorted(
+        range(len(table)),
+        key=lambda i: (keys[i].canonical_name, keys[i].position.value,
+                       table.season[i], kickoff_order[i]),
     )
+    ordered, keys = table.take(order), [keys[i] for i in order]
+    return [PlayerSeries(keys[run.start], ordered.take(run)) for run in _runs(keys)]
 
 
 def build_windows(
@@ -193,39 +200,31 @@ def build_windows(
     if w < 1:
         raise ValueError(f"window size must be >= 1, got {w}")
     columns = tier.columns()
-    windows, targets, d = [], [], []
-    for season_rows in _split_by_season(series.rows):
-        if len(season_rows) < w + 1:
+    table = series.table
+    feats = table.matrix(columns)
+    windows, d, targets = [], [], []
+    for run in _runs(table.season):
+        if run.stop - run.start < w + 1:
             continue
-        table, season = strengths, season_rows[0].season
+        season, season_strengths = table.season[run.start], strengths
         if isinstance(strengths, dict):
             if season not in strengths:
                 raise KeyError(f"no strength table for season '{season}'")
-            table = strengths[season]
-        feats = _feature_matrix(season_rows, columns)
+            season_strengths = strengths[season]
         # Window i holds rows i..i+w-1 and predicts row i+w.
-        windows.append(sliding_window_view(feats, w, axis=0)[:-1].transpose(0, 2, 1))
-        targets.extend(season_rows[w:])
-        d.extend(compute_difficulty(target, table) for target in season_rows[w:])
+        windows.append(sliding_window_view(feats[run], w, axis=0)[:-1].transpose(0, 2, 1))
+        targets.append(table.take(slice(run.start + w, run.stop)))
+        d.append(compute_difficulty(targets[-1], season_strengths))
     if not targets:
         return WindowSet.empty(w, len(columns))
+    target = GameweekTable.concat(targets)
     return WindowSet(
         X=np.concatenate(windows),
-        d=np.array(d, dtype=np.int64),
-        y=np.array([t.total_points for t in targets], dtype=np.int64),
-        players=(series.key,) * len(targets),
-        target_gameweek=np.array([t.gameweek for t in targets], dtype=np.int64),
+        d=np.concatenate(d),
+        y=target.total_points,
+        players=(series.key,) * len(target),
+        target_gameweek=target.gameweek,
     )
-
-
-def _split_by_season(rows: list[RawGameweekRow]) -> list[list[RawGameweekRow]]:
-    segments: list[list[RawGameweekRow]] = []
-    for row in rows:
-        if segments and segments[-1][-1].season == row.season:
-            segments[-1].append(row)
-        else:
-            segments.append([row])
-    return segments
 
 
 def sliding_average(windows: WindowSet) -> np.ndarray:
@@ -364,13 +363,14 @@ def generate_synthetic_season(
     n_players: int,
     n_weeks: int,
     position_mix: tuple[float, float, float, float] = (2 / 15, 5 / 15, 5 / 15, 3 / 15),
-) -> tuple[list[RawGameweekRow], TeamStrengthTable]:
+) -> tuple[GameweekTable, TeamStrengthTable]:
     """Deterministic desk-scale season standing in for real data.
 
     Each player gets a latent skill drawn once and a slowly-mixing form
     state; weekly points are a right-skewed integer draw centered on
     skill + form, shaded by the upcoming difficulty gap, and clipped to
-    the legal score range. Every emitted row has minutes > 0.
+    the legal score range. Every emitted row has minutes > 0; the
+    discipline counts (cards, own goals, penalties) are all 0.
     """
     if n_players < 1:
         raise ValueError("n_players must be >= 1")
@@ -397,7 +397,7 @@ def generate_synthetic_season(
         positions.extend([pos] * count)
 
     name_width = max(3, len(str(n_players - 1)))
-    rows: list[RawGameweekRow] = []
+    columns: dict[str, list] = {c.field: [] for c in GAMEWEEK_SCHEMA}
     for p in range(n_players):
         position = positions[p]
         team = teams[p % _SYNTH_TEAMS]
@@ -420,31 +420,29 @@ def generate_synthetic_season(
             influence = float(np.round(max(0.0, points * 2.0 + rng.normal(0, 2)), 1))
             creativity = float(np.round(max(0.0, skill * 3.0 + rng.normal(0, 2)), 1))
             threat = float(np.round(max(0.0, goals * 15.0 + rng.normal(0, 2)), 1))
-            rows.append(
-                RawGameweekRow(
-                    player_name=_synth_name(p, name_width),
-                    position=position,
-                    season=season,
-                    gameweek=week,
-                    team=team,
-                    opponent=opponent,
-                    minutes=minutes,
-                    total_points=points,
-                    goals_scored=goals,
-                    assists=int(rng.integers(0, 2)),
-                    clean_sheets=int(points >= 6),
-                    goals_conceded=int(rng.integers(0, 3)),
-                    saves=saves,
-                    bps=max(0, points * 3),
-                    bonus=int(np.clip(points - 7, 0, 3)),
-                    influence=influence,
-                    creativity=creativity,
-                    threat=threat,
-                    ict_index=float(
-                        np.round((influence + creativity + threat) / 10.0, 1)
-                    ),
-                    was_home=bool(rng.integers(0, 2)),
-                    kickoff_order=week - 1,
-                )
+            row = dict(
+                player_name=_synth_name(p, name_width),
+                position=position,
+                season=season,
+                gameweek=week,
+                team=team,
+                opponent=opponent,
+                minutes=minutes,
+                total_points=points,
+                goals_scored=goals,
+                assists=int(rng.integers(0, 2)),
+                clean_sheets=int(points >= 6),
+                goals_conceded=int(rng.integers(0, 3)),
+                saves=saves,
+                bps=max(0, points * 3),
+                bonus=int(np.clip(points - 7, 0, 3)),
+                influence=influence,
+                creativity=creativity,
+                threat=threat,
+                ict_index=float(np.round((influence + creativity + threat) / 10.0, 1)),
+                was_home=bool(rng.integers(0, 2)),
+                kickoff_order=week - 1,
             )
-    return rows, strengths
+            for name, column in columns.items():
+                column.append(row.get(name, 0))
+    return GameweekTable(**columns), strengths

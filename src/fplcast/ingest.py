@@ -1,9 +1,11 @@
 """Loading and cleaning of per-gameweek player statistics.
 
 Raw input is the public per-gameweek CSV schema (one row per player per
-gameweek). Cleaning canonicalizes player names, merges near-duplicate
-spellings by fuzzy matching, drops benched appearances, and attaches an
-engineered upcoming-match difficulty from per-season team strength ratings.
+gameweek). Rows are held column by column in a GameweekTable, whose
+columns GAMEWEEK_SCHEMA declares once for every reader and writer.
+Cleaning canonicalizes player names, merges near-duplicate spellings by
+fuzzy matching, drops benched appearances, and attaches an engineered
+upcoming-match difficulty from per-season team strength ratings.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ import math
 import unicodedata
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "Position",
-    "RawGameweekRow",
+    "GameweekTable",
+    "GAMEWEEK_SCHEMA",
     "TeamStrengthTable",
     "CanonicalPlayerKey",
     "SchemaError",
@@ -62,82 +68,122 @@ class TeamLookupError(KeyError):
     """A team has no strength rating for its season."""
 
 
-# Exact, case-sensitive column names required in raw gameweek files.
-# "GW" and "round" are accepted interchangeably for the gameweek number.
-REQUIRED_COLUMNS = (
-    "name",
-    "position",
-    "team",
-    "opponent_team",
-    "minutes",
-    "total_points",
-    "goals_scored",
-    "assists",
-    "clean_sheets",
-    "goals_conceded",
-    "saves",
-    "bps",
-    "bonus",
-    "influence",
-    "creativity",
-    "threat",
-    "ict_index",
-    "was_home",
+class Column(NamedTuple):
+    """One column of the gameweek schema."""
+
+    csv: str  # header name in raw and cleaned files
+    field: str  # GameweekTable attribute
+    kind: str  # text | position | int | opt_int | float | bool
+
+
+# Every column of a cleaned gameweek file, in file order. Raw files carry
+# the same columns except season and kickoff_order, in any order, and may
+# leave out the opt_int columns (read as 0); "round" may stand in for "GW".
+GAMEWEEK_SCHEMA = (
+    Column("season", "season", "text"),
+    Column("name", "player_name", "text"),
+    Column("position", "position", "position"),
+    Column("GW", "gameweek", "int"),
+    Column("team", "team", "text"),
+    Column("opponent_team", "opponent", "text"),
+    Column("kickoff_order", "kickoff_order", "int"),
+    *(Column(name, name, "int") for name in (
+        "minutes", "total_points", "goals_scored", "assists", "clean_sheets",
+        "goals_conceded", "saves", "bps", "bonus",
+    )),
+    *(Column(name, name, "opt_int") for name in (
+        "yellow_cards", "red_cards", "own_goals", "penalties_saved", "penalties_missed",
+    )),
+    *(Column(name, name, "float") for name in (
+        "influence", "creativity", "threat", "ict_index",
+    )),
+    Column("was_home", "was_home", "bool"),
 )
 
-_INT_COLUMNS = (
-    "minutes",
-    "total_points",
-    "goals_scored",
-    "assists",
-    "clean_sheets",
-    "goals_conceded",
-    "saves",
-    "bps",
-    "bonus",
+# The columns a raw file carries: season comes from the caller and
+# kickoff_order from the file's order.
+RAW_SCHEMA = tuple(
+    c for c in GAMEWEEK_SCHEMA if c.field not in ("season", "kickoff_order")
 )
 
-_OPTIONAL_INT_COLUMNS = (
-    "yellow_cards",
-    "red_cards",
-    "own_goals",
-    "penalties_saved",
-    "penalties_missed",
-)
-
-_FLOAT_COLUMNS = ("influence", "creativity", "threat", "ict_index")
+# dtype of each array column kind; text and position columns are tuples.
+_DTYPES = {"int": np.int64, "opt_int": np.int64, "float": np.float64, "bool": np.bool_}
 
 
-@dataclass
-class RawGameweekRow:
-    """One player's statistics for one real gameweek, as ingested."""
+class GameweekTable:
+    """Per-gameweek player statistics held column by column, one attribute
+    per GAMEWEEK_SCHEMA field; row i of every column is one appearance.
 
-    player_name: str
-    position: Position
-    season: str
-    gameweek: int
-    team: str
-    opponent: str
-    minutes: int
-    total_points: int
-    goals_scored: int = 0
-    assists: int = 0
-    clean_sheets: int = 0
-    goals_conceded: int = 0
-    saves: int = 0
-    bps: int = 0
-    bonus: int = 0
-    yellow_cards: int = 0
-    red_cards: int = 0
-    own_goals: int = 0
-    penalties_saved: int = 0
-    penalties_missed: int = 0
-    influence: float = 0.0
-    creativity: float = 0.0
-    threat: float = 0.0
-    ict_index: float = 0.0
-    was_home: bool = False
-    kickoff_order: int = 0
+    Text and position columns are tuples, the others numpy arrays. A table
+    is never changed in place: `replace`, `take` and `concat` build new
+    ones, sharing the columns they leave alone.
+    """
+
+    __slots__ = tuple(c.field for c in GAMEWEEK_SCHEMA)
+
+    def __init__(self, **columns):
+        if set(columns) != set(self.__slots__):
+            raise TypeError(
+                f"GameweekTable needs exactly the columns {list(self.__slots__)}"
+            )
+        for c in GAMEWEEK_SCHEMA:
+            values = columns[c.field]
+            object.__setattr__(self, c.field, tuple(values) if c.kind not in _DTYPES
+                               else np.asarray(values, dtype=_DTYPES[c.kind]))
+        if len({len(getattr(self, field)) for field in self.__slots__}) > 1:
+            raise ValueError("GameweekTable columns differ in length")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GameweekTable is immutable; use replace()")
+
+    @classmethod
+    def empty(cls) -> GameweekTable:
+        return cls(**{field: () for field in cls.__slots__})
+
+    @classmethod
+    def concat(cls, parts: Sequence[GameweekTable]) -> GameweekTable:
+        """The rows of every part, in order."""
+        if not parts:
+            return cls.empty()
+        return cls(**{
+            c.field: (
+                tuple(v for p in parts for v in getattr(p, c.field))
+                if c.kind in ("text", "position")
+                else np.concatenate([getattr(p, c.field) for p in parts])
+            )
+            for c in GAMEWEEK_SCHEMA
+        })
+
+    def __len__(self) -> int:
+        return len(self.gameweek)
+
+    def replace(self, **columns) -> GameweekTable:
+        """A copy with the given columns swapped in."""
+        return GameweekTable(
+            **{**{field: getattr(self, field) for field in self.__slots__}, **columns}
+        )
+
+    def take(self, idx) -> GameweekTable:
+        """The rows that `idx` (a slice, indices or a boolean mask) selects."""
+        if isinstance(idx, slice):
+            return GameweekTable(**{f: getattr(self, f)[idx] for f in self.__slots__})
+        rows = np.arange(len(self))[idx]
+        picked = {}
+        for field in self.__slots__:
+            column = getattr(self, field)
+            picked[field] = (
+                tuple(column[i] for i in rows.tolist())
+                if isinstance(column, tuple)
+                else column[rows]
+            )
+        return GameweekTable(**picked)
+
+    def matrix(self, fields: Sequence[str]) -> np.ndarray:
+        """The named numeric columns side by side as floats: n x len(fields)."""
+        return np.stack(
+            [np.asarray(getattr(self, field), dtype=np.float64) for field in fields],
+            axis=-1,
+        )
 
 
 # Numeric per-gameweek statistics, in the canonical feature order used by
@@ -259,27 +305,39 @@ def fuzzy_match(
     return best if best[1] >= threshold else None
 
 
-def drop_benched(rows: list[RawGameweekRow]) -> list[RawGameweekRow]:
+def drop_benched(table: GameweekTable) -> GameweekTable:
     """Keep only appearances with minutes played, preserving order."""
-    return [r for r in rows if r.minutes > 0]
+    return table.take(table.minutes > 0)
 
 
-def compute_difficulty(row: RawGameweekRow, strengths: TeamStrengthTable) -> int:
-    """Upcoming-match difficulty gap: opponent strength minus own strength.
+def compute_difficulty(table: GameweekTable, strengths: TeamStrengthTable) -> np.ndarray:
+    """Upcoming-match difficulty gap of every row: opponent strength minus
+    own strength.
 
     Positive means a harder match. The pipeline's difficulty_sign config
     key flips the convention downstream if needed.
     """
-    return strengths.strength(row.opponent) - strengths.strength(row.team)
+    # Each name is looked up once, in row order, so the first row with an
+    # unrated team is the one an error names.
+    names = dict.fromkeys(n for pair in zip(table.opponent, table.team) for n in pair)
+    rating = {name: strengths.strength(name) for name in names}
+    gaps = [rating[opp] - rating[team] for team, opp in zip(table.team, table.opponent)]
+    return np.array(gaps, dtype=np.int64)
 
 
 def _parse_int(value: str, column: str, line: int) -> int:
-    as_float = _parse_float(value, column, line)
-    if as_float != int(as_float):
-        raise RowParseError(
-            f"non-integer value {value!r} in column '{column}'", line
-        )
-    return int(as_float)
+    try:
+        number = int(value)
+    except ValueError:
+        as_float = _parse_float(value, column, line)
+        if as_float != int(as_float):
+            raise RowParseError(
+                f"non-integer value {value!r} in column '{column}'", line
+            ) from None
+        number = int(as_float)
+    if not -(2**63) <= number < 2**63:
+        raise RowParseError(f"value {value!r} in column '{column}' is out of range", line)
+    return number
 
 
 def _parse_float(value: str, column: str, line: int) -> float:
@@ -305,8 +363,28 @@ def _parse_bool(value: str, column: str, line: int) -> bool:
     raise RowParseError(f"non-boolean value {value!r} in column '{column}'", line)
 
 
-def parse_gameweek_csv(source, season: str) -> list[RawGameweekRow]:
-    """Parse one season's raw per-gameweek CSV into rows, preserving order.
+def _parse_position(value: str, column: str, line: int) -> Position:
+    try:
+        return Position(value.strip().upper())
+    except ValueError:
+        raise RowParseError(
+            f"unknown position {value!r} (expected one of GK, DEF, MID, FWD)", line
+        ) from None
+
+
+_CELL_PARSERS = {
+    "text": lambda value, column, line: value,
+    "position": _parse_position,
+    "int": _parse_int,
+    "opt_int": _parse_int,
+    "float": _parse_float,
+    "bool": _parse_bool,
+}
+_RAW_FIELDS = [c.field for c in RAW_SCHEMA]
+
+
+def parse_gameweek_csv(source, season: str) -> GameweekTable:
+    """Parse one season's raw per-gameweek CSV into a table, preserving order.
 
     `source` is a byte or text stream (or str/bytes). The header must carry
     every required column; unknown extra columns are ignored. kickoff_order
@@ -327,85 +405,57 @@ def parse_gameweek_csv(source, season: str) -> list[RawGameweekRow]:
         raise SchemaError("empty file: no header row") from None
 
     col = {name: i for i, name in enumerate(header)}
-    for required in REQUIRED_COLUMNS:
-        if required not in col:
-            raise SchemaError(f"missing required column '{required}'")
-    if "GW" in col:
-        gw_col = col["GW"]
-    elif "round" in col:
-        gw_col = col["round"]
-    else:
+    for c in RAW_SCHEMA:
+        if c.kind != "opt_int" and c.csv != "GW" and c.csv not in col:
+            raise SchemaError(f"missing required column '{c.csv}'")
+    gw_col = col.get("GW", col.get("round"))
+    if gw_col is None:
         raise SchemaError("missing required column 'GW' (or 'round')")
+    # Each raw column with its cell index; None for a left-out opt_int.
+    cells = [(c, gw_col if c.csv == "GW" else col.get(c.csv)) for c in RAW_SCHEMA]
+    kickoff_col = col.get("kickoff_time")
 
-    rows: list[RawGameweekRow] = []
+    records: list[list] = []
     sort_keys: list[tuple] = []
     for line_no, record in enumerate(reader, start=2):
         if not record or all(not cell.strip() for cell in record):
             continue
-
-        def cell(name: str) -> str:
-            idx = col[name]
-            if idx >= len(record):
-                raise RowParseError(f"row too short for column '{name}'", line_no)
-            return record[idx]
-
-        pos_text = cell("position").strip().upper()
-        try:
-            position = Position(pos_text)
-        except ValueError:
-            raise RowParseError(
-                f"unknown position {cell('position')!r} "
-                f"(expected one of GK, DEF, MID, FWD)",
-                line_no,
-            ) from None
-
-        ints = {name: _parse_int(cell(name), name, line_no) for name in _INT_COLUMNS}
-        opt_ints = {
-            name: _parse_int(cell(name), name, line_no)
-            for name in _OPTIONAL_INT_COLUMNS
-            if name in col
-        }
-        floats = {
-            name: _parse_float(cell(name), name, line_no) for name in _FLOAT_COLUMNS
-        }
-        gameweek = _parse_int(record[gw_col], "GW", line_no)
-        if gameweek < 1:
-            raise RowParseError(f"gameweek must be >= 1, got {gameweek}", line_no)
-        if not 0 <= ints["minutes"] <= 120:
-            raise RowParseError(
-                f"minutes out of range [0, 120]: {ints['minutes']}", line_no
-            )
-
-        ict_expected = (
-            floats["influence"] + floats["creativity"] + floats["threat"]
-        ) / 10.0
-        if abs(floats["ict_index"] - ict_expected) > 0.5:
+        values = []
+        for c, idx in cells:
+            if idx is None:
+                values.append(0)
+            elif idx >= len(record):
+                raise RowParseError(f"row too short for column '{c.csv}'", line_no)
+            else:
+                values.append(_CELL_PARSERS[c.kind](record[idx], c.csv, line_no))
+        row = dict(zip(_RAW_FIELDS, values))
+        if row["gameweek"] < 1:
+            raise RowParseError(f"gameweek must be >= 1, got {row['gameweek']}", line_no)
+        if not 0 <= row["minutes"] <= 120:
+            raise RowParseError(f"minutes out of range [0, 120]: {row['minutes']}", line_no)
+        ict_expected = (row["influence"] + row["creativity"] + row["threat"]) / 10.0
+        if abs(row["ict_index"] - ict_expected) > 0.5:
             warnings.warn(
-                f"line {line_no}: ict_index {floats['ict_index']} deviates from "
+                f"line {line_no}: ict_index {row['ict_index']} deviates from "
                 f"(influence+creativity+threat)/10 = {ict_expected:.2f}",
                 stacklevel=2,
             )
+        kickoff = ""
+        if kickoff_col is not None:
+            if kickoff_col >= len(record):
+                raise RowParseError("row too short for column 'kickoff_time'", line_no)
+            kickoff = record[kickoff_col]
+        records.append(values)
+        sort_keys.append((row["gameweek"], kickoff, line_no))
 
-        rows.append(
-            RawGameweekRow(
-                player_name=cell("name"),
-                position=position,
-                season=season,
-                gameweek=gameweek,
-                team=cell("team"),
-                opponent=cell("opponent_team"),
-                was_home=_parse_bool(cell("was_home"), "was_home", line_no),
-                **ints,
-                **opt_ints,
-                **floats,
-            )
-        )
-        kickoff = cell("kickoff_time") if "kickoff_time" in col else ""
-        sort_keys.append((gameweek, kickoff, line_no))
-
-    for order, key_idx in enumerate(sorted(range(len(rows)), key=lambda i: sort_keys[i])):
-        rows[key_idx].kickoff_order = order
-    return rows
+    # A row's kickoff_order is its rank in sort_keys order.
+    order = sorted(range(len(records)), key=sort_keys.__getitem__)
+    columns = zip(*records) if records else [()] * len(RAW_SCHEMA)
+    return GameweekTable(
+        season=(season,) * len(records),
+        kickoff_order=np.argsort(np.array(order, dtype=np.int64)),
+        **dict(zip(_RAW_FIELDS, columns)),
+    )
 
 
 def parse_strengths_csv(source) -> dict[str, TeamStrengthTable]:
@@ -426,9 +476,12 @@ def parse_strengths_csv(source) -> dict[str, TeamStrengthTable]:
             raise SchemaError(f"missing required column '{required}'")
 
     tables: dict[str, TeamStrengthTable] = {}
+    width = 1 + max(col["season"], col["team"], col["strength"])
     for line_no, record in enumerate(reader, start=2):
         if not record or all(not cell.strip() for cell in record):
             continue
+        if len(record) < width:
+            raise RowParseError(f"expected at least {width} cells", line_no)
         season = record[col["season"]]
         strength = _parse_int(record[col["strength"]], "strength", line_no)
         if not 1 <= strength <= 5:

@@ -15,11 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnn import PARAM_NAMES, CnnModel, LearningCurve
+from .cnn import ACTIVATIONS, PARAM_NAMES, CnnModel, LearningCurve
 from .dataset import ScalerParams, SplitAssignment, WindowSet, sliding_average
 from .evaluation import EvalReport
 from .gbm import GbmHyperparams, GbmModel, RegressionTree, TreeNode
-from .ingest import CanonicalPlayerKey, Position, RawGameweekRow
+from .ingest import (
+    GAMEWEEK_SCHEMA,
+    RAW_SCHEMA,
+    CanonicalPlayerKey,
+    GameweekTable,
+    Position,
+)
 from .ridge import RidgeModel
 
 MAGIC_DATASET = "# fplcast-dataset v1"
@@ -67,7 +73,7 @@ def _format_checked(read):
             return read(text)
         except FormatError:
             raise
-        except (IndexError, KeyError, ValueError, csv.Error) as exc:
+        except (IndexError, KeyError, ValueError, OverflowError, csv.Error) as exc:
             raise FormatError(
                 f"truncated or corrupt file ({type(exc).__name__}: {exc})"
             ) from None
@@ -92,128 +98,90 @@ def _finite(cell: str, line: int, column: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cleaned gameweek rows (ingest output; raw schema plus season and order)
+# Gameweek tables: cleaned files (every schema column) and raw files (the
+# columns a raw file carries)
 
-_CLEANED_COLUMNS = [
-    "season",
-    "name",
-    "position",
-    "GW",
-    "team",
-    "opponent_team",
-    "kickoff_order",
-    "minutes",
-    "total_points",
-    "goals_scored",
-    "assists",
-    "clean_sheets",
-    "goals_conceded",
-    "saves",
-    "bps",
-    "bonus",
-    "yellow_cards",
-    "red_cards",
-    "own_goals",
-    "penalties_saved",
-    "penalties_missed",
-    "influence",
-    "creativity",
-    "threat",
-    "ict_index",
-    "was_home",
-]
+_CELL_FORMATS = {
+    "text": '"%s"', "position": '"%s"', "int": "%d", "opt_int": "%d",
+    "float": "%.17g", "bool": "%s",
+}
 
 
-def write_cleaned_csv(rows: list[RawGameweekRow]) -> str:
-    lines = [",".join(_CLEANED_COLUMNS)]
-    for r in rows:
-        lines.append(
-            csv_line(
-                [
-                    r.season,
-                    r.player_name,
-                    r.position.value,
-                    r.gameweek,
-                    r.team,
-                    r.opponent,
-                    r.kickoff_order,
-                    r.minutes,
-                    r.total_points,
-                    r.goals_scored,
-                    r.assists,
-                    r.clean_sheets,
-                    r.goals_conceded,
-                    r.saves,
-                    r.bps,
-                    r.bonus,
-                    r.yellow_cards,
-                    r.red_cards,
-                    r.own_goals,
-                    r.penalties_saved,
-                    r.penalties_missed,
-                    r.influence,
-                    r.creativity,
-                    r.threat,
-                    r.ict_index,
-                    r.was_home,
-                ]
-            )
-        )
+def _write_gameweeks(table: GameweekTable, columns) -> str:
+    """One CSV line per row, rendered as csv_line renders its cells."""
+    template = ",".join(_CELL_FORMATS[c.kind] for c in columns)
+    cells = []
+    for c in columns:
+        column = getattr(table, c.field)
+        if c.kind == "position":
+            column = [p.value for p in column]
+        elif c.kind == "text":
+            column = [v.replace('"', '""') for v in column]
+        else:
+            column = column.tolist()
+        cells.append(column)
+    lines = [",".join(c.csv for c in columns)]
+    lines.extend(template % row for row in zip(*cells))
     return "\n".join(lines) + "\n"
 
 
+def write_cleaned_csv(table: GameweekTable) -> str:
+    return _write_gameweeks(table, GAMEWEEK_SCHEMA)
+
+
+def write_raw_csv(table: GameweekTable) -> str:
+    """The table in the raw per-gameweek layout that ingest parses."""
+    return _write_gameweeks(table, RAW_SCHEMA)
+
+
+_CLEANED_HEADER = [c.csv for c in GAMEWEEK_SCHEMA]
+
+
+def _read_column(c, cells: tuple[str, ...], lines: list[int]):
+    """One cleaned-file column from its cells; `lines` are their line numbers."""
+    if c.kind in ("int", "opt_int"):
+        return np.fromiter(map(int, cells), np.int64, len(cells))
+    if c.kind == "float":
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise FormatError(
+                f"line {lines[bad[0]]}: {c.csv} must be finite, got {cells[bad[0]]!r}"
+            )
+        return values
+    if c.kind == "bool":
+        for cell, line in zip(cells, lines):
+            if cell not in ("True", "False"):
+                raise FormatError(
+                    f"line {line}: {c.csv} must be True or False, got {cell!r}"
+                )
+        return [cell == "True" for cell in cells]
+    if c.kind == "position":
+        return [Position(cell) for cell in cells]
+    return cells
+
+
 @_format_checked
-def read_cleaned_csv(text: str) -> list[RawGameweekRow]:
+def read_cleaned_csv(text: str) -> GameweekTable:
     reader = csv.reader(io.StringIO(text))
-    if next(reader, None) != _CLEANED_COLUMNS:
+    if next(reader, None) != _CLEANED_HEADER:
         raise FormatError("not a cleaned gameweek file (unexpected header)")
-    rows = []
+    records, lines = [], []
     for rec in reader:
         if not rec:
             continue
-        if len(rec) != len(_CLEANED_COLUMNS):
+        if len(rec) != len(_CLEANED_HEADER):
             raise FormatError(
-                f"line {reader.line_num}: expected {len(_CLEANED_COLUMNS)} cells, "
+                f"line {reader.line_num}: expected {len(_CLEANED_HEADER)} cells, "
                 f"found {len(rec)}"
             )
-        by = dict(zip(_CLEANED_COLUMNS, rec))
-        if by["was_home"] not in ("True", "False"):
-            raise FormatError(
-                f"line {reader.line_num}: was_home must be True or False, "
-                f"got {by['was_home']!r}"
-            )
-        line = reader.line_num
-        rows.append(
-            RawGameweekRow(
-                player_name=by["name"],
-                position=Position(by["position"]),
-                season=by["season"],
-                gameweek=int(by["GW"]),
-                team=by["team"],
-                opponent=by["opponent_team"],
-                kickoff_order=int(by["kickoff_order"]),
-                minutes=int(by["minutes"]),
-                total_points=int(by["total_points"]),
-                goals_scored=int(by["goals_scored"]),
-                assists=int(by["assists"]),
-                clean_sheets=int(by["clean_sheets"]),
-                goals_conceded=int(by["goals_conceded"]),
-                saves=int(by["saves"]),
-                bps=int(by["bps"]),
-                bonus=int(by["bonus"]),
-                yellow_cards=int(by["yellow_cards"]),
-                red_cards=int(by["red_cards"]),
-                own_goals=int(by["own_goals"]),
-                penalties_saved=int(by["penalties_saved"]),
-                penalties_missed=int(by["penalties_missed"]),
-                influence=_finite(by["influence"], line, "influence"),
-                creativity=_finite(by["creativity"], line, "creativity"),
-                threat=_finite(by["threat"], line, "threat"),
-                ict_index=_finite(by["ict_index"], line, "ict_index"),
-                was_home=by["was_home"] == "True",
-            )
-        )
-    return rows
+        records.append(rec)
+        lines.append(reader.line_num)
+    columns = zip(*records) if records else [()] * len(GAMEWEEK_SCHEMA)
+    return GameweekTable(**{
+        c.field: _read_column(c, cells, lines)
+        for c, cells in zip(GAMEWEEK_SCHEMA, columns)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +610,8 @@ def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
     ctx, consumed = _parse_context(lines[1:])
     lines = lines[1 + consumed :]
     activation = lines[0].split()[1]
-    window = ctx.w
+    if activation not in ACTIVATIONS:
+        raise FormatError(f"unknown activation {activation!r}")
     params = {}
     i = 1
     while i < len(lines):
@@ -657,10 +626,24 @@ def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
         values = np.array([float(v) for v in lines[i + 1].split()])
         params[name] = values.reshape(shape)
         i += 2
-    missing = set(PARAM_NAMES) - set(params)
-    if missing:
-        raise FormatError(f"missing parameters: {sorted(missing)}")
-    return CnnModel(activation=activation, window=window, **params), ctx
+    if sorted(params) != sorted(PARAM_NAMES):
+        raise FormatError(f"expected parameters {sorted(PARAM_NAMES)}, found {sorted(params)}")
+    # conv_w (filters, k, f) and hidden_w's rows fix every other shape.
+    conv = params["conv_w"].shape
+    if len(conv) != 3 or min(conv) < 1 or conv[1] > ctx.w:
+        raise FormatError(f"conv_w shape {conv} does not fit window {ctx.w}")
+    filters, hidden = conv[0], params["hidden_w"].shape[0]
+    expected = {
+        "conv_b": (filters,),
+        "hidden_w": (hidden, filters * (ctx.w - conv[1] + 1) + 1),
+        "hidden_b": (hidden,),
+        "out_w": (hidden,),
+        "out_b": (1,),
+    }
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise FormatError(f"{name} has shape {params[name].shape}, expected {shape}")
+    return CnnModel(activation=activation, window=ctx.w, **params), ctx
 
 
 # ---------------------------------------------------------------------------

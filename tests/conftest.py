@@ -2,23 +2,52 @@ import numpy as np
 import pytest
 
 from fplcast.dataset import build_series, generate_synthetic_season
-from fplcast.ingest import Position, RawGameweekRow, TeamStrengthTable
+from fplcast.ingest import GAMEWEEK_SCHEMA, GameweekTable, Position, TeamStrengthTable
+
+# Every column of make_table's default row; the rest of the schema is 0.
+BASE_ROW = dict(
+    player_name="aleksandar mitrovic",
+    position=Position.FWD,
+    season="2021-22",
+    gameweek=1,
+    team="fulham",
+    opponent="arsenal",
+    minutes=90,
+    total_points=2,
+    kickoff_order=0,
+    influence=0.0,
+    creativity=0.0,
+    threat=0.0,
+    ict_index=0.0,
+    was_home=False,
+)
 
 
-def make_row(**overrides) -> RawGameweekRow:
-    base = dict(
-        player_name="aleksandar mitrovic",
-        position=Position.FWD,
-        season="2021-22",
-        gameweek=1,
-        team="fulham",
-        opponent="arsenal",
-        minutes=90,
-        total_points=2,
-        kickoff_order=0,
-    )
-    base.update(overrides)
-    return RawGameweekRow(**base)
+def make_table(**columns) -> GameweekTable:
+    """A table of copies of BASE_ROW: a list value sets that column row by
+    row (and the row count), a scalar sets it in every row."""
+    n = max([len(v) for v in columns.values() if isinstance(v, list)], default=1)
+    values = {**BASE_ROW, **columns}
+    return GameweekTable(**{
+        c.field: (
+            values.get(c.field, 0)
+            if isinstance(values.get(c.field), list)
+            else [values.get(c.field, 0)] * n
+        )
+        for c in GAMEWEEK_SCHEMA
+    })
+
+
+def assert_tables_equal(a: GameweekTable, b: GameweekTable):
+    """Column for column: same types, dtypes and bits (so -0.0 != 0.0)."""
+    for c in GAMEWEEK_SCHEMA:
+        x, y = getattr(a, c.field), getattr(b, c.field)
+        assert type(x) is type(y), c.field
+        if isinstance(x, tuple):
+            assert x == y, c.field
+        else:
+            assert x.dtype == y.dtype and x.shape == y.shape, c.field
+            assert x.tobytes() == y.tobytes(), c.field
 
 
 @pytest.fixture

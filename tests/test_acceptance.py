@@ -392,16 +392,14 @@ def test_criterion_8_real_data_reproduction_soft():
 
     from fplcast.dataset import SplitAssignment
     from fplcast.harness import select_final, sliding_design, run_grid, GridSpec
-    from fplcast.ingest import drop_benched, canonicalize_name
+    from fplcast.ingest import GameweekTable, canonicalize_name, drop_benched
 
     strengths = parse_strengths_csv(strengths_path.read_text(encoding="utf-8"))
-    rows = []
-    for season, path in raw.items():
-        rows.extend(
-            parse_gameweek_csv(path.read_text(encoding="utf-8"), season)
-        )
-    for row in rows:
-        row.player_name = canonicalize_name(row.player_name)
+    rows = GameweekTable.concat([
+        parse_gameweek_csv(path.read_text(encoding="utf-8"), season)
+        for season, path in raw.items()
+    ])
+    rows = rows.replace(player_name=[canonicalize_name(n) for n in rows.player_name])
     rows = drop_benched(rows)
 
     deviations = []

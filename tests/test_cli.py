@@ -1,11 +1,20 @@
+import contextlib
+import io
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fplcast.cli import main
 from fplcast.evaluation import average_ranks
+from fplcast.ingest import GameweekTable
 from fplcast.serialize import read_cleaned_csv, read_splits
+
+from test_serialize import corruptions
 
 HEADER = (
     "name,position,GW,team,opponent_team,minutes,total_points,goals_scored,"
@@ -88,7 +97,7 @@ class TestIngest:
              "--strengths", str(strengths)]
         ) == 0
         rows = read_cleaned_csv((out / "cleaned_FWD.csv").read_text())
-        names = {r.player_name for r in rows}
+        names = set(rows.player_name)
         assert names == {"aleksandar mitrovic"}
         report = (out / "ingest_report.txt").read_text()
         assert "aleksander mitrovic" in report
@@ -161,10 +170,10 @@ class TestSplitCommand:
     def test_partition_and_metadata(self, tmp_path):
         out, cleaned, _, splits_path = synth_pipeline(tmp_path)
         splits = read_splits((out / "splits.csv").read_text())
-        rows = []
-        for path in cleaned:
-            rows.extend(read_cleaned_csv(open(path).read()))
-        players = {(r.player_name, r.position) for r in rows}
+        rows = GameweekTable.concat(
+            [read_cleaned_csv(open(path).read()) for path in cleaned]
+        )
+        players = set(zip(rows.player_name, rows.position))
         assert len(splits.assignments) == len(players)
         assert set(splits.assignments.values()) <= {"train", "validation", "test"}
 
@@ -187,9 +196,9 @@ class TestTrainCommand:
         from fplcast.dataset import FeatureTier, build_series, build_windows
         from fplcast.ingest import Position, parse_strengths_csv
 
-        rows = []
-        for path in cleaned:
-            rows.extend(read_cleaned_csv(open(path).read()))
+        rows = GameweekTable.concat(
+            [read_cleaned_csv(open(path).read()) for path in cleaned]
+        )
         tables = parse_strengths_csv(open(strengths).read())
         assignment = read_splits(open(splits).read()).assignments
         train_y, val_y = [], []
@@ -569,3 +578,150 @@ class TestCvCommand:
         lines = (out / "cv_ridge.csv").read_text().splitlines()
         assert lines[0] == "family,position,mean_train_mse,mean_val_mse"
         assert lines[1].startswith('"ridge","DEF"')
+
+
+@pytest.fixture(scope="module")
+def tiny_season(tmp_path_factory):
+    """A tiny synthetic season, split, with a MID model of every family."""
+    root = tmp_path_factory.mktemp("tiny")
+    out, cleaned, strengths, splits = synth_pipeline(root, seed=4, players=30, weeks=8)
+    config = root / "small.json"
+    config.write_text(json.dumps(
+        {"epochs": 1, "cnn_filters": 2, "cnn_hidden": 2, "gbm_min_data_in_leaf": 5}
+    ))
+    files = {"cleaned": cleaned[2], "strengths": strengths, "splits": splits,
+             "raw": str(out / "synthetic_gameweeks.csv"), "config": str(config)}
+    for family in ("ridge", "gbm", "cnn"):
+        assert main(
+            ["--config", str(config), "--out", str(out), "--seed", "4",
+             "--position", "MID", "train", "--cleaned", cleaned[2],
+             "--strengths", strengths, "--splits", splits, "--family", family]
+        ) == 0
+        files[family] = str(out / f"model_{family}_MID.txt")
+    for command in ("synth", "ingest", "split", "evaluate", "rank", "explain"):
+        for family in ("ridge", "gbm", "cnn"):
+            assert main(_argv(command, family, files, root / "check")) == 0
+    return root, files
+
+
+def _argv(command, family, files, out):
+    """A command line of `command` over `files`; the model is `family`'s."""
+    data = ["--cleaned", files["cleaned"], "--strengths", files["strengths"]]
+    base = ["--config", files["config"], "--out", str(out), "--position", "MID"]
+    return base + {
+        "synth": ["synth", "--players", "2", "--weeks", "2"],
+        "ingest": ["ingest", "--raw", f"synthetic={files['raw']}",
+                   "--strengths", files["strengths"]],
+        "split": ["split", "--cleaned", files["cleaned"]],
+        "train": ["train", *data, "--splits", files["splits"], "--family", family],
+        "evaluate": ["evaluate", "--model", files[family], *data,
+                     "--splits", files["splits"], "--split", "validation"],
+        "rank": ["rank", "--model", files[family], *data, "--gameweek", "6"],
+        "explain": ["explain", "--model", files[family], *data,
+                    "--splits", files["splits"], "--split", "validation"],
+    }[command]
+
+
+def _assert_one_error_line(err: str):
+    assert re.fullmatch(r"error:[a-z]+: [^\n]*\n", err), err
+
+
+class TestInputFileFailures:
+    # (flag, the command that reads it first)
+    FLAGS = [("config", "synth"), ("raw", "ingest"), ("strengths", "ingest"),
+             ("cleaned", "split"), ("splits", "train"), ("model", "evaluate")]
+
+    @pytest.mark.parametrize("flag, command", FLAGS, ids=[f for f, _ in FLAGS])
+    @pytest.mark.parametrize(
+        "failure, category",
+        [("missing", "io"), ("directory", "io"), ("not_utf8", "format")],
+    )
+    def test_unreadable_file_is_one_error_line(
+        self, tiny_season, tmp_path, capsys, flag, command, failure, category
+    ):
+        _, files = tiny_season
+        key = "ridge" if flag == "model" else flag
+        bad = tmp_path / "bad"
+        if failure == "directory":
+            bad.mkdir()
+        elif failure == "not_utf8":
+            bad.write_bytes(b"\xff" + open(files[key], "rb").read())
+        argv = _argv(command, "ridge", {**files, key: str(bad)}, tmp_path / "out")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith(f"error:{category}:") and str(bad) in err
+
+    @pytest.mark.parametrize("out", ["file", "file/below"])
+    def test_out_naming_a_file_is_an_io_error(self, tiny_season, tmp_path, capsys, out):
+        _, files = tiny_season
+        (tmp_path / "file").write_text("")
+        capsys.readouterr()
+        assert main(_argv("split", "ridge", files, tmp_path / out)) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:io:")
+
+
+    def test_line_break_in_a_cell_stays_on_the_error_line(
+        self, tiny_season, tmp_path, capsys
+    ):
+        _, files = tiny_season
+        bad = tmp_path / "cleaned.csv"
+        bad.write_text(open(files["cleaned"]).read().replace('"team', '"te\nam'))
+        capsys.readouterr()
+        assert main(_argv("rank", "ridge", {**files, "cleaned": str(bad)}, tmp_path)) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:lookup: no strength rating for team 'te am")
+
+
+@st.composite
+def damaged(draw, data: bytes):
+    """`data` cut short, with one byte flipped, or with one line replaced
+    (test_serialize's corruptions)."""
+    how = draw(st.sampled_from(["cut", "flip", "line"]))
+    if how == "cut":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if how == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    return draw(corruptions(data.decode())).encode()
+
+
+class TestEveryFailureIsOneLine:
+    INPUTS = {
+        "train": ["cleaned", "strengths", "splits"],
+        "evaluate": ["model", "cleaned", "strengths", "splits"],
+        "rank": ["model", "cleaned", "strengths"],
+        "explain": ["model", "cleaned", "strengths", "splits"],
+    }
+
+    def test_damaged_input_exits_0_or_prints_one_error_line(self, tiny_season):
+        root, files = tiny_season
+        originals = {name: open(path, "rb").read() for name, path in files.items()}
+
+        @settings(max_examples=400, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.data())
+        def check(data):
+            command = data.draw(st.sampled_from(sorted(self.INPUTS)))
+            family = data.draw(st.sampled_from(["ridge", "gbm", "cnn"]))
+            name = data.draw(st.sampled_from(self.INPUTS[command]))
+            key = family if name == "model" else name
+            bad = root / f"damaged_{name}"
+            bad.write_bytes(data.draw(damaged(originals[key])))
+            argv = _argv(command, family, {**files, key: str(bad)}, root / "out")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = main(argv)
+            assert rc in (0, 1)
+            if rc == 1:
+                _assert_one_error_line(err.getvalue())
+            else:
+                assert err.getvalue() == ""
+
+        check()

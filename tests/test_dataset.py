@@ -15,24 +15,27 @@ from fplcast.dataset import (
     sliding_average,
 )
 from fplcast.harness import sliding_design, windowed_batch
-from fplcast.ingest import CanonicalPlayerKey, Position, TeamStrengthTable
+from fplcast.ingest import (
+    CanonicalPlayerKey,
+    GameweekTable,
+    Position,
+    TeamStrengthTable,
+)
 
-from conftest import make_row
+from conftest import assert_tables_equal, make_table
 
 
 def mitrovic_series():
     """The two-week worked window plus the following (target) match."""
-    rows = [
-        make_row(gameweek=1, kickoff_order=0, total_points=1, goals_scored=0,
-                 assists=0, opponent="arsenal"),
-        make_row(gameweek=2, kickoff_order=1, total_points=12, goals_scored=2,
-                 assists=0, opponent="liverpool"),
-        # Target week: 2 points against a weaker side (difficulty -1).
-        make_row(gameweek=3, kickoff_order=2, total_points=2, goals_scored=0,
-                 assists=0, opponent="brentford"),
-    ]
+    # The third week is the target: 2 points against a weaker side
+    # (difficulty -1).
+    rows = make_table(
+        gameweek=[1, 2, 3], kickoff_order=[0, 1, 2], total_points=[1, 12, 2],
+        goals_scored=[0, 2, 0], assists=0,
+        opponent=["arsenal", "liverpool", "brentford"],
+    )
     key = CanonicalPlayerKey("aleksandar mitrovic", Position.FWD)
-    return PlayerSeries(key=key, rows=rows)
+    return PlayerSeries(key=key, table=rows)
 
 
 class TestBuildWindows:
@@ -52,34 +55,30 @@ class TestBuildWindows:
 
     def test_series_of_length_w_yields_nothing(self, strengths):
         series = mitrovic_series()
-        series.rows = series.rows[:2]
+        series.table = series.table.take(slice(0, 2))
         assert len(build_windows(series, 2, FeatureTier.PTSONLY, strengths)) == 0
 
     def test_series_of_length_w_plus_one_yields_one(self, strengths):
         assert len(build_windows(mitrovic_series(), 2, FeatureTier.PTSONLY, strengths)) == 1
 
     def test_count_identity(self, strengths):
-        rows = [
-            make_row(gameweek=i + 1, kickoff_order=i, opponent="arsenal")
-            for i in range(10)
-        ]
+        rows = make_table(
+            gameweek=list(range(1, 11)), kickoff_order=list(range(10)),
+            opponent="arsenal",
+        )
         series = PlayerSeries(
-            key=CanonicalPlayerKey("someone", Position.FWD), rows=rows
+            key=CanonicalPlayerKey("someone", Position.FWD), table=rows
         )
         for w in (1, 2, 5, 9):
             assert len(build_windows(series, w, FeatureTier.PTSONLY, strengths)) == 10 - w
 
     def test_windows_never_cross_seasons(self, strengths):
-        rows_a = [
-            make_row(season="2020-21", gameweek=i + 1, kickoff_order=i)
-            for i in range(3)
-        ]
-        rows_b = [
-            make_row(season="2021-22", gameweek=i + 1, kickoff_order=i)
-            for i in range(3)
-        ]
+        rows = make_table(
+            season=["2020-21"] * 3 + ["2021-22"] * 3,
+            gameweek=[1, 2, 3] * 2, kickoff_order=[0, 1, 2] * 2,
+        )
         series = PlayerSeries(
-            key=CanonicalPlayerKey("someone", Position.FWD), rows=rows_a + rows_b
+            key=CanonicalPlayerKey("someone", Position.FWD), table=rows
         )
         tables = {"2020-21": TeamStrengthTable("2020-21", dict(strengths.entries)),
                   "2021-22": strengths}
@@ -119,11 +118,11 @@ def _per_window_windows(series_list, w, tier):
     """Each window sliced from its own series' feature rows, one at a time."""
     out = []
     for series in series_list:
-        seasons = sorted({r.season for r in series.rows})
-        for season in seasons:
-            rows = [r for r in series.rows if r.season == season]
+        table = series.table
+        for season in sorted(set(table.season)):
+            rows = [i for i, s in enumerate(table.season) if s == season]
             feats = np.array(
-                [[float(getattr(r, c)) for c in tier.columns()] for r in rows]
+                [[float(getattr(table, c)[i]) for c in tier.columns()] for i in rows]
             )
             out.extend(feats[i - w : i].copy() for i in range(w, len(rows)))
     return out
@@ -214,12 +213,10 @@ class TestSlidingAverage:
         assert row[-1] == windows.d[0] and y == windows.y[0]
 
     def test_constant_window(self, strengths):
-        rows = [
-            make_row(gameweek=i + 1, kickoff_order=i, total_points=4)
-            for i in range(4)
-        ]
+        rows = make_table(gameweek=[1, 2, 3, 4], kickoff_order=[0, 1, 2, 3],
+                          total_points=4)
         series = PlayerSeries(
-            key=CanonicalPlayerKey("someone", Position.FWD), rows=rows
+            key=CanonicalPlayerKey("someone", Position.FWD), table=rows
         )
         windows = build_windows(series, 3, FeatureTier.PTSONLY, strengths)
         assert sliding_average(windows).tolist() == [[4.0]]
@@ -236,13 +233,13 @@ class TestSlidingAverage:
 
 
 def _player(name, points):
-    rows = [
-        make_row(
-            player_name=name, gameweek=i + 1, kickoff_order=i, total_points=p
-        )
-        for i, p in enumerate(points)
-    ]
-    return PlayerSeries(key=CanonicalPlayerKey(name, Position.FWD), rows=rows)
+    rows = make_table(
+        player_name=name,
+        gameweek=list(range(1, len(points) + 1)),
+        kickoff_order=list(range(len(points))),
+        total_points=list(points),
+    )
+    return PlayerSeries(key=CanonicalPlayerKey(name, Position.FWD), table=rows)
 
 
 class TestAssignSplits:
@@ -372,7 +369,7 @@ class TestSyntheticSeason:
     def test_deterministic(self):
         a_rows, a_str = generate_synthetic_season(3, 10, 6)
         b_rows, b_str = generate_synthetic_season(3, 10, 6)
-        assert a_rows == b_rows
+        assert_tables_equal(a_rows, b_rows)
         assert a_str == b_str
 
     def test_row_count(self):
@@ -381,23 +378,23 @@ class TestSyntheticSeason:
 
     def test_points_in_legal_range(self):
         rows, _ = generate_synthetic_season(2, 50, 20)
-        assert all(-5 <= r.total_points <= 24 for r in rows)
+        assert all(-5 <= p <= 24 for p in rows.total_points)
 
     def test_all_rows_played(self):
         rows, _ = generate_synthetic_season(5, 20, 10)
-        assert all(r.minutes > 0 for r in rows)
+        assert all(m > 0 for m in rows.minutes)
 
     def test_strengths_cover_all_teams(self):
         rows, table = generate_synthetic_season(4, 25, 5)
-        for r in rows:
-            assert table.strength(r.team) in range(1, 6)
-            assert table.strength(r.opponent) in range(1, 6)
+        for team, opponent in zip(rows.team, rows.opponent):
+            assert table.strength(team) in range(1, 6)
+            assert table.strength(opponent) in range(1, 6)
 
     def test_names_survive_fuzzy_merge(self):
         from fplcast.ingest import token_sort_similarity
 
         rows, _ = generate_synthetic_season(6, 120, 2)
-        names = sorted({r.player_name for r in rows})
+        names = sorted(set(rows.player_name))
         assert len(names) == 120
         # Spot-check adjacent ids, the closest name pairs by construction.
         for a, b in zip(names, names[1:]):
@@ -405,27 +402,23 @@ class TestSyntheticSeason:
 
     def test_position_mix_respected(self):
         rows, _ = generate_synthetic_season(7, 30, 2, position_mix=(0, 0, 1, 0))
-        assert all(r.position is Position.MID for r in rows)
+        assert all(p is Position.MID for p in rows.position)
 
 
 class TestBuildSeries:
     def test_groups_by_player_and_orders(self):
-        rows = [
-            make_row(player_name="b", gameweek=2, kickoff_order=5),
-            make_row(player_name="a", gameweek=1, kickoff_order=0),
-            make_row(player_name="b", gameweek=1, kickoff_order=1),
-        ]
+        rows = make_table(player_name=["b", "a", "b"], gameweek=[2, 1, 1],
+                          kickoff_order=[5, 0, 1])
         series = build_series(rows)
         assert [s.key.canonical_name for s in series] == ["a", "b"]
-        assert [r.kickoff_order for r in series[1].rows] == [1, 5]
+        assert series[1].table.kickoff_order.tolist() == [1, 5]
 
     def test_stats_recomputed_from_rows(self):
-        rows = [
-            make_row(gameweek=1, kickoff_order=0, total_points=2),
-            make_row(gameweek=2, kickoff_order=1, total_points=6),
-        ]
+        rows = make_table(gameweek=[1, 2], kickoff_order=[0, 1], total_points=[2, 6])
         [series] = build_series(rows)
         assert series.avg_score == pytest.approx(4.0)
         assert series.stdev_score == pytest.approx(2.0)  # population
-        series.rows.append(make_row(gameweek=3, kickoff_order=2, total_points=10))
+        series.table = GameweekTable.concat(
+            [series.table, make_table(gameweek=3, kickoff_order=2, total_points=10)]
+        )
         assert series.avg_score == pytest.approx(6.0)

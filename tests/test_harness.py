@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -206,8 +208,9 @@ class TestSelectFinal:
         poisoned = []
         for s in mid_series:
             if splits.assignments[s.key] == "test":
-                for row in s.rows:
-                    row.opponent = "ghost town fc"
+                s = replace(
+                    s, table=s.table.replace(opponent=["ghost town fc"] * len(s.table))
+                )
             poisoned.append(s)
         results = run_grid(RIDGE_GRID, poisoned, strengths, splits, seed=6)
         assert all(r.error is None for r in results)

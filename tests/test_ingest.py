@@ -1,10 +1,12 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fplcast.ingest import (
+    GameweekTable,
     Position,
     RowParseError,
     SchemaError,
@@ -18,7 +20,7 @@ from fplcast.ingest import (
     token_sort_similarity,
 )
 
-from conftest import make_row
+from conftest import assert_tables_equal, make_table
 
 HEADER = (
     "name,position,GW,team,opponent_team,minutes,total_points,goals_scored,"
@@ -35,21 +37,20 @@ def row_line(name="Harry Kane", position="FWD", gw=1, minutes=90, points=12):
 
 
 class TestParseGameweekCsv:
-    def test_header_only_gives_empty_list(self):
-        assert parse_gameweek_csv(HEADER + "\n", "2021-22") == []
+    def test_header_only_gives_empty_table(self):
+        assert len(parse_gameweek_csv(HEADER + "\n", "2021-22")) == 0
 
     def test_single_row_identity(self):
         rows = parse_gameweek_csv(
             HEADER + "\n" + row_line(minutes=90, points=12), "2021-22"
         )
         assert len(rows) == 1
-        row = rows[0]
-        assert row.minutes == 90
-        assert row.total_points == 12
-        assert row.player_name == "Harry Kane"
-        assert row.position is Position.FWD
-        assert row.season == "2021-22"
-        assert row.was_home is True
+        assert rows.minutes.tolist() == [90]
+        assert rows.total_points.tolist() == [12]
+        assert rows.player_name == ("Harry Kane",)
+        assert rows.position == (Position.FWD,)
+        assert rows.season == ("2021-22",)
+        assert rows.was_home.tolist() == [True]
 
     def test_non_numeric_minutes_cites_line_2(self):
         text = HEADER + "\n" + row_line(minutes="abc")
@@ -63,7 +64,7 @@ class TestParseGameweekCsv:
 
     def test_round_accepted_for_gameweek(self):
         text = HEADER.replace("GW", "round") + "\n" + row_line(gw=7)
-        assert parse_gameweek_csv(text, "2021-22")[0].gameweek == 7
+        assert parse_gameweek_csv(text, "2021-22").gameweek.tolist() == [7]
 
     def test_extra_columns_ignored(self):
         text = HEADER + ",expected_goals\n" + row_line() + ",0.7"
@@ -75,8 +76,8 @@ class TestParseGameweekCsv:
 
     def test_file_order_preserved(self):
         text = HEADER + "\n" + row_line(name="A") + "\n" + row_line(name="B")
-        names = [r.player_name for r in parse_gameweek_csv(text, "2021-22")]
-        assert names == ["A", "B"]
+        names = parse_gameweek_csv(text, "2021-22").player_name
+        assert names == ("A", "B")
 
     def test_ict_mismatch_warns_only(self):
         bad_ict = row_line().replace("5.5", "50.0")
@@ -99,7 +100,65 @@ class TestParseGameweekCsv:
             + row_line(name="A", gw=2)
         )
         rows = parse_gameweek_csv(text, "2021-22")
-        assert rows[1].kickoff_order < rows[0].kickoff_order
+        assert rows.kickoff_order[1] < rows.kickoff_order[0]
+
+
+class TestParseIntegers:
+    def test_large_integers_are_exact(self):
+        line = row_line().replace(",30,2,", ",9007199254740993,2,")
+        rows = parse_gameweek_csv(HEADER + "\n" + line, "2021-22")
+        assert rows.bps.tolist() == [9007199254740993]
+
+    @pytest.mark.parametrize("value", ["1e30", "9223372036854775808"])
+    def test_out_of_int64_range_rejected(self, value):
+        line = row_line().replace(",30,2,", f",{value},2,")
+        with pytest.raises(RowParseError, match="line 2: .*out of range"):
+            parse_gameweek_csv(HEADER + "\n" + line, "2021-22")
+
+    def test_row_too_short_for_its_gameweek(self):
+        header = HEADER.replace("GW,", "") + ",GW"
+        line = row_line().replace(",1,spurs,", ",spurs,")
+        with pytest.raises(RowParseError, match="row too short for column 'GW'"):
+            parse_gameweek_csv(header + "\n" + line, "2021-22")
+
+
+class TestGameweekTable:
+    def test_take_by_indices_mask_or_slice(self):
+        rows = make_table(gameweek=[1, 2, 3], player_name=["a", "b", "c"])
+        picked = rows.take([2, 0])
+        assert picked.player_name == ("c", "a") and picked.gameweek.tolist() == [3, 1]
+        assert_tables_equal(rows.take(rows.gameweek != 2), rows.take([0, 2]))
+        assert_tables_equal(rows.take(slice(1, 3)), rows.take([1, 2]))
+        assert len(rows.take([])) == 0
+
+    def test_concat_keeps_order_and_types(self):
+        rows = make_table(gameweek=[1, 2], was_home=[True, False])
+        both = GameweekTable.concat([rows.take([1]), GameweekTable.empty(), rows.take([0])])
+        assert both.gameweek.tolist() == [2, 1] and both.was_home.tolist() == [False, True]
+        assert both.gameweek.dtype == np.int64 and both.was_home.dtype == np.bool_
+        assert_tables_equal(GameweekTable.concat([]), GameweekTable.empty())
+
+    def test_replace_swaps_columns_and_leaves_the_original(self):
+        rows = make_table(player_name=["a", "b"])
+        renamed = rows.replace(player_name=["x", "y"])
+        assert renamed.player_name == ("x", "y") and rows.player_name == ("a", "b")
+        assert renamed.minutes is rows.minutes
+        with pytest.raises(TypeError):
+            rows.replace(no_such_column=[1, 2])
+
+    def test_immutable_and_checked(self):
+        rows = make_table(minutes=[1, 2])
+        with pytest.raises(AttributeError):
+            rows.minutes = np.array([3, 4])
+        with pytest.raises(ValueError, match="length"):
+            rows.replace(minutes=[1, 2, 3])
+
+    def test_matrix_stacks_columns_as_floats(self):
+        rows = make_table(total_points=[1, 12], influence=[0.5, 2.0])
+        matrix = rows.matrix(["total_points", "influence"])
+        assert matrix.dtype == np.float64
+        assert matrix.tolist() == [[1.0, 0.5], [12.0, 2.0]]
+        assert rows.take([]).matrix(["minutes"]).shape == (0, 1)
 
 
 class TestCanonicalizeName:
@@ -207,48 +266,61 @@ class TestFuzzyMatch:
 
 class TestDropBenched:
     def test_zero_minutes_excluded(self):
-        assert drop_benched([make_row(minutes=0)]) == []
+        assert len(drop_benched(make_table(minutes=0))) == 0
 
     def test_one_minute_retained(self):
-        rows = [make_row(minutes=1)]
-        assert drop_benched(rows) == rows
+        rows = make_table(minutes=1)
+        assert_tables_equal(drop_benched(rows), rows)
 
     def test_empty_input(self):
-        assert drop_benched([]) == []
+        assert len(drop_benched(make_table(minutes=[]))) == 0
 
     def test_idempotent(self):
-        rows = [make_row(minutes=m) for m in (0, 5, 0, 90)]
+        rows = make_table(minutes=[0, 5, 0, 90])
         once = drop_benched(rows)
-        assert drop_benched(once) == once
+        assert_tables_equal(drop_benched(once), once)
 
     def test_order_preserved(self):
-        rows = [make_row(minutes=m, gameweek=i + 1) for i, m in enumerate((5, 0, 7))]
-        assert [r.gameweek for r in drop_benched(rows)] == [1, 3]
+        rows = make_table(minutes=[5, 0, 7], gameweek=[1, 2, 3])
+        assert drop_benched(rows).gameweek.tolist() == [1, 3]
 
 
 class TestComputeDifficulty:
     def test_equal_strengths_zero(self, strengths):
-        row = make_row(team="fulham", opponent="fulham")
-        assert compute_difficulty(row, strengths) == 0
+        row = make_table(team="fulham", opponent="fulham")
+        assert compute_difficulty(row, strengths).tolist() == [0]
 
     def test_stronger_opponent_positive(self, strengths):
-        row = make_row(team="fulham", opponent="arsenal")  # 4 - 3
-        assert compute_difficulty(row, strengths) == 1
+        row = make_table(team="fulham", opponent="arsenal")  # 4 - 3
+        assert compute_difficulty(row, strengths).tolist() == [1]
 
     def test_negative_value_representable(self, strengths):
-        row = make_row(team="fulham", opponent="brentford")  # 2 - 3
-        assert compute_difficulty(row, strengths) == -1
+        row = make_table(team="fulham", opponent="brentford")  # 2 - 3
+        assert compute_difficulty(row, strengths).tolist() == [-1]
 
     def test_unknown_team_named_in_error(self, strengths):
-        row = make_row(team="fulham", opponent="chelsea")
+        row = make_table(team="fulham", opponent="chelsea")
         with pytest.raises(TeamLookupError, match="chelsea"):
             compute_difficulty(row, strengths)
 
     def test_bounded_by_rating_range(self, strengths):
         for team in strengths.entries:
             for opponent in strengths.entries:
-                row = make_row(team=team, opponent=opponent)
-                assert -4 <= compute_difficulty(row, strengths) <= 4
+                row = make_table(team=team, opponent=opponent)
+                assert -4 <= compute_difficulty(row, strengths)[0] <= 4
+
+    def test_one_gap_per_row(self, strengths):
+        rows = make_table(team=["fulham", "liverpool", "brentford"],
+                          opponent=["arsenal", "fulham", "brentford"])
+        gaps = compute_difficulty(rows, strengths)
+        assert gaps.dtype == np.int64 and gaps.tolist() == [1, -2, 0]
+        assert len(compute_difficulty(make_table(team=[], opponent=[]), strengths)) == 0
+
+    def test_first_unrated_row_is_named(self, strengths):
+        rows = make_table(team=["fulham", "wolves", "fulham"],
+                          opponent=["arsenal", "burnley", "chelsea"])
+        with pytest.raises(TeamLookupError, match="burnley"):
+            compute_difficulty(rows, strengths)
 
 
 class TestParseStrengths:
@@ -257,6 +329,10 @@ class TestParseStrengths:
         tables = parse_strengths_csv(text)
         assert tables["2021-22"].strength("Fulham") == 3
         assert tables["2021-22"].strength("arsenal") == 4
+
+    def test_short_row_rejected(self):
+        with pytest.raises(RowParseError, match="line 3"):
+            parse_strengths_csv("season,team,strength\n2021-22,Fulham,3\n2021-22\n")
 
     def test_out_of_range_strength_rejected(self):
         with pytest.raises(RowParseError, match="strength"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,13 @@ from fplcast.dataset import (
     sliding_average,
 )
 from fplcast.evaluation import EvalReport, export_predictions
-from fplcast.ingest import Position
+from fplcast.ingest import (
+    GAMEWEEK_SCHEMA,
+    RAW_SCHEMA,
+    GameweekTable,
+    Position,
+    parse_gameweek_csv,
+)
 from fplcast.serialize import (
     DatasetHeader,
     FormatError,
@@ -32,10 +40,13 @@ from fplcast.serialize import (
     write_learning_curve,
     write_mse_table,
     write_predictions_csv,
+    write_raw_csv,
     write_reports_csv,
     write_spearman_table,
     write_splits,
 )
+
+from conftest import assert_tables_equal
 
 
 class TestNumberFormatting:
@@ -65,11 +76,84 @@ class TestCleanedRoundTrip:
     def test_rows_survive(self, season):
         rows, _ = season
         parsed = read_cleaned_csv(write_cleaned_csv(rows))
-        assert parsed == rows
+        assert_tables_equal(parsed, rows)
 
     def test_rejects_foreign_header(self):
         with pytest.raises(FormatError):
             read_cleaned_csv("a,b,c\n1,2,3\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_tables_survive_and_rewrite_to_the_same_bytes(self, data):
+        table = data.draw(gameweek_tables())
+        text = write_cleaned_csv(table)
+        parsed = read_cleaned_csv(text)
+        assert_tables_equal(parsed, table)
+        assert write_cleaned_csv(parsed) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_raw_file_parses_back(self, data):
+        table = data.draw(gameweek_tables(
+            gameweek=st.integers(1, 2**63 - 1), minutes=st.integers(0, 120)
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random ICT values deviate
+            parsed = parse_gameweek_csv(write_raw_csv(table), "2021-22")
+        expected = table.replace(
+            season=("2021-22",) * len(table),
+            # Rows order by gameweek, then by file order.
+            kickoff_order=np.argsort(np.argsort(table.gameweek, kind="stable")),
+        )
+        assert_tables_equal(parsed, expected)
+
+    def test_synthetic_raw_file_parses_back(self, season):
+        rows, _ = season
+        parsed = parse_gameweek_csv(write_raw_csv(rows), rows.season[0])
+        order = np.lexsort((np.arange(len(rows)), rows.gameweek))
+        assert_tables_equal(parsed.take(order), rows.take(order).replace(
+            kickoff_order=np.arange(len(rows))
+        ))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rows_render_as_csv_line_renders_them(self, data):
+        table = data.draw(gameweek_tables())
+        for schema, write in ((GAMEWEEK_SCHEMA, write_cleaned_csv),
+                              (RAW_SCHEMA, write_raw_csv)):
+            rows = [
+                csv_line([v.value if isinstance(v, Position) else v
+                          for v in (getattr(table, c.field)[i] for c in schema)])
+                for i in range(len(table))
+            ]
+            header = ",".join(c.csv for c in schema)
+            assert write(table) == "\n".join([header] + rows) + "\n"
+        assert [c.csv for c in RAW_SCHEMA] == [
+            c.csv for c in GAMEWEEK_SCHEMA if c.csv not in ("season", "kickoff_order")
+        ]
+
+
+# Names with quotes, commas and non-ASCII letters; ints of either sign;
+# floats with the awkward cases named.
+_CELLS = {
+    "text": st.text(alphabet='ab "\',éøŁß中\n', max_size=8) | st.text(max_size=6),
+    "position": st.sampled_from(list(Position)),
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "opt_int": st.integers(-(2**63), 2**63 - 1),
+    "float": st.sampled_from([-0.0, 0.1, 1e-300, 5e-324, -2.5])
+    | st.floats(allow_nan=False, allow_infinity=False),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def gameweek_tables(draw, **fields):
+    """Random tables of up to 6 rows; `fields` override a column's cells."""
+    n = draw(st.integers(0, 6))
+    return GameweekTable(**{
+        c.field: draw(st.lists(fields.get(c.field, _CELLS[c.kind]), min_size=n, max_size=n))
+        for c in GAMEWEEK_SCHEMA
+    })
 
 
 class TestSplitsRoundTrip:
@@ -383,6 +467,28 @@ class TestModelFileCorruption:
         read, _, text = model_files["gbm"]  # 2 features
         with pytest.raises(FormatError, match="split feature"):
             read(text.replace("\nI 0 ", f"\nI {feature} ", 1))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("\nactivation relu\n", "\nactivation bogus\n", "activation"),
+            ("\nparam conv_w 2 1 1\n", "\nparam conv_w 2 1\n", "conv_w shape"),
+            ("\nparam conv_w 2 1 1\n", "\nparam conv_w 1 2 1\n", "conv_b has shape"),
+            ("\nw 3\n", "\nw 0\n", "conv_w shape"),  # kernel 1 > window 0
+            ("\nw 3\n", "\nw 2\n", "hidden_w has shape"),
+            ("\nparam conv_b 2\n", "\nparam conv_b 1 2\n", "conv_b has shape"),
+            ("\nparam hidden_w 2 7\n", "\nparam hidden_w 7 2\n", "hidden_w has shape"),
+            ("\nparam hidden_b 2\n", "\nparam hidden_b 2 1\n", "hidden_b has shape"),
+            ("\nparam out_w 2\n", "\nparam out_w 1 2\n", "out_w has shape"),
+            ("\nparam out_b 1\n", "\nparam out_b 1 1\n", "out_b has shape"),
+            ("\nparam out_b 1\n", "\nparam extra 1\n0\nparam out_b 1\n", "parameters"),
+        ],
+    )
+    def test_cnn_shapes_and_activation_are_checked(self, model_files, old, new, message):
+        read, _, text = model_files["cnn"]  # w 3, k 1, 1 feature, 2 filters, 2 hidden
+        assert old in text
+        with pytest.raises(FormatError, match=message):
+            read(text.replace(old, new, 1))
 
     @pytest.mark.parametrize("name", ["ridge", "gbm", "cnn"])
     def test_every_corruption_loads_or_is_format_error(self, model_files, name):
