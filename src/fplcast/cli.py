@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -19,6 +20,7 @@ import numpy as np
 from . import cnn as cnn_mod
 from . import serialize as ser
 from .dataset import (
+    STRAT_ON,
     FeatureTier,
     PlayerSeries,
     SplitAssignment,
@@ -103,6 +105,43 @@ def default_config() -> dict:
     }
 
 
+# The allowed values of each text key.
+_CONFIG_CHOICES = {
+    "difficulty_sign": ("opponent_minus_own", "own_minus_opponent"),
+    "tier": tuple(t.value for t in FeatureTier),
+    "strat_on": STRAT_ON,
+    "cnn_activation": cnn_mod.ACTIVATIONS,
+}
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; JSON booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _config_problem(key: str, value, default) -> str | None:
+    """What `value` must be, unless it fits `key`: its default's JSON type
+    (an integer where the default is a float), finite, a known choice."""
+    if key == "grid":
+        if value is None or (isinstance(value, dict) and all(
+            isinstance(v, list) and v for v in value.values()
+        )):
+            return None
+        return "null or an object of non-empty lists"
+    if key == "fractions":
+        if isinstance(value, list) and len(value) == 3 and all(map(_is_number, value)):
+            return None
+        return "a list of three finite numbers"
+    if isinstance(default, float):
+        return None if _is_number(value) else "a finite number"
+    if isinstance(default, int):
+        return None if _is_number(value) and isinstance(value, int) else "an integer"
+    choices = _CONFIG_CHOICES[key]
+    return None if value in choices else "one of " + ", ".join(choices)
+
+
 def load_config(path: str | None, seed_override: int | None) -> dict:
     config = default_config()
     if path is not None:
@@ -110,9 +149,16 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
             user = json.loads(_read_text(path, "config"))
         except json.JSONDecodeError as exc:
             raise CliError("config", f"config is not valid JSON: {exc}") from None
+        if not isinstance(user, dict):
+            raise CliError("config", "config must be a JSON object")
         for key, value in user.items():
             if key not in config:
                 raise CliError("config", f"unknown config key '{key}'")
+            problem = _config_problem(key, value, config[key])
+            if problem is not None:
+                shown = json.dumps(value)
+                shown = shown if len(shown) <= 40 else shown[:37] + "..."
+                raise CliError("config", f"config key '{key}' must be {problem}, got {shown}")
             config[key] = value
     if seed_override is not None:
         config["seed"] = seed_override
@@ -175,12 +221,7 @@ def _read_splits(path: str) -> SplitAssignment:
 
 
 def _flip_flag(config) -> bool:
-    sign = config["difficulty_sign"]
-    if sign == "opponent_minus_own":
-        return False
-    if sign == "own_minus_opponent":
-        return True
-    raise CliError("config", f"unknown difficulty_sign '{sign}'")
+    return config["difficulty_sign"] == "own_minus_opponent"
 
 
 def _series_for_position(all_series, position: Position) -> list[PlayerSeries]:
@@ -455,6 +496,12 @@ def cmd_gridsearch(args, config) -> int:
     splits = _read_splits(args.splits)
     family = args.family
     if config["grid"] is not None:
+        known = {"w", "tier", *FAMILIES[family].params}
+        unknown = sorted(set(config["grid"]) - known)
+        if unknown:
+            raise CliError(
+                "config", f"unknown grid axis '{unknown[0]}' for family {family}"
+            )
         axes = {k: list(v) for k, v in config["grid"].items()}
         grid = GridSpec(family=family, axes=axes)
     else:
@@ -615,6 +662,10 @@ def _explain_filter(args, config, out, loaded):
 
 
 def _explain_shapley(args, config, out, loaded):
+    missing = [f"--{flag}" for flag in ("cleaned", "strengths", "splits")
+               if not getattr(args, flag)]
+    if missing:
+        raise CliError("usage", f"shapley explanations need {', '.join(missing)}")
     _, model, ctx = loaded[0]
     rows = _read_cleaned(args.cleaned)
     strengths = _read_strengths(args.strengths)

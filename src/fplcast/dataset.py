@@ -48,6 +48,9 @@ __all__ = [
 
 DIFFICULTY_FEATURE = "difficulty_gap"
 
+# The statistics assign_splits can stratify players on.
+STRAT_ON = ("avg_score", "stdev_score", "none")
+
 
 @dataclass
 class PlayerSeries:
@@ -266,7 +269,7 @@ def assign_splits(
     fixes the per-bin counts. Examples never cross splits because the
     partition is by player.
     """
-    if strat_on not in ("avg_score", "stdev_score", "none"):
+    if strat_on not in STRAT_ON:
         raise ValueError(f"unknown stratification statistic '{strat_on}'")
     if any(f <= 0 for f in fractions):
         raise ValueError("split fractions must be positive")

@@ -3,11 +3,19 @@
 Everything here is line-oriented UTF-8. Numeric cells are rendered with
 17 significant digits so reruns are byte-identical and values round-trip
 exactly; text cells in CSV outputs are always quoted.
+
+Split, dataset and model files start with a magic line and a header of
+`key value` lines (prefixed `# ` in splits and dataset files), one per
+field declared in `_SPLITS_FIELDS`, `_DATASET_FIELDS`, `_RIDGE_FIELDS`,
+`_GBM_FIELDS` or `_CNN_FIELDS`. Readers require every field by name and
+in declared order; only the scaler pair is optional, and then both of its
+lines or neither. Each of these files ends with a newline.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import math
@@ -95,6 +103,67 @@ def _finite(cell: str, line: int, column: str) -> float:
     if not math.isfinite(value):
         raise FormatError(f"line {line}: {column} must be finite, got {cell!r}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# File headers: one `key value` line per declared (key, kind) field
+
+
+def _render_floats(values) -> str:
+    return " ".join(fmt_num(v) for v in values)
+
+
+# kind -> (render, parse)
+_KINDS = {
+    "int": (str, int),
+    "float": (fmt_num, float),
+    "str": (str, str),
+    "words": (" ".join, str.split),
+    "floats": (_render_floats, lambda v: np.array([float(x) for x in v.split()])),
+}
+
+# The one optional part of a header: a scaler is both lines or neither.
+_SCALER_FIELDS = (("scaler_mean", "floats"), ("scaler_std", "floats"))
+
+
+def _header_lines(fields, values: dict, prefix: str = "", sep: str = " ") -> list[str]:
+    """One line per field, in declared order; an absent scaler writes none."""
+    return [
+        f"{prefix}{key}{sep}{_KINDS[kind][0](values[key])}"
+        for key, kind in fields
+        if values[key] is not None
+    ]
+
+
+def _read_header(
+    lines: list[str], start: int, fields, prefix: str = "", sep: str = " "
+) -> tuple[dict, int]:
+    """The values of `fields` from lines[start:], which must name each
+    field in declared order; returns them and the first line after them."""
+    values, pos = {}, start
+    for key, kind in fields:
+        head = f"{prefix}{key}{sep}"
+        line = lines[pos] if pos < len(lines) else ""
+        if line.startswith(head):
+            values[key] = _KINDS[kind][1](line[len(head) :])
+            pos += 1
+        elif (key, kind) in _SCALER_FIELDS:
+            values[key] = None
+        else:
+            raise FormatError(f"expected header line {head.strip()!r}, found {line[:60]!r}")
+    scaler = [values[key] is None for key, _ in _SCALER_FIELDS if key in values]
+    if len(set(scaler)) > 1:
+        raise FormatError("header has only one of scaler_mean and scaler_std")
+    return values, pos
+
+
+def _file_lines(text: str, magic: str, what: str) -> list[str]:
+    """The lines of a `what`, which starts with `magic` and ends with a newline."""
+    lines = text.splitlines()
+    if not lines or lines[0] != magic:
+        raise FormatError(f"not a {what}")
+    _require_final_newline(text, what)
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +257,15 @@ def read_cleaned_csv(text: str) -> GameweekTable:
 # Split assignments
 
 
+_SPLITS_FIELDS = (
+    ("seed", "int"), ("fractions", "floats"), ("n_bins", "int"), ("strat_on", "str"),
+)
 _SPLITS_HEADER = "player,position,split"
 _SPLIT_NAMES = ("train", "validation", "test")
 
 
 def write_splits(splits: SplitAssignment) -> str:
-    lines = [
-        MAGIC_SPLITS,
-        f"# seed {splits.seed}",
-        "# fractions " + " ".join(fmt_num(f) for f in splits.fractions),
-        f"# n_bins {splits.n_bins}",
-        f"# strat_on {splits.strat_on}",
-        _SPLITS_HEADER,
-    ]
+    lines = [MAGIC_SPLITS, *_header_lines(_SPLITS_FIELDS, vars(splits), "# "), _SPLITS_HEADER]
     for key in sorted(
         splits.assignments, key=lambda k: (k.canonical_name, k.position.value)
     ):
@@ -212,18 +277,8 @@ def write_splits(splits: SplitAssignment) -> str:
 
 @_format_checked
 def read_splits(text: str) -> SplitAssignment:
-    lines = text.splitlines()
-    if not lines or lines[0] != MAGIC_SPLITS:
-        raise FormatError("not a splits file")
-    meta = {}
-    body_start = len(lines)
-    for i, line in enumerate(lines[1:], start=1):
-        if line.startswith("# "):
-            key, _, value = line[2:].partition(" ")
-            meta[key] = value
-        elif not line.startswith("#"):
-            body_start = i
-            break
+    lines = _file_lines(text, MAGIC_SPLITS, "splits file")
+    meta, body_start = _read_header(lines, 1, _SPLITS_FIELDS, "# ")
     if lines[body_start : body_start + 1] != [_SPLITS_HEADER]:
         raise FormatError(f"splits file lacks its column header {_SPLITS_HEADER!r}")
     assignments = {}
@@ -236,14 +291,8 @@ def read_splits(text: str) -> SplitAssignment:
         assignments[CanonicalPlayerKey(name, Position(pos))] = split
     if not assignments:
         raise FormatError("splits file assigns no players")
-    fr = tuple(float(v) for v in meta["fractions"].split())
-    return SplitAssignment(
-        assignments=assignments,
-        fractions=fr,  # type: ignore[arg-type]
-        n_bins=int(meta["n_bins"]),
-        strat_on=meta["strat_on"],
-        seed=int(meta["seed"]),
-    )
+    meta["fractions"] = tuple(meta["fractions"].tolist())
+    return SplitAssignment(assignments=assignments, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +312,13 @@ class DatasetHeader:
     scaler_std: np.ndarray | None = None
 
 
+# The fields of DatasetHeader, in its order.
+_DATASET_FIELDS = (
+    ("representation", "str"), ("position", "str"), ("w", "int"), ("tier", "str"),
+    ("seed", "int"), ("fractions", "floats"), ("features", "words"), *_SCALER_FIELDS,
+)
+
+
 def _dataset_columns(header: DatasetHeader) -> str:
     f = len(header.features)
     if header.representation == "windowed":
@@ -277,18 +333,9 @@ def write_dataset(header: DatasetHeader, windows: WindowSet) -> str:
     per-feature means."""
     lines = [
         MAGIC_DATASET,
-        f"# representation {header.representation}",
-        f"# position {header.position}",
-        f"# w {header.w}",
-        f"# tier {header.tier}",
-        f"# seed {header.seed}",
-        "# fractions " + " ".join(fmt_num(x) for x in header.fractions),
-        "# features " + " ".join(header.features),
+        *_header_lines(_DATASET_FIELDS, vars(header), "# "),
+        _dataset_columns(header),
     ]
-    if header.scaler_mean is not None:
-        lines.append("# scaler_mean " + " ".join(fmt_num(x) for x in header.scaler_mean))
-        lines.append("# scaler_std " + " ".join(fmt_num(x) for x in header.scaler_std))
-    lines.append(_dataset_columns(header))
     windowed = header.representation == "windowed"
     for player, gameweek, d, y, values in zip(
         windows.players, windows.target_gameweek, windows.d, windows.y,
@@ -308,38 +355,12 @@ def read_dataset(text: str) -> tuple[DatasetHeader, WindowSet]:
     """The header and the rows; a sliding file's rows come back as
     one-week windows of the means, which sliding_average returns as they
     are."""
-    lines = text.splitlines()
-    if not lines or lines[0] != MAGIC_DATASET:
-        raise FormatError("not a dataset file")
-    _require_final_newline(text, "dataset file")
-    meta: dict[str, str] = {}
-    body_start = len(lines)
-    for i, line in enumerate(lines[1:], start=1):
-        if line.startswith("# "):
-            key, _, value = line[2:].partition(" ")
-            meta[key] = value
-        else:
-            body_start = i
-            break
-
-    def vector(key: str) -> np.ndarray | None:
-        return np.array([float(v) for v in meta[key].split()]) if key in meta else None
-
-    header = DatasetHeader(
-        representation=meta["representation"],
-        position=meta["position"],
-        w=int(meta["w"]),
-        tier=meta["tier"],
-        seed=int(meta["seed"]),
-        fractions=tuple(float(v) for v in meta["fractions"].split()),  # type: ignore[arg-type]
-        features=meta["features"].split(),
-        scaler_mean=vector("scaler_mean"),
-        scaler_std=vector("scaler_std"),
-    )
+    lines = _file_lines(text, MAGIC_DATASET, "dataset file")
+    meta, body_start = _read_header(lines, 1, _DATASET_FIELDS, "# ")
+    meta["fractions"] = tuple(meta["fractions"].tolist())
+    header = DatasetHeader(**meta)
     if header.representation not in ("windowed", "sliding"):
         raise FormatError(f"unknown representation {header.representation!r}")
-    if (header.scaler_mean is None) != (header.scaler_std is None):
-        raise FormatError("dataset file has only one of scaler_mean and scaler_std")
     if lines[body_start : body_start + 1] != [_dataset_columns(header)]:
         raise FormatError("dataset file lacks its column header")
     w = header.w if header.representation == "windowed" else 1
@@ -379,71 +400,52 @@ class ModelContext:
     scaler: ScalerParams | None = None
 
 
-def _context_lines(ctx: ModelContext) -> list[str]:
-    lines = [f"w {ctx.w}", f"tier {ctx.tier}", f"position {ctx.position}"]
-    if ctx.scaler is not None:
-        lines.append("scaler_mean " + " ".join(fmt_num(v) for v in ctx.scaler.mean))
-        lines.append("scaler_std " + " ".join(fmt_num(v) for v in ctx.scaler.std))
-    return lines
+# Every model file's header starts with its context; each family's own
+# fields follow.
+_CONTEXT_FIELDS = (("w", "int"), ("tier", "str"), ("position", "str"), *_SCALER_FIELDS)
 
 
-def _parse_context(lines: list[str]) -> tuple[ModelContext, int]:
-    """Parse context lines from the front of `lines`; returns consumed count."""
-    fields: dict[str, str] = {}
-    consumed = 0
-    for line in lines:
-        key, _, value = line.partition(" ")
-        if key not in ("w", "tier", "position", "scaler_mean", "scaler_std"):
-            break
-        fields[key] = value
-        consumed += 1
-    scaler = None
-    if "scaler_mean" in fields:
-        scaler = ScalerParams(
-            mean=np.array([float(v) for v in fields["scaler_mean"].split()]),
-            std=np.array([float(v) for v in fields["scaler_std"].split()]),
-        )
-    ctx = ModelContext(
-        w=int(fields["w"]),
-        tier=fields["tier"],
-        position=fields["position"],
-        scaler=scaler,
-    )
-    return ctx, consumed
+def _write_model(magic: str, fields, ctx: ModelContext, values: dict, body) -> str:
+    scaler = ctx.scaler or ScalerParams(mean=None, std=None)
+    values = {**vars(ctx), "scaler_mean": scaler.mean, "scaler_std": scaler.std, **values}
+    return "\n".join([magic, *_header_lines(fields, values), *body]) + "\n"
+
+
+def _read_model(text: str, magic: str, fields, what: str):
+    """The model's header values, its context, and the lines after the header."""
+    lines = _file_lines(text, magic, what)
+    values, pos = _read_header(lines, 1, fields)
+    mean, std = values["scaler_mean"], values["scaler_std"]
+    scaler = None if mean is None else ScalerParams(mean=mean, std=std)
+    ctx = ModelContext(values["w"], values["tier"], values["position"], scaler)
+    return values, ctx, lines[pos:]
 
 
 # ---------------------------------------------------------------------------
 # Ridge model
 
 
+_RIDGE_FIELDS = _CONTEXT_FIELDS + (
+    ("lambda", "float"), ("intercept", "float"), ("n_features", "int"),
+)
+
+
 def write_ridge(model: RidgeModel, ctx: ModelContext) -> str:
-    lines = [MAGIC_RIDGE]
-    lines.extend(_context_lines(ctx))
-    lines.extend(
-        [
-            f"lambda {fmt_num(model.lam)}",
-            f"intercept {fmt_num(model.intercept)}",
-            f"n_features {len(model.feature_names)}",
-        ]
-    )
-    for name, weight in zip(model.feature_names, model.weights):
-        lines.append(f"feature\t{name}\t{fmt_num(weight)}")
-    return "\n".join(lines) + "\n"
+    values = {"lambda": model.lam, "intercept": model.intercept,
+              "n_features": len(model.feature_names)}
+    body = [
+        f"feature\t{name}\t{fmt_num(weight)}"
+        for name, weight in zip(model.feature_names, model.weights)
+    ]
+    return _write_model(MAGIC_RIDGE, _RIDGE_FIELDS, ctx, values, body)
 
 
 @_format_checked
 def read_ridge(text: str) -> tuple[RidgeModel, ModelContext]:
-    lines = text.splitlines()
-    if not lines or lines[0] != MAGIC_RIDGE:
-        raise FormatError("not a ridge model file")
-    _require_final_newline(text, "ridge model file")
-    ctx, consumed = _parse_context(lines[1:])
-    rest = lines[1 + consumed :]
-    lam = float(rest[0].split(" ", 1)[1])
-    intercept = float(rest[1].split(" ", 1)[1])
-    n_features = int(rest[2].split(" ", 1)[1])
+    values, ctx, body = _read_model(text, MAGIC_RIDGE, _RIDGE_FIELDS, "ridge model file")
+    n_features = values["n_features"]
     names, weights = [], []
-    for line in rest[3:]:
+    for line in body:
         if not line:
             continue
         _, name, weight = line.split("\t")
@@ -451,9 +453,8 @@ def read_ridge(text: str) -> tuple[RidgeModel, ModelContext]:
         weights.append(float(weight))
     if len(names) != n_features:
         raise FormatError(f"declared {n_features} features, found {len(names)}")
-    model = RidgeModel(
-        weights=np.array(weights), intercept=intercept, lam=lam, feature_names=names
-    )
+    model = RidgeModel(weights=np.array(weights), intercept=values["intercept"],
+                       lam=values["lambda"], feature_names=names)
     return model, ctx
 
 
@@ -522,66 +523,49 @@ def _parse_tree(lines: list[str], start: int, n_features: int) -> tuple[Regressi
     return tree, pos
 
 
+_GBM_FIELDS = _CONTEXT_FIELDS + (
+    ("base_score", "float"), ("eta", "float"), ("n_features", "int"),
+    ("hyperparams", "words"), ("feature_names", "words"), ("n_trees", "int"),
+)
+# The `key=value` words of the hyperparams line, in GbmHyperparams' order.
+_HYPERPARAM_FIELDS = tuple(
+    (f.name, "float" if isinstance(f.default, float) else "int")
+    for f in dataclasses.fields(GbmHyperparams)
+)
+
+
 def write_gbm(model: GbmModel, ctx: ModelContext) -> str:
-    hp = model.hyperparams
-    lines = [MAGIC_GBM]
-    lines.extend(_context_lines(ctx))
-    lines += [
-        f"base_score {fmt_num(model.base_score)}",
-        f"eta {fmt_num(model.eta)}",
-        f"n_features {model.n_features}",
-        (
-            f"hyperparams n_trees={hp.n_trees} max_depth={hp.max_depth}"
-            f" lambda_l2={fmt_num(hp.lambda_l2)} num_leaves={hp.num_leaves}"
-            f" min_data_in_leaf={hp.min_data_in_leaf} eta={fmt_num(hp.eta)}"
-        ),
-        "feature_names "
-        + (" ".join(model.feature_names) if model.feature_names else "-"),
-        f"n_trees {len(model.trees)}",
-    ]
+    values = {
+        "base_score": model.base_score, "eta": model.eta, "n_features": model.n_features,
+        "hyperparams": _header_lines(_HYPERPARAM_FIELDS, vars(model.hyperparams), sep="="),
+        "feature_names": model.feature_names or ["-"], "n_trees": len(model.trees),
+    }
+    body = []
     for i, tree in enumerate(model.trees):
-        lines.append(f"tree {i}")
-        lines.extend(_dump_tree(tree))
-    return "\n".join(lines) + "\n"
+        body.append(f"tree {i}")
+        body.extend(_dump_tree(tree))
+    return _write_model(MAGIC_GBM, _GBM_FIELDS, ctx, values, body)
 
 
 @_format_checked
 def read_gbm(text: str) -> tuple[GbmModel, ModelContext]:
-    lines = [l for l in text.splitlines() if l]
-    if not lines or lines[0] != MAGIC_GBM:
-        raise FormatError("not a gbm model file")
-    _require_final_newline(text, "gbm model file")
-    ctx, consumed = _parse_context(lines[1:])
-    rest = lines[1 + consumed :]
-    base = float(rest[0].split()[1])
-    eta = float(rest[1].split()[1])
-    n_features = int(rest[2].split()[1])
-    hp_kv = dict(kv.split("=") for kv in rest[3].split()[1:])
-    hp = GbmHyperparams(
-        n_trees=int(hp_kv["n_trees"]),
-        max_depth=int(hp_kv["max_depth"]),
-        lambda_l2=float(hp_kv["lambda_l2"]),
-        num_leaves=int(hp_kv["num_leaves"]),
-        min_data_in_leaf=int(hp_kv["min_data_in_leaf"]),
-        eta=float(hp_kv["eta"]),
-    )
-    names_cell = rest[4].split(" ", 1)[1]
-    feature_names = None if names_cell == "-" else names_cell.split()
-    n_trees = int(rest[5].split()[1])
-    trees = []
-    pos = 6
-    for _ in range(n_trees):
-        if not rest[pos].startswith("tree "):
-            raise FormatError(f"expected tree marker at line {pos + 1}")
-        tree, pos = _parse_tree(rest, pos + 1, n_features)
+    values, ctx, body = _read_model(text, MAGIC_GBM, _GBM_FIELDS, "gbm model file")
+    body = [l for l in body if l]
+    words = values["hyperparams"]
+    hp, used = _read_header(words, 0, _HYPERPARAM_FIELDS, sep="=")
+    if used != len(words):
+        raise FormatError(f"unexpected hyperparams {words[used:]}")
+    trees, pos = [], 0
+    for _ in range(values["n_trees"]):
+        if not body[pos].startswith("tree "):
+            raise FormatError(f"expected tree marker, got {body[pos]!r}")
+        tree, pos = _parse_tree(body, pos + 1, values["n_features"])
         trees.append(tree)
+    names = values["feature_names"]
     model = GbmModel(
-        base_score=base,
-        trees=trees,
-        eta=eta,
-        hyperparams=hp,
-        n_features=n_features,
-        feature_names=feature_names,
+        base_score=values["base_score"], trees=trees, eta=values["eta"],
+        hyperparams=GbmHyperparams(**hp), n_features=values["n_features"],
+        feature_names=None if names == ["-"] else names,
     )
     return model, ctx
 
@@ -590,30 +574,26 @@ def read_gbm(text: str) -> tuple[GbmModel, ModelContext]:
 # CNN model (shapes header + row-major values)
 
 
+_CNN_FIELDS = _CONTEXT_FIELDS + (("activation", "str"),)
+
+
 def write_cnn(model: CnnModel, ctx: ModelContext) -> str:
-    lines = [MAGIC_CNN]
-    lines.extend(_context_lines(ctx))
-    lines.append(f"activation {model.activation}")
+    body = []
     for name in PARAM_NAMES:
         p = getattr(model, name)
-        lines.append(f"param {name} " + " ".join(str(s) for s in p.shape))
-        lines.append(" ".join(fmt_num(v) for v in p.ravel()))
-    return "\n".join(lines) + "\n"
+        body.append(f"param {name} " + " ".join(str(s) for s in p.shape))
+        body.append(_render_floats(p.ravel()))
+    return _write_model(MAGIC_CNN, _CNN_FIELDS, ctx, {"activation": model.activation}, body)
 
 
 @_format_checked
 def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
-    lines = text.splitlines()
-    if not lines or lines[0] != MAGIC_CNN:
-        raise FormatError("not a cnn model file")
-    _require_final_newline(text, "cnn model file")
-    ctx, consumed = _parse_context(lines[1:])
-    lines = lines[1 + consumed :]
-    activation = lines[0].split()[1]
+    values, ctx, lines = _read_model(text, MAGIC_CNN, _CNN_FIELDS, "cnn model file")
+    activation = values["activation"]
     if activation not in ACTIVATIONS:
         raise FormatError(f"unknown activation {activation!r}")
     params = {}
-    i = 1
+    i = 0
     while i < len(lines):
         if not lines[i]:
             i += 1

@@ -614,6 +614,8 @@ def _argv(command, family, files, out):
                    "--strengths", files["strengths"]],
         "split": ["split", "--cleaned", files["cleaned"]],
         "train": ["train", *data, "--splits", files["splits"], "--family", family],
+        "gridsearch": ["gridsearch", *data, "--splits", files["splits"],
+                       "--family", family],
         "evaluate": ["evaluate", "--model", files[family], *data,
                      "--splits", files["splits"], "--split", "validation"],
         "rank": ["rank", "--model", files[family], *data, "--gameweek", "6"],
@@ -725,3 +727,138 @@ class TestEveryFailureIsOneLine:
                 assert err.getvalue() == ""
 
         check()
+
+
+class TestConfigChecks:
+    # (config file text, the command that loads it, what the error names)
+    BAD = [
+        ("[1, 2]", "synth", "JSON object"),
+        ('"seed"', "synth", "JSON object"),
+        ('{"fractions": 5}', "split", "fractions"),
+        ('{"fractions": [0.6, 0.4]}', "split", "fractions"),
+        ('{"fractions": [0.6, "a", 0.4]}', "split", "fractions"),
+        ('{"fractions": [0.6, NaN, 0.4]}', "split", "fractions"),
+        ('{"grid": {"w": 3}}', "gridsearch", "grid"),
+        ('{"grid": {"w": []}}', "gridsearch", "grid"),
+        ('{"grid": [3]}', "gridsearch", "grid"),
+        ('{"ridge_lambda": NaN}', "train", "ridge_lambda"),
+        ('{"ridge_lambda": Infinity}', "train", "ridge_lambda"),
+        ('{"ridge_lambda": "1.0"}', "train", "ridge_lambda"),
+        ('{"w": 3.0}', "train", "'w'"),
+        ('{"w": true}', "train", "'w'"),
+        ('{"seed": null}', "synth", "seed"),
+        ('{"tier": "nope"}', "train", "tier"),
+        ('{"difficulty_sign": "up"}', "train", "difficulty_sign"),
+        ('{"strat_on": "median"}', "split", "strat_on"),
+        ('{"cnn_activation": "sigmoid"}', "train", "cnn_activation"),
+        ('{"epochs": -Infinity}', "train", "epochs"),
+    ]
+
+    @pytest.mark.parametrize("text, command, named", BAD)
+    def test_bad_config_is_one_config_error(
+        self, tiny_season, tmp_path, capsys, text, command, named
+    ):
+        _, files = tiny_season
+        config = tmp_path / "cfg.json"
+        config.write_text(text, encoding="utf-8")
+        argv = _argv(command, "ridge", {**files, "config": str(config)}, tmp_path / "o")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:config:") and named in err
+        assert not (tmp_path / "o").exists()
+
+    def test_int_stands_for_a_float(self, tiny_season, tmp_path):
+        _, files = tiny_season
+        outputs = []
+        for value in ("2", "2.0"):
+            config = tmp_path / f"cfg{value}.json"
+            config.write_text(f'{{"ridge_lambda": {value}}}', encoding="utf-8")
+            out = tmp_path / value
+            assert main(_argv("train", "ridge", {**files, "config": str(config)}, out)) == 0
+            outputs.append((out / "model_ridge_MID.txt").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "family, axis",
+        [("ridge", "lamda"), ("ridge", "k"), ("gbm", "lambda"), ("cnn", "lambda")],
+    )
+    def test_unknown_grid_axis_is_named(self, tiny_season, tmp_path, capsys, family, axis):
+        _, files = tiny_season
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": {axis: [0.1, 100.0]}}), encoding="utf-8")
+        argv = _argv("gridsearch", family, {**files, "config": str(config)}, tmp_path / "o")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:config:") and f"'{axis}'" in err
+        assert not list((tmp_path / "o").glob("trials_*"))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestAnyConfig:
+    def test_train_exits_0_with_finite_numbers_or_prints_one_error_line(
+        self, tiny_season
+    ):
+        from fplcast.cli import default_config
+
+        root, files = tiny_season
+        keys = sorted(default_config())
+        out = root / "any_config"
+        model = out / "model_ridge_MID.txt"
+
+        @settings(max_examples=200, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.one_of(
+            json_values,
+            st.tuples(st.sampled_from(keys), json_values).map(lambda kv: dict([kv])),
+        ))
+        def check(config):
+            path = root / "any_config.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            model.unlink(missing_ok=True)
+            argv = _argv("train", "ridge", {**files, "config": str(path)}, out)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = main(argv)
+            assert rc in (0, 1)
+            if rc == 1:
+                _assert_one_error_line(err.getvalue())
+                return
+            assert err.getvalue() == ""
+            for token in re.split(r"[ \t\n]", model.read_text()):
+                try:
+                    value = float(token)
+                except ValueError:
+                    continue
+                assert np.isfinite(value), token
+
+        check()
+
+
+class TestExplainInputs:
+    @pytest.mark.parametrize("flag", ["--cleaned", "--strengths", "--splits"])
+    def test_shapley_without_an_input_is_a_usage_error(
+        self, tiny_season, tmp_path, capsys, flag
+    ):
+        _, files = tiny_season
+        argv = _argv("explain", "gbm", files, tmp_path / "o")
+        at = argv.index(flag)
+        del argv[at : at + 2]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:usage:") and flag in err
+        assert not list((tmp_path / "o").glob("shapley_*"))

@@ -503,3 +503,87 @@ class TestModelFileCorruption:
                 pass
 
         check()
+
+
+def _header_variants(text: str, body_marker: str):
+    """(what was done, text) for each header line of `text` (the lines after
+    the magic line and before the first line starting with `body_marker`):
+    swapped with the next header line, its key renamed, duplicated, dropped."""
+    lines = text.splitlines(keepends=True)
+    end = next(i for i, l in enumerate(lines) if l.startswith(body_marker))
+    assert end > 2
+    for i in range(1, end):
+        line = lines[i]
+        prefix = "# " if line.startswith("# ") else ""
+        key, _, value = line[len(prefix):].partition(" ")
+        variants = {
+            "renamed": lines[:i] + [f"{prefix}{key}_x {value}"] + lines[i + 1 :],
+            "duplicated": lines[: i + 1] + lines[i:],
+            "dropped": lines[:i] + lines[i + 1 :],
+        }
+        if i + 1 < end:
+            variants["swapped"] = lines[:i] + [lines[i + 1], line] + lines[i + 2 :]
+        for what, changed in variants.items():
+            yield f"{key} {what}", "".join(changed)
+
+
+@pytest.fixture(scope="module")
+def headed_files(fitted_models, data_files):
+    """(reader, text, first body line's start) for every file with a header."""
+    from fplcast.serialize import ModelContext
+
+    files = {}
+    for name, (family, model, ctx) in fitted_models.items():
+        marker = {"ridge": "feature\t", "gbm": "tree 0", "cnn": "param "}[name]
+        files[name] = (family.read, family.write(model, ctx), marker)
+    family, model, ctx = fitted_models["cnn"]
+    bare = ModelContext(w=ctx.w, tier=ctx.tier, position=ctx.position)
+    files["cnn_without_scaler"] = (family.read, family.write(model, bare), "param ")
+    files["splits"] = (read_splits, data_files["splits"][2], "player,")
+    for representation in ("windowed", "sliding"):
+        text = data_files[f"dataset_{representation}"][2]
+        files[f"dataset_{representation}"] = (read_dataset, text, "player,")
+    files["dataset_without_scaler"] = (
+        read_dataset,
+        "".join(l for l in data_files["dataset_sliding"][2].splitlines(keepends=True)
+                if not l.startswith("# scaler_")),
+        "player,",
+    )
+    return files
+
+
+class TestHeaderOrder:
+    @pytest.mark.parametrize(
+        "name",
+        ["ridge", "gbm", "cnn", "cnn_without_scaler", "splits", "dataset_windowed",
+         "dataset_sliding", "dataset_without_scaler"],
+    )
+    def test_every_header_line_is_required_by_name_and_in_order(self, headed_files, name):
+        read, text, marker = headed_files[name]
+        read(text)
+        for what, changed in _header_variants(text, marker):
+            with pytest.raises(FormatError):
+                read(changed)
+                pytest.fail(f"{name} with {what} loaded")
+
+    def test_gbm_hyperparams_are_named_in_order(self, headed_files):
+        read, text, _ = headed_files["gbm"]
+        line = next(l for l in text.splitlines() if l.startswith("hyperparams "))
+        words = line.split()[1:]
+        for changed in (
+            [words[1], words[0], *words[2:]],
+            words[:-1],
+            words + words[-1:],
+            ["x" + words[0], *words[1:]],
+        ):
+            with pytest.raises(FormatError):
+                read(text.replace(line, " ".join(["hyperparams", *changed])))
+
+    @pytest.mark.parametrize(
+        "name", ["ridge", "gbm", "cnn", "splits", "dataset_windowed", "dataset_sliding"]
+    )
+    def test_magic_line_and_final_newline_are_required(self, headed_files, name):
+        read, text, _ = headed_files[name]
+        for changed in (text[:-1], "x" + text, text.split("\n", 1)[1]):
+            with pytest.raises(FormatError):
+                read(changed)
