@@ -25,7 +25,7 @@ w, tier = 3, FeatureTier.PTS_ICT
 names = tier.columns() + ["difficulty_gap"]
 
 
-def examples_for(position, bucket, splits, series):
+def examples_for(position, bucket, splits, series, tier=tier):
     return concat_windows(
         [build_windows(s, w, tier, strengths)
          for s in series if splits.assignments[s.key] == bucket]
@@ -48,28 +48,34 @@ print(f"{'':14}" + "".join(f"{p:>8}" for p in positions))
 for j, feature in enumerate(features):
     print(f"{feature:14}" + "".join(f"{coef[i, j]:8.3f}" for i in range(len(positions))))
 
-print("\n== GBM split importance and Shapley attribution (MID) ==")
+print("\n== GBM split importance and Shapley attribution (MID, all 19 features) ==")
 series = [s for s in all_series if s.key.position is Position.MID]
 splits = assign_splits(series, seed=3)
 train_ex = examples_for(Position.MID, "train", splits, series)
 val_ex = examples_for(Position.MID, "validation", splits, series)
+full_train, full_val = (
+    examples_for(Position.MID, bucket, splits, series, FeatureTier.FULL)
+    for bucket in ("train", "validation")
+)
+full_names = FeatureTier.FULL.columns() + ["difficulty_gap"]
 fitted, _, _ = train_family(
-    "gbm", {"w": w, "tier": tier.value, "min_data_in_leaf": 20}, train_ex, val_ex, 3
+    "gbm", {"w": w, "tier": FeatureTier.FULL.value, "min_data_in_leaf": 20},
+    full_train, full_val, 3,
 )
 imp = split_importance(fitted.model)
-for name, pct in sorted(zip(names, imp.percentages), key=lambda t: -t[1]):
+for name, pct in sorted(zip(full_names, imp.percentages), key=lambda t: -t[1]):
     if pct > 0:
-        print(f"  {name:14} {pct:5.1f}% of splits")
+        print(f"  {name:17} {pct:5.1f}% of splits")
 
-A_train, _ = sliding_design(train_ex)
-A_val, _ = sliding_design(val_ex)
+A_train, _ = sliding_design(full_train)
+A_val, _ = sliding_design(full_val)
 background = A_train[np.random.default_rng(3).choice(len(A_train), 100, replace=False)]
 x = A_val[0]
 result = shapley_values(fitted.model, x, background)
 print(f"\n  example feature vector: {np.round(x, 2)}")
 print(f"  base value E[f]: {result.base_value:.3f}")
-for name, phi in zip(names, result.phi):
-    print(f"  phi {name:14} {phi:+.3f}")
+for name, phi in zip(full_names, result.phi):
+    print(f"  phi {name:17} {phi:+.3f}")
 print(f"  reconstructed prediction: {result.base_value + result.phi.sum():.3f}")
 print(f"  direct prediction:        {predict_gbm(fitted.model, x):.3f}")
 

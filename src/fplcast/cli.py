@@ -142,6 +142,12 @@ def _config_problem(key: str, value, default) -> str | None:
     return None if value in choices else "one of " + ", ".join(choices)
 
 
+def _shown(value) -> str:
+    """`value` as JSON, cut to 40 characters for an error message."""
+    shown = json.dumps(value)
+    return shown if len(shown) <= 40 else shown[:37] + "..."
+
+
 def load_config(path: str | None, seed_override: int | None) -> dict:
     config = default_config()
     if path is not None:
@@ -156,9 +162,9 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
                 raise CliError("config", f"unknown config key '{key}'")
             problem = _config_problem(key, value, config[key])
             if problem is not None:
-                shown = json.dumps(value)
-                shown = shown if len(shown) <= 40 else shown[:37] + "..."
-                raise CliError("config", f"config key '{key}' must be {problem}, got {shown}")
+                raise CliError(
+                    "config", f"config key '{key}' must be {problem}, got {_shown(value)}"
+                )
             config[key] = value
     if seed_override is not None:
         config["seed"] = seed_override
@@ -490,22 +496,30 @@ def cmd_evaluate(args, config) -> int:
 
 
 def cmd_gridsearch(args, config) -> int:
-    out = _out_dir(args)
-    rows = _read_cleaned(args.cleaned)
-    strengths = _read_strengths(args.strengths)
-    splits = _read_splits(args.splits)
     family = args.family
     if config["grid"] is not None:
-        known = {"w", "tier", *FAMILIES[family].params}
-        unknown = sorted(set(config["grid"]) - known)
-        if unknown:
-            raise CliError(
-                "config", f"unknown grid axis '{unknown[0]}' for family {family}"
-            )
+        # Each axis stands for a config key, and its values are typed like it.
+        keys = {"w": "w", "tier": "tier"}
+        keys.update((k, cli_key) for k, (cli_key, _) in FAMILIES[family].params.items())
+        defaults = default_config()
+        for axis, values in config["grid"].items():
+            if axis not in keys:
+                raise CliError("config", f"unknown grid axis '{axis}' for family {family}")
+            for value in values:
+                problem = _config_problem(keys[axis], value, defaults[keys[axis]])
+                if problem is not None:
+                    raise CliError(
+                        "config",
+                        f"grid axis '{axis}' values must be {problem}, got {_shown(value)}",
+                    )
         axes = {k: list(v) for k, v in config["grid"].items()}
         grid = GridSpec(family=family, axes=axes)
     else:
         grid = default_grid(family)
+    out = _out_dir(args)
+    rows = _read_cleaned(args.cleaned)
+    strengths = _read_strengths(args.strengths)
+    splits = _read_splits(args.splits)
 
     summary = {}
     all_series = build_series(rows)

@@ -16,11 +16,11 @@ search over presorted columns of XGBoost (Chen & Guestrin 2016). A leaf
 searches all features in one array pass. Ties break to the lowest
 feature index, then the lowest threshold.
 
-Shapley values are exact: every subset of features is enumerated. A tree
-reads only its own split features, so it sees the 2^m subsets only
-through their bits on those features. Each tree predicts one hybrid
-block per distinct restriction (a per-tree subset table) and gathers it
-back to every subset, tree by tree in model order.
+Shapley values are exact and computed tree by tree. The model's value
+function is its base score plus one term per tree, and Shapley values
+are linear in the game, so each tree's values come from a small game
+whose players are its own split features, 2^k subsets for k of them,
+whatever the model's feature count (the additivity TreeSHAP also uses).
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ __all__ = [
     "structural_violations",
 ]
 
-SHAPLEY_MAX_FEATURES = 15
+SHAPLEY_MAX_TREE_FEATURES = 15
 
 
 class FeatureBudgetError(ValueError):
-    """Exact Shapley enumeration was requested beyond its feature budget."""
+    """A tree splits on more distinct features than exact Shapley
+    enumeration allows (only num_leaves > 16 can grow one)."""
 
 
 @dataclass
@@ -334,73 +335,62 @@ def split_importance(model: GbmModel) -> SplitImportance:
 
 
 def shapley_values(model: GbmModel, x, background) -> ShapleyResult:
-    """Exact interventional Shapley attribution by subset enumeration.
+    """Exact interventional Shapley attribution, computed tree by tree.
 
     v(S) is the mean model output over background rows with the features
-    in S overridden by x. phi_j sums the weighted marginal contributions
-    of j over every subset of the remaining features; this is exponential
-    in the feature count, hence the hard budget.
-
-    A tree that splits on the k features `used` maps each subset to the
-    code of its bits on `used`. It predicts the background rows once per
-    distinct code (at most min(2^k, chunk) codes), with x taken on the
-    features that code selects, and gathers those predictions back to
-    every (subset, background row) cell. The cells add up tree by tree in
-    model order from the base score, as in predict_gbm_batch, so each
-    v(S) is the float that predicting every hybrid row gives.
+    in S overridden by x: the base score plus one term per tree. Shapley
+    values are linear in the game (Shapley 1953), so phi is the sum of the
+    trees' own values. A tree reads only the k features it splits on, the
+    players of its game; every other feature is a dummy there. The tree
+    predicts the background rows once per subset of its k features, with
+    x taken on that subset, and phi_j sums the weighted marginal
+    contributions of j over those 2^k subsets. This is exponential in k,
+    not in the feature count, hence the per-tree budget.
     """
     x = np.asarray(x, dtype=np.float64)
     bg = np.asarray(background, dtype=np.float64)
     m = x.shape[0]
     if m != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {m}")
-    if m > SHAPLEY_MAX_FEATURES:
-        raise FeatureBudgetError(
-            f"{m} features exceeds the exact-enumeration budget of "
-            f"{SHAPLEY_MAX_FEATURES}; attribute a feature subset instead"
-        )
     if bg.ndim != 2 or bg.shape[0] == 0:
         raise ValueError("background must be a non-empty 2-dimensional array")
     if bg.shape[1] != m:
         raise ValueError("background feature count must match x")
 
-    n_subsets = 1 << m
     n_bg = bg.shape[0]
-    masks = np.arange(n_subsets, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)  # subsets x m
-    used_by_tree = [
-        np.array(sorted({n.feature for n in tree.nodes if not n.is_leaf}), dtype=np.intp)
-        for tree in model.trees
-    ]
-
-    v = np.empty(n_subsets, dtype=np.float64)
-    chunk = max(1, (1 << 22) // max(1, n_bg * m))  # cap hybrid matrix size
-    for start in range(0, n_subsets, chunk):
-        stop = min(start + chunk, n_subsets)
-        out = np.full((stop - start, n_bg), model.base_score)
-        for tree, used in zip(model.trees, used_by_tree):
-            restricted = bits[start:stop, used]
-            codes = (restricted << np.arange(used.size)).sum(axis=1)
-            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-            take_x = np.repeat(restricted[first], n_bg, axis=0)
-            hybrid = np.tile(bg, (first.size, 1))
-            hybrid[:, used] = np.where(take_x, x[used], hybrid[:, used])
-            preds = tree.predict_batch(hybrid).reshape(first.size, n_bg)
-            out += (model.eta * preds)[inverse]
-        v[start:stop] = out.mean(axis=1)
-
-    sizes = bits.sum(axis=1)
-    fact = [math.factorial(i) for i in range(m + 1)]
-    weight_by_size = np.array(
-        [fact[s] * fact[m - s - 1] / fact[m] for s in range(m)], dtype=np.float64
-    )
+    block = max(1, (1 << 22) // max(1, n_bg * m))  # cap hybrid matrix size
     phi = np.zeros(m, dtype=np.float64)
-    for j in range(m):
-        without_j = masks[~bits[:, j]]
-        with_j = without_j | (1 << j)
-        w = weight_by_size[sizes[without_j]]
-        phi[j] = float(np.sum(w * (v[with_j] - v[without_j])))
-    return ShapleyResult(phi=phi, base_value=float(v[0]))
+    base_value = model.base_score
+    for t, tree in enumerate(model.trees):
+        used = np.array(sorted({n.feature for n in tree.nodes if not n.is_leaf}), np.intp)
+        k = used.size
+        if k > SHAPLEY_MAX_TREE_FEATURES:
+            raise FeatureBudgetError(
+                f"tree {t} splits on {k} features, beyond the exact-enumeration "
+                f"budget of {SHAPLEY_MAX_TREE_FEATURES} per tree"
+            )
+        masks = np.arange(1 << k)
+        bits = ((masks[:, None] >> np.arange(k)) & 1).astype(bool)  # subsets x k
+        v = np.empty(1 << k, dtype=np.float64)
+        for start in range(0, 1 << k, block):
+            subsets = bits[start : start + block]
+            take_x = np.repeat(subsets, n_bg, axis=0)
+            hybrid = np.tile(bg, (len(subsets), 1))
+            hybrid[:, used] = np.where(take_x, x[used], hybrid[:, used])
+            preds = tree.predict_batch(hybrid).reshape(-1, n_bg)
+            v[start : start + block] = model.eta * preds.mean(axis=1)
+        base_value += v[0]
+
+        sizes = bits.sum(axis=1)
+        fact = [math.factorial(i) for i in range(k + 1)]
+        weight_by_size = np.array(
+            [fact[s] * fact[k - s - 1] / fact[k] for s in range(k)], dtype=np.float64
+        )
+        for j in range(k):
+            without_j = masks[~bits[:, j]]
+            w = weight_by_size[sizes[without_j]]
+            phi[used[j]] += float(np.sum(w * (v[without_j | (1 << j)] - v[without_j])))
+    return ShapleyResult(phi=phi, base_value=float(base_value))
 
 
 def structural_violations(model: GbmModel) -> list[str]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnn import ACTIVATIONS, PARAM_NAMES, CnnModel, LearningCurve
-from .dataset import ScalerParams, SplitAssignment, WindowSet, sliding_average
+from .dataset import FeatureTier, ScalerParams, SplitAssignment, WindowSet, sliding_average
 from .evaluation import EvalReport
 from .gbm import GbmHyperparams, GbmModel, RegressionTree, TreeNode
 from .ingest import (
@@ -415,7 +415,19 @@ def _read_model(text: str, magic: str, fields, what: str):
     """The model's header values, its context, and the lines after the header."""
     lines = _file_lines(text, magic, what)
     values, pos = _read_header(lines, 1, fields)
+    if values["w"] < 1:
+        raise FormatError(f"w must be >= 1, got {values['w']}")
+    if values["tier"] not in {t.value for t in FeatureTier}:
+        raise FormatError(f"unknown tier {values['tier']!r}")
+    if values["position"] not in {p.value for p in Position}:
+        raise FormatError(f"unknown position {values['position']!r}")
     mean, std = values["scaler_mean"], values["scaler_std"]
+    n_columns = len(FeatureTier(values["tier"]).columns())
+    if mean is not None and not len(mean) == len(std) == n_columns:
+        raise FormatError(
+            f"scaler has {len(mean)} means and {len(std)} stds; "
+            f"tier {values['tier']} has {n_columns} columns"
+        )
     scaler = None if mean is None else ScalerParams(mean=mean, std=std)
     ctx = ModelContext(values["w"], values["tier"], values["position"], scaler)
     return values, ctx, lines[pos:]

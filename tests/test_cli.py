@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import re
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from fplcast.cli import main
 from fplcast.evaluation import average_ranks
 from fplcast.ingest import GameweekTable
-from fplcast.serialize import read_cleaned_csv, read_splits
+from fplcast.gbm import predict_gbm
+from fplcast.serialize import ModelContext, read_cleaned_csv, read_gbm, read_splits, write_gbm
 
+from test_gbm import sixteen_feature_model
 from test_serialize import corruptions
 
 HEADER = (
@@ -316,6 +319,27 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:format:") and err.count("\n") == 1
 
+    def test_model_with_another_tier_is_a_format_error(self, tmp_path, capsys):
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        main(
+            ["--out", str(out), "--seed", "5", "--position", "MID", "train",
+             "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
+             "--family", "ridge"]
+        )
+        model = out / "model_ridge_MID.txt"
+        text = model.read_text()
+        assert "\ntier ptsonly\n" in text
+        model.write_text(text.replace("\ntier ptsonly\n", "\ntier full\n", 1))
+        capsys.readouterr()
+        rc = main(
+            ["--out", str(out), "evaluate", "--model", str(model),
+             "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:format:") and "scaler" in err
+
     def test_truncated_splits_is_a_format_error(self, tmp_path, capsys):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)
         main(
@@ -424,10 +448,10 @@ class TestExplainCommands:
         header = (out / "coefficients.csv").read_text().splitlines()[0]
         assert header == '"position","total_points","difficulty_gap","intercept"'
 
-    def test_gbm_shapley_budget_error_on_full_tier(self, tmp_path, capsys):
+    def test_gbm_shapley_on_full_tier_is_efficient(self, tmp_path, capsys):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)
         config = tmp_path / "cfg.json"
-        # full tier: 18 statistics + difficulty = 19 features > 15.
+        # full tier: 18 statistics + difficulty = 19 features.
         config.write_text(
             json.dumps({"tier": "full", "gbm_min_data_in_leaf": 5}),
             encoding="utf-8",
@@ -442,8 +466,31 @@ class TestExplainCommands:
              str(out / "model_gbm_MID.txt"), "--cleaned", *cleaned,
              "--strengths", strengths, "--splits", splits]
         )
+        assert rc == 0
+        rows = list(csv.reader((out / "shapley_MID.csv").read_text().splitlines()))
+        assert rows[0] == ["feature", "value", "phi"]
+        features, (base, prediction) = rows[1:-2], rows[-2:]
+        assert len(features) == 19 and any(float(r[2]) != 0.0 for r in features)
+        assert (base[0], prediction[0]) == ("__base_value__", "__prediction__")
+        x = np.array([float(r[1]) for r in features])
+        phi_sum = sum(float(r[2]) for r in features)
+        model, _ = read_gbm((out / "model_gbm_MID.txt").read_text())
+        assert float(base[2]) + phi_sum == pytest.approx(float(prediction[2]), abs=1e-9)
+        assert float(base[2]) + phi_sum == pytest.approx(predict_gbm(model, x), abs=1e-9)
+
+    def test_gbm_shapley_budget_error_for_a_tree_on_16_features(self, tmp_path, capsys):
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        model = tmp_path / "model_gbm_MID.txt"
+        ctx = ModelContext(w=3, tier="full", position="MID")
+        model.write_text(write_gbm(sixteen_feature_model(), ctx), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(
+            ["--out", str(out), "explain", "--model", str(model), "--cleaned", *cleaned,
+             "--strengths", strengths, "--splits", splits]
+        )
         assert rc == 1
         err = capsys.readouterr().err
+        _assert_one_error_line(err)
         assert err.startswith("error:budget:")
 
     @pytest.mark.parametrize("index", ["-1", "100000"])
@@ -741,6 +788,10 @@ class TestConfigChecks:
         ('{"grid": {"w": 3}}', "gridsearch", "grid"),
         ('{"grid": {"w": []}}', "gridsearch", "grid"),
         ('{"grid": [3]}', "gridsearch", "grid"),
+        ('{"grid": {"w": [2.5]}}', "gridsearch", "'w'"),
+        ('{"grid": {"w": [true, 2]}}', "gridsearch", "'w'"),
+        ('{"grid": {"tier": ["nope"]}}', "gridsearch", "'tier'"),
+        ('{"grid": {"lambda": ["x"]}}', "gridsearch", "'lambda'"),
         ('{"ridge_lambda": NaN}', "train", "ridge_lambda"),
         ('{"ridge_lambda": Infinity}', "train", "ridge_lambda"),
         ('{"ridge_lambda": "1.0"}', "train", "ridge_lambda"),
@@ -779,6 +830,16 @@ class TestConfigChecks:
             assert main(_argv("train", "ridge", {**files, "config": str(config)}, out)) == 0
             outputs.append((out / "model_ridge_MID.txt").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_well_typed_grid_value_out_of_range_is_a_failed_trial(self, tiny_season, tmp_path):
+        _, files = tiny_season
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": {"w": [0, 3]}}), encoding="utf-8")
+        argv = _argv("gridsearch", "ridge", {**files, "config": str(config)}, tmp_path / "o")
+        assert main(argv) == 0
+        text = (tmp_path / "o" / "trials_ridge_MID.csv").read_text()
+        trials = {r["w"]: r["status"] for r in csv.DictReader(text.splitlines())}
+        assert trials == {"0": "failed", "3": "ok"}
 
     @pytest.mark.parametrize(
         "family, axis",

@@ -482,10 +482,12 @@ def enumeration_oracle(model, x, background):
 
 
 def assert_equals_enumeration_oracle(model, x, background):
+    """Per-tree games sum the same terms as enumeration in another order,
+    so the floats agree to rounding, not bit for bit."""
     result = shapley_values(model, x, background)
     phi, base_value = enumeration_oracle(model, x, background)
-    assert result.phi.tolist() == phi.tolist()
-    assert result.base_value == base_value
+    np.testing.assert_allclose(result.phi, phi, rtol=0, atol=1e-12)
+    assert result.base_value == pytest.approx(base_value, rel=0, abs=1e-12)
 
 
 # A small pool, so thresholds often equal x or background values.
@@ -554,6 +556,24 @@ def shapley_problems(draw):
     else:
         x = np.array(draw(values))
     return model, x, background
+
+
+def path_tree(features):
+    """A tree whose split d reads features[d] at threshold 0: its left child
+    is a leaf valued d, its right child the next split (or a leaf at -1)."""
+    nodes = []
+    for depth, feature in enumerate(features):
+        i = len(nodes)
+        nodes.append(TreeNode(feature=feature, left=i + 1, right=i + 2, depth=depth))
+        nodes.append(TreeNode(value=float(depth), depth=depth + 1))
+    nodes.append(TreeNode(value=-1.0, depth=len(features)))
+    return RegressionTree(nodes=nodes, split_gains=[1.0] * len(features))
+
+
+def sixteen_feature_model():
+    """19 features; one tree splits on 16 of them, past the per-tree budget."""
+    hp = GbmHyperparams(n_trees=1, max_depth=16, num_leaves=17, min_data_in_leaf=1)
+    return GbmModel(0.5, [path_tree(range(16))], 1.0, hp, n_features=19)
 
 
 def fitted_small_model(seed, n_features=4):
@@ -699,10 +719,31 @@ class TestShapley:
         background = X[np.random.default_rng(5).choice(len(X), 40, replace=False)]
         assert_equals_enumeration_oracle(model, X[0], background)
 
+    def test_equals_enumeration_oracle_over_several_blocks_of_one_tree(self):
+        model = GbmModel(0.2, [path_tree([3, 0, 7, 1, 9, 4, 11, 2, 6, 10, 5, 8])], 0.3,
+                         GbmHyperparams(), n_features=12)
+        rng = np.random.default_rng(25)
+        background = rng.normal(size=(100, 12))
+        assert (1 << 12) * 100 * 12 > 1 << 22  # the tree's subsets take two blocks
+        assert_equals_enumeration_oracle(model, rng.normal(size=12), background)
+
     def test_budget_error_above_fifteen_features(self):
-        model = GbmModel(0.0, [], 1.0, GbmHyperparams(), n_features=16)
-        with pytest.raises(FeatureBudgetError, match="subset"):
-            shapley_values(model, np.zeros(16), np.zeros((2, 16)))
+        model = sixteen_feature_model()
+        with pytest.raises(FeatureBudgetError, match="tree 0 splits on 16 features"):
+            shapley_values(model, np.ones(19), np.zeros((2, 19)))
+
+    def test_nineteen_features_in_small_trees(self):
+        rng = np.random.default_rng(26)
+        trees = [path_tree(rng.choice(19, 6, replace=False)) for _ in range(8)]
+        model = GbmModel(0.5, trees, 0.1, GbmHyperparams(), n_features=19)
+        x, background = rng.normal(size=19), rng.normal(size=(30, 19))
+        result = shapley_values(model, x, background)
+        assert result.base_value == pytest.approx(
+            float(predict_gbm_batch(model, background).mean()), abs=1e-12
+        )
+        assert result.phi.sum() == pytest.approx(
+            predict_gbm(model, x) - result.base_value, abs=1e-10
+        )
 
     def test_empty_background_rejected(self):
         model = GbmModel(0.0, [], 1.0, GbmHyperparams(), n_features=2)

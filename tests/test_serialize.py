@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -474,7 +475,7 @@ class TestModelFileCorruption:
             ("\nactivation relu\n", "\nactivation bogus\n", "activation"),
             ("\nparam conv_w 2 1 1\n", "\nparam conv_w 2 1\n", "conv_w shape"),
             ("\nparam conv_w 2 1 1\n", "\nparam conv_w 1 2 1\n", "conv_b has shape"),
-            ("\nw 3\n", "\nw 0\n", "conv_w shape"),  # kernel 1 > window 0
+            ("\nw 3\n", "\nw 0\n", "w must be >= 1"),
             ("\nw 3\n", "\nw 2\n", "hidden_w has shape"),
             ("\nparam conv_b 2\n", "\nparam conv_b 1 2\n", "conv_b has shape"),
             ("\nparam hidden_w 2 7\n", "\nparam hidden_w 7 2\n", "hidden_w has shape"),
@@ -489,6 +490,40 @@ class TestModelFileCorruption:
         assert old in text
         with pytest.raises(FormatError, match=message):
             read(text.replace(old, new, 1))
+
+    def test_cnn_kernel_longer_than_window_is_checked(self):
+        from fplcast.cnn import init_model
+        from fplcast.serialize import ModelContext, read_cnn, write_cnn
+
+        model = init_model(w=3, k=2, f=1, n_filters=2, n_hidden=2, seed=1)
+        text = write_cnn(model, ModelContext(w=3, tier="ptsonly", position="MID"))
+        with pytest.raises(FormatError, match="conv_w shape"):
+            read_cnn(text.replace("\nw 3\n", "\nw 1\n", 1))
+
+    @pytest.mark.parametrize(
+        "name, pattern, replacement, message",
+        [
+            pytest.param(name, pattern, replacement, message, id=f"{name}-{edit}")
+            for edit, pattern, replacement, message, families in [
+                ("tier_full", "\ntier ptsonly\n", "\ntier full\n", "tier full has 18",
+                 ("ridge", "cnn")),
+                ("tier_nope", "\ntier ptsonly\n", "\ntier nope\n", "unknown tier",
+                 ("ridge", "gbm", "cnn")),
+                ("position_XX", "\nposition MID\n", "\nposition XX\n", "unknown position",
+                 ("ridge", "gbm", "cnn")),
+                ("w_0", "\nw 3\n", "\nw 0\n", "w must be >= 1", ("ridge", "gbm", "cnn")),
+                ("scaler_mean_extra", r"\nscaler_mean ([^\n]*)\n", r"\nscaler_mean \1 0\n",
+                 "2 means", ("ridge", "cnn")),
+            ]
+            for name in families
+        ],
+    )
+    def test_model_context_is_checked(self, model_files, name, pattern, replacement, message):
+        read, _, text = model_files[name]  # w 3, ptsonly, MID; ridge and cnn scaled
+        changed = re.sub(pattern, replacement, text, count=1)
+        assert changed != text
+        with pytest.raises(FormatError, match=message):
+            read(changed)
 
     @pytest.mark.parametrize("name", ["ridge", "gbm", "cnn"])
     def test_every_corruption_loads_or_is_format_error(self, model_files, name):
