@@ -3,7 +3,7 @@
 Run from the repository root:  python demos/04_grid_search.py
 """
 
-from fplcast.dataset import assign_splits, build_series, generate_synthetic_season
+from fplcast.dataset import Players, assign_splits, build_series, generate_synthetic_season
 from fplcast.harness import (
     CvConfig,
     GridSpec,
@@ -16,7 +16,9 @@ from fplcast.ingest import Position
 
 rows, strengths = generate_synthetic_season(seed=21, n_players=150, n_weeks=30)
 series = [s for s in build_series(rows) if s.key.position is Position.FWD]
-splits = assign_splits(series, seed=21)
+# One Players value holds the forwards, their strengths and the split map
+# that every configuration and the holdout score share.
+players = Players(series, strengths, assign_splits(series, seed=21).assignments)
 print(f"{len(series)} forwards, splits fixed once for every configuration\n")
 
 grid = GridSpec(
@@ -24,7 +26,7 @@ grid = GridSpec(
     axes={"w": [3, 6], "k": [1, 2, 3], "filters": [16, 32]},
     fixed={"tier": "ptsonly", "hidden": 32, "epochs": 40, "patience": 40},
 )
-results = run_grid(grid, series, strengths, splits, seed=21)
+results = run_grid(grid, players, seed=21)
 
 print(f"{'w':>3} {'k':>3} {'filters':>8} {'val MSE':>10}  status")
 for r in results:
@@ -36,7 +38,7 @@ succeeded = [r for r in results if r.error is None]
 mean5, worst5 = top_k_summary(results, min(5, len(succeeded)))
 print(f"\ntop-5 val MSE: mean {mean5:.3f}, upper bound {worst5:.3f}")
 
-final, fitted = select_final(results, series, strengths, splits)
+final, fitted = select_final(results, players)
 print(
     f"selected {final.config} -> holdout MSE {final.test_mse:.3f} "
     f"(evaluated exactly once)"
@@ -46,8 +48,7 @@ print("\n== Stratified 5-fold CV for the tree baseline ==")
 train_mse, val_mse = cross_validate(
     "gbm",
     {"w": 3, "tier": "ptsonly", "min_data_in_leaf": 20},
-    series,
-    strengths,
+    players,  # each fold replaces the split map with its own
     CvConfig(k=5, seed=21),
 )
 print(f"gbm 5-fold: mean train MSE {train_mse:.3f}, mean val MSE {val_mse:.3f}")

@@ -21,6 +21,7 @@ from .ingest import (
 )
 from .dataset import (
     FeatureTier,
+    Players,
     PlayerSeries,
     ScalerParams,
     SplitAssignment,

@@ -22,7 +22,7 @@ from . import serialize as ser
 from .dataset import (
     STRAT_ON,
     FeatureTier,
-    PlayerSeries,
+    Players,
     SplitAssignment,
     assign_splits,
     build_series,
@@ -51,7 +51,6 @@ from .harness import (
     run_grid,
     select_final,
     sliding_design,
-    split_windows,
     top_k_summary,
     train_family,
 )
@@ -226,15 +225,20 @@ def _read_splits(path: str) -> SplitAssignment:
     return ser.read_splits(_read_text(path, "splits"))
 
 
-def _flip_flag(config) -> bool:
-    return config["difficulty_sign"] == "own_minus_opponent"
-
-
-def _series_for_position(all_series, position: Position) -> list[PlayerSeries]:
+def _players(
+    all_series, position: Position, config, strengths,
+    splits: SplitAssignment | None = None,
+) -> Players:
+    """The players of one position, under the config's difficulty sign."""
     series = [s for s in all_series if s.key.position == position]
     if not series:
         raise CliError("data", f"no players with position {position.value}")
-    return series
+    return Players(
+        series,
+        strengths,
+        splits.assignments if splits else None,
+        flip_difficulty=config["difficulty_sign"] == "own_minus_opponent",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +382,12 @@ def cmd_train(args, config) -> int:
     w = int(config["w"])
     tier = FeatureTier(config["tier"])
     family_config = family.from_cli(config)
-    flip = _flip_flag(config)
 
     reports = []
     all_series = build_series(rows)
     for position in _positions(args.position):
-        series = _series_for_position(all_series, position)
-        train_ex, val_ex = (
-            split_windows(series, strengths, w, tier, flip, splits, s)
-            for s in ("train", "validation")
-        )
+        players = _players(all_series, position, config, strengths, splits)
+        train_ex, val_ex = (players.windows(w, tier, s) for s in ("train", "validation"))
         if not train_ex or not val_ex:
             raise CliError(
                 "data", f"position {position.value} has an empty train or val split"
@@ -454,11 +454,8 @@ def cmd_evaluate(args, config) -> int:
     strengths = _read_strengths(args.strengths)
     splits = _read_splits(args.splits)
     position = Position(ctx.position)
-    series = _series_for_position(build_series(rows), position)
-    tier = FeatureTier(ctx.tier)
-    windows = split_windows(
-        series, strengths, ctx.w, tier, _flip_flag(config), splits, args.split
-    )
+    players = _players(build_series(rows), position, config, strengths, splits)
+    windows = players.windows(ctx.w, FeatureTier(ctx.tier), args.split)
     if not windows:
         raise CliError("data", f"no {args.split} examples for {position.value}")
     predictions = predict(family, model, ctx.scaler, windows)
@@ -524,16 +521,8 @@ def cmd_gridsearch(args, config) -> int:
     summary = {}
     all_series = build_series(rows)
     for position in _positions(args.position):
-        series = _series_for_position(all_series, position)
-        results = run_grid(
-            grid,
-            series,
-            strengths,
-            splits,
-            seed=config["seed"],
-            position=position,
-            flip_difficulty=_flip_flag(config),
-        )
+        players = _players(all_series, position, config, strengths, splits)
+        results = run_grid(grid, players, seed=config["seed"], position=position)
         axis_names = sorted({k for r in results for k in r.config})
         lines = [
             ",".join(
@@ -568,10 +557,7 @@ def cmd_gridsearch(args, config) -> int:
         mean_k, max_k = top_k_summary(results, k)
         entry["top_k"] = {"k": k, "mean_val_mse": mean_k, "max_val_mse": max_k}
         if args.finalize:
-            final, _fitted = select_final(
-                results, series, strengths, splits,
-                flip_difficulty=_flip_flag(config),
-            )
+            final, _fitted = select_final(results, players)
             entry["test_mse"] = final.test_mse
         summary[position.value] = entry
         print(
@@ -601,11 +587,8 @@ def cmd_cv(args, config) -> int:
     lines = ["family,position,mean_train_mse,mean_val_mse"]
     all_series = build_series(rows)
     for position in _positions(args.position):
-        series = _series_for_position(all_series, position)
-        train_err, val_err = cross_validate(
-            family, family_config, series, strengths, cv,
-            flip_difficulty=_flip_flag(config),
-        )
+        players = _players(all_series, position, config, strengths)
+        train_err, val_err = cross_validate(family, family_config, players, cv)
         lines.append(ser.csv_line([family, position.value, train_err, val_err]))
         print(
             f"{family}_{position.value} cv: train mse {train_err:.4f}, "
@@ -624,10 +607,8 @@ def cmd_rank(args, config) -> int:
     position = Position(ctx.position)
     season = args.season or max(rows.season)
     rows = rows.take([s == season for s in rows.season])
-    series = _series_for_position(build_series(rows), position)
-    tier = FeatureTier(ctx.tier)
-
-    windows = split_windows(series, strengths, ctx.w, tier, _flip_flag(config))
+    players = _players(build_series(rows), position, config, strengths)
+    windows = players.windows(ctx.w, FeatureTier(ctx.tier))
     candidates = windows.take(windows.target_gameweek == args.gameweek)
     if not candidates:
         raise CliError(
@@ -685,11 +666,9 @@ def _explain_shapley(args, config, out, loaded):
     strengths = _read_strengths(args.strengths)
     splits = _read_splits(args.splits)
     position = Position(ctx.position)
-    series = _series_for_position(build_series(rows), position)
-    tier = FeatureTier(ctx.tier)
+    players = _players(build_series(rows), position, config, strengths, splits)
     explain_ex, train_ex = (
-        split_windows(series, strengths, ctx.w, tier, _flip_flag(config), splits, s)
-        for s in (args.split, "train")
+        players.windows(ctx.w, FeatureTier(ctx.tier), s) for s in (args.split, "train")
     )
     if not explain_ex:
         raise CliError("data", f"no {args.split} examples to explain")

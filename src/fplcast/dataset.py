@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,11 +34,13 @@ __all__ = [
     "FeatureTier",
     "WindowSet",
     "SplitAssignment",
+    "Players",
     "ScalerParams",
     "build_series",
     "build_windows",
     "concat_windows",
     "sliding_average",
+    "stratified_bins",
     "assign_splits",
     "fit_scaler",
     "apply_scaler",
@@ -48,7 +50,8 @@ __all__ = [
 
 DIFFICULTY_FEATURE = "difficulty_gap"
 
-# The statistics assign_splits can stratify players on.
+# What stratified_bins can rank players on: a PlayerSeries statistic, or
+# "none" for name order.
 STRAT_ON = ("avg_score", "stdev_score", "none")
 
 
@@ -146,9 +149,6 @@ class SplitAssignment:
     strat_on: str
     seed: int
 
-    def players(self, split: str) -> list[CanonicalPlayerKey]:
-        return [k for k, s in self.assignments.items() if s == split]
-
 
 @dataclass
 class ScalerParams:
@@ -156,7 +156,6 @@ class ScalerParams:
 
     mean: np.ndarray
     std: np.ndarray
-    fitted_on: str = "train"
 
 
 def _runs(keys: Sequence) -> list[slice]:
@@ -230,6 +229,33 @@ def build_windows(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Players:
+    """What windows are built from: the players' series, their season
+    strength tables, each player's split, and the difficulty sign."""
+
+    series: list[PlayerSeries]
+    strengths: dict[str, TeamStrengthTable] | TeamStrengthTable
+    splits: dict[CanonicalPlayerKey, str] | None = None  # player key -> split
+    # True for difficulty_sign own_minus_opponent: every difficulty negated.
+    flip_difficulty: bool = False
+
+    def windows(self, w: int, tier: FeatureTier, split: str | None = None) -> WindowSet:
+        """Windows of every series, or only of the players `splits` assigns to
+        `split`, in series order."""
+        if split is not None and self.splits is None:
+            raise ValueError(f"no split map to select '{split}' players from")
+        parts = [
+            build_windows(series, w, tier, self.strengths)
+            for series in self.series
+            if split is None or self.splits.get(series.key) == split
+        ]
+        if not parts:
+            return WindowSet.empty(w, len(tier.columns()))
+        windows = concat_windows(parts)
+        return replace(windows, d=-windows.d) if self.flip_difficulty else windows
+
+
 def sliding_average(windows: WindowSet) -> np.ndarray:
     """Per-feature arithmetic means of each window: n x f."""
     return windows.X.mean(axis=1)
@@ -254,6 +280,38 @@ def _largest_remainder(n: int, fractions: tuple[float, ...]) -> list[int]:
     return counts
 
 
+def stratified_bins(
+    series_list: list[PlayerSeries], n_bins: int, strat_on: str, seed: int
+) -> list[list[PlayerSeries]]:
+    """Players in equal-count quantile bins of the `strat_on` statistic.
+
+    Players rank by the statistic then canonical name (by name alone, in a
+    single bin, for "none"); n_bins is clamped to the player count. Inside
+    each bin a deterministic shuffle keyed by (seed, canonical_name) orders
+    players.
+    """
+    if strat_on not in STRAT_ON:
+        raise ValueError(f"unknown stratification statistic '{strat_on}'")
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    if not series_list:
+        raise ValueError("no players to bin")
+    if strat_on == "none":
+        n_bins = 1
+        ranked = sorted(series_list, key=lambda s: s.key.canonical_name)
+    else:
+        n_bins = min(n_bins, len(series_list))
+        ranked = sorted(
+            series_list, key=lambda s: (getattr(s, strat_on), s.key.canonical_name)
+        )
+    # Equal-count rank chunks = empirical quantile bins.
+    edges = [round(i * len(ranked) / n_bins) for i in range(n_bins + 1)]
+    return [
+        sorted(ranked[a:b], key=lambda s: stable_hash(seed, s.key.canonical_name))
+        for a, b in zip(edges, edges[1:])
+    ]
+
+
 def assign_splits(
     series_list: list[PlayerSeries],
     fractions: tuple[float, float, float] = (0.60, 0.25, 0.15),
@@ -263,44 +321,25 @@ def assign_splits(
 ) -> SplitAssignment:
     """Partition players into train/validation/test, stratified on skill.
 
-    Players are rank-bucketed into n_bins quantile bins of the chosen
-    statistic; inside each bin a deterministic shuffle keyed by
-    (seed, canonical_name) orders players, and largest-remainder rounding
-    fixes the per-bin counts. Examples never cross splits because the
-    partition is by player.
+    Players are dealt from their stratified_bins; largest-remainder
+    rounding fixes the per-bin counts. Examples never cross splits because
+    the partition is by player.
     """
-    if strat_on not in STRAT_ON:
-        raise ValueError(f"unknown stratification statistic '{strat_on}'")
     if any(f <= 0 for f in fractions):
         raise ValueError("split fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {sum(fractions)}")
     if not series_list:
         raise ValueError("no players to split")
-
     if n_bins > len(series_list):
         warnings.warn(
             f"n_bins={n_bins} exceeds player count {len(series_list)}; clamping",
             stacklevel=2,
         )
-        n_bins = len(series_list)
-    if strat_on == "none":
-        n_bins = 1
 
-    def stat(s: PlayerSeries) -> float:
-        return s.avg_score if strat_on == "avg_score" else s.stdev_score
-
-    if strat_on == "none":
-        ranked = sorted(series_list, key=lambda s: s.key.canonical_name)
-    else:
-        ranked = sorted(series_list, key=lambda s: (stat(s), s.key.canonical_name))
-
-    # Equal-count rank chunks = empirical quantile bins.
-    edges = [round(i * len(ranked) / n_bins) for i in range(n_bins + 1)]
+    bins = stratified_bins(series_list, n_bins, strat_on, seed)
     assignments: dict[CanonicalPlayerKey, str] = {}
-    for b in range(n_bins):
-        bin_players = ranked[edges[b] : edges[b + 1]]
-        bin_players.sort(key=lambda s: stable_hash(seed, s.key.canonical_name))
+    for bin_players in bins:
         counts = _largest_remainder(len(bin_players), fractions)
         cursor = 0
         for split, count in zip(("train", "validation", "test"), counts):
@@ -310,7 +349,7 @@ def assign_splits(
     return SplitAssignment(
         assignments=assignments,
         fractions=fractions,
-        n_bins=n_bins,
+        n_bins=len(bins),
         strat_on=strat_on,
         seed=seed,
     )
@@ -325,7 +364,7 @@ def fit_scaler(A: np.ndarray) -> ScalerParams:
     rows = A.reshape(-1, A.shape[-1])
     if rows.shape[0] == 0:
         raise ValueError("cannot fit a scaler on zero examples")
-    return ScalerParams(mean=rows.mean(axis=0), std=rows.std(axis=0), fitted_on="train")
+    return ScalerParams(mean=rows.mean(axis=0), std=rows.std(axis=0))
 
 
 def apply_scaler(params: ScalerParams, A: np.ndarray) -> np.ndarray:

@@ -131,8 +131,8 @@ def extreme_examples(windows, predictions, k: int) -> ExtremeExamples:
     Records the difficulty gap and the window's trailing per-week points
     column alongside each (true, predicted, squared error) triple.
     """
-    if k > len(windows):
-        raise ValueError(f"k={k} exceeds {len(windows)} examples")
+    if not 0 <= k <= len(windows):
+        raise ValueError(f"k={k} must be between 0 and the {len(windows)} examples")
     if len(predictions) != len(windows):
         raise ValueError("examples and predictions must align")
     by_err = sorted(
@@ -145,9 +145,10 @@ def extreme_examples(windows, predictions, k: int) -> ExtremeExamples:
         return (float(windows.y[idx]), float(predictions[idx]), err,
                 int(windows.d[idx]), history)
 
-    worst = [record(*t) for t in sorted(by_err[-k:], key=lambda t: (-t[0], t[1]))]
-    best = [record(*t) for t in by_err[:k]]
-    return ExtremeExamples(worst=worst, best=best)
+    worst = sorted(by_err[len(by_err) - k :], key=lambda t: (-t[0], t[1]))
+    return ExtremeExamples(
+        worst=[record(*t) for t in worst], best=[record(*t) for t in by_err[:k]]
+    )
 
 
 def export_predictions(windows, predictions) -> list[dict]:

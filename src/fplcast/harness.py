@@ -2,11 +2,13 @@
 holdout evaluation.
 
 Every family shares one pipeline; FAMILIES holds all that differs between
-them. Splits are fixed before a grid starts and shared by every
-configuration; each trial's training seed derives deterministically from
-the grid seed and the configuration, so editing one axis value leaves
-every other trial's randomness untouched. Test examples are never
-materialized until select_final runs.
+them. Every trial, fold and holdout score windows one dataset.Players
+value: its split map is fixed before a grid starts and shared by every
+configuration, and a CV fold is the same players under the fold's split
+map. Each trial's training seed derives deterministically from the grid
+seed and the configuration, so editing one axis value leaves every other
+trial's randomness untouched. Test examples are never materialized until
+select_final runs.
 """
 
 from __future__ import annotations
@@ -23,16 +25,15 @@ from . import serialize as ser
 from .cnn import Batch, TrainConfig
 from .dataset import (
     FeatureTier,
+    Players,
     PlayerSeries,
     ScalerParams,
-    SplitAssignment,
     WindowSet,
     apply_scaler,
-    build_windows,
-    concat_windows,
     fit_scaler,
     sliding_average,
     stable_hash,
+    stratified_bins,
 )
 from .evaluation import mse
 from .gbm import GbmHyperparams, fit_gbm, predict_gbm_batch
@@ -53,7 +54,6 @@ __all__ = [
     "train_family",
     "predict",
     "model_family",
-    "split_windows",
     "sliding_design",
     "windowed_batch",
     "default_grid",
@@ -312,27 +312,9 @@ def derive_seed(seed: int, config: dict) -> int:
     return stable_hash(seed, sorted(config.items())) % (2**31)
 
 
-def split_windows(
-    series_list: list[PlayerSeries],
-    strengths,
-    w: int,
-    tier: FeatureTier,
-    flip_difficulty: bool = False,
-    splits: SplitAssignment | None = None,
-    split: str | None = None,
-) -> WindowSet:
-    """Windows of every series, or only of the players `splits` assigns to
-    `split`. With `flip_difficulty` (difficulty_sign own_minus_opponent)
-    the difficulty is negated."""
-    parts = [
-        build_windows(series, w, tier, strengths)
-        for series in series_list
-        if splits is None or splits.assignments.get(series.key) == split
-    ]
-    if not parts:
-        return WindowSet.empty(w, len(tier.columns()))
-    windows = concat_windows(parts)
-    return replace(windows, d=-windows.d) if flip_difficulty else windows
+def _window_spec(config: dict) -> tuple[int, FeatureTier]:
+    """The (w, tier) a trial config's windows are built with."""
+    return int(config.get("w", 3)), FeatureTier(config.get("tier", "ptsonly"))
 
 
 def train_family(
@@ -344,7 +326,7 @@ def train_family(
 ) -> tuple[FittedTrial, float, float]:
     """Fit one configuration; returns (fitted trial, train MSE, val MSE)."""
     fam = _family(family)
-    tier = FeatureTier(config.get("tier", "ptsonly"))
+    _, tier = _window_spec(config)
     feature_names = tier.columns() + ["difficulty_gap"]
     if not train_windows or not val_windows:
         raise ValueError("train and validation example sets must be non-empty")
@@ -360,25 +342,14 @@ def train_family(
 
 
 def _run_trial(
-    family: str,
-    config: dict,
-    position: Position,
-    series_list: list[PlayerSeries],
-    strengths,
-    splits: SplitAssignment,
-    grid_seed: int,
-    flip_difficulty: bool,
+    family: str, config: dict, position: Position, players: Players, grid_seed: int
 ) -> TrialResult:
     trial_seed = derive_seed(grid_seed, config)
     started = time.perf_counter()
     train_err = val_err = error = None
     try:
-        w = int(config.get("w", 3))
-        tier = FeatureTier(config.get("tier", "ptsonly"))
-        train_ex, val_ex = (
-            split_windows(series_list, strengths, w, tier, flip_difficulty, splits, s)
-            for s in ("train", "validation")
-        )
+        w, tier = _window_spec(config)
+        train_ex, val_ex = (players.windows(w, tier, s) for s in ("train", "validation"))
         _, train_err, val_err = train_family(
             family, config, train_ex, val_ex, trial_seed
         )
@@ -399,12 +370,9 @@ def _run_trial(
 
 def run_grid(
     grid: GridSpec,
-    series_list: list[PlayerSeries],
-    strengths,
-    splits: SplitAssignment,
+    players: Players,
     seed: int = 0,
     position: Position | None = None,
-    flip_difficulty: bool = False,
 ) -> list[TrialResult]:
     """One trial per cartesian configuration, sorted by validation MSE.
 
@@ -413,12 +381,9 @@ def run_grid(
     ever built here.
     """
     if position is None:
-        position = series_list[0].key.position if series_list else Position.MID
+        position = players.series[0].key.position if players.series else Position.MID
     results = [
-        _run_trial(
-            grid.family, config, position, series_list, strengths, splits, seed,
-            flip_difficulty,
-        )
+        _run_trial(grid.family, config, position, players, seed)
         for config in grid.configurations()
     ]
     results.sort(
@@ -429,6 +394,8 @@ def run_grid(
 
 def top_k_summary(results: list[TrialResult], k: int) -> tuple[float, float]:
     """(mean, max) of the k lowest validation MSEs among successes."""
+    if k < 1:
+        raise ValueError(f"top-k size must be >= 1, got {k}")
     succeeded = sorted(
         (r.val_mse for r in results if r.error is None and r.val_mse is not None)
     )
@@ -439,28 +406,23 @@ def top_k_summary(results: list[TrialResult], k: int) -> tuple[float, float]:
 
 
 def cross_validate(
-    family: str,
-    config: dict,
-    series_list: list[PlayerSeries],
-    strengths,
-    cv: CvConfig,
-    flip_difficulty: bool = False,
+    family: str, config: dict, players: Players, cv: CvConfig
 ) -> tuple[float, float]:
-    """Stratified player-disjoint k-fold CV: (mean train MSE, mean val MSE)."""
-    if len(series_list) < cv.k:
-        raise ValueError(f"{len(series_list)} players cannot fill {cv.k} folds")
-    folds = _assign_folds(series_list, cv)
-    w = int(config.get("w", 3))
-    tier = FeatureTier(config.get("tier", "ptsonly"))
+    """Stratified player-disjoint k-fold CV: (mean train MSE, mean val MSE).
+
+    Each fold is `players` with a split map that holds out one fold as
+    validation; `players.splits` is not read."""
+    if len(players.series) < cv.k:
+        raise ValueError(f"{len(players.series)} players cannot fill {cv.k} folds")
+    folds = _assign_folds(players.series, cv)
+    w, tier = _window_spec(config)
     train_errs, val_errs = [], []
     for held in range(cv.k):
-        train_ex, val_ex = (
-            split_windows(fold_series, strengths, w, tier, flip_difficulty)
-            for fold_series in (
-                [s for s, f in zip(series_list, folds) if f != held],
-                [s for s, f in zip(series_list, folds) if f == held],
-            )
-        )
+        fold = replace(players, splits={
+            s.key: "validation" if f == held else "train"
+            for s, f in zip(players.series, folds)
+        })
+        train_ex, val_ex = (fold.windows(w, tier, s) for s in ("train", "validation"))
         seed = derive_seed(cv.seed, {**config, "fold": held})
         _, train_err, val_err = train_family(family, config, train_ex, val_ex, seed)
         train_errs.append(train_err)
@@ -469,36 +431,16 @@ def cross_validate(
 
 
 def _assign_folds(series_list: list[PlayerSeries], cv: CvConfig) -> list[int]:
-    """Quantile-bin players on skill, then deal each bin round-robin."""
-    indexed = list(enumerate(series_list))
-
-    def stat(s: PlayerSeries) -> float:
-        return s.avg_score if cv.strat_on == "avg_score" else s.stdev_score
-
-    if cv.strat_on == "none":
-        ranked = sorted(indexed, key=lambda t: t[1].key.canonical_name)
-        n_bins = 1
-    else:
-        ranked = sorted(indexed, key=lambda t: (stat(t[1]), t[1].key.canonical_name))
-        n_bins = min(cv.n_bins, len(series_list))
-    edges = [round(i * len(ranked) / n_bins) for i in range(n_bins + 1)]
-    folds = [0] * len(series_list)
-    cursor = 0  # continues across bins so every fold stays populated
-    for b in range(n_bins):
-        bin_items = ranked[edges[b] : edges[b + 1]]
-        bin_items.sort(key=lambda t: stable_hash(cv.seed, t[1].key.canonical_name))
-        for idx, _series in bin_items:
-            folds[idx] = cursor % cv.k
-            cursor += 1
-    return folds
+    """Quantile-bin players on skill, then deal the bins round-robin."""
+    bins = stratified_bins(series_list, cv.n_bins, cv.strat_on, cv.seed)
+    # Dealing continues across bins so every fold stays populated.
+    dealt = itertools.chain.from_iterable(bins)
+    fold = {s.key: i % cv.k for i, s in enumerate(dealt)}
+    return [fold[s.key] for s in series_list]
 
 
 def select_final(
-    results: list[TrialResult],
-    series_list: list[PlayerSeries],
-    strengths,
-    splits: SplitAssignment,
-    flip_difficulty: bool = False,
+    results: list[TrialResult], players: Players
 ) -> tuple[TrialResult, FittedTrial]:
     """Retrain the lowest-validation-MSE configuration (with its stored
     trial seed) and score the holdout split exactly once."""
@@ -506,11 +448,9 @@ def select_final(
     if not succeeded:
         raise ValueError("no successful trials to select from")
     best = min(succeeded, key=lambda r: r.val_mse)
-    w = int(best.config.get("w", 3))
-    tier = FeatureTier(best.config.get("tier", "ptsonly"))
+    w, tier = _window_spec(best.config)
     train_ex, val_ex, test_ex = (
-        split_windows(series_list, strengths, w, tier, flip_difficulty, splits, s)
-        for s in ("train", "validation", "test")
+        players.windows(w, tier, s) for s in ("train", "validation", "test")
     )
     fitted, train_err, val_err = train_family(
         best.family, best.config, train_ex, val_ex, best.seed

@@ -390,7 +390,7 @@ def test_criterion_8_real_data_reproduction_soft():
     if not strengths_path.exists():
         pytest.skip(f"criterion 8: missing {strengths_path}")
 
-    from fplcast.dataset import SplitAssignment
+    from fplcast.dataset import Players
     from fplcast.harness import select_final, sliding_design, run_grid, GridSpec
     from fplcast.ingest import GameweekTable, canonicalize_name, drop_benched
 
@@ -405,15 +405,15 @@ def test_criterion_8_real_data_reproduction_soft():
     deviations = []
     for position in Position.ordered():
         series = [s for s in build_series(rows) if s.key.position == position]
-        splits = assign_splits(series, seed=8)
+        players = Players(series, strengths, assign_splits(series, seed=8).assignments)
         for family, config in (
             ("ridge", DESK_RIDGE),
             ("gbm", {"w": 3, "tier": "full"}),
             ("cnn", DESK_CNN),
         ):
             grid = GridSpec(family=family, axes={"w": [3, 6, 9]}, fixed=config)
-            results = run_grid(grid, series, strengths, splits, seed=8)
-            final, fitted = select_final(results, series, strengths, splits)
+            results = run_grid(grid, players, seed=8)
+            final, fitted = select_final(results, players)
             paper = PAPER_HOLDOUT_MSE[family][position.value]
             ratio = final.test_mse / paper
             flag = "" if 0.8 <= ratio <= 1.2 else "  [outside +-20%]"

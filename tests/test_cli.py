@@ -663,6 +663,7 @@ def _argv(command, family, files, out):
         "train": ["train", *data, "--splits", files["splits"], "--family", family],
         "gridsearch": ["gridsearch", *data, "--splits", files["splits"],
                        "--family", family],
+        "cv": ["cv", *data, "--family", family],
         "evaluate": ["evaluate", "--model", files[family], *data,
                      "--splits", files["splits"], "--split", "validation"],
         "rank": ["rank", "--model", files[family], *data, "--gameweek", "6"],
@@ -819,6 +820,45 @@ class TestConfigChecks:
         _assert_one_error_line(err)
         assert err.startswith("error:config:") and named in err
         assert not (tmp_path / "o").exists()
+
+    # (config keys, the command that uses them, what the error names):
+    # well-typed counts that no run can use.
+    BAD_COUNTS = [
+        ({"n_bins": 0}, "split", "n_bins"),
+        ({"n_bins": -1}, "split", "n_bins"),
+        ({"cv_bins": 0}, "cv", "n_bins"),
+        ({"top_k": 0}, "gridsearch", "top-k"),
+        ({"top_k": -1}, "gridsearch", "top-k"),
+        ({"extreme_k": -1}, "evaluate", "k=-1"),
+    ]
+
+    @staticmethod
+    def with_config(files, path, keys):
+        """`files` with a config that also sets `keys`, written to `path`."""
+        with open(files["config"], encoding="utf-8") as fh:
+            path.write_text(json.dumps({**json.load(fh), **keys}), encoding="utf-8")
+        return {**files, "config": str(path)}
+
+    @pytest.mark.parametrize(
+        "keys, command, named", BAD_COUNTS, ids=[json.dumps(k) for k, _, _ in BAD_COUNTS]
+    )
+    def test_unusable_count_is_one_error_line(
+        self, tiny_season, tmp_path, capsys, keys, command, named
+    ):
+        _, files = tiny_season
+        files = self.with_config(files, tmp_path / "cfg.json", keys)
+        capsys.readouterr()
+        assert main(_argv(command, "ridge", files, tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert named in err
+
+    def test_extreme_k_zero_writes_only_the_header(self, tiny_season, tmp_path):
+        _, files = tiny_season
+        files = self.with_config(files, tmp_path / "cfg.json", {"extreme_k": 0})
+        assert main(_argv("evaluate", "ridge", files, tmp_path / "o")) == 0
+        extremes = tmp_path / "o" / "extremes_ridge_MID_validation.csv"
+        assert extremes.read_text() == "kind,true,predicted,squared_error,d,points_history\n"
 
     def test_int_stands_for_a_float(self, tiny_season, tmp_path):
         _, files = tiny_season

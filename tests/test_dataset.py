@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fplcast.dataset import (
     FeatureTier,
+    Players,
     PlayerSeries,
     WindowSet,
     apply_scaler,
@@ -13,6 +16,7 @@ from fplcast.dataset import (
     fit_scaler,
     generate_synthetic_season,
     sliding_average,
+    stratified_bins,
 )
 from fplcast.harness import sliding_design, windowed_batch
 from fplcast.ingest import (
@@ -139,6 +143,49 @@ def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
     assert a.tobytes() == b.tobytes()
+
+
+# One synthetic season's series, shared by the window-selection property.
+_SEASON_ROWS, _STRENGTHS = generate_synthetic_season(seed=5, n_players=24, n_weeks=8)
+_SEASON_SERIES = build_series(_SEASON_ROWS)
+
+
+class TestPlayersWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["train", "validation", "test", None]),
+            min_size=len(_SEASON_SERIES), max_size=len(_SEASON_SERIES),
+        ),
+        st.integers(1, 4),
+        st.sampled_from(list(FeatureTier)),
+        st.sampled_from(["train", "validation", "test"]),
+        st.booleans(),
+    )
+    def test_split_is_a_row_selection_of_every_window(self, labels, w, tier, split, flip):
+        """A split's windows are the windows of every player with the other
+        players' rows dropped, in order, under either difficulty sign."""
+        split_map = {s.key: label for s, label in zip(_SEASON_SERIES, labels) if label}
+        players = Players(_SEASON_SERIES, _STRENGTHS, split_map, flip)
+        every = players.windows(w, tier)
+        picked = players.windows(w, tier, split)
+        expected = every.take([split_map.get(key) == split for key in every.players])
+        assert picked.players == expected.players
+        for name in ("X", "d", "y", "target_gameweek"):
+            _same_bits(getattr(picked, name), getattr(expected, name))
+
+    def test_every_window_under_either_sign(self):
+        tier = FeatureTier.PTSONLY
+        whole = concat_windows(
+            [build_windows(s, 3, tier, _STRENGTHS) for s in _SEASON_SERIES]
+        )
+        _same_bits(Players(_SEASON_SERIES, _STRENGTHS).windows(3, tier).d, whole.d)
+        flipped = Players(_SEASON_SERIES, _STRENGTHS, flip_difficulty=True)
+        _same_bits(flipped.windows(3, tier).d, -whole.d)
+
+    def test_split_needs_a_split_map(self):
+        with pytest.raises(ValueError):
+            Players(_SEASON_SERIES, _STRENGTHS).windows(3, FeatureTier.PTSONLY, "train")
 
 
 class TestColumnarOracle:
@@ -302,6 +349,39 @@ class TestAssignSplits:
             1 for p in players if before[p.key] != after[p.key]
         )
         assert moved <= 3
+
+
+class TestStratifiedBins:
+    def players(self, n):
+        return [_player(f"player {i:02d}", [i % 7, 2, i % 3]) for i in range(n)]
+
+    @pytest.mark.parametrize("strat_on", ["avg_score", "stdev_score", "none"])
+    def test_bins_partition_the_players(self, strat_on):
+        players = self.players(11)
+        bins = stratified_bins(players, 3, strat_on, seed=1)
+        assert len(bins) == (1 if strat_on == "none" else 3)
+        assert sorted(s.key.canonical_name for b in bins for s in b) == sorted(
+            s.key.canonical_name for s in players
+        )
+
+    def test_bins_rank_by_the_statistic(self):
+        bins = stratified_bins(self.players(12), 3, "avg_score", seed=1)
+        means = [[s.avg_score for s in b] for b in bins]
+        assert max(means[0]) <= min(means[1]) and max(means[1]) <= min(means[2])
+
+    def test_bin_count_clamped_to_players(self):
+        assert len(stratified_bins(self.players(3), 9, "avg_score", seed=0)) == 3
+
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    def test_fewer_than_one_bin_rejected(self, n_bins):
+        with pytest.raises(ValueError, match="n_bins"):
+            stratified_bins(self.players(5), n_bins, "avg_score", seed=0)
+        with pytest.raises(ValueError, match="n_bins"):
+            assign_splits(self.players(5), n_bins=n_bins)
+
+    def test_unknown_statistic_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            stratified_bins(self.players(5), 2, "bogus", seed=0)
 
 
 class TestScaler:

@@ -185,6 +185,15 @@ class TestExtremeExamples:
         with pytest.raises(ValueError):
             extreme_examples(_example(1), [1.0], 2)
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            extreme_examples(_example(1), [1.0], -1)
+
+    def test_k_zero_lists_nothing(self):
+        examples = concat_windows([_example(1), _example(2), _example(9)])
+        result = extreme_examples(examples, [1.0, 1.0, 1.0], 0)
+        assert result.worst == [] and result.best == []
+
     def test_records_window_points_and_difficulty(self):
         [entry] = extreme_examples(
             _example(4, d=-2, points=(2.0, 3.0, 2.0)), [4.0], 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fplcast.dataset import FeatureTier, build_series, generate_synthetic_season
+from fplcast.dataset import FeatureTier, Players, build_series, generate_synthetic_season
 from fplcast.gbm import (
     FeatureBudgetError,
     GbmHyperparams,
@@ -24,7 +24,7 @@ from fplcast.gbm import (
     _leaf_value,
     _score,
 )
-from fplcast.harness import sliding_design, split_windows
+from fplcast.harness import sliding_design
 from fplcast.ingest import Position
 from fplcast.serialize import ModelContext, read_gbm, write_gbm
 
@@ -347,7 +347,7 @@ class TestPresortedSplitSearch:
     def test_full_tier_season_design_equals_oracle(self):
         rows, strengths = generate_synthetic_season(seed=5, n_players=60, n_weeks=20)
         series = [s for s in build_series(rows) if s.key.position == Position.MID]
-        X, y = sliding_design(split_windows(series, strengths, 3, FeatureTier.FULL))
+        X, y = sliding_design(Players(series, strengths).windows(3, FeatureTier.FULL))
         assert X.shape[1] == 19
         hp = GbmHyperparams(n_trees=5, min_data_in_leaf=20, lambda_l2=1.0)
         model = fit_gbm(X, y, hp)
@@ -712,7 +712,7 @@ class TestShapley:
     def test_equals_enumeration_oracle_on_a_12_feature_season_design(self):
         rows, strengths = generate_synthetic_season(seed=5, n_players=60, n_weeks=20)
         series = [s for s in build_series(rows) if s.key.position == Position.MID]
-        X, y = sliding_design(split_windows(series, strengths, 3, FeatureTier.FULL))
+        X, y = sliding_design(Players(series, strengths).windows(3, FeatureTier.FULL))
         X = X[:, list(range(11)) + [18]]  # full[:11] and difficulty
         model = fit_gbm(X, y)
         assert sum(len(t.split_gains) for t in model.trees) > 0

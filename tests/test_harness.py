@@ -5,6 +5,7 @@ import pytest
 
 from fplcast.dataset import (
     FeatureTier,
+    Players,
     assign_splits,
     build_series,
     build_windows,
@@ -18,7 +19,6 @@ from fplcast.harness import (
     derive_seed,
     run_grid,
     select_final,
-    split_windows,
     top_k_summary,
     train_family,
 )
@@ -32,6 +32,12 @@ def mid_setup(mid_series, small_season):
     _, strengths = small_season
     splits = assign_splits(mid_series, seed=3)
     return mid_series, strengths, splits
+
+
+@pytest.fixture
+def mid_players(mid_setup):
+    series, strengths, splits = mid_setup
+    return Players(series, strengths, splits.assignments)
 
 
 class TestGridSpec:
@@ -56,37 +62,33 @@ class TestGridSpec:
 
 
 class TestRunGrid:
-    def test_one_trial_per_configuration(self, mid_setup):
-        series, strengths, splits = mid_setup
-        results = run_grid(RIDGE_GRID, series, strengths, splits, seed=1)
+    def test_one_trial_per_configuration(self, mid_players):
+        results = run_grid(RIDGE_GRID, mid_players, seed=1)
         assert len(results) == 4
         assert all(r.error is None for r in results)
         assert all(r.val_mse is not None for r in results)
 
-    def test_sorted_by_validation_mse(self, mid_setup):
-        series, strengths, splits = mid_setup
-        results = run_grid(RIDGE_GRID, series, strengths, splits, seed=1)
+    def test_sorted_by_validation_mse(self, mid_players):
+        results = run_grid(RIDGE_GRID, mid_players, seed=1)
         vals = [r.val_mse for r in results]
         assert vals == sorted(vals)
 
-    def test_infeasible_kernel_recorded_not_fatal(self, mid_setup):
-        series, strengths, splits = mid_setup
+    def test_infeasible_kernel_recorded_not_fatal(self, mid_players):
         grid = GridSpec(
             family="cnn",
             axes={"k": [1, 2], "w": [1]},
             fixed={"epochs": 2, "filters": 2, "hidden": 2},
         )
-        results = run_grid(grid, series, strengths, splits, seed=2)
+        results = run_grid(grid, mid_players, seed=2)
         failed = [r for r in results if r.error is not None]
         ok = [r for r in results if r.error is None]
         assert len(failed) == 1 and len(ok) == 1
         assert "kernel" in failed[0].error
         assert results[-1].error is not None  # failures sort last
 
-    def test_deterministic_rerun(self, mid_setup):
-        series, strengths, splits = mid_setup
-        a = run_grid(RIDGE_GRID, series, strengths, splits, seed=5)
-        b = run_grid(RIDGE_GRID, series, strengths, splits, seed=5)
+    def test_deterministic_rerun(self, mid_players):
+        a = run_grid(RIDGE_GRID, mid_players, seed=5)
+        b = run_grid(RIDGE_GRID, mid_players, seed=5)
         assert [r.config for r in a] == [r.config for r in b]
         assert [r.val_mse for r in a] == pytest.approx(
             [r.val_mse for r in b], abs=1e-12
@@ -100,13 +102,16 @@ class TestRunGrid:
         assert derive_seed(seed, touched) != derive_seed(seed, other)
 
 
-class TestSplitWindows:
+class TestPlayersWindows:
     def test_flip_negates_copies(self, mid_setup):
         series, strengths, splits = mid_setup
-        args = (series, strengths, 3, FeatureTier.PTSONLY)
-        plain = split_windows(*args, splits=splits, split="train")
+        args = (series, strengths, splits.assignments)
+        plain = Players(*args).windows(3, FeatureTier.PTSONLY, "train")
         before = list(plain.d)
-        flipped = [split_windows(*args, True, splits, "train") for _ in range(2)]
+        flipped = [
+            Players(*args, flip_difficulty=True).windows(3, FeatureTier.PTSONLY, "train")
+            for _ in range(2)
+        ]
         assert any(before)
         assert {splits.assignments[p] for p in plain.players} == {"train"}
         for run in flipped:
@@ -142,6 +147,11 @@ class TestTopKSummary:
         with pytest.raises(ValueError):
             top_k_summary(results, 2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="top-k"):
+            top_k_summary([trial(1.0), trial(2.0)], k)
+
 
 class TestCrossValidate:
     def test_every_player_in_one_fold(self, mid_series, small_season):
@@ -158,11 +168,27 @@ class TestCrossValidate:
         cv = CvConfig(k=4, seed=2)
         assert _assign_folds(mid_series, cv) == _assign_folds(mid_series, cv)
 
+    @pytest.mark.parametrize(
+        "cv", [CvConfig(strat_on="bogus"), CvConfig(n_bins=0)], ids=["strat_on", "n_bins"],
+    )
+    def test_bad_binning_rejected(self, mid_series, small_season, cv):
+        _, strengths = small_season
+        with pytest.raises(ValueError):
+            cross_validate("ridge", {"lambda": 1.0}, Players(mid_series, strengths), cv)
+
+    def test_folds_ignore_the_split_map(self, mid_players):
+        cv = CvConfig(k=3, seed=4)
+        config = {"lambda": 1.0, "w": 3}
+        unsplit = Players(mid_players.series, mid_players.strengths)
+        assert cross_validate("ridge", config, mid_players, cv) == cross_validate(
+            "ridge", config, unsplit, cv
+        )
+
     def test_two_fold_symmetric_run(self, mid_series, small_season):
         _, strengths = small_season
         cv = CvConfig(k=2, seed=3)
         train_err, val_err = cross_validate(
-            "ridge", {"lambda": 1.0, "w": 3}, mid_series, strengths, cv
+            "ridge", {"lambda": 1.0, "w": 3}, Players(mid_series, strengths), cv
         )
         assert np.isfinite(train_err) and np.isfinite(val_err)
         # Same data family on both folds: errors in the same ballpark.
@@ -172,33 +198,31 @@ class TestCrossValidate:
         _, strengths = small_season
         with pytest.raises(ValueError):
             cross_validate(
-                "ridge", {"lambda": 1.0}, mid_series[:3], strengths, CvConfig(k=5)
+                "ridge", {"lambda": 1.0}, Players(mid_series[:3], strengths),
+                CvConfig(k=5),
             )
 
 
 class TestSelectFinal:
-    def test_single_trial_selected_with_test_mse(self, mid_setup):
-        series, strengths, splits = mid_setup
+    def test_single_trial_selected_with_test_mse(self, mid_players):
         grid = GridSpec(family="ridge", axes={"lambda": [1.0]}, fixed={"w": 3})
-        results = run_grid(grid, series, strengths, splits, seed=4)
-        final, fitted = select_final(results, series, strengths, splits)
+        results = run_grid(grid, mid_players, seed=4)
+        final, fitted = select_final(results, mid_players)
         assert final.test_mse is not None and np.isfinite(final.test_mse)
         assert final.config == results[0].config
 
-    def test_selection_is_argmin_of_val(self, mid_setup):
-        series, strengths, splits = mid_setup
-        results = run_grid(RIDGE_GRID, series, strengths, splits, seed=5)
-        final, _ = select_final(results, series, strengths, splits)
+    def test_selection_is_argmin_of_val(self, mid_players):
+        results = run_grid(RIDGE_GRID, mid_players, seed=5)
+        final, _ = select_final(results, mid_players)
         best = min(r.val_mse for r in results if r.error is None)
         assert final.config == next(
             r.config for r in results if r.val_mse == best
         )
 
-    def test_no_successful_trials(self, mid_setup):
-        series, strengths, splits = mid_setup
+    def test_no_successful_trials(self, mid_players):
         failed = [trial(None, error="kernel 2 exceeds window 1")]
         with pytest.raises(ValueError):
-            select_final(failed, series, strengths, splits)
+            select_final(failed, mid_players)
 
     def test_holdout_untouched_during_search(self, mid_series, small_season):
         """Poison the test players' rows so that merely building their
@@ -212,10 +236,11 @@ class TestSelectFinal:
                     s, table=s.table.replace(opponent=["ghost town fc"] * len(s.table))
                 )
             poisoned.append(s)
-        results = run_grid(RIDGE_GRID, poisoned, strengths, splits, seed=6)
+        players = Players(poisoned, strengths, splits.assignments)
+        results = run_grid(RIDGE_GRID, players, seed=6)
         assert all(r.error is None for r in results)
         with pytest.raises((KeyError, TeamLookupError)):
-            select_final(results, poisoned, strengths, splits)
+            select_final(results, players)
 
 
 class TestTrainFamilyContract:
