@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -318,12 +319,10 @@ def cmd_synth(args, config) -> int:
         seed=config["seed"], n_players=args.players, n_weeks=args.weeks
     )
     _write(out / "synthetic_gameweeks.csv", ser.write_raw_csv(rows))
-    strength_lines = ["season,team,strength"]
-    for team in sorted(strengths.entries):
-        strength_lines.append(
-            ser.csv_line([strengths.season, team, strengths.entries[team]])
-        )
-    _write(out / "synthetic_strengths.csv", "\n".join(strength_lines) + "\n")
+    _write(out / "synthetic_strengths.csv", ser.write_table("season,team,strength", (
+        [strengths.season, team, strengths.entries[team]]
+        for team in sorted(strengths.entries)
+    )))
     _log(out, f"synth players={args.players} weeks={args.weeks} seed={config['seed']}")
     print(f"wrote {len(rows)} synthetic rows -> {out}")
     return 0
@@ -474,15 +473,14 @@ def cmd_evaluate(args, config) -> int:
     )
     k = min(int(config["extreme_k"]), len(windows))
     extremes = extreme_examples(windows, predictions, k)
-    lines = ["kind,true,predicted,squared_error,d,points_history"]
-    for kind, entries in (("worst", extremes.worst), ("best", extremes.best)):
-        for y, yhat, err, d, history in entries:
-            lines.append(
-                ser.csv_line(
-                    [kind, y, yhat, err, d, " ".join(ser.fmt_num(p) for p in history)]
-                )
-            )
-    _write(out / f"extremes_{model_id}_{args.split}.csv", "\n".join(lines) + "\n")
+    _write(
+        out / f"extremes_{model_id}_{args.split}.csv",
+        ser.write_table("kind,true,predicted,squared_error,d,points_history", (
+            [kind, y, yhat, err, d, " ".join(map(ser.fmt_num, history))]
+            for kind, entries in (("worst", extremes.worst), ("best", extremes.best))
+            for y, yhat, err, d, history in entries
+        )),
+    )
     rho = "null" if report.spearman is None else f"{report.spearman:.4f}"
     print(
         f"{model_id} on {args.split}: n={report.n} mse={report.mse:.4f} "
@@ -494,6 +492,8 @@ def cmd_evaluate(args, config) -> int:
 
 def cmd_gridsearch(args, config) -> int:
     family = args.family
+    if config["top_k"] < 1:
+        raise CliError("data", f"top-k size must be >= 1, got {config['top_k']}")
     if config["grid"] is not None:
         # Each axis stands for a config key, and its values are typed like it.
         keys = {"w": "w", "tier": "tier"}
@@ -524,23 +524,15 @@ def cmd_gridsearch(args, config) -> int:
         players = _players(all_series, position, config, strengths, splits)
         results = run_grid(grid, players, seed=config["seed"], position=position)
         axis_names = sorted({k for r in results for k in r.config})
-        lines = [
-            ",".join(
-                [f'"{n}"' for n in axis_names]
-                + ['"train_mse"', '"val_mse"', '"seed"', '"status"', '"reason"']
-            )
-        ]
-        for r in results:
-            cells = [r.config.get(n, "") for n in axis_names]
-            cells += [
-                r.train_mse if r.train_mse is not None else "",
-                r.val_mse if r.val_mse is not None else "",
-                r.seed,
-                "ok" if r.error is None else "failed",
-                r.error or "",
-            ]
-            lines.append(ser.csv_line([c if c is not None else "" for c in cells]))
-        _write(out / f"trials_{family}_{position.value}.csv", "\n".join(lines) + "\n")
+        header = ser.csv_line([*axis_names, "train_mse", "val_mse", "seed", "status", "reason"])
+        trials = (
+            [*(r.config.get(n) for n in axis_names), r.train_mse, r.val_mse, r.seed,
+             "ok" if r.error is None else "failed", r.error]
+            for r in results
+        )
+        # A missing axis, MSE or reason is an empty cell.
+        rows = (["" if c is None else c for c in cells] for cells in trials)
+        _write(out / f"trials_{family}_{position.value}.csv", ser.write_table(header, rows))
 
         succeeded = [r for r in results if r.error is None]
         if not succeeded:
@@ -584,17 +576,20 @@ def cmd_cv(args, config) -> int:
         strat_on=config["strat_on"],
         seed=config["seed"],
     )
-    lines = ["family,position,mean_train_mse,mean_val_mse"]
+    results = []
     all_series = build_series(rows)
     for position in _positions(args.position):
         players = _players(all_series, position, config, strengths)
         train_err, val_err = cross_validate(family, family_config, players, cv)
-        lines.append(ser.csv_line([family, position.value, train_err, val_err]))
+        results.append([family, position.value, train_err, val_err])
         print(
             f"{family}_{position.value} cv: train mse {train_err:.4f}, "
             f"val mse {val_err:.4f}"
         )
-    _write(out / f"cv_{family}.csv", "\n".join(lines) + "\n")
+    _write(
+        out / f"cv_{family}.csv",
+        ser.write_table("family,position,mean_train_mse,mean_val_mse", results),
+    )
     _log(out, f"cv family={family} k={cv.k}")
     return 0
 
@@ -621,20 +616,11 @@ def cmd_rank(args, config) -> int:
         key=lambda i: (-predictions[i], candidates.players[i].canonical_name),
     )
     tied = average_ranks(-np.asarray(predictions))
-    lines = ["rank,player,predicted,tied_rank"]
-    for rank_pos, i in enumerate(order, start=1):
-        lines.append(
-            ser.csv_line(
-                [
-                    rank_pos,
-                    candidates.players[i].canonical_name,
-                    float(predictions[i]),
-                    float(tied[i]),
-                ]
-            )
-        )
     path = out / f"rank_{position.value}_gw{args.gameweek}.csv"
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, ser.write_table("rank,player,predicted,tied_rank", (
+        [rank, candidates.players[i].canonical_name, float(predictions[i]), float(tied[i])]
+        for rank, i in enumerate(order, start=1)
+    )))
     print(f"ranked {len(candidates)} players -> {path}")
     _log(out, f"rank model={args.model} gameweek={args.gameweek}")
     return 0
@@ -687,24 +673,18 @@ def _explain_shapley(args, config, out, loaded):
     A_explain, _ = sliding_design(explain_ex.take([args.example_index]))
     result = shapley_values(model, A_explain[0], background)
     names = model.feature_names or [f"x{j}" for j in range(model.n_features)]
-    lines = ["feature,value,phi"]
-    for name, value, phi in zip(names, A_explain[0], result.phi):
-        lines.append(ser.csv_line([name, float(value), float(phi)]))
-    lines.append(ser.csv_line(["__base_value__", "", result.base_value]))
-    lines.append(
-        ser.csv_line(
-            ["__prediction__", "", result.base_value + float(result.phi.sum())]
-        )
-    )
-    _write(out / f"shapley_{position.value}.csv", "\n".join(lines) + "\n")
+    _write(out / f"shapley_{position.value}.csv", ser.write_table("feature,value,phi", [
+        *([name, float(value), float(phi)]
+          for name, value, phi in zip(names, A_explain[0], result.phi)),
+        ["__base_value__", "", result.base_value],
+        ["__prediction__", "", result.base_value + float(result.phi.sum())],
+    ]))
     imp = split_importance(model)
-    imp_lines = ["feature,splits,percent"]
-    for name, count, pct in zip(names, imp.counts, imp.percentages):
-        imp_lines.append(ser.csv_line([name, int(count), float(pct)]))
-    _write(
-        out / f"split_importance_{position.value}.csv",
-        "\n".join(imp_lines) + "\n",
-    )
+    _write(out / f"split_importance_{position.value}.csv", ser.write_table(
+        "feature,splits,percent",
+        ([name, int(count), float(pct)]
+         for name, count, pct in zip(names, imp.counts, imp.percentages)),
+    ))
     print(f"wrote shapley attribution for example {args.example_index}")
 
 
@@ -734,10 +714,9 @@ def cmd_explain(args, config) -> int:
 def mean_normalized_filter_csv(model, ctx) -> str:
     mean_filter = cnn_mod.mean_normalized_filter(model)
     tier = FeatureTier(ctx.tier)
-    lines = [",".join(['"window_row"'] + [f'"{c}"' for c in tier.columns()])]
-    for r in range(mean_filter.shape[0]):
-        lines.append(ser.csv_line([r] + [float(v) for v in mean_filter[r]]))
-    return "\n".join(lines) + "\n"
+    return ser.write_table(ser.csv_line(["window_row", *tier.columns()]), (
+        [r, *map(float, row)] for r, row in enumerate(mean_filter)
+    ))
 
 
 def cmd_filters(args, config) -> int:
@@ -865,22 +844,34 @@ _CATEGORIES = (
 )
 
 
+def _one_line(message) -> str:
+    """Cell text in a message may hold line breaks; a report is one line."""
+    return " ".join(str(message).splitlines())
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print("warning: " + _one_line(message), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = load_config(args.config, args.seed)
-        return _COMMANDS[args.command](args, config)
-    except (CliError, *(kind for kind, _ in _CATEGORIES)) as exc:
-        if isinstance(exc, CliError):
-            category = exc.category
-        else:
-            category = next(c for kind, c in _CATEGORIES if isinstance(exc, kind))
-        # A KeyError's str() quotes its message; a lookup error shows it bare.
-        message = exc.args[0] if isinstance(exc, TeamLookupError) else str(exc)
-        # Cell text in a message may hold line breaks; the report is one line.
-        print(f"error:{category}: " + " ".join(message.splitlines()), file=sys.stderr)
-        return 1
+    # Each warning the filters let through is one stderr line; the filters
+    # themselves are left as they are.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            config = load_config(args.config, args.seed)
+            return _COMMANDS[args.command](args, config)
+        except (CliError, *(kind for kind, _ in _CATEGORIES)) as exc:
+            if isinstance(exc, CliError):
+                category = exc.category
+            else:
+                category = next(c for kind, c in _CATEGORIES if isinstance(exc, kind))
+            # A KeyError's str() quotes its message; a lookup error shows it bare.
+            message = exc.args[0] if isinstance(exc, TeamLookupError) else str(exc)
+            print(f"error:{category}: " + _one_line(message), file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

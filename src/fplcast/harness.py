@@ -457,9 +457,8 @@ def select_final(
     )
     if not test_ex:
         raise ValueError("holdout split has no examples")
-    fam = FAMILIES[best.family]
-    inputs, y = fam.design(test_ex, fitted.scaler)
-    test_err = mse(y, fam.predict_batch(fitted.model, inputs))
+    predictions = predict(FAMILIES[best.family], fitted.model, fitted.scaler, test_ex)
+    test_err = mse(test_ex.y, predictions)
     final = replace(best, train_mse=train_err, val_mse=val_err, test_mse=test_err)
     return final, fitted
 

@@ -10,6 +10,12 @@ field declared in `_SPLITS_FIELDS`, `_DATASET_FIELDS`, `_RIDGE_FIELDS`,
 `_GBM_FIELDS` or `_CNN_FIELDS`. Readers require every field by name and
 in declared order; only the scaler pair is optional, and then both of its
 lines or neither. Each of these files ends with a newline.
+
+Every CSV table other than the gameweek files (the rows of splits and
+dataset files, and each report table) is written by `write_table`: a
+header line, one `csv_line` per row, a final newline. Their readers take
+the rows through `_table_rows`, which requires the header line and gives
+each row the header's cell count.
 """
 
 from __future__ import annotations
@@ -67,8 +73,28 @@ def csv_line(cells) -> str:
     return ",".join(rendered)
 
 
+def write_table(header: str, rows) -> str:
+    """A CSV table: the header line, one csv_line per row, a final newline."""
+    return "\n".join([header, *map(csv_line, rows)]) + "\n"
+
+
 def _parse_csv_line(line: str) -> list[str]:
     return next(csv.reader(io.StringIO(line)))
+
+
+def _table_rows(lines: list[str], start: int, header: str, what: str):
+    """(line number, cells) of each non-empty line after lines[start],
+    which must be `header`; every row has as many cells as the header."""
+    if lines[start : start + 1] != [header]:
+        raise FormatError(f"{what} lacks its column header")
+    n_cells = len(_parse_csv_line(header))
+    for number, line in enumerate(lines[start + 1 :], start=start + 2):
+        if not line:
+            continue
+        cells = _parse_csv_line(line)
+        if len(cells) != n_cells:
+            raise FormatError(f"line {number}: expected {n_cells} cells, found {len(cells)}")
+        yield number, cells
 
 
 def _format_checked(read):
@@ -265,30 +291,26 @@ _SPLIT_NAMES = ("train", "validation", "test")
 
 
 def write_splits(splits: SplitAssignment) -> str:
-    lines = [MAGIC_SPLITS, *_header_lines(_SPLITS_FIELDS, vars(splits), "# "), _SPLITS_HEADER]
-    for key in sorted(
-        splits.assignments, key=lambda k: (k.canonical_name, k.position.value)
-    ):
-        lines.append(
-            csv_line([key.canonical_name, key.position.value, splits.assignments[key]])
-        )
-    return "\n".join(lines) + "\n"
+    keys = sorted(splits.assignments, key=lambda k: (k.canonical_name, k.position.value))
+    head = [MAGIC_SPLITS, *_header_lines(_SPLITS_FIELDS, vars(splits), "# ")]
+    return "\n".join(head) + "\n" + write_table(_SPLITS_HEADER, (
+        [key.canonical_name, key.position.value, splits.assignments[key]] for key in keys
+    ))
 
 
 @_format_checked
 def read_splits(text: str) -> SplitAssignment:
     lines = _file_lines(text, MAGIC_SPLITS, "splits file")
     meta, body_start = _read_header(lines, 1, _SPLITS_FIELDS, "# ")
-    if lines[body_start : body_start + 1] != [_SPLITS_HEADER]:
-        raise FormatError(f"splits file lacks its column header {_SPLITS_HEADER!r}")
     assignments = {}
-    for line in lines[body_start + 1 :]:
-        if not line:
-            continue
-        name, pos, split = _parse_csv_line(line)
+    rows = _table_rows(lines, body_start, _SPLITS_HEADER, "splits file")
+    for number, (name, pos, split) in rows:
         if split not in _SPLIT_NAMES:
             raise FormatError(f"unknown split {split!r} for player {name!r}")
-        assignments[CanonicalPlayerKey(name, Position(pos))] = split
+        key = CanonicalPlayerKey(name, Position(pos))
+        if key in assignments:
+            raise FormatError(f"line {number}: player {name!r} ({pos}) is assigned twice")
+        assignments[key] = split
     if not assignments:
         raise FormatError("splits file assigns no players")
     meta["fractions"] = tuple(meta["fractions"].tolist())
@@ -331,23 +353,16 @@ def _dataset_columns(header: DatasetHeader) -> str:
 def write_dataset(header: DatasetHeader, windows: WindowSet) -> str:
     """One row per window: the window itself, or for a sliding header its
     per-feature means."""
-    lines = [
-        MAGIC_DATASET,
-        *_header_lines(_DATASET_FIELDS, vars(header), "# "),
-        _dataset_columns(header),
-    ]
+    head = [MAGIC_DATASET, *_header_lines(_DATASET_FIELDS, vars(header), "# ")]
     windowed = header.representation == "windowed"
-    for player, gameweek, d, y, values in zip(
-        windows.players, windows.target_gameweek, windows.d, windows.y,
-        windows.X if windowed else sliding_average(windows),
-    ):
-        lines.append(
-            csv_line(
-                [player.canonical_name, player.position.value, gameweek, d, y]
-                + [float(v) for v in values.ravel()]
-            )
+    return "\n".join(head) + "\n" + write_table(_dataset_columns(header), (
+        [player.canonical_name, player.position.value, gameweek, d, y]
+        + [float(v) for v in values.ravel()]
+        for player, gameweek, d, y, values in zip(
+            windows.players, windows.target_gameweek, windows.d, windows.y,
+            windows.X if windowed else sliding_average(windows),
         )
-    return "\n".join(lines) + "\n"
+    ))
 
 
 @_format_checked
@@ -361,19 +376,10 @@ def read_dataset(text: str) -> tuple[DatasetHeader, WindowSet]:
     header = DatasetHeader(**meta)
     if header.representation not in ("windowed", "sliding"):
         raise FormatError(f"unknown representation {header.representation!r}")
-    if lines[body_start : body_start + 1] != [_dataset_columns(header)]:
-        raise FormatError("dataset file lacks its column header")
     w = header.w if header.representation == "windowed" else 1
     f = len(header.features)
     players, ints, values = [], [], []
-    for i, line in enumerate(lines[body_start + 1 :], start=body_start + 2):
-        if not line:
-            continue
-        cells = _parse_csv_line(line)
-        if len(cells) != 5 + w * f:
-            raise FormatError(
-                f"line {i}: expected {5 + w * f} cells, found {len(cells)}"
-            )
+    for _, cells in _table_rows(lines, body_start, _dataset_columns(header), "dataset file"):
         players.append(CanonicalPlayerKey(cells[0], Position(cells[1])))
         ints.append([int(c) for c in cells[2:5]])
         values.append([float(v) for v in cells[5:]])
@@ -643,84 +649,37 @@ def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
 
 
 def write_learning_curve(curve: LearningCurve) -> str:
-    lines = ["epoch,train_cost,train_mse,val_mse"]
-    for epoch, (c, tm, vm) in enumerate(
-        zip(curve.train_cost, curve.train_mse, curve.val_mse)
-    ):
-        lines.append(csv_line([epoch, c, tm, vm]))
-    lines.append(csv_line(["best_epoch", curve.best_epoch, "", ""]))
-    return "\n".join(lines) + "\n"
+    rows = [
+        [epoch, *costs]
+        for epoch, costs in enumerate(zip(curve.train_cost, curve.train_mse, curve.val_mse))
+    ]
+    rows.append(["best_epoch", curve.best_epoch, "", ""])
+    return write_table("epoch,train_cost,train_mse,val_mse", rows)
 
 
 def write_reports_csv(reports: list[EvalReport]) -> str:
-    lines = ["model,position,split,n,mse,spearman"]
-    for r in reports:
-        lines.append(
-            csv_line(
-                [
-                    r.model_id,
-                    r.position.value,
-                    r.split,
-                    r.n,
-                    r.mse,
-                    r.spearman if r.spearman is not None else "null",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_mse_table(cells: dict[str, dict[str, float]], models: list[str]) -> str:
-    """Positions-by-models MSE table with an AVG row (holdout layout)."""
-    lines = [",".join(['"position"'] + [f'"{m}"' for m in models])]
-    position_order = [p.value for p in Position.ordered()]
-    for pos in position_order:
-        row = [pos] + [cells[m].get(pos, float("nan")) for m in models]
-        lines.append(csv_line(row))
-    avg = [
-        "AVG",
-        *[
-            float(np.mean([cells[m][p] for p in position_order if p in cells[m]]))
-            for m in models
-        ],
-    ]
-    lines.append(csv_line(avg))
-    return "\n".join(lines) + "\n"
-
-
-def write_spearman_table(cells: dict[str, dict[str, float | None]], models: list[str]) -> str:
-    """Models-by-positions Spearman table (ranking layout)."""
-    position_order = [p.value for p in Position.ordered()]
-    lines = [",".join(['"model"'] + [f'"{p}"' for p in position_order])]
-    for m in models:
-        row: list = [m]
-        for p in position_order:
-            value = cells[m].get(p)
-            row.append("null" if value is None else value)
-        lines.append(csv_line(row))
-    return "\n".join(lines) + "\n"
+    return write_table("model,position,split,n,mse,spearman", (
+        [r.model_id, r.position.value, r.split, r.n, r.mse,
+         "null" if r.spearman is None else r.spearman]
+        for r in reports
+    ))
 
 
 def write_coefficient_table(
     positions: list[str], features: list[str], coef: np.ndarray, intercepts: np.ndarray
 ) -> str:
-    lines = [",".join(['"position"'] + [f'"{f}"' for f in features] + ['"intercept"'])]
-    for i, pos in enumerate(positions):
-        lines.append(csv_line([pos] + [float(v) for v in coef[i]] + [float(intercepts[i])]))
-    return "\n".join(lines) + "\n"
+    return write_table(csv_line(["position", *features, "intercept"]), (
+        [pos, *map(float, coef[i]), float(intercepts[i])] for i, pos in enumerate(positions)
+    ))
 
 
 @_format_checked
 def read_coefficient_table(text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     _require_final_newline(text, "coefficient table")
     lines = [l for l in text.splitlines() if l]
-    header = _parse_csv_line(lines[0])
-    features = header[1:-1]
+    features = _parse_csv_line(lines[0])[1:-1]
     positions, coef_rows, intercepts = [], [], []
-    for line in lines[1:]:
-        cells = _parse_csv_line(line)
-        if len(cells) != len(header):
-            raise FormatError(f"expected {len(header)} cells, found {len(cells)}")
+    for _, cells in _table_rows(lines, 0, lines[0], "coefficient table"):
         positions.append(cells[0])
         coef_rows.append([float(v) for v in cells[1:-1]])
         intercepts.append(float(cells[-1]))
@@ -731,35 +690,23 @@ _PREDICTIONS_HEADER = "true,predicted,player,gameweek,position"
 
 
 def write_predictions_csv(records: list[dict]) -> str:
-    lines = [_PREDICTIONS_HEADER]
-    for r in records:
-        lines.append(
-            csv_line(
-                [r["true"], r["predicted"], r["player"], r["gameweek"], r["position"]]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return write_table(_PREDICTIONS_HEADER, (
+        [r["true"], r["predicted"], r["player"], r["gameweek"], r["position"]]
+        for r in records
+    ))
 
 
 @_format_checked
 def read_predictions_csv(text: str) -> list[dict]:
-    lines = text.splitlines()
-    if not lines or lines[0] != _PREDICTIONS_HEADER:
-        raise FormatError("not a predictions file (unexpected header)")
-    records = []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = _parse_csv_line(line)
-        if len(cells) != 5:
-            raise FormatError(f"line {number}: expected 5 cells, found {len(cells)}")
-        records.append(
-            {
-                "true": _finite(cells[0], number, "true"),
-                "predicted": _finite(cells[1], number, "predicted"),
-                "player": cells[2],
-                "gameweek": int(cells[3]),
-                "position": Position(cells[4]).value,
-            }
+    return [
+        {
+            "true": _finite(cells[0], number, "true"),
+            "predicted": _finite(cells[1], number, "predicted"),
+            "player": cells[2],
+            "gameweek": int(cells[3]),
+            "position": Position(cells[4]).value,
+        }
+        for number, cells in _table_rows(
+            text.splitlines(), 0, _PREDICTIONS_HEADER, "predictions file"
         )
-    return records
+    ]

@@ -358,6 +358,21 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:format:") and err.count("\n") == 1
 
+    def test_player_assigned_twice_is_a_format_error(self, tiny_season, tmp_path, capsys):
+        _, files = tiny_season
+        text = open(files["splits"], encoding="utf-8").read()
+        name, position, split = text.splitlines()[-1].split(",")
+        other = '"train"' if split != '"train"' else '"test"'
+        twice = tmp_path / "splits_twice.csv"
+        twice.write_text(text + f"{name},{position},{other}\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = _argv("evaluate", "ridge", {**files, "splits": str(twice)}, tmp_path / "o")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:format:") and name.strip('"') in err
+        assert not list((tmp_path / "o").glob("eval_*.csv"))
+
 
 class TestRankCommand:
     def test_descending_with_alphabetical_ties(self, tmp_path):
@@ -852,6 +867,8 @@ class TestConfigChecks:
         err = capsys.readouterr().err
         _assert_one_error_line(err)
         assert named in err
+        # The count is checked before any trial runs.
+        assert not list((tmp_path / "o").glob("trials_*.csv"))
 
     def test_extreme_k_zero_writes_only_the_header(self, tiny_season, tmp_path):
         _, files = tiny_season
@@ -904,6 +921,18 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=8,
 )
+
+
+class TestWarnings:
+    def test_each_warning_is_one_stderr_line(self, tiny_season, tmp_path, capsys):
+        _, files = tiny_season
+        files = TestConfigChecks.with_config(files, tmp_path / "cfg.json", {"n_bins": 50})
+        capsys.readouterr()
+        assert main(_argv("split", "ridge", files, tmp_path / "o")) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"warning: n_bins=50 exceeds player count \d+; clamping\n", err), err
+        # The header keeps the requested count; each position clamps its own.
+        assert "# n_bins 50\n" in (tmp_path / "o" / "splits.csv").read_text()
 
 
 class TestAnyConfig:

@@ -28,6 +28,7 @@ from fplcast.ingest import (
 from fplcast.serialize import (
     DatasetHeader,
     FormatError,
+    _table_rows,
     csv_line,
     fmt_num,
     read_cleaned_csv,
@@ -39,12 +40,11 @@ from fplcast.serialize import (
     write_coefficient_table,
     write_dataset,
     write_learning_curve,
-    write_mse_table,
     write_predictions_csv,
     write_raw_csv,
     write_reports_csv,
-    write_spearman_table,
     write_splits,
+    write_table,
 )
 
 from conftest import assert_tables_equal
@@ -65,6 +65,40 @@ class TestNumberFormatting:
     def test_csv_line_quotes_text_only(self):
         assert csv_line(["a,b", 1, 2.5]) == '"a,b",1,2.5'
         assert csv_line(['say "hi"']) == '"say ""hi"""'
+
+
+# Text without line breaks: quotes, commas and non-ASCII letters.
+_TABLE_TEXT = st.text(alphabet='ab "\',éøŁß中', max_size=8) | st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=6
+)
+
+
+class TestTables:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_come_back_as_their_csv_line_cells(self, data):
+        n = data.draw(st.integers(1, 5))
+        if data.draw(st.booleans()):
+            header = csv_line(data.draw(st.lists(_TABLE_TEXT, min_size=n, max_size=n)))
+        else:
+            header = ",".join(data.draw(st.lists(
+                st.from_regex(r"[a-z_]{1,8}", fullmatch=True), min_size=n, max_size=n
+            )))
+        cell = _TABLE_TEXT | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+        rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), max_size=5))
+        text = write_table(header, rows)
+        assert text.endswith("\n") and text.splitlines()[0] == header
+        assert list(_table_rows(text.splitlines(), 0, header, "table")) == [
+            (number, [c if isinstance(c, str) else fmt_num(c) for c in row])
+            for number, row in enumerate(rows, start=2)
+        ]
+
+    def test_header_and_cell_count_are_required(self):
+        lines = write_table("a,b", [[1, "x"], [2.5, "y", 3]]).splitlines()
+        with pytest.raises(FormatError, match="column header"):
+            list(_table_rows(lines, 0, "a,c", "table"))
+        with pytest.raises(FormatError, match="line 3: expected 2 cells, found 3"):
+            list(_table_rows(lines, 0, "a,b", "table"))
 
 
 @pytest.fixture
@@ -241,23 +275,6 @@ class TestReportWriters:
         text = write_reports_csv([report])
         assert '"null"' in text
 
-    def test_mse_table_has_avg_row(self):
-        cells = {
-            "ridge": {"GK": 6.0, "DEF": 7.0, "MID": 6.0, "FWD": 7.0},
-            "cnn": {"GK": 5.0, "DEF": 6.0, "MID": 6.0, "FWD": 6.0},
-        }
-        text = write_mse_table(cells, ["ridge", "cnn"])
-        lines = text.splitlines()
-        assert lines[0] == '"position","ridge","cnn"'
-        assert lines[1].startswith('"GK"')
-        assert lines[-1].startswith('"AVG",6.5,5.75')
-
-    def test_spearman_table_positions_as_columns(self):
-        cells = {"cnn": {"GK": 0.7, "DEF": 0.57, "MID": 0.58, "FWD": None}}
-        lines = write_spearman_table(cells, ["cnn"]).splitlines()
-        assert lines[0] == '"model","GK","DEF","MID","FWD"'
-        assert lines[1].endswith('"null"')
-
 
 @pytest.fixture(scope="module")
 def fitted_models():
@@ -412,6 +429,13 @@ class TestModelFileTruncation:
             read_splits("".join(lines[:header] + lines[header + 1 :]))
         with pytest.raises(FormatError, match="no players"):
             read_splits("".join(lines[: header + 1]))
+
+    def test_a_player_assigned_twice_is_a_format_error(self, data_files):
+        _, _, text = data_files["splits"]
+        name, position, split = text.splitlines()[-1].split(",")
+        other = '"train"' if split != '"train"' else '"test"'
+        with pytest.raises(FormatError, match=f"player '{name[1:-1]}'.*twice"):
+            read_splits(text + f"{name},{position},{other}\n")
 
     @pytest.mark.parametrize(
         "read, text",
