@@ -39,7 +39,7 @@ from .evaluation import (
     spearman_by_gameweek,
     spearman_tied,
 )
-from .gbm import FeatureBudgetError, shapley_values, split_importance
+from .gbm import shapley_values, split_importance
 from .harness import (
     FAMILIES,
     CvConfig,
@@ -696,16 +696,21 @@ _EXPLAINERS = {
 
 
 def cmd_explain(args, config) -> int:
-    out = _out_dir(args)
+    if config["shapley_background"] < 1:
+        raise CliError("data", "shapley_background must be >= 1, got "
+                       f"{config['shapley_background']}")
     loaded = [_load_model(path) for path in args.model]
+    # Only a coefficient table explains several models at once.
+    positions = {ctx.position for f, _, ctx in loaded if f.explain == "coefficients"}
+    if len(loaded) > 1 and len(positions) < len(loaded):
+        raise CliError("usage", "several --model files must be ridge models, one per position")
     family = loaded[0][0]
-    if any(f is not family for f, _, _ in loaded):
-        raise CliError("usage", "all --model files must share one family")
     kind = args.kind or family.explain
     if kind != family.explain:
         raise CliError(
             "usage", f"family {family.name} does not support explanation '{kind}'"
         )
+    out = _out_dir(args)
     _EXPLAINERS[kind](args, config, out, loaded)
     _log(out, f"explain kind={kind}")
     return 0
@@ -734,8 +739,15 @@ def cmd_filters(args, config) -> int:
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one usage error line, not a usage block."""
+
+    def error(self, message):
+        raise CliError("usage", f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fplcast",
         description="Forecast fantasy soccer scores from recent gameweeks.",
     )
@@ -837,7 +849,6 @@ _CATEGORIES = (
     (SchemaError, "schema"),
     (RowParseError, "parse"),
     (TeamLookupError, "lookup"),
-    (FeatureBudgetError, "budget"),
     (ser.FormatError, "format"),
     (ValueError, "data"),
     (KeyError, "data"),
@@ -854,13 +865,12 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # Each warning the filters let through is one stderr line; the filters
     # themselves are left as they are.
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
+            args = build_parser().parse_args(argv)
             config = load_config(args.config, args.seed)
             return _COMMANDS[args.command](args, config)
         except (CliError, *(kind for kind, _ in _CATEGORIES)) as exc:

@@ -16,11 +16,10 @@ search over presorted columns of XGBoost (Chen & Guestrin 2016). A leaf
 searches all features in one array pass. Ties break to the lowest
 feature index, then the lowest threshold.
 
-Shapley values are exact and computed tree by tree. The model's value
-function is its base score plus one term per tree, and Shapley values
-are linear in the game, so each tree's values come from a small game
-whose players are its own split features, 2^k subsets for k of them,
-whatever the model's feature count (the additivity TreeSHAP also uses).
+Shapley values are exact and computed by leaf paths: each tree is a set
+of leaves, each with one interval per feature, and each (leaf, background
+row) pair is a game with a closed-form value. The cost is
+O(trees x leaves x background rows x features).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "GbmModel",
     "SplitImportance",
     "ShapleyResult",
-    "FeatureBudgetError",
     "fit_gbm",
     "predict_gbm",
     "predict_gbm_batch",
@@ -46,14 +44,6 @@ __all__ = [
     "shapley_values",
     "structural_violations",
 ]
-
-SHAPLEY_MAX_TREE_FEATURES = 15
-
-
-class FeatureBudgetError(ValueError):
-    """A tree splits on more distinct features than exact Shapley
-    enumeration allows (only num_leaves > 16 can grow one)."""
-
 
 @dataclass
 class GbmHyperparams:
@@ -334,18 +324,39 @@ def split_importance(model: GbmModel) -> SplitImportance:
     )
 
 
+def _leaf_boxes(tree: RegressionTree):
+    """The features `tree` splits on, and each leaf's value and interval
+    (lo, hi] on each. A left child caps hi at the threshold, a right child
+    raises lo to it: a contradictory path's interval holds no row."""
+    used = sorted({n.feature for n in tree.nodes if not n.is_leaf})
+    column = {f: c for c, f in enumerate(used)}
+    leaves = []
+    stack = [(0, np.full(len(used), -np.inf), np.full(len(used), np.inf))]
+    while stack:
+        node_id, lo, hi = stack.pop()
+        node = tree.nodes[node_id]
+        if node.is_leaf:
+            leaves.append((node.value, lo, hi))
+            continue
+        c = column[node.feature]
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[c], right_lo[c] = min(hi[c], node.threshold), max(lo[c], node.threshold)
+        stack += [(node.right, right_lo, hi), (node.left, lo, left_hi)]
+    values, lows, highs = zip(*leaves)
+    return np.array(used, np.intp), np.array(values), np.array(lows), np.array(highs)
+
+
 def shapley_values(model: GbmModel, x, background) -> ShapleyResult:
-    """Exact interventional Shapley attribution, computed tree by tree.
+    """Exact interventional Shapley attribution, computed by leaf paths.
 
     v(S) is the mean model output over background rows with the features
-    in S overridden by x: the base score plus one term per tree. Shapley
-    values are linear in the game (Shapley 1953), so phi is the sum of the
-    trees' own values. A tree reads only the k features it splits on, the
-    players of its game; every other feature is a dummy there. The tree
-    predicts the background rows once per subset of its k features, with
-    x taken on that subset, and phi_j sums the weighted marginal
-    contributions of j over those 2^k subsets. This is exponential in k,
-    not in the feature count, hence the per-tree budget.
+    in S taken from x. The game is linear, so phi sums one game per tree,
+    leaf and background row z: the hybrid row reaches the leaf iff every
+    feature lies in the leaf's interval at x or at z. With a features that
+    only x satisfies and b that only z satisfies, each x-only feature gains
+    v (a-1)! b! / (a+b)!, each z-only feature loses v a! (b-1)! / (a+b)!,
+    and v(empty set) holds the leaf when a = 0 (interventional TreeSHAP,
+    Lundberg et al. 2020). Cost: O(trees x leaves x background x features).
     """
     x = np.asarray(x, dtype=np.float64)
     bg = np.asarray(background, dtype=np.float64)
@@ -356,40 +367,28 @@ def shapley_values(model: GbmModel, x, background) -> ShapleyResult:
         raise ValueError("background must be a non-empty 2-dimensional array")
     if bg.shape[1] != m:
         raise ValueError("background feature count must match x")
+    if not (np.isfinite(x).all() and np.isfinite(bg).all()):
+        raise ValueError("x and background must be finite")  # (lo, hi] misplaces -inf, NaN
 
-    n_bg = bg.shape[0]
-    block = max(1, (1 << 22) // max(1, n_bg * m))  # cap hybrid matrix size
+    boxes = [_leaf_boxes(tree) for tree in model.trees]
+    # weight[a, b] = (a-1)! b! / (a+b)!, rounded once; a + b <= k always.
+    k = max((used.size for used, *_ in boxes), default=0)
+    weight = np.array([[1 / (a * math.comb(a + b, b)) if a else 0.0
+                        for b in range(k + 1)] for a in range(k + 1)])
     phi = np.zeros(m, dtype=np.float64)
     base_value = model.base_score
-    for t, tree in enumerate(model.trees):
-        used = np.array(sorted({n.feature for n in tree.nodes if not n.is_leaf}), np.intp)
-        k = used.size
-        if k > SHAPLEY_MAX_TREE_FEATURES:
-            raise FeatureBudgetError(
-                f"tree {t} splits on {k} features, beyond the exact-enumeration "
-                f"budget of {SHAPLEY_MAX_TREE_FEATURES} per tree"
-            )
-        masks = np.arange(1 << k)
-        bits = ((masks[:, None] >> np.arange(k)) & 1).astype(bool)  # subsets x k
-        v = np.empty(1 << k, dtype=np.float64)
-        for start in range(0, 1 << k, block):
-            subsets = bits[start : start + block]
-            take_x = np.repeat(subsets, n_bg, axis=0)
-            hybrid = np.tile(bg, (len(subsets), 1))
-            hybrid[:, used] = np.where(take_x, x[used], hybrid[:, used])
-            preds = tree.predict_batch(hybrid).reshape(-1, n_bg)
-            v[start : start + block] = model.eta * preds.mean(axis=1)
-        base_value += v[0]
-
-        sizes = bits.sum(axis=1)
-        fact = [math.factorial(i) for i in range(k + 1)]
-        weight_by_size = np.array(
-            [fact[s] * fact[k - s - 1] / fact[k] for s in range(k)], dtype=np.float64
-        )
-        for j in range(k):
-            without_j = masks[~bits[:, j]]
-            w = weight_by_size[sizes[without_j]]
-            phi[used[j]] += float(np.sum(w * (v[without_j | (1 << j)] - v[without_j])))
+    for used, values, lo, hi in boxes:
+        x_in = (lo < x[used]) & (x[used] <= hi)  # leaves x features
+        z = bg[:, None, used]
+        z_in = (lo < z) & (z <= hi)  # background rows x leaves x features
+        x_only, z_only = x_in & ~z_in, z_in & ~x_in
+        reach = (x_in | z_in).all(axis=2)
+        a, b = x_only.sum(axis=2), z_only.sum(axis=2)
+        # With a = 0, each background row reaches exactly one leaf: its own.
+        base_value += model.eta * np.where(reach & (a == 0), values, 0.0).sum(axis=1).mean()
+        v = np.where(reach, values, 0.0) * (model.eta / bg.shape[0])
+        phi[used] += np.einsum("nl,nlf->f", v * weight[a, b], x_only)
+        phi[used] -= np.einsum("nl,nlf->f", v * weight[b, a], z_only)
     return ShapleyResult(phi=phi, base_value=float(base_value))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fplcast.cli import main
+from fplcast.cli import build_parser, main
 from fplcast.evaluation import average_ranks
 from fplcast.ingest import GameweekTable
 from fplcast.gbm import predict_gbm
@@ -493,20 +494,35 @@ class TestExplainCommands:
         assert float(base[2]) + phi_sum == pytest.approx(float(prediction[2]), abs=1e-9)
         assert float(base[2]) + phi_sum == pytest.approx(predict_gbm(model, x), abs=1e-9)
 
-    def test_gbm_shapley_budget_error_for_a_tree_on_16_features(self, tmp_path, capsys):
+    def test_gbm_shapley_for_a_tree_on_16_features(self, tmp_path):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)
         model = tmp_path / "model_gbm_MID.txt"
         ctx = ModelContext(w=3, tier="full", position="MID")
         model.write_text(write_gbm(sixteen_feature_model(), ctx), encoding="utf-8")
-        capsys.readouterr()
         rc = main(
             ["--out", str(out), "explain", "--model", str(model), "--cleaned", *cleaned,
              "--strengths", strengths, "--splits", splits]
         )
-        assert rc == 1
+        assert rc == 0
+        rows = list(csv.reader((out / "shapley_MID.csv").read_text().splitlines()))
+        phi_sum = sum(float(r[2]) for r in rows[1:-2])
+        (_, _, base), (_, _, prediction) = rows[-2:]
+        assert float(base) + phi_sum == pytest.approx(float(prediction), abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["ridge", "gbm", "cnn"])
+    def test_a_second_model_the_explanation_would_drop_is_a_usage_error(
+        self, tiny_season, tmp_path, capsys, family
+    ):
+        _, files = tiny_season
+        argv = _argv("explain", family, files, tmp_path / "o")
+        at = argv.index("--model")
+        argv.insert(at + 2, files[family])  # the same MID model twice
+        capsys.readouterr()
+        assert main(argv) == 1
         err = capsys.readouterr().err
         _assert_one_error_line(err)
-        assert err.startswith("error:budget:")
+        assert err.startswith("error:usage:")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("index", ["-1", "100000"])
     def test_shapley_example_index_out_of_range(self, tmp_path, capsys, index):
@@ -845,6 +861,8 @@ class TestConfigChecks:
         ({"top_k": 0}, "gridsearch", "top-k"),
         ({"top_k": -1}, "gridsearch", "top-k"),
         ({"extreme_k": -1}, "evaluate", "k=-1"),
+        ({"shapley_background": 0}, "explain", "shapley_background"),
+        ({"shapley_background": -3}, "explain", "shapley_background"),
     ]
 
     @staticmethod
@@ -992,3 +1010,105 @@ class TestExplainInputs:
         _assert_one_error_line(err)
         assert err.startswith("error:usage:") and flag in err
         assert not list((tmp_path / "o").glob("shapley_*"))
+
+
+def _mostly(good, bad, one_in=10):
+    """`good`, or `bad` one time in `one_in`; shrinks towards `good`."""
+    return st.sampled_from([True] * (one_in - 1) + [False]).flatmap(
+        lambda ok: good if ok else bad
+    )
+
+
+@st.composite
+def command_lines(draw, parser, values, junk):
+    """`parser`'s flags, each required one mostly present and each other
+    one present half the time, with its values; now and then one junk
+    token somewhere among them."""
+    tokens = []
+    for action in parser._actions:
+        if not action.option_strings or action.dest in ("help", "config"):
+            continue
+        if draw(_mostly(st.just(True), st.just(False), 10 if action.required else 2)):
+            tokens += [action.option_strings[0], *draw(values(action))]
+    if draw(_mostly(st.just(False), st.just(True), 5)):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(junk))
+    return tokens
+
+
+class TestAnyArgv:
+    # Tokens no flag expects; none is absolute or "..", so every output
+    # path stays below the working directory.
+    JUNK = st.sampled_from(["", "-", "--", "x", "--nope", "-1", "nan", "=", "a=b", "all"])
+
+    @pytest.mark.parametrize("argv", [
+        ["train"], ["--position", "XX", "train"], ["--seed", "abc", "train"],
+        ["synth", "--players", "x"],
+    ])
+    def test_malformed_command_line_is_one_usage_line(self, tmp_path, capsys, argv):
+        assert main(["--out", str(tmp_path / "o"), *argv]) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:usage:")
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fplcast")
+
+    def test_any_command_line_exits_0_or_prints_one_error_line(
+        self, tiny_season, monkeypatch
+    ):
+        root, files = tiny_season
+        # One grid trial and two epochs, so that no draw runs long; the
+        # season holds MID players only, hence MID unless a draw says else.
+        config = TestConfigChecks.with_config(files, root / "argv.json", {
+            "grid": {"w": [3]}, "epochs": 2, "patience": 2,
+        })["config"]
+        paths = {"cleaned": [files["cleaned"]], "strengths": [files["strengths"]],
+                 "splits": [files["splits"]], "raw": [f"synthetic={files['raw']}"],
+                 "model": [files[f] for f in ("ridge", "gbm", "cnn")], "out": ["out"]}
+        every_path = st.sampled_from(sorted(sum(paths.values(), [])))
+        (root / "argv").mkdir()
+        monkeypatch.chdir(root / "argv")
+        parser = build_parser()
+        (commands,) = [a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+
+        def values(action):
+            if action.nargs == 0:
+                return st.just([])
+            if action.choices:
+                good = st.sampled_from(list(action.choices))
+            elif action.type is int:
+                good = st.integers(-1, 8).map(str)
+            elif action.dest in paths:
+                good = _mostly(st.sampled_from(paths[action.dest]), every_path, 5)
+            else:
+                good = every_path
+            one = _mostly(good, self.JUNK)
+            if action.nargs == "+":
+                return st.lists(one, min_size=1, max_size=2)
+            return one.map(lambda v: [v])
+
+        @settings(max_examples=150, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.data())
+        def check(data):
+            command = data.draw(st.sampled_from(sorted(commands)))
+            argv = ["--config", config, "--position", "MID",
+                    *data.draw(command_lines(parser, values, self.JUNK)), command,
+                    *data.draw(command_lines(commands[command], values, self.JUNK))]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = main(argv)
+            assert rc in (0, 1), argv
+            if rc == 1:
+                _assert_one_error_line(err.getvalue())
+            else:
+                assert err.getvalue() == "", argv
+
+        check()

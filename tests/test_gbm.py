@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fplcast.dataset import FeatureTier, Players, build_series, generate_synthetic_season
 from fplcast.gbm import (
-    FeatureBudgetError,
     GbmHyperparams,
     GbmModel,
     RegressionTree,
@@ -481,13 +480,62 @@ def enumeration_oracle(model, x, background):
     return phi, float(v[0])
 
 
+def per_tree_game_oracle(model, x, background):
+    """One 2^k subset game per tree over the k features it splits on: a
+    tree's other features are dummies in its game, and Shapley values are
+    linear in the game, so phi sums the trees' values."""
+    x = np.asarray(x, dtype=np.float64)
+    bg = np.asarray(background, dtype=np.float64)
+    n_bg, m = bg.shape
+    block = max(1, (1 << 22) // max(1, n_bg * m))  # cap hybrid matrix size
+    phi = np.zeros(m, dtype=np.float64)
+    base_value = model.base_score
+    for tree in model.trees:
+        used = np.array(sorted({n.feature for n in tree.nodes if not n.is_leaf}), np.intp)
+        k = used.size
+        masks = np.arange(1 << k)
+        bits = ((masks[:, None] >> np.arange(k)) & 1).astype(bool)  # subsets x k
+        v = np.empty(1 << k, dtype=np.float64)
+        for start in range(0, 1 << k, block):
+            subsets = bits[start : start + block]
+            take_x = np.repeat(subsets, n_bg, axis=0)
+            hybrid = np.tile(bg, (len(subsets), 1))
+            hybrid[:, used] = np.where(take_x, x[used], hybrid[:, used])
+            preds = tree.predict_batch(hybrid).reshape(-1, n_bg)
+            v[start : start + block] = model.eta * preds.mean(axis=1)
+        base_value += v[0]
+
+        sizes = bits.sum(axis=1)
+        fact = [math.factorial(i) for i in range(k + 1)]
+        weight_by_size = np.array(
+            [fact[s] * fact[k - s - 1] / fact[k] for s in range(k)], dtype=np.float64
+        )
+        for j in range(k):
+            without_j = masks[~bits[:, j]]
+            w = weight_by_size[sizes[without_j]]
+            phi[used[j]] += float(np.sum(w * (v[without_j | (1 << j)] - v[without_j])))
+    return phi, float(base_value)
+
+
 def assert_equals_enumeration_oracle(model, x, background):
-    """Per-tree games sum the same terms as enumeration in another order,
-    so the floats agree to rounding, not bit for bit."""
+    """Leaf paths, per-tree games and whole-model enumeration sum the same
+    terms in other orders, so the floats agree to rounding, not bit for bit."""
     result = shapley_values(model, x, background)
-    phi, base_value = enumeration_oracle(model, x, background)
-    np.testing.assert_allclose(result.phi, phi, rtol=0, atol=1e-12)
-    assert result.base_value == pytest.approx(base_value, rel=0, abs=1e-12)
+    for oracle in (enumeration_oracle, per_tree_game_oracle):
+        phi, base_value = oracle(model, x, background)
+        np.testing.assert_allclose(result.phi, phi, rtol=0, atol=1e-12)
+        assert result.base_value == pytest.approx(base_value, rel=0, abs=1e-12)
+
+
+def assert_efficient(model, x, background):
+    """base_value is the mean output over the background, and phi sums to
+    the prediction's distance from it."""
+    result = shapley_values(model, x, background)
+    assert result.base_value == pytest.approx(
+        float(predict_gbm_batch(model, background).mean()), rel=0, abs=1e-12
+    )
+    assert abs(result.base_value + result.phi.sum() - predict_gbm(model, x)) <= 1e-10
+    return result
 
 
 # A small pool, so thresholds often equal x or background values.
@@ -571,7 +619,7 @@ def path_tree(features):
 
 
 def sixteen_feature_model():
-    """19 features; one tree splits on 16 of them, past the per-tree budget."""
+    """19 features; one tree is a path of splits on 16 of them."""
     hp = GbmHyperparams(n_trees=1, max_depth=16, num_leaves=17, min_data_in_leaf=1)
     return GbmModel(0.5, [path_tree(range(16))], 1.0, hp, n_features=19)
 
@@ -719,36 +767,64 @@ class TestShapley:
         background = X[np.random.default_rng(5).choice(len(X), 40, replace=False)]
         assert_equals_enumeration_oracle(model, X[0], background)
 
-    def test_equals_enumeration_oracle_over_several_blocks_of_one_tree(self):
+    def test_equals_enumeration_oracle_on_a_12_feature_path_tree(self):
         model = GbmModel(0.2, [path_tree([3, 0, 7, 1, 9, 4, 11, 2, 6, 10, 5, 8])], 0.3,
                          GbmHyperparams(), n_features=12)
         rng = np.random.default_rng(25)
         background = rng.normal(size=(100, 12))
-        assert (1 << 12) * 100 * 12 > 1 << 22  # the tree's subsets take two blocks
+        assert (1 << 12) * 100 * 12 > 1 << 22  # the per-tree oracle takes two blocks
         assert_equals_enumeration_oracle(model, rng.normal(size=12), background)
 
-    def test_budget_error_above_fifteen_features(self):
+    def test_tree_on_sixteen_features_matches_per_tree_oracle(self):
         model = sixteen_feature_model()
-        with pytest.raises(FeatureBudgetError, match="tree 0 splits on 16 features"):
-            shapley_values(model, np.ones(19), np.zeros((2, 19)))
+        rng = np.random.default_rng(27)
+        x, background = rng.normal(size=19), rng.normal(size=(8, 19))
+        result = assert_efficient(model, x, background)
+        phi, base_value = per_tree_game_oracle(model, x, background)
+        np.testing.assert_allclose(result.phi, phi, rtol=0, atol=1e-12)
+        assert result.base_value == pytest.approx(base_value, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("num_leaves", [31, 63])
+    def test_efficient_on_a_fitted_full_tier_model(self, num_leaves):
+        rows, strengths = generate_synthetic_season(seed=6, n_players=120, n_weeks=20)
+        series = [s for s in build_series(rows) if s.key.position == Position.MID]
+        X, y = sliding_design(Players(series, strengths).windows(3, FeatureTier.FULL))
+        hp = GbmHyperparams(n_trees=20, max_depth=8, num_leaves=num_leaves,
+                            min_data_in_leaf=3)
+        model = fit_gbm(X, y, hp)
+        assert max(t.n_leaves() for t in model.trees) == num_leaves
+        background = X[np.random.default_rng(6).choice(len(X), 50, replace=False)]
+        for x in X[:3]:
+            assert_efficient(model, x, background)
+
+    def test_efficient_with_200_features(self):
+        rng = np.random.default_rng(28)
+        X = rng.normal(size=(300, 200))
+        hp = GbmHyperparams(n_trees=10, max_depth=6, num_leaves=31, min_data_in_leaf=5)
+        model = fit_gbm(X, X[:, 0] - 2 * X[:, 1] + X[:, 150] * X[:, 7], hp)
+        model.trees.append(path_tree(rng.permutation(200)))
+        assert_efficient(model, rng.normal(size=200), X[:20])
 
     def test_nineteen_features_in_small_trees(self):
         rng = np.random.default_rng(26)
         trees = [path_tree(rng.choice(19, 6, replace=False)) for _ in range(8)]
         model = GbmModel(0.5, trees, 0.1, GbmHyperparams(), n_features=19)
         x, background = rng.normal(size=19), rng.normal(size=(30, 19))
-        result = shapley_values(model, x, background)
-        assert result.base_value == pytest.approx(
-            float(predict_gbm_batch(model, background).mean()), abs=1e-12
-        )
-        assert result.phi.sum() == pytest.approx(
-            predict_gbm(model, x) - result.base_value, abs=1e-10
-        )
+        assert_efficient(model, x, background)
 
     def test_empty_background_rejected(self):
         model = GbmModel(0.0, [], 1.0, GbmHyperparams(), n_features=2)
         with pytest.raises(ValueError):
             shapley_values(model, np.zeros(2), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+    @pytest.mark.parametrize("where", ["x", "background"])
+    def test_non_finite_input_rejected(self, value, where):
+        model = sixteen_feature_model()
+        x, background = np.zeros(19), np.zeros((3, 19))
+        (x if where == "x" else background[1])[4] = value
+        with pytest.raises(ValueError, match="finite"):
+            shapley_values(model, x, background)
 
 
 class TestGbmSerialization:
