@@ -7,10 +7,9 @@ import numpy as np
 
 from fplcast.dataset import (
     FeatureTier,
+    Players,
     assign_splits,
     build_series,
-    build_windows,
-    concat_windows,
     fit_scaler,
     apply_scaler,
     generate_synthetic_season,
@@ -34,7 +33,7 @@ print("\n== Windowed examples ==")
 series = build_series(played)
 mid = [s for s in series if s.key.position is Position.MID]
 w, tier = 3, FeatureTier.PTS_MINUTES
-windows = concat_windows([build_windows(s, w, tier, strengths) for s in mid])
+windows = Players(mid, strengths).windows(w, tier)
 print(f"  {len(mid)} midfielders -> {len(windows)} windows of w={w}")
 X, d, y = windows.X[0], windows.d[0], windows.y[0]
 print(f"  one example: X shape {X.shape}, d={d}, y={y}")
@@ -50,10 +49,7 @@ for bucket in splits.assignments.values():
 print(f"  players per split: {counts}")
 
 print("\n== Standard scaling (train statistics only) ==")
-train = concat_windows(
-    [build_windows(s, w, tier, strengths)
-     for s in mid if splits.assignments[s.key] == "train"]
-)
+train = Players(mid, strengths, splits.assignments).windows(w, tier, "train")
 scaler = fit_scaler(train.X)
 print(f"  mu = {np.round(scaler.mean, 3)}")
 print(f"  sigma = {np.round(scaler.std, 3)}")

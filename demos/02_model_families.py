@@ -7,10 +7,9 @@ import numpy as np
 
 from fplcast.dataset import (
     FeatureTier,
+    Players,
     assign_splits,
     build_series,
-    build_windows,
-    concat_windows,
     generate_synthetic_season,
 )
 from fplcast.evaluation import spearman_tied
@@ -22,13 +21,8 @@ series = [s for s in build_series(rows) if s.key.position is Position.MID]
 splits = assign_splits(series, seed=7)
 
 w, tier = 3, FeatureTier.PTSONLY
-train_ex, val_ex = (
-    concat_windows(
-        [build_windows(s, w, tier, strengths)
-         for s in series if splits.assignments[s.key] == bucket]
-    )
-    for bucket in ("train", "validation")
-)
+players = Players(series, strengths, splits.assignments)
+train_ex, val_ex = (players.windows(w, tier, bucket) for bucket in ("train", "validation"))
 
 val_y = val_ex.y.astype(float)
 train_y = train_ex.y.astype(float)

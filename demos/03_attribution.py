@@ -7,10 +7,9 @@ import numpy as np
 
 from fplcast.dataset import (
     FeatureTier,
+    Players,
     assign_splits,
     build_series,
-    build_windows,
-    concat_windows,
     generate_synthetic_season,
 )
 from fplcast.harness import train_family, sliding_design
@@ -25,20 +24,17 @@ w, tier = 3, FeatureTier.PTS_ICT
 names = tier.columns() + ["difficulty_gap"]
 
 
-def examples_for(position, bucket, splits, series, tier=tier):
-    return concat_windows(
-        [build_windows(s, w, tier, strengths)
-         for s in series if splits.assignments[s.key] == bucket]
-    )
+def players_of(position):
+    """One position's players, split with seed 3."""
+    series = [s for s in all_series if s.key.position is position]
+    return Players(series, strengths, assign_splits(series, seed=3).assignments)
 
 
 print("== Ridge coefficients per position ==")
 ridge_models = {}
 for position in Position.ordered():
-    series = [s for s in all_series if s.key.position is position]
-    splits = assign_splits(series, seed=3)
-    train_ex = examples_for(position, "train", splits, series)
-    val_ex = examples_for(position, "validation", splits, series)
+    players = players_of(position)
+    train_ex, val_ex = (players.windows(w, tier, b) for b in ("train", "validation"))
     fitted, _, _ = train_family(
         "ridge", {"w": w, "tier": tier.value, "lambda": 1.0}, train_ex, val_ex, 3
     )
@@ -49,13 +45,10 @@ for j, feature in enumerate(features):
     print(f"{feature:14}" + "".join(f"{coef[i, j]:8.3f}" for i in range(len(positions))))
 
 print("\n== GBM split importance and Shapley attribution (MID, all 19 features) ==")
-series = [s for s in all_series if s.key.position is Position.MID]
-splits = assign_splits(series, seed=3)
-train_ex = examples_for(Position.MID, "train", splits, series)
-val_ex = examples_for(Position.MID, "validation", splits, series)
+mid = players_of(Position.MID)
+train_ex, val_ex = (mid.windows(w, tier, b) for b in ("train", "validation"))
 full_train, full_val = (
-    examples_for(Position.MID, bucket, splits, series, FeatureTier.FULL)
-    for bucket in ("train", "validation")
+    mid.windows(w, FeatureTier.FULL, b) for b in ("train", "validation")
 )
 full_names = FeatureTier.FULL.columns() + ["difficulty_gap"]
 fitted, _, _ = train_family(

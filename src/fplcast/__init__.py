@@ -29,7 +29,6 @@ from .dataset import (
     apply_scaler,
     assign_splits,
     build_series,
-    build_windows,
     concat_windows,
     fit_scaler,
     generate_synthetic_season,

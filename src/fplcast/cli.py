@@ -247,7 +247,6 @@ def _players(
 
 
 def cmd_ingest(args, config) -> int:
-    out = _out_dir(args)
     strengths = _read_strengths(args.strengths)
     threshold = float(config["fuzzy_threshold"])
 
@@ -290,6 +289,7 @@ def cmd_ingest(args, config) -> int:
     per_position = {
         p: kept.take([q is p for q in kept.position]) for p in Position.ordered()
     }
+    out = _out_dir(args)
     for position, rows in per_position.items():
         _write(out / f"cleaned_{position.value}.csv", ser.write_cleaned_csv(rows))
 
@@ -329,7 +329,6 @@ def cmd_synth(args, config) -> int:
 
 
 def cmd_split(args, config) -> int:
-    out = _out_dir(args)
     rows = _read_cleaned(args.cleaned)
     fractions = tuple(config["fractions"])
     all_series = build_series(rows)
@@ -355,6 +354,7 @@ def cmd_split(args, config) -> int:
         strat_on=config["strat_on"],
         seed=config["seed"],
     )
+    out = _out_dir(args)
     _write(out / "splits.csv", ser.write_splits(splits))
     _log(out, f"split players={len(merged)} seed={config['seed']}")
     print(f"assigned {len(merged)} players -> {out / 'splits.csv'}")
@@ -373,7 +373,6 @@ def _eval_report(windows, predictions, position, split, model_id) -> EvalReport:
 
 
 def cmd_train(args, config) -> int:
-    out = _out_dir(args)
     rows = _read_cleaned(args.cleaned)
     strengths = _read_strengths(args.strengths)
     splits = _read_splits(args.splits)
@@ -399,6 +398,7 @@ def cmd_train(args, config) -> int:
             w=w, tier=tier.value, position=position.value, scaler=fitted.scaler
         )
         model_id = f"{family.name}_{position.value}"
+        out = _out_dir(args)
         _write(out / f"model_{model_id}.txt", family.write(fitted.model, ctx))
         if "curve" in fitted.extras:
             _write(
@@ -447,7 +447,6 @@ def _load_model(path: str):
 
 
 def cmd_evaluate(args, config) -> int:
-    out = _out_dir(args)
     family, model, ctx = _load_model(args.model)
     rows = _read_cleaned(args.cleaned)
     strengths = _read_strengths(args.strengths)
@@ -464,6 +463,7 @@ def cmd_evaluate(args, config) -> int:
         report.spearman = spearman_by_gameweek(
             windows.target_gameweek, windows.y, predictions
         )
+    out = _out_dir(args)
     _write(
         out / f"eval_{model_id}_{args.split}.csv", ser.write_reports_csv([report])
     )
@@ -513,7 +513,6 @@ def cmd_gridsearch(args, config) -> int:
         grid = GridSpec(family=family, axes=axes)
     else:
         grid = default_grid(family)
-    out = _out_dir(args)
     rows = _read_cleaned(args.cleaned)
     strengths = _read_strengths(args.strengths)
     splits = _read_splits(args.splits)
@@ -523,6 +522,7 @@ def cmd_gridsearch(args, config) -> int:
     for position in _positions(args.position):
         players = _players(all_series, position, config, strengths, splits)
         results = run_grid(grid, players, seed=config["seed"], position=position)
+        out = _out_dir(args)
         axis_names = sorted({k for r in results for k in r.config})
         header = ser.csv_line([*axis_names, "train_mse", "val_mse", "seed", "status", "reason"])
         trials = (
@@ -565,7 +565,6 @@ def cmd_gridsearch(args, config) -> int:
 
 
 def cmd_cv(args, config) -> int:
-    out = _out_dir(args)
     rows = _read_cleaned(args.cleaned)
     strengths = _read_strengths(args.strengths)
     family = args.family
@@ -586,6 +585,7 @@ def cmd_cv(args, config) -> int:
             f"{family}_{position.value} cv: train mse {train_err:.4f}, "
             f"val mse {val_err:.4f}"
         )
+    out = _out_dir(args)
     _write(
         out / f"cv_{family}.csv",
         ser.write_table("family,position,mean_train_mse,mean_val_mse", results),
@@ -595,7 +595,6 @@ def cmd_cv(args, config) -> int:
 
 
 def cmd_rank(args, config) -> int:
-    out = _out_dir(args)
     family, model, ctx = _load_model(args.model)
     rows = _read_cleaned(args.cleaned)
     strengths = _read_strengths(args.strengths)
@@ -616,6 +615,7 @@ def cmd_rank(args, config) -> int:
         key=lambda i: (-predictions[i], candidates.players[i].canonical_name),
     )
     tied = average_ranks(-np.asarray(predictions))
+    out = _out_dir(args)
     path = out / f"rank_{position.value}_gw{args.gameweek}.csv"
     _write(path, ser.write_table("rank,player,predicted,tied_rank", (
         [rank, candidates.players[i].canonical_name, float(predictions[i]), float(tied[i])]
@@ -626,23 +626,24 @@ def cmd_rank(args, config) -> int:
     return 0
 
 
-def _explain_coefficients(args, config, out, loaded):
+def _explain_coefficients(args, config, loaded):
     models = {Position(ctx.position): model for _, model, ctx in loaded}
     positions, features, coef, intercepts = export_coefficients(models)
-    _write(
-        out / "coefficients.csv",
-        ser.write_coefficient_table(positions, features, coef, intercepts),
-    )
-    print(f"wrote coefficients for {len(positions)} positions")
+    table = ser.write_coefficient_table(positions, features, coef, intercepts)
+    return {"coefficients.csv": table}, f"wrote coefficients for {len(positions)} positions"
 
 
-def _explain_filter(args, config, out, loaded):
+def _explain_filter(args, config, loaded):
     _, model, ctx = loaded[0]
-    _write(out / f"filters_{ctx.position}.csv", mean_normalized_filter_csv(model, ctx))
-    print(f"wrote mean filter ({model.kernel}x{model.n_features})")
+    header = ser.csv_line(["window_row", *FeatureTier(ctx.tier).columns()])
+    mean_filter = cnn_mod.mean_normalized_filter(model)
+    rows = ([r, *map(float, row)] for r, row in enumerate(mean_filter))
+    table = ser.write_table(header, rows)
+    message = f"wrote mean filter ({model.kernel}x{model.n_features})"
+    return {f"filters_{ctx.position}.csv": table}, message
 
 
-def _explain_shapley(args, config, out, loaded):
+def _explain_shapley(args, config, loaded):
     missing = [f"--{flag}" for flag in ("cleaned", "strengths", "splits")
                if not getattr(args, flag)]
     if missing:
@@ -673,21 +674,23 @@ def _explain_shapley(args, config, out, loaded):
     A_explain, _ = sliding_design(explain_ex.take([args.example_index]))
     result = shapley_values(model, A_explain[0], background)
     names = model.feature_names or [f"x{j}" for j in range(model.n_features)]
-    _write(out / f"shapley_{position.value}.csv", ser.write_table("feature,value,phi", [
-        *([name, float(value), float(phi)]
-          for name, value, phi in zip(names, A_explain[0], result.phi)),
-        ["__base_value__", "", result.base_value],
-        ["__prediction__", "", result.base_value + float(result.phi.sum())],
-    ]))
     imp = split_importance(model)
-    _write(out / f"split_importance_{position.value}.csv", ser.write_table(
-        "feature,splits,percent",
-        ([name, int(count), float(pct)]
-         for name, count, pct in zip(names, imp.counts, imp.percentages)),
-    ))
-    print(f"wrote shapley attribution for example {args.example_index}")
+    return {
+        f"shapley_{position.value}.csv": ser.write_table("feature,value,phi", [
+            *([name, float(value), float(phi)]
+              for name, value, phi in zip(names, A_explain[0], result.phi)),
+            ["__base_value__", "", result.base_value],
+            ["__prediction__", "", result.base_value + float(result.phi.sum())],
+        ]),
+        f"split_importance_{position.value}.csv": ser.write_table(
+            "feature,splits,percent",
+            ([name, int(count), float(pct)]
+             for name, count, pct in zip(names, imp.counts, imp.percentages)),
+        ),
+    }, f"wrote shapley attribution for example {args.example_index}"
 
 
+# Each explainer returns the files it makes ({name: text}) and its report line.
 _EXPLAINERS = {
     "coefficients": _explain_coefficients,
     "filter": _explain_filter,
@@ -710,28 +713,12 @@ def cmd_explain(args, config) -> int:
         raise CliError(
             "usage", f"family {family.name} does not support explanation '{kind}'"
         )
+    files, message = _EXPLAINERS[kind](args, config, loaded)
     out = _out_dir(args)
-    _EXPLAINERS[kind](args, config, out, loaded)
+    for name, text in files.items():
+        _write(out / name, text)
+    print(message)
     _log(out, f"explain kind={kind}")
-    return 0
-
-
-def mean_normalized_filter_csv(model, ctx) -> str:
-    mean_filter = cnn_mod.mean_normalized_filter(model)
-    tier = FeatureTier(ctx.tier)
-    return ser.write_table(ser.csv_line(["window_row", *tier.columns()]), (
-        [r, *map(float, row)] for r, row in enumerate(mean_filter)
-    ))
-
-
-def cmd_filters(args, config) -> int:
-    out = _out_dir(args)
-    family, model, ctx = _load_model(args.model)
-    if family.explain != "filter":
-        raise CliError("usage", f"filters requires a cnn model, got {family.name}")
-    _write(out / f"filters_{ctx.position}.csv", mean_normalized_filter_csv(model, ctx))
-    print(f"wrote mean filter for {ctx.position}")
-    _log(out, f"filters model={args.model}")
     return 0
 
 
@@ -824,9 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=["train", "validation", "test"], default="test")
     p.add_argument("--example-index", type=int, default=0)
 
-    p = sub.add_parser("filters", help="mean normalized conv filter of a cnn model")
-    p.add_argument("--model", required=True)
-
     return parser
 
 
@@ -840,7 +824,6 @@ _COMMANDS = {
     "evaluate": cmd_evaluate,
     "rank": cmd_rank,
     "explain": cmd_explain,
-    "filters": cmd_filters,
 }
 
 

@@ -1,10 +1,11 @@
 """Windowed example construction, splits, scaling, and synthetic seasons.
 
 A cleaned player series becomes one training example per retained gameweek
-that has a full window of w prior appearances: the w-by-f feature window,
-the following match's difficulty gap, and that match's points as the
-target. Examples are held column by column in a WindowSet. Baseline models
-consume the per-feature window means instead of the full window.
+that has a full window of w prior appearances in its season: the w-by-f
+feature window, that match's difficulty gap, and its points as the target.
+Players.windows gathers them from every series' rows held as one table.
+Examples are held column by column in a WindowSet. Baseline models consume
+the per-feature window means instead of the full window.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import warnings
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .ingest import (
     GAMEWEEK_SCHEMA,
@@ -37,7 +37,6 @@ __all__ = [
     "Players",
     "ScalerParams",
     "build_series",
-    "build_windows",
     "concat_windows",
     "sliding_average",
     "stratified_bins",
@@ -187,46 +186,22 @@ def build_series(table: GameweekTable) -> list[PlayerSeries]:
     return [PlayerSeries(keys[run.start], ordered.take(run)) for run in _runs(keys)]
 
 
-def build_windows(
-    series: PlayerSeries,
-    w: int,
-    tier: FeatureTier,
-    strengths: dict[str, TeamStrengthTable] | TeamStrengthTable,
-) -> WindowSet:
-    """Slide a w-week window over the series; the week after each window
-    supplies the target points and difficulty.
+class _Rows(NamedTuple):
+    """Every series' rows end to end, in series order: what windows are
+    gathered from, whatever the split."""
 
-    Windows never span a season boundary. A (season-local) series shorter
-    than w+1 rows yields nothing.
-    """
-    if w < 1:
-        raise ValueError(f"window size must be >= 1, got {w}")
-    columns = tier.columns()
-    table = series.table
-    feats = table.matrix(columns)
-    windows, d, targets = [], [], []
-    for run in _runs(table.season):
-        if run.stop - run.start < w + 1:
-            continue
-        season, season_strengths = table.season[run.start], strengths
-        if isinstance(strengths, dict):
-            if season not in strengths:
-                raise KeyError(f"no strength table for season '{season}'")
-            season_strengths = strengths[season]
-        # Window i holds rows i..i+w-1 and predicts row i+w.
-        windows.append(sliding_window_view(feats[run], w, axis=0)[:-1].transpose(0, 2, 1))
-        targets.append(table.take(slice(run.start + w, run.stop)))
-        d.append(compute_difficulty(targets[-1], season_strengths))
-    if not targets:
-        return WindowSet.empty(w, len(columns))
-    target = GameweekTable.concat(targets)
-    return WindowSet(
-        X=np.concatenate(windows),
-        d=np.concatenate(d),
-        y=target.total_points,
-        players=(series.key,) * len(target),
-        target_gameweek=target.gameweek,
-    )
+    series: list[PlayerSeries]  # the list the rows were built from
+    table: GameweekTable
+    owner: np.ndarray  # each row's index into `series`
+    run_pos: np.ndarray  # each row's position inside its (player, season) run
+
+    @classmethod
+    def of(cls, series: list[PlayerSeries]) -> _Rows:
+        table = GameweekTable.concat([s.table for s in series])
+        owner = np.repeat(np.arange(len(series)), [len(s.table) for s in series])
+        runs = _runs(list(zip(owner.tolist(), table.season)))
+        run_start = np.array([r.start for r in runs for _ in range(r.start, r.stop)], int)
+        return cls(series, table, owner, np.arange(len(table)) - run_start)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,21 +214,54 @@ class Players:
     splits: dict[CanonicalPlayerKey, str] | None = None  # player key -> split
     # True for difficulty_sign own_minus_opponent: every difficulty negated.
     flip_difficulty: bool = False
+    # Built from `series` once; a copy by dataclasses.replace with the same
+    # series (a CV fold) shares them.
+    _rows: _Rows | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._rows is None or self._rows.series is not self.series:
+            object.__setattr__(self, "_rows", _Rows.of(self.series))
 
     def windows(self, w: int, tier: FeatureTier, split: str | None = None) -> WindowSet:
         """Windows of every series, or only of the players `splits` assigns to
-        `split`, in series order."""
+        `split`, in series order.
+
+        A row is a target when w rows of its (player, season) run precede
+        it; they are its window. Difficulty is computed on target rows only.
+        """
         if split is not None and self.splits is None:
             raise ValueError(f"no split map to select '{split}' players from")
-        parts = [
-            build_windows(series, w, tier, self.strengths)
-            for series in self.series
-            if split is None or self.splits.get(series.key) == split
-        ]
-        if not parts:
-            return WindowSet.empty(w, len(tier.columns()))
-        windows = concat_windows(parts)
-        return replace(windows, d=-windows.d) if self.flip_difficulty else windows
+        if w < 1:
+            raise ValueError(f"window size must be >= 1, got {w}")
+        rows = self._rows
+        targets = rows.run_pos >= w
+        if split is not None:
+            member = np.array([self.splits.get(s.key) == split for s in self.series], bool)
+            targets &= member[rows.owner]
+        t = np.flatnonzero(targets)
+        columns = tier.columns()
+        if not len(t):
+            return WindowSet.empty(w, len(columns))
+        table = rows.table
+        # One difficulty call per run of targets in one season, in series
+        # order: a missing season table or an unrated team fails at the
+        # first target row that needs it.
+        d = np.empty(len(t), dtype=np.int64)
+        seasons = [table.season[i] for i in t.tolist()]
+        for run in _runs(seasons):
+            season, season_strengths = seasons[run.start], self.strengths
+            if isinstance(season_strengths, dict):
+                if season not in season_strengths:
+                    raise KeyError(f"no strength table for season '{season}'")
+                season_strengths = season_strengths[season]
+            d[run] = compute_difficulty(table.take(t[run]), season_strengths)
+        return WindowSet(
+            X=table.matrix(columns)[t[:, None] - w + np.arange(w)],
+            d=-d if self.flip_difficulty else d,
+            y=table.total_points[t],
+            players=tuple(self.series[i].key for i in rows.owner[t].tolist()),
+            target_gameweek=table.gameweek[t],
+        )
 
 
 def sliding_average(windows: WindowSet) -> np.ndarray:

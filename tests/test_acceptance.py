@@ -18,10 +18,9 @@ from fplcast import cnn as cnn_mod
 from fplcast.cli import main
 from fplcast.dataset import (
     FeatureTier,
+    Players,
     assign_splits,
     build_series,
-    build_windows,
-    concat_windows,
     generate_synthetic_season,
     sliding_average,
 )
@@ -295,7 +294,7 @@ def test_criterion_6_pipeline_worked_example():
     )
     rows = parse_gameweek_csv(rows_csv, "2021-22")
     [series] = build_series(rows)
-    windows = build_windows(series, 2, FeatureTier.FULL, strengths)
+    windows = Players([series], strengths).windows(2, FeatureTier.FULL)
     assert len(windows) == 1
     assert windows.y[0] == 2
     assert windows.d[0] == -1  # brentford (2) - fulham (3)
@@ -328,12 +327,9 @@ def test_criterion_7_desk_scale_end_to_end():
         position_started = time.perf_counter()
         series = [s for s in all_series if s.key.position == position]
         splits = assign_splits(series, seed=707)
+        players = Players(series, strengths, splits.assignments)
         train_ex, val_ex = (
-            concat_windows(
-                [build_windows(s, w, tier, strengths)
-                 for s in series if splits.assignments[s.key] == bucket]
-            )
-            for bucket in ("train", "validation")
+            players.windows(w, tier, bucket) for bucket in ("train", "validation")
         )
         train_y = train_ex.y.astype(float)
         val_y = val_ex.y.astype(float)
@@ -390,7 +386,6 @@ def test_criterion_8_real_data_reproduction_soft():
     if not strengths_path.exists():
         pytest.skip(f"criterion 8: missing {strengths_path}")
 
-    from fplcast.dataset import Players
     from fplcast.harness import select_final, sliding_design, run_grid, GridSpec
     from fplcast.ingest import GameweekTable, canonicalize_name, drop_benched
 

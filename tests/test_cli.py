@@ -197,7 +197,7 @@ class TestTrainCommand:
         )
         val_mse = float(val_line.split(",")[4])
         # Mean-predictor oracle on the validation targets.
-        from fplcast.dataset import FeatureTier, build_series, build_windows
+        from fplcast.dataset import FeatureTier, Players, build_series
         from fplcast.ingest import Position, parse_strengths_csv
 
         rows = GameweekTable.concat(
@@ -206,14 +206,13 @@ class TestTrainCommand:
         tables = parse_strengths_csv(open(strengths).read())
         assignment = read_splits(open(splits).read()).assignments
         train_y, val_y = [], []
-        for s in build_series(rows):
-            if s.key.position is not Position.MID:
-                continue
-            for y in build_windows(s, 3, FeatureTier.PTSONLY, tables).y:
-                if assignment[s.key] == "train":
-                    train_y.append(y)
-                elif assignment[s.key] == "validation":
-                    val_y.append(y)
+        mid = [s for s in build_series(rows) if s.key.position is Position.MID]
+        windows = Players(mid, tables).windows(3, FeatureTier.PTSONLY)
+        for key, y in zip(windows.players, windows.y):
+            if assignment[key] == "train":
+                train_y.append(y)
+            elif assignment[key] == "validation":
+                val_y.append(y)
         baseline = float(np.mean((np.array(val_y) - np.mean(train_y)) ** 2))
         assert val_mse < baseline
 
@@ -558,7 +557,7 @@ class TestExplainCommands:
              "--strengths", strengths, "--splits", splits, "--family", "cnn"]
         )
         rc = main(
-            ["--out", str(out), "filters", "--model",
+            ["--out", str(out), "explain", "--model",
              str(out / "model_cnn_GK.txt")]
         )
         assert rc == 0
@@ -733,6 +732,44 @@ class TestInputFileFailures:
         err = capsys.readouterr().err
         _assert_one_error_line(err)
         assert err.startswith(f"error:{category}:") and str(bad) in err
+
+    # Every input each command reads.
+    INPUTS = {
+        "ingest": ["raw", "strengths"],
+        "split": ["cleaned"],
+        "train": ["cleaned", "strengths", "splits"],
+        "gridsearch": ["cleaned", "strengths", "splits"],
+        "cv": ["cleaned", "strengths"],
+        "evaluate": ["model", "cleaned", "strengths", "splits"],
+        "rank": ["model", "cleaned", "strengths"],
+        "explain": ["model", "cleaned", "strengths", "splits"],
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in INPUTS.items() for flag in flags
+    ])
+    def test_missing_input_creates_no_out(self, tiny_season, tmp_path, capsys, command, flag):
+        _, files = tiny_season
+        key = "gbm" if flag == "model" else flag
+        argv = _argv(command, "gbm", {**files, key: str(tmp_path / "missing")},
+                     tmp_path / "out")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:io:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch", "cv"])
+    def test_position_without_players_creates_no_out(self, tiny_season, tmp_path, capsys,
+                                                     command):
+        _, files = tiny_season
+        argv = _argv(command, "ridge", files, tmp_path / "out")
+        argv[argv.index("MID")] = "GK"  # the tiny season's cleaned file holds MID only
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error:data: no players with position GK\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["file", "file/below"])
     def test_out_naming_a_file_is_an_io_error(self, tiny_season, tmp_path, capsys, out):

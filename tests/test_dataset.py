@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fplcast.dataset import (
     FeatureTier,
@@ -9,9 +10,9 @@ from fplcast.dataset import (
     PlayerSeries,
     WindowSet,
     apply_scaler,
+    _runs,
     assign_splits,
     build_series,
-    build_windows,
     concat_windows,
     fit_scaler,
     generate_synthetic_season,
@@ -23,7 +24,9 @@ from fplcast.ingest import (
     CanonicalPlayerKey,
     GameweekTable,
     Position,
+    TeamLookupError,
     TeamStrengthTable,
+    compute_difficulty,
 )
 
 from conftest import assert_tables_equal, make_table
@@ -42,10 +45,52 @@ def mitrovic_series():
     return PlayerSeries(key=key, table=rows)
 
 
+def build_windows(
+    series: PlayerSeries,
+    w: int,
+    tier: FeatureTier,
+    strengths: dict[str, TeamStrengthTable] | TeamStrengthTable,
+) -> WindowSet:
+    """Slide a w-week window over the series; the week after each window
+    supplies the target points and difficulty.
+
+    Windows never span a season boundary. A (season-local) series shorter
+    than w+1 rows yields nothing.
+    """
+    if w < 1:
+        raise ValueError(f"window size must be >= 1, got {w}")
+    columns = tier.columns()
+    table = series.table
+    feats = table.matrix(columns)
+    windows, d, targets = [], [], []
+    for run in _runs(table.season):
+        if run.stop - run.start < w + 1:
+            continue
+        season, season_strengths = table.season[run.start], strengths
+        if isinstance(strengths, dict):
+            if season not in strengths:
+                raise KeyError(f"no strength table for season '{season}'")
+            season_strengths = strengths[season]
+        # Window i holds rows i..i+w-1 and predicts row i+w.
+        windows.append(sliding_window_view(feats[run], w, axis=0)[:-1].transpose(0, 2, 1))
+        targets.append(table.take(slice(run.start + w, run.stop)))
+        d.append(compute_difficulty(targets[-1], season_strengths))
+    if not targets:
+        return WindowSet.empty(w, len(columns))
+    target = GameweekTable.concat(targets)
+    return WindowSet(
+        X=np.concatenate(windows),
+        d=np.concatenate(d),
+        y=target.total_points,
+        players=(series.key,) * len(target),
+        target_gameweek=target.gameweek,
+    )
+
+
 class TestBuildWindows:
     def test_worked_example(self, strengths):
         tier = FeatureTier.FULL
-        windows = build_windows(mitrovic_series(), 2, tier, strengths)
+        windows = Players([mitrovic_series()], strengths).windows(2, tier)
         assert len(windows) == 1
         assert windows.y[0] == 2
         assert windows.d[0] == -1
@@ -60,10 +105,11 @@ class TestBuildWindows:
     def test_series_of_length_w_yields_nothing(self, strengths):
         series = mitrovic_series()
         series.table = series.table.take(slice(0, 2))
-        assert len(build_windows(series, 2, FeatureTier.PTSONLY, strengths)) == 0
+        assert len(Players([series], strengths).windows(2, FeatureTier.PTSONLY)) == 0
 
     def test_series_of_length_w_plus_one_yields_one(self, strengths):
-        assert len(build_windows(mitrovic_series(), 2, FeatureTier.PTSONLY, strengths)) == 1
+        windows = Players([mitrovic_series()], strengths).windows(2, FeatureTier.PTSONLY)
+        assert len(windows) == 1
 
     def test_count_identity(self, strengths):
         rows = make_table(
@@ -74,7 +120,7 @@ class TestBuildWindows:
             key=CanonicalPlayerKey("someone", Position.FWD), table=rows
         )
         for w in (1, 2, 5, 9):
-            assert len(build_windows(series, w, FeatureTier.PTSONLY, strengths)) == 10 - w
+            assert len(Players([series], strengths).windows(w, FeatureTier.PTSONLY)) == 10 - w
 
     def test_windows_never_cross_seasons(self, strengths):
         rows = make_table(
@@ -86,19 +132,19 @@ class TestBuildWindows:
         )
         tables = {"2020-21": TeamStrengthTable("2020-21", dict(strengths.entries)),
                   "2021-22": strengths}
-        windows = build_windows(series, 2, FeatureTier.PTSONLY, tables)
+        windows = Players([series], tables).windows(2, FeatureTier.PTSONLY)
         # One per season segment; none spanning gameweeks 3->1.
         assert len(windows) == 2
         assert list(windows.target_gameweek) == [3, 3]
 
     def test_w_below_one_rejected(self, strengths):
         with pytest.raises(ValueError):
-            build_windows(mitrovic_series(), 0, FeatureTier.PTSONLY, strengths)
+            Players([mitrovic_series()], strengths).windows(0, FeatureTier.PTSONLY)
 
 
 class TestWindowSet:
     def test_take_selects_rows_by_index_or_mask(self, strengths):
-        windows = build_windows(mitrovic_series(), 1, FeatureTier.PTSONLY, strengths)
+        windows = Players([mitrovic_series()], strengths).windows(1, FeatureTier.PTSONLY)
         picked = windows.take([1])
         assert len(picked) == 1
         assert (picked.y[0], picked.d[0]) == (windows.y[1], windows.d[1])
@@ -107,7 +153,7 @@ class TestWindowSet:
         assert masked.players == picked.players
 
     def test_concat_keeps_order(self, strengths):
-        windows = build_windows(mitrovic_series(), 1, FeatureTier.PTSONLY, strengths)
+        windows = Players([mitrovic_series()], strengths).windows(1, FeatureTier.PTSONLY)
         both = concat_windows([windows.take([1]), windows.take([0])])
         assert list(both.target_gameweek) == [3, 2]
         np.testing.assert_array_equal(both.X, windows.X[::-1])
@@ -145,6 +191,57 @@ def _same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def _oracle(series_list, strengths, split_map, w, tier, split, flip):
+    """Players.windows by the per-series oracle and concat_windows."""
+    parts = [
+        build_windows(s, w, tier, strengths)
+        for s in series_list
+        if split is None or split_map.get(s.key) == split
+    ]
+    if not parts:
+        return WindowSet.empty(w, len(tier.columns()))
+    windows = concat_windows(parts)
+    return WindowSet(windows.X, -windows.d if flip else windows.d, windows.y,
+                     windows.players, windows.target_gameweek)
+
+
+def _same_windows(a, b):
+    assert a.players == b.players
+    for name in ("X", "d", "y", "target_gameweek"):
+        _same_bits(getattr(a, name), getattr(b, name))
+
+
+_SEASONS = ("2020-21", "2021-22", "2022-23")
+_TEAMS = ("arsenal", "brentford", "fulham", "liverpool")
+
+
+@st.composite
+def multi_season_players(draw):
+    """1-4 players, each with 1-3 season runs of 0-8 rows (a season may
+    come back after another), and a strength table for every season."""
+    series_list = []
+    for p in range(draw(st.integers(1, 4))):
+        seasons = []
+        for season in draw(st.lists(st.sampled_from(_SEASONS), min_size=1, max_size=3)):
+            seasons += [season] * draw(st.integers(0, 8))
+        n = len(seasons)
+        ints = st.lists(st.integers(-5, 24), min_size=n, max_size=n)
+        teams = st.lists(st.sampled_from(_TEAMS), min_size=n, max_size=n)
+        rows = make_table(
+            season=seasons, gameweek=list(range(1, n + 1)), kickoff_order=list(range(n)),
+            total_points=draw(ints), minutes=draw(ints), team=draw(teams),
+            opponent=draw(teams),
+            influence=draw(st.lists(st.floats(0, 100), min_size=n, max_size=n)),
+        )
+        series_list.append(PlayerSeries(CanonicalPlayerKey(f"p{p}", Position.MID), rows))
+    ratings = st.lists(st.integers(1, 5), min_size=len(_TEAMS), max_size=len(_TEAMS))
+    strengths = {
+        season: TeamStrengthTable(season, dict(zip(_TEAMS, draw(ratings))))
+        for season in _SEASONS
+    }
+    return series_list, strengths
+
+
 # One synthetic season's series, shared by the window-selection property.
 _SEASON_ROWS, _STRENGTHS = generate_synthetic_season(seed=5, n_players=24, n_weeks=8)
 _SEASON_SERIES = build_series(_SEASON_ROWS)
@@ -174,6 +271,63 @@ class TestPlayersWindows:
         for name in ("X", "d", "y", "target_gameweek"):
             _same_bits(getattr(picked, name), getattr(expected, name))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        multi_season_players(),
+        st.lists(st.sampled_from(["train", "validation", "test", None]), max_size=4),
+        st.integers(1, 9),
+        st.sampled_from(list(FeatureTier)),
+        st.sampled_from([None, "train", "validation", "test"]),
+        st.booleans(),
+    )
+    def test_matches_the_per_series_oracle(self, drawn, labels, w, tier, split, flip):
+        """Every column is bit-equal to the per-series oracle's, over
+        several seasons, windows longer than some runs and players the
+        split map leaves out."""
+        series_list, strengths = drawn
+        split_map = {s.key: label for s, label in zip(series_list, labels) if label}
+        players = Players(series_list, strengths, split_map, flip)
+        _same_windows(
+            players.windows(w, tier, split),
+            _oracle(series_list, strengths, split_map, w, tier, split, flip),
+        )
+
+    @pytest.mark.parametrize("unrated", [None, (0, 0), (0, 2), (0, 5), (0, 7),
+                                         (1, 0), (1, 2), (1, 5), (1, 7)])
+    @pytest.mark.parametrize("missing", [None, "2020-21", "2021-22"])
+    def test_fails_where_the_oracle_fails(self, missing, unrated):
+        """Two players over two seasons of 4 rows: a missing season table or
+        an unrated opponent raises what the oracle raises, or nothing when
+        no target row needs it (the first w rows of a run)."""
+        series_list = []
+        for p in range(2):
+            opponents = ["arsenal"] * 8
+            if unrated is not None and unrated[0] == p:
+                opponents[unrated[1]] = "nowhere"
+            rows = make_table(
+                season=["2020-21"] * 4 + ["2021-22"] * 4, gameweek=[1, 2, 3, 4] * 2,
+                kickoff_order=[0, 1, 2, 3] * 2, opponent=opponents,
+            )
+            series_list.append(PlayerSeries(CanonicalPlayerKey(f"p{p}", Position.FWD), rows))
+        strengths = {
+            season: TeamStrengthTable(season, {"fulham": 3, "arsenal": 4})
+            for season in ("2020-21", "2021-22") if season != missing
+        }
+        outcomes = []
+        for windows in (
+            lambda: Players(series_list, strengths).windows(2, FeatureTier.PTSONLY),
+            lambda: _oracle(series_list, strengths, {}, 2, FeatureTier.PTSONLY, None, False),
+        ):
+            try:
+                outcomes.append(windows())
+            except (KeyError, TeamLookupError) as exc:
+                outcomes.append((type(exc), exc.args))
+        gathered, expected = outcomes
+        if isinstance(expected, WindowSet):
+            _same_windows(gathered, expected)
+        else:
+            assert gathered == expected
+
     def test_every_window_under_either_sign(self):
         tier = FeatureTier.PTSONLY
         whole = concat_windows(
@@ -202,7 +356,7 @@ class TestColumnarOracle:
     @pytest.mark.parametrize("tier", list(FeatureTier), ids=lambda t: t.value)
     def test_matches_per_window_path(self, season, tier, w, scaled):
         series, strengths = season
-        windows = concat_windows([build_windows(s, w, tier, strengths) for s in series])
+        windows = Players(series, strengths).windows(w, tier)
         per_window = _per_window_windows(series, w, tier)
         _same_bits(windows.X, np.stack(per_window))
 
@@ -250,7 +404,7 @@ class TestFeatureTiers:
 class TestSlidingAverage:
     def test_worked_example_means(self, strengths):
         tier = FeatureTier.FULL
-        windows = build_windows(mitrovic_series(), 2, tier, strengths)
+        windows = Players([mitrovic_series()], strengths).windows(2, tier)
         [sa] = sliding_average(windows)
         cols = tier.columns()
         assert sa[cols.index("total_points")] == pytest.approx(6.5)
@@ -265,15 +419,15 @@ class TestSlidingAverage:
         series = PlayerSeries(
             key=CanonicalPlayerKey("someone", Position.FWD), table=rows
         )
-        windows = build_windows(series, 3, FeatureTier.PTSONLY, strengths)
+        windows = Players([series], strengths).windows(3, FeatureTier.PTSONLY)
         assert sliding_average(windows).tolist() == [[4.0]]
 
     def test_w1_is_identity(self, strengths):
-        windows = build_windows(mitrovic_series(), 1, FeatureTier.PTSONLY, strengths)
+        windows = Players([mitrovic_series()], strengths).windows(1, FeatureTier.PTSONLY)
         np.testing.assert_array_equal(sliding_average(windows), windows.X[:, 0, :])
 
     def test_exact_mean_of_columns(self, strengths):
-        windows = build_windows(mitrovic_series(), 2, FeatureTier.FULL, strengths)
+        windows = Players([mitrovic_series()], strengths).windows(2, FeatureTier.FULL)
         np.testing.assert_allclose(
             sliding_average(windows), windows.X.sum(axis=1) / 2, rtol=0, atol=0
         )

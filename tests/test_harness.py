@@ -8,8 +8,6 @@ from fplcast.dataset import (
     Players,
     assign_splits,
     build_series,
-    build_windows,
-    concat_windows,
 )
 from fplcast.harness import (
     CvConfig,
@@ -246,11 +244,9 @@ class TestSelectFinal:
 class TestTrainFamilyContract:
     def test_families_agree_on_interface(self, mid_setup):
         series, strengths, splits = mid_setup
+        players = Players(series, strengths, splits.assignments)
         train_ex, val_ex = (
-            concat_windows(
-                [build_windows(s, 3, FeatureTier.PTSONLY, strengths)
-                 for s in series if splits.assignments[s.key] == target]
-            )
+            players.windows(3, FeatureTier.PTSONLY, target)
             for target in ("train", "validation")
         )
         for family, config in (

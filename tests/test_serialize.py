@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from fplcast.cnn import LearningCurve
 from fplcast.dataset import (
     FeatureTier,
+    Players,
     ScalerParams,
     assign_splits,
     build_series,
-    build_windows,
-    concat_windows,
     generate_synthetic_season,
     sliding_average,
 )
@@ -207,9 +206,7 @@ class TestDatasetRoundTrip:
     def _windows(self, season):
         rows, strengths = season
         series = build_series(rows)
-        return concat_windows(
-            [build_windows(s, 2, FeatureTier.PTS_ICT, strengths) for s in series]
-        )
+        return Players(series, strengths).windows(2, FeatureTier.PTS_ICT)
 
     def test_windowed_round_trip(self, season):
         windows = self._windows(season)
@@ -285,10 +282,9 @@ def fitted_models():
     rows, strengths = generate_synthetic_season(seed=8, n_players=60, n_weeks=10)
     series = [s for s in build_series(rows) if s.key.position is Position.MID]
     splits = assign_splits(series, seed=8)
+    players = Players(series, strengths, splits.assignments)
     train_ex, val_ex = (
-        concat_windows([build_windows(s, 3, FeatureTier.PTSONLY, strengths)
-                        for s in series if splits.assignments[s.key] == split])
-        for split in ("train", "validation")
+        players.windows(3, FeatureTier.PTSONLY, split) for split in ("train", "validation")
     )
     configs = {
         "ridge": {},
@@ -308,9 +304,7 @@ def data_files():
     """(reader, writer of what it read, text) for each data file format."""
     rows, strengths = generate_synthetic_season(seed=8, n_players=24, n_weeks=5)
     series = build_series(rows)
-    windows = concat_windows(
-        [build_windows(s, 2, FeatureTier.PTS_MINUTES, strengths) for s in series]
-    )
+    windows = Players(series, strengths).windows(2, FeatureTier.PTS_MINUTES)
     files = {
         "splits": (read_splits, write_splits, write_splits(assign_splits(series, seed=4))),
         "cleaned": (read_cleaned_csv, write_cleaned_csv, write_cleaned_csv(rows)),
