@@ -44,7 +44,6 @@ from .gbm import (
     split_importance,
 )
 from .cnn import (
-    Batch,
     CnnModel,
     TrainConfig,
     adam_step,

@@ -45,7 +45,6 @@ from .harness import (
     CvConfig,
     GridSpec,
     cross_validate,
-    default_grid,
     derive_seed,
     model_family,
     predict,
@@ -509,10 +508,10 @@ def cmd_gridsearch(args, config) -> int:
                         "config",
                         f"grid axis '{axis}' values must be {problem}, got {_shown(value)}",
                     )
-        axes = {k: list(v) for k, v in config["grid"].items()}
-        grid = GridSpec(family=family, axes=axes)
-    else:
-        grid = default_grid(family)
+    # Config keys outside the grid hold for every trial.
+    axes = config["grid"] if config["grid"] is not None else FAMILIES[family].grid
+    grid = GridSpec(family=family, axes={k: list(v) for k, v in axes.items()},
+                    fixed=FAMILIES[family].from_cli(config))
     rows = _read_cleaned(args.cleaned)
     strengths = _read_strengths(args.strengths)
     splits = _read_splits(args.splits)
@@ -523,14 +522,14 @@ def cmd_gridsearch(args, config) -> int:
         players = _players(all_series, position, config, strengths, splits)
         results = run_grid(grid, players, seed=config["seed"], position=position)
         out = _out_dir(args)
-        axis_names = sorted({k for r in results for k in r.config})
+        axis_names = sorted(grid.axes)
         header = ser.csv_line([*axis_names, "train_mse", "val_mse", "seed", "status", "reason"])
         trials = (
-            [*(r.config.get(n) for n in axis_names), r.train_mse, r.val_mse, r.seed,
+            [*(r.config[n] for n in axis_names), r.train_mse, r.val_mse, r.seed,
              "ok" if r.error is None else "failed", r.error]
             for r in results
         )
-        # A missing axis, MSE or reason is an empty cell.
+        # A missing MSE or reason is an empty cell.
         rows = (["" if c is None else c for c in cells] for cells in trials)
         _write(out / f"trials_{family}_{position.value}.csv", ser.write_table(header, rows))
 
@@ -601,6 +600,8 @@ def cmd_rank(args, config) -> int:
     position = Position(ctx.position)
     season = args.season or max(rows.season)
     rows = rows.take([s == season for s in rows.season])
+    if not len(rows):
+        raise CliError("data", f"no cleaned rows for season '{season}'")
     players = _players(build_series(rows), position, config, strengths)
     windows = players.windows(ctx.w, FeatureTier(ctx.tier))
     candidates = windows.take(windows.target_gameweek == args.gameweek)
@@ -707,12 +708,7 @@ def cmd_explain(args, config) -> int:
     positions = {ctx.position for f, _, ctx in loaded if f.explain == "coefficients"}
     if len(loaded) > 1 and len(positions) < len(loaded):
         raise CliError("usage", "several --model files must be ridge models, one per position")
-    family = loaded[0][0]
-    kind = args.kind or family.explain
-    if kind != family.explain:
-        raise CliError(
-            "usage", f"family {family.name} does not support explanation '{kind}'"
-        )
+    kind = loaded[0][0].explain
     files, message = _EXPLAINERS[kind](args, config, loaded)
     out = _out_dir(args)
     for name, text in files.items():
@@ -802,9 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="model attribution exports")
     p.add_argument("--model", nargs="+", required=True)
-    p.add_argument(
-        "--kind", choices=[f.explain for f in FAMILIES.values()], default=None
-    )
     p.add_argument("--cleaned", nargs="+", default=[])
     p.add_argument("--strengths", default=None)
     p.add_argument("--splits", default=None)

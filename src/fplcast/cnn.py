@@ -5,11 +5,15 @@ axis of the w-by-f window, activation, flatten, concatenate the upcoming
 match difficulty, one dense hidden layer with activation, and a linear
 scalar output.
 
+It reads windows X (n, w, f), difficulties d and targets y, integer or
+float; train minibatches two dataset.WindowSet values by indexing these.
+
 The training cost is batch MSE plus an ElasticNet penalty on the conv
 filter bank and the hidden dense weights only (biases and the output
 layer are never penalized, and the penalty is added once per batch, not
 averaged over it). Gradients are exact backpropagation; updates are
-bias-corrected Adam; early stopping restores the best-validation epoch.
+bias-corrected Adam, in place on one working copy of the parameters;
+early stopping restores the best-validation epoch.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .dataset import WindowSet
+
 __all__ = [
     "CnnModel",
     "TrainConfig",
-    "AdamState",
     "LearningCurve",
-    "Batch",
     "init_model",
     "forward",
     "forward_batch",
@@ -102,50 +106,11 @@ class TrainConfig:
 
 
 @dataclass
-class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            t=0,
-        )
-
-
-@dataclass
 class LearningCurve:
     train_cost: list[float] = field(default_factory=list)
     train_mse: list[float] = field(default_factory=list)
     val_mse: list[float] = field(default_factory=list)
     best_epoch: int = 0
-
-
-@dataclass
-class Batch:
-    """Aligned arrays: windows (n, w, f), difficulties (n,), targets (n,)."""
-
-    X: np.ndarray
-    d: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        self.d = np.asarray(self.d, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        if self.X.ndim != 3:
-            raise ValueError("X must be (n, w, f)")
-        if not (self.X.shape[0] == self.d.shape[0] == self.y.shape[0]):
-            raise ValueError("X, d, y must align")
-
-    def __len__(self) -> int:
-        return self.X.shape[0]
-
-    def take(self, idx) -> "Batch":
-        return Batch(self.X[idx], self.d[idx], self.y[idx])
 
 
 ACTIVATIONS = ("relu", "tanh")
@@ -218,6 +183,8 @@ def _conv_windows(X: np.ndarray, k: int) -> np.ndarray:
 def forward_batch(model: CnnModel, X: np.ndarray, d: np.ndarray):
     """Vectorized forward pass; returns predictions and the cache backward
     needs (conv windows and pre-activations)."""
+    if X.ndim != 3 or len(d) != len(X):
+        raise ValueError(f"need X (n, w, f) and n difficulties, got {X.shape}, {len(d)}")
     if X.shape[1] != model.window or X.shape[2] != model.n_features:
         raise ValueError(
             f"expected windows of shape ({model.window}, {model.n_features}), "
@@ -245,36 +212,40 @@ def forward(model: CnnModel, X: np.ndarray, d: float):
     yhat, cache = forward_batch(model, X[None, :, :], np.array([float(d)]))
     return float(yhat[0]), cache
 
+
 def _penalty(model: CnnModel, lambda1: float, lambda2: float) -> float:
     p1 = np.abs(model.conv_w).sum() + np.abs(model.hidden_w).sum()
     p2 = (model.conv_w**2).sum() + (model.hidden_w**2).sum()
     return float(lambda1 * p1 + lambda2 * p2)
 
 
-def cost(model: CnnModel, batch: Batch, lambda1: float, lambda2: float) -> float:
-    """Batch MSE plus the ElasticNet penalty on conv and hidden weights."""
-    if len(batch) == 0:
-        raise ValueError("cost of an empty batch is undefined")
-    yhat, _ = forward_batch(model, batch.X, batch.d)
-    mse = float(np.mean((batch.y - yhat) ** 2))
+def _batch_size(X: np.ndarray, y: np.ndarray) -> int:
+    """The number of examples: nonzero, with one target each."""
+    if len(y) != len(X) or len(y) == 0:
+        raise ValueError(f"need n > 0 windows and n targets, got {len(X)}, {len(y)}")
+    return len(y)
+
+
+def cost(model: CnnModel, X: np.ndarray, d: np.ndarray, y: np.ndarray,
+         lambda1: float, lambda2: float) -> float:
+    """MSE over the examples plus the ElasticNet penalty on conv and hidden
+    weights."""
+    _batch_size(X, y)
+    yhat, _ = forward_batch(model, X, d)
+    mse = float(np.mean((y - yhat) ** 2))
     return mse + _penalty(model, lambda1, lambda2)
 
 
-def backward(
-    model: CnnModel, batch: Batch, lambda1: float, lambda2: float
-) -> dict[str, np.ndarray]:
+def backward(model: CnnModel, X: np.ndarray, d: np.ndarray, y: np.ndarray,
+             lambda1: float, lambda2: float) -> dict[str, np.ndarray]:
     """Exact gradients of the batch cost for every parameter.
 
     The L1 subgradient at exactly zero is taken as 0.
     """
-    if len(batch) == 0:
-        raise ValueError("cannot differentiate an empty batch")
-    n = len(batch)
-    yhat, (windows, z_conv, hidden_in, z_hidden, a_hidden) = forward_batch(
-        model, batch.X, batch.d
-    )
+    n = _batch_size(X, y)
+    yhat, (windows, z_conv, hidden_in, z_hidden, a_hidden) = forward_batch(model, X, d)
 
-    d_yhat = 2.0 * (yhat - batch.y) / n  # n,
+    d_yhat = 2.0 * (yhat - y) / n  # n,
     g_out_w = a_hidden.T @ d_yhat
     g_out_b = np.array([d_yhat.sum()])
     d_a_hidden = np.outer(d_yhat, model.out_w)
@@ -304,68 +275,64 @@ def backward(
 def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update. Pure: inputs are not mutated."""
-    t = state.t + 1
-    new_params, new_m, new_v = {}, {}, {}
+    m: dict[str, np.ndarray],
+    v: dict[str, np.ndarray],
+    t: int,
+    config: TrainConfig,
+) -> None:
+    """Bias-corrected Adam update number t (from 1), in place: the
+    parameter arrays and the moment estimates m and v are overwritten."""
+    b1, b2 = config.beta1, config.beta2
     for name, p in params.items():
         g = grads[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[name], new_v[name] = m, v
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / (1.0 - b1**t)
+        v_hat = v[name] / (1.0 - b2**t)
+        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
 
 
 def train(
-    model: CnnModel, train_set: Batch, val_set: Batch, config: TrainConfig
+    model: CnnModel, train_set: WindowSet, val_set: WindowSet, config: TrainConfig
 ) -> tuple[CnnModel, LearningCurve]:
     """Minibatch Adam with early stopping on validation MSE.
 
-    Each epoch shuffles the training set with a seeded permutation and
-    walks it in batches (final partial batch kept). Training stops once
-    validation MSE has not improved by more than the tolerance for
-    `patience` consecutive epochs; the returned model carries the
-    parameters of the best-validation epoch.
+    Only the sets' X, d and y are read. Each epoch shuffles the training
+    set with a seeded permutation and walks it in batches (final partial
+    batch kept). Training stops once validation MSE has not improved by
+    more than the tolerance for `patience` consecutive epochs; the
+    returned model carries the parameters of the best-validation epoch.
+    `model` itself is left unchanged.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
-    params = {k: p.copy() for k, p in model.params().items()}
-    state = AdamState.zeros_like(params)
+    current = _copy(model)
+    params = current.params()  # the arrays that adam_step updates
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    t = 0
     curve = LearningCurve()
+    X, d, y = train_set.X, train_set.d, train_set.y
 
     best_val = np.inf  # strict minimum, decides which params to restore
     sig_best = np.inf  # tolerance-gated reference, drives the patience counter
-    best_params = params
+    best = model  # returned only if no validation MSE is below inf
     stale = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_set))
         for start in range(0, len(order), config.batch_size):
-            minibatch = train_set.take(order[start : start + config.batch_size])
+            idx = order[start : start + config.batch_size]
             grads = backward(
-                model.with_params(params), minibatch, config.lambda1, config.lambda2
+                current, X[idx], d[idx], y[idx], config.lambda1, config.lambda2
             )
-            params, state = adam_step(
-                params,
-                grads,
-                state,
-                config.learning_rate,
-                config.beta1,
-                config.beta2,
-                config.eps,
-            )
-        current = model.with_params(params)
-        train_pred, _ = forward_batch(current, train_set.X, train_set.d)
+            t += 1
+            adam_step(params, grads, m, v, t, config)
+        train_pred, _ = forward_batch(current, X, d)
         val_pred, _ = forward_batch(current, val_set.X, val_set.d)
-        train_mse = float(np.mean((train_set.y - train_pred) ** 2))
+        train_mse = float(np.mean((y - train_pred) ** 2))
         val_mse = float(np.mean((val_set.y - val_pred) ** 2))
         curve.train_cost.append(
             train_mse + _penalty(current, config.lambda1, config.lambda2)
@@ -375,7 +342,7 @@ def train(
 
         if val_mse < best_val:
             best_val = val_mse
-            best_params = params
+            best = _copy(current)
             curve.best_epoch = epoch
         if val_mse < sig_best - config.early_stop_tolerance:
             sig_best = val_mse
@@ -384,7 +351,12 @@ def train(
             stale += 1
         if stale >= config.patience:
             break
-    return model.with_params(best_params), curve
+    return best, curve
+
+
+def _copy(model: CnnModel) -> CnnModel:
+    """The model over float64 copies of its parameter arrays."""
+    return model.with_params({n: p.astype(np.float64) for n, p in model.params().items()})
 
 
 def mean_normalized_filter(model: CnnModel) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import serialize as ser
-from .cnn import Batch, TrainConfig
+from .cnn import TrainConfig
 from .dataset import (
     FeatureTier,
     Players,
@@ -55,8 +55,6 @@ __all__ = [
     "predict",
     "model_family",
     "sliding_design",
-    "windowed_batch",
-    "default_grid",
 ]
 
 
@@ -107,10 +105,12 @@ class Family:
         return fit_scaler(sliding_average(windows))
 
     def design(self, windows: WindowSet, scaler: ScalerParams | None):
-        """(model inputs, targets): a design matrix or a window batch."""
+        """(model inputs, targets): a design matrix, or the windows with
+        their features scaled."""
         if self.representation == "windowed":
-            batch = windowed_batch(windows, scaler)
-            return batch, batch.y
+            if scaler is not None:
+                windows = replace(windows, X=apply_scaler(scaler, windows.X))
+            return windows, windows.y
         return sliding_design(windows, scaler)
 
 
@@ -123,13 +123,13 @@ def _fit_gbm(p, train, val, seed, feature_names):
 
 
 def _fit_cnn(p, train, val, seed, feature_names):
-    batch, p = train[0], dict(p)  # p keeps only TrainConfig keys once popped
-    _, w, f = batch.X.shape
+    windows, p = train[0], dict(p)  # p keeps only TrainConfig keys once popped
+    _, w, f = windows.X.shape
     model = cnn_mod.init_model(
         w=w, k=p.pop("k"), f=f, n_filters=p.pop("filters"),
         n_hidden=p.pop("hidden"), activation=p.pop("activation"), seed=seed,
     )
-    best, curve = cnn_mod.train(model, batch, val[0], TrainConfig(**p, seed=seed))
+    best, curve = cnn_mod.train(model, windows, val[0], TrainConfig(**p, seed=seed))
     return best, {"curve": curve}
 
 
@@ -192,8 +192,8 @@ FAMILIES = {
             },
         },
         fit=_fit_cnn,
-        predict_batch=lambda model, batch: cnn_mod.forward_batch(
-            model, batch.X, batch.d
+        predict_batch=lambda model, windows: cnn_mod.forward_batch(
+            model, windows.X, windows.d
         )[0],
         magic=ser.MAGIC_CNN,
         write=lambda model, ctx: ser.write_cnn(model, ctx),
@@ -297,15 +297,6 @@ def sliding_design(windows: WindowSet, scaler: ScalerParams | None = None):
     if scaler is not None:
         A = apply_scaler(scaler, A)
     return np.column_stack([A, windows.d]), windows.y.astype(np.float64)
-
-
-def windowed_batch(windows: WindowSet, scaler: ScalerParams | None = None) -> Batch:
-    """CNN tensors: scaled windows, raw difficulties, raw targets."""
-    return Batch(
-        X=apply_scaler(scaler, windows.X) if scaler else windows.X,
-        d=windows.d.astype(np.float64),
-        y=windows.y.astype(np.float64),
-    )
 
 
 def derive_seed(seed: int, config: dict) -> int:
@@ -461,9 +452,3 @@ def select_final(
     test_err = mse(test_ex.y, predictions)
     final = replace(best, train_mse=train_err, val_mse=val_err, test_mse=test_err)
     return final, fitted
-
-
-def default_grid(family: str) -> GridSpec:
-    """Search spaces used when no grid is configured."""
-    axes = _family(family).grid
-    return GridSpec(family=family, axes={k: list(v) for k, v in axes.items()})

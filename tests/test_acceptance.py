@@ -123,7 +123,7 @@ def test_criterion_2_ridge_oracle_equivalence():
 
 
 def _fd_check(model, batch, l1, l2, step=1e-5):
-    analytic = cnn_mod.backward(model, batch, l1, l2)
+    analytic = cnn_mod.backward(model, *batch, l1, l2)
     params = model.params()
     worst = 0.0
     for name, p in params.items():
@@ -132,9 +132,9 @@ def _fd_check(model, batch, l1, l2, step=1e-5):
             ix = it.multi_index
             original = p[ix]
             p[ix] = original + step
-            up = cnn_mod.cost(model.with_params(params), batch, l1, l2)
+            up = cnn_mod.cost(model.with_params(params), *batch, l1, l2)
             p[ix] = original - step
-            down = cnn_mod.cost(model.with_params(params), batch, l1, l2)
+            down = cnn_mod.cost(model.with_params(params), *batch, l1, l2)
             p[ix] = original
             numeric = (up - down) / (2 * step)
             a = analytic[name][ix]
@@ -163,11 +163,7 @@ def test_criterion_3_cnn_gradient_check():
             activation=str(activation),
             seed=1000 + i,
         )
-        batch = cnn_mod.Batch(
-            X=rng.normal(size=(5, w, f)),
-            d=rng.normal(size=5),
-            y=rng.normal(size=5),
-        )
+        batch = rng.normal(size=(5, w, f)), rng.normal(size=5), rng.normal(size=5)
         worst = _fd_check(model, batch, lam, lam)
         worst_overall = max(worst_overall, worst)
         assert worst < 1e-4

@@ -375,6 +375,33 @@ class TestEvaluateCommand:
 
 
 class TestRankCommand:
+    def test_season_selects_the_rows_and_a_missing_one_is_named(self, tmp_path, capsys):
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        main(
+            ["--out", str(out), "--seed", "5", "--position", "FWD", "train",
+             "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
+             "--family", "ridge"]
+        )
+        ranked = []
+        for season, run_out in ((None, out / "latest"), ("synthetic", out / "named")):
+            rc = main(
+                ["--out", str(run_out), "rank", "--model", str(out / "model_ridge_FWD.txt"),
+                 "--cleaned", *cleaned, "--strengths", strengths, "--gameweek", "10"]
+                + (["--season", season] if season else [])
+            )
+            assert rc == 0
+            ranked.append((run_out / "rank_FWD_gw10.csv").read_bytes())
+        assert ranked[0] == ranked[1]
+        capsys.readouterr()
+        rc = main(
+            ["--out", str(out / "nope"), "rank", "--model", str(out / "model_ridge_FWD.txt"),
+             "--cleaned", *cleaned, "--strengths", strengths, "--gameweek", "10",
+             "--season", "nope"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error:data: no cleaned rows for season 'nope'\n"
+        assert not (out / "nope").exists()
+
     def test_descending_with_alphabetical_ties(self, tmp_path):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)
         main(
@@ -417,7 +444,7 @@ class TestDifficultySign:
                  "--strengths", strengths, "--splits", splits, "--family", "ridge"]
             ) == 0
         assert main(
-            ["--out", str(out), "explain", "--kind", "coefficients", "--model",
+            ["--out", str(out), "explain", "--model",
              str(out / "model_ridge_GK.txt"), str(out / "model_ridge_MID.txt")]
         ) == 0
 
@@ -565,19 +592,23 @@ class TestExplainCommands:
         assert lines[0] == '"window_row","total_points"'
         assert len(lines) == 1 + 2  # kernel rows
 
-    def test_unsupported_pair_rejected(self, tmp_path, capsys):
+    def test_kind_is_an_unknown_flag(self, tmp_path, capsys):
+        # The model file fixes the explanation; there is no flag to name it.
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)
         main(
             ["--out", str(out), "--seed", "5", "--position", "GK", "train",
              "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
              "--family", "ridge"]
         )
+        capsys.readouterr()
         rc = main(
-            ["--out", str(out), "explain", "--kind", "filter", "--model",
+            ["--out", str(out), "explain", "--kind", "coefficients", "--model",
              str(out / "model_ridge_GK.txt")]
         )
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:usage:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:usage:") and "--kind" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestGridsearchCommand:
@@ -599,8 +630,34 @@ class TestGridsearchCommand:
         assert rc == 0
         ledger = (out / "trials_cnn_GK.csv").read_text()
         assert '"failed"' in ledger and "kernel 5 exceeds window 3" in ledger
+        assert ledger.splitlines()[0].startswith('"k","w","train_mse"')
         summary = json.loads((out / "summary_cnn.json").read_text())
         assert summary["GK"]["failed"] == 1
+        # The keys outside the grid reach every trial.
+        assert summary["GK"]["config"]["epochs"] == 2
+        assert summary["GK"]["config"]["filters"] == 2
+
+    def test_keys_outside_the_grid_train_as_train_does(self, tmp_path):
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps({"grid": {"lambda": [1.0]}, "tier": "full", "w": 6}),
+            encoding="utf-8",
+        )
+        for command in ("gridsearch", "train"):
+            rc = main(
+                ["--config", str(config), "--out", str(out / command), "--seed", "5",
+                 "--position", "MID", command, "--cleaned", *cleaned,
+                 "--strengths", strengths, "--splits", splits, "--family", "ridge"]
+            )
+            assert rc == 0
+        best = json.loads((out / "gridsearch" / "summary_ridge.json").read_text())["MID"]
+        assert best["config"] == {"lambda": 1.0, "tier": "full", "w": 6}
+        reports = (out / "train" / "report_ridge.csv").read_text().splitlines()
+        validation = next(line for line in reports if '"validation"' in line)
+        assert best["val_mse"] == float(validation.split(",")[4])
+        trials = (out / "gridsearch" / "trials_ridge_MID.csv").read_text()
+        assert trials.splitlines()[0].startswith('"lambda","train_mse"')
 
     def test_writes_ledger_and_summary(self, tmp_path):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from dataclasses import dataclass
+
 from fplcast.cnn import (
-    AdamState,
-    Batch,
     CnnModel,
     TrainConfig,
     adam_step,
@@ -16,10 +16,12 @@ from fplcast.cnn import (
     parameter_count,
     train,
 )
+from fplcast.dataset import WindowSet
 from fplcast.serialize import ModelContext, read_cnn, write_cnn
 
 
 def finite_difference_grads(model, batch, lambda1, lambda2, step=1e-5):
+    """Central differences of the cost of batch = (X, d, y)."""
     grads = {}
     params = model.params()
     for name, p in params.items():
@@ -29,9 +31,9 @@ def finite_difference_grads(model, batch, lambda1, lambda2, step=1e-5):
             ix = it.multi_index
             original = p[ix]
             p[ix] = original + step
-            up = cost(model.with_params(params), batch, lambda1, lambda2)
+            up = cost(model.with_params(params), *batch, lambda1, lambda2)
             p[ix] = original - step
-            down = cost(model.with_params(params), batch, lambda1, lambda2)
+            down = cost(model.with_params(params), *batch, lambda1, lambda2)
             p[ix] = original
             g[ix] = (up - down) / (2 * step)
             it.iternext()
@@ -49,11 +51,8 @@ def max_relative_error(analytic, numeric):
 
 
 def random_batch(rng, n, w, f):
-    return Batch(
-        X=rng.normal(size=(n, w, f)),
-        d=rng.normal(size=n),
-        y=rng.normal(size=n),
-    )
+    """(X, d, y) of n random examples."""
+    return rng.normal(size=(n, w, f)), rng.normal(size=n), rng.normal(size=n)
 
 
 class TestInitModel:
@@ -136,10 +135,10 @@ class TestForward:
 class TestCost:
     def test_no_penalty_reduces_to_mse(self):
         model = init_model(3, 1, 1, n_filters=2, n_hidden=2, seed=5)
-        batch = random_batch(np.random.default_rng(1), 6, 3, 1)
-        yhat, _ = forward_batch(model, batch.X, batch.d)
-        assert cost(model, batch, 0.0, 0.0) == pytest.approx(
-            float(np.mean((batch.y - yhat) ** 2))
+        X, d, y = random_batch(np.random.default_rng(1), 6, 3, 1)
+        yhat, _ = forward_batch(model, X, d)
+        assert cost(model, X, d, y, 0.0, 0.0) == pytest.approx(
+            float(np.mean((y - yhat) ** 2))
         )
 
     def test_perfect_predictions_leave_penalty_only(self):
@@ -147,9 +146,8 @@ class TestCost:
         X = np.array([[[1.0], [2.0]]])
         d = np.array([1.0])
         yhat, _ = forward_batch(model, X, d)
-        batch = Batch(X=X, d=d, y=yhat)
         # ||C||_1 = 1, ||W1||_1 = 3; ||C||_2^2 = 1, ||W1||_2^2 = 3.
-        assert cost(model, batch, 0.5, 0.25) == pytest.approx(
+        assert cost(model, X, d, yhat, 0.5, 0.25) == pytest.approx(
             0.5 * (1 + 3) + 0.25 * (1 + 3)
         )
 
@@ -166,26 +164,28 @@ class TestCost:
         )
         # X=1: conv -> 2*1+0.5 = 2.5; hidden -> 2.5 + 3d; d=1 -> 5.5;
         # yhat = 5.75. y = 1 -> mse (4.75)^2. Penalties: l1*(2+4), l2*(4+10).
-        batch = Batch(X=np.array([[[1.0]]]), d=np.array([1.0]), y=np.array([1.0]))
+        batch = np.array([[[1.0]]]), np.array([1.0]), np.array([1.0])
         expected = 4.75**2 + 0.1 * (2 + 4) + 0.01 * (4 + 10)
-        assert cost(model, batch, 0.1, 0.01) == pytest.approx(expected)
+        assert cost(model, *batch, 0.1, 0.01) == pytest.approx(expected)
 
     def test_cost_decomposition(self):
         model = init_model(4, 3, 2, n_filters=3, n_hidden=4, seed=6)
         batch = random_batch(np.random.default_rng(2), 8, 4, 2)
         p1 = np.abs(model.conv_w).sum() + np.abs(model.hidden_w).sum()
         p2 = (model.conv_w**2).sum() + (model.hidden_w**2).sum()
-        base = cost(model, batch, 0.0, 0.0)
+        base = cost(model, *batch, 0.0, 0.0)
         for l1, l2 in ((0.3, 0.0), (0.0, 0.7), (0.2, 0.4)):
-            assert cost(model, batch, l1, l2) == pytest.approx(
+            assert cost(model, *batch, l1, l2) == pytest.approx(
                 base + l1 * p1 + l2 * p2, rel=1e-12
             )
 
     def test_empty_batch_rejected(self):
         model = init_model(2, 1, 1, seed=0)
-        empty = Batch(np.zeros((0, 2, 1)), np.zeros(0), np.zeros(0))
+        empty = np.zeros((0, 2, 1)), np.zeros(0), np.zeros(0)
         with pytest.raises(ValueError):
-            cost(model, empty, 0.0, 0.0)
+            cost(model, *empty, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            backward(model, *empty, 0.0, 0.0)
 
 
 class TestBackward:
@@ -196,7 +196,7 @@ class TestBackward:
                 5, 2, 3, n_filters=3, n_hidden=4, activation=activation, seed=8
             )
             batch = random_batch(rng, 6, 5, 3)
-            analytic = backward(model, batch, 0.01, 0.01)
+            analytic = backward(model, *batch, 0.01, 0.01)
             numeric = finite_difference_grads(model, batch, 0.01, 0.01)
             assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -205,17 +205,15 @@ class TestBackward:
         X = np.array([[[1.0], [2.0]], [[0.5], [3.0]]])
         d = np.array([1.0, 0.0])
         yhat, _ = forward_batch(model, X, d)
-        batch = Batch(X=X, d=d, y=yhat)
-        grads = backward(model, batch, 0.0, 0.0)
+        grads = backward(model, X, d, yhat, 0.0, 0.0)
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_pure_l2_gradient_is_two_lambda_w(self):
         model = init_model(3, 2, 2, n_filters=2, n_hidden=3, seed=9)
-        batch = random_batch(np.random.default_rng(3), 4, 3, 2)
-        yhat, _ = forward_batch(model, batch.X, batch.d)
-        residual_free = Batch(X=batch.X, d=batch.d, y=yhat)
-        grads = backward(model, residual_free, 0.0, 0.5)
+        X, d, _ = random_batch(np.random.default_rng(3), 4, 3, 2)
+        yhat, _ = forward_batch(model, X, d)
+        grads = backward(model, X, d, yhat, 0.0, 0.5)
         np.testing.assert_allclose(grads["hidden_w"], 2 * 0.5 * model.hidden_w)
         np.testing.assert_allclose(grads["conv_w"], 2 * 0.5 * model.conv_w)
         np.testing.assert_array_equal(grads["out_w"], np.zeros_like(model.out_w))
@@ -227,9 +225,73 @@ class TestBackward:
         model = model.with_params(zeroed)
         X = np.array([[[1.0], [2.0]]])
         yhat, _ = forward_batch(model, X, np.array([0.0]))
-        batch = Batch(X=X, d=np.array([0.0]), y=yhat)
-        grads = backward(model, batch, 1.0, 0.0)
+        grads = backward(model, X, np.array([0.0]), yhat, 1.0, 0.0)
         np.testing.assert_array_equal(grads["conv_w"], np.zeros_like(model.conv_w))
+
+
+@dataclass
+class AdamState:
+    """The pure Adam oracle's moment estimates and step count."""
+
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    t: int = 0
+
+    @classmethod
+    def zeros_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        return cls(
+            m={k: np.zeros_like(p) for k, p in params.items()},
+            v={k: np.zeros_like(p) for k, p in params.items()},
+            t=0,
+        )
+
+
+def pure_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Oracle: one bias-corrected Adam update that mutates no input."""
+    t = state.t + 1
+    new_params, new_m, new_v = {}, {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        m = beta1 * state.m[name] + (1.0 - beta1) * g
+        v = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_m[name], new_v[name] = m, v
+    return new_params, AdamState(m=new_m, v=new_v, t=t)
+
+
+class TestArrayChecks:
+    """Windows, difficulties and targets must have one row per example."""
+
+    def test_forward_rejects_bad_windows_or_difficulties(self):
+        model = init_model(3, 1, 2, n_filters=2, n_hidden=2, seed=0)
+        with pytest.raises(ValueError, match="difficulties"):
+            forward_batch(model, np.zeros((4, 3)), np.zeros(4))
+        with pytest.raises(ValueError, match="difficulties"):
+            forward_batch(model, np.zeros((4, 3, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match="difficulties"):
+            cost(model, np.zeros((4, 3, 2)), np.zeros(5), np.zeros(4), 0.0, 0.0)
+
+    @pytest.mark.parametrize("n_targets", [1, 3, 5])
+    def test_cost_and_backward_reject_misaligned_targets(self, n_targets):
+        model = init_model(3, 1, 2, n_filters=2, n_hidden=2, seed=0)
+        X, d, y = np.zeros((4, 3, 2)), np.zeros(4), np.zeros(n_targets)
+        with pytest.raises(ValueError, match="targets"):
+            cost(model, X, d, y, 0.0, 0.0)
+        with pytest.raises(ValueError, match="targets"):
+            backward(model, X, d, y, 0.0, 0.0)
+
+    def test_integer_and_float_difficulties_and_targets_agree(self):
+        rng = np.random.default_rng(31)
+        model = init_model(4, 2, 3, n_filters=3, n_hidden=4, activation="tanh", seed=32)
+        X = rng.normal(size=(9, 4, 3))
+        d, y = rng.integers(-4, 5, size=9), rng.integers(-2, 20, size=9)
+        as_float = d.astype(np.float64), y.astype(np.float64)
+        assert cost(model, X, d, y, 0.1, 0.2) == cost(model, X, *as_float, 0.1, 0.2)
+        grads = backward(model, X, d, y, 0.1, 0.2)
+        for name, g in backward(model, X, *as_float, 0.1, 0.2).items():
+            assert np.array_equal(grads[name], g)
 
 
 class TestAdamStep:
@@ -240,32 +302,66 @@ class TestAdamStep:
         params = self._params()
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         state = AdamState.zeros_like(params)
-        updated, new_state = adam_step(params, grads, state, lr=0.1)
+        adam_step(params, grads, state.m, state.v, 1, TrainConfig(learning_rate=0.1))
         for name in params:
-            np.testing.assert_array_equal(updated[name], params[name])
-        assert new_state.t == 1
+            np.testing.assert_array_equal(params[name], self._params()[name])
+            assert not state.m[name].any() and not state.v[name].any()
 
     def test_first_step_is_signed_learning_rate(self):
         params = {"w": np.array([0.0, 0.0])}
         grads = {"w": np.array([3.0, -0.5])}
         state = AdamState.zeros_like(params)
-        updated, _ = adam_step(params, grads, state, lr=0.01)
+        adam_step(params, grads, state.m, state.v, 1, TrainConfig(learning_rate=0.01))
         np.testing.assert_allclose(
-            updated["w"], [-0.01, 0.01], atol=0.01 * 1e-3
+            params["w"], [-0.01, 0.01], atol=0.01 * 1e-3
         )
 
-    def test_pure_function(self):
+    def test_updates_the_given_arrays(self):
         params = self._params()
-        grads = {"w": np.array([1.0, 1.0]), "b": np.array([-1.0])}
+        arrays = list(params.values())
         state = AdamState.zeros_like(params)
-        first, state_a = adam_step(params, grads, state, lr=0.05)
-        second, state_b = adam_step(params, grads, state, lr=0.05)
-        for name in params:
-            np.testing.assert_array_equal(first[name], second[name])
-        np.testing.assert_array_equal(state_a.m["w"], state_b.m["w"])
-        # Inputs untouched.
-        np.testing.assert_array_equal(params["w"], self._params()["w"])
-        assert state.t == 0
+        grads = {"w": np.array([1.0, 1.0]), "b": np.array([-1.0])}
+        adam_step(params, grads, state.m, state.v, 1, TrainConfig(learning_rate=0.05))
+        assert all(p is a for p, a in zip(params.values(), arrays))
+        assert params["w"][0] < 1.0 and params["b"][0] > 0.5
+        assert state.m["w"].all() and state.v["b"].all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_the_pure_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        params = {
+            f"p{i}": rng.normal(size=tuple(rng.integers(1, 5, size=rng.integers(1, 4))))
+            for i in range(int(rng.integers(1, 5)))
+        }
+        config = TrainConfig(
+            learning_rate=float(10 ** rng.uniform(-4, -1)),
+            beta1=float(rng.uniform(0.5, 0.99)),
+            beta2=float(rng.uniform(0.9, 0.9999)),
+            eps=float(10 ** rng.uniform(-10, -6)),
+        )
+        expected, state = dict(params), AdamState.zeros_like(params)
+        params = {name: p.copy() for name, p in params.items()}
+        moments = AdamState.zeros_like(params)
+        for t in range(1, 51):
+            grads = {
+                name: rng.normal(size=p.shape) * 10 ** rng.uniform(-3, 3)
+                for name, p in params.items()
+            }
+            expected, state = pure_adam_step(
+                expected, grads, state, config.learning_rate,
+                config.beta1, config.beta2, config.eps,
+            )
+            adam_step(params, grads, moments.m, moments.v, t, config)
+            for name in params:
+                assert np.array_equal(params[name], expected[name])
+                assert np.array_equal(moments.m[name], state.m[name])
+                assert np.array_equal(moments.v[name], state.v[name])
+
+
+def window_set(X, d, y):
+    """A WindowSet of bare arrays; train reads only X, d and y."""
+    n = len(d)
+    return WindowSet(X, d, y, (None,) * n, np.zeros(n, dtype=np.int64))
 
 
 def linear_batches(seed, n_train=96, n_val=32, w=3, f=1):
@@ -275,7 +371,7 @@ def linear_batches(seed, n_train=96, n_val=32, w=3, f=1):
         X = rng.normal(size=(n, w, f))
         d = rng.integers(-3, 4, size=n).astype(float)
         y = X.sum(axis=(1, 2)) * 1.5 - 0.4 * d + 0.05 * rng.normal(size=n)
-        return Batch(X=X, d=d, y=y)
+        return window_set(X, d, y)
 
     return make(n_train), make(n_val)
 
@@ -298,6 +394,19 @@ class TestTrain:
         restored_val = float(np.mean((val_set.y - pred) ** 2))
         assert restored_val == min(curve.val_mse)
         assert curve.best_epoch == int(np.argmin(curve.val_mse))
+
+    def test_restores_an_earlier_epoch_than_the_last(self):
+        # Later epochs overwrite the working parameters in place; the best
+        # epoch's must survive them.
+        train_set, val_set = linear_batches(seed=13, n_train=24, n_val=8)
+        model = init_model(3, 1, 1, n_filters=3, n_hidden=4, seed=14)
+        config = TrainConfig(
+            epochs=60, learning_rate=0.05, batch_size=4, seed=15, patience=60
+        )
+        best, curve = train(model, train_set, val_set, config)
+        assert curve.best_epoch < len(curve.val_mse) - 1
+        pred, _ = forward_batch(best, val_set.X, val_set.d)
+        assert float(np.mean((val_set.y - pred) ** 2)) == min(curve.val_mse)
 
     def test_early_stopping_bounds(self):
         train_set, val_set = linear_batches(seed=16)
@@ -324,12 +433,37 @@ class TestTrain:
 
     def test_empty_sets_rejected(self):
         model = init_model(3, 1, 1, seed=0)
-        empty = Batch(np.zeros((0, 3, 1)), np.zeros(0), np.zeros(0))
-        filled = Batch(np.zeros((2, 3, 1)), np.zeros(2), np.zeros(2))
+        empty = WindowSet.empty(3, 1)
+        filled = window_set(np.zeros((2, 3, 1)), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
             train(model, empty, filled, TrainConfig())
         with pytest.raises(ValueError):
             train(model, filled, empty, TrainConfig())
+
+    def test_input_model_unchanged(self):
+        train_set, val_set = linear_batches(seed=22)
+        model = init_model(3, 1, 1, n_filters=3, n_hidden=3, seed=23)
+        before = {name: p.copy() for name, p in model.params().items()}
+        best, _ = train(model, train_set, val_set, TrainConfig(epochs=5, seed=24))
+        for name, p in model.params().items():
+            np.testing.assert_array_equal(p, before[name])
+            assert best.params()[name] is not p
+        assert not np.array_equal(best.conv_w, model.conv_w)
+
+    def test_integer_and_float_sets_train_alike(self):
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(60, 3, 2))
+        d, y = rng.integers(-4, 5, size=60), rng.integers(-2, 15, size=60)
+        int_sets = window_set(X[:40], d[:40], y[:40]), window_set(X[40:], d[40:], y[40:])
+        d, y = d.astype(np.float64), y.astype(np.float64)
+        float_sets = window_set(X[:40], d[:40], y[:40]), window_set(X[40:], d[40:], y[40:])
+        model = init_model(3, 2, 2, n_filters=3, n_hidden=4, seed=26)
+        config = TrainConfig(epochs=4, seed=27, lambda1=0.01, lambda2=0.01)
+        best_int, curve_int = train(model, *int_sets, config)
+        best_float, curve_float = train(model, *float_sets, config)
+        assert curve_int == curve_float
+        for name, p in best_int.params().items():
+            assert np.array_equal(p, best_float.params()[name])
 
     def test_patience_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from fplcast.dataset import (
     sliding_average,
     stratified_bins,
 )
-from fplcast.harness import sliding_design, windowed_batch
+from fplcast.harness import FAMILIES, sliding_design
 from fplcast.ingest import (
     CanonicalPlayerKey,
     GameweekTable,
@@ -379,10 +379,9 @@ class TestColumnarOracle:
             [np.concatenate([m, [float(d)]]) for m, d in zip(means, windows.d)]
         ))
         _same_bits(y, np.array([float(v) for v in windows.y]))
-        batch = windowed_batch(windows, window_scaler)
-        _same_bits(batch.X, np.stack(per_window))
-        _same_bits(batch.d, np.array([float(v) for v in windows.d]))
-        _same_bits(batch.y, y)
+        scaled, targets = FAMILIES["cnn"].design(windows, window_scaler)
+        _same_bits(scaled.X, np.stack(per_window))
+        assert scaled.d is windows.d and scaled.y is windows.y and targets is windows.y
 
 
 class TestFeatureTiers:
@@ -580,8 +579,8 @@ class TestScaler:
     def test_d_and_y_not_scaled(self):
         windows = self._windows([1.0, 3.0], d=3)
         params = fit_scaler(windows.X)
-        batch = windowed_batch(windows, params)
-        assert batch.d[0] == 3 and batch.y[0] == 1
+        scaled, _ = FAMILIES["cnn"].design(windows, params)
+        assert scaled.d[0] == 3 and scaled.y[0] == 1
         [row, _], [y, _] = sliding_design(windows, fit_scaler(sliding_average(windows)))
         assert row[-1] == 3 and y == 1
 
