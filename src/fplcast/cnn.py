@@ -8,12 +8,17 @@ scalar output.
 It reads windows X (n, w, f), difficulties d and targets y, integer or
 float; train minibatches two dataset.WindowSet values by indexing these.
 
+Every layer is a matrix product. The convolution unrolls each window
+into its w-k+1 positions of k*f values (im2col), so the conv output and
+the conv weight gradient are one product each with the (filters, k*f)
+filter bank.
+
 The training cost is batch MSE plus an ElasticNet penalty on the conv
 filter bank and the hidden dense weights only (biases and the output
 layer are never penalized, and the penalty is added once per batch, not
 averaged over it). Gradients are exact backpropagation; updates are
-bias-corrected Adam, in place on one working copy of the parameters;
-early stopping restores the best-validation epoch.
+bias-corrected Adam, in place, over one flat buffer that holds every
+working parameter; early stopping restores the best-validation epoch.
 """
 
 from __future__ import annotations
@@ -116,21 +121,21 @@ class LearningCurve:
 ACTIVATIONS = ("relu", "tanh")
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+def _activate(z: np.ndarray, activation: str, out: np.ndarray | None = None) -> np.ndarray:
     if activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if activation == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     raise ValueError(f"unknown activation '{activation}'")
 
 
-def _activate_grad(z: np.ndarray, activation: str) -> np.ndarray:
+def _activate_grad(a: np.ndarray, activation: str) -> np.ndarray:
+    """The activation's derivative, from its output a."""
     # relu'(0) is defined as 0.
     if activation == "relu":
-        return (z > 0).astype(np.float64)
+        return a > 0
     if activation == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - a * a
     raise ValueError(f"unknown activation '{activation}'")
 
 
@@ -173,16 +178,11 @@ def parameter_count(model: CnnModel) -> int:
     return sum(p.size for p in model.params().values())
 
 
-def _conv_windows(X: np.ndarray, k: int) -> np.ndarray:
-    """(n, w, f) -> (n, w-k+1, k, f) sliding view over the time axis."""
-    return np.lib.stride_tricks.sliding_window_view(X, k, axis=1).transpose(
-        0, 1, 3, 2
-    )
-
-
 def forward_batch(model: CnnModel, X: np.ndarray, d: np.ndarray):
     """Vectorized forward pass; returns predictions and the cache backward
-    needs (conv windows and pre-activations)."""
+    needs: the unrolled windows U (n, w-k+1, k*f), the conv activations
+    (n*(w-k+1), filters), the dense layer's input (the conv activations
+    filter-major, then d) and the hidden activations."""
     if X.ndim != 3 or len(d) != len(X):
         raise ValueError(f"need X (n, w, f) and n difficulties, got {X.shape}, {len(d)}")
     if X.shape[1] != model.window or X.shape[2] != model.n_features:
@@ -190,20 +190,23 @@ def forward_batch(model: CnnModel, X: np.ndarray, d: np.ndarray):
             f"expected windows of shape ({model.window}, {model.n_features}), "
             f"got {X.shape[1:]}"
         )
-    windows = _conv_windows(X, model.kernel)  # n, J, k, f
-    z_conv = (
-        np.einsum("njkf,pkf->npj", windows, model.conv_w)
-        + model.conv_b[None, :, None]
-    )  # n, filters, J
-    a_conv = _activate(z_conv, model.activation)
-    n = X.shape[0]
-    flat = a_conv.reshape(n, -1)
-    hidden_in = np.concatenate([flat, d[:, None]], axis=1)
-    z_hidden = hidden_in @ model.hidden_w.T + model.hidden_b
-    a_hidden = _activate(z_hidden, model.activation)
+    n, w, f = X.shape
+    k, p = model.kernel, model.n_filters
+    J = w - k + 1
+    # Column i*f + c of U holds X[:, j + i, c], as conv_w.reshape(p, k*f) does.
+    U = np.concatenate([X[:, i : i + J] for i in range(k)], axis=2)
+    # np.dot: matmul takes a slow non-BLAS loop when k*f is 1.
+    a_conv = np.dot(U.reshape(n * J, k * f), model.conv_w.reshape(p, k * f).T)
+    a_conv += model.conv_b
+    _activate(a_conv, model.activation, out=a_conv)
+    hidden_in = np.empty((n, p * J + 1))
+    hidden_in[:, :-1].reshape(n, p, J)[...] = a_conv.reshape(n, J, p).transpose(0, 2, 1)
+    hidden_in[:, -1] = d
+    a_hidden = hidden_in @ model.hidden_w.T
+    a_hidden += model.hidden_b
+    _activate(a_hidden, model.activation, out=a_hidden)
     yhat = a_hidden @ model.out_w + model.out_b[0]
-    cache = (windows, z_conv, hidden_in, z_hidden, a_hidden)
-    return yhat, cache
+    return yhat, (U, a_conv, hidden_in, a_hidden)
 
 
 def forward(model: CnnModel, X: np.ndarray, d: float):
@@ -243,55 +246,51 @@ def backward(model: CnnModel, X: np.ndarray, d: np.ndarray, y: np.ndarray,
     The L1 subgradient at exactly zero is taken as 0.
     """
     n = _batch_size(X, y)
-    yhat, (windows, z_conv, hidden_in, z_hidden, a_hidden) = forward_batch(model, X, d)
+    yhat, (U, a_conv, hidden_in, a_hidden) = forward_batch(model, X, d)
 
     d_yhat = 2.0 * (yhat - y) / n  # n,
     g_out_w = a_hidden.T @ d_yhat
     g_out_b = np.array([d_yhat.sum()])
-    d_a_hidden = np.outer(d_yhat, model.out_w)
-    d_z_hidden = d_a_hidden * _activate_grad(z_hidden, model.activation)
+    d_z_hidden = np.outer(d_yhat, model.out_w)
+    d_z_hidden *= _activate_grad(a_hidden, model.activation)
     g_hidden_w = d_z_hidden.T @ hidden_in
     g_hidden_b = d_z_hidden.sum(axis=0)
     d_hidden_in = d_z_hidden @ model.hidden_w
-    conv_len = model.window - model.kernel + 1
-    d_flat = d_hidden_in[:, : model.n_filters * conv_len]
-    d_a_conv = d_flat.reshape(n, model.n_filters, conv_len)
-    d_z_conv = d_a_conv * _activate_grad(z_conv, model.activation)
-    g_conv_w = np.einsum("npj,njkf->pkf", d_z_conv, windows)
-    g_conv_b = d_z_conv.sum(axis=(0, 2))
+    _, J, kf = U.shape
+    # In a_conv's layout: the filter-major columns, transposed in one copy.
+    d_z_conv = d_hidden_in[:, :-1].reshape(n, -1, J).transpose(0, 2, 1).reshape(n * J, -1)
+    d_z_conv *= _activate_grad(a_conv, model.activation)
+    g_conv_w = (d_z_conv.T @ U.reshape(n * J, kf)).reshape(model.conv_w.shape)
+    g_conv_b = d_z_conv.sum(axis=0)
 
-    g_conv_w += lambda1 * np.sign(model.conv_w) + 2.0 * lambda2 * model.conv_w
-    g_hidden_w += lambda1 * np.sign(model.hidden_w) + 2.0 * lambda2 * model.hidden_w
-    return {
-        "conv_w": g_conv_w,
-        "conv_b": g_conv_b,
-        "hidden_w": g_hidden_w,
-        "hidden_b": g_hidden_b,
-        "out_w": g_out_w,
-        "out_b": g_out_b,
-    }
+    for g, weights in ((g_conv_w, model.conv_w), (g_hidden_w, model.hidden_w)):
+        penalty = np.sign(weights)  # lambda1 * sign(w) + 2 lambda2 w, in place
+        penalty *= lambda1
+        penalty += np.multiply(weights, 2.0 * lambda2)
+        g += penalty
+    grads = (g_conv_w, g_conv_b, g_hidden_w, g_hidden_b, g_out_w, g_out_b)
+    return dict(zip(PARAM_NAMES, grads))
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    m: dict[str, np.ndarray],
-    v: dict[str, np.ndarray],
-    t: int,
-    config: TrainConfig,
-) -> None:
-    """Bias-corrected Adam update number t (from 1), in place: the
-    parameter arrays and the moment estimates m and v are overwritten."""
+def adam_step(params: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
+              t: int, config: TrainConfig) -> None:
+    """Bias-corrected Adam update number t (from 1), in place: the flat
+    parameters and the moment estimates m and v are overwritten. Two
+    scratch arrays take the textbook expressions' temporaries, so every
+    element is rounded exactly as those expressions round it."""
     b1, b2 = config.beta1, config.beta2
-    for name, p in params.items():
-        g = grads[name]
-        m[name] *= b1
-        m[name] += (1.0 - b1) * g
-        v[name] *= b2
-        v[name] += (1.0 - b2) * g * g
-        m_hat = m[name] / (1.0 - b1**t)
-        v_hat = v[name] / (1.0 - b2**t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    step, denom = np.empty_like(params), np.empty_like(params)
+    m *= b1
+    m += np.multiply(grads, 1.0 - b1, out=step)
+    v *= b2
+    v += np.multiply(np.multiply(grads, 1.0 - b2, out=denom), grads, out=denom)
+    np.divide(m, 1.0 - b1**t, out=step)  # m_hat
+    np.divide(v, 1.0 - b2**t, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += config.eps
+    step *= config.learning_rate
+    step /= denom
+    params -= step
 
 
 def train(
@@ -309,10 +308,9 @@ def train(
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
-    current = _copy(model)
-    params = current.params()  # the arrays that adam_step updates
-    m = {name: np.zeros_like(p) for name, p in params.items()}
-    v = {name: np.zeros_like(p) for name, p in params.items()}
+    params, current = _flat_copy(model)  # current's arrays are views of params
+    l1, l2 = config.lambda1, config.lambda2
+    m, v = np.zeros_like(params), np.zeros_like(params)
     t = 0
     curve = LearningCurve()
     X, d, y = train_set.X, train_set.d, train_set.y
@@ -325,24 +323,20 @@ def train(
         order = rng.permutation(len(train_set))
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
-            grads = backward(
-                current, X[idx], d[idx], y[idx], config.lambda1, config.lambda2
-            )
+            grads = backward(current, X[idx], d[idx], y[idx], l1, l2).values()
             t += 1
-            adam_step(params, grads, m, v, t, config)
+            adam_step(params, np.concatenate([g.ravel() for g in grads]), m, v, t, config)
         train_pred, _ = forward_batch(current, X, d)
         val_pred, _ = forward_batch(current, val_set.X, val_set.d)
         train_mse = float(np.mean((y - train_pred) ** 2))
         val_mse = float(np.mean((val_set.y - val_pred) ** 2))
-        curve.train_cost.append(
-            train_mse + _penalty(current, config.lambda1, config.lambda2)
-        )
+        curve.train_cost.append(train_mse + _penalty(current, l1, l2))
         curve.train_mse.append(train_mse)
         curve.val_mse.append(val_mse)
 
         if val_mse < best_val:
             best_val = val_mse
-            best = _copy(current)
+            best = _flat_copy(current)[1]
             curve.best_epoch = epoch
         if val_mse < sig_best - config.early_stop_tolerance:
             sig_best = val_mse
@@ -354,9 +348,14 @@ def train(
     return best, curve
 
 
-def _copy(model: CnnModel) -> CnnModel:
-    """The model over float64 copies of its parameter arrays."""
-    return model.with_params({n: p.astype(np.float64) for n, p in model.params().items()})
+def _flat_copy(model: CnnModel) -> tuple[np.ndarray, CnnModel]:
+    """One flat float64 copy of the parameters, and the model over views of it."""
+    params = model.params()
+    flat = np.concatenate([p.ravel() for p in params.values()]).astype(np.float64)
+    parts = np.split(flat, np.cumsum([p.size for p in params.values()])[:-1])
+    return flat, model.with_params(
+        {name: part.reshape(p.shape) for (name, p), part in zip(params.items(), parts)}
+    )
 
 
 def mean_normalized_filter(model: CnnModel) -> np.ndarray:

@@ -123,11 +123,11 @@ def _require_final_newline(text: str, what: str) -> None:
         raise FormatError(f"{what} is truncated (no final newline)")
 
 
-def _finite(cell: str, line: int, column: str) -> float:
-    """float(cell), which must be finite."""
+def _finite(cell: str, what: str) -> float:
+    """float(cell), which must be finite; `what` names the cell in errors."""
     value = float(cell)
     if not math.isfinite(value):
-        raise FormatError(f"line {line}: {column} must be finite, got {cell!r}")
+        raise FormatError(f"{what} must be finite, got {cell!r}")
     return value
 
 
@@ -139,13 +139,17 @@ def _render_floats(values) -> str:
     return " ".join(fmt_num(v) for v in values)
 
 
-# kind -> (render, parse)
+def _finite_floats(text: str, what: str) -> np.ndarray:
+    return np.array([_finite(v, what) for v in text.split()])
+
+
+# kind -> (render, parse); parse(text, key) names the key in errors
 _KINDS = {
-    "int": (str, int),
-    "float": (fmt_num, float),
-    "str": (str, str),
-    "words": (" ".join, str.split),
-    "floats": (_render_floats, lambda v: np.array([float(x) for x in v.split()])),
+    "int": (str, lambda v, key: int(v)),
+    "float": (fmt_num, _finite),
+    "str": (str, lambda v, key: v),
+    "words": (" ".join, lambda v, key: v.split()),
+    "floats": (_render_floats, _finite_floats),
 }
 
 # The one optional part of a header: a scaler is both lines or neither.
@@ -171,7 +175,7 @@ def _read_header(
         head = f"{prefix}{key}{sep}"
         line = lines[pos] if pos < len(lines) else ""
         if line.startswith(head):
-            values[key] = _KINDS[kind][1](line[len(head) :])
+            values[key] = _KINDS[kind][1](line[len(head) :], key)
             pos += 1
         elif (key, kind) in _SCALER_FIELDS:
             values[key] = None
@@ -468,7 +472,7 @@ def read_ridge(text: str) -> tuple[RidgeModel, ModelContext]:
             continue
         _, name, weight = line.split("\t")
         names.append(name)
-        weights.append(float(weight))
+        weights.append(_finite(weight, f"weight of {name}"))
     if len(names) != n_features:
         raise FormatError(f"declared {n_features} features, found {len(names)}")
     model = RidgeModel(weights=np.array(weights), intercept=values["intercept"],
@@ -506,7 +510,7 @@ def _parse_tree(lines: list[str], start: int, n_features: int) -> tuple[Regressi
     gains_line = lines[start]
     if not gains_line.startswith("gains"):
         raise FormatError(f"expected gains line, got {gains_line!r}")
-    gains = [float(v) for v in gains_line.split()[1:]]
+    gains = [_finite(v, "split gain") for v in gains_line.split()[1:]]
     tree = RegressionTree(split_gains=gains)
     pos = start + 1
 
@@ -517,7 +521,9 @@ def _parse_tree(lines: list[str], start: int, n_features: int) -> tuple[Regressi
         node_id = len(tree.nodes)
         if parts[0] == "L":
             tree.nodes.append(
-                TreeNode(value=float(parts[1]), n_samples=int(parts[2]), depth=depth)
+                TreeNode(
+                    value=_finite(parts[1], "leaf value"), n_samples=int(parts[2]), depth=depth
+                )
             )
         elif parts[0] == "I":
             feature = int(parts[1])
@@ -526,7 +532,7 @@ def _parse_tree(lines: list[str], start: int, n_features: int) -> tuple[Regressi
             tree.nodes.append(
                 TreeNode(
                     feature=feature,
-                    threshold=float(parts[2]),
+                    threshold=_finite(parts[2], "split threshold"),
                     n_samples=int(parts[3]),
                     depth=depth,
                 )
@@ -620,9 +626,10 @@ def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
         if parts[0] != "param":
             raise FormatError(f"expected param header at line {i + 1}")
         name = parts[1]
+        if name in params:
+            raise FormatError(f"parameter {name} is listed twice")
         shape = tuple(int(s) for s in parts[2:])
-        values = np.array([float(v) for v in lines[i + 1].split()])
-        params[name] = values.reshape(shape)
+        params[name] = _finite_floats(lines[i + 1], name).reshape(shape)
         i += 2
     if sorted(params) != sorted(PARAM_NAMES):
         raise FormatError(f"expected parameters {sorted(PARAM_NAMES)}, found {sorted(params)}")
@@ -700,8 +707,8 @@ def write_predictions_csv(records: list[dict]) -> str:
 def read_predictions_csv(text: str) -> list[dict]:
     return [
         {
-            "true": _finite(cells[0], number, "true"),
-            "predicted": _finite(cells[1], number, "predicted"),
+            "true": _finite(cells[0], f"line {number}: true"),
+            "predicted": _finite(cells[1], f"line {number}: predicted"),
             "player": cells[2],
             "gameweek": int(cells[3]),
             "position": Position(cells[4]).value,

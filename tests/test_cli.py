@@ -3,8 +3,12 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from fplcast.cli import build_parser, main
 from fplcast.evaluation import average_ranks
 from fplcast.ingest import GameweekTable
 from fplcast.gbm import predict_gbm
-from fplcast.serialize import ModelContext, read_cleaned_csv, read_gbm, read_splits, write_gbm
+from fplcast.serialize import (
+    ModelContext, read_cleaned_csv, read_cnn, read_gbm, read_splits, write_gbm,
+)
 
 from test_gbm import sixteen_feature_model
 from test_serialize import corruptions
@@ -372,6 +378,63 @@ class TestEvaluateCommand:
         _assert_one_error_line(err)
         assert err.startswith("error:format:") and name.strip('"') in err
         assert not list((tmp_path / "o").glob("eval_*.csv"))
+
+
+def _run_on_threads(threads: str, argv: list[str]) -> bytes:
+    """stdout of `python argv` with fplcast's sources and `threads` BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *argv], env=env, check=True, capture_output=True
+    ).stdout
+
+
+class TestBlasThreads:
+    """A k3 conv over 18 features makes the conv a real matrix product; the
+    README chain's k1 `ptsonly` conv has an inner dimension of 1."""
+
+    CONV = """
+import hashlib, numpy as np
+from fplcast.cnn import forward_batch, init_model
+rng = np.random.default_rng(0)
+model = init_model(9, 3, 18, n_filters=64, n_hidden=64, seed=1)
+for n in (32, 1000):
+    _, (unrolled, a_conv, *_rest) = forward_batch(
+        model, rng.normal(size=(n, 9, 18)), rng.normal(size=n))
+    print(hashlib.sha256(unrolled.tobytes() + a_conv.tobytes()).hexdigest())
+"""
+
+    def test_wide_conv_is_the_same_on_one_and_two_threads(self):
+        one, two = (_run_on_threads(t, ["-c", self.CONV]) for t in ("1", "2"))
+        assert len(one.split()) == 2 and one == two
+
+    def test_wide_cnn_trains_alike_on_one_and_two_threads(self, tmp_path):
+        # Bytes may differ: OpenBLAS sums the hidden layer's product
+        # (inner dimension 64 * 7 + 1) in another order on two threads.
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path, players=60, weeks=20)
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({
+            "w": 9, "tier": "full", "cnn_kernel": 3, "cnn_filters": 64,
+            "cnn_hidden": 64, "epochs": 2, "patience": 2,
+        }))
+        models = []
+        for threads in ("1", "2"):
+            run_out = tmp_path / f"threads{threads}"
+            _run_on_threads(threads, [
+                "-m", "fplcast.cli", "--config", str(config), "--out", str(run_out),
+                "--seed", "5", "--position", "MID", "train", "--cleaned", *cleaned,
+                "--strengths", strengths, "--splits", splits, "--family", "cnn",
+            ])
+            models.append((run_out / "model_cnn_MID.txt").read_text())
+        headers = [text.split("\nparam ")[0] for text in models]
+        assert headers[0] == headers[1]
+        (one, _), (two, _) = map(read_cnn, models)
+        assert one.conv_w.shape == (64, 3, 18)
+        for name, p in one.params().items():
+            q = two.params()[name]
+            assert p.shape == q.shape
+            assert np.abs(p - q).max() <= 1e-12 * np.abs(p).max(), name
 
 
 class TestRankCommand:
@@ -826,6 +889,27 @@ class TestInputFileFailures:
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == "error:data: no players with position GK\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family, pattern, replacement", [
+        ("ridge", r"(\nfeature\t[^\t]*\t)[^\n]*", r"\g<1>inf"),
+        ("gbm", r"(\nL )[^ ]*", r"\g<1>nan"),
+        ("cnn", r"(\nparam out_b 1\n)[^\n]*", r"\g<1>nan"),
+        ("cnn", r"\Z", "param conv_b 2\n0 0\n"),
+    ], ids=["ridge_inf", "gbm_nan", "cnn_nan", "cnn_param_twice"])
+    def test_rank_refuses_a_model_with_a_bad_number(
+        self, tiny_season, tmp_path, capsys, family, pattern, replacement
+    ):
+        _, files = tiny_season
+        text = open(files[family]).read()
+        bad = tmp_path / "model.txt"
+        bad.write_text(re.sub(pattern, replacement, text, count=1))
+        assert bad.read_text() != text
+        capsys.readouterr()
+        assert main(_argv("rank", family, {**files, family: str(bad)}, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:format:")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["file", "file/below"])

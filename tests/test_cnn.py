@@ -3,7 +3,11 @@ import pytest
 
 from dataclasses import dataclass
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fplcast.cnn import (
+    PARAM_NAMES,
     CnnModel,
     TrainConfig,
     adam_step,
@@ -55,6 +59,58 @@ def random_batch(rng, n, w, f):
     return rng.normal(size=(n, w, f)), rng.normal(size=n), rng.normal(size=n)
 
 
+def _oracle_activate(z, activation):
+    return np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+
+
+def _oracle_activate_grad(z, activation):
+    if activation == "relu":
+        return (z > 0).astype(np.float64)
+    t = np.tanh(z)
+    return 1.0 - t * t
+
+
+def oracle_forward_batch(model, X, d):
+    """Oracle: the conv as an einsum over a sliding-window view; returns
+    predictions and (windows, z_conv, hidden_in, z_hidden, a_hidden)."""
+    windows = np.lib.stride_tricks.sliding_window_view(X, model.kernel, axis=1)
+    windows = windows.transpose(0, 1, 3, 2)  # n, J, k, f
+    z_conv = (
+        np.einsum("njkf,pkf->npj", windows, model.conv_w)
+        + model.conv_b[None, :, None]
+    )  # n, filters, J
+    flat = _oracle_activate(z_conv, model.activation).reshape(len(X), -1)
+    hidden_in = np.concatenate([flat, d[:, None]], axis=1)
+    z_hidden = hidden_in @ model.hidden_w.T + model.hidden_b
+    a_hidden = _oracle_activate(z_hidden, model.activation)
+    yhat = a_hidden @ model.out_w + model.out_b[0]
+    return yhat, (windows, z_conv, hidden_in, z_hidden, a_hidden)
+
+
+def oracle_backward(model, X, d, y, lambda1, lambda2):
+    """Oracle: exact gradients, the conv weight gradient as an einsum."""
+    n = len(y)
+    yhat, (windows, z_conv, hidden_in, z_hidden, a_hidden) = oracle_forward_batch(
+        model, X, d
+    )
+    d_yhat = 2.0 * (yhat - y) / n
+    g_out_w = a_hidden.T @ d_yhat
+    g_out_b = np.array([d_yhat.sum()])
+    d_a_hidden = np.outer(d_yhat, model.out_w)
+    d_z_hidden = d_a_hidden * _oracle_activate_grad(z_hidden, model.activation)
+    g_hidden_w = d_z_hidden.T @ hidden_in
+    g_hidden_b = d_z_hidden.sum(axis=0)
+    d_hidden_in = d_z_hidden @ model.hidden_w
+    d_a_conv = d_hidden_in[:, :-1].reshape(z_conv.shape)
+    d_z_conv = d_a_conv * _oracle_activate_grad(z_conv, model.activation)
+    g_conv_w = np.einsum("npj,njkf->pkf", d_z_conv, windows)
+    g_conv_b = d_z_conv.sum(axis=(0, 2))
+    g_conv_w += lambda1 * np.sign(model.conv_w) + 2.0 * lambda2 * model.conv_w
+    g_hidden_w += lambda1 * np.sign(model.hidden_w) + 2.0 * lambda2 * model.hidden_w
+    grads = (g_conv_w, g_conv_b, g_hidden_w, g_hidden_b, g_out_w, g_out_b)
+    return dict(zip(PARAM_NAMES, grads))
+
+
 class TestInitModel:
     def test_deterministic(self):
         a = init_model(4, 2, 3, n_filters=5, n_hidden=6, seed=42)
@@ -69,11 +125,14 @@ class TestInitModel:
         assert not model.out_b.any()
 
     def test_conv_output_length(self):
+        # The cache holds the unrolled windows (n, w-k+1, k*f) and the conv
+        # activations (n*(w-k+1), filters).
         model = init_model(5, 3, 2, n_filters=4, n_hidden=3, seed=1)
-        yhat, (windows, z_conv, *_rest) = forward(
+        yhat, (unrolled, a_conv, *_rest) = forward(
             model, np.zeros((5, 2)), 0.0
         )
-        assert z_conv.shape == (1, 4, 5 - 3 + 1)
+        assert unrolled.shape == (1, 5 - 3 + 1, 3 * 2)
+        assert a_conv.shape == (1 * (5 - 3 + 1), 4)
 
     def test_kernel_wider_than_window_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
@@ -122,9 +181,9 @@ class TestForward:
     def test_relu_positive_homogeneity(self):
         model = init_model(4, 2, 2, n_filters=3, n_hidden=3, seed=4)
         X = np.abs(np.random.default_rng(0).normal(size=(4, 2)))
-        _, (w1, z1, *_r1) = forward(model, X, 0.0)
-        _, (w2, z2, *_r2) = forward(model, 2 * X, 0.0)
-        np.testing.assert_allclose(z2, 2 * z1, atol=1e-12)
+        _, (u1, a1, *_r1) = forward(model, X, 0.0)
+        _, (u2, a2, *_r2) = forward(model, 2 * X, 0.0)
+        np.testing.assert_allclose(a2, 2 * a1, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         model = init_model(3, 1, 2, seed=0)
@@ -261,6 +320,48 @@ def pure_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return new_params, AdamState(m=new_m, v=new_v, t=t)
 
 
+def _max_scaled_error(actual, expected):
+    """max |actual - expected|, over the largest magnitude of expected."""
+    scale = np.abs(expected).max()
+    return np.abs(actual - expected).max() / scale if scale else np.abs(actual).max()
+
+
+class TestAgainstOracles:
+    """The unrolled matrix-product step computes what the einsum step did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w))),
+        st.integers(1, 19),
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.sampled_from(["relu", "tanh"]),
+        st.floats(1e-4, 1.0),
+        st.floats(1e-4, 1.0),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_predictions_and_gradients(
+        self, wk, f, n_filters, n_hidden, activation, lambda1, lambda2, n, seed
+    ):
+        (w, k), rng = wk, np.random.default_rng(seed)
+        model = init_model(w, k, f, n_filters, n_hidden, activation, seed=seed)
+        # Nonzero biases, so every term of the step is exercised.
+        model = model.with_params(
+            {name: p + 0.1 * rng.normal(size=p.shape) for name, p in model.params().items()}
+        )
+        X, d, y = random_batch(rng, n, w, f)
+        yhat, _ = forward_batch(model, X, d)
+        expected, _ = oracle_forward_batch(model, X, d)
+        assert _max_scaled_error(yhat, expected) <= 1e-12
+        grads = backward(model, X, d, y, lambda1, lambda2)
+        oracle = oracle_backward(model, X, d, y, lambda1, lambda2)
+        assert list(grads) == list(oracle) == list(PARAM_NAMES)
+        for name, g in grads.items():
+            assert g.shape == oracle[name].shape, name
+            assert _max_scaled_error(g, oracle[name]) <= 1e-12, name
+
+
 class TestArrayChecks:
     """Windows, difficulties and targets must have one row per example."""
 
@@ -294,37 +395,34 @@ class TestArrayChecks:
             assert np.array_equal(grads[name], g)
 
 
+def flat(arrays):
+    """The arrays of a dict, raveled and concatenated in order."""
+    return np.concatenate([a.ravel() for a in arrays.values()])
+
+
 class TestAdamStep:
-    def _params(self):
-        return {"w": np.array([1.0, -2.0]), "b": np.array([0.5])}
+    """adam_step updates flat arrays: every parameter in one buffer."""
 
     def test_zero_gradient_keeps_parameters(self):
-        params = self._params()
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        state = AdamState.zeros_like(params)
-        adam_step(params, grads, state.m, state.v, 1, TrainConfig(learning_rate=0.1))
-        for name in params:
-            np.testing.assert_array_equal(params[name], self._params()[name])
-            assert not state.m[name].any() and not state.v[name].any()
+        params = np.array([1.0, -2.0, 0.5])
+        m, v = np.zeros(3), np.zeros(3)
+        adam_step(params, np.zeros(3), m, v, 1, TrainConfig(learning_rate=0.1))
+        np.testing.assert_array_equal(params, [1.0, -2.0, 0.5])
+        assert not m.any() and not v.any()
 
     def test_first_step_is_signed_learning_rate(self):
-        params = {"w": np.array([0.0, 0.0])}
-        grads = {"w": np.array([3.0, -0.5])}
-        state = AdamState.zeros_like(params)
-        adam_step(params, grads, state.m, state.v, 1, TrainConfig(learning_rate=0.01))
-        np.testing.assert_allclose(
-            params["w"], [-0.01, 0.01], atol=0.01 * 1e-3
-        )
+        params, m, v = np.zeros(2), np.zeros(2), np.zeros(2)
+        adam_step(params, np.array([3.0, -0.5]), m, v, 1, TrainConfig(learning_rate=0.01))
+        np.testing.assert_allclose(params, [-0.01, 0.01], atol=0.01 * 1e-3)
 
     def test_updates_the_given_arrays(self):
-        params = self._params()
-        arrays = list(params.values())
-        state = AdamState.zeros_like(params)
-        grads = {"w": np.array([1.0, 1.0]), "b": np.array([-1.0])}
-        adam_step(params, grads, state.m, state.v, 1, TrainConfig(learning_rate=0.05))
-        assert all(p is a for p, a in zip(params.values(), arrays))
-        assert params["w"][0] < 1.0 and params["b"][0] > 0.5
-        assert state.m["w"].all() and state.v["b"].all()
+        buffer = np.array([1.0, -2.0, 0.5])
+        params, m, v = buffer[:], np.zeros(3), np.zeros(3)
+        grads = np.array([1.0, 1.0, -1.0])
+        adam_step(params, grads, m, v, 1, TrainConfig(learning_rate=0.05))
+        assert params.base is buffer and buffer[0] < 1.0 and buffer[2] > 0.5
+        assert m.all() and v.all()
+        np.testing.assert_array_equal(grads, [1.0, 1.0, -1.0])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_equal_to_the_pure_oracle(self, seed):
@@ -340,22 +438,21 @@ class TestAdamStep:
             eps=float(10 ** rng.uniform(-10, -6)),
         )
         expected, state = dict(params), AdamState.zeros_like(params)
-        params = {name: p.copy() for name, p in params.items()}
-        moments = AdamState.zeros_like(params)
+        params = flat(params)
+        m, v = np.zeros_like(params), np.zeros_like(params)
         for t in range(1, 51):
             grads = {
                 name: rng.normal(size=p.shape) * 10 ** rng.uniform(-3, 3)
-                for name, p in params.items()
+                for name, p in expected.items()
             }
             expected, state = pure_adam_step(
                 expected, grads, state, config.learning_rate,
                 config.beta1, config.beta2, config.eps,
             )
-            adam_step(params, grads, moments.m, moments.v, t, config)
-            for name in params:
-                assert np.array_equal(params[name], expected[name])
-                assert np.array_equal(moments.m[name], state.m[name])
-                assert np.array_equal(moments.v[name], state.v[name])
+            adam_step(params, flat(grads), m, v, t, config)
+            assert (params == flat(expected)).all()
+            assert (m == flat(state.m)).all()
+            assert (v == flat(state.v)).all()
 
 
 def window_set(X, d, y):

@@ -509,6 +509,38 @@ class TestModelFileCorruption:
         with pytest.raises(FormatError, match=message):
             read(text.replace(old, new, 1))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize(
+        "name, pattern, message",
+        [
+            ("ridge", r"(\nfeature\ttotal_points\t)[^\n]*", "weight of total_points"),
+            ("ridge", r"(\nintercept )[^\n]*", "intercept"),
+            ("ridge", r"(\nlambda )[^\n]*", "lambda"),
+            ("ridge", r"(\nscaler_std )[^\n]*", "scaler_std"),
+            ("gbm", r"(\nL )[^ ]*", "leaf value"),
+            ("gbm", r"(\nI 0 )[^ ]*", "split threshold"),
+            ("gbm", r"(\ngains )[^ \n]*", "split gain"),
+            ("gbm", r"(\nbase_score )[^\n]*", "base_score"),
+            ("gbm", r"( lambda_l2=)[^ ]*", "lambda_l2"),
+            ("cnn", r"(\nparam out_b 1\n)[^\n]*", "out_b"),
+            ("cnn", r"(\nparam conv_w 2 1 1\n)[^ ]*", "conv_w"),
+            ("cnn", r"(\nscaler_mean )[^\n]*", "scaler_mean"),
+        ],
+    )
+    def test_non_finite_numbers_are_format_errors(
+        self, model_files, name, pattern, message, value
+    ):
+        read, _, text = model_files[name]
+        changed = re.sub(pattern, rf"\g<1>{value}", text, count=1)
+        assert changed != text
+        with pytest.raises(FormatError, match=f"{message} must be finite"):
+            read(changed)
+
+    def test_cnn_parameter_listed_twice_is_a_format_error(self, model_files):
+        read, _, text = model_files["cnn"]
+        with pytest.raises(FormatError, match="conv_b is listed twice"):
+            read(text + "param conv_b 2\n0 0\n")
+
     def test_cnn_kernel_longer_than_window_is_checked(self):
         from fplcast.cnn import init_model
         from fplcast.serialize import ModelContext, read_cnn, write_cnn
