@@ -23,6 +23,7 @@ working parameter; early stopping restores the best-validation epoch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -98,6 +99,10 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("learning_rate", "early_stop_tolerance", "lambda1", "lambda2",
+                     "beta1", "beta2", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:

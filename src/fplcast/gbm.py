@@ -10,11 +10,14 @@ gain = score(parent) - score(left) - score(right), and leaf values
 sum(r) / (|S| + lambda_l2). Candidate thresholds are midpoints between
 consecutive distinct sorted feature values (exact enumeration; the data
 here is small enough that histogram binning buys nothing). X is fixed
-within a fit, so each feature is sorted once per fit (a stable sort) and
-every leaf keeps its rows in each feature's order: the exact greedy
-search over presorted columns of XGBoost (Chen & Guestrin 2016). A leaf
-searches all features in one array pass. Ties break to the lowest
-feature index, then the lowest threshold.
+within a fit, so each feature is sorted once per fit (a stable sort), a
+column constant over the fit's rows is dropped, and every leaf keeps its
+rows in each other feature's order: the exact greedy search over
+presorted columns of XGBoost (Chen & Guestrin 2016). A leaf scores only
+the boundaries between distinct values, of all features at once; one
+argmax in (feature, position) order breaks ties to the lowest feature,
+then the lowest threshold. Each round adds eta times each leaf's value
+to the predictions of the rows it holds, without re-walking the tree.
 
 Shapley values are exact and computed by leaf paths: each tree is a set
 of leaves, each with one interval per feature, and each (leaf, background
@@ -59,8 +62,8 @@ class GbmHyperparams:
             raise ValueError("n_trees must be >= 0")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.lambda_l2 < 0:
-            raise ValueError("lambda_l2 must be >= 0")
+        if not 0 <= self.lambda_l2 < math.inf:
+            raise ValueError("lambda_l2 must be finite and >= 0")
         if self.num_leaves < 2:
             raise ValueError("num_leaves must be >= 2")
         if self.min_data_in_leaf < 1:
@@ -142,65 +145,59 @@ def _score(residual_sum: float, count: int, lam: float) -> float:
     return -(residual_sum * residual_sum) / (count + lam)
 
 
-def _best_split(X, r, leaf, hp: GbmHyperparams):
+def _best_split(X, r, leaf, live, hp: GbmHyperparams):
     """Best (gain, feature, threshold, left_idx, right_idx) for one leaf.
 
     `leaf` is (idx, order, sorted_vals): the leaf's rows ascending, and
-    per feature the same rows in sort order with their values, as
-    (features x rows) arrays. Every feature is searched at once. Ties
-    break to the lowest feature index, then the lowest threshold (first
-    maximum in the ascending threshold scan). Returns None when no split
-    has positive gain under the min-leaf constraint.
+    per live feature (column live[i] of X) the same rows in sort order
+    with their values, as (features x rows) arrays. Only boundaries with
+    min_data_in_leaf rows each side are scored; the first maximum in
+    (feature, position) order wins. None when no gain is positive.
     """
     idx, order, sorted_vals = leaf
-    n = idx.size
-    m = hp.min_data_in_leaf
-    if n < 2 * m or order.shape[0] == 0:
+    n, m = idx.size, hp.min_data_in_leaf
+    if n < 2 * m:
         return None
+    # Position b splits the sorted rows after b; only b in [m-1, n-m-1]
+    # leaves m rows each side, and no threshold falls between equal values.
+    rows, b = np.nonzero(sorted_vals[:, m - 1 : n - m] != sorted_vals[:, m : n - m + 1])
+    if rows.size == 0:
+        return None
+    b += m - 1
     total = float(r[idx].sum())
     parent_score = _score(total, n, hp.lambda_l2)
-    # Column j splits the sorted rows after j; only j in [m-1, n-m-1]
-    # leaves at least m rows on each side.
-    sum_left = np.cumsum(r[order[:, : n - m]], axis=1)[:, m - 1 :]
-    sum_right = total - sum_left
-    n_left = np.arange(m, n - m + 1)
-    n_right = n - n_left
-    gains = (
-        parent_score
-        + sum_left**2 / (n_left + hp.lambda_l2)
-        + sum_right**2 / (n_right + hp.lambda_l2)
-    )
-    # No threshold falls between equal values.
-    gains[sorted_vals[:, m - 1 : n - m] == sorted_vals[:, m : n - m + 1]] = -np.inf
-    cols = np.argmax(gains, axis=1)  # first max -> lowest threshold
-    feature_gains = gains[np.arange(gains.shape[0]), cols]
-    f = int(np.argmax(feature_gains))  # first max -> lowest feature
-    if not feature_gains[f] > 0:
+    sum_left = np.cumsum(r[order[:, : n - m]], axis=1)[rows, b]
+    n_left = b + 1
+    gains = (parent_score + sum_left**2 / (n_left + hp.lambda_l2)
+             + (total - sum_left) ** 2 / ((n - n_left) + hp.lambda_l2))
+    k = int(np.argmax(gains))  # first max -> lowest feature, then threshold
+    if not gains[k] > 0:
         return None
-    b = m - 1 + int(cols[f])
-    threshold = float((sorted_vals[f, b] + sorted_vals[f, b + 1]) / 2.0)
-    go_left = X[idx, f] <= threshold
-    return float(feature_gains[f]), f, threshold, idx[go_left], idx[~go_left]
+    i, j = rows[k], b[k]
+    threshold = float((sorted_vals[i, j] + sorted_vals[i, j + 1]) / 2.0)
+    go_left = X[idx, live[i]] <= threshold
+    return float(gains[k]), int(live[i]), threshold, idx[go_left], idx[~go_left]
 
 
-def _divide(leaf, left_idx, right_idx, n_rows: int):
-    """The two children of a split leaf, each feature's sort order kept."""
+def _divide(leaf, left_idx, right_idx, goes_left):
+    """The two children of a split leaf, each feature's sort order kept;
+    `goes_left` is a scratch mask over X's rows, all False before and after."""
     _, order, sorted_vals = leaf
-    goes_left = np.zeros(n_rows, dtype=bool)
     goes_left[left_idx] = True
-    mask = goes_left[order]
+    mask = goes_left[order.ravel()]
+    goes_left[left_idx] = False
     n_features = order.shape[0]
     return tuple(
-        (side_idx, order[side].reshape(n_features, -1),
-         sorted_vals[side].reshape(n_features, -1))
+        (side_idx, order.ravel().compress(side).reshape(n_features, -1),
+         sorted_vals.ravel().compress(side).reshape(n_features, -1))
         for side_idx, side in ((left_idx, mask), (right_idx, ~mask))
     )
 
 
-def _grow_tree(X, r, order, sorted_vals, hp: GbmHyperparams) -> RegressionTree:
+def _grow_tree(X, r, root, live, goes_left, hp: GbmHyperparams):
+    """One tree fit to residuals `r`, and each of its leaves' rows."""
     n = X.shape[0]
     lam = hp.lambda_l2
-    root = (np.arange(n), order, sorted_vals)
     tree = RegressionTree()
     tree.nodes.append(
         TreeNode(value=_leaf_value(float(r.sum()), n, lam), n_samples=n, depth=0)
@@ -208,7 +205,7 @@ def _grow_tree(X, r, order, sorted_vals, hp: GbmHyperparams) -> RegressionTree:
     # Every leaf with its rows and its precomputed best split (None when
     # it cannot be expanded). Leaves at max_depth are never searched, so
     # their rows are not divided out of the parent's arrays either.
-    leaves = {0: (root, _best_split(X, r, root, hp))}
+    leaves = {0: (root, _best_split(X, r, root, live, hp))}
 
     n_leaves = 1
     while n_leaves < hp.num_leaves:
@@ -238,13 +235,14 @@ def _grow_tree(X, r, order, sorted_vals, hp: GbmHyperparams) -> RegressionTree:
 
         leaf, _ = leaves.pop(chosen_id)
         if child_depth < hp.max_depth:
-            left, right = _divide(leaf, left_idx, right_idx, n)
-            leaves[parent.left] = (left, _best_split(X, r, left, hp))
-            leaves[parent.right] = (right, _best_split(X, r, right, hp))
+            left, right = _divide(leaf, left_idx, right_idx, goes_left)
+            leaves[parent.left] = (left, _best_split(X, r, left, live, hp))
+            leaves[parent.right] = (right, _best_split(X, r, right, live, hp))
         else:
-            leaves[parent.left] = leaves[parent.right] = (None, None)
+            leaves[parent.left] = ((left_idx,), None)
+            leaves[parent.right] = ((right_idx,), None)
         n_leaves += 1
-    return tree
+    return tree, {node_id: leaf[0] for node_id, (leaf, _) in leaves.items()}
 
 
 def fit_gbm(x_list, y_list, hp: GbmHyperparams | None = None,
@@ -262,25 +260,27 @@ def fit_gbm(x_list, y_list, hp: GbmHyperparams | None = None,
         raise ValueError("design matrix must be finite")
     if not np.isfinite(y).all():
         raise ValueError("targets must be finite")
-    if X.shape[0] < 2 * hp.min_data_in_leaf:
-        warnings.warn(
-            f"only {X.shape[0]} examples with min_data_in_leaf="
-            f"{hp.min_data_in_leaf}: no split is possible and the model "
-            "degenerates to its base score",
-            stacklevel=2,
-        )
 
     # X is fixed within a fit: sort each feature once, as (features x rows).
     order = np.argsort(X, axis=0, kind="stable").T
     sorted_vals = np.take_along_axis(X.T, order, axis=1)
+    live = np.flatnonzero(sorted_vals[:, 0] != sorted_vals[:, -1])  # can split
+    too_few = X.shape[0] < 2 * hp.min_data_in_leaf
+    if too_few or live.size == 0:
+        reason = (f"only {X.shape[0]} examples with min_data_in_leaf="
+                  f"{hp.min_data_in_leaf}" if too_few else "every feature is constant")
+        warnings.warn(f"{reason}: no split is possible and the model degenerates"
+                      " to its base score", stacklevel=2)
+    root = (np.arange(X.shape[0]), order[live], sorted_vals[live])
+    goes_left = np.zeros(X.shape[0], dtype=bool)
     base = float(y.mean())
     pred = np.full(y.shape[0], base)
     trees: list[RegressionTree] = []
     for _ in range(hp.n_trees):
-        residual = y - pred
-        tree = _grow_tree(X, residual, order, sorted_vals, hp)
+        tree, leaf_rows = _grow_tree(X, y - pred, root, live, goes_left, hp)
         trees.append(tree)
-        pred += hp.eta * tree.predict_batch(X)
+        for node_id, rows in leaf_rows.items():
+            pred[rows] += hp.eta * tree.nodes[node_id].value
     return GbmModel(
         base_score=base,
         trees=trees,

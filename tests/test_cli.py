@@ -1130,6 +1130,29 @@ class TestWarnings:
         # The header keeps the requested count; each position clamps its own.
         assert "# n_bins 50\n" in (tmp_path / "o" / "splits.csv").read_text()
 
+    def test_gbm_on_constant_features_warns_in_one_line(self, tmp_path, capsys):
+        names = ["kane", "salah", "haaland", "rashford", "vardy", "toney",
+                 "watkins", "isak", "nunez", "mitoma", "odegaard", "bowen"]
+        raw = write_raw(tmp_path, [raw_line(name, gw, 90, 4) for name in names
+                                   for gw in range(1, 9)])
+        strengths = tmp_path / "strengths.csv"
+        strengths.write_text(STRENGTHS, encoding="utf-8")
+        out, config = tmp_path / "out", tmp_path / "cfg.json"
+        config.write_text(json.dumps({"gbm_min_data_in_leaf": 1}), encoding="utf-8")
+        base = ["--config", str(config), "--out", str(out)]
+        assert main(base + ["ingest", "--raw", f"s1={raw}",
+                            "--strengths", str(strengths)]) == 0
+        cleaned = str(out / "cleaned_FWD.csv")
+        assert main(base + ["split", "--cleaned", cleaned]) == 0
+        capsys.readouterr()
+        assert main(base + ["--position", "FWD", "train", "--cleaned", cleaned,
+                            "--strengths", str(strengths), "--splits",
+                            str(out / "splits.csv"), "--family", "gbm"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: every feature is constant: no split is possible and the model "
+            "degenerates to its base score\n"
+        )
+
 
 class TestAnyConfig:
     def test_train_exits_0_with_finite_numbers_or_prints_one_error_line(

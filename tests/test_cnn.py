@@ -566,6 +566,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "early_stop_tolerance", "lambda1",
+                                      "lambda2", "beta1", "beta2", "eps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
 
 class TestMeanNormalizedFilter:
     def _model_with_filters(self, filters):

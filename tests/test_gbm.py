@@ -158,6 +158,26 @@ class TestFitGbm:
             model = fit_gbm(np.zeros((6, 2)), np.arange(6.0), hp)
         assert predict_gbm(model, [0.0, 0.0]) == pytest.approx(2.5)
 
+    @pytest.mark.parametrize("n, m, reason", [
+        (8, 1, "every feature is constant"),
+        (6, 70, "only 6 examples with min_data_in_leaf=70"),  # and constant
+    ])
+    def test_constant_design_warns_once_and_predicts_base(self, n, m, reason):
+        X = np.column_stack([np.full(n, 2.0), [-0.0, 0.0] * (n // 2)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_gbm(X, np.arange(float(n)), GbmHyperparams(min_data_in_leaf=m))
+        assert [str(w.message) for w in caught] == [
+            f"{reason}: no split is possible and the model degenerates to its base score"
+        ]
+        assert all(len(t.nodes) == 1 for t in model.trees)
+        assert predict_gbm(model, [5.0, 1.0]) == pytest.approx((n - 1) / 2)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_lambda_l2(self, lam):
+        with pytest.raises(ValueError, match="lambda_l2"):
+            GbmHyperparams(lambda_l2=lam)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             fit_gbm(np.zeros((0, 2)), np.zeros(0), GbmHyperparams())
@@ -341,6 +361,42 @@ class TestPresortedSplitSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # rows < 2 * min_data_in_leaf
             model = fit_gbm(X, y, hp)
+        assert_same_trees(model, *oracle_fit(X, y, hp))
+
+    @pytest.mark.parametrize("min_data_in_leaf", [20, 70])
+    @pytest.mark.parametrize("lambda_l2", [1.0, 10.0])
+    def test_w9_full_tier_design_with_constant_columns_equals_oracle(
+        self, min_data_in_leaf, lambda_l2
+    ):
+        rows, strengths = generate_synthetic_season(seed=5, n_players=80, n_weeks=24)
+        series = [s for s in build_series(rows) if s.key.position == Position.MID]
+        X, y = sliding_design(Players(series, strengths).windows(9, FeatureTier.FULL))
+        assert X.shape[1] == 19
+        assert (X == X[0]).all(axis=0).sum() == 6  # saves, cards, own goals, penalties
+        hp = GbmHyperparams(n_trees=5, min_data_in_leaf=min_data_in_leaf,
+                            lambda_l2=lambda_l2)
+        model = fit_gbm(X, y, hp)
+        assert sum(len(t.split_gains) for t in model.trees) > 0
+        assert_same_trees(model, *oracle_fit(X, y, hp))
+
+    def test_all_constant_design_equals_oracle(self):
+        X = np.column_stack([np.full(12, 0.7), [0.0, -0.0, 0.0] * 4, np.full(12, -3.0)])
+        y = np.arange(12.0) ** 2
+        hp = GbmHyperparams(n_trees=3, min_data_in_leaf=1, lambda_l2=0.0)
+        with pytest.warns(UserWarning, match="every feature is constant"):
+            model = fit_gbm(X, y, hp)
+        assert_same_trees(model, *oracle_fit(X, y, hp))
+
+    def test_no_boundary_inside_the_min_leaf_range_equals_oracle(self):
+        # Each column's only boundary leaves fewer than 5 rows on one side.
+        X = np.column_stack([[0.0] * 3 + [1.0] * 17, [0.0] * 16 + [2.0] * 4,
+                             [1.0] * 4 + [0.0] * 16])
+        y = np.arange(20.0)
+        hp = GbmHyperparams(n_trees=3, min_data_in_leaf=5, lambda_l2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # every column can split somewhere
+            model = fit_gbm(X, y, hp)
+        assert all(len(t.nodes) == 1 for t in model.trees)
         assert_same_trees(model, *oracle_fit(X, y, hp))
 
     def test_full_tier_season_design_equals_oracle(self):

@@ -109,6 +109,11 @@ class TestFitRidge:
         with pytest.raises(ValueError, match="finite"):
             fit_ridge(A, y, lam=1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            fit_ridge([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0]], [1.0, 2.0, 3.0], lam)
+
 
 class TestPredictRidge:
     def test_zero_weights_gives_intercept(self):
