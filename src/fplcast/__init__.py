@@ -7,6 +7,13 @@ trees, and a from-scratch 1D convolutional network. Ranking quality is
 scored with the tie-aware Spearman correlation.
 """
 
+import os
+
+# One BLAS thread unless set otherwise, if numpy is not imported yet: more
+# threads sum some products in another order, which changes output bytes.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .ingest import (
     CanonicalPlayerKey,
     GameweekTable,

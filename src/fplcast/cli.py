@@ -258,16 +258,19 @@ def cmd_ingest(args, config) -> int:
     read = GameweekTable.concat([table for _, table in parts])
 
     # Canonicalize and merge near-duplicate spellings, per position.
+    canonical = {name: canonicalize_name(name) for name in dict.fromkeys(read.player_name)}
     registry: dict[Position, list[str]] = {p: [] for p in Position}
+    known_keys: set[tuple[Position, str]] = set()  # membership in registry
     resolutions = []
     names = []
     for name, position in zip(read.player_name, read.position):
-        canon = canonicalize_name(name)
-        known = registry[position]
-        if canon not in known:
+        canon = canonical[name]
+        if (position, canon) not in known_keys:
+            known = registry[position]
             match = fuzzy_match(canon, known, threshold) if known else None
             if match is None:
                 known.append(canon)
+                known_keys.add((position, canon))
             else:
                 # Any mapping between distinct spellings is a resolution,
                 # including score-1.0 token reorderings.
@@ -278,8 +281,8 @@ def cmd_ingest(args, config) -> int:
     kept = drop_benched(read.replace(player_name=names))
     dropped = len(read) - len(kept)
 
-    # Every (season, team) pair must have a strength rating.
-    for season, team, opponent in zip(kept.season, kept.team, kept.opponent):
+    # Every (season, team) pair must have a rating; an error names the first bad row.
+    for season, team, opponent in dict.fromkeys(zip(kept.season, kept.team, kept.opponent)):
         if season not in strengths:
             raise TeamLookupError(f"no strength table for season '{season}'")
         strengths[season].strength(team)

@@ -113,6 +113,10 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("penalty strengths must be >= 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if self.eps <= 0:
+            raise ValueError("eps must be > 0")
 
 
 @dataclass

@@ -58,16 +58,13 @@ class GbmHyperparams:
     eta: float = 0.1
 
     def __post_init__(self):
-        if self.n_trees < 0:
-            raise ValueError("n_trees must be >= 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        for name, low in (("n_trees", 0), ("max_depth", 1), ("num_leaves", 2),
+                          ("min_data_in_leaf", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0 <= self.lambda_l2 < math.inf:
             raise ValueError("lambda_l2 must be finite and >= 0")
-        if self.num_leaves < 2:
-            raise ValueError("num_leaves must be >= 2")
-        if self.min_data_in_leaf < 1:
-            raise ValueError("min_data_in_leaf must be >= 1")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must be in (0, 1]")
 

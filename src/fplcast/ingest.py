@@ -261,29 +261,53 @@ def canonicalize_name(name: str) -> str:
     return " ".join(stripped.lower().split())
 
 
-def _levenshtein(a: str, b: str) -> int:
-    """Edit distance, two-row dynamic program."""
+def _levenshtein(a: str, b: str, k: int) -> int:
+    """Edit distance of `a` and `b` if it is at most `k`, else k + 1 (Ukkonen
+    1985): a common prefix or suffix never changes it, only 2k + 1 diagonals
+    can hold a value <= k, and the program stops once a whole row exceeds k."""
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
+    m, n, lo = len(a), len(b), 0
+    while lo < n and a[lo] == b[lo]:
+        lo += 1
+    while n > lo and a[m - 1] == b[n - 1]:
+        m, n = m - 1, n - 1
+    a, b, out = a[lo:m], b[lo:n], k + 1
+    # Two rows of the table; a cell outside the band holds `out`.
+    prev = [j if j <= k else out for j in range(len(b) + 1)]
+    curr = [out] * len(prev)
     for i, ca in enumerate(a, start=1):
-        curr = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            curr.append(min(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost))
-        prev = curr
-    return prev[-1]
+        first, last = max(1, i - k), min(len(b), i + k)
+        left = row_min = curr[first - 1] = i if first == 1 else out
+        for j in range(first, last + 1):
+            v = prev[j - 1] + (ca != b[j - 1])
+            if prev[j] < v:
+                v = prev[j] + 1
+            if left < v:
+                v = left + 1
+            curr[j] = left = v
+            if v < row_min:
+                row_min = v
+        if row_min > k:
+            return out
+        prev, curr = curr, prev
+    return min(prev[-1], out)
+
+
+def _sort_tokens(name: str) -> str:
+    return " ".join(sorted(name.split()))
+
+
+def _score(distance: int, longest: int) -> float:
+    return 1.0 if longest == 0 else 1.0 - distance / longest
 
 
 def token_sort_similarity(a: str, b: str) -> float:
     """Similarity in [0, 1]: sort tokens alphabetically, join, then
     1 - edit_distance / max_length. Symmetric in its arguments."""
-    ta = " ".join(sorted(a.split()))
-    tb = " ".join(sorted(b.split()))
+    ta, tb = _sort_tokens(a), _sort_tokens(b)
     longest = max(len(ta), len(tb))
-    if longest == 0:
-        return 1.0
-    return 1.0 - _levenshtein(ta, tb) / longest
+    return _score(_levenshtein(ta, tb, longest), longest)
 
 
 def fuzzy_match(
@@ -296,13 +320,27 @@ def fuzzy_match(
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    best: tuple[str, float] | None = None
+    # A candidate counts if it scores >= threshold, or > the best once there
+    # is one, so its distance matters only up to the largest one that counts.
+    query = _sort_tokens(query)
+    best, floor = None, threshold
+    budgets: dict[int, int] = {}  # length -> largest distance that counts
     for cand in candidates:
-        score = token_sort_similarity(query, cand)
-        if best is None or score > best[1]:
-            best = (cand, score)
-    assert best is not None
-    return best if best[1] >= threshold else None
+        sorted_cand = _sort_tokens(cand)
+        longest = max(len(query), len(sorted_cand))
+        k = budgets.get(longest)
+        if k is None:
+            k = longest
+            while k >= 0 and not _score(k, longest) >= floor:
+                k -= 1
+            budgets[longest] = k
+        if abs(len(query) - len(sorted_cand)) <= k:
+            d = _levenshtein(query, sorted_cand, k)
+            if d <= k:
+                best = (cand, _score(d, longest))
+                floor = math.nextafter(best[1], math.inf)
+                budgets.clear()
+    return best
 
 
 def drop_benched(table: GameweekTable) -> GameweekTable:

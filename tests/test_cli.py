@@ -20,10 +20,11 @@ from fplcast.evaluation import average_ranks
 from fplcast.ingest import GameweekTable
 from fplcast.gbm import predict_gbm
 from fplcast.serialize import (
-    ModelContext, read_cleaned_csv, read_cnn, read_gbm, read_splits, write_gbm,
+    ModelContext, fmt_num, read_cleaned_csv, read_cnn, read_gbm, read_splits, write_gbm,
 )
 
 from test_gbm import sixteen_feature_model
+from test_ingest import _fuzzy_match_oracle
 from test_serialize import corruptions
 
 HEADER = (
@@ -112,6 +113,38 @@ class TestIngest:
         report = (out / "ingest_report.txt").read_text()
         assert "aleksander mitrovic" in report
         assert "fuzzy resolutions: 1" in report
+
+    def test_repeated_misspelling_follows_the_oracle_merge(self, tmp_path):
+        # The misspelling `typo` is 4 edits from `first`, then 4 from a tied
+        # newcomer (`first` keeps it), then 1 from a closer one (`closer`
+        # takes over); none of the three matches another.
+        base = "abcdefghijklmnopqrstuvwxyzabcd"
+        first, typo = base, "azzzz" + base[5:]
+        tied, closer = typo[:10] + "0000" + typo[14:], "zzzzz" + base[5:]
+        spellings = [first, typo, typo, tied, typo, closer, typo, typo]
+        raw = write_raw(tmp_path, [raw_line(n, 1, 90, 1) for n in spellings])
+        strengths = tmp_path / "strengths.csv"
+        strengths.write_text(STRENGTHS, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "ingest", "--raw", f"s1={raw}",
+                     "--strengths", str(strengths)]) == 0
+
+        # The merge over the oracle match: every row not yet known is
+        # matched against all known names.
+        known, names, lines = [], [], []
+        for name in spellings:
+            if name not in known:
+                match = _fuzzy_match_oracle(name, known) if known else None
+                if match is None:
+                    known.append(name)
+                else:
+                    lines.append(f'  "{name}" -> "{match[0]}" (score {fmt_num(match[1])})')
+                    name = match[0]
+            names.append(name)
+        assert names == [first, first, first, tied, first, closer, closer, closer]
+        assert read_cleaned_csv((out / "cleaned_FWD.csv").read_text()).player_name == tuple(names)
+        report = (out / "ingest_report.txt").read_text().splitlines()
+        assert report[report.index("fuzzy resolutions: 5") + 1:] == lines
 
     def test_missing_strength_entry_is_hard_error(self, tmp_path, capsys):
         raw = write_raw(tmp_path, [raw_line("kane", 1, 90, 5, opponent="chelsea")])
@@ -380,11 +413,15 @@ class TestEvaluateCommand:
         assert not list((tmp_path / "o").glob("eval_*.csv"))
 
 
-def _run_on_threads(threads: str, argv: list[str]) -> bytes:
-    """stdout of `python argv` with fplcast's sources and `threads` BLAS threads."""
+def _run_on_threads(threads: str | None, argv: list[str]) -> bytes:
+    """stdout of `python argv` with fplcast's sources and `threads` BLAS
+    threads; None leaves every BLAS thread variable unset."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+    if threads is None:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
     return subprocess.run(
         [sys.executable, *argv], env=env, check=True, capture_output=True
     ).stdout
@@ -410,8 +447,9 @@ for n in (32, 1000):
         assert len(one.split()) == 2 and one == two
 
     def test_wide_cnn_trains_alike_on_one_and_two_threads(self, tmp_path):
-        # Bytes may differ: OpenBLAS sums the hidden layer's product
-        # (inner dimension 64 * 7 + 1) in another order on two threads.
+        # Unset, fplcast pins one thread, so the bytes equal a one-thread
+        # run. On two threads they may differ: OpenBLAS sums the hidden
+        # layer's product (inner dimension 64 * 7 + 1) in another order.
         out, cleaned, strengths, splits = synth_pipeline(tmp_path, players=60, weeks=20)
         config = tmp_path / "wide.json"
         config.write_text(json.dumps({
@@ -419,7 +457,7 @@ for n in (32, 1000):
             "cnn_hidden": 64, "epochs": 2, "patience": 2,
         }))
         models = []
-        for threads in ("1", "2"):
+        for threads in (None, "1", "2"):
             run_out = tmp_path / f"threads{threads}"
             _run_on_threads(threads, [
                 "-m", "fplcast.cli", "--config", str(config), "--out", str(run_out),
@@ -427,9 +465,10 @@ for n in (32, 1000):
                 "--strengths", strengths, "--splits", splits, "--family", "cnn",
             ])
             models.append((run_out / "model_cnn_MID.txt").read_text())
-        headers = [text.split("\nparam ")[0] for text in models]
+        assert models[0] == models[1]
+        headers = [text.split("\nparam ")[0] for text in models[1:]]
         assert headers[0] == headers[1]
-        (one, _), (two, _) = map(read_cnn, models)
+        (one, _), (two, _) = map(read_cnn, models[1:])
         assert one.conv_w.shape == (64, 3, 18)
         for name, p in one.params().items():
             q = two.params()[name]

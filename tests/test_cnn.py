@@ -573,6 +573,24 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["beta1", "beta2"])
+    @pytest.mark.parametrize("value", [1.0, 1.5, -0.1])
+    def test_beta_outside_zero_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match="beta1 and beta2 must be in"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1e-8])
+    def test_eps_not_positive_rejected(self, value):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            TrainConfig(eps=value)
+
+    def test_adam_bounds_are_inclusive_where_valid(self):
+        train_set, val_set = linear_batches(seed=22)
+        model = init_model(3, 1, 1, n_filters=2, n_hidden=2, seed=23)
+        config = TrainConfig(epochs=2, beta1=0.0, beta2=0.0, eps=1e-300, seed=24)
+        best, curve = train(model, train_set, val_set, config)
+        assert all(np.isfinite(p).all() for p in best.params().values())
+
 
 class TestMeanNormalizedFilter:
     def _model_with_filters(self, filters):

@@ -178,6 +178,20 @@ class TestFitGbm:
         with pytest.raises(ValueError, match="lambda_l2"):
             GbmHyperparams(lambda_l2=lam)
 
+    @pytest.mark.parametrize("name", ["n_trees", "max_depth", "num_leaves",
+                                      "min_data_in_leaf"])
+    @pytest.mark.parametrize("value", [np.nan, 2.5, 3.0, True, np.float64(3)])
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GbmHyperparams(**{name: value})
+
+    @pytest.mark.parametrize("kind", [int, np.int32, np.int64])
+    def test_accepts_python_and_numpy_integer_counts(self, kind):
+        hp = GbmHyperparams(n_trees=kind(2), max_depth=kind(2), num_leaves=kind(3),
+                            min_data_in_leaf=kind(1))
+        model = fit_gbm(np.arange(8.0).reshape(4, 2), np.arange(4.0), hp)
+        assert len(model.trees) == 2
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             fit_gbm(np.zeros((0, 2)), np.zeros(0), GbmHyperparams())

@@ -1,8 +1,9 @@
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fplcast.ingest import (
@@ -18,6 +19,7 @@ from fplcast.ingest import (
     parse_gameweek_csv,
     parse_strengths_csv,
     token_sort_similarity,
+    _levenshtein,
 )
 
 from conftest import assert_tables_equal, make_table
@@ -209,6 +211,36 @@ def _similarity_oracle(a: str, b: str) -> float:
     return 1.0 - _levenshtein_oracle(ta, tb) / longest
 
 
+def _fuzzy_match_oracle(query, candidates, threshold=0.85):
+    # fuzzy_match as it stood before the bounded edit distance: every
+    # candidate scored in full.
+    if not candidates:
+        raise ValueError("candidates must be non-empty")
+    best = None
+    for cand in candidates:
+        score = _similarity_oracle(query, cand)
+        if best is None or score > best[1]:
+            best = (cand, score)
+    assert best is not None
+    return best if best[1] >= threshold else None
+
+
+# A small alphabet with a space, so token order, shared prefixes and
+# suffixes, ties and empty names all turn up.
+names = st.text(alphabet="ab c", max_size=10)
+
+
+def thresholds(a: str, b: str):
+    """Plain cut-offs, ones outside [0, 1], and every score 1 - d/L that
+    a and b can have, L being their longer token-sorted length."""
+    longest = max(len(" ".join(sorted(a.split()))), len(" ".join(sorted(b.split()))), 1)
+    return st.one_of(
+        st.sampled_from([0.0, 1.0, 0.85, -0.5, 1.5, -math.inf, math.inf, math.nan]),
+        st.floats(-0.5, 1.5),
+        st.integers(0, longest).map(lambda d: 1.0 - d / longest),
+    )
+
+
 class TestFuzzyMatch:
     def test_exact_match_scores_one(self):
         assert fuzzy_match("harry kane", ["mo salah", "harry kane"]) == (
@@ -235,9 +267,7 @@ class TestFuzzyMatch:
     def test_abbreviation_scores_against_oracle(self):
         # "aleks. mitrovic" vs "aleksandar mitrovic" as in abbreviated feeds.
         got = token_sort_similarity("aleks mitrovic", "aleksandar mitrovic")
-        assert got == pytest.approx(
-            _similarity_oracle("aleks mitrovic", "aleksandar mitrovic")
-        )
+        assert got == _similarity_oracle("aleks mitrovic", "aleksandar mitrovic")
 
     @given(st.text(max_size=20), st.text(max_size=20))
     def test_similarity_symmetric(self, a, b):
@@ -260,8 +290,38 @@ class TestFuzzyMatch:
         assert result is not None
         best, score = result
         oracle_scores = [_similarity_oracle(query, c) for c in candidates]
-        assert score == pytest.approx(max(oracle_scores))
+        assert score == max(oracle_scores)
         assert best == candidates[oracle_scores.index(max(oracle_scores))]
+
+    @settings(max_examples=300)
+    @given(names, st.lists(names, min_size=1, max_size=6), st.data())
+    def test_matches_the_oracle(self, query, candidates, data):
+        # Repeat one candidate so exact ties occur as well as near ones.
+        candidates.insert(
+            data.draw(st.integers(0, len(candidates))),
+            data.draw(st.sampled_from(candidates)),
+        )
+        threshold = data.draw(thresholds(query, data.draw(st.sampled_from(candidates))))
+        assert fuzzy_match(query, candidates, threshold) == _fuzzy_match_oracle(
+            query, candidates, threshold
+        )
+
+    @given(names, names)
+    def test_similarity_matches_the_oracle(self, a, b):
+        assert token_sort_similarity(a, b) == _similarity_oracle(a, b)
+
+    @given(names, names, st.integers(0, 12))
+    def test_bounded_distance_is_capped_at_budget_plus_one(self, a, b, k):
+        assert _levenshtein(a, b, k) == min(_levenshtein_oracle(a, b), k + 1)
+
+    @pytest.mark.parametrize("threshold", [-math.inf, -0.5, 0.0])
+    def test_threshold_at_or_below_zero_matches_anything(self, threshold):
+        assert fuzzy_match("abc", ["xyz", "ab"], threshold) == ("ab", 1.0 - 1 / 3)
+        assert fuzzy_match("", ["xyz"], threshold) == ("xyz", 0.0)
+
+    @pytest.mark.parametrize("threshold", [1.0 + 1e-12, 1.5, math.inf, math.nan])
+    def test_threshold_above_one_matches_nothing(self, threshold):
+        assert fuzzy_match("kane", ["kane"], threshold) is None
 
 
 class TestDropBenched:
