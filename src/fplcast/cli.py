@@ -27,7 +27,6 @@ from .dataset import (
     SplitAssignment,
     assign_splits,
     build_series,
-    concat_windows,
     generate_synthetic_season,
 )
 from .evaluation import (
@@ -65,6 +64,7 @@ from .ingest import (
     fuzzy_match,
     parse_gameweek_csv,
     parse_strengths_csv,
+    token_sort_similarity,
 )
 from .ridge import export_coefficients
 
@@ -257,14 +257,14 @@ def cmd_ingest(args, config) -> int:
         parts.append((path, parse_gameweek_csv(_read_text(path, "raw"), season)))
     read = GameweekTable.concat([table for _, table in parts])
 
-    # Canonicalize and merge near-duplicate spellings, per position.
+    # Canonicalize, then join each spelling not yet known to the known
+    # spelling it matches best, per position.
     canonical = {name: canonicalize_name(name) for name in dict.fromkeys(read.player_name)}
+    spellings = [canonical[name] for name in read.player_name]
     registry: dict[Position, list[str]] = {p: [] for p in Position}
     known_keys: set[tuple[Position, str]] = set()  # membership in registry
-    resolutions = []
-    names = []
-    for name, position in zip(read.player_name, read.position):
-        canon = canonical[name]
+    groups = []  # per row, the known spelling it joined
+    for canon, position in zip(spellings, read.position):
         if (position, canon) not in known_keys:
             known = registry[position]
             match = fuzzy_match(canon, known, threshold) if known else None
@@ -272,11 +272,30 @@ def cmd_ingest(args, config) -> int:
                 known.append(canon)
                 known_keys.add((position, canon))
             else:
-                # Any mapping between distinct spellings is a resolution,
-                # including score-1.0 token reorderings.
-                resolutions.append((canon, match[0], match[1]))
                 canon = match[0]
-        names.append(canon)
+        groups.append(canon)
+
+    # A group is named after its spelling with the most rows (ties: the
+    # first seen) among those that joined no other group, so that no two
+    # groups share a name.
+    rows: dict[tuple, int] = {}  # (position, group, spelling) -> rows
+    for key in zip(read.position, groups, spellings):
+        rows[key] = rows.get(key, 0) + 1
+    joined: dict[tuple, int] = {}  # (position, spelling) -> groups joined
+    for position, _, spelling in rows:
+        joined[position, spelling] = joined.get((position, spelling), 0) + 1
+    named: dict[tuple, str] = {}  # (position, group) -> its name
+    for (position, group, spelling), n in rows.items():
+        best = named.setdefault((position, group), group)  # its first-seen spelling
+        if joined[position, spelling] == 1 and n > rows[position, group, best]:
+            named[position, group] = spelling
+    names = [named[key] for key in zip(read.position, groups)]
+    # Any renamed row is a resolution, including score-1.0 token reorderings.
+    resolutions = [
+        (spelling, name, token_sort_similarity(spelling, name))
+        for spelling, name in zip(spellings, names)
+        if spelling != name
+    ]
 
     kept = drop_benched(read.replace(player_name=names))
     dropped = len(read) - len(kept)
@@ -408,24 +427,6 @@ def cmd_train(args, config) -> int:
                 ser.write_learning_curve(fitted.extras["curve"]),
             )
 
-        # One dataset file per (position, representation), in the form the
-        # family consumed: window tensors for the cnn, window means for the
-        # baselines. Test examples are never materialized here.
-        header = ser.DatasetHeader(
-            representation=family.representation,
-            position=position.value,
-            w=w,
-            tier=tier.value,
-            seed=config["seed"],
-            fractions=tuple(config["fractions"]),
-            features=tier.columns(),
-            scaler_mean=fitted.scaler.mean if fitted.scaler else None,
-            scaler_std=fitted.scaler.std if fitted.scaler else None,
-        )
-        _write(
-            out / f"dataset_{position.value}_{family.representation}.txt",
-            ser.write_dataset(header, concat_windows([train_ex, val_ex])),
-        )
         for split, windows in (("train", train_ex), ("validation", val_ex)):
             predictions = predict(family, fitted.model, fitted.scaler, windows)
             reports.append(

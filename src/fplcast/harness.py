@@ -68,7 +68,7 @@ class Family:
     """
 
     name: str
-    representation: str  # "sliding" or "windowed"; also names the dataset file
+    representation: str  # "sliding" (window means) or "windowed" (whole windows)
     scaled: bool  # z-score features with a scaler fitted on the train split
     params: dict[str, tuple[str, object]]  # key -> (CLI config key, default)
     # (params, train, val, seed, feature names) -> (model, extras), where

@@ -1,21 +1,21 @@
-"""Plain-text file formats: datasets, splits, models, and report tables.
+"""Plain-text file formats: splits, models, and report tables.
 
 Everything here is line-oriented UTF-8. Numeric cells are rendered with
 17 significant digits so reruns are byte-identical and values round-trip
 exactly; text cells in CSV outputs are always quoted.
 
-Split, dataset and model files start with a magic line and a header of
-`key value` lines (prefixed `# ` in splits and dataset files), one per
-field declared in `_SPLITS_FIELDS`, `_DATASET_FIELDS`, `_RIDGE_FIELDS`,
-`_GBM_FIELDS` or `_CNN_FIELDS`. Readers require every field by name and
-in declared order; only the scaler pair is optional, and then both of its
-lines or neither. Each of these files ends with a newline.
+Split and model files start with a magic line and a header of `key value`
+lines (prefixed `# ` in splits files), one per field declared in
+`_SPLITS_FIELDS`, `_RIDGE_FIELDS`, `_GBM_FIELDS` or `_CNN_FIELDS`. Readers
+require every field by name and in declared order; only the scaler pair
+is optional, and then both of its lines or neither. Each of these files
+ends with a newline.
 
-Every CSV table other than the gameweek files (the rows of splits and
-dataset files, and each report table) is written by `write_table`: a
-header line, one `csv_line` per row, a final newline. Their readers take
-the rows through `_table_rows`, which requires the header line and gives
-each row the header's cell count.
+Every CSV table other than the gameweek files (the rows of splits files,
+and each report table) is written by `write_table`: a header line, one
+`csv_line` per row, a final newline. Their readers take the rows through
+`_table_rows`, which requires the header line and gives each row the
+header's cell count.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnn import ACTIVATIONS, PARAM_NAMES, CnnModel, LearningCurve
-from .dataset import FeatureTier, ScalerParams, SplitAssignment, WindowSet, sliding_average
+from .dataset import FeatureTier, ScalerParams, SplitAssignment
 from .evaluation import EvalReport
 from .gbm import GbmHyperparams, GbmModel, RegressionTree, TreeNode
 from .ingest import (
@@ -42,7 +42,6 @@ from .ingest import (
 )
 from .ridge import RidgeModel
 
-MAGIC_DATASET = "# fplcast-dataset v1"
 MAGIC_SPLITS = "# fplcast-splits v1"
 MAGIC_RIDGE = "fplcast-ridge v1"
 MAGIC_GBM = "fplcast-gbm v1"
@@ -319,83 +318,6 @@ def read_splits(text: str) -> SplitAssignment:
         raise FormatError("splits file assigns no players")
     meta["fractions"] = tuple(meta["fractions"].tolist())
     return SplitAssignment(assignments=assignments, **meta)
-
-
-# ---------------------------------------------------------------------------
-# Example datasets (windowed and sliding-average)
-
-
-@dataclass
-class DatasetHeader:
-    representation: str  # windowed | sliding
-    position: str
-    w: int
-    tier: str
-    seed: int
-    fractions: tuple[float, float, float]
-    features: list[str]
-    scaler_mean: np.ndarray | None = None
-    scaler_std: np.ndarray | None = None
-
-
-# The fields of DatasetHeader, in its order.
-_DATASET_FIELDS = (
-    ("representation", "str"), ("position", "str"), ("w", "int"), ("tier", "str"),
-    ("seed", "int"), ("fractions", "floats"), ("features", "words"), *_SCALER_FIELDS,
-)
-
-
-def _dataset_columns(header: DatasetHeader) -> str:
-    f = len(header.features)
-    if header.representation == "windowed":
-        feat_cols = [f"x{r}_{c}" for r in range(header.w) for c in range(f)]
-    else:
-        feat_cols = [f"x_{c}" for c in range(f)]
-    return ",".join(["player", "position", "target_gameweek", "d", "y"] + feat_cols)
-
-
-def write_dataset(header: DatasetHeader, windows: WindowSet) -> str:
-    """One row per window: the window itself, or for a sliding header its
-    per-feature means."""
-    head = [MAGIC_DATASET, *_header_lines(_DATASET_FIELDS, vars(header), "# ")]
-    windowed = header.representation == "windowed"
-    return "\n".join(head) + "\n" + write_table(_dataset_columns(header), (
-        [player.canonical_name, player.position.value, gameweek, d, y]
-        + [float(v) for v in values.ravel()]
-        for player, gameweek, d, y, values in zip(
-            windows.players, windows.target_gameweek, windows.d, windows.y,
-            windows.X if windowed else sliding_average(windows),
-        )
-    ))
-
-
-@_format_checked
-def read_dataset(text: str) -> tuple[DatasetHeader, WindowSet]:
-    """The header and the rows; a sliding file's rows come back as
-    one-week windows of the means, which sliding_average returns as they
-    are."""
-    lines = _file_lines(text, MAGIC_DATASET, "dataset file")
-    meta, body_start = _read_header(lines, 1, _DATASET_FIELDS, "# ")
-    meta["fractions"] = tuple(meta["fractions"].tolist())
-    header = DatasetHeader(**meta)
-    if header.representation not in ("windowed", "sliding"):
-        raise FormatError(f"unknown representation {header.representation!r}")
-    w = header.w if header.representation == "windowed" else 1
-    f = len(header.features)
-    players, ints, values = [], [], []
-    for _, cells in _table_rows(lines, body_start, _dataset_columns(header), "dataset file"):
-        players.append(CanonicalPlayerKey(cells[0], Position(cells[1])))
-        ints.append([int(c) for c in cells[2:5]])
-        values.append([float(v) for v in cells[5:]])
-    gameweek, d, y = np.array(ints, dtype=np.int64).reshape(-1, 3).T
-    windows = WindowSet(
-        X=np.array(values, dtype=np.float64).reshape(len(players), w, f),
-        d=d,
-        y=y,
-        players=tuple(players),
-        target_gameweek=gameweek,
-    )
-    return header, windows
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fplcast.serialize import (
 )
 
 from test_gbm import sixteen_feature_model
-from test_ingest import _fuzzy_match_oracle
+from test_ingest import _fuzzy_match_oracle, _similarity_oracle
 from test_serialize import corruptions
 
 HEADER = (
@@ -130,21 +130,72 @@ class TestIngest:
                      "--strengths", str(strengths)]) == 0
 
         # The merge over the oracle match: every row not yet known is
-        # matched against all known names.
-        known, names, lines = [], [], []
+        # matched against all known names. Each group is then named after its
+        # most frequent spelling (first seen on a tie) among those that joined
+        # no other group: `typo` joined two, so neither group takes it.
+        known, groups = [], []
         for name in spellings:
             if name not in known:
                 match = _fuzzy_match_oracle(name, known) if known else None
                 if match is None:
                     known.append(name)
                 else:
-                    lines.append(f'  "{name}" -> "{match[0]}" (score {fmt_num(match[1])})')
                     name = match[0]
-            names.append(name)
+            groups.append(name)
+        joined = {s: {g for t, g in zip(spellings, groups) if t == s} for s in spellings}
+        names = []
+        for group in groups:
+            members = [s for s, g in zip(spellings, groups) if g == group
+                       and joined[s] == {group}]
+            names.append(max(members, key=lambda s: (members.count(s), -members.index(s))))
+        lines = [
+            f'  "{s}" -> "{n}" (score {fmt_num(_similarity_oracle(s, n))})'
+            for s, n in zip(spellings, names) if s != n
+        ]
         assert names == [first, first, first, tied, first, closer, closer, closer]
         assert read_cleaned_csv((out / "cleaned_FWD.csv").read_text()).player_name == tuple(names)
         report = (out / "ingest_report.txt").read_text().splitlines()
         assert report[report.index("fuzzy resolutions: 5") + 1:] == lines
+
+    @pytest.mark.parametrize("gameweek", [1, 3, 6])
+    def test_merged_player_takes_its_most_frequent_spelling(self, tmp_path, gameweek):
+        # The seed-1 season's `banabanabana` is misspelled in one gameweek
+        # only: in gameweek 1 the misspelling is seen first, but wherever it
+        # is, the name with 5 of the 6 rows is kept.
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--seed", "1", "synth",
+                     "--players", "12", "--weeks", "6"]) == 0
+        raw = out / "synthetic_gameweeks.csv"
+        text = raw.read_text()
+        row = f'"banabanabana","GK",{gameweek},'
+        assert text.count(row) == 1
+        raw.write_text(text.replace(row, f'"banabanabanxa","GK",{gameweek},'))
+        assert main(["--out", str(out), "ingest", "--raw", f"synthetic={raw}",
+                     "--strengths", str(out / "synthetic_strengths.csv")]) == 0
+        names = read_cleaned_csv((out / "cleaned_GK.csv").read_text()).player_name
+        assert names.count("banabanabana") == 6 and "banabanabanxa" not in names
+        report = (out / "ingest_report.txt").read_text().splitlines()
+        score = fmt_num(_similarity_oracle("banabanabanxa", "banabanabana"))
+        assert report[report.index("fuzzy resolutions: 1") + 1:] == [
+            f'  "banabanabanxa" -> "banabanabana" (score {score})'
+        ]
+
+    @pytest.mark.parametrize("first, second", [
+        ("Aleksander Mitrovic", "Aleksandar Mitrovic"),
+        ("Aleksandar Mitrovic", "Aleksander Mitrovic"),
+    ])
+    def test_tied_spellings_keep_the_first_seen(self, tmp_path, first, second):
+        spellings = [first, second, second, first]
+        raw = write_raw(tmp_path, [raw_line(n, gw, 90, 1)
+                                   for gw, n in enumerate(spellings, start=1)])
+        strengths = tmp_path / "strengths.csv"
+        strengths.write_text(STRENGTHS, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "ingest", "--raw", f"s1={raw}",
+                     "--strengths", str(strengths)]) == 0
+        names = read_cleaned_csv((out / "cleaned_FWD.csv").read_text()).player_name
+        assert names == (first.lower(),) * 4
+        assert "fuzzy resolutions: 2" in (out / "ingest_report.txt").read_text()
 
     def test_missing_strength_entry_is_hard_error(self, tmp_path, capsys):
         raw = write_raw(tmp_path, [raw_line("kane", 1, 90, 5, opponent="chelsea")])
@@ -278,25 +329,51 @@ class TestTrainCommand:
         assert (out / "model_ridge_GK.txt").exists()
         assert not (out / "model_ridge_MID.txt").exists()
 
-    def test_writes_dataset_in_consumed_representation(self, tmp_path):
-        from fplcast.serialize import read_dataset
+    @pytest.fixture(scope="class")
+    def pipeline(self, tmp_path_factory):
+        return synth_pipeline(tmp_path_factory.mktemp("pipeline"))
 
-        out, cleaned, strengths, splits = synth_pipeline(tmp_path)
-        main(
+    @pytest.fixture(scope="class", params=["ridge", "gbm", "cnn"])
+    def trained(self, request, pipeline, tmp_path_factory):
+        """(family, out) of one MID `train` into an out directory of its own."""
+        _, cleaned, strengths, splits = pipeline
+        out = tmp_path_factory.mktemp(f"train_{request.param}")
+        assert main(
             ["--out", str(out), "--seed", "5", "--position", "MID", "train",
              "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
-             "--family", "ridge"]
-        )
-        header, windows = read_dataset(
-            (out / "dataset_MID_sliding.txt").read_text()
-        )
-        assert header.representation == "sliding"
-        assert header.scaler_mean is not None  # ridge inputs are z-scored
-        assert len(windows) > 0
-        # Holdout discipline: only train and validation players appear.
-        buckets = read_splits(open(splits).read()).assignments
-        assert {buckets[p] for p in windows.players} == {"train", "validation"}
+             "--family", request.param]
+        ) == 0
+        return request.param, out
 
+    def test_reports_only_train_and_validation_windows(self, pipeline, trained):
+        from fplcast.dataset import FeatureTier, Players, build_series
+        from fplcast.ingest import Position, parse_strengths_csv
+
+        _, cleaned, strengths, splits = pipeline
+        family, out = trained
+        # Holdout discipline: the report covers the train and validation
+        # windows only, whichever representation the family consumes.
+        rows = list(csv.DictReader((out / f"report_{family}.csv").read_text().splitlines()))
+        assert [r["split"] for r in rows] == ["train", "validation"]
+        series = [
+            s for s in build_series(read_cleaned_csv(open(cleaned[2]).read()))
+            if s.key.position is Position.MID
+        ]
+        players = Players(series, parse_strengths_csv(open(strengths).read()),
+                          read_splits(open(splits).read()).assignments)
+        for row in rows:
+            assert int(row["n"]) == len(players.windows(3, FeatureTier.PTSONLY, row["split"]))
+
+    def test_writes_its_model_and_reports_and_no_examples(self, trained):
+        from fplcast.harness import model_family
+
+        family, out = trained
+        written = {p.name for p in out.iterdir()}
+        curve = {"learning_curve_MID.csv"} if family == "cnn" else set()
+        assert written == {f"model_{family}_MID.txt", f"report_{family}.csv",
+                           "run.log", *curve}
+        model = model_family((out / f"model_{family}_MID.txt").read_text())
+        assert model is not None and model.name == family
 
     def test_non_finite_cleaned_cell_is_a_format_error(self, tmp_path, capsys):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)
@@ -550,21 +627,16 @@ class TestDifficultySign:
              str(out / "model_ridge_GK.txt"), str(out / "model_ridge_MID.txt")]
         ) == 0
 
-    def test_dataset_and_coefficients_negate_difficulty(self, tmp_path):
-        from fplcast.serialize import read_coefficient_table, read_dataset
+    def test_coefficients_mirror_under_negated_difficulty(self, tmp_path):
+        from fplcast.serialize import read_coefficient_table
 
         _, cleaned, strengths, splits = synth_pipeline(tmp_path)
-        runs = {}
+        tables = []
         for sign in ("opponent_minus_own", "own_minus_opponent"):
             out = tmp_path / sign
             self.train_ridge(tmp_path, out, cleaned, strengths, splits, sign)
-            _, windows = read_dataset((out / "dataset_MID_sliding.txt").read_text())
-            table = read_coefficient_table((out / "coefficients.csv").read_text())
-            runs[sign] = windows, table
-        (default_ex, default_table), (flipped_ex, flipped_table) = runs.values()
-        assert any(default_ex.d != 0)
-        assert list(flipped_ex.d) == list(-default_ex.d)
-        assert list(flipped_ex.y) == list(default_ex.y)
+            tables.append(read_coefficient_table((out / "coefficients.csv").read_text()))
+        default_table, flipped_table = tables
 
         _, features, coef, intercepts = default_table
         _, _, flipped_coef, flipped_intercepts = flipped_table
@@ -990,6 +1062,7 @@ def damaged(draw, data: bytes):
 
 class TestEveryFailureIsOneLine:
     INPUTS = {
+        "ingest": ["raw", "strengths"],
         "train": ["cleaned", "strengths", "splits"],
         "evaluate": ["model", "cleaned", "strengths", "splits"],
         "rank": ["model", "cleaned", "strengths"],
@@ -1194,27 +1267,74 @@ class TestWarnings:
 
 
 class TestAnyConfig:
-    def test_train_exits_0_with_finite_numbers_or_prints_one_error_line(
+    # Keys that set the amount of work take small counts, so that one
+    # example stays cheap.
+    WORK = {"epochs", "gbm_n_trees", "gbm_num_leaves", "cnn_filters", "cnn_hidden"}
+
+    @classmethod
+    def values(cls, key):
+        """Mostly a value of `key`'s type, otherwise any JSON value; a key
+        that sets the amount of work never takes a large integer, and `grid`
+        never null."""
+        from fplcast.cli import _CONFIG_CHOICES, default_config
+        from fplcast.harness import FAMILIES
+
+        default = default_config()[key]
+        if key == "grid":
+            # At most two axes of at most two values, so at most four
+            # trials; null, the default grid, would run up to 144.
+            axes = {"w": "w", "tier": "tier", "nope": "w", **{
+                axis: cli_key for family in FAMILIES.values()
+                for axis, (cli_key, _) in family.params.items()
+            }}
+            axis = st.sampled_from(sorted(axes)).flatmap(lambda a: st.tuples(
+                st.just(a), st.lists(cls.values(axes[a]), max_size=2)
+            ))
+            good = st.lists(axis, max_size=2).map(dict)
+        elif key in cls.WORK:
+            good = st.integers(-1, 4)
+        elif key in _CONFIG_CHOICES:
+            good = st.sampled_from(_CONFIG_CHOICES[key])
+        elif key == "fractions":
+            good = st.lists(st.floats(-0.5, 1.5) | st.integers(-1, 2),
+                            min_size=3, max_size=3)
+        elif isinstance(default, float):
+            good = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2, 4)
+        else:
+            good = st.integers(-2, 40)
+        bad = json_values
+        if key in cls.WORK or key == "grid":
+            bad = json_values.filter(lambda v: type(v) is not int and v is not None)
+        return _mostly(good, bad, 5)
+
+    def test_every_command_exits_0_with_finite_numbers_or_prints_one_error_line(
         self, tiny_season
     ):
+        import shutil
+
         from fplcast.cli import default_config
 
         root, files = tiny_season
+        with open(files["config"], encoding="utf-8") as fh:
+            base = {**json.load(fh), "grid": {"w": [3]}}
         keys = sorted(default_config())
+        some_keys = st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)
         out = root / "any_config"
-        model = out / "model_ridge_MID.txt"
 
-        @settings(max_examples=200, deadline=None,
+        @settings(max_examples=300, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
-        @given(st.one_of(
-            json_values,
-            st.tuples(st.sampled_from(keys), json_values).map(lambda kv: dict([kv])),
-        ))
-        def check(config):
+        @given(
+            st.sampled_from(["train", "gridsearch", "cv", "evaluate", "rank", "explain"]),
+            st.sampled_from(["ridge", "gbm", "cnn"]),
+            _mostly(some_keys.flatmap(
+                lambda ks: st.fixed_dictionaries({k: self.values(k) for k in ks})
+            ).map(lambda drawn: {**base, **drawn}), json_values),
+        )
+        def check(command, family, config):
             path = root / "any_config.json"
             path.write_text(json.dumps(config), encoding="utf-8")
-            model.unlink(missing_ok=True)
-            argv = _argv("train", "ridge", {**files, "config": str(path)}, out)
+            shutil.rmtree(out, ignore_errors=True)
+            argv = _argv(command, family, {**files, "config": str(path)}, out)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -1225,12 +1345,15 @@ class TestAnyConfig:
                 _assert_one_error_line(err.getvalue())
                 return
             assert err.getvalue() == ""
-            for token in re.split(r"[ \t\n]", model.read_text()):
-                try:
-                    value = float(token)
-                except ValueError:
-                    continue
-                assert np.isfinite(value), token
+            written = [p for p in out.iterdir() if p.name != "run.log"]
+            assert written
+            for output in written:
+                for token in re.split(r"[ \t\n,]", output.read_text()):
+                    try:
+                        value = float(token)
+                    except ValueError:
+                        continue
+                    assert np.isfinite(value), (output.name, token)
 
         check()
 

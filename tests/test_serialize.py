@@ -14,7 +14,6 @@ from fplcast.dataset import (
     assign_splits,
     build_series,
     generate_synthetic_season,
-    sliding_average,
 )
 from fplcast.evaluation import EvalReport, export_predictions
 from fplcast.ingest import (
@@ -25,19 +24,16 @@ from fplcast.ingest import (
     parse_gameweek_csv,
 )
 from fplcast.serialize import (
-    DatasetHeader,
     FormatError,
     _table_rows,
     csv_line,
     fmt_num,
     read_cleaned_csv,
     read_coefficient_table,
-    read_dataset,
     read_predictions_csv,
     read_splits,
     write_cleaned_csv,
     write_coefficient_table,
-    write_dataset,
     write_learning_curve,
     write_predictions_csv,
     write_raw_csv,
@@ -202,56 +198,6 @@ class TestSplitsRoundTrip:
         assert parsed.strat_on == splits.strat_on
 
 
-class TestDatasetRoundTrip:
-    def _windows(self, season):
-        rows, strengths = season
-        series = build_series(rows)
-        return Players(series, strengths).windows(2, FeatureTier.PTS_ICT)
-
-    def test_windowed_round_trip(self, season):
-        windows = self._windows(season)
-        header = DatasetHeader(
-            representation="windowed",
-            position="MID",
-            w=2,
-            tier="pts_ict",
-            seed=8,
-            fractions=(0.6, 0.25, 0.15),
-            features=FeatureTier.PTS_ICT.columns(),
-            scaler_mean=np.array([1.0] * 6),
-            scaler_std=np.array([2.0] * 6),
-        )
-        parsed_header, parsed = read_dataset(write_dataset(header, windows))
-        assert parsed_header.w == 2
-        assert parsed_header.tier == "pts_ict"
-        np.testing.assert_array_equal(parsed_header.scaler_mean, header.scaler_mean)
-        assert len(parsed) == len(windows)
-        np.testing.assert_array_equal(parsed.X, windows.X)
-        for column in ("d", "y", "target_gameweek"):
-            np.testing.assert_array_equal(getattr(parsed, column), getattr(windows, column))
-        assert parsed.players == windows.players
-
-    def test_sliding_round_trip(self, season):
-        windows = self._windows(season)
-        header = DatasetHeader(
-            representation="sliding",
-            position="MID",
-            w=2,
-            tier="pts_ict",
-            seed=8,
-            fractions=(0.6, 0.25, 0.15),
-            features=FeatureTier.PTS_ICT.columns(),
-        )
-        _, parsed = read_dataset(write_dataset(header, windows))
-        # Rows come back as one-week windows of the means.
-        assert parsed.X.shape == (len(windows), 1, len(header.features))
-        np.testing.assert_array_equal(sliding_average(parsed), sliding_average(windows))
-
-    def test_rejects_foreign_text(self):
-        with pytest.raises(FormatError):
-            read_dataset("not a dataset\n")
-
-
 class TestReportWriters:
     def test_learning_curve_layout(self):
         curve = LearningCurve(
@@ -314,34 +260,23 @@ def data_files():
             write_predictions_csv(export_predictions(windows, windows.y / 3 + 0.25)),
         ),
     }
-    for representation in ("windowed", "sliding"):
-        header = DatasetHeader(
-            representation=representation,
-            position="MID",
-            w=2,
-            tier="pts_minutes",
-            seed=8,
-            fractions=(0.6, 0.25, 0.15),
-            features=FeatureTier.PTS_MINUTES.columns(),
-            scaler_mean=np.array([1.0, 2.0]),
-            scaler_std=np.array([3.0, 4.0]),
-        )
-        files[f"dataset_{representation}"] = (
-            read_dataset,
-            lambda loaded: write_dataset(*loaded),
-            write_dataset(header, windows),
-        )
     return files
 
 
 @pytest.fixture(scope="module")
 def model_files(fitted_models):
     """(reader, writer of what it read, text) for each model file format."""
+    from fplcast.serialize import ModelContext
+
     files = {
         name: (family.read, lambda loaded, family=family: family.write(*loaded),
                family.write(model, ctx))
         for name, (family, model, ctx) in fitted_models.items()
     }
+    # The scaler pair of a model header is optional.
+    family, model, ctx = fitted_models["cnn"]
+    bare = ModelContext(w=ctx.w, tier=ctx.tier, position=ctx.position)
+    files["cnn_without_scaler"] = (files["cnn"][0], files["cnn"][1], family.write(model, bare))
     files["coefficients"] = (
         read_coefficient_table,
         lambda loaded: write_coefficient_table(*loaded),
@@ -385,12 +320,14 @@ class TestModelFileTruncation:
 
     @pytest.mark.parametrize(
         "name",
-        ["splits", "cleaned", "dataset_windowed", "dataset_sliding", "predictions"],
+        ["splits", "cleaned", "predictions"],
     )
     def test_every_cut_loads_a_prefix_or_is_format_error(self, data_files, name):
         assert_every_cut_loads_a_prefix_or_fails(*data_files[name])
 
-    @pytest.mark.parametrize("name", ["ridge", "gbm", "cnn", "coefficients"])
+    @pytest.mark.parametrize(
+        "name", ["ridge", "gbm", "cnn", "cnn_without_scaler", "coefficients"]
+    )
     def test_model_file_cuts_load_a_prefix_or_are_format_errors(self, model_files, name):
         assert_every_cut_loads_a_prefix_or_fails(*model_files[name])
 
@@ -449,21 +386,6 @@ class TestModelFileTruncation:
     def test_report_readers_fail_with_format_error(self, read, text):
         with pytest.raises(FormatError):
             read(text)
-
-    def test_dataset_header_is_checked(self, data_files):
-        _, _, text = data_files["dataset_sliding"]
-        lines = text.splitlines(keepends=True)
-        renamed = text.replace("# representation sliding", "# representation other")
-        no_std = "".join(l for l in lines if not l.startswith("# scaler_std"))
-        for bad, message in ((renamed, "representation"), (no_std, "scaler")):
-            with pytest.raises(FormatError, match=message):
-                read_dataset(bad)
-
-    def test_dataset_rows_need_every_cell(self, data_files):
-        _, _, text = data_files["dataset_windowed"]
-        *head, last = text.splitlines()
-        with pytest.raises(FormatError, match="cells"):
-            read_dataset("\n".join(head + [last.rsplit(",", 1)[0]]) + "\n")
 
 
 @st.composite
@@ -575,7 +497,7 @@ class TestModelFileCorruption:
         with pytest.raises(FormatError, match=message):
             read(changed)
 
-    @pytest.mark.parametrize("name", ["ridge", "gbm", "cnn"])
+    @pytest.mark.parametrize("name", ["ridge", "gbm", "cnn", "cnn_without_scaler"])
     def test_every_corruption_loads_or_is_format_error(self, model_files, name):
         read, _, text = model_files[name]
 
@@ -613,35 +535,22 @@ def _header_variants(text: str, body_marker: str):
 
 
 @pytest.fixture(scope="module")
-def headed_files(fitted_models, data_files):
+def headed_files(model_files, data_files):
     """(reader, text, first body line's start) for every file with a header."""
-    from fplcast.serialize import ModelContext
-
+    markers = {"ridge": "feature\t", "gbm": "tree 0", "cnn": "param ",
+               "cnn_without_scaler": "param "}
     files = {}
-    for name, (family, model, ctx) in fitted_models.items():
-        marker = {"ridge": "feature\t", "gbm": "tree 0", "cnn": "param "}[name]
-        files[name] = (family.read, family.write(model, ctx), marker)
-    family, model, ctx = fitted_models["cnn"]
-    bare = ModelContext(w=ctx.w, tier=ctx.tier, position=ctx.position)
-    files["cnn_without_scaler"] = (family.read, family.write(model, bare), "param ")
+    for name, marker in markers.items():
+        read, _, text = model_files[name]
+        files[name] = (read, text, marker)
     files["splits"] = (read_splits, data_files["splits"][2], "player,")
-    for representation in ("windowed", "sliding"):
-        text = data_files[f"dataset_{representation}"][2]
-        files[f"dataset_{representation}"] = (read_dataset, text, "player,")
-    files["dataset_without_scaler"] = (
-        read_dataset,
-        "".join(l for l in data_files["dataset_sliding"][2].splitlines(keepends=True)
-                if not l.startswith("# scaler_")),
-        "player,",
-    )
     return files
 
 
 class TestHeaderOrder:
     @pytest.mark.parametrize(
         "name",
-        ["ridge", "gbm", "cnn", "cnn_without_scaler", "splits", "dataset_windowed",
-         "dataset_sliding", "dataset_without_scaler"],
+        ["ridge", "gbm", "cnn", "cnn_without_scaler", "splits"],
     )
     def test_every_header_line_is_required_by_name_and_in_order(self, headed_files, name):
         read, text, marker = headed_files[name]
@@ -665,7 +574,7 @@ class TestHeaderOrder:
                 read(text.replace(line, " ".join(["hyperparams", *changed])))
 
     @pytest.mark.parametrize(
-        "name", ["ridge", "gbm", "cnn", "splits", "dataset_windowed", "dataset_sliding"]
+        "name", ["ridge", "gbm", "cnn", "cnn_without_scaler", "splits"]
     )
     def test_magic_line_and_final_newline_are_required(self, headed_files, name):
         read, text, _ = headed_files[name]
