@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 import warnings
@@ -43,6 +42,7 @@ from .harness import (
     FAMILIES,
     CvConfig,
     GridSpec,
+    _is_number,
     cross_validate,
     derive_seed,
     model_family,
@@ -111,13 +111,6 @@ _CONFIG_CHOICES = {
     "strat_on": STRAT_ON,
     "cnn_activation": cnn_mod.ACTIVATIONS,
 }
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number; JSON booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or math.isfinite(value)
 
 
 def _config_problem(key: str, value, default) -> str | None:
@@ -421,10 +414,10 @@ def cmd_train(args, config) -> int:
         model_id = f"{family.name}_{position.value}"
         out = _out_dir(args)
         _write(out / f"model_{model_id}.txt", family.write(fitted.model, ctx))
-        if "curve" in fitted.extras:
+        if fitted.curve is not None:
             _write(
                 out / f"learning_curve_{position.value}.csv",
-                ser.write_learning_curve(fitted.extras["curve"]),
+                ser.write_learning_curve(fitted.curve),
             )
 
         for split, windows in (("train", train_ex), ("validation", val_ex)):
@@ -524,7 +517,7 @@ def cmd_gridsearch(args, config) -> int:
     all_series = build_series(rows)
     for position in _positions(args.position):
         players = _players(all_series, position, config, strengths, splits)
-        results = run_grid(grid, players, seed=config["seed"], position=position)
+        results = run_grid(grid, players, seed=config["seed"])
         out = _out_dir(args)
         axis_names = sorted(grid.axes)
         header = ser.csv_line([*axis_names, "train_mse", "val_mse", "seed", "status", "reason"])
@@ -552,8 +545,7 @@ def cmd_gridsearch(args, config) -> int:
         mean_k, max_k = top_k_summary(results, k)
         entry["top_k"] = {"k": k, "mean_val_mse": mean_k, "max_val_mse": max_k}
         if args.finalize:
-            final, _fitted = select_final(results, players)
-            entry["test_mse"] = final.test_mse
+            entry["test_mse"] = select_final(results, players)[0].test_mse
         summary[position.value] = entry
         print(
             f"{family}_{position.value}: best val mse {best.val_mse:.4f} "
@@ -773,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--finalize",
         action="store_true",
-        help="retrain the best configuration and score the holdout once",
+        help="score the best trial's model on the holdout once",
     )
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")

@@ -7,13 +7,16 @@ value: its split map is fixed before a grid starts and shared by every
 configuration, and a CV fold is the same players under the fold's split
 map. Each trial's training seed derives deterministically from the grid
 seed and the configuration, so editing one axis value leaves every other
-trial's randomness untouched. Test examples are never materialized until
-select_final runs.
+trial's randomness untouched. Each trial is fit once: run_grid keeps the
+model of its best trial, and select_final scores that model on the test
+split, whose examples are never built before it runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import serialize as ser
-from .cnn import TrainConfig
+from .cnn import LearningCurve, TrainConfig
 from .dataset import (
     FeatureTier,
     Players,
@@ -37,7 +40,6 @@ from .dataset import (
 )
 from .evaluation import mse
 from .gbm import GbmHyperparams, fit_gbm, predict_gbm_batch
-from .ingest import Position
 from .ridge import fit_ridge, predict_ridge_batch
 
 __all__ = [
@@ -71,8 +73,8 @@ class Family:
     representation: str  # "sliding" (window means) or "windowed" (whole windows)
     scaled: bool  # z-score features with a scaler fitted on the train split
     params: dict[str, tuple[str, object]]  # key -> (CLI config key, default)
-    # (params, train, val, seed, feature names) -> (model, extras), where
-    # train and val are design() results
+    # (params, train, val, seed, feature names) -> (model, learning curve or
+    # None), where train and val are design() results
     fit: Callable
     predict_batch: Callable  # (model, inputs) -> predictions
     magic: str  # first line of the family's model file
@@ -82,10 +84,10 @@ class Family:
     grid: dict[str, list]  # default gridsearch axes
 
     def resolve(self, config: dict) -> dict:
-        """This family's parameters from a trial config, typed like their
-        defaults."""
+        """This family's parameters from a trial config, each of its
+        default's type."""
         return {
-            key: type(default)(config.get(key, default))
+            key: _typed(key, config.get(key, default), default)
             for key, (_, default) in self.params.items()
         }
 
@@ -114,12 +116,33 @@ class Family:
         return sliding_design(windows, scaler)
 
 
+def _is_number(value) -> bool:
+    """A finite real number; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
+
+
+def _typed(key: str, value, default):
+    """`value` as its default's type: an integer for an integer, any finite
+    real number for a float, a string for a string."""
+    if isinstance(default, float):
+        ok = _is_number(value)
+    elif isinstance(default, int):
+        ok = _is_number(value) and isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise ValueError(f"{key} must be of type {type(default).__name__}, got {value!r}")
+    return type(default)(value)
+
+
 def _fit_ridge(p, train, val, seed, feature_names):
-    return fit_ridge(*train, lam=p["lambda"], feature_names=feature_names), {}
+    return fit_ridge(*train, lam=p["lambda"], feature_names=feature_names), None
 
 
 def _fit_gbm(p, train, val, seed, feature_names):
-    return fit_gbm(*train, GbmHyperparams(**p), feature_names=feature_names), {}
+    return fit_gbm(*train, GbmHyperparams(**p), feature_names=feature_names), None
 
 
 def _fit_cnn(p, train, val, seed, feature_names):
@@ -129,8 +152,7 @@ def _fit_cnn(p, train, val, seed, feature_names):
         w=w, k=p.pop("k"), f=f, n_filters=p.pop("filters"),
         n_hidden=p.pop("hidden"), activation=p.pop("activation"), seed=seed,
     )
-    best, curve = cnn_mod.train(model, windows, val[0], TrainConfig(**p, seed=seed))
-    return best, {"curve": curve}
+    return cnn_mod.train(model, windows, val[0], TrainConfig(**p, seed=seed))
 
 
 _GBM_DEFAULTS = GbmHyperparams()
@@ -257,14 +279,13 @@ class GridSpec:
 @dataclass
 class TrialResult:
     config: dict
-    position: Position
-    family: str
     train_mse: float | None
     val_mse: float | None
     test_mse: float | None
     seed: int
     wall_time: float
     error: str | None = None
+    fitted: FittedTrial | None = None  # run_grid keeps it on its best trial only
 
 
 @dataclass
@@ -281,14 +302,12 @@ class CvConfig:
 
 @dataclass
 class FittedTrial:
-    """A trained model plus everything needed to reuse it."""
+    """A trained model plus what predicting with it needs."""
 
     family: str
     model: object
     scaler: ScalerParams | None
-    feature_names: list[str]
-    config: dict
-    extras: dict = field(default_factory=dict)
+    curve: LearningCurve | None = None  # the CNN's per-epoch losses
 
 
 def sliding_design(windows: WindowSet, scaler: ScalerParams | None = None):
@@ -305,7 +324,7 @@ def derive_seed(seed: int, config: dict) -> int:
 
 def _window_spec(config: dict) -> tuple[int, FeatureTier]:
     """The (w, tier) a trial config's windows are built with."""
-    return int(config.get("w", 3)), FeatureTier(config.get("tier", "ptsonly"))
+    return _typed("w", config.get("w", 3), 3), FeatureTier(config.get("tier", "ptsonly"))
 
 
 def train_family(
@@ -324,59 +343,60 @@ def train_family(
     scaler = fam.fit_scaler(train_windows)
     train = fam.design(train_windows, scaler)
     val = fam.design(val_windows, scaler)
-    model, extras = fam.fit(fam.resolve(config), train, val, seed, feature_names)
+    model, curve = fam.fit(fam.resolve(config), train, val, seed, feature_names)
     return (
-        FittedTrial(family, model, scaler, feature_names, dict(config), extras),
+        FittedTrial(family, model, scaler, curve),
         mse(train[1], fam.predict_batch(model, train[0])),
         mse(val[1], fam.predict_batch(model, val[0])),
     )
 
 
-def _run_trial(
-    family: str, config: dict, position: Position, players: Players, grid_seed: int
-) -> TrialResult:
+def _run_trial(family: str, config: dict, players: Players, grid_seed: int) -> TrialResult:
     trial_seed = derive_seed(grid_seed, config)
     started = time.perf_counter()
-    train_err = val_err = error = None
+    fitted = train_err = val_err = error = None
     try:
         w, tier = _window_spec(config)
         train_ex, val_ex = (players.windows(w, tier, s) for s in ("train", "validation"))
-        _, train_err, val_err = train_family(
+        fitted, train_err, val_err = train_family(
             family, config, train_ex, val_ex, trial_seed
         )
     except Exception as exc:  # noqa: BLE001 - failed trials are data, not fatal
         error = f"{type(exc).__name__}: {exc}"
     return TrialResult(
         config=dict(config),
-        position=position,
-        family=family,
         train_mse=train_err,
         val_mse=val_err,
         test_mse=None,
         seed=trial_seed,
         wall_time=time.perf_counter() - started,
         error=error,
+        fitted=fitted,
     )
 
 
-def run_grid(
-    grid: GridSpec,
-    players: Players,
-    seed: int = 0,
-    position: Position | None = None,
-) -> list[TrialResult]:
+def run_grid(grid: GridSpec, players: Players, seed: int = 0) -> list[TrialResult]:
     """One trial per cartesian configuration, sorted by validation MSE.
 
     Infeasible configurations (e.g. kernel wider than window) are recorded
     as failed trials and sort last. Only train and validation examples are
-    ever built here.
+    ever built here. Only the best trial keeps its fitted model: a later
+    trial takes over only with a strictly lower validation MSE, the stable
+    sort's tie rule, so the model ends on results[0]. A beaten model is
+    dropped at once.
     """
-    if position is None:
-        position = players.series[0].key.position if players.series else Position.MID
-    results = [
-        _run_trial(grid.family, config, position, players, seed)
-        for config in grid.configurations()
-    ]
+    results, best = [], None
+    for config in grid.configurations():
+        trial = _run_trial(grid.family, config, players, seed)
+        results.append(trial)
+        if trial.error is not None:
+            continue
+        if best is None or trial.val_mse < best.val_mse:
+            if best is not None:
+                best.fitted = None
+            best = trial
+        else:
+            trial.fitted = None
     results.sort(
         key=lambda r: (r.error is not None, r.val_mse if r.val_mse is not None else 0.0)
     )
@@ -433,22 +453,14 @@ def _assign_folds(series_list: list[PlayerSeries], cv: CvConfig) -> list[int]:
 def select_final(
     results: list[TrialResult], players: Players
 ) -> tuple[TrialResult, FittedTrial]:
-    """Retrain the lowest-validation-MSE configuration (with its stored
-    trial seed) and score the holdout split exactly once."""
-    succeeded = [r for r in results if r.error is None and r.val_mse is not None]
-    if not succeeded:
+    """Score the holdout split exactly once, with the model that run_grid
+    kept on its lowest-validation-MSE trial."""
+    best = next((r for r in results if r.fitted is not None), None)
+    if best is None:
         raise ValueError("no successful trials to select from")
-    best = min(succeeded, key=lambda r: r.val_mse)
-    w, tier = _window_spec(best.config)
-    train_ex, val_ex, test_ex = (
-        players.windows(w, tier, s) for s in ("train", "validation", "test")
-    )
-    fitted, train_err, val_err = train_family(
-        best.family, best.config, train_ex, val_ex, best.seed
-    )
+    test_ex = players.windows(*_window_spec(best.config), "test")
     if not test_ex:
         raise ValueError("holdout split has no examples")
-    predictions = predict(FAMILIES[best.family], fitted.model, fitted.scaler, test_ex)
-    test_err = mse(test_ex.y, predictions)
-    final = replace(best, train_mse=train_err, val_mse=val_err, test_mse=test_err)
-    return final, fitted
+    fitted = best.fitted
+    predictions = predict(FAMILIES[fitted.family], fitted.model, fitted.scaler, test_ex)
+    return replace(best, test_mse=mse(test_ex.y, predictions)), fitted

@@ -13,9 +13,9 @@ ends with a newline.
 
 Every CSV table other than the gameweek files (the rows of splits files,
 and each report table) is written by `write_table`: a header line, one
-`csv_line` per row, a final newline. Their readers take the rows through
-`_table_rows`, which requires the header line and gives each row the
-header's cell count.
+`csv_line` per row, a final newline. Of these, only the splits file is
+read back: its reader takes the rows through `_table_rows`, which
+requires the header line and gives each row the header's cell count.
 """
 
 from __future__ import annotations
@@ -602,40 +602,9 @@ def write_coefficient_table(
     ))
 
 
-@_format_checked
-def read_coefficient_table(text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
-    _require_final_newline(text, "coefficient table")
-    lines = [l for l in text.splitlines() if l]
-    features = _parse_csv_line(lines[0])[1:-1]
-    positions, coef_rows, intercepts = [], [], []
-    for _, cells in _table_rows(lines, 0, lines[0], "coefficient table"):
-        positions.append(cells[0])
-        coef_rows.append([float(v) for v in cells[1:-1]])
-        intercepts.append(float(cells[-1]))
-    return positions, features, np.array(coef_rows), np.array(intercepts)
-
-
-_PREDICTIONS_HEADER = "true,predicted,player,gameweek,position"
-
-
 def write_predictions_csv(records: list[dict]) -> str:
-    return write_table(_PREDICTIONS_HEADER, (
+    return write_table("true,predicted,player,gameweek,position", (
         [r["true"], r["predicted"], r["player"], r["gameweek"], r["position"]]
         for r in records
     ))
 
-
-@_format_checked
-def read_predictions_csv(text: str) -> list[dict]:
-    return [
-        {
-            "true": _finite(cells[0], f"line {number}: true"),
-            "predicted": _finite(cells[1], f"line {number}: predicted"),
-            "player": cells[2],
-            "gameweek": int(cells[3]),
-            "position": Position(cells[4]).value,
-        }
-        for number, cells in _table_rows(
-            text.splitlines(), 0, _PREDICTIONS_HEADER, "predictions file"
-        )
-    ]

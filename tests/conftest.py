@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fplcast.dataset import build_series, generate_synthetic_season
 from fplcast.ingest import GAMEWEEK_SCHEMA, GameweekTable, Position, TeamStrengthTable
+
+# Where CI is set, Hypothesis loads its `ci` profile, which replays one
+# fixed set of draws on every run (derandomize=True). This profile keeps the
+# rest of `ci` but draws afresh each run; select it with
+# --hypothesis-profile=random.
+settings.register_profile("random", settings.get_profile("ci"), derandomize=False)
 
 # Every column of make_table's default row; the rest of the schema is 0.
 BASE_ROW = dict(

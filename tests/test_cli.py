@@ -628,18 +628,15 @@ class TestDifficultySign:
         ) == 0
 
     def test_coefficients_mirror_under_negated_difficulty(self, tmp_path):
-        from fplcast.serialize import read_coefficient_table
-
         _, cleaned, strengths, splits = synth_pipeline(tmp_path)
         tables = []
         for sign in ("opponent_minus_own", "own_minus_opponent"):
             out = tmp_path / sign
             self.train_ridge(tmp_path, out, cleaned, strengths, splits, sign)
-            tables.append(read_coefficient_table((out / "coefficients.csv").read_text()))
-        default_table, flipped_table = tables
-
-        _, features, coef, intercepts = default_table
-        _, _, flipped_coef, flipped_intercepts = flipped_table
+            header, *rows = csv.reader((out / "coefficients.csv").read_text().splitlines())
+            values = np.array([[float(v) for v in row[1:]] for row in rows])
+            tables.append((header[1:-1], values[:, :-1], values[:, -1]))
+        (features, coef, intercepts), (_, flipped_coef, flipped_intercepts) = tables
         # Negation is exact in floating point, so the fit mirrors bit for bit.
         gap = features.index("difficulty_gap")
         sign = np.where(np.arange(len(features)) == gap, -1.0, 1.0)

@@ -3,7 +3,7 @@ import pytest
 
 from dataclasses import dataclass
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fplcast.cnn import (
@@ -87,26 +87,30 @@ def oracle_forward_batch(model, X, d):
     return yhat, (windows, z_conv, hidden_in, z_hidden, a_hidden)
 
 
-def oracle_backward(model, X, d, y, lambda1, lambda2):
-    """Oracle: exact gradients, the conv weight gradient as an einsum."""
+def oracle_backward(model, X, d, y, lambda1, lambda2, size=lambda a: a):
+    """Oracle: exact gradients, the conv weight gradient as an einsum.
+
+    With size=np.abs every factor is taken by its magnitude, so each
+    gradient becomes the sum of the magnitudes of the terms it adds up: the
+    scale that the rounding error of a sum whose terms cancel grows with."""
     n = len(y)
     yhat, (windows, z_conv, hidden_in, z_hidden, a_hidden) = oracle_forward_batch(
         model, X, d
     )
-    d_yhat = 2.0 * (yhat - y) / n
-    g_out_w = a_hidden.T @ d_yhat
+    d_yhat = size(2.0 * (yhat - y) / n)
+    g_out_w = size(a_hidden).T @ d_yhat
     g_out_b = np.array([d_yhat.sum()])
-    d_a_hidden = np.outer(d_yhat, model.out_w)
+    d_a_hidden = np.outer(d_yhat, size(model.out_w))
     d_z_hidden = d_a_hidden * _oracle_activate_grad(z_hidden, model.activation)
-    g_hidden_w = d_z_hidden.T @ hidden_in
+    g_hidden_w = d_z_hidden.T @ size(hidden_in)
     g_hidden_b = d_z_hidden.sum(axis=0)
-    d_hidden_in = d_z_hidden @ model.hidden_w
+    d_hidden_in = d_z_hidden @ size(model.hidden_w)
     d_a_conv = d_hidden_in[:, :-1].reshape(z_conv.shape)
     d_z_conv = d_a_conv * _oracle_activate_grad(z_conv, model.activation)
-    g_conv_w = np.einsum("npj,njkf->pkf", d_z_conv, windows)
+    g_conv_w = np.einsum("npj,njkf->pkf", d_z_conv, size(windows))
     g_conv_b = d_z_conv.sum(axis=(0, 2))
-    g_conv_w += lambda1 * np.sign(model.conv_w) + 2.0 * lambda2 * model.conv_w
-    g_hidden_w += lambda1 * np.sign(model.hidden_w) + 2.0 * lambda2 * model.hidden_w
+    g_conv_w += size(lambda1 * np.sign(model.conv_w) + 2.0 * lambda2 * model.conv_w)
+    g_hidden_w += size(lambda1 * np.sign(model.hidden_w) + 2.0 * lambda2 * model.hidden_w)
     grads = (g_conv_w, g_conv_b, g_hidden_w, g_hidden_b, g_out_w, g_out_b)
     return dict(zip(PARAM_NAMES, grads))
 
@@ -320,15 +324,20 @@ def pure_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return new_params, AdamState(m=new_m, v=new_v, t=t)
 
 
-def _max_scaled_error(actual, expected):
-    """max |actual - expected|, over the largest magnitude of expected."""
-    scale = np.abs(expected).max()
+def _max_scaled_error(actual, expected, magnitude=None):
+    """max |actual - expected|, over the largest entry of |magnitude|
+    (by default of expected)."""
+    scale = np.abs(expected if magnitude is None else magnitude).max()
     return np.abs(actual - expected).max() / scale if scale else np.abs(actual).max()
 
 
 class TestAgainstOracles:
     """The unrolled matrix-product step computes what the einsum step did."""
 
+    # Gradients whose terms cancel: seeds 7 and 7015 failed the check when
+    # it scaled each gradient's error by the gradient itself.
+    @example((7, 5), 16, 4, 2, "relu", 1.0, 1.0, 2, 7)
+    @example((3, 2), 12, 2, 1, "tanh", 1.0, 1.0, 10, 7015)
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 9).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w))),
@@ -356,10 +365,11 @@ class TestAgainstOracles:
         assert _max_scaled_error(yhat, expected) <= 1e-12
         grads = backward(model, X, d, y, lambda1, lambda2)
         oracle = oracle_backward(model, X, d, y, lambda1, lambda2)
+        summed = oracle_backward(model, X, d, y, lambda1, lambda2, size=np.abs)
         assert list(grads) == list(oracle) == list(PARAM_NAMES)
         for name, g in grads.items():
             assert g.shape == oracle[name].shape, name
-            assert _max_scaled_error(g, oracle[name]) <= 1e-12, name
+            assert _max_scaled_error(g, oracle[name], summed[name]) <= 1e-12, name
 
 
 class TestArrayChecks:

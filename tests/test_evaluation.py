@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,7 @@ from fplcast.evaluation import (
     spearman_tied,
 )
 from fplcast.ingest import CanonicalPlayerKey, Position
-from fplcast.serialize import read_predictions_csv, write_predictions_csv
+from fplcast.serialize import write_predictions_csv
 
 
 def rank_oracle(values):
@@ -217,8 +219,14 @@ class TestExportPredictions:
 
     def test_round_trip(self):
         examples = concat_windows([_example(2, name="a"), _example(3, name="b")])
-        records = export_predictions(examples, [2.5, 3.125])
-        parsed = read_predictions_csv(write_predictions_csv(records))
+        records = export_predictions(examples, [2.5, 1 / 3])
+        header, *rows = csv.reader(write_predictions_csv(records).splitlines())
+        assert header == ["true", "predicted", "player", "gameweek", "position"]
+        parsed = [
+            {"true": float(y), "predicted": float(yhat), "player": player,
+             "gameweek": int(gameweek), "position": position}
+            for y, yhat, player, gameweek, position in rows
+        ]
         assert parsed == records
 
     def test_empty_gives_header_only(self):

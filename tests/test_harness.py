@@ -20,7 +20,10 @@ from fplcast.harness import (
     top_k_summary,
     train_family,
 )
-from fplcast.ingest import Position, TeamLookupError
+from fplcast import harness
+from fplcast.evaluation import mse
+from fplcast.ingest import TeamLookupError
+from fplcast.serialize import ModelContext
 
 RIDGE_GRID = GridSpec(family="ridge", axes={"lambda": [0.1, 1.0], "w": [2, 3]})
 
@@ -92,6 +95,47 @@ class TestRunGrid:
             [r.val_mse for r in b], abs=1e-12
         )
 
+    # Ridge's best is its second configuration, so the first one's model is
+    # beaten; the cnn grid has a failed trial.
+    @pytest.mark.parametrize("grid", [
+        RIDGE_GRID,
+        GridSpec(family="cnn", axes={"k": [1, 2], "w": [1, 2]},
+                 fixed={"epochs": 2, "filters": 2, "hidden": 2}),
+    ], ids=["ridge", "cnn"])
+    def test_only_the_best_trial_keeps_its_model(self, mid_players, grid):
+        results = run_grid(grid, mid_players, seed=2)
+        assert results[0].fitted is not None
+        assert all(r.fitted is None for r in results[1:])
+
+    def test_tied_trials_leave_the_model_on_the_first(self, mid_players):
+        grid = GridSpec(family="ridge", axes={"lambda": [1.0, 1.0]}, fixed={"w": 3})
+        first, second = run_grid(grid, mid_players, seed=3)
+        assert first.val_mse == second.val_mse
+        assert first.fitted is not None and second.fitted is None
+
+    @pytest.mark.parametrize("family, key, value", [
+        ("gbm", "min_data_in_leaf", 20.5),
+        ("gbm", "num_leaves", 7.9),
+        ("gbm", "n_trees", True),
+        ("ridge", "lambda", "10"),
+        ("ridge", "w", 3.0),
+        ("cnn", "activation", 1),
+    ])
+    def test_mistyped_value_fails_its_trial(self, mid_players, family, key, value):
+        grid = GridSpec(family=family, axes={key: [value]}, fixed={"epochs": 1})
+        [result] = run_grid(grid, mid_players, seed=1)
+        assert result.error.startswith(f"ValueError: {key} must be of type")
+
+    def test_numpy_and_python_integers_are_accepted(self, mid_players):
+        def val_mse(config):
+            grid = GridSpec(family="gbm", axes={"w": [3]}, fixed=config)
+            [result] = run_grid(grid, mid_players, seed=1)
+            assert result.error is None
+            return result.val_mse
+
+        typed = {"min_data_in_leaf": 20, "lambda_l2": 10.0}
+        assert val_mse({"min_data_in_leaf": np.int64(20), "lambda_l2": 10}) == val_mse(typed)
+
     def test_seed_isolation_across_axis_edits(self):
         touched = {"lambda": 0.1, "w": 2}
         other = {"lambda": 1.0, "w": 2}
@@ -120,8 +164,7 @@ class TestPlayersWindows:
 
 def trial(val, error=None):
     return TrialResult(
-        config={}, position=Position.MID, family="ridge",
-        train_mse=val, val_mse=val, test_mse=None, seed=0, wall_time=0.0,
+        config={}, train_mse=val, val_mse=val, test_mse=None, seed=0, wall_time=0.0,
         error=error,
     )
 
@@ -201,7 +244,56 @@ class TestCrossValidate:
             )
 
 
+FINAL_GRIDS = {
+    "ridge": GridSpec(family="ridge", axes={"lambda": [0.1, 10.0], "w": [2, 3]}),
+    "gbm": GridSpec(
+        family="gbm", axes={"eta": [0.05, 0.1], "w": [3, 4]},
+        fixed={"n_trees": 10, "min_data_in_leaf": 10},
+    ),
+    "cnn": GridSpec(
+        family="cnn", axes={"k": [1, 2], "w": [3]},
+        fixed={"epochs": 3, "filters": 2, "hidden": 3},
+    ),
+}
+
+
 class TestSelectFinal:
+    def test_scores_the_kept_model_without_fitting(self, mid_players, monkeypatch):
+        results = run_grid(RIDGE_GRID, mid_players, seed=5)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("select_final fitted a model")
+
+        monkeypatch.setattr(harness, "train_family", no_fit)
+        final, fitted = select_final(results, mid_players)
+        assert fitted is results[0].fitted
+        assert final.test_mse is not None and np.isfinite(final.test_mse)
+
+    @pytest.mark.parametrize("family", sorted(FINAL_GRIDS))
+    def test_kept_model_equals_a_refit(self, mid_players, family):
+        """The oracle is the refit that select_final used to run: the best
+        configuration trained again with its stored seed."""
+        results = run_grid(FINAL_GRIDS[family], mid_players, seed=7)
+        final, fitted = select_final(results, mid_players)
+        best = results[0]
+        w, tier = harness._window_spec(best.config)
+        train_ex, val_ex, test_ex = (
+            mid_players.windows(w, tier, s) for s in ("train", "validation", "test")
+        )
+        refit, train_err, val_err = train_family(
+            family, best.config, train_ex, val_ex, best.seed
+        )
+        fam = harness.FAMILIES[family]
+        predictions = harness.predict(fam, refit.model, refit.scaler, test_ex)
+        assert final.test_mse == mse(test_ex.y, predictions)
+        assert (final.train_mse, final.val_mse) == (train_err, val_err)
+
+        def model_file(f):
+            return fam.write(f.model, ModelContext(w, tier.value, "MID", f.scaler))
+
+        assert model_file(fitted) == model_file(refit)
+        assert fitted.curve == refit.curve
+
     def test_single_trial_selected_with_test_mse(self, mid_players):
         grid = GridSpec(family="ridge", axes={"lambda": [1.0]}, fixed={"w": 3})
         results = run_grid(grid, mid_players, seed=4)
@@ -259,4 +351,6 @@ class TestTrainFamilyContract:
             )
             assert fitted.family == family
             assert np.isfinite(train_err) and np.isfinite(val_err)
-            assert fitted.feature_names[-1] == "difficulty_gap"
+            assert (fitted.curve is not None) == (family == "cnn")
+            if family != "cnn":
+                assert fitted.model.feature_names[-1] == "difficulty_gap"

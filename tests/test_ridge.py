@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -167,16 +169,17 @@ class TestExportCoefficients:
             export_coefficients({Position.GK: a, Position.DEF: b})
 
     def test_serialized_table_round_trips(self):
-        from fplcast.serialize import read_coefficient_table, write_coefficient_table
+        from fplcast.serialize import write_coefficient_table
 
         positions, names, coef, intercepts = export_coefficients(
-            {Position.GK: self._model([1.5, -0.25]), Position.MID: self._model([0.125, 3.0])}
+            {Position.GK: self._model([1.5, -0.25]), Position.MID: self._model([0.1, 1 / 3])}
         )
         text = write_coefficient_table(positions, names, coef, intercepts)
-        p2, n2, c2, i2 = read_coefficient_table(text)
-        assert p2 == positions and n2 == names
-        np.testing.assert_array_equal(c2, coef)
-        np.testing.assert_array_equal(i2, intercepts)
+        header, *rows = csv.reader(text.splitlines())
+        assert header == ["position", *names, "intercept"]
+        assert [row[0] for row in rows] == positions
+        np.testing.assert_array_equal([[float(v) for v in row[1:-1]] for row in rows], coef)
+        np.testing.assert_array_equal([float(row[-1]) for row in rows], intercepts)
 
 
 class TestRidgeSerialization:

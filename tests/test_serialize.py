@@ -15,7 +15,7 @@ from fplcast.dataset import (
     build_series,
     generate_synthetic_season,
 )
-from fplcast.evaluation import EvalReport, export_predictions
+from fplcast.evaluation import EvalReport
 from fplcast.ingest import (
     GAMEWEEK_SCHEMA,
     RAW_SCHEMA,
@@ -29,13 +29,9 @@ from fplcast.serialize import (
     csv_line,
     fmt_num,
     read_cleaned_csv,
-    read_coefficient_table,
-    read_predictions_csv,
     read_splits,
     write_cleaned_csv,
-    write_coefficient_table,
     write_learning_curve,
-    write_predictions_csv,
     write_raw_csv,
     write_reports_csv,
     write_splits,
@@ -250,17 +246,10 @@ def data_files():
     """(reader, writer of what it read, text) for each data file format."""
     rows, strengths = generate_synthetic_season(seed=8, n_players=24, n_weeks=5)
     series = build_series(rows)
-    windows = Players(series, strengths).windows(2, FeatureTier.PTS_MINUTES)
-    files = {
+    return {
         "splits": (read_splits, write_splits, write_splits(assign_splits(series, seed=4))),
         "cleaned": (read_cleaned_csv, write_cleaned_csv, write_cleaned_csv(rows)),
-        "predictions": (
-            read_predictions_csv,
-            write_predictions_csv,
-            write_predictions_csv(export_predictions(windows, windows.y / 3 + 0.25)),
-        ),
     }
-    return files
 
 
 @pytest.fixture(scope="module")
@@ -277,13 +266,6 @@ def model_files(fitted_models):
     family, model, ctx = fitted_models["cnn"]
     bare = ModelContext(w=ctx.w, tier=ctx.tier, position=ctx.position)
     files["cnn_without_scaler"] = (files["cnn"][0], files["cnn"][1], family.write(model, bare))
-    files["coefficients"] = (
-        read_coefficient_table,
-        lambda loaded: write_coefficient_table(*loaded),
-        write_coefficient_table(["GK", "MID"], ["x0", "x1"],
-                                np.array([[0.1, 1 / 3], [2.5, -1e-7]]),
-                                np.array([0.7, 1 / 7])),
-    )
     return files
 
 
@@ -320,13 +302,13 @@ class TestModelFileTruncation:
 
     @pytest.mark.parametrize(
         "name",
-        ["splits", "cleaned", "predictions"],
+        ["splits", "cleaned"],
     )
     def test_every_cut_loads_a_prefix_or_is_format_error(self, data_files, name):
         assert_every_cut_loads_a_prefix_or_fails(*data_files[name])
 
     @pytest.mark.parametrize(
-        "name", ["ridge", "gbm", "cnn", "cnn_without_scaler", "coefficients"]
+        "name", ["ridge", "gbm", "cnn", "cnn_without_scaler"]
     )
     def test_model_file_cuts_load_a_prefix_or_are_format_errors(self, model_files, name):
         assert_every_cut_loads_a_prefix_or_fails(*model_files[name])
@@ -367,25 +349,6 @@ class TestModelFileTruncation:
         other = '"train"' if split != '"train"' else '"test"'
         with pytest.raises(FormatError, match=f"player '{name[1:-1]}'.*twice"):
             read_splits(text + f"{name},{position},{other}\n")
-
-    @pytest.mark.parametrize(
-        "read, text",
-        [
-            (read_coefficient_table, ""),
-            (read_coefficient_table, '"position","x0","intercept"\n"MID",1.5\n'),
-            (read_predictions_csv, "true,predicted,player,gameweek,position\n1.5\n"),
-            (read_predictions_csv, "true,predicted,player,week,position\n"),
-            (read_predictions_csv, "true,predicted,player,gameweek,position\n"
-                                   '1.5,2.5,"kane",3,"FWD",1\n'),
-            (read_predictions_csv, "true,predicted,player,gameweek,position\n"
-                                   '1.5,2.5,"kane",3,"FW"\n'),
-            (read_predictions_csv, "true,predicted,player,gameweek,position\n"
-                                   '1.5,nan,"kane",3,"FWD"\n'),
-        ],
-    )
-    def test_report_readers_fail_with_format_error(self, read, text):
-        with pytest.raises(FormatError):
-            read(text)
 
 
 @st.composite
