@@ -115,7 +115,7 @@ _CONFIG_CHOICES = {
 
 def _config_problem(key: str, value, default) -> str | None:
     """What `value` must be, unless it fits `key`: its default's JSON type
-    (an integer where the default is a float), finite, a known choice."""
+    (an integer where the default is a float), a finite float, a known choice."""
     if key == "grid":
         if value is None or (isinstance(value, dict) and all(
             isinstance(v, list) and v for v in value.values()
@@ -125,11 +125,11 @@ def _config_problem(key: str, value, default) -> str | None:
     if key == "fractions":
         if isinstance(value, list) and len(value) == 3 and all(map(_is_number, value)):
             return None
-        return "a list of three finite numbers"
-    if isinstance(default, float):
-        return None if _is_number(value) else "a finite number"
-    if isinstance(default, int):
-        return None if _is_number(value) and isinstance(value, int) else "an integer"
+        return "a list of three finite numbers in float range"
+    if isinstance(default, (int, float)):
+        if _is_number(value, integral=isinstance(default, int)):
+            return None
+        return "an integer" if isinstance(default, int) else "a finite number in float range"
     choices = _CONFIG_CHOICES[key]
     return None if value in choices else "one of " + ", ".join(choices)
 
@@ -163,12 +163,6 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
     return config
 
 
-def _positions(flag: str) -> list[Position]:
-    if flag == "all":
-        return Position.ordered()
-    return [Position(flag)]
-
-
 def _read_text(path: str, what: str) -> str:
     """The UTF-8 text of the `what` file at `path`."""
     try:
@@ -190,15 +184,18 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _write(path: Path, text: str, mode: str = "w"):
+    try:
+        with open(path, mode, encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise CliError("io", f"cannot write output file {path}: {reason}") from None
 
 
 def _log(out: Path, message: str):
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    with open(out / "run.log", "a", encoding="utf-8") as fh:
-        fh.write(f"{stamp} {message}\n")
+    _write(out / "run.log", f"{stamp} {message}\n", "a")
 
 
 def _read_cleaned(paths: list[str]) -> GameweekTable:
@@ -210,28 +207,31 @@ def _read_cleaned(paths: list[str]) -> GameweekTable:
     return table
 
 
-def _read_strengths(path: str):
-    return parse_strengths_csv(_read_text(path, "strengths"))
+def _players(args, config, positions: str):
+    """(position, Players) for each of `positions` ("all" or one), under the
+    config's difficulty sign. Reads --cleaned, --strengths and any --splits,
+    and applies any --season, when called; checks a position when reached."""
+    rows = _read_cleaned(args.cleaned)
+    strengths = parse_strengths_csv(_read_text(args.strengths, "strengths"))
+    splits = None
+    if getattr(args, "splits", None):
+        splits = ser.read_splits(_read_text(args.splits, "splits")).assignments
+    if "season" in args:
+        season = args.season or max(rows.season)
+        rows = rows.take([s == season for s in rows.season])
+        if not len(rows):
+            raise CliError("data", f"no cleaned rows for season '{season}'")
+    all_series = build_series(rows)
+    flip = config["difficulty_sign"] == "own_minus_opponent"
 
+    def each():
+        for position in Position.ordered() if positions == "all" else [Position(positions)]:
+            series = [s for s in all_series if s.key.position == position]
+            if not series:
+                raise CliError("data", f"no players with position {position.value}")
+            yield position, Players(series, strengths, splits, flip_difficulty=flip)
 
-def _read_splits(path: str) -> SplitAssignment:
-    return ser.read_splits(_read_text(path, "splits"))
-
-
-def _players(
-    all_series, position: Position, config, strengths,
-    splits: SplitAssignment | None = None,
-) -> Players:
-    """The players of one position, under the config's difficulty sign."""
-    series = [s for s in all_series if s.key.position == position]
-    if not series:
-        raise CliError("data", f"no players with position {position.value}")
-    return Players(
-        series,
-        strengths,
-        splits.assignments if splits else None,
-        flip_difficulty=config["difficulty_sign"] == "own_minus_opponent",
-    )
+    return each()
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def _players(
 
 
 def cmd_ingest(args, config) -> int:
-    strengths = _read_strengths(args.strengths)
+    strengths = parse_strengths_csv(_read_text(args.strengths, "strengths"))
     threshold = float(config["fuzzy_threshold"])
 
     parts = []
@@ -387,18 +387,13 @@ def _eval_report(windows, predictions, position, split, model_id) -> EvalReport:
 
 
 def cmd_train(args, config) -> int:
-    rows = _read_cleaned(args.cleaned)
-    strengths = _read_strengths(args.strengths)
-    splits = _read_splits(args.splits)
     family = FAMILIES[args.family]
     w = int(config["w"])
     tier = FeatureTier(config["tier"])
     family_config = family.from_cli(config)
 
     reports = []
-    all_series = build_series(rows)
-    for position in _positions(args.position):
-        players = _players(all_series, position, config, strengths, splits)
+    for position, players in _players(args, config, args.position):
         train_ex, val_ex = (players.windows(w, tier, s) for s in ("train", "validation"))
         if not train_ex or not val_ex:
             raise CliError(
@@ -444,11 +439,7 @@ def _load_model(path: str):
 
 def cmd_evaluate(args, config) -> int:
     family, model, ctx = _load_model(args.model)
-    rows = _read_cleaned(args.cleaned)
-    strengths = _read_strengths(args.strengths)
-    splits = _read_splits(args.splits)
-    position = Position(ctx.position)
-    players = _players(build_series(rows), position, config, strengths, splits)
+    [(position, players)] = _players(args, config, ctx.position)
     windows = players.windows(ctx.w, FeatureTier(ctx.tier), args.split)
     if not windows:
         raise CliError("data", f"no {args.split} examples for {position.value}")
@@ -509,14 +500,8 @@ def cmd_gridsearch(args, config) -> int:
     axes = config["grid"] if config["grid"] is not None else FAMILIES[family].grid
     grid = GridSpec(family=family, axes={k: list(v) for k, v in axes.items()},
                     fixed=FAMILIES[family].from_cli(config))
-    rows = _read_cleaned(args.cleaned)
-    strengths = _read_strengths(args.strengths)
-    splits = _read_splits(args.splits)
-
     summary = {}
-    all_series = build_series(rows)
-    for position in _positions(args.position):
-        players = _players(all_series, position, config, strengths, splits)
+    for position, players in _players(args, config, args.position):
         results = run_grid(grid, players, seed=config["seed"])
         out = _out_dir(args)
         axis_names = sorted(grid.axes)
@@ -560,8 +545,7 @@ def cmd_gridsearch(args, config) -> int:
 
 
 def cmd_cv(args, config) -> int:
-    rows = _read_cleaned(args.cleaned)
-    strengths = _read_strengths(args.strengths)
+    players_by_position = _players(args, config, args.position)
     family = args.family
     family_config = FAMILIES[family].from_cli(config)
     cv = CvConfig(
@@ -571,9 +555,7 @@ def cmd_cv(args, config) -> int:
         seed=config["seed"],
     )
     results = []
-    all_series = build_series(rows)
-    for position in _positions(args.position):
-        players = _players(all_series, position, config, strengths)
+    for position, players in players_by_position:
         train_err, val_err = cross_validate(family, family_config, players, cv)
         results.append([family, position.value, train_err, val_err])
         print(
@@ -591,14 +573,7 @@ def cmd_cv(args, config) -> int:
 
 def cmd_rank(args, config) -> int:
     family, model, ctx = _load_model(args.model)
-    rows = _read_cleaned(args.cleaned)
-    strengths = _read_strengths(args.strengths)
-    position = Position(ctx.position)
-    season = args.season or max(rows.season)
-    rows = rows.take([s == season for s in rows.season])
-    if not len(rows):
-        raise CliError("data", f"no cleaned rows for season '{season}'")
-    players = _players(build_series(rows), position, config, strengths)
+    [(position, players)] = _players(args, config, ctx.position)
     windows = players.windows(ctx.w, FeatureTier(ctx.tier))
     candidates = windows.take(windows.target_gameweek == args.gameweek)
     if not candidates:
@@ -646,11 +621,7 @@ def _explain_shapley(args, config, loaded):
     if missing:
         raise CliError("usage", f"shapley explanations need {', '.join(missing)}")
     _, model, ctx = loaded[0]
-    rows = _read_cleaned(args.cleaned)
-    strengths = _read_strengths(args.strengths)
-    splits = _read_splits(args.splits)
-    position = Position(ctx.position)
-    players = _players(build_series(rows), position, config, strengths, splits)
+    [(position, players)] = _players(args, config, ctx.position)
     explain_ex, train_ex = (
         players.windows(ctx.w, FeatureTier(ctx.tier), s) for s in (args.split, "train")
     )
@@ -725,6 +696,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("usage", f"{self.prog}: {message}")
 
 
+def _add_shared(parser: argparse.ArgumentParser, *names: str, required: bool = True):
+    """Declare the flags `names`, which several commands share, in that order."""
+    kwargs = {"cleaned": {"nargs": "+"}, "family": {"choices": list(FAMILIES)}}
+    for name in names:
+        parser.add_argument(f"--{name}", required=required, **kwargs.get(name, {}))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fplcast",
@@ -742,26 +720,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse, clean, and merge raw gameweek CSVs")
     p.add_argument("--raw", nargs="+", required=True, metavar="SEASON=PATH")
-    p.add_argument("--strengths", required=True)
+    _add_shared(p, "strengths")
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic season")
     p.add_argument("--players", type=int, default=200)
     p.add_argument("--weeks", type=int, default=38)
 
     p = sub.add_parser("split", help="assign players to train/validation/test")
-    p.add_argument("--cleaned", nargs="+", required=True)
+    _add_shared(p, "cleaned")
 
     p = sub.add_parser("train", help="train one family per position")
-    p.add_argument("--cleaned", nargs="+", required=True)
-    p.add_argument("--strengths", required=True)
-    p.add_argument("--splits", required=True)
-    p.add_argument("--family", choices=list(FAMILIES), required=True)
+    _add_shared(p, "cleaned", "strengths", "splits", "family")
 
     p = sub.add_parser("gridsearch", help="grid search over one family")
-    p.add_argument("--cleaned", nargs="+", required=True)
-    p.add_argument("--strengths", required=True)
-    p.add_argument("--splits", required=True)
-    p.add_argument("--family", choices=list(FAMILIES), required=True)
+    _add_shared(p, "cleaned", "strengths", "splits", "family")
     p.add_argument(
         "--finalize",
         action="store_true",
@@ -769,15 +741,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
-    p.add_argument("--cleaned", nargs="+", required=True)
-    p.add_argument("--strengths", required=True)
-    p.add_argument("--family", choices=list(FAMILIES), required=True)
+    _add_shared(p, "cleaned", "strengths", "family")
 
     p = sub.add_parser("evaluate", help="score a saved model on one split")
     p.add_argument("--model", required=True)
-    p.add_argument("--cleaned", nargs="+", required=True)
-    p.add_argument("--strengths", required=True)
-    p.add_argument("--splits", required=True)
+    _add_shared(p, "cleaned", "strengths", "splits")
     p.add_argument("--split", choices=["train", "validation", "test"], default="test")
     p.add_argument(
         "--per-gameweek",
@@ -787,16 +755,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank players by predicted points")
     p.add_argument("--model", required=True)
-    p.add_argument("--cleaned", nargs="+", required=True)
-    p.add_argument("--strengths", required=True)
+    _add_shared(p, "cleaned", "strengths")
     p.add_argument("--gameweek", type=int, required=True)
     p.add_argument("--season", default=None)
 
     p = sub.add_parser("explain", help="model attribution exports")
     p.add_argument("--model", nargs="+", required=True)
-    p.add_argument("--cleaned", nargs="+", default=[])
-    p.add_argument("--strengths", default=None)
-    p.add_argument("--splits", default=None)
+    # Only Shapley explanations read the data files.
+    _add_shared(p, "cleaned", "strengths", "splits", required=False)
     p.add_argument("--split", choices=["train", "validation", "test"], default="test")
     p.add_argument("--example-index", type=int, default=0)
 

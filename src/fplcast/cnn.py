@@ -23,7 +23,7 @@ working parameter; early stopping restores the best-validation epoch.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,7 +101,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("learning_rate", "early_stop_tolerance", "lambda1", "lambda2",
                      "beta1", "beta2", "eps"):
-            if not math.isfinite(getattr(self, name)):
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")

@@ -28,6 +28,7 @@ O(trees x leaves x background rows x features).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,7 +64,7 @@ class GbmHyperparams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not 0 <= self.lambda_l2 < math.inf:
+        if not 0 <= self.lambda_l2 <= sys.float_info.max:
             raise ValueError("lambda_l2 must be finite and >= 0")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must be in (0, 1]")

@@ -116,20 +116,25 @@ class Family:
         return sliding_design(windows, scaler)
 
 
-def _is_number(value) -> bool:
-    """A finite real number; booleans are not numbers."""
+def _is_number(value, integral: bool = False) -> bool:
+    """Any integer if `integral`, else a real number that converts to a
+    finite float; booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
-    return isinstance(value, numbers.Integral) or math.isfinite(value)
+    if integral:
+        return isinstance(value, numbers.Integral)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _typed(key: str, value, default):
-    """`value` as its default's type: an integer for an integer, any finite
-    real number for a float, a string for a string."""
-    if isinstance(default, float):
-        ok = _is_number(value)
-    elif isinstance(default, int):
-        ok = _is_number(value) and isinstance(value, numbers.Integral)
+    """`value` as its default's type: an integer for an integer, a real
+    number that converts to a finite float for a float, a string for a
+    string."""
+    if isinstance(default, (int, float)):
+        ok = _is_number(value, integral=isinstance(default, int))
     else:
         ok = isinstance(value, str)
     if not ok:

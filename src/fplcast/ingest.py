@@ -1,11 +1,11 @@
-"""Loading and cleaning of per-gameweek player statistics.
+"""Parsing and cleaning of per-gameweek player statistics.
 
 Raw input is the public per-gameweek CSV schema (one row per player per
-gameweek). Rows are held column by column in a GameweekTable, whose
-columns GAMEWEEK_SCHEMA declares once for every reader and writer.
-Cleaning canonicalizes player names, merges near-duplicate spellings by
-fuzzy matching, drops benched appearances, and attaches an engineered
-upcoming-match difficulty from per-season team strength ratings.
+gameweek), held column by column in a GameweekTable whose columns
+GAMEWEEK_SCHEMA declares once for every reader and writer. It parses
+gameweek and strength CSVs, scores and matches player names, drops
+benched appearances and computes match difficulty; cli.cmd_ingest merges
+the spellings and dataset.Players.windows attaches difficulty.
 """
 
 from __future__ import annotations

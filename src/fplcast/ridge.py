@@ -7,7 +7,7 @@ mean predictor rather than to zero.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +40,7 @@ def fit_ridge(x_list, y_list, lam: float, feature_names: list[str] | None = None
         raise ValueError("need at least one example")
     if not (np.isfinite(A).all() and np.isfinite(y).all()):
         raise ValueError("design matrix and targets must be finite")
-    if not 0 <= lam < math.inf:
+    if not 0 <= lam <= sys.float_info.max:
         raise ValueError("lambda must be finite and >= 0")
     if feature_names is None:
         feature_names = [f"x{j}" for j in range(A.shape[1])]

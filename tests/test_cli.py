@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fplcast.cli import build_parser, main
+from fplcast.cli import build_parser, load_config, main
 from fplcast.evaluation import average_ranks
 from fplcast.ingest import GameweekTable
 from fplcast.gbm import predict_gbm
@@ -1030,6 +1030,20 @@ class TestInputFileFailures:
         _assert_one_error_line(err)
         assert err.startswith("error:io:")
 
+    @pytest.mark.parametrize("command, blocked", [
+        ("train", "model_ridge_MID.txt"), ("synth", "run.log"),
+    ])
+    def test_unwritable_output_is_one_io_error(
+        self, tiny_season, tmp_path, capsys, command, blocked
+    ):
+        _, files = tiny_season
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(_argv(command, "ridge", files, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith(f"error:io: cannot write output file {tmp_path / 'out' / blocked}: ")
+
 
     def test_line_break_in_a_cell_stays_on_the_error_line(
         self, tiny_season, tmp_path, capsys
@@ -1095,6 +1109,9 @@ class TestEveryFailureIsOneLine:
         check()
 
 
+HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+
 class TestConfigChecks:
     # (config file text, the command that loads it, what the error names)
     BAD = [
@@ -1122,6 +1139,16 @@ class TestConfigChecks:
         ('{"strat_on": "median"}', "split", "strat_on"),
         ('{"cnn_activation": "sigmoid"}', "train", "cnn_activation"),
         ('{"epochs": -Infinity}', "train", "epochs"),
+        # An integer too large for a float, where a float is expected.
+        *(pytest.param(f'{{"{key}": {value}}}', command, named, id=f"int_too_large_for_{key}")
+          for key, value, command, named in [
+              ("fuzzy_threshold", HUGE, "ingest", "fuzzy_threshold"),
+              ("fractions", f"[0.6, {HUGE}, 0.15]", "split", "fractions"),
+              ("ridge_lambda", HUGE, "train", "ridge_lambda"),
+              ("gbm_eta", HUGE, "train", "gbm_eta"),
+              ("learning_rate", HUGE, "train", "learning_rate"),
+              ("grid", f'{{"lambda": [{HUGE}]}}', "gridsearch", "'lambda'"),
+          ]),
     ]
 
     @pytest.mark.parametrize("text, command, named", BAD)
@@ -1192,6 +1219,12 @@ class TestConfigChecks:
             assert main(_argv("train", "ridge", {**files, "config": str(config)}, out)) == 0
             outputs.append((out / "model_ridge_MID.txt").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_integer_keys_take_any_integer(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(f'{{"seed": {HUGE}, "epochs": -{HUGE}}}', encoding="utf-8")
+        loaded = load_config(str(config), None)
+        assert (loaded["seed"], loaded["epochs"]) == (int(HUGE), -int(HUGE))
 
     def test_well_typed_grid_value_out_of_range_is_a_failed_trial(self, tiny_season, tmp_path):
         _, files = tiny_season
@@ -1277,6 +1310,8 @@ class TestAnyConfig:
         from fplcast.harness import FAMILIES
 
         default = default_config()[key]
+        # Now and then where a float is expected, an integer no float holds.
+        too_large = st.integers(2**1024) | st.integers(max_value=-2**1024)
         if key == "grid":
             # At most two axes of at most two values, so at most four
             # trials; null, the default grid, would run up to 144.
@@ -1293,10 +1328,12 @@ class TestAnyConfig:
         elif key in _CONFIG_CHOICES:
             good = st.sampled_from(_CONFIG_CHOICES[key])
         elif key == "fractions":
-            good = st.lists(st.floats(-0.5, 1.5) | st.integers(-1, 2),
+            good = st.lists(_mostly(st.floats(-0.5, 1.5) | st.integers(-1, 2), too_large),
                             min_size=3, max_size=3)
         elif isinstance(default, float):
-            good = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2, 4)
+            good = _mostly(
+                st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2, 4), too_large
+            )
         else:
             good = st.integers(-2, 40)
         bad = json_values
@@ -1372,6 +1409,47 @@ class TestExplainInputs:
         assert not list((tmp_path / "o").glob("shapley_*"))
 
 
+class TestReadAndCheckOrder:
+    """Each command reads its inputs and checks its config in one fixed
+    order, so that the first problem in that order is the one reported."""
+
+    # (command, family, inputs that are missing, config keys, argv flags
+    # dropped, argv added, the missing input the error names or the error)
+    CASES = {
+        "train_reads_cleaned_first": (
+            "train", "ridge", ["cleaned", "strengths", "splits"], {}, [], [], "cleaned"),
+        "evaluate_reads_strengths_before_splits": (
+            "evaluate", "ridge", ["strengths", "splits"], {}, [], [], "strengths"),
+        "evaluate_reads_splits": ("evaluate", "ridge", ["splits"], {}, [], [], "splits"),
+        "rank_reads_strengths_before_the_season_check": (
+            "rank", "ridge", ["strengths"], {}, [], ["--season", "zzz"], "strengths"),
+        "cv_reads_before_checking_k": ("cv", "ridge", ["cleaned"], {"cv_k": 1}, [], [],
+                                       "cleaned"),
+        "explain_checks_its_flags_before_reading": (
+            "explain", "gbm", [], {}, ["--strengths", "--splits"], [],
+            "error:usage: shapley explanations need --strengths, --splits\n"),
+        "gridsearch_checks_top_k_before_reading": (
+            "gridsearch", "ridge", ["cleaned"], {"top_k": 0}, [], [],
+            "error:data: top-k size must be >= 1, got 0\n"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_first_problem_is_reported(self, tiny_season, tmp_path, capsys, case):
+        command, family, missing, keys, dropped, added, expected = self.CASES[case]
+        _, files = tiny_season
+        files = TestConfigChecks.with_config(files, tmp_path / "cfg.json", keys)
+        files.update({name: str(tmp_path / f"missing_{name}") for name in missing})
+        argv = _argv(command, family, files, tmp_path / "out") + added
+        for flag in dropped:
+            del argv[argv.index(flag) : argv.index(flag) + 2]
+        if expected in missing:
+            expected = (f"error:io: cannot read {expected} file {files[expected]}: "
+                        "No such file or directory\n")
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == expected
+
+
 def _mostly(good, bad, one_in=10):
     """`good`, or `bad` one time in `one_in`; shrinks towards `good`."""
     return st.sampled_from([True] * (one_in - 1) + [False]).flatmap(
@@ -1416,6 +1494,51 @@ class TestAnyArgv:
             main(["-h"])
         assert exit_.value.code == 0
         assert capsys.readouterr().out.startswith("usage: fplcast")
+
+    # Each subcommand's flags, in the order its usage line lists them.
+    FLAGS = {
+        "ingest": ["--raw", "--strengths"],
+        "synth": ["--players", "--weeks"],
+        "split": ["--cleaned"],
+        "train": ["--cleaned", "--strengths", "--splits", "--family"],
+        "gridsearch": ["--cleaned", "--strengths", "--splits", "--family", "--finalize"],
+        "cv": ["--cleaned", "--strengths", "--family"],
+        "evaluate": ["--model", "--cleaned", "--strengths", "--splits", "--split",
+                     "--per-gameweek"],
+        "rank": ["--model", "--cleaned", "--strengths", "--gameweek", "--season"],
+        "explain": ["--model", "--cleaned", "--strengths", "--splits", "--split",
+                    "--example-index"],
+    }
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_subcommand_help_exits_0_and_lists_its_flags_in_order(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "-h"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: fplcast {command} [-h]")
+        assert re.findall(r"^  (--?[a-z-]+)", out, re.MULTILINE) == ["-h", *self.FLAGS[command]]
+
+    # synth requires nothing: bare, it writes a default season.
+    REQUIRED = {
+        "ingest": "--raw, --strengths",
+        "split": "--cleaned",
+        "train": "--cleaned, --strengths, --splits, --family",
+        "gridsearch": "--cleaned, --strengths, --splits, --family",
+        "cv": "--cleaned, --strengths, --family",
+        "evaluate": "--model, --cleaned, --strengths, --splits",
+        "rank": "--model, --cleaned, --strengths, --gameweek",
+        "explain": "--model",
+    }
+
+    @pytest.mark.parametrize("command", REQUIRED)
+    def test_bare_subcommand_names_its_required_flags(self, tmp_path, capsys, command):
+        assert main(["--out", str(tmp_path / "o"), command]) == 1
+        assert capsys.readouterr().err == (
+            f"error:usage: fplcast {command}: the following arguments are required: "
+            f"{self.REQUIRED[command]}\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_any_command_line_exits_0_or_prints_one_error_line(
         self, tiny_season, monkeypatch

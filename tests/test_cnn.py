@@ -578,7 +578,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("name", ["learning_rate", "early_stop_tolerance", "lambda1",
                                       "lambda2", "beta1", "beta2", "eps"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, pytest.param(10**400, id="int_too_large_for_a_float")])
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})

@@ -173,7 +173,7 @@ class TestFitGbm:
         assert all(len(t.nodes) == 1 for t in model.trees)
         assert predict_gbm(model, [5.0, 1.0]) == pytest.approx((n - 1) / 2)
 
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0, pytest.param(10**400, id="int_too_large_for_a_float")])
     def test_rejects_non_finite_or_negative_lambda_l2(self, lam):
         with pytest.raises(ValueError, match="lambda_l2"):
             GbmHyperparams(lambda_l2=lam)

@@ -120,6 +120,8 @@ class TestRunGrid:
         ("ridge", "lambda", "10"),
         ("ridge", "w", 3.0),
         ("cnn", "activation", 1),
+        *(pytest.param(family, key, 10**400, id=f"{family}-{key}-int_too_large_for_a_float")
+          for family, key in [("ridge", "lambda"), ("gbm", "eta"), ("cnn", "learning_rate")]),
     ])
     def test_mistyped_value_fails_its_trial(self, mid_players, family, key, value):
         grid = GridSpec(family=family, axes={key: [value]}, fixed={"epochs": 1})

@@ -111,7 +111,7 @@ class TestFitRidge:
         with pytest.raises(ValueError, match="finite"):
             fit_ridge(A, y, lam=1.0)
 
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0, pytest.param(10**400, id="int_too_large_for_a_float")])
     def test_non_finite_or_negative_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match="lambda must be finite"):
             fit_ridge([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0]], [1.0, 2.0, 3.0], lam)
