@@ -16,8 +16,20 @@ rows in each other feature's order: the exact greedy search over
 presorted columns of XGBoost (Chen & Guestrin 2016). A leaf scores only
 the boundaries between distinct values, of all features at once; one
 argmax in (feature, position) order breaks ties to the lowest feature,
-then the lowest threshold. Each round adds eta times each leaf's value
-to the predictions of the rows it holds, without re-walking the tree.
+then the lowest threshold. Each leaf finds those boundaries once, when it
+is made, as flat positions into its (features x rows) prefix sums; a
+round only gathers the residuals, sums and scores them.
+
+Because X is fixed, a split path from the root (one feature, threshold
+and side per level) always leads to the same rows, and later trees often
+repeat an earlier tree's upper splits. So a fit keeps the leaves it has
+made, keyed by path, and a tree that takes a known path reuses the leaf
+instead of dividing its parent again. The root lives for the whole fit;
+any other leaf is dropped once 4 trees in a row have not used it, since
+with no bound the kept leaves grow with every tree (a fit of 200 trees
+held about 3x the memory of one of 50). Each round adds eta times each
+leaf's value to the predictions of the rows it holds, without re-walking
+the tree.
 
 Shapley values are exact and computed by leaf paths: each tree is a set
 of leaves, each with one interval per feature, and each (leaf, background
@@ -31,6 +43,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,17 +110,17 @@ class RegressionTree:
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0], dtype=np.float64)
-        self._eval(0, np.arange(X.shape[0]), X, out)
+        # (node, the rows that reach it); a stack, so no depth is too deep.
+        stack = [(0, np.arange(X.shape[0]))]
+        while stack:
+            node_id, idx = stack.pop()
+            node = self.nodes[node_id]
+            if node.is_leaf:
+                out[idx] = node.value
+                continue
+            go_left = X[idx, node.feature] <= node.threshold
+            stack += [(node.right, idx[~go_left]), (node.left, idx[go_left])]
         return out
-
-    def _eval(self, node_id: int, idx: np.ndarray, X: np.ndarray, out: np.ndarray):
-        node = self.nodes[node_id]
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        self._eval(node.left, idx[go_left], X, out)
-        self._eval(node.right, idx[~go_left], X, out)
 
 
 @dataclass
@@ -143,104 +156,137 @@ def _score(residual_sum: float, count: int, lam: float) -> float:
     return -(residual_sum * residual_sum) / (count + lam)
 
 
-def _best_split(X, r, leaf, live, hp: GbmHyperparams):
-    """Best (gain, feature, threshold, left_idx, right_idx) for one leaf.
+# A leaf other than the root leaves the memo once this many trees in a
+# row have not used it.
+_MEMO_TREES = 4
 
-    `leaf` is (idx, order, sorted_vals): the leaf's rows ascending, and
-    per live feature (column live[i] of X) the same rows in sort order
-    with their values, as (features x rows) arrays. Only boundaries with
-    min_data_in_leaf rows each side are scored; the first maximum in
-    (feature, position) order wins. None when no gain is positive.
-    """
-    idx, order, sorted_vals = leaf
+
+class _Leaf(NamedTuple):
+    """A leaf's rows ascending and, when it has a scorable boundary, what
+    its split search needs: per live feature the same rows in sort order
+    and their values, as (features x rows) arrays; the boundaries as flat
+    positions into the (features x n-m) prefix sums; and the score
+    denominators (rows + lambda_l2) left and right of each."""
+
+    idx: np.ndarray
+    order: np.ndarray | None = None
+    sorted_vals: np.ndarray | None = None
+    pos: np.ndarray | None = None
+    den_left: np.ndarray | None = None
+    den_right: np.ndarray | None = None
+
+
+def _make_leaf(idx, order, sorted_vals, hp: GbmHyperparams) -> _Leaf:
+    """The leaf of rows `idx` (sorted as `order`), with its boundaries."""
     n, m = idx.size, hp.min_data_in_leaf
     if n < 2 * m:
-        return None
+        return _Leaf(idx)
     # Position b splits the sorted rows after b; only b in [m-1, n-m-1]
     # leaves m rows each side, and no threshold falls between equal values.
-    rows, b = np.nonzero(sorted_vals[:, m - 1 : n - m] != sorted_vals[:, m : n - m + 1])
-    if rows.size == 0:
+    scorable = sorted_vals[:, : n - m] != sorted_vals[:, 1 : n - m + 1]
+    scorable[:, : m - 1] = False
+    pos = np.flatnonzero(scorable)
+    if pos.size == 0:
+        return _Leaf(idx)
+    n_left = pos % (n - m) + 1
+    return _Leaf(idx, order, sorted_vals, pos, n_left + hp.lambda_l2,
+                 (n - n_left) + hp.lambda_l2)
+
+
+def _best_split(r, leaf: _Leaf, total: float, hp: GbmHyperparams):
+    """Best (gain, i, threshold) for one leaf whose residuals sum to
+    `total`, splitting its i-th live feature; the first maximum in
+    (feature, position) order wins. None when the leaf has no boundary or
+    no gain is positive."""
+    if leaf.pos is None:
         return None
-    b += m - 1
-    total = float(r[idx].sum())
+    n = leaf.idx.size
+    width = n - hp.min_data_in_leaf
     parent_score = _score(total, n, hp.lambda_l2)
-    sum_left = np.cumsum(r[order[:, : n - m]], axis=1)[rows, b]
-    n_left = b + 1
-    gains = (parent_score + sum_left**2 / (n_left + hp.lambda_l2)
-             + (total - sum_left) ** 2 / ((n - n_left) + hp.lambda_l2))
+    sum_left = np.cumsum(r.take(leaf.order[:, :width]), axis=1).take(leaf.pos)
+    gains = parent_score + sum_left**2 / leaf.den_left + (total - sum_left) ** 2 / leaf.den_right
     k = int(np.argmax(gains))  # first max -> lowest feature, then threshold
     if not gains[k] > 0:
         return None
-    i, j = rows[k], b[k]
-    threshold = float((sorted_vals[i, j] + sorted_vals[i, j + 1]) / 2.0)
-    go_left = X[idx, live[i]] <= threshold
-    return float(gains[k]), int(live[i]), threshold, idx[go_left], idx[~go_left]
+    i, j = divmod(int(leaf.pos[k]), width)
+    return float(gains[k]), i, float((leaf.sorted_vals[i, j] + leaf.sorted_vals[i, j + 1]) / 2.0)
 
 
-def _divide(leaf, left_idx, right_idx, goes_left):
+def _divide(leaf: _Leaf, sides, goes_left, hp: GbmHyperparams):
     """The two children of a split leaf, each feature's sort order kept;
     `goes_left` is a scratch mask over X's rows, all False before and after."""
-    _, order, sorted_vals = leaf
-    goes_left[left_idx] = True
-    mask = goes_left[order.ravel()]
-    goes_left[left_idx] = False
-    n_features = order.shape[0]
-    return tuple(
-        (side_idx, order.ravel().compress(side).reshape(n_features, -1),
-         sorted_vals.ravel().compress(side).reshape(n_features, -1))
-        for side_idx, side in ((left_idx, mask), (right_idx, ~mask))
-    )
+    goes_left[sides[0]] = True
+    mask = goes_left.take(leaf.order.ravel())
+    goes_left[sides[0]] = False
+    n_features = leaf.order.shape[0]
+    return [
+        _make_leaf(side_idx, leaf.order.ravel().compress(side).reshape(n_features, -1),
+                   leaf.sorted_vals.ravel().compress(side).reshape(n_features, -1), hp)
+        if side_idx.size >= 2 * hp.min_data_in_leaf else _Leaf(side_idx)
+        for side_idx, side in zip(sides, (mask, ~mask))
+    ]
 
 
-def _grow_tree(X, r, root, live, goes_left, hp: GbmHyperparams):
-    """One tree fit to residuals `r`, and each of its leaves' rows."""
-    n = X.shape[0]
+def _children(Xt, path, leaf: _Leaf, feature, threshold, searched, memo, t,
+              goes_left, hp: GbmHyperparams):
+    """The (path, leaf) of both children of `leaf` split at (feature,
+    threshold): from the memo when an earlier tree made them, else divided
+    out of `leaf` (holding only their rows when they are never `searched`)."""
+    paths = [path + ((feature, threshold, side),) for side in (True, False)]
+    if paths[0] not in memo:
+        go_left = Xt[feature].take(leaf.idx) <= threshold
+        sides = leaf.idx.compress(go_left), leaf.idx.compress(~go_left)
+        kids = _divide(leaf, sides, goes_left, hp) if searched else map(_Leaf, sides)
+        memo.update((p, [t, kid]) for p, kid in zip(paths, kids))
+    for p in paths:
+        memo[p][0] = t
+    return [(p, memo[p][1]) for p in paths]
+
+
+def _grow_tree(Xt, r, root, live, memo, t, goes_left, hp: GbmHyperparams):
+    """Tree `t`, fit to residuals `r`, and each of its leaves' rows."""
+    n = root.idx.size
     lam = hp.lambda_l2
     tree = RegressionTree()
-    tree.nodes.append(
-        TreeNode(value=_leaf_value(float(r.sum()), n, lam), n_samples=n, depth=0)
-    )
-    # Every leaf with its rows and its precomputed best split (None when
-    # it cannot be expanded). Leaves at max_depth are never searched, so
-    # their rows are not divided out of the parent's arrays either.
-    leaves = {0: (root, _best_split(X, r, root, live, hp))}
+    total = float(r.sum())
+    tree.nodes.append(TreeNode(value=_leaf_value(total, n, lam), n_samples=n, depth=0))
+    # Every leaf with its split path, its rows and its best split (None
+    # when it cannot be expanded). Leaves at max_depth are never searched,
+    # so their rows are not divided out of the parent's arrays either.
+    leaves = {0: ((), root, _best_split(r, root, total, hp))}
 
     n_leaves = 1
     while n_leaves < hp.num_leaves:
         chosen_id, chosen = None, None
         for node_id in sorted(leaves):  # creation order breaks leaf ties
-            cand = leaves[node_id][1]
+            cand = leaves[node_id][2]
             if cand is not None and (chosen is None or cand[0] > chosen[0]):
                 chosen_id, chosen = node_id, cand
         if chosen is None:
             break
-        gain, feat, threshold, left_idx, right_idx = chosen
+        gain, i, threshold = chosen
         parent = tree.nodes[chosen_id]
+        parent.feature = int(live[i])
+        parent.threshold = threshold
+        tree.split_gains.append(gain)
         child_depth = parent.depth + 1
-        for side_idx in (left_idx, right_idx):
+        path, leaf, _ = leaves.pop(chosen_id)
+        for child_path, child in _children(Xt, path, leaf, parent.feature, threshold,
+                                           child_depth < hp.max_depth, memo, t,
+                                           goes_left, hp):
+            total = float(r.take(child.idx).sum())
             tree.nodes.append(
                 TreeNode(
-                    value=_leaf_value(float(r[side_idx].sum()), side_idx.size, lam),
-                    n_samples=side_idx.size,
+                    value=_leaf_value(total, child.idx.size, lam),
+                    n_samples=child.idx.size,
                     depth=child_depth,
                 )
             )
-        parent.feature = feat
-        parent.threshold = threshold
+            leaves[len(tree.nodes) - 1] = (child_path, child, _best_split(r, child, total, hp))
         parent.left = len(tree.nodes) - 2
         parent.right = len(tree.nodes) - 1
-        tree.split_gains.append(gain)
-
-        leaf, _ = leaves.pop(chosen_id)
-        if child_depth < hp.max_depth:
-            left, right = _divide(leaf, left_idx, right_idx, goes_left)
-            leaves[parent.left] = (left, _best_split(X, r, left, live, hp))
-            leaves[parent.right] = (right, _best_split(X, r, right, live, hp))
-        else:
-            leaves[parent.left] = ((left_idx,), None)
-            leaves[parent.right] = ((right_idx,), None)
         n_leaves += 1
-    return tree, {node_id: leaf[0] for node_id, (leaf, _) in leaves.items()}
+    return tree, {node_id: leaf.idx for node_id, (_, leaf, _) in leaves.items()}
 
 
 def fit_gbm(x_list, y_list, hp: GbmHyperparams | None = None,
@@ -260,8 +306,9 @@ def fit_gbm(x_list, y_list, hp: GbmHyperparams | None = None,
         raise ValueError("targets must be finite")
 
     # X is fixed within a fit: sort each feature once, as (features x rows).
+    Xt = np.ascontiguousarray(X.T)
     order = np.argsort(X, axis=0, kind="stable").T
-    sorted_vals = np.take_along_axis(X.T, order, axis=1)
+    sorted_vals = np.take_along_axis(Xt, order, axis=1)
     live = np.flatnonzero(sorted_vals[:, 0] != sorted_vals[:, -1])  # can split
     too_few = X.shape[0] < 2 * hp.min_data_in_leaf
     if too_few or live.size == 0:
@@ -269,16 +316,21 @@ def fit_gbm(x_list, y_list, hp: GbmHyperparams | None = None,
                   f"{hp.min_data_in_leaf}" if too_few else "every feature is constant")
         warnings.warn(f"{reason}: no split is possible and the model degenerates"
                       " to its base score", stacklevel=2)
-    root = (np.arange(X.shape[0]), order[live], sorted_vals[live])
+    root = _make_leaf(np.arange(X.shape[0]), order[live], sorted_vals[live], hp)
+    # Split path -> [last tree that used it, leaf]. X is fixed, so a path
+    # always leads to the same rows; the root is kept apart for the fit.
+    memo: dict[tuple, list] = {}
     goes_left = np.zeros(X.shape[0], dtype=bool)
     base = float(y.mean())
     pred = np.full(y.shape[0], base)
     trees: list[RegressionTree] = []
-    for _ in range(hp.n_trees):
-        tree, leaf_rows = _grow_tree(X, y - pred, root, live, goes_left, hp)
+    for t in range(hp.n_trees):
+        tree, leaf_rows = _grow_tree(Xt, y - pred, root, live, memo, t, goes_left, hp)
         trees.append(tree)
         for node_id, rows in leaf_rows.items():
             pred[rows] += hp.eta * tree.nodes[node_id].value
+        for path in [p for p, (used, _) in memo.items() if used <= t - _MEMO_TREES]:
+            del memo[path]
     return GbmModel(
         base_score=base,
         trees=trees,

@@ -412,32 +412,34 @@ def _dump_tree(tree: RegressionTree) -> list[str]:
         if tree.split_gains
         else "gains"
     ]
-
-    def rec(node_id: int):
-        node = tree.nodes[node_id]
+    stack = [0]  # pre-order, left subtree first
+    while stack:
+        node = tree.nodes[stack.pop()]
         if node.is_leaf:
             lines.append(f"L {fmt_num(node.value)} {node.n_samples}")
         else:
             lines.append(
                 f"I {node.feature} {fmt_num(node.threshold)} {node.n_samples}"
             )
-            rec(node.left)
-            rec(node.right)
-
-    rec(0)
+            stack += [node.right, node.left]
     return lines
 
 
-def _parse_tree(lines: list[str], start: int, n_features: int) -> tuple[RegressionTree, int]:
+def _parse_tree(lines: list[str], start: int, n_features: int,
+                max_depth: int) -> tuple[RegressionTree, int]:
     gains_line = lines[start]
     if not gains_line.startswith("gains"):
         raise FormatError(f"expected gains line, got {gains_line!r}")
     gains = [_finite(v, "split gain") for v in gains_line.split()[1:]]
     tree = RegressionTree(split_gains=gains)
     pos = start + 1
-
-    def rec(depth: int) -> int:
-        nonlocal pos
+    # Pre-order: each slot waiting for a node is (parent, "left" or
+    # "right", depth); a stack, so a deep tree cannot exhaust recursion.
+    slots = [(None, None, 0)]
+    while slots:
+        parent, side, depth = slots.pop()
+        if depth > max_depth:
+            raise FormatError(f"tree node at depth {depth} is deeper than max_depth={max_depth}")
         parts = lines[pos].split()
         pos += 1
         node_id = len(tree.nodes)
@@ -459,13 +461,11 @@ def _parse_tree(lines: list[str], start: int, n_features: int) -> tuple[Regressi
                     depth=depth,
                 )
             )
-            tree.nodes[node_id].left = rec(depth + 1)
-            tree.nodes[node_id].right = rec(depth + 1)
+            slots += [(node_id, "right", depth + 1), (node_id, "left", depth + 1)]
         else:
             raise FormatError(f"bad node line {lines[pos - 1]!r}")
-        return node_id
-
-    rec(0)
+        if parent is not None:
+            setattr(tree.nodes[parent], side, node_id)
     return tree, pos
 
 
@@ -501,16 +501,17 @@ def read_gbm(text: str) -> tuple[GbmModel, ModelContext]:
     hp, used = _read_header(words, 0, _HYPERPARAM_FIELDS, sep="=")
     if used != len(words):
         raise FormatError(f"unexpected hyperparams {words[used:]}")
+    hp = GbmHyperparams(**hp)
     trees, pos = [], 0
     for _ in range(values["n_trees"]):
         if not body[pos].startswith("tree "):
             raise FormatError(f"expected tree marker, got {body[pos]!r}")
-        tree, pos = _parse_tree(body, pos + 1, values["n_features"])
+        tree, pos = _parse_tree(body, pos + 1, values["n_features"], hp.max_depth)
         trees.append(tree)
     names = values["feature_names"]
     model = GbmModel(
         base_score=values["base_score"], trees=trees, eta=values["eta"],
-        hyperparams=GbmHyperparams(**hp), n_features=values["n_features"],
+        hyperparams=hp, n_features=values["n_features"],
         feature_names=None if names == ["-"] else names,
     )
     return model, ctx

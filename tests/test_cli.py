@@ -25,7 +25,7 @@ from fplcast.serialize import (
 
 from test_gbm import sixteen_feature_model
 from test_ingest import _fuzzy_match_oracle, _similarity_oracle
-from test_serialize import corruptions
+from test_serialize import corruptions, deep_chain_gbm
 
 HEADER = (
     "name,position,GW,team,opponent_team,minutes,total_points,goals_scored,"
@@ -1018,6 +1018,20 @@ class TestInputFileFailures:
         err = capsys.readouterr().err
         _assert_one_error_line(err)
         assert err.startswith("error:format:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "rank", "explain"])
+    def test_a_tree_nested_1200_deep_is_one_format_error(
+        self, tiny_season, tmp_path, capsys, command
+    ):
+        _, files = tiny_season
+        bad = tmp_path / "model.txt"
+        bad.write_text(deep_chain_gbm(open(files["gbm"]).read(), 1200))
+        capsys.readouterr()
+        assert main(_argv(command, "gbm", {**files, "gbm": str(bad)}, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:format:") and "deeper than max_depth=3" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["file", "file/below"])

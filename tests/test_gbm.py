@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from math import factorial
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fplcast import gbm
 from fplcast.dataset import FeatureTier, Players, build_series, generate_synthetic_season
 from fplcast.gbm import (
     GbmHyperparams,
@@ -206,6 +208,16 @@ class TestFitGbm:
             fit_gbm(X, np.arange(4.0), GbmHyperparams(min_data_in_leaf=1))
 
 
+def season_design(seed, n_players, n_weeks):
+    """The w3 full-tier design of a synthetic season's midfielders."""
+    rows, strengths = generate_synthetic_season(seed=seed, n_players=n_players,
+                                                n_weeks=n_weeks)
+    series = [s for s in build_series(rows) if s.key.position == Position.MID]
+    X, y = sliding_design(Players(series, strengths).windows(3, FeatureTier.FULL))
+    assert X.shape[1] == 19
+    return X, y
+
+
 # The exact split search as it stood before presorting: one stable argsort
 # per feature per candidate leaf, one feature at a time. fit_gbm must grow
 # the same trees, bit for bit.
@@ -324,6 +336,13 @@ def oracle_fit(X, y, hp: GbmHyperparams) -> tuple[float, list[RegressionTree]]:
     return base, trees
 
 
+def assert_same_model_file(model: GbmModel, base: float, trees: list[RegressionTree]):
+    """The model file of `model` is that of the oracle's trees, gains and all."""
+    ctx = ModelContext(w=3, tier="full", position="MID")
+    oracle = GbmModel(base, trees, model.eta, model.hyperparams, model.n_features)
+    assert write_gbm(model, ctx) == write_gbm(oracle, ctx)
+
+
 def assert_same_trees(model: GbmModel, base: float, trees: list[RegressionTree]):
     assert model.base_score == base
     assert len(model.trees) == len(trees)
@@ -357,7 +376,7 @@ def tied_problems(draw):
     y = np.array(draw(st.lists(st.one_of(TENTHS, st.floats(-10, 10)),
                                min_size=n, max_size=n)))
     hp = GbmHyperparams(
-        n_trees=draw(st.integers(1, 3)),
+        n_trees=draw(st.integers(1, 12)),
         max_depth=draw(st.integers(1, 5)),
         num_leaves=draw(st.integers(2, 31)),
         min_data_in_leaf=draw(st.integers(1, n // 2 + 2)),
@@ -377,6 +396,8 @@ class TestPresortedSplitSearch:
             model = fit_gbm(X, y, hp)
         assert_same_trees(model, *oracle_fit(X, y, hp))
 
+    # 50 trees: fit_gbm reuses a leaf first built trees earlier, and
+    # rebuilds one its memo has dropped.
     @pytest.mark.parametrize("min_data_in_leaf", [20, 70])
     @pytest.mark.parametrize("lambda_l2", [1.0, 10.0])
     def test_w9_full_tier_design_with_constant_columns_equals_oracle(
@@ -387,11 +408,13 @@ class TestPresortedSplitSearch:
         X, y = sliding_design(Players(series, strengths).windows(9, FeatureTier.FULL))
         assert X.shape[1] == 19
         assert (X == X[0]).all(axis=0).sum() == 6  # saves, cards, own goals, penalties
-        hp = GbmHyperparams(n_trees=5, min_data_in_leaf=min_data_in_leaf,
+        hp = GbmHyperparams(n_trees=50, min_data_in_leaf=min_data_in_leaf,
                             lambda_l2=lambda_l2)
         model = fit_gbm(X, y, hp)
         assert sum(len(t.split_gains) for t in model.trees) > 0
-        assert_same_trees(model, *oracle_fit(X, y, hp))
+        oracle = oracle_fit(X, y, hp)
+        assert_same_trees(model, *oracle)
+        assert_same_model_file(model, *oracle)
 
     def test_all_constant_design_equals_oracle(self):
         X = np.column_stack([np.full(12, 0.7), [0.0, -0.0, 0.0] * 4, np.full(12, -3.0)])
@@ -413,15 +436,47 @@ class TestPresortedSplitSearch:
         assert all(len(t.nodes) == 1 for t in model.trees)
         assert_same_trees(model, *oracle_fit(X, y, hp))
 
-    def test_full_tier_season_design_equals_oracle(self):
-        rows, strengths = generate_synthetic_season(seed=5, n_players=60, n_weeks=20)
-        series = [s for s in build_series(rows) if s.key.position == Position.MID]
-        X, y = sliding_design(Players(series, strengths).windows(3, FeatureTier.FULL))
-        assert X.shape[1] == 19
-        hp = GbmHyperparams(n_trees=5, min_data_in_leaf=20, lambda_l2=1.0)
+    @pytest.mark.parametrize("min_data_in_leaf", [20, 70])
+    def test_full_tier_season_design_equals_oracle(self, min_data_in_leaf):
+        X, y = season_design(seed=5, n_players=60, n_weeks=20)
+        hp = GbmHyperparams(n_trees=50, min_data_in_leaf=min_data_in_leaf, lambda_l2=1.0)
         model = fit_gbm(X, y, hp)
         assert sum(len(t.split_gains) for t in model.trees) > 0
+        oracle = oracle_fit(X, y, hp)
+        assert_same_trees(model, *oracle)
+        assert_same_model_file(model, *oracle)
+
+    def test_later_trees_reuse_leaves_instead_of_dividing(self, monkeypatch):
+        X, y = season_design(seed=5, n_players=60, n_weeks=20)
+        hp = GbmHyperparams(n_trees=50, min_data_in_leaf=20, lambda_l2=1.0)
+        divides = []
+        divide = gbm._divide
+        monkeypatch.setattr(gbm, "_divide", lambda *a: divides.append(1) or divide(*a))
+        model = fit_gbm(X, y, hp)
+        # Without reuse, a split above the last level divides its leaf.
+        dividing = sum(not node.is_leaf and node.depth + 1 < hp.max_depth
+                       for tree in model.trees for node in tree.nodes)
+        assert 0 < len(divides) < dividing
         assert_same_trees(model, *oracle_fit(X, y, hp))
+        divides.clear()
+        monkeypatch.setattr(gbm, "_MEMO_TREES", 0)  # each tree forgets the last
+        assert_same_trees(fit_gbm(X, y, hp), model.base_score, model.trees)
+        assert len(divides) == dividing
+
+    def test_leaf_memo_stays_bounded_as_trees_grow(self):
+        # The memo drops a leaf no recent tree used, so a fit's traced peak
+        # does not grow with n_trees (it did, about 3x, with no bound).
+        X, y = season_design(seed=3, n_players=200, n_weeks=38)
+        X, y = X[:1400], y[:1400]
+        peaks = {}
+        for n_trees in (50, 200):
+            tracemalloc.start()
+            try:
+                fit_gbm(X, y, GbmHyperparams(n_trees=n_trees, min_data_in_leaf=20))
+                peaks[n_trees] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] <= 1.25 * peaks[50], peaks
 
 
 class TestPredictGbm:
@@ -431,6 +486,23 @@ class TestPredictGbm:
 
     def test_toy_at_zero(self):
         assert predict_gbm(toy_model(), [0.0]) == 0.0
+
+    def test_batch_equals_a_walk_per_row(self):
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(200, 4)).round(1)  # tied values, as in season designs
+        y = X[:, 0] - 2 * X[:, 1] * X[:, 2] + rng.normal(size=200)
+        hp = GbmHyperparams(n_trees=5, max_depth=6, num_leaves=20, min_data_in_leaf=3)
+        model = fit_gbm(X, y, hp)
+        assert max(node.depth for tree in model.trees for node in tree.nodes) >= 4
+        for tree in model.trees:
+            walked = []
+            for x in X:
+                node = tree.nodes[0]
+                while not node.is_leaf:
+                    node = tree.nodes[node.left if x[node.feature] <= node.threshold
+                                      else node.right]
+                walked.append(node.value)
+            np.testing.assert_array_equal(tree.predict_batch(X), walked)
 
     def test_eta_scaling_doubles_margin(self):
         base_model = toy_model()

@@ -351,6 +351,20 @@ class TestModelFileTruncation:
             read_splits(text + f"{name},{position},{other}\n")
 
 
+def deep_chain_gbm(text: str, depth: int) -> str:
+    """`text`, a gbm model file, with tree 0 replaced by a chain of `depth`
+    splits on feature 0: split d (from the root) has threshold depth - d
+    and a leaf as right child. Leaves are valued by their pre-order rank,
+    so a row x0 = k + 0.5 lands in the leaf valued k (0 <= k <= depth)."""
+    lines = text.splitlines()
+    start = lines.index("tree 0")
+    end = lines.index("tree 1") if "tree 1" in lines else len(lines)
+    chain = ["gains" + " 1" * depth,
+             *(f"I 0 {depth - d} 10" for d in range(depth)),
+             *(f"L {k} 10" for k in range(depth + 1))]
+    return "\n".join(lines[: start + 1] + chain + lines[end:]) + "\n"
+
+
 @st.composite
 def corruptions(draw, text):
     """`text` with one byte flipped, or one line replaced by random text."""
@@ -371,6 +385,23 @@ class TestModelFileCorruption:
         read, _, text = model_files["gbm"]  # 2 features
         with pytest.raises(FormatError, match="split feature"):
             read(text.replace("\nI 0 ", f"\nI {feature} ", 1))
+
+    @pytest.mark.parametrize("depth", [4, 1200])
+    def test_gbm_tree_deeper_than_max_depth_is_a_format_error(self, model_files, depth):
+        read, _, text = model_files["gbm"]  # max_depth 3
+        with pytest.raises(FormatError, match="depth 4 is deeper than max_depth=3"):
+            read(deep_chain_gbm(text, depth))
+
+    def test_gbm_tree_nested_1200_deep_within_max_depth_reads_and_predicts(self, model_files):
+        read, write, text = model_files["gbm"]
+        deep = deep_chain_gbm(text, 1200).replace(" max_depth=3 ", " max_depth=1200 ", 1)
+        loaded = read(deep)
+        assert write(loaded) == deep
+        tree = loaded[0].trees[0]
+        assert max(node.depth for node in tree.nodes) == 1200
+        k = np.array([0, 1, 2, 599, 1199, 1200])
+        X = np.column_stack([k + 0.5, np.zeros(k.size)])
+        np.testing.assert_array_equal(tree.predict_batch(X), k.astype(float))
 
     @pytest.mark.parametrize(
         "old, new, message",
