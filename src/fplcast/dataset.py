@@ -5,7 +5,9 @@ that has a full window of w prior appearances in its season: the w-by-f
 feature window, that match's difficulty gap, and its points as the target.
 Players.windows gathers them from every series' rows held as one table.
 Examples are held column by column in a WindowSet. Baseline models consume
-the per-feature window means instead of the full window.
+the per-feature window means instead of the full window. A synthetic
+season draws its random numbers row by row and derives the rest column by
+column.
 """
 
 from __future__ import annotations
@@ -446,14 +448,15 @@ def generate_synthetic_season(
     for pos, count in zip(Position.ordered(), counts):
         positions.extend([pos] * count)
 
-    name_width = max(3, len(str(n_players - 1)))
-    columns: dict[str, list] = {c.field: [] for c in GAMEWEEK_SCHEMA}
+    # Every random draw is made row by row, in the order that defines the
+    # season; what follows from the draws is computed column by column.
+    draws = []
     for p in range(n_players):
         position = positions[p]
         team = teams[p % _SYNTH_TEAMS]
         skill = float(rng.uniform(0.5, 7.5))
         form = 0.0
-        for week in range(1, n_weeks + 1):
+        for _ in range(n_weeks):
             opponent = teams[int(rng.integers(0, _SYNTH_TEAMS - 1))]
             if opponent == team:
                 opponent = teams[_SYNTH_TEAMS - 1]
@@ -462,37 +465,39 @@ def generate_synthetic_season(
             # gamma(2, 1.5) has mean 3: re-centered it is a right-skewed
             # zero-mean disturbance.
             noise = float(rng.gamma(2.0, 1.5)) - 3.0
-            points = int(np.clip(round(skill + form - 0.4 * gap + noise),
-                                 _POINTS_MIN, _POINTS_MAX))
+            points = min(max(round(skill + form - 0.4 * gap + noise), _POINTS_MIN), _POINTS_MAX)
             minutes = int(rng.integers(45, 91))
             goals = max(0, int(round((points - 2) / 4))) if position != Position.GK else 0
             saves = int(rng.integers(0, 6)) if position == Position.GK else 0
-            influence = float(np.round(max(0.0, points * 2.0 + rng.normal(0, 2)), 1))
-            creativity = float(np.round(max(0.0, skill * 3.0 + rng.normal(0, 2)), 1))
-            threat = float(np.round(max(0.0, goals * 15.0 + rng.normal(0, 2)), 1))
-            row = dict(
-                player_name=_synth_name(p, name_width),
-                position=position,
-                season=season,
-                gameweek=week,
-                team=team,
-                opponent=opponent,
-                minutes=minutes,
-                total_points=points,
-                goals_scored=goals,
-                assists=int(rng.integers(0, 2)),
-                clean_sheets=int(points >= 6),
-                goals_conceded=int(rng.integers(0, 3)),
-                saves=saves,
-                bps=max(0, points * 3),
-                bonus=int(np.clip(points - 7, 0, 3)),
-                influence=influence,
-                creativity=creativity,
-                threat=threat,
-                ict_index=float(np.round((influence + creativity + threat) / 10.0, 1)),
-                was_home=bool(rng.integers(0, 2)),
-                kickoff_order=week - 1,
-            )
-            for name, column in columns.items():
-                column.append(row.get(name, 0))
-    return GameweekTable(**columns), strengths
+            draws.append((
+                opponent, points, minutes, goals, saves,
+                max(0.0, points * 2.0 + rng.normal(0, 2)),  # influence, unrounded
+                max(0.0, skill * 3.0 + rng.normal(0, 2)),  # creativity
+                max(0.0, goals * 15.0 + rng.normal(0, 2)),  # threat
+                int(rng.integers(0, 2)),  # assists
+                int(rng.integers(0, 3)),  # goals_conceded
+                bool(rng.integers(0, 2)),  # was_home
+            ))
+
+    (opponent, points, minutes, goals, saves, influence, creativity, threat,
+     assists, conceded, home) = zip(*draws)
+    points = np.array(points, dtype=np.int64)
+    influence, creativity, threat = (
+        np.round(np.array(v), 1) for v in (influence, creativity, threat)
+    )
+    gameweek = np.tile(np.arange(1, n_weeks + 1), n_players)
+    name_width = max(3, len(str(n_players - 1)))
+    player = [p for p in range(n_players) for _ in range(n_weeks)]  # of each row
+    table = GameweekTable(
+        season=(season,) * len(player), player_name=[_synth_name(p, name_width) for p in player],
+        position=[positions[p] for p in player], team=[teams[p % _SYNTH_TEAMS] for p in player],
+        gameweek=gameweek, kickoff_order=gameweek - 1, opponent=opponent, minutes=minutes,
+        total_points=points, goals_scored=goals, assists=assists, clean_sheets=points >= 6,
+        goals_conceded=conceded, saves=saves, bps=np.maximum(0, points * 3),
+        bonus=np.clip(points - 7, 0, 3), influence=influence, creativity=creativity,
+        threat=threat, ict_index=np.round((influence + creativity + threat) / 10.0, 1),
+        was_home=home,
+        **{c.field: np.zeros(len(player), dtype=np.int64) for c in GAMEWEEK_SCHEMA
+           if c.kind == "opt_int"},
+    )
+    return table, strengths

@@ -6,6 +6,11 @@ GAMEWEEK_SCHEMA declares once for every reader and writer. It parses
 gameweek and strength CSVs, scores and matches player names, drops
 benched appearances and computes match difficulty; cli.cmd_ingest merges
 the spellings and dataset.Players.windows attaches difficulty.
+
+A gameweek file is read in blocks of rows, each converted column by
+column (numeric_column also serves the cleaned-file reader). Only a
+column that fails is parsed cell by cell, to find its first bad cell; a
+bad file raises the error a row-by-row parse would meet first.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import math
 import unicodedata
 import warnings
@@ -147,7 +153,7 @@ class GameweekTable:
             return cls.empty()
         return cls(**{
             c.field: (
-                tuple(v for p in parts for v in getattr(p, c.field))
+                tuple(itertools.chain.from_iterable(getattr(p, c.field) for p in parts))
                 if c.kind in ("text", "position")
                 else np.concatenate([getattr(p, c.field) for p in parts])
             )
@@ -418,7 +424,136 @@ _CELL_PARSERS = {
     "float": _parse_float,
     "bool": _parse_bool,
 }
-_RAW_FIELDS = [c.field for c in RAW_SCHEMA]
+
+# Raw rows are converted this many at a time: a bound on the cell strings
+# alive at once.
+_BLOCK_ROWS = 1024
+
+
+def numeric_column(cells: Sequence[str], kind: str) -> tuple[np.ndarray, int | None]:
+    """`cells` as an int64 ("int", "opt_int") or float64 ("float") array, and
+    the index of its first non-finite value or None. A cell int() or float()
+    rejects, or an int outside int64, raises ValueError or OverflowError."""
+    if kind == "float":
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+        bad = np.flatnonzero(~np.isfinite(values))
+        return values, (int(bad[0]) if len(bad) else None)
+    return np.fromiter(map(int, cells), np.int64, len(cells)), None
+
+
+def _csv_reader(source):
+    """A csv.reader over `source` (str, bytes, or a text or byte stream)
+    that drops one leading byte-order mark, as spreadsheets write it."""
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        source = io.TextIOWrapper(source, encoding="utf-8")
+    lines = iter(source)
+    first = next(lines, None)
+    if first is not None:
+        lines = itertools.chain([first.removeprefix("\ufeff")], lines)
+    return csv.reader(lines)
+
+
+def _blocks(reader):
+    """(records, line numbers) of the non-blank records, _BLOCK_ROWS at a time."""
+    records, lines = [], []
+    try:
+        for line, record in enumerate(reader, start=2):
+            if any(map(str.strip, record)):
+                records.append(record)
+                lines.append(line)
+                if len(records) == _BLOCK_ROWS:
+                    yield records, lines
+                    records, lines = [], []
+    except (csv.Error, ValueError, OSError):
+        # The rows read before an unreadable one are checked first.
+        yield records, lines
+        raise
+    yield records, lines
+
+
+def _raw_column(c: Column, cells: tuple, lines: list[int]):
+    """(values, None) if every cell of a raw column parses, else (the values
+    before its first bad cell, (that cell's row, its RowParseError)). A None
+    cell is one that a short row lacks."""
+    parse = _CELL_PARSERS[c.kind]
+    if None not in cells:
+        try:
+            if c.kind == "text":
+                return cells, None
+            if c.kind in ("position", "bool"):
+                known = {cell: parse(cell, c.csv, 0) for cell in set(cells)}
+                return list(map(known.__getitem__, cells)), None
+            values, non_finite = numeric_column(cells, c.kind)
+            if non_finite is None:
+                return values, None
+        except (ValueError, OverflowError):
+            pass
+    # A cell is bad, or an int column holds floats: parse cell by cell.
+    values = []
+    for row, (cell, line) in enumerate(zip(cells, lines)):
+        try:
+            if cell is None:
+                raise RowParseError(f"row too short for column '{c.csv}'", line)
+            values.append(parse(cell, c.csv, line))
+        except RowParseError as exc:
+            return values, (row, exc)
+    return values, None
+
+
+def _parse_block(records, lines, cells, kickoff_col, width, season):
+    """One block of raw records as a table (kickoff_order 0) and each row's
+    (gameweek, kickoff_time, line) sort key.
+
+    A bad block raises the error a row-by-row parse meets first: each row
+    takes its cells in RAW_SCHEMA order, then the gameweek and minutes
+    checks, then its kickoff_time cell; rows before it warn first.
+    """
+    # A row's steps: its cells 0 .. last - 1, then the gameweek (last),
+    # minutes (last + 1) and kickoff_time (last + 2) checks.
+    n, last = len(records), len(cells)
+    columns = list(itertools.zip_longest(*records))  # None where a row is short
+    columns += [(None,) * n] * (width - len(columns))  # header columns no row reaches
+    values, failures = {}, []  # failures: (row, step of the row, error)
+    for step, (c, idx) in enumerate(cells):
+        column = ("0",) * n if idx is None else columns[idx]
+        values[c.field], bad = _raw_column(c, column, lines)
+        if bad:
+            failures.append((bad[0], step, bad[1]))
+    kickoffs = ("",) * n if kickoff_col is None else columns[kickoff_col]
+    if None in kickoffs:
+        row = kickoffs.index(None)
+        failures.append((row, last + 2, RowParseError(
+            "row too short for column 'kickoff_time'", lines[row])))
+
+    # Rows before the first bad cell are whole, so their checks are reached.
+    whole = min([row for row, step, _ in failures if step < last], default=n)
+    table = GameweekTable(season=(season,) * whole, kickoff_order=np.zeros(whole, dtype=np.int64),
+                          **{field: column[:whole] for field, column in values.items()})
+    gameweek, minutes = table.gameweek, table.minutes
+    for step, column, bad, message in (
+        (last, gameweek, gameweek < 1, "gameweek must be >= 1, got {}"),
+        (last + 1, minutes, (minutes < 0) | (minutes > 120), "minutes out of range [0, 120]: {}"),
+    ):
+        for row in np.flatnonzero(bad)[:1].tolist():
+            failures.append((row, step, RowParseError(message.format(column[row]), lines[row])))
+    first = min(failures, key=lambda f: f[:2], default=None)
+
+    # A short kickoff_time comes after its row's warning.
+    end = n if first is None else first[0] + (first[1] == last + 2)
+    expected = (table.influence + table.creativity + table.threat)[:end] / 10.0
+    for row in np.flatnonzero(np.abs(table.ict_index[:end] - expected) > 0.5).tolist():
+        warnings.warn(
+            f"line {lines[row]}: ict_index {float(table.ict_index[row])} deviates from "
+            f"(influence+creativity+threat)/10 = {float(expected[row]):.2f}",
+            stacklevel=3,
+        )
+    if first is not None:
+        raise first[2]
+    return table, list(zip(gameweek.tolist(), kickoffs, lines))
 
 
 def parse_gameweek_csv(source, season: str) -> GameweekTable:
@@ -427,20 +562,13 @@ def parse_gameweek_csv(source, season: str) -> GameweekTable:
     `source` is a byte or text stream (or str/bytes). The header must carry
     every required column; unknown extra columns are ignored. kickoff_order
     is assigned per (gameweek, kickoff_time, file order) so each player's
-    rows sort into a total order within the season.
+    rows sort into a total order within the season. Rows are converted a
+    block at a time, column by column.
     """
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        source = io.StringIO(source)
-    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty file: no header row") from None
+    reader = _csv_reader(source)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError("empty file: no header row")
 
     col = {name: i for i, name in enumerate(header)}
     for c in RAW_SCHEMA:
@@ -451,81 +579,53 @@ def parse_gameweek_csv(source, season: str) -> GameweekTable:
         raise SchemaError("missing required column 'GW' (or 'round')")
     # Each raw column with its cell index; None for a left-out opt_int.
     cells = [(c, gw_col if c.csv == "GW" else col.get(c.csv)) for c in RAW_SCHEMA]
-    kickoff_col = col.get("kickoff_time")
 
-    records: list[list] = []
-    sort_keys: list[tuple] = []
-    for line_no, record in enumerate(reader, start=2):
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        values = []
-        for c, idx in cells:
-            if idx is None:
-                values.append(0)
-            elif idx >= len(record):
-                raise RowParseError(f"row too short for column '{c.csv}'", line_no)
-            else:
-                values.append(_CELL_PARSERS[c.kind](record[idx], c.csv, line_no))
-        row = dict(zip(_RAW_FIELDS, values))
-        if row["gameweek"] < 1:
-            raise RowParseError(f"gameweek must be >= 1, got {row['gameweek']}", line_no)
-        if not 0 <= row["minutes"] <= 120:
-            raise RowParseError(f"minutes out of range [0, 120]: {row['minutes']}", line_no)
-        ict_expected = (row["influence"] + row["creativity"] + row["threat"]) / 10.0
-        if abs(row["ict_index"] - ict_expected) > 0.5:
-            warnings.warn(
-                f"line {line_no}: ict_index {row['ict_index']} deviates from "
-                f"(influence+creativity+threat)/10 = {ict_expected:.2f}",
-                stacklevel=2,
-            )
-        kickoff = ""
-        if kickoff_col is not None:
-            if kickoff_col >= len(record):
-                raise RowParseError("row too short for column 'kickoff_time'", line_no)
-            kickoff = record[kickoff_col]
-        records.append(values)
-        sort_keys.append((row["gameweek"], kickoff, line_no))
-
+    parts, sort_keys = [], []
+    for records, lines in _blocks(reader):
+        table, keys = _parse_block(
+            records, lines, cells, col.get("kickoff_time"), len(header), season
+        )
+        parts.append(table)
+        sort_keys.extend(keys)
     # A row's kickoff_order is its rank in sort_keys order.
-    order = sorted(range(len(records)), key=sort_keys.__getitem__)
-    columns = zip(*records) if records else [()] * len(RAW_SCHEMA)
-    return GameweekTable(
-        season=(season,) * len(records),
-        kickoff_order=np.argsort(np.array(order, dtype=np.int64)),
-        **dict(zip(_RAW_FIELDS, columns)),
+    order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
+    return GameweekTable.concat(parts).replace(
+        kickoff_order=np.argsort(np.array(order, dtype=np.int64))
     )
 
 
 def parse_strengths_csv(source) -> dict[str, TeamStrengthTable]:
-    """Parse a season/team/strength CSV into per-season strength tables."""
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        source = io.StringIO(source)
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty strengths file: no header row") from None
+    """Parse a season/team/strength CSV into per-season strength tables.
+    Each team is rated at most once per season."""
+    reader = _csv_reader(source)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError("empty strengths file: no header row")
     col = {name: i for i, name in enumerate(header)}
     for required in ("season", "team", "strength"):
         if required not in col:
             raise SchemaError(f"missing required column '{required}'")
 
     tables: dict[str, TeamStrengthTable] = {}
+    rated_on: dict[tuple[str, str], int] = {}  # (season, team) -> line
     width = 1 + max(col["season"], col["team"], col["strength"])
     for line_no, record in enumerate(reader, start=2):
         if not record or all(not cell.strip() for cell in record):
             continue
         if len(record) < width:
             raise RowParseError(f"expected at least {width} cells", line_no)
-        season = record[col["season"]]
+        season, team = record[col["season"]], record[col["team"]]
         strength = _parse_int(record[col["strength"]], "strength", line_no)
         if not 1 <= strength <= 5:
             raise RowParseError(
                 f"strength must be in [1, 5], got {strength}", line_no
             )
-        table = tables.setdefault(season, TeamStrengthTable(season=season))
-        table.entries[canonicalize_name(record[col["team"]])] = strength
+        key = canonicalize_name(team)
+        first = rated_on.setdefault((season, key), line_no)
+        if first != line_no:
+            raise RowParseError(
+                f"team '{team}' is rated twice in season {season} (first on line {first})",
+                line_no,
+            )
+        tables.setdefault(season, TeamStrengthTable(season=season)).entries[key] = strength
     return tables

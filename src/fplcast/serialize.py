@@ -39,6 +39,7 @@ from .ingest import (
     CanonicalPlayerKey,
     GameweekTable,
     Position,
+    numeric_column,
 )
 from .ridge import RidgeModel
 
@@ -237,15 +238,10 @@ _CLEANED_HEADER = [c.csv for c in GAMEWEEK_SCHEMA]
 
 def _read_column(c, cells: tuple[str, ...], lines: list[int]):
     """One cleaned-file column from its cells; `lines` are their line numbers."""
-    if c.kind in ("int", "opt_int"):
-        return np.fromiter(map(int, cells), np.int64, len(cells))
-    if c.kind == "float":
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
-            raise FormatError(
-                f"line {lines[bad[0]]}: {c.csv} must be finite, got {cells[bad[0]]!r}"
-            )
+    if c.kind in ("int", "opt_int", "float"):
+        values, bad = numeric_column(cells, c.kind)
+        if bad is not None:
+            raise FormatError(f"line {lines[bad]}: {c.csv} must be finite, got {cells[bad]!r}")
         return values
     if c.kind == "bool":
         for cell, line in zip(cells, lines):

@@ -54,7 +54,10 @@ def assert_tables_equal(a: GameweekTable, b: GameweekTable):
             assert x == y, c.field
         else:
             assert x.dtype == y.dtype and x.shape == y.shape, c.field
-            assert x.tobytes() == y.tobytes(), c.field
+            # A plain bool: pytest's explanation of two long unequal byte
+            # strings is a character diff, slow enough to stall shrinking.
+            same_bits = x.tobytes() == y.tobytes()
+            assert same_bits, c.field
 
 
 @pytest.fixture

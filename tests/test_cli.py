@@ -230,6 +230,36 @@ class TestIngest:
         assert err.startswith("error:parse:") and err.count("\n") == 1
         assert "line 2" in err and f"'{column}'" in err
 
+    def test_team_rated_twice_is_one_parse_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "synth", "--players", "8", "--weeks", "3"]) == 0
+        strengths = out / "synthetic_strengths.csv"
+        with open(strengths, "a", encoding="utf-8") as fh:
+            fh.write('"synthetic","team00",5\n"synthetic","TEAM01",1\n')
+        capsys.readouterr()
+        rc = main(["--out", str(out), "ingest",
+                   "--raw", f"synthetic={out / 'synthetic_gameweeks.csv'}",
+                   "--strengths", str(strengths)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("error:parse: line 22: team 'team00' is rated twice in season "
+                       "synthetic (first on line 2)\n")
+
+    def test_byte_order_marks_are_dropped(self, tmp_path):
+        raw = write_raw(tmp_path, [raw_line("kane", 1, 90, 5)])
+        for name, text in (("raw.csv", raw.read_text(encoding="utf-8")),
+                           ("strengths.csv", STRENGTHS)):
+            (tmp_path / f"bom_{name}").write_text("\ufeff" + text, encoding="utf-8")
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        for prefix in ("", "bom_"):
+            assert main(["--out", str(tmp_path / f"{prefix}out"), "ingest",
+                         "--raw", f"s1={tmp_path / f'{prefix}raw.csv'}",
+                         "--strengths", str(tmp_path / f"{prefix}strengths.csv")]) == 0
+        for position in ("GK", "DEF", "MID", "FWD"):
+            name = f"cleaned_{position}.csv"
+            bom, plain = tmp_path / "bom_out" / name, tmp_path / "out" / name
+            assert bom.read_bytes() == plain.read_bytes()
+
 
 class TestConfig:
     def test_unknown_key_named(self, tmp_path, capsys):

@@ -10,7 +10,10 @@ from fplcast.dataset import (
     PlayerSeries,
     WindowSet,
     apply_scaler,
+    _SYNTH_TEAMS,
+    _largest_remainder,
     _runs,
+    _synth_name,
     assign_splits,
     build_series,
     concat_windows,
@@ -20,7 +23,9 @@ from fplcast.dataset import (
     stratified_bins,
 )
 from fplcast.harness import FAMILIES, sliding_design
+from fplcast.serialize import write_raw_csv
 from fplcast.ingest import (
+    GAMEWEEK_SCHEMA,
     CanonicalPlayerKey,
     GameweekTable,
     Position,
@@ -598,6 +603,82 @@ class TestScaler:
         assert params.mean[0] == pytest.approx(2.0)
 
 
+def _synthetic_season_oracle(seed, n_players, n_weeks, position_mix):
+    # generate_synthetic_season as it stood before it computed whole
+    # columns: every value made row by row, with numpy scalar rounding.
+    rng = np.random.default_rng(seed)
+    season = "synthetic"
+    teams = [f"team{t:02d}" for t in range(_SYNTH_TEAMS)]
+    strengths = TeamStrengthTable(
+        season=season,
+        entries={
+            team: int(s)
+            for team, s in zip(teams, rng.integers(1, 6, size=_SYNTH_TEAMS))
+        },
+    )
+    mix_total = sum(position_mix)
+    counts = _largest_remainder(n_players, tuple(m / mix_total for m in position_mix))
+    positions = []
+    for pos, count in zip(Position.ordered(), counts):
+        positions.extend([pos] * count)
+
+    name_width = max(3, len(str(n_players - 1)))
+    columns = {c.field: [] for c in GAMEWEEK_SCHEMA}
+    for p in range(n_players):
+        position = positions[p]
+        team = teams[p % _SYNTH_TEAMS]
+        skill = float(rng.uniform(0.5, 7.5))
+        form = 0.0
+        for week in range(1, n_weeks + 1):
+            opponent = teams[int(rng.integers(0, _SYNTH_TEAMS - 1))]
+            if opponent == team:
+                opponent = teams[_SYNTH_TEAMS - 1]
+            gap = strengths.entries[opponent] - strengths.entries[team]
+            form = 0.6 * form + float(rng.normal(0.0, 1.0))
+            noise = float(rng.gamma(2.0, 1.5)) - 3.0
+            points = int(np.clip(round(skill + form - 0.4 * gap + noise), -5, 24))
+            minutes = int(rng.integers(45, 91))
+            goals = max(0, int(round((points - 2) / 4))) if position != Position.GK else 0
+            saves = int(rng.integers(0, 6)) if position == Position.GK else 0
+            influence = float(np.round(max(0.0, points * 2.0 + rng.normal(0, 2)), 1))
+            creativity = float(np.round(max(0.0, skill * 3.0 + rng.normal(0, 2)), 1))
+            threat = float(np.round(max(0.0, goals * 15.0 + rng.normal(0, 2)), 1))
+            row = dict(
+                player_name=_synth_name(p, name_width),
+                position=position,
+                season=season,
+                gameweek=week,
+                team=team,
+                opponent=opponent,
+                minutes=minutes,
+                total_points=points,
+                goals_scored=goals,
+                assists=int(rng.integers(0, 2)),
+                clean_sheets=int(points >= 6),
+                goals_conceded=int(rng.integers(0, 3)),
+                saves=saves,
+                bps=max(0, points * 3),
+                bonus=int(np.clip(points - 7, 0, 3)),
+                influence=influence,
+                creativity=creativity,
+                threat=threat,
+                ict_index=float(np.round((influence + creativity + threat) / 10.0, 1)),
+                was_home=bool(rng.integers(0, 2)),
+                kickoff_order=week - 1,
+            )
+            for name, column in columns.items():
+                column.append(row.get(name, 0))
+    return GameweekTable(**columns), strengths
+
+
+# Position mixes: random shares, and ones without goalkeepers or with
+# nothing else, since only goalkeepers draw saves and never score.
+position_mixes = st.one_of(
+    st.sampled_from([(1, 0, 0, 0), (0, 1, 1, 1), (0, 0, 0, 1), (2, 5, 5, 3)]),
+    st.tuples(*[st.integers(0, 5)] * 4).filter(any),
+)
+
+
 class TestSyntheticSeason:
     def test_deterministic(self):
         a_rows, a_str = generate_synthetic_season(3, 10, 6)
@@ -636,6 +717,16 @@ class TestSyntheticSeason:
     def test_position_mix_respected(self):
         rows, _ = generate_synthetic_season(7, 30, 2, position_mix=(0, 0, 1, 0))
         assert all(p is Position.MID for p in rows.position)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(2, 12), position_mixes)
+    def test_matches_the_row_by_row_oracle(self, seed, n_players, n_weeks, mix):
+        rows, strengths = generate_synthetic_season(seed, n_players, n_weeks, mix)
+        want_rows, want_strengths = _synthetic_season_oracle(seed, n_players, n_weeks, mix)
+        assert_tables_equal(rows, want_rows)
+        same_csv = write_raw_csv(rows) == write_raw_csv(want_rows)
+        assert same_csv
+        assert strengths == want_strengths
 
 
 class TestBuildSeries:

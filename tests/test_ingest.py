@@ -1,12 +1,17 @@
+import csv
 import io
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fplcast import ingest
 from fplcast.ingest import (
+    RAW_SCHEMA,
     GameweekTable,
     Position,
     RowParseError,
@@ -19,6 +24,7 @@ from fplcast.ingest import (
     parse_gameweek_csv,
     parse_strengths_csv,
     token_sort_similarity,
+    _CELL_PARSERS,
     _levenshtein,
 )
 
@@ -103,6 +109,225 @@ class TestParseGameweekCsv:
         )
         rows = parse_gameweek_csv(text, "2021-22")
         assert rows.kickoff_order[1] < rows.kickoff_order[0]
+
+
+def _parse_gameweek_csv_oracle(text: str, season: str) -> GameweekTable:
+    # parse_gameweek_csv as it stood before it converted whole columns:
+    # every cell parsed on its own, row by row.
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty file: no header row") from None
+
+    col = {name: i for i, name in enumerate(header)}
+    for c in RAW_SCHEMA:
+        if c.kind != "opt_int" and c.csv != "GW" and c.csv not in col:
+            raise SchemaError(f"missing required column '{c.csv}'")
+    gw_col = col.get("GW", col.get("round"))
+    if gw_col is None:
+        raise SchemaError("missing required column 'GW' (or 'round')")
+    cells = [(c, gw_col if c.csv == "GW" else col.get(c.csv)) for c in RAW_SCHEMA]
+    kickoff_col = col.get("kickoff_time")
+    raw_fields = [c.field for c in RAW_SCHEMA]
+
+    records, sort_keys = [], []
+    for line_no, record in enumerate(reader, start=2):
+        if not record or all(not cell.strip() for cell in record):
+            continue
+        values = []
+        for c, idx in cells:
+            if idx is None:
+                values.append(0)
+            elif idx >= len(record):
+                raise RowParseError(f"row too short for column '{c.csv}'", line_no)
+            else:
+                values.append(_CELL_PARSERS[c.kind](record[idx], c.csv, line_no))
+        row = dict(zip(raw_fields, values))
+        if row["gameweek"] < 1:
+            raise RowParseError(f"gameweek must be >= 1, got {row['gameweek']}", line_no)
+        if not 0 <= row["minutes"] <= 120:
+            raise RowParseError(f"minutes out of range [0, 120]: {row['minutes']}", line_no)
+        ict_expected = (row["influence"] + row["creativity"] + row["threat"]) / 10.0
+        if abs(row["ict_index"] - ict_expected) > 0.5:
+            warnings.warn(
+                f"line {line_no}: ict_index {row['ict_index']} deviates from "
+                f"(influence+creativity+threat)/10 = {ict_expected:.2f}",
+                stacklevel=2,
+            )
+        kickoff = ""
+        if kickoff_col is not None:
+            if kickoff_col >= len(record):
+                raise RowParseError("row too short for column 'kickoff_time'", line_no)
+            kickoff = record[kickoff_col]
+        records.append(values)
+        sort_keys.append((row["gameweek"], kickoff, line_no))
+
+    order = sorted(range(len(records)), key=sort_keys.__getitem__)
+    columns = zip(*records) if records else [()] * len(RAW_SCHEMA)
+    return GameweekTable(
+        season=(season,) * len(records),
+        kickoff_order=np.argsort(np.array(order, dtype=np.int64)),
+        **dict(zip(raw_fields, columns)),
+    )
+
+
+def _outcome(parse, text: str):
+    """What parsing `text` gives: the table, or the error's type and
+    message; and every warning with the place it names."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text, "2021-22")
+        except (RowParseError, SchemaError) as exc:
+            result = (type(exc), str(exc))
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _assert_same_outcome(text: str):
+    got, got_warnings = _outcome(parse_gameweek_csv, text)
+    want, want_warnings = _outcome(_parse_gameweek_csv_oracle, text)
+    if isinstance(want, GameweekTable):
+        assert isinstance(got, GameweekTable), got
+        assert_tables_equal(got, want)
+    else:
+        assert got == want
+    assert got_warnings == want_warnings
+
+
+_INT_COLUMNS = [c.csv for c in RAW_SCHEMA if c.kind in ("int", "opt_int")]
+_OPTIONAL = [c.csv for c in RAW_SCHEMA if c.kind == "opt_int"]
+_FLOAT_COLUMNS = [c.csv for c in RAW_SCHEMA if c.kind == "float"]
+
+# Planted faults: the columns each may hit and the cells it writes there.
+# "3.0" in an int column and case or space variants are accepted; a
+# mismatched ict_index only warns.
+_FAULTS = {
+    "int": (_INT_COLUMNS, ["x", "3.5", "3.0", " 7 ", "", "1e30", "9223372036854775808"]),
+    "float": (_FLOAT_COLUMNS, ["nan", "inf", "-inf", "1e400", "abc", ""]),
+    "bool": (["was_home"], ["maybe", "", "2", "TRUE", " no "]),
+    "position": (["position"], ["STRIKER", "", " gk "]),
+    "gameweek": (["GW"], ["0", "-1", "1"]),
+    "minutes": (["minutes"], ["121", "-1", "120", "0"]),
+    "ict": (["ict_index"], ["99.5"]),
+}
+
+
+def _raw_columns(seed: int, n: int) -> dict[str, list[str]]:
+    """n valid raw rows, column by column, as the cells of a file."""
+    rng = np.random.default_rng(seed)
+    pick = lambda options: [options[i] for i in rng.integers(0, len(options), n)]
+    floats = {c: np.round(rng.uniform(0, 40, n), 1) for c in ("influence", "creativity", "threat")}
+    ict = np.round((floats["influence"] + floats["creativity"] + floats["threat"]) / 10.0, 1)
+    return {
+        "name": [f"player {i % 23}" for i in range(n)],
+        "position": pick(["GK", "DEF", "MID", "FWD", "mid", " Fwd "]),
+        "team": pick(["spurs", "arsenal"]),
+        "opponent_team": pick(["fulham", "burnley"]),
+        **{c: [str(v) for v in rng.integers(0, 40, n)] for c in _INT_COLUMNS},
+        "GW": [str(v) for v in rng.integers(1, 6, n)],
+        "minutes": [str(v) for v in rng.integers(0, 121, n)],
+        **{c: [repr(v) for v in values.tolist()] for c, values in floats.items()},
+        "ict_index": [repr(v) for v in ict.tolist()],
+        "was_home": pick(["True", "False", "1", "0", "t", "no"]),
+        "kickoff_time": pick(["2021-08-14T14:00", "2021-08-14T11:30", "2021-08-15T16:30"]),
+        "expected_goals": pick(["0.1", "x"]),
+    }
+
+
+@st.composite
+def raw_files(draw):
+    """(block size, file text) for a file of more than one block, with 0-3
+    faults in rows of any block and at block boundaries."""
+    block = draw(st.sampled_from([1, 2, 3, 7, ingest._BLOCK_ROWS]))
+    n = draw(st.integers(block + 1, 2 * block + 2 if block > 7 else 4 * block))
+    columns = _raw_columns(draw(st.integers(0, 2**32 - 1)), n)
+    names = [c.csv for c in RAW_SCHEMA if c.csv not in draw(st.sets(st.sampled_from(_OPTIONAL)))]
+    names += [c for c in ("kickoff_time", "expected_goals") if draw(st.booleans())]
+    names = draw(st.permutations(names))
+    near_boundaries = [r for k in range(1, n // block + 1) for r in (k * block - 1, k * block)]
+    rows = st.one_of(st.integers(0, n - 1), st.sampled_from([r for r in near_boundaries if r < n]))
+    short, blank = {}, set()
+    for _ in range(draw(st.sampled_from([3, 2, 1, 0]))):
+        # "ict" twice: a warning is the rarest outcome otherwise.
+        row, kind = draw(rows), draw(st.sampled_from([*_FAULTS, "ict", "short", "blank"]))
+        if kind == "short":
+            short[row] = draw(st.integers(1, len(names) - 1))
+        elif kind == "blank":
+            blank.add(row)
+        else:
+            targets, cells = _FAULTS[kind]
+            column = draw(st.sampled_from(targets))
+            columns[column][row] = draw(st.sampled_from(cells))
+    lines = []
+    for row in range(n):
+        cells = [columns[name][row] for name in names]
+        lines.append(" , " if row in blank else ",".join(cells[: short.get(row, len(cells))]))
+    header = ["round" if name == "GW" and draw(st.booleans()) else name for name in names]
+    return block, "\n".join([",".join(header), *lines]) + "\n"
+
+
+class TestColumnarParse:
+    """parse_gameweek_csv against the row-by-row oracle: same table, or
+    same error; same warnings in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_files())
+    def test_matches_the_row_by_row_oracle(self, case):
+        block, text = case
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+            _assert_same_outcome(text)
+
+    def test_kickoff_time_short_row_warns_first(self):
+        header = HEADER + ",kickoff_time"
+        rows = [row_line() + ",2021-08-14", row_line().replace("5.5", "50.0")]
+        _assert_same_outcome("\n".join([header, *rows]) + "\n")
+        with pytest.warns(UserWarning, match="line 3"):
+            with pytest.raises(RowParseError, match="line 3: row too short for column 'kick"):
+                parse_gameweek_csv("\n".join([header, *rows]), "2021-22")
+
+    def test_range_checks_follow_the_rows_cells(self):
+        text = "\n".join([HEADER, row_line(gw=0, minutes=121), row_line(minutes="x")])
+        with pytest.raises(RowParseError, match="line 2: gameweek must be >= 1, got 0"):
+            parse_gameweek_csv(text, "2021-22")
+        text = "\n".join([HEADER, row_line(position="X", gw=0), row_line()])
+        with pytest.raises(RowParseError, match="line 2: unknown position"):
+            parse_gameweek_csv(text, "2021-22")
+
+    def test_warnings_of_earlier_blocks_come_before_a_later_error(self):
+        rows = [row_line().replace("5.5", "50.0")] * 3 + [row_line(minutes="x")]
+        with mock.patch.object(ingest, "_BLOCK_ROWS", 2):
+            _assert_same_outcome("\n".join([HEADER, *rows]))
+
+    def test_rows_before_an_unreadable_row_are_checked_first(self):
+        unreadable = row_line(name="k" * (csv.field_size_limit() + 1))
+        with pytest.raises(RowParseError, match="line 2: non-numeric value 'x'"):
+            parse_gameweek_csv("\n".join([HEADER, row_line(minutes="x"), unreadable]), "2021-22")
+        with pytest.raises(csv.Error, match="field limit"):
+            parse_gameweek_csv("\n".join([HEADER, row_line(), unreadable]), "2021-22")
+
+    def test_minutes_bounds(self):
+        for minutes in (0, 120):
+            text = HEADER + "\n" + row_line(minutes=minutes)
+            assert parse_gameweek_csv(text, "2021-22").minutes.tolist() == [minutes]
+        for minutes in (-1, 121):
+            message = rf"line 2: minutes out of range \[0, 120\]: {minutes}$"
+            with pytest.raises(RowParseError, match=message):
+                parse_gameweek_csv(HEADER + "\n" + row_line(minutes=minutes), "2021-22")
+
+    def test_integers_written_as_floats_are_accepted(self):
+        rows = parse_gameweek_csv(HEADER + "\n" + row_line(minutes="90.0"), "2021-22")
+        assert rows.minutes.tolist() == [90] and rows.minutes.dtype == np.int64
+
+    def test_byte_order_mark_is_dropped(self):
+        text = HEADER + "\n" + row_line()
+        assert_tables_equal(
+            parse_gameweek_csv("\ufeff" + text, "2021-22"), parse_gameweek_csv(text, "2021-22")
+        )
+        data = ("\ufeff" + text).encode("utf-8")
+        assert_tables_equal(
+            parse_gameweek_csv(io.BytesIO(data), "2021-22"), parse_gameweek_csv(text, "2021-22")
+        )
 
 
 class TestParseIntegers:
@@ -393,6 +618,23 @@ class TestParseStrengths:
     def test_short_row_rejected(self):
         with pytest.raises(RowParseError, match="line 3"):
             parse_strengths_csv("season,team,strength\n2021-22,Fulham,3\n2021-22\n")
+
+    def test_team_rated_twice_rejected(self):
+        text = 'season,team,strength\n2021-22,Fulham,3\n2021-22,Arsenal,4\n"2021-22"," fulham",5\n'
+        with pytest.raises(RowParseError, match=(
+            r"line 4: team ' fulham' is rated twice in season 2021-22 \(first on line 2\)"
+        )):
+            parse_strengths_csv(text)
+
+    def test_same_team_in_two_seasons_accepted(self):
+        tables = parse_strengths_csv("season,team,strength\n2021-22,Fulham,3\n2022-23,Fulham,4\n")
+        assert tables["2021-22"].strength("fulham") == 3
+        assert tables["2022-23"].strength("fulham") == 4
+
+    def test_byte_order_mark_is_dropped(self):
+        text = "season,team,strength\n2021-22,Fulham,3\n"
+        assert parse_strengths_csv("\ufeff" + text) == parse_strengths_csv(text)
+        assert parse_strengths_csv(("\ufeff" + text).encode("utf-8")) == parse_strengths_csv(text)
 
     def test_out_of_range_strength_rejected(self):
         with pytest.raises(RowParseError, match="strength"):
