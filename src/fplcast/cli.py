@@ -218,7 +218,7 @@ def _players(args, config, positions: str):
         splits = ser.read_splits(_read_text(args.splits, "splits")).assignments
     if "season" in args:
         season = args.season or max(rows.season)
-        rows = rows.take([s == season for s in rows.season])
+        rows = rows.take(rows.season == season)
         if not len(rows):
             raise CliError("data", f"no cleaned rows for season '{season}'")
     all_series = build_series(rows)
@@ -252,12 +252,13 @@ def cmd_ingest(args, config) -> int:
 
     # Canonicalize, then join each spelling not yet known to the known
     # spelling it matches best, per position.
-    canonical = {name: canonicalize_name(name) for name in dict.fromkeys(read.player_name)}
-    spellings = [canonical[name] for name in read.player_name]
+    positions, spellings = read.position.tolist(), read.player_name.tolist()
+    canonical = {name: canonicalize_name(name) for name in set(spellings)}
+    spellings = [canonical[name] for name in spellings]
     registry: dict[Position, list[str]] = {p: [] for p in Position}
     known_keys: set[tuple[Position, str]] = set()  # membership in registry
     groups = []  # per row, the known spelling it joined
-    for canon, position in zip(spellings, read.position):
+    for canon, position in zip(spellings, positions):
         if (position, canon) not in known_keys:
             known = registry[position]
             match = fuzzy_match(canon, known, threshold) if known else None
@@ -272,7 +273,7 @@ def cmd_ingest(args, config) -> int:
     # first seen) among those that joined no other group, so that no two
     # groups share a name.
     rows: dict[tuple, int] = {}  # (position, group, spelling) -> rows
-    for key in zip(read.position, groups, spellings):
+    for key in zip(positions, groups, spellings):
         rows[key] = rows.get(key, 0) + 1
     joined: dict[tuple, int] = {}  # (position, spelling) -> groups joined
     for position, _, spelling in rows:
@@ -282,7 +283,7 @@ def cmd_ingest(args, config) -> int:
         best = named.setdefault((position, group), group)  # its first-seen spelling
         if joined[position, spelling] == 1 and n > rows[position, group, best]:
             named[position, group] = spelling
-    names = [named[key] for key in zip(read.position, groups)]
+    names = [named[key] for key in zip(positions, groups)]
     # Any renamed row is a resolution, including score-1.0 token reorderings.
     resolutions = [
         (spelling, name, token_sort_similarity(spelling, name))
@@ -294,15 +295,14 @@ def cmd_ingest(args, config) -> int:
     dropped = len(read) - len(kept)
 
     # Every (season, team) pair must have a rating; an error names the first bad row.
-    for season, team, opponent in dict.fromkeys(zip(kept.season, kept.team, kept.opponent)):
+    matches = zip(kept.season.tolist(), kept.team.tolist(), kept.opponent.tolist())
+    for season, team, opponent in dict.fromkeys(matches):
         if season not in strengths:
             raise TeamLookupError(f"no strength table for season '{season}'")
         strengths[season].strength(team)
         strengths[season].strength(opponent)
 
-    per_position = {
-        p: kept.take([q is p for q in kept.position]) for p in Position.ordered()
-    }
+    per_position = {p: kept.take(kept.position == p) for p in Position.ordered()}
     out = _out_dir(args)
     for position, rows in per_position.items():
         _write(out / f"cleaned_{position.value}.csv", ser.write_cleaned_csv(rows))

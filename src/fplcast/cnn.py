@@ -302,6 +302,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarra
     params -= step
 
 
+@np.errstate(all="ignore")  # a diverging fit raises below instead
 def train(
     model: CnnModel, train_set: WindowSet, val_set: WindowSet, config: TrainConfig
 ) -> tuple[CnnModel, LearningCurve]:
@@ -312,7 +313,9 @@ def train(
     batch kept). Training stops once validation MSE has not improved by
     more than the tolerance for `patience` consecutive epochs; the
     returned model carries the parameters of the best-validation epoch.
-    `model` itself is left unchanged.
+    `model` itself is left unchanged. An epoch whose train cost or
+    validation MSE is not finite raises ValueError, naming the epoch as
+    the learning curve counts it (from 0).
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -326,7 +329,7 @@ def train(
 
     best_val = np.inf  # strict minimum, decides which params to restore
     sig_best = np.inf  # tolerance-gated reference, drives the patience counter
-    best = model  # returned only if no validation MSE is below inf
+    best = None  # set in epoch 0, whose validation MSE is finite
     stale = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_set))
@@ -339,7 +342,11 @@ def train(
         val_pred, _ = forward_batch(current, val_set.X, val_set.d)
         train_mse = float(np.mean((y - train_pred) ** 2))
         val_mse = float(np.mean((val_set.y - val_pred) ** 2))
-        curve.train_cost.append(train_mse + _penalty(current, l1, l2))
+        train_cost = train_mse + _penalty(current, l1, l2)
+        if not (np.isfinite(train_cost) and np.isfinite(val_mse)):
+            raise ValueError(f"CNN training diverged in epoch {epoch}: train cost "
+                             f"{train_cost:g}, validation MSE {val_mse:g}")
+        curve.train_cost.append(train_cost)
         curve.train_mse.append(train_mse)
         curve.val_mse.append(val_mse)
 

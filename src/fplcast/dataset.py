@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -100,44 +100,34 @@ class FeatureTier(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class WindowSet:
-    """(window, difficulty, target) examples, one row per example."""
+    """(window, difficulty, target) examples, one row per example; every
+    field is a numpy array whose first axis runs over the examples."""
 
     X: np.ndarray  # n x w x f feature windows
     d: np.ndarray  # n difficulty gaps (int)
     y: np.ndarray  # n target points (int)
-    players: tuple[CanonicalPlayerKey, ...]  # n
+    players: np.ndarray  # n CanonicalPlayerKey objects (dtype object)
     target_gameweek: np.ndarray  # n (int)
 
     @classmethod
     def empty(cls, w: int, f: int) -> WindowSet:
         """No windows, shaped for w weeks of f features."""
         no_ints = np.zeros(0, dtype=np.int64)
-        return cls(np.zeros((0, w, f)), no_ints, no_ints, (), no_ints)
+        return cls(np.zeros((0, w, f)), no_ints, no_ints, np.zeros(0, dtype=object), no_ints)
 
     def __len__(self) -> int:
         return len(self.d)
 
     def take(self, idx) -> WindowSet:
-        """The rows that `idx` (indices or a boolean mask) selects."""
-        rows = np.arange(len(self))[idx]
-        return WindowSet(
-            X=self.X[rows],
-            d=self.d[rows],
-            y=self.y[rows],
-            players=tuple(self.players[i] for i in rows),
-            target_gameweek=self.target_gameweek[rows],
-        )
+        """The rows that `idx` (a slice, indices or a boolean mask) selects."""
+        return WindowSet(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 def concat_windows(parts: Sequence[WindowSet]) -> WindowSet:
     """The rows of every part, in order; parts share w and f."""
-    return WindowSet(
-        X=np.concatenate([p.X for p in parts]),
-        d=np.concatenate([p.d for p in parts]),
-        y=np.concatenate([p.y for p in parts]),
-        players=tuple(key for p in parts for key in p.players),
-        target_gameweek=np.concatenate([p.target_gameweek for p in parts]),
-    )
+    return WindowSet(*(
+        np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(WindowSet)
+    ))
 
 
 @dataclass
@@ -161,7 +151,7 @@ class ScalerParams:
 
 def _runs(keys: Sequence) -> list[slice]:
     """The maximal runs of equal consecutive keys, as slices."""
-    if not keys:
+    if not len(keys):
         return []
     bounds = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -173,18 +163,19 @@ def build_series(table: GameweekTable) -> list[PlayerSeries]:
     Rows must already carry canonical player names. A player appearing in
     two seasons forms a single series; rows order by (season, kickoff_order).
     """
-    canonical = {name: canonicalize_name(name) for name in set(table.player_name)}
+    names, seasons = table.player_name.tolist(), table.season.tolist()
+    canonical = {name: canonicalize_name(name) for name in set(names)}
     keys = [
         CanonicalPlayerKey(canonical[name], position)
-        for name, position in zip(table.player_name, table.position)
+        for name, position in zip(names, table.position.tolist())
     ]
     kickoff_order = table.kickoff_order.tolist()
     order = sorted(
         range(len(table)),
         key=lambda i: (keys[i].canonical_name, keys[i].position.value,
-                       table.season[i], kickoff_order[i]),
+                       seasons[i], kickoff_order[i]),
     )
-    ordered, keys = table.take(order), [keys[i] for i in order]
+    ordered, keys = table.take(np.array(order)), [keys[i] for i in order]
     return [PlayerSeries(keys[run.start], ordered.take(run)) for run in _runs(keys)]
 
 
@@ -193,17 +184,19 @@ class _Rows(NamedTuple):
     gathered from, whatever the split."""
 
     series: list[PlayerSeries]  # the list the rows were built from
+    keys: np.ndarray  # each series' CanonicalPlayerKey (dtype object)
     table: GameweekTable
-    owner: np.ndarray  # each row's index into `series`
+    owner: np.ndarray  # each row's index into `series` and `keys`
     run_pos: np.ndarray  # each row's position inside its (player, season) run
 
     @classmethod
     def of(cls, series: list[PlayerSeries]) -> _Rows:
+        keys = np.array([s.key for s in series], dtype=object)
         table = GameweekTable.concat([s.table for s in series])
         owner = np.repeat(np.arange(len(series)), [len(s.table) for s in series])
-        runs = _runs(list(zip(owner.tolist(), table.season)))
+        runs = _runs(list(zip(owner.tolist(), table.season.tolist())))
         run_start = np.array([r.start for r in runs for _ in range(r.start, r.stop)], int)
-        return cls(series, table, owner, np.arange(len(table)) - run_start)
+        return cls(series, keys, table, owner, np.arange(len(table)) - run_start)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +242,7 @@ class Players:
         # order: a missing season table or an unrated team fails at the
         # first target row that needs it.
         d = np.empty(len(t), dtype=np.int64)
-        seasons = [table.season[i] for i in t.tolist()]
+        seasons = table.season[t].tolist()
         for run in _runs(seasons):
             season, season_strengths = seasons[run.start], self.strengths
             if isinstance(season_strengths, dict):
@@ -261,7 +254,7 @@ class Players:
             X=table.matrix(columns)[t[:, None] - w + np.arange(w)],
             d=-d if self.flip_difficulty else d,
             y=table.total_points[t],
-            players=tuple(self.series[i].key for i in rows.owner[t].tolist()),
+            players=rows.keys[rows.owner[t]],
             target_gameweek=table.gameweek[t],
         )
 
@@ -487,10 +480,12 @@ def generate_synthetic_season(
     )
     gameweek = np.tile(np.arange(1, n_weeks + 1), n_players)
     name_width = max(3, len(str(n_players - 1)))
-    player = [p for p in range(n_players) for _ in range(n_weeks)]  # of each row
+    names = np.array([_synth_name(p, name_width) for p in range(n_players)], dtype=object)
+    player = np.repeat(np.arange(n_players), n_weeks)  # of each row
     table = GameweekTable(
-        season=(season,) * len(player), player_name=[_synth_name(p, name_width) for p in player],
-        position=[positions[p] for p in player], team=[teams[p % _SYNTH_TEAMS] for p in player],
+        season=(season,) * len(player), player_name=names[player],
+        position=np.array(positions, dtype=object)[player],
+        team=np.array(teams, dtype=object)[player % _SYNTH_TEAMS],
         gameweek=gameweek, kickoff_order=gameweek - 1, opponent=opponent, minutes=minutes,
         total_points=points, goals_scored=goals, assists=assists, clean_sheets=points >= 6,
         goals_conceded=conceded, saves=saves, bps=np.maximum(0, points * 3),

@@ -112,17 +112,21 @@ RAW_SCHEMA = tuple(
     c for c in GAMEWEEK_SCHEMA if c.field not in ("season", "kickoff_order")
 )
 
-# dtype of each array column kind; text and position columns are tuples.
-_DTYPES = {"int": np.int64, "opt_int": np.int64, "float": np.float64, "bool": np.bool_}
+# The dtype of each column kind: text and position columns hold Python
+# objects (str, Position).
+_DTYPES = {
+    "text": object, "position": object, "int": np.int64, "opt_int": np.int64,
+    "float": np.float64, "bool": np.bool_,
+}
 
 
 class GameweekTable:
     """Per-gameweek player statistics held column by column, one attribute
     per GAMEWEEK_SCHEMA field; row i of every column is one appearance.
 
-    Text and position columns are tuples, the others numpy arrays. A table
-    is never changed in place: `replace`, `take` and `concat` build new
-    ones, sharing the columns they leave alone.
+    Every column is a 1-D numpy array, of dtype object for text and
+    positions. A table is never changed in place: `replace`, `take` and
+    `concat` build new ones, sharing the columns they leave alone.
     """
 
     __slots__ = tuple(c.field for c in GAMEWEEK_SCHEMA)
@@ -133,9 +137,7 @@ class GameweekTable:
                 f"GameweekTable needs exactly the columns {list(self.__slots__)}"
             )
         for c in GAMEWEEK_SCHEMA:
-            values = columns[c.field]
-            object.__setattr__(self, c.field, tuple(values) if c.kind not in _DTYPES
-                               else np.asarray(values, dtype=_DTYPES[c.kind]))
+            object.__setattr__(self, c.field, np.asarray(columns[c.field], _DTYPES[c.kind]))
         if len({len(getattr(self, field)) for field in self.__slots__}) > 1:
             raise ValueError("GameweekTable columns differ in length")
 
@@ -152,12 +154,7 @@ class GameweekTable:
         if not parts:
             return cls.empty()
         return cls(**{
-            c.field: (
-                tuple(itertools.chain.from_iterable(getattr(p, c.field) for p in parts))
-                if c.kind in ("text", "position")
-                else np.concatenate([getattr(p, c.field) for p in parts])
-            )
-            for c in GAMEWEEK_SCHEMA
+            field: np.concatenate([getattr(p, field) for p in parts]) for field in cls.__slots__
         })
 
     def __len__(self) -> int:
@@ -171,18 +168,7 @@ class GameweekTable:
 
     def take(self, idx) -> GameweekTable:
         """The rows that `idx` (a slice, indices or a boolean mask) selects."""
-        if isinstance(idx, slice):
-            return GameweekTable(**{f: getattr(self, f)[idx] for f in self.__slots__})
-        rows = np.arange(len(self))[idx]
-        picked = {}
-        for field in self.__slots__:
-            column = getattr(self, field)
-            picked[field] = (
-                tuple(column[i] for i in rows.tolist())
-                if isinstance(column, tuple)
-                else column[rows]
-            )
-        return GameweekTable(**picked)
+        return GameweekTable(**{field: getattr(self, field)[idx] for field in self.__slots__})
 
     def matrix(self, fields: Sequence[str]) -> np.ndarray:
         """The named numeric columns side by side as floats: n x len(fields)."""
@@ -363,9 +349,10 @@ def compute_difficulty(table: GameweekTable, strengths: TeamStrengthTable) -> np
     """
     # Each name is looked up once, in row order, so the first row with an
     # unrated team is the one an error names.
-    names = dict.fromkeys(n for pair in zip(table.opponent, table.team) for n in pair)
+    teams, opponents = table.team.tolist(), table.opponent.tolist()
+    names = dict.fromkeys(n for pair in zip(opponents, teams) for n in pair)
     rating = {name: strengths.strength(name) for name in names}
-    gaps = [rating[opp] - rating[team] for team, opp in zip(table.team, table.opponent)]
+    gaps = [rating[opp] - rating[team] for team, opp in zip(teams, opponents)]
     return np.array(gaps, dtype=np.int64)
 
 
@@ -442,8 +429,9 @@ def numeric_column(cells: Sequence[str], kind: str) -> tuple[np.ndarray, int | N
 
 
 def _csv_reader(source):
-    """A csv.reader over `source` (str, bytes, or a text or byte stream)
-    that drops one leading byte-order mark, as spreadsheets write it."""
+    """The records of a csv.reader over `source` (str, bytes, or a text or
+    byte stream), less one leading byte-order mark, as spreadsheets write
+    it. A record the reader cannot read raises RowParseError."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
@@ -454,7 +442,11 @@ def _csv_reader(source):
     first = next(lines, None)
     if first is not None:
         lines = itertools.chain([first.removeprefix("\ufeff")], lines)
-    return csv.reader(lines)
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise RowParseError(str(exc), reader.line_num) from None
 
 
 def _blocks(reader):
@@ -468,7 +460,7 @@ def _blocks(reader):
                 if len(records) == _BLOCK_ROWS:
                     yield records, lines
                     records, lines = [], []
-    except (csv.Error, ValueError, OSError):
+    except (ValueError, OSError):
         # The rows read before an unreadable one are checked first.
         yield records, lines
         raise

@@ -211,13 +211,11 @@ def _write_gameweeks(table: GameweekTable, columns) -> str:
     template = ",".join(_CELL_FORMATS[c.kind] for c in columns)
     cells = []
     for c in columns:
-        column = getattr(table, c.field)
+        column = getattr(table, c.field).tolist()
         if c.kind == "position":
             column = [p.value for p in column]
         elif c.kind == "text":
             column = [v.replace('"', '""') for v in column]
-        else:
-            column = column.tolist()
         cells.append(column)
     lines = [",".join(c.csv for c in columns)]
     lines.extend(template % row for row in zip(*cells))

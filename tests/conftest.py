@@ -46,18 +46,39 @@ def make_table(**columns) -> GameweekTable:
 
 
 def assert_tables_equal(a: GameweekTable, b: GameweekTable):
-    """Column for column: same types, dtypes and bits (so -0.0 != 0.0)."""
+    """Column for column: same types, dtypes and shapes; numeric columns
+    bit for bit (so -0.0 != 0.0), object columns value for value, each
+    value of the same type."""
     for c in GAMEWEEK_SCHEMA:
         x, y = getattr(a, c.field), getattr(b, c.field)
         assert type(x) is type(y), c.field
-        if isinstance(x, tuple):
-            assert x == y, c.field
+        assert x.dtype == y.dtype and x.shape == y.shape, c.field
+        # A plain bool: pytest's explanation of two long unequal byte
+        # strings or lists is a diff, slow enough to stall shrinking.
+        if x.dtype == object:
+            same = [(type(v), v) for v in x.tolist()] == [(type(v), v) for v in y.tolist()]
         else:
-            assert x.dtype == y.dtype and x.shape == y.shape, c.field
-            # A plain bool: pytest's explanation of two long unequal byte
-            # strings is a character diff, slow enough to stall shrinking.
-            same_bits = x.tobytes() == y.tobytes()
-            assert same_bits, c.field
+            same = x.tobytes() == y.tobytes()
+        assert same, c.field
+
+
+# The dtype each column kind is held in.
+KIND_DTYPES = {
+    "text": object, "position": object, "int": np.int64, "opt_int": np.int64,
+    "float": np.float64, "bool": np.bool_,
+}
+
+
+def assert_every_column_is_an_array(table: GameweekTable):
+    """Each column a 1-D array of its kind's dtype, one cell per row; a text
+    column holds str objects and a position column Position members."""
+    for c in GAMEWEEK_SCHEMA:
+        column = getattr(table, c.field)
+        assert type(column) is np.ndarray and column.shape == (len(table),), c.field
+        assert column.dtype == KIND_DTYPES[c.kind], c.field
+        if column.dtype == object:
+            element = Position if c.kind == "position" else str
+            assert all(type(v) is element for v in column.tolist()), c.field
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fplcast.cli import build_parser, load_config, main
@@ -153,7 +153,7 @@ class TestIngest:
             for s, n in zip(spellings, names) if s != n
         ]
         assert names == [first, first, first, tied, first, closer, closer, closer]
-        assert read_cleaned_csv((out / "cleaned_FWD.csv").read_text()).player_name == tuple(names)
+        assert read_cleaned_csv((out / "cleaned_FWD.csv").read_text()).player_name.tolist() == names
         report = (out / "ingest_report.txt").read_text().splitlines()
         assert report[report.index("fuzzy resolutions: 5") + 1:] == lines
 
@@ -172,7 +172,7 @@ class TestIngest:
         raw.write_text(text.replace(row, f'"banabanabanxa","GK",{gameweek},'))
         assert main(["--out", str(out), "ingest", "--raw", f"synthetic={raw}",
                      "--strengths", str(out / "synthetic_strengths.csv")]) == 0
-        names = read_cleaned_csv((out / "cleaned_GK.csv").read_text()).player_name
+        names = read_cleaned_csv((out / "cleaned_GK.csv").read_text()).player_name.tolist()
         assert names.count("banabanabana") == 6 and "banabanabanxa" not in names
         report = (out / "ingest_report.txt").read_text().splitlines()
         score = fmt_num(_similarity_oracle("banabanabanxa", "banabanabana"))
@@ -194,7 +194,7 @@ class TestIngest:
         assert main(["--out", str(out), "ingest", "--raw", f"s1={raw}",
                      "--strengths", str(strengths)]) == 0
         names = read_cleaned_csv((out / "cleaned_FWD.csv").read_text()).player_name
-        assert names == (first.lower(),) * 4
+        assert names.tolist() == [first.lower()] * 4
         assert "fuzzy resolutions: 2" in (out / "ingest_report.txt").read_text()
 
     def test_missing_strength_entry_is_hard_error(self, tmp_path, capsys):
@@ -244,6 +244,20 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err == ("error:parse: line 22: team 'team00' is rated twice in season "
                        "synthetic (first on line 2)\n")
+
+    @pytest.mark.parametrize("flag, line", [("raw", 3), ("strengths", 4)])
+    def test_unreadable_row_is_one_parse_error(self, tmp_path, capsys, flag, line):
+        files = {"raw": write_raw(tmp_path, [raw_line("kane", 1, 90, 5)]),
+                 "strengths": tmp_path / "strengths.csv"}
+        files["strengths"].write_text(STRENGTHS, encoding="utf-8")
+        with open(files[flag], "a", encoding="utf-8") as fh:
+            fh.write("k" * 200_000 + "\n")
+        rc = main(["--out", str(tmp_path / "out"), "ingest", "--raw", f"s1={files['raw']}",
+                   "--strengths", str(files["strengths"])])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error:parse: line {line}: field larger than field limit ({csv.field_size_limit()})\n"
+        )
 
     def test_byte_order_marks_are_dropped(self, tmp_path):
         raw = write_raw(tmp_path, [raw_line("kane", 1, 90, 5)])
@@ -1155,6 +1169,13 @@ class TestEveryFailureIsOneLine:
 
 HUGE = "1" + "0" * 400  # a JSON integer too large for a float
 
+# CNN config keys whose fit diverges in its first epoch: the penalty
+# overflows, or the first Adam steps make the weights nan.
+DIVERGING = [
+    {"cnn_lambda1": 2.68527679243175e307, "epochs": 3},
+    {"learning_rate": 1.157920892373161e77, "epochs": 3},
+]
+
 
 class TestConfigChecks:
     # (config file text, the command that loads it, what the error names)
@@ -1296,6 +1317,33 @@ class TestConfigChecks:
         assert err.startswith("error:config:") and f"'{axis}'" in err
         assert not list((tmp_path / "o").glob("trials_*"))
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("keys", DIVERGING, ids=["huge_lambda1", "huge_learning_rate"])
+    def test_diverging_cnn_is_one_data_error_and_no_model(
+        self, tiny_season, tmp_path, capsys, keys, command
+    ):
+        _, files = tiny_season
+        files = self.with_config(files, tmp_path / "cfg.json", keys)
+        capsys.readouterr()
+        assert main(_argv(command, "cnn", files, tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:data: CNN training diverged in epoch 0: ")
+        assert not list((tmp_path / "o").glob("*.*"))
+
+    def test_diverging_cnn_trial_is_a_failed_trial(self, tiny_season, tmp_path, capsys):
+        _, files = tiny_season
+        grid = {"learning_rate": [0.001, DIVERGING[1]["learning_rate"]]}
+        files = self.with_config(files, tmp_path / "cfg.json", {"grid": grid})
+        capsys.readouterr()
+        assert main(_argv("gridsearch", "cnn", files, tmp_path / "o")) == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "o" / "trials_cnn_MID.csv").read_text()
+        ok, failed = csv.DictReader(text.splitlines())
+        assert (float(ok["learning_rate"]), ok["status"]) == (0.001, "ok")
+        assert failed["status"] == "failed"
+        assert failed["reason"].startswith("ValueError: CNN training diverged in epoch 0: ")
+
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -1338,6 +1386,18 @@ class TestWarnings:
             "warning: every feature is constant: no split is possible and the model "
             "degenerates to its base score\n"
         )
+
+    @pytest.mark.parametrize(
+        "category", [DeprecationWarning, PendingDeprecationWarning, RuntimeWarning]
+    )
+    @pytest.mark.parametrize("module", ["fplcast", "fplcast.dataset"])
+    def test_the_suite_fails_on_a_deprecation_or_numpy_warning_from_fplcast(
+        self, category, module
+    ):
+        # pyproject.toml's filterwarnings turn these into errors in every
+        # test, so a numpy deprecation that fplcast code meets fails the suite.
+        with pytest.raises(category, match="planted"):
+            warnings.warn_explicit("planted", category, "planted.py", 1, module=module)
 
 
 class TestAnyConfig:
@@ -1401,6 +1461,9 @@ class TestAnyConfig:
 
         @settings(max_examples=300, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
+        # Two configs whose CNN fit diverges, once drawn at random.
+        @example("train", "cnn", {**base, **DIVERGING[0]})
+        @example("train", "cnn", {**base, **DIVERGING[1]})
         @given(
             st.sampled_from(["train", "gridsearch", "cv", "evaluate", "rank", "explain"]),
             st.sampled_from(["ridge", "gbm", "cnn"]),

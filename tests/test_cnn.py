@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -468,7 +470,7 @@ class TestAdamStep:
 def window_set(X, d, y):
     """A WindowSet of bare arrays; train reads only X, d and y."""
     n = len(d)
-    return WindowSet(X, d, y, (None,) * n, np.zeros(n, dtype=np.int64))
+    return WindowSet(X, d, y, np.full(n, None, dtype=object), np.zeros(n, dtype=np.int64))
 
 
 def linear_batches(seed, n_train=96, n_val=32, w=3, f=1):
@@ -537,6 +539,33 @@ class TestTrain:
         assert curve_a.val_mse == curve_b.val_mse
         for name, p in best_a.params().items():
             np.testing.assert_array_equal(p, best_b.params()[name])
+
+    @pytest.mark.parametrize("config", [
+        # The penalty overflows to inf.
+        TrainConfig(epochs=3, lambda1=2.68527679243175e307, seed=27),
+        # The first Adam step throws the weights far enough to make nan.
+        TrainConfig(epochs=3, learning_rate=1.157920892373161e77, seed=27),
+    ], ids=["huge_lambda1", "huge_learning_rate"])
+    def test_a_diverging_fit_raises_naming_its_epoch_and_warns_nothing(self, config):
+        train_set, val_set = linear_batches(seed=25)
+        model = init_model(3, 1, 1, n_filters=3, n_hidden=3, seed=26)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^CNN training diverged in epoch 0: "
+                                                 r"train cost (inf|nan), validation MSE"):
+                train(model, train_set, val_set, config)
+
+    def test_a_non_finite_validation_mse_alone_is_a_divergence(self):
+        train_set, val_set = linear_batches(seed=25)
+        X = val_set.X.copy()
+        X[0], X[1] = 1e200, -1e200  # finite windows whose squared errors overflow
+        model = init_model(3, 1, 1, n_filters=3, n_hidden=3, seed=26)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^CNN training diverged in epoch 0: "
+                                                 r"train cost [0-9.]+, validation MSE inf$"):
+                train(model, train_set, window_set(X, val_set.d, val_set.y),
+                      TrainConfig(epochs=3, seed=27))
 
     def test_empty_sets_rejected(self):
         model = init_model(3, 1, 1, seed=0)

@@ -34,7 +34,7 @@ from fplcast.ingest import (
     compute_difficulty,
 )
 
-from conftest import assert_tables_equal, make_table
+from conftest import assert_every_column_is_an_array, assert_tables_equal, make_table
 
 
 def mitrovic_series():
@@ -87,7 +87,7 @@ def build_windows(
         X=np.concatenate(windows),
         d=np.concatenate(d),
         y=target.total_points,
-        players=(series.key,) * len(target),
+        players=np.array([series.key] * len(target), dtype=object),
         target_gameweek=target.gameweek,
     )
 
@@ -155,13 +155,24 @@ class TestWindowSet:
         assert (picked.y[0], picked.d[0]) == (windows.y[1], windows.d[1])
         masked = windows.take(windows.target_gameweek == 3)
         np.testing.assert_array_equal(masked.X, picked.X)
-        assert masked.players == picked.players
+        _same_keys(masked.players, picked.players)
 
     def test_concat_keeps_order(self, strengths):
         windows = Players([mitrovic_series()], strengths).windows(1, FeatureTier.PTSONLY)
         both = concat_windows([windows.take([1]), windows.take([0])])
         assert list(both.target_gameweek) == [3, 2]
         np.testing.assert_array_equal(both.X, windows.X[::-1])
+
+    def test_players_stay_an_object_array_of_keys(self, strengths):
+        windows = Players([mitrovic_series()], strengths).windows(1, FeatureTier.PTSONLY)
+        for picked in (
+            windows, windows.take([1, 0]), windows.take(windows.target_gameweek == 3),
+            windows.take(slice(1, None)), windows.take([]), WindowSet.empty(1, 1),
+            concat_windows([windows.take([1]), WindowSet.empty(1, 1), windows]),
+        ):
+            assert type(picked.players) is np.ndarray and picked.players.dtype == object
+            assert picked.players.shape == (len(picked),)
+            assert all(type(key) is CanonicalPlayerKey for key in picked.players.tolist())
 
     def test_empty_has_window_shape(self):
         empty = WindowSet.empty(3, 2)
@@ -210,8 +221,14 @@ def _oracle(series_list, strengths, split_map, w, tier, split, flip):
                      windows.players, windows.target_gameweek)
 
 
+def _same_keys(a, b):
+    """Two player-key columns: object arrays of equal keys."""
+    assert a.dtype == b.dtype == object
+    assert a.tolist() == b.tolist()
+
+
 def _same_windows(a, b):
-    assert a.players == b.players
+    _same_keys(a.players, b.players)
     for name in ("X", "d", "y", "target_gameweek"):
         _same_bits(getattr(a, name), getattr(b, name))
 
@@ -272,7 +289,7 @@ class TestPlayersWindows:
         every = players.windows(w, tier)
         picked = players.windows(w, tier, split)
         expected = every.take([split_map.get(key) == split for key in every.players])
-        assert picked.players == expected.players
+        _same_keys(picked.players, expected.players)
         for name in ("X", "d", "y", "target_gameweek"):
             _same_bits(getattr(picked, name), getattr(expected, name))
 
@@ -689,6 +706,7 @@ class TestSyntheticSeason:
     def test_row_count(self):
         rows, _ = generate_synthetic_season(1, 13, 9)
         assert len(rows) == 13 * 9
+        assert_every_column_is_an_array(rows)
 
     def test_points_in_legal_range(self):
         rows, _ = generate_synthetic_season(2, 50, 20)

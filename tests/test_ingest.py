@@ -28,7 +28,9 @@ from fplcast.ingest import (
     _levenshtein,
 )
 
-from conftest import assert_tables_equal, make_table
+from fplcast.serialize import read_cleaned_csv, write_cleaned_csv
+
+from conftest import assert_every_column_is_an_array, assert_tables_equal, make_table
 
 HEADER = (
     "name,position,GW,team,opponent_team,minutes,total_points,goals_scored,"
@@ -85,7 +87,7 @@ class TestParseGameweekCsv:
     def test_file_order_preserved(self):
         text = HEADER + "\n" + row_line(name="A") + "\n" + row_line(name="B")
         names = parse_gameweek_csv(text, "2021-22").player_name
-        assert names == ("A", "B")
+        assert names.tolist() == ["A", "B"]
 
     def test_ict_mismatch_warns_only(self):
         bad_ict = row_line().replace("5.5", "50.0")
@@ -303,8 +305,19 @@ class TestColumnarParse:
         unreadable = row_line(name="k" * (csv.field_size_limit() + 1))
         with pytest.raises(RowParseError, match="line 2: non-numeric value 'x'"):
             parse_gameweek_csv("\n".join([HEADER, row_line(minutes="x"), unreadable]), "2021-22")
-        with pytest.raises(csv.Error, match="field limit"):
+        with pytest.raises(RowParseError, match=r"^line 3: field larger than field limit"):
             parse_gameweek_csv("\n".join([HEADER, row_line(), unreadable]), "2021-22")
+
+    def test_an_unreadable_header_or_row_is_a_parse_error_naming_its_line(self):
+        unreadable = "k" * (csv.field_size_limit() + 1)
+        for text, line in (
+            (unreadable, 1),
+            ("\n".join([HEADER, row_line(), "", row_line(name=unreadable)]), 4),
+            # A quoted cell may span lines: the error names the line read last.
+            ("\n".join([HEADER, f'"{unreadable[:9]}\n{unreadable}",MID']), 3),
+        ):
+            with pytest.raises(RowParseError, match=rf"^line {line}: field larger than"):
+                parse_gameweek_csv(text, "2021-22")
 
     def test_minutes_bounds(self):
         for minutes in (0, 120):
@@ -353,10 +366,39 @@ class TestGameweekTable:
     def test_take_by_indices_mask_or_slice(self):
         rows = make_table(gameweek=[1, 2, 3], player_name=["a", "b", "c"])
         picked = rows.take([2, 0])
-        assert picked.player_name == ("c", "a") and picked.gameweek.tolist() == [3, 1]
+        assert picked.player_name.tolist() == ["c", "a"] and picked.gameweek.tolist() == [3, 1]
         assert_tables_equal(rows.take(rows.gameweek != 2), rows.take([0, 2]))
+        assert_tables_equal(rows.take([True, False, True]), rows.take([0, 2]))
         assert_tables_equal(rows.take(slice(1, 3)), rows.take([1, 2]))
         assert len(rows.take([])) == 0
+
+    def test_every_column_is_an_array_after_every_operation(self):
+        rows = make_table(gameweek=[1, 2, 3], player_name=["a", "b", "c"],
+                          position=[Position.GK, Position.MID, Position.FWD])
+        for table in (
+            rows, GameweekTable.empty(), rows.take([2, 0]), rows.take(slice(1, 3)),
+            rows.take(rows.gameweek > 1), rows.take([]),
+            GameweekTable.concat([rows, GameweekTable.empty(), rows.take([1])]),
+            GameweekTable.concat([]),
+            rows.replace(player_name=("x", "y", "z"), position=[Position.DEF] * 3),
+            parse_gameweek_csv("\n".join([HEADER, row_line(), row_line(name="B")]), "2021-22"),
+            parse_gameweek_csv(HEADER, "2021-22"),
+            read_cleaned_csv(write_cleaned_csv(rows)),
+            read_cleaned_csv(write_cleaned_csv(GameweekTable.empty())),
+        ):
+            assert_every_column_is_an_array(table)
+
+    def test_the_table_comparison_sees_bits_and_element_types(self):
+        rows = make_table(influence=[0.0, 1.0], player_name=["a", "b"])
+        assert_tables_equal(rows, rows.replace(player_name=["a", "b"]))
+        for changed in (
+            rows.replace(influence=[-0.0, 1.0]),  # equal values, other bits
+            rows.replace(player_name=[np.str_("a"), "b"]),  # equal values, other types
+            rows.replace(player_name=["a", "c"]),
+            rows.replace(position=[Position.FWD, Position.MID]),
+        ):
+            with pytest.raises(AssertionError):
+                assert_tables_equal(rows, changed)
 
     def test_concat_keeps_order_and_types(self):
         rows = make_table(gameweek=[1, 2], was_home=[True, False])
@@ -368,7 +410,8 @@ class TestGameweekTable:
     def test_replace_swaps_columns_and_leaves_the_original(self):
         rows = make_table(player_name=["a", "b"])
         renamed = rows.replace(player_name=["x", "y"])
-        assert renamed.player_name == ("x", "y") and rows.player_name == ("a", "b")
+        assert renamed.player_name.tolist() == ["x", "y"]
+        assert rows.player_name.tolist() == ["a", "b"]
         assert renamed.minutes is rows.minutes
         with pytest.raises(TypeError):
             rows.replace(no_such_column=[1, 2])
@@ -635,6 +678,16 @@ class TestParseStrengths:
         text = "season,team,strength\n2021-22,Fulham,3\n"
         assert parse_strengths_csv("\ufeff" + text) == parse_strengths_csv(text)
         assert parse_strengths_csv(("\ufeff" + text).encode("utf-8")) == parse_strengths_csv(text)
+
+    def test_unreadable_row_is_a_parse_error_after_the_rows_before_it(self):
+        unreadable = "k" * (csv.field_size_limit() + 1)
+        text = f"season,team,strength\n2021-22,Fulham,3\n2021-22,{unreadable},4\n"
+        with pytest.raises(RowParseError, match=r"^line 3: field larger than field limit"):
+            parse_strengths_csv(text)
+        with pytest.raises(RowParseError, match=r"^line 2: strength must be in \[1, 5\]"):
+            parse_strengths_csv(text.replace(",3", ",9"))
+        with pytest.raises(RowParseError, match=r"^line 1: field larger than field limit"):
+            parse_strengths_csv(unreadable + ",team,strength\n")
 
     def test_out_of_range_strength_rejected(self):
         with pytest.raises(RowParseError, match="strength"):
