@@ -64,6 +64,7 @@ from .ingest import (
     fuzzy_match,
     parse_gameweek_csv,
     parse_strengths_csv,
+    season_strengths,
     token_sort_similarity,
 )
 from .ridge import export_coefficients
@@ -242,11 +243,14 @@ def cmd_ingest(args, config) -> int:
     strengths = parse_strengths_csv(_read_text(args.strengths, "strengths"))
     threshold = float(config["fuzzy_threshold"])
 
-    parts = []
+    parts, seasons = [], set()
     for raw_item in args.raw:
         season, sep, path = raw_item.partition("=")
         if not sep:
             raise CliError("usage", "--raw items must look like SEASON=PATH")
+        if season in seasons:  # kickoff_order ranks the rows of one file
+            raise CliError("usage", f"--raw names season '{season}' twice (one file per season)")
+        seasons.add(season)
         parts.append((path, parse_gameweek_csv(_read_text(path, "raw"), season)))
     read = GameweekTable.concat([table for _, table in parts])
 
@@ -297,10 +301,9 @@ def cmd_ingest(args, config) -> int:
     # Every (season, team) pair must have a rating; an error names the first bad row.
     matches = zip(kept.season.tolist(), kept.team.tolist(), kept.opponent.tolist())
     for season, team, opponent in dict.fromkeys(matches):
-        if season not in strengths:
-            raise TeamLookupError(f"no strength table for season '{season}'")
-        strengths[season].strength(team)
-        strengths[season].strength(opponent)
+        ratings = season_strengths(strengths, season)
+        ratings.strength(team)
+        ratings.strength(opponent)
 
     per_position = {p: kept.take(kept.position == p) for p in Position.ordered()}
     out = _out_dir(args)
@@ -816,9 +819,7 @@ def main(argv=None) -> int:
                 category = exc.category
             else:
                 category = next(c for kind, c in _CATEGORIES if isinstance(exc, kind))
-            # A KeyError's str() quotes its message; a lookup error shows it bare.
-            message = exc.args[0] if isinstance(exc, TeamLookupError) else str(exc)
-            print(f"error:{category}: " + _one_line(message), file=sys.stderr)
+            print(f"error:{category}: " + _one_line(exc), file=sys.stderr)
             return 1
 
 

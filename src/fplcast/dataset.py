@@ -29,6 +29,7 @@ from .ingest import (
     TeamStrengthTable,
     canonicalize_name,
     compute_difficulty,
+    season_strengths,
 )
 
 __all__ = [
@@ -244,12 +245,10 @@ class Players:
         d = np.empty(len(t), dtype=np.int64)
         seasons = table.season[t].tolist()
         for run in _runs(seasons):
-            season, season_strengths = seasons[run.start], self.strengths
-            if isinstance(season_strengths, dict):
-                if season not in season_strengths:
-                    raise KeyError(f"no strength table for season '{season}'")
-                season_strengths = season_strengths[season]
-            d[run] = compute_difficulty(table.take(t[run]), season_strengths)
+            strengths = self.strengths
+            if isinstance(strengths, dict):
+                strengths = season_strengths(strengths, seasons[run.start])
+            d[run] = compute_difficulty(table.take(t[run]), strengths)
         return WindowSet(
             X=table.matrix(columns)[t[:, None] - w + np.arange(w)],
             d=-d if self.flip_difficulty else d,

@@ -7,10 +7,10 @@ gameweek and strength CSVs, scores and matches player names, drops
 benched appearances and computes match difficulty; cli.cmd_ingest merges
 the spellings and dataset.Players.windows attaches difficulty.
 
-A gameweek file is read in blocks of rows, each converted column by
-column (numeric_column also serves the cleaned-file reader). Only a
-column that fails is parsed cell by cell, to find its first bad cell; a
-bad file raises the error a row-by-row parse would meet first.
+Every CSV record comes from csv_records, numbered by its physical line.
+A gameweek file is read in blocks of rows. A clean block is converted
+column by column; any other block is parsed row by row, so a bad file
+warns and raises its first error in row order.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "TeamLookupError",
     "parse_gameweek_csv",
     "parse_strengths_csv",
+    "season_strengths",
     "canonicalize_name",
     "token_sort_similarity",
     "fuzzy_match",
@@ -71,7 +72,8 @@ class RowParseError(ValueError):
 
 
 class TeamLookupError(KeyError):
-    """A team has no strength rating for its season."""
+    """A season has no strength table, or a team no rating in its season."""
+    __str__ = BaseException.__str__  # the message bare, not quoted as a KeyError's
 
 
 class Column(NamedTuple):
@@ -216,6 +218,13 @@ class TeamStrengthTable:
                 f"no strength rating for team '{team}' in season {self.season}"
             )
         return self.entries[key]
+
+
+def season_strengths(strengths: dict[str, TeamStrengthTable], season: str) -> TeamStrengthTable:
+    """The strength table of `season`, or TeamLookupError if it has none."""
+    if season not in strengths:
+        raise TeamLookupError(f"no strength table for season '{season}'")
+    return strengths[season]
 
 
 @dataclass(frozen=True)
@@ -428,10 +437,11 @@ def numeric_column(cells: Sequence[str], kind: str) -> tuple[np.ndarray, int | N
     return np.fromiter(map(int, cells), np.int64, len(cells)), None
 
 
-def _csv_reader(source):
-    """The records of a csv.reader over `source` (str, bytes, or a text or
-    byte stream), less one leading byte-order mark, as spreadsheets write
-    it. A record the reader cannot read raises RowParseError."""
+def csv_records(source):
+    """(line, record) for each record of a csv.reader over `source` (str,
+    bytes, or a text or byte stream), less one leading byte-order mark, as
+    spreadsheets write it. `line` is the physical line the record ends on: a
+    quoted cell may span lines. An unreadable record raises RowParseError."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
@@ -444,7 +454,8 @@ def _csv_reader(source):
         lines = itertools.chain([first.removeprefix("\ufeff")], lines)
     reader = csv.reader(lines)
     try:
-        yield from reader
+        for record in reader:
+            yield reader.line_num, record
     except csv.Error as exc:
         raise RowParseError(str(exc), reader.line_num) from None
 
@@ -453,7 +464,7 @@ def _blocks(reader):
     """(records, line numbers) of the non-blank records, _BLOCK_ROWS at a time."""
     records, lines = [], []
     try:
-        for line, record in enumerate(reader, start=2):
+        for line, record in reader:
             if any(map(str.strip, record)):
                 records.append(record)
                 lines.append(line)
@@ -467,85 +478,73 @@ def _blocks(reader):
     yield records, lines
 
 
-def _raw_column(c: Column, cells: tuple, lines: list[int]):
-    """(values, None) if every cell of a raw column parses, else (the values
-    before its first bad cell, (that cell's row, its RowParseError)). A None
-    cell is one that a short row lacks."""
-    parse = _CELL_PARSERS[c.kind]
-    if None not in cells:
-        try:
-            if c.kind == "text":
-                return cells, None
-            if c.kind in ("position", "bool"):
-                known = {cell: parse(cell, c.csv, 0) for cell in set(cells)}
-                return list(map(known.__getitem__, cells)), None
-            values, non_finite = numeric_column(cells, c.kind)
-            if non_finite is None:
-                return values, None
-        except (ValueError, OverflowError):
-            pass
-    # A cell is bad, or an int column holds floats: parse cell by cell.
-    values = []
-    for row, (cell, line) in enumerate(zip(cells, lines)):
-        try:
-            if cell is None:
-                raise RowParseError(f"row too short for column '{c.csv}'", line)
-            values.append(parse(cell, c.csv, line))
-        except RowParseError as exc:
-            return values, (row, exc)
-    return values, None
+def _raw_column(c: Column, cells: tuple):
+    """A raw column's values if it converts whole, else None: a cell is bad
+    or missing (None, from a short row), or an int column holds floats."""
+    try:
+        if None in cells:
+            return None
+        if c.kind == "text":
+            return cells
+        if c.kind in ("position", "bool"):
+            known = {cell: _CELL_PARSERS[c.kind](cell, c.csv, 0) for cell in set(cells)}
+            return list(map(known.__getitem__, cells))
+        values, non_finite = numeric_column(cells, c.kind)
+        return values if non_finite is None else None
+    except (ValueError, OverflowError):
+        return None
 
 
 def _parse_block(records, lines, cells, kickoff_col, width, season):
     """One block of raw records as a table (kickoff_order 0) and each row's
     (gameweek, kickoff_time, line) sort key.
 
-    A bad block raises the error a row-by-row parse meets first: each row
-    takes its cells in RAW_SCHEMA order, then the gameweek and minutes
-    checks, then its kickoff_time cell; rows before it warn first.
+    A block is converted column by column if every column converts whole,
+    no row is short, every gameweek and minutes value is in range and no
+    ict_index warns; any other block is parsed by _parse_rows.
     """
-    # A row's steps: its cells 0 .. last - 1, then the gameweek (last),
-    # minutes (last + 1) and kickoff_time (last + 2) checks.
-    n, last = len(records), len(cells)
+    n = len(records)
     columns = list(itertools.zip_longest(*records))  # None where a row is short
     columns += [(None,) * n] * (width - len(columns))  # header columns no row reaches
-    values, failures = {}, []  # failures: (row, step of the row, error)
-    for step, (c, idx) in enumerate(cells):
-        column = ("0",) * n if idx is None else columns[idx]
-        values[c.field], bad = _raw_column(c, column, lines)
-        if bad:
-            failures.append((bad[0], step, bad[1]))
+    values = {c.field: _raw_column(c, ("0",) * n if idx is None else columns[idx])
+              for c, idx in cells}
     kickoffs = ("",) * n if kickoff_col is None else columns[kickoff_col]
-    if None in kickoffs:
-        row = kickoffs.index(None)
-        failures.append((row, last + 2, RowParseError(
-            "row too short for column 'kickoff_time'", lines[row])))
+    if any(v is None for v in values.values()) or None in kickoffs:
+        return _parse_rows(records, lines, cells, kickoff_col, season)
+    t = GameweekTable(season=(season,) * n, kickoff_order=np.zeros(n, int), **values)
+    ict_off = np.abs(t.ict_index - (t.influence + t.creativity + t.threat) / 10.0) > 0.5
+    if ((t.gameweek < 1) | (t.minutes < 0) | (t.minutes > 120) | ict_off).any():
+        return _parse_rows(records, lines, cells, kickoff_col, season)
+    return t, list(zip(t.gameweek.tolist(), kickoffs, lines))
 
-    # Rows before the first bad cell are whole, so their checks are reached.
-    whole = min([row for row, step, _ in failures if step < last], default=n)
-    table = GameweekTable(season=(season,) * whole, kickoff_order=np.zeros(whole, dtype=np.int64),
-                          **{field: column[:whole] for field, column in values.items()})
-    gameweek, minutes = table.gameweek, table.minutes
-    for step, column, bad, message in (
-        (last, gameweek, gameweek < 1, "gameweek must be >= 1, got {}"),
-        (last + 1, minutes, (minutes < 0) | (minutes > 120), "minutes out of range [0, 120]: {}"),
-    ):
-        for row in np.flatnonzero(bad)[:1].tolist():
-            failures.append((row, step, RowParseError(message.format(column[row]), lines[row])))
-    first = min(failures, key=lambda f: f[:2], default=None)
 
-    # A short kickoff_time comes after its row's warning.
-    end = n if first is None else first[0] + (first[1] == last + 2)
-    expected = (table.influence + table.creativity + table.threat)[:end] / 10.0
-    for row in np.flatnonzero(np.abs(table.ict_index[:end] - expected) > 0.5).tolist():
-        warnings.warn(
-            f"line {lines[row]}: ict_index {float(table.ict_index[row])} deviates from "
-            f"(influence+creativity+threat)/10 = {float(expected[row]):.2f}",
-            stacklevel=3,
-        )
-    if first is not None:
-        raise first[2]
-    return table, list(zip(gameweek.tolist(), kickoffs, lines))
+def _parse_rows(records, lines, cells, kickoff_col, season):
+    """_parse_block's result, parsed as the rows are read: a row's cells in
+    RAW_SCHEMA order, then its gameweek and minutes checks, its ict_index
+    warning and its kickoff_time cell. The first failure raises."""
+    rows, keys = [], []
+    for record, line in zip(records, lines):
+        row = {}
+        for c, idx in cells:
+            if idx is not None and idx >= len(record):
+                raise RowParseError(f"row too short for column '{c.csv}'", line)
+            row[c.field] = 0 if idx is None else _CELL_PARSERS[c.kind](record[idx], c.csv, line)
+        if row["gameweek"] < 1:
+            raise RowParseError(f"gameweek must be >= 1, got {row['gameweek']}", line)
+        if not 0 <= row["minutes"] <= 120:
+            raise RowParseError(f"minutes out of range [0, 120]: {row['minutes']}", line)
+        expected = (row["influence"] + row["creativity"] + row["threat"]) / 10.0
+        if abs(row["ict_index"] - expected) > 0.5:
+            # stacklevel 4 names the caller of parse_gameweek_csv.
+            warnings.warn(f"line {line}: ict_index {row['ict_index']} deviates from "
+                          f"(influence+creativity+threat)/10 = {expected:.2f}", stacklevel=4)
+        if kickoff_col is not None and kickoff_col >= len(record):
+            raise RowParseError("row too short for column 'kickoff_time'", line)
+        rows.append(row)
+        keys.append((row["gameweek"], "" if kickoff_col is None else record[kickoff_col], line))
+    n = len(rows)
+    columns = {c.field: [row[c.field] for row in rows] for c, _ in cells}
+    return GameweekTable(season=(season,) * n, kickoff_order=np.zeros(n, int), **columns), keys
 
 
 def parse_gameweek_csv(source, season: str) -> GameweekTable:
@@ -557,8 +556,8 @@ def parse_gameweek_csv(source, season: str) -> GameweekTable:
     rows sort into a total order within the season. Rows are converted a
     block at a time, column by column.
     """
-    reader = _csv_reader(source)
-    header = next(reader, None)
+    reader = csv_records(source)
+    header = next((record for _, record in reader), None)
     if header is None:
         raise SchemaError("empty file: no header row")
 
@@ -572,11 +571,9 @@ def parse_gameweek_csv(source, season: str) -> GameweekTable:
     # Each raw column with its cell index; None for a left-out opt_int.
     cells = [(c, gw_col if c.csv == "GW" else col.get(c.csv)) for c in RAW_SCHEMA]
 
-    parts, sort_keys = [], []
+    kickoff_col, parts, sort_keys = col.get("kickoff_time"), [], []
     for records, lines in _blocks(reader):
-        table, keys = _parse_block(
-            records, lines, cells, col.get("kickoff_time"), len(header), season
-        )
+        table, keys = _parse_block(records, lines, cells, kickoff_col, len(header), season)
         parts.append(table)
         sort_keys.extend(keys)
     # A row's kickoff_order is its rank in sort_keys order.
@@ -589,8 +586,8 @@ def parse_gameweek_csv(source, season: str) -> GameweekTable:
 def parse_strengths_csv(source) -> dict[str, TeamStrengthTable]:
     """Parse a season/team/strength CSV into per-season strength tables.
     Each team is rated at most once per season."""
-    reader = _csv_reader(source)
-    header = next(reader, None)
+    reader = csv_records(source)
+    header = next((record for _, record in reader), None)
     if header is None:
         raise SchemaError("empty strengths file: no header row")
     col = {name: i for i, name in enumerate(header)}
@@ -601,7 +598,7 @@ def parse_strengths_csv(source) -> dict[str, TeamStrengthTable]:
     tables: dict[str, TeamStrengthTable] = {}
     rated_on: dict[tuple[str, str], int] = {}  # (season, team) -> line
     width = 1 + max(col["season"], col["team"], col["strength"])
-    for line_no, record in enumerate(reader, start=2):
+    for line_no, record in reader:
         if not record or all(not cell.strip() for cell in record):
             continue
         if len(record) < width:
@@ -609,9 +606,7 @@ def parse_strengths_csv(source) -> dict[str, TeamStrengthTable]:
         season, team = record[col["season"]], record[col["team"]]
         strength = _parse_int(record[col["strength"]], "strength", line_no)
         if not 1 <= strength <= 5:
-            raise RowParseError(
-                f"strength must be in [1, 5], got {strength}", line_no
-            )
+            raise RowParseError(f"strength must be in [1, 5], got {strength}", line_no)
         key = canonicalize_name(team)
         first = rated_on.setdefault((season, key), line_no)
         if first != line_no:

@@ -39,6 +39,7 @@ from .ingest import (
     CanonicalPlayerKey,
     GameweekTable,
     Position,
+    csv_records,
     numeric_column,
 )
 from .ridge import RidgeModel
@@ -255,20 +256,21 @@ def _read_column(c, cells: tuple[str, ...], lines: list[int]):
 
 @_format_checked
 def read_cleaned_csv(text: str) -> GameweekTable:
-    reader = csv.reader(io.StringIO(text))
-    if next(reader, None) != _CLEANED_HEADER:
+    """A cleaned gameweek file as a table. Its records come from
+    ingest.csv_records, so each error names the physical line of a record."""
+    reader = csv_records(text)
+    if next((rec for _, rec in reader), None) != _CLEANED_HEADER:
         raise FormatError("not a cleaned gameweek file (unexpected header)")
     records, lines = [], []
-    for rec in reader:
+    for line, rec in reader:
         if not rec:
             continue
         if len(rec) != len(_CLEANED_HEADER):
             raise FormatError(
-                f"line {reader.line_num}: expected {len(_CLEANED_HEADER)} cells, "
-                f"found {len(rec)}"
+                f"line {line}: expected {len(_CLEANED_HEADER)} cells, found {len(rec)}"
             )
         records.append(rec)
-        lines.append(reader.line_num)
+        lines.append(line)
     columns = zip(*records) if records else [()] * len(GAMEWEEK_SCHEMA)
     return GameweekTable(**{
         c.field: _read_column(c, cells, lines)

@@ -16,11 +16,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fplcast.cli import build_parser, load_config, main
+from fplcast.dataset import generate_synthetic_season
 from fplcast.evaluation import average_ranks
 from fplcast.ingest import GameweekTable
 from fplcast.gbm import predict_gbm
 from fplcast.serialize import (
     ModelContext, fmt_num, read_cleaned_csv, read_cnn, read_gbm, read_splits, write_gbm,
+    write_raw_csv, write_table,
 )
 
 from test_gbm import sixteen_feature_model
@@ -92,6 +94,24 @@ class TestIngest:
         assert "dropped: 2 benched" in report
         rows = read_cleaned_csv((out / "cleaned_FWD.csv").read_text())
         assert len(rows) == 3
+
+    def test_a_season_named_twice_is_a_usage_error(self, tmp_path, capsys):
+        rows, strengths = generate_synthetic_season(seed=3, n_players=10, n_weeks=6)
+        late, early = tmp_path / "late.csv", tmp_path / "early.csv"
+        late.write_text(write_raw_csv(rows.take(rows.gameweek >= 4)))
+        early.write_text(write_raw_csv(rows.take(rows.gameweek <= 3)))
+        strengths_file = tmp_path / "strengths.csv"
+        strengths_file.write_text(write_table("season,team,strength", (
+            [strengths.season, team, rating] for team, rating in strengths.entries.items()
+        )))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--out", str(out), "ingest", "--raw", f"synthetic={late}",
+                     f"synthetic={early}", "--strengths", str(strengths_file)]) == 1
+        assert capsys.readouterr().err == (
+            "error:usage: --raw names season 'synthetic' twice (one file per season)\n"
+        )
+        assert not list(tmp_path.glob("out/cleaned_*.csv"))
 
     def test_duplicate_spelling_merged_and_logged(self, tmp_path):
         lines = [
@@ -1114,6 +1134,38 @@ class TestInputFileFailures:
         err = capsys.readouterr().err
         _assert_one_error_line(err)
         assert err.startswith("error:lookup: no strength rating for team 'te am")
+
+    @pytest.mark.parametrize("command", ["ingest", "train", "cv"])
+    def test_a_season_without_strengths_is_one_lookup_error(
+        self, tiny_season, tmp_path, capsys, command
+    ):
+        _, files = tiny_season
+        strengths = tmp_path / "strengths.csv"
+        strengths.write_text(open(files["strengths"]).read().replace("synthetic", "other"))
+        capsys.readouterr()
+        assert main(_argv(command, "ridge", {**files, "strengths": str(strengths)},
+                          tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            "error:lookup: no strength table for season 'synthetic'\n"
+        )
+
+    def test_a_season_without_strengths_is_each_trials_lookup_reason(
+        self, tiny_season, tmp_path, capsys
+    ):
+        _, files = tiny_season
+        strengths = tmp_path / "strengths.csv"
+        strengths.write_text(open(files["strengths"]).read().replace("synthetic", "other"))
+        capsys.readouterr()
+        assert main(_argv("gridsearch", "ridge", {**files, "strengths": str(strengths)},
+                          tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "error:data: every MID trial failed\n"
+        with open(tmp_path / "out" / "trials_ridge_MID.csv", newline="") as f:
+            reasons = {row["reason"] for row in csv.DictReader(f)}
+        # The tiny season is too short for the largest windows' trials.
+        assert reasons == {
+            "TeamLookupError: no strength table for season 'synthetic'",
+            "ValueError: train and validation example sets must be non-empty",
+        }
 
 
 @st.composite

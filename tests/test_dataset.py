@@ -74,7 +74,7 @@ def build_windows(
         season, season_strengths = table.season[run.start], strengths
         if isinstance(strengths, dict):
             if season not in strengths:
-                raise KeyError(f"no strength table for season '{season}'")
+                raise TeamLookupError(f"no strength table for season '{season}'")
             season_strengths = strengths[season]
         # Window i holds rows i..i+w-1 and predicts row i+w.
         windows.append(sliding_window_view(feats[run], w, axis=0)[:-1].transpose(0, 2, 1))

@@ -28,7 +28,8 @@ from fplcast.ingest import (
     _levenshtein,
 )
 
-from fplcast.serialize import read_cleaned_csv, write_cleaned_csv
+from fplcast.dataset import generate_synthetic_season
+from fplcast.serialize import read_cleaned_csv, write_cleaned_csv, write_raw_csv
 
 from conftest import assert_every_column_is_an_array, assert_tables_equal, make_table
 
@@ -115,7 +116,8 @@ class TestParseGameweekCsv:
 
 def _parse_gameweek_csv_oracle(text: str, season: str) -> GameweekTable:
     # parse_gameweek_csv as it stood before it converted whole columns:
-    # every cell parsed on its own, row by row.
+    # every cell parsed on its own, row by row. A row is numbered by the
+    # physical line it ends on.
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -134,7 +136,8 @@ def _parse_gameweek_csv_oracle(text: str, season: str) -> GameweekTable:
     raw_fields = [c.field for c in RAW_SCHEMA]
 
     records, sort_keys = [], []
-    for line_no, record in enumerate(reader, start=2):
+    for record in reader:
+        line_no = reader.line_num
         if not record or all(not cell.strip() for cell in record):
             continue
         values = []
@@ -240,7 +243,8 @@ def _raw_columns(seed: int, n: int) -> dict[str, list[str]]:
 @st.composite
 def raw_files(draw):
     """(block size, file text) for a file of more than one block, with 0-3
-    faults in rows of any block and at block boundaries."""
+    faults in rows of any block and at block boundaries, and 0-2 quoted
+    names that span two lines."""
     block = draw(st.sampled_from([1, 2, 3, 7, ingest._BLOCK_ROWS]))
     n = draw(st.integers(block + 1, 2 * block + 2 if block > 7 else 4 * block))
     columns = _raw_columns(draw(st.integers(0, 2**32 - 1)), n)
@@ -261,6 +265,8 @@ def raw_files(draw):
             targets, cells = _FAULTS[kind]
             column = draw(st.sampled_from(targets))
             columns[column][row] = draw(st.sampled_from(cells))
+    for row in draw(st.sets(rows, max_size=2)):
+        columns["name"][row] = f'"{columns["name"][row]}\nthe {row}th"'
     lines = []
     for row in range(n):
         cells = [columns[name][row] for name in names]
@@ -341,6 +347,77 @@ class TestColumnarParse:
         assert_tables_equal(
             parse_gameweek_csv(io.BytesIO(data), "2021-22"), parse_gameweek_csv(text, "2021-22")
         )
+
+    def test_a_clean_season_never_reaches_the_row_loop(self):
+        rows, _ = generate_synthetic_season(seed=3, n_players=200, n_weeks=38)
+        text = write_raw_csv(rows)
+        with mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row loop")):
+            parsed = parse_gameweek_csv(text, "synthetic")
+        assert_tables_equal(parsed, _parse_gameweek_csv_oracle(text, "synthetic"))
+
+    def test_an_integer_written_as_a_float_takes_the_row_loop(self):
+        rows = [row_line(name=f"p{i}", minutes=90 - i) for i in range(5)]
+        rows[3] = row_line(name="p3", minutes="3.0")
+        text = "\n".join([HEADER, *rows]) + "\n"
+        with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_loop:
+            _assert_same_outcome(text)
+        assert row_loop.call_count == 1
+        assert parse_gameweek_csv(text, "2021-22").minutes.tolist() == [90, 89, 88, 3, 86]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_a_non_finite_float_is_rejected(self, value):
+        text = "\n".join([HEADER, row_line(), row_line().replace("10.0", value)])
+        _assert_same_outcome(text)
+        message = f"^line 3: non-finite value '{value}' in column 'influence'$"
+        with pytest.raises(RowParseError, match=message):
+            parse_gameweek_csv(text, "2021-22")
+
+    def test_a_row_short_of_its_kickoff_time_is_rejected(self):
+        text = "\n".join([HEADER + ",kickoff_time", row_line() + ",2021-08-14", row_line()])
+        _assert_same_outcome(text)
+        with pytest.raises(RowParseError, match="^line 3: row too short for column 'kickoff_t"):
+            parse_gameweek_csv(text, "2021-22")
+
+    def test_a_row_loop_warning_names_the_callers_line(self):
+        text = "\n".join([HEADER, row_line(minutes="90.0").replace("5.5", "50.0")])
+
+        def caller():
+            return parse_gameweek_csv(text, "2021-22")
+
+        with pytest.warns(UserWarning, match="line 2: ict_index 50.0") as caught:
+            caller()
+        line = caller.__code__.co_firstlineno + 1
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+
+
+class TestPhysicalLines:
+    """A quoted cell may span lines; every later message names the line a
+    record ends on, not its record count."""
+
+    TWO_LINE_NAME = row_line(name='"A\nB"')
+
+    def test_a_bad_cell_after_a_two_line_name(self):
+        text = "\n".join([HEADER, self.TWO_LINE_NAME, row_line(minutes="x")])
+        with pytest.raises(RowParseError, match="^line 4: non-numeric value 'x'"):
+            parse_gameweek_csv(text, "2021-22")
+
+    def test_an_ict_warning_after_a_two_line_name(self):
+        text = "\n".join([HEADER, self.TWO_LINE_NAME, row_line().replace("5.5", "50.0")])
+        with pytest.warns(UserWarning, match="^line 4: ict_index 50.0"):
+            rows = parse_gameweek_csv(text, "2021-22")
+        assert rows.player_name.tolist() == ["A\nB", "Harry Kane"]
+
+    def test_a_strength_after_a_two_line_team(self):
+        text = 'season,team,strength\n2021-22,"West\nHam",3\n2021-22,Arsenal,9\n'
+        with pytest.raises(RowParseError, match=r"^line 4: strength must be in \[1, 5\]"):
+            parse_strengths_csv(text)
+
+    def test_a_team_rated_twice_after_a_two_line_team(self):
+        text = 'season,team,strength\n2021-22,"West\nHam",3\n2021-22,Fulham,4\n2021-22,fulham,2\n'
+        with pytest.raises(RowParseError, match=(
+            r"^line 5: team 'fulham' is rated twice in season 2021-22 \(first on line 4\)$"
+        )):
+            parse_strengths_csv(text)
 
 
 class TestParseIntegers:

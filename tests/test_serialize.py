@@ -108,6 +108,18 @@ class TestCleanedRoundTrip:
         with pytest.raises(FormatError):
             read_cleaned_csv("a,b,c\n1,2,3\n")
 
+    def test_an_unreadable_cell_is_a_format_error_naming_its_line(self, season):
+        rows, _ = season
+        header, first, second, *rest = write_cleaned_csv(rows).splitlines()
+        second = second.replace('"', '"' + "k" * 200_000, 1)
+        text = "\n".join([header, first, second, *rest]) + "\n"
+        with pytest.raises(FormatError, match="line 3: field larger than field limit"):
+            read_cleaned_csv(text)
+
+    def test_a_byte_order_mark_is_dropped(self, season):
+        rows, _ = season
+        assert_tables_equal(read_cleaned_csv("\ufeff" + write_cleaned_csv(rows)), rows)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_random_tables_survive_and_rewrite_to_the_same_bytes(self, data):
