@@ -60,11 +60,11 @@ from .ingest import (
     SchemaError,
     TeamLookupError,
     canonicalize_name,
+    check_ratings,
     drop_benched,
     fuzzy_match,
     parse_gameweek_csv,
     parse_strengths_csv,
-    season_strengths,
     token_sort_similarity,
 )
 from .ridge import export_coefficients
@@ -211,7 +211,8 @@ def _read_cleaned(paths: list[str]) -> GameweekTable:
 def _players(args, config, positions: str):
     """(position, Players) for each of `positions` ("all" or one), under the
     config's difficulty sign. Reads --cleaned, --strengths and any --splits,
-    and applies any --season, when called; checks a position when reached."""
+    applies any --season and checks that the strengths rate every season and
+    team of the rows, when called; checks a position when reached."""
     rows = _read_cleaned(args.cleaned)
     strengths = parse_strengths_csv(_read_text(args.strengths, "strengths"))
     splits = None
@@ -222,6 +223,7 @@ def _players(args, config, positions: str):
         rows = rows.take(rows.season == season)
         if not len(rows):
             raise CliError("data", f"no cleaned rows for season '{season}'")
+    check_ratings(rows, strengths)
     all_series = build_series(rows)
     flip = config["difficulty_sign"] == "own_minus_opponent"
 
@@ -298,12 +300,7 @@ def cmd_ingest(args, config) -> int:
     kept = drop_benched(read.replace(player_name=names))
     dropped = len(read) - len(kept)
 
-    # Every (season, team) pair must have a rating; an error names the first bad row.
-    matches = zip(kept.season.tolist(), kept.team.tolist(), kept.opponent.tolist())
-    for season, team, opponent in dict.fromkeys(matches):
-        ratings = season_strengths(strengths, season)
-        ratings.strength(team)
-        ratings.strength(opponent)
+    check_ratings(kept, strengths)
 
     per_position = {p: kept.take(kept.position == p) for p in Position.ordered()}
     out = _out_dir(args)
@@ -792,7 +789,6 @@ _CATEGORIES = (
     (TeamLookupError, "lookup"),
     (ser.FormatError, "format"),
     (ValueError, "data"),
-    (KeyError, "data"),
 )
 
 

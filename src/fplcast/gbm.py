@@ -34,7 +34,11 @@ the tree.
 Shapley values are exact and computed by leaf paths: each tree is a set
 of leaves, each with one interval per feature, and each (leaf, background
 row) pair is a game with a closed-form value. The cost is
-O(trees x leaves x background rows x features).
+O(trees x leaves x background rows x features). Trees with the same leaf
+count and number of features split on form a group, evaluated at once on
+(trees, background rows, leaves, features) arrays, so the number of numpy
+calls grows with the groups, not the trees; each tree's terms are then
+summed in tree order, as a loop over trees would sum them.
 """
 
 from __future__ import annotations
@@ -376,24 +380,31 @@ def split_importance(model: GbmModel) -> SplitImportance:
 
 def _leaf_boxes(tree: RegressionTree):
     """The features `tree` splits on, and each leaf's value and interval
-    (lo, hi] on each. A left child caps hi at the threshold, a right child
-    raises lo to it: a contradictory path's interval holds no row."""
+    (lo, hi] on each, as lists. A left child caps hi at the threshold, a
+    right child raises lo to it: a contradictory path's interval holds no
+    row."""
     used = sorted({n.feature for n in tree.nodes if not n.is_leaf})
     column = {f: c for c, f in enumerate(used)}
-    leaves = []
-    stack = [(0, np.full(len(used), -np.inf), np.full(len(used), np.inf))]
+    values, bounds = [], []
+    stack = [(0, [-math.inf] * len(used), [math.inf] * len(used))]
     while stack:
         node_id, lo, hi = stack.pop()
         node = tree.nodes[node_id]
         if node.is_leaf:
-            leaves.append((node.value, lo, hi))
+            values.append(node.value)
+            bounds.append((lo, hi))
             continue
         c = column[node.feature]
         left_hi, right_lo = hi.copy(), lo.copy()
         left_hi[c], right_lo[c] = min(hi[c], node.threshold), max(lo[c], node.threshold)
         stack += [(node.right, right_lo, hi), (node.left, lo, left_hi)]
-    values, lows, highs = zip(*leaves)
-    return np.array(used, np.intp), np.array(values), np.array(lows), np.array(highs)
+    return used, values, bounds
+
+
+# A group is evaluated in blocks of at most this many (tree, background
+# row, leaf, feature) membership tests, so memory does not grow with the
+# number of trees.
+_BLOCK = 1 << 20
 
 
 def shapley_values(model: GbmModel, x, background) -> ShapleyResult:
@@ -407,6 +418,12 @@ def shapley_values(model: GbmModel, x, background) -> ShapleyResult:
     v (a-1)! b! / (a+b)!, each z-only feature loses v a! (b-1)! / (a+b)!,
     and v(empty set) holds the leaf when a = 0 (interventional TreeSHAP,
     Lundberg et al. 2020). Cost: O(trees x leaves x background x features).
+
+    Trees with the same leaf count and number of features split on form a
+    group, whose leaf boxes stack into (trees, leaves, features) arrays, so
+    each step runs once per group rather than once per tree. Each tree's
+    base term and phi contributions are then added in tree order, so every
+    sum runs in the same order as a tree-at-a-time loop.
     """
     x = np.asarray(x, dtype=np.float64)
     bg = np.asarray(background, dtype=np.float64)
@@ -421,24 +438,43 @@ def shapley_values(model: GbmModel, x, background) -> ShapleyResult:
         raise ValueError("x and background must be finite")  # (lo, hi] misplaces -inf, NaN
 
     boxes = [_leaf_boxes(tree) for tree in model.trees]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for t, (used, values, _) in enumerate(boxes):
+        groups.setdefault((len(values), len(used)), []).append(t)
     # weight[a, b] = (a-1)! b! / (a+b)!, rounded once; a + b <= k always.
-    k = max((used.size for used, *_ in boxes), default=0)
+    k = max((k for _, k in groups), default=0)
     weight = np.array([[1 / (a * math.comb(a + b, b)) if a else 0.0
                         for b in range(k + 1)] for a in range(k + 1)])
+    n = bg.shape[0]
+    terms = [None] * len(boxes)  # per tree: used, base term, phi gains, phi losses
+    for (n_leaves, n_used), members in groups.items():
+        step = max(1, _BLOCK // (n * n_leaves * max(n_used, 1)))
+        for start in range(0, len(members), step):
+            block = members[start:start + step]
+            used = np.array([boxes[t][0] for t in block], np.intp)
+            values = np.array([boxes[t][1] for t in block], np.float64)[:, None]
+            bounds = np.array([boxes[t][2] for t in block], np.float64)
+            lo, hi = bounds[:, None, :, 0], bounds[:, None, :, 1]
+            xu = x[used][:, None, None]
+            x_in = (lo < xu) & (xu <= hi)  # trees x 1 x leaves x features
+            z = bg[:, used].transpose(1, 0, 2)[:, :, None]
+            z_in = (lo < z) & (z <= hi)  # trees x background rows x leaves x features
+            x_only, z_only = x_in & ~z_in, z_in & ~x_in
+            reach = (x_in | z_in).all(axis=3)
+            a, b = x_only.sum(axis=3), z_only.sum(axis=3)
+            # With a = 0, each background row reaches exactly one leaf: its own.
+            base = np.where(reach & (a == 0), values, 0.0).sum(axis=2).mean(axis=1)
+            v = np.where(reach, values, 0.0) * (model.eta / n)
+            gains = np.einsum("gnl,gnlf->gf", v * weight[a, b], x_only)
+            losses = np.einsum("gnl,gnlf->gf", v * weight[b, a], z_only)
+            for i, t in enumerate(block):
+                terms[t] = used[i], base[i], gains[i], losses[i]
     phi = np.zeros(m, dtype=np.float64)
     base_value = model.base_score
-    for used, values, lo, hi in boxes:
-        x_in = (lo < x[used]) & (x[used] <= hi)  # leaves x features
-        z = bg[:, None, used]
-        z_in = (lo < z) & (z <= hi)  # background rows x leaves x features
-        x_only, z_only = x_in & ~z_in, z_in & ~x_in
-        reach = (x_in | z_in).all(axis=2)
-        a, b = x_only.sum(axis=2), z_only.sum(axis=2)
-        # With a = 0, each background row reaches exactly one leaf: its own.
-        base_value += model.eta * np.where(reach & (a == 0), values, 0.0).sum(axis=1).mean()
-        v = np.where(reach, values, 0.0) * (model.eta / bg.shape[0])
-        phi[used] += np.einsum("nl,nlf->f", v * weight[a, b], x_only)
-        phi[used] -= np.einsum("nl,nlf->f", v * weight[b, a], z_only)
+    for used, base, gains, losses in terms:
+        base_value += model.eta * base
+        phi[used] += gains
+        phi[used] -= losses
     return ShapleyResult(phi=phi, base_value=float(base_value))
 
 

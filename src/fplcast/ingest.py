@@ -39,6 +39,7 @@ __all__ = [
     "parse_gameweek_csv",
     "parse_strengths_csv",
     "season_strengths",
+    "check_ratings",
     "canonicalize_name",
     "token_sort_similarity",
     "fuzzy_match",
@@ -225,6 +226,16 @@ def season_strengths(strengths: dict[str, TeamStrengthTable], season: str) -> Te
     if season not in strengths:
         raise TeamLookupError(f"no strength table for season '{season}'")
     return strengths[season]
+
+
+def check_ratings(rows: GameweekTable, strengths: dict[str, TeamStrengthTable]) -> None:
+    """Raise TeamLookupError for the first row whose season has no strength
+    table, or whose team or opponent has no rating in it."""
+    matches = zip(rows.season.tolist(), rows.team.tolist(), rows.opponent.tolist())
+    for season, team, opponent in dict.fromkeys(matches):
+        ratings = season_strengths(strengths, season)
+        ratings.strength(team)
+        ratings.strength(opponent)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .ingest import (
     CanonicalPlayerKey,
     GameweekTable,
     Position,
+    RowParseError,
     csv_records,
     numeric_column,
 )
@@ -108,6 +109,8 @@ def _format_checked(read):
             return read(text)
         except FormatError:
             raise
+        except RowParseError as exc:  # already names its line
+            raise FormatError(str(exc)) from None
         except (IndexError, KeyError, ValueError, OverflowError, csv.Error) as exc:
             raise FormatError(
                 f"truncated or corrupt file ({type(exc).__name__}: {exc})"

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fplcast import cli
 from fplcast.cli import build_parser, load_config, main
 from fplcast.dataset import generate_synthetic_season
 from fplcast.evaluation import average_ranks
@@ -1123,6 +1124,22 @@ class TestInputFileFailures:
         assert err.startswith(f"error:io: cannot write output file {tmp_path / 'out' / blocked}: ")
 
 
+    def test_an_unreadable_cleaned_record_is_one_format_error_naming_its_line(
+        self, tiny_season, tmp_path, capsys
+    ):
+        _, files = tiny_season
+        header, first, *rest = open(files["cleaned"]).read().splitlines()
+        bad = tmp_path / "cleaned.csv"
+        bad.write_text("\n".join([header, first.replace('"', '"' + "k" * 200_000, 1),
+                                   *rest]) + "\n")
+        capsys.readouterr()
+        assert main(_argv("evaluate", "ridge", {**files, "cleaned": str(bad)},
+                          tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            "error:format: line 2: field larger than field limit "
+            f"({csv.field_size_limit()})\n"
+        )
+
     def test_line_break_in_a_cell_stays_on_the_error_line(
         self, tiny_season, tmp_path, capsys
     ):
@@ -1135,7 +1152,9 @@ class TestInputFileFailures:
         _assert_one_error_line(err)
         assert err.startswith("error:lookup: no strength rating for team 'te am")
 
-    @pytest.mark.parametrize("command", ["ingest", "train", "cv"])
+    @pytest.mark.parametrize("command", [
+        "ingest", "train", "cv", "gridsearch", "evaluate", "rank", "explain",
+    ])
     def test_a_season_without_strengths_is_one_lookup_error(
         self, tiny_season, tmp_path, capsys, command
     ):
@@ -1143,29 +1162,29 @@ class TestInputFileFailures:
         strengths = tmp_path / "strengths.csv"
         strengths.write_text(open(files["strengths"]).read().replace("synthetic", "other"))
         capsys.readouterr()
-        assert main(_argv(command, "ridge", {**files, "strengths": str(strengths)},
+        assert main(_argv(command, "gbm", {**files, "strengths": str(strengths)},
                           tmp_path / "out")) == 1
         assert capsys.readouterr().err == (
             "error:lookup: no strength table for season 'synthetic'\n"
         )
+        # The rows are checked before any fit, so no trial is run or recorded.
+        assert not list((tmp_path / "out").glob("trials_*"))
 
-    def test_a_season_without_strengths_is_each_trials_lookup_reason(
+    def test_a_team_without_a_rating_stops_gridsearch_before_any_trial(
         self, tiny_season, tmp_path, capsys
     ):
         _, files = tiny_season
+        rows = list(csv.reader(open(files["strengths"], newline="")))
+        team = rows[1][1]
         strengths = tmp_path / "strengths.csv"
-        strengths.write_text(open(files["strengths"]).read().replace("synthetic", "other"))
+        strengths.write_text("".join(",".join(r) + "\n" for r in rows if r[1] != team))
         capsys.readouterr()
         assert main(_argv("gridsearch", "ridge", {**files, "strengths": str(strengths)},
                           tmp_path / "out")) == 1
-        assert capsys.readouterr().err == "error:data: every MID trial failed\n"
-        with open(tmp_path / "out" / "trials_ridge_MID.csv", newline="") as f:
-            reasons = {row["reason"] for row in csv.DictReader(f)}
-        # The tiny season is too short for the largest windows' trials.
-        assert reasons == {
-            "TeamLookupError: no strength table for season 'synthetic'",
-            "ValueError: train and validation example sets must be non-empty",
-        }
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith("error:lookup: no strength rating for team ")
+        assert not list((tmp_path / "out").glob("trials_*"))
 
 
 @st.composite
@@ -1217,6 +1236,22 @@ class TestEveryFailureIsOneLine:
                 assert err.getvalue() == ""
 
         check()
+
+    def test_a_bare_key_error_is_a_traceback_not_an_error_line(
+        self, tiny_season, tmp_path, capsys, monkeypatch
+    ):
+        """No input failure raises a bare KeyError, so one is a program
+        defect: main lets it propagate rather than report it as bad data."""
+        _, files = tiny_season
+
+        def defect(args, config):
+            raise KeyError("defect")
+
+        monkeypatch.setitem(cli._COMMANDS, "train", defect)
+        capsys.readouterr()
+        with pytest.raises(KeyError, match="defect"):
+            main(_argv("train", "ridge", files, tmp_path / "out"))
+        assert capsys.readouterr().err == ""
 
 
 HUGE = "1" + "0" * 400  # a JSON integer too large for a float

@@ -659,6 +659,59 @@ def per_tree_game_oracle(model, x, background):
     return phi, float(base_value)
 
 
+def per_tree_reference(model, x, background):
+    """shapley_values as one tree at a time: each tree's leaf boxes as
+    arrays, copied at every node, and one pass of numpy calls per tree. The
+    grouped evaluation must give these floats bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    bg = np.asarray(background, dtype=np.float64)
+
+    def leaf_boxes(tree):
+        used = sorted({n.feature for n in tree.nodes if not n.is_leaf})
+        column = {f: c for c, f in enumerate(used)}
+        leaves = []
+        stack = [(0, np.full(len(used), -np.inf), np.full(len(used), np.inf))]
+        while stack:
+            node_id, lo, hi = stack.pop()
+            node = tree.nodes[node_id]
+            if node.is_leaf:
+                leaves.append((node.value, lo, hi))
+                continue
+            c = column[node.feature]
+            left_hi, right_lo = hi.copy(), lo.copy()
+            left_hi[c] = min(hi[c], node.threshold)
+            right_lo[c] = max(lo[c], node.threshold)
+            stack += [(node.right, right_lo, hi), (node.left, lo, left_hi)]
+        values, lows, highs = zip(*leaves)
+        return np.array(used, np.intp), np.array(values), np.array(lows), np.array(highs)
+
+    boxes = [leaf_boxes(tree) for tree in model.trees]
+    k = max((used.size for used, *_ in boxes), default=0)
+    weight = np.array([[1 / (a * math.comb(a + b, b)) if a else 0.0
+                        for b in range(k + 1)] for a in range(k + 1)])
+    phi = np.zeros(x.shape[0], dtype=np.float64)
+    base_value = model.base_score
+    for used, values, lo, hi in boxes:
+        x_in = (lo < x[used]) & (x[used] <= hi)
+        z = bg[:, None, used]
+        z_in = (lo < z) & (z <= hi)
+        x_only, z_only = x_in & ~z_in, z_in & ~x_in
+        reach = (x_in | z_in).all(axis=2)
+        a, b = x_only.sum(axis=2), z_only.sum(axis=2)
+        base_value += model.eta * np.where(reach & (a == 0), values, 0.0).sum(axis=1).mean()
+        v = np.where(reach, values, 0.0) * (model.eta / bg.shape[0])
+        phi[used] += np.einsum("nl,nlf->f", v * weight[a, b], x_only)
+        phi[used] -= np.einsum("nl,nlf->f", v * weight[b, a], z_only)
+    return phi, float(base_value)
+
+
+def assert_bit_equal_to_per_tree_reference(model, x, background):
+    result = shapley_values(model, x, background)
+    phi, base_value = per_tree_reference(model, x, background)
+    assert result.phi.tobytes() == phi.tobytes()
+    assert result.base_value == base_value
+
+
 def assert_equals_enumeration_oracle(model, x, background):
     """Leaf paths, per-tree games and whole-model enumeration sum the same
     terms in other orders, so the floats agree to rounding, not bit for bit."""
@@ -745,6 +798,35 @@ def shapley_problems(draw):
         x = background[draw(st.integers(0, len(background) - 1))].copy()
     else:
         x = np.array(draw(values))
+    return model, x, background
+
+
+@st.composite
+def fitted_shapley_problems(draw):
+    """A fitted model on rounded features (so values tie and x or a
+    background row can sit on a threshold), with single-leaf trees mixed in
+    among the fitted ones, an x that is sometimes a training row, and 1-150
+    background rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 12))
+    n_rows = draw(st.integers(20, 200))
+    X = np.round(rng.normal(size=(n_rows, m)), draw(st.integers(0, 1)))
+    y = X @ rng.normal(size=m) + rng.normal(size=n_rows)
+    hp = GbmHyperparams(
+        n_trees=draw(st.integers(0, 40)), max_depth=draw(st.integers(1, 6)),
+        num_leaves=draw(st.integers(2, 31)), min_data_in_leaf=draw(st.integers(1, 20)),
+        lambda_l2=draw(st.sampled_from([0.0, 1.0, 10.0])),
+        eta=draw(st.sampled_from([0.1, 0.3, 1.0])),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate-tree warnings
+        model = fit_gbm(X, y, hp)
+    for _ in range(draw(st.integers(0, 3))):
+        leaf = RegressionTree(nodes=[TreeNode(value=draw(st.floats(-5, 5)))])
+        model.trees.insert(draw(st.integers(0, len(model.trees))), leaf)
+    n_bg = draw(st.integers(1, 150))
+    background = X[rng.integers(0, n_rows, n_bg)]
+    x = X[rng.integers(0, n_rows)] if draw(st.booleans()) else rng.normal(size=m).round(1)
     return model, x, background
 
 
@@ -892,6 +974,36 @@ class TestShapley:
     @given(shapley_problems())
     def test_equals_enumeration_oracle_on_hand_built_trees(self, problem):
         assert_equals_enumeration_oracle(*problem)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fitted_shapley_problems())
+    def test_bit_equal_to_the_per_tree_reference(self, problem):
+        assert_bit_equal_to_per_tree_reference(*problem)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapley_problems())
+    def test_bit_equal_to_the_per_tree_reference_on_hand_built_trees(self, problem):
+        assert_bit_equal_to_per_tree_reference(*problem)
+
+    @pytest.mark.parametrize("n_features", [1, 3])
+    def test_bit_equal_to_the_per_tree_reference_past_8192_terms_a_tree(self, n_features):
+        """Background rows x leaves beyond numpy's 8192-element buffer,
+        where a one-feature group's products reduce to a single sum."""
+        rng = np.random.default_rng(30 + n_features)
+        X = rng.normal(size=(2000, n_features))
+        hp = GbmHyperparams(n_trees=12, max_depth=8, num_leaves=31, min_data_in_leaf=3)
+        model = fit_gbm(X, np.sin(3 * X[:, 0]) + rng.normal(size=2000) * 0.1, hp)
+        assert max(t.n_leaves() for t in model.trees) * 1000 > 8192
+        assert_bit_equal_to_per_tree_reference(model, X[0], X[:1000])
+
+    def test_groups_split_into_blocks_give_the_same_bits(self, monkeypatch):
+        model, X = fitted_small_model(seed=29)
+        model.trees += model.trees  # several trees per group
+        expected = shapley_values(model, X[0], X[1:40])
+        monkeypatch.setattr(gbm, "_BLOCK", 1)  # one tree per block
+        result = shapley_values(model, X[0], X[1:40])
+        assert result.phi.tobytes() == expected.phi.tobytes()
+        assert result.base_value == expected.base_value
 
     def test_equals_enumeration_oracle_over_several_chunks(self):
         model, X = fitted_small_model(seed=24, n_features=10)
