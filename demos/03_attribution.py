@@ -12,7 +12,7 @@ from fplcast.dataset import (
     build_series,
     generate_synthetic_season,
 )
-from fplcast.harness import train_family, sliding_design
+from fplcast.harness import FAMILIES, train_family
 from fplcast.ingest import Position
 from fplcast.ridge import export_coefficients
 from fplcast.gbm import predict_gbm, shapley_values, split_importance
@@ -60,8 +60,8 @@ for name, pct in sorted(zip(full_names, imp.percentages), key=lambda t: -t[1]):
     if pct > 0:
         print(f"  {name:17} {pct:5.1f}% of splits")
 
-A_train, _ = sliding_design(full_train)
-A_val, _ = sliding_design(full_val)
+A_train, _ = FAMILIES["gbm"].design(full_train, fitted.scaler)
+A_val, _ = FAMILIES["gbm"].design(full_val, fitted.scaler)
 background = A_train[np.random.default_rng(3).choice(len(A_train), 100, replace=False)]
 x = A_val[0]
 result = shapley_values(fitted.model, x, background)

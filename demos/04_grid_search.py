@@ -38,7 +38,7 @@ succeeded = [r for r in results if r.error is None]
 mean5, worst5 = top_k_summary(results, min(5, len(succeeded)))
 print(f"\ntop-5 val MSE: mean {mean5:.3f}, upper bound {worst5:.3f}")
 
-final, fitted = select_final(results, players)
+final = select_final(results, players)
 print(
     f"selected {final.config} -> holdout MSE {final.test_mse:.3f} "
     f"(evaluated exactly once)"

@@ -36,7 +36,6 @@ from .dataset import (
     apply_scaler,
     assign_splits,
     build_series,
-    concat_windows,
     fit_scaler,
     generate_synthetic_season,
     sliding_average,

@@ -49,7 +49,6 @@ from .harness import (
     predict,
     run_grid,
     select_final,
-    sliding_design,
     top_k_summary,
     train_family,
 )
@@ -400,7 +399,7 @@ def cmd_train(args, config) -> int:
                 "data", f"position {position.value} has an empty train or val split"
             )
         seed = derive_seed(config["seed"], family_config)
-        fitted, train_err, val_err = train_family(
+        fitted, train_pred, val_pred = train_family(
             family.name, family_config, train_ex, val_ex, seed
         )
         ctx = ser.ModelContext(
@@ -415,13 +414,11 @@ def cmd_train(args, config) -> int:
                 ser.write_learning_curve(fitted.curve),
             )
 
-        for split, windows in (("train", train_ex), ("validation", val_ex)):
-            predictions = predict(family, fitted.model, fitted.scaler, windows)
-            reports.append(
-                _eval_report(windows, predictions, position, split, model_id)
-            )
+        train_report = _eval_report(train_ex, train_pred, position, "train", model_id)
+        val_report = _eval_report(val_ex, val_pred, position, "validation", model_id)
+        reports += [train_report, val_report]
         print(
-            f"{model_id}: train mse {train_err:.4f}, val mse {val_err:.4f}"
+            f"{model_id}: train mse {train_report.mse:.4f}, val mse {val_report.mse:.4f}"
         )
     _write(out / f"report_{family.name}.csv", ser.write_reports_csv(reports))
     _log(out, f"train family={family.name} seed={config['seed']}")
@@ -530,7 +527,7 @@ def cmd_gridsearch(args, config) -> int:
         mean_k, max_k = top_k_summary(results, k)
         entry["top_k"] = {"k": k, "mean_val_mse": mean_k, "max_val_mse": max_k}
         if args.finalize:
-            entry["test_mse"] = select_final(results, players)[0].test_mse
+            entry["test_mse"] = select_final(results, players).test_mse
         summary[position.value] = entry
         print(
             f"{family}_{position.value}: best val mse {best.val_mse:.4f} "
@@ -620,7 +617,7 @@ def _explain_shapley(args, config, loaded):
                if not getattr(args, flag)]
     if missing:
         raise CliError("usage", f"shapley explanations need {', '.join(missing)}")
-    _, model, ctx = loaded[0]
+    family, model, ctx = loaded[0]
     [(position, players)] = _players(args, config, ctx.position)
     explain_ex, train_ex = (
         players.windows(ctx.w, FeatureTier(ctx.tier), s) for s in (args.split, "train")
@@ -633,13 +630,13 @@ def _explain_shapley(args, config, loaded):
             f"example index {args.example_index} out of range "
             f"({len(explain_ex)} available)",
         )
-    A_train, _ = sliding_design(train_ex)
+    A_train, _ = family.design(train_ex, ctx.scaler)
     rng = np.random.default_rng(config["seed"])
     n_background = min(int(config["shapley_background"]), A_train.shape[0])
     background = A_train[
         rng.choice(A_train.shape[0], size=n_background, replace=False)
     ]
-    A_explain, _ = sliding_design(explain_ex.take([args.example_index]))
+    A_explain, _ = family.design(explain_ex.take([args.example_index]), ctx.scaler)
     result = shapley_values(model, A_explain[0], background)
     names = model.feature_names or [f"x{j}" for j in range(model.n_features)]
     imp = split_importance(model)

@@ -42,7 +42,6 @@ __all__ = [
     "adam_step",
     "train",
     "mean_normalized_filter",
-    "parameter_count",
 ]
 
 PARAM_NAMES = ("conv_w", "conv_b", "hidden_w", "hidden_b", "out_w", "out_b")
@@ -181,10 +180,6 @@ def init_model(
         activation=activation,
         window=w,
     )
-
-
-def parameter_count(model: CnnModel) -> int:
-    return sum(p.size for p in model.params().values())
 
 
 def forward_batch(model: CnnModel, X: np.ndarray, d: np.ndarray):

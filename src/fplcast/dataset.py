@@ -40,7 +40,6 @@ __all__ = [
     "Players",
     "ScalerParams",
     "build_series",
-    "concat_windows",
     "sliding_average",
     "stratified_bins",
     "assign_splits",
@@ -122,13 +121,6 @@ class WindowSet:
     def take(self, idx) -> WindowSet:
         """The rows that `idx` (a slice, indices or a boolean mask) selects."""
         return WindowSet(*(getattr(self, f.name)[idx] for f in fields(self)))
-
-
-def concat_windows(parts: Sequence[WindowSet]) -> WindowSet:
-    """The rows of every part, in order; parts share w and f."""
-    return WindowSet(*(
-        np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(WindowSet)
-    ))
 
 
 @dataclass

@@ -63,7 +63,6 @@ __all__ = [
     "predict_gbm_batch",
     "split_importance",
     "shapley_values",
-    "structural_violations",
 ]
 
 @dataclass
@@ -476,41 +475,3 @@ def shapley_values(model: GbmModel, x, background) -> ShapleyResult:
         phi[used] += gains
         phi[used] -= losses
     return ShapleyResult(phi=phi, base_value=float(base_value))
-
-
-def structural_violations(model: GbmModel) -> list[str]:
-    """Walk every tree, reporting any violated growth constraint.
-
-    Checks depth, leaf count, minimum leaf population (single-node trees
-    exempt: an unsplittable root holds the whole dataset), positive
-    recorded gains, and child-link consistency.
-    """
-    hp = model.hyperparams
-    problems = []
-    for t, tree in enumerate(model.trees):
-        leaves = [n for n in tree.nodes if n.is_leaf]
-        if not leaves:
-            problems.append(f"tree {t}: no leaves")
-        if len(leaves) > hp.num_leaves:
-            problems.append(f"tree {t}: {len(leaves)} leaves > {hp.num_leaves}")
-        for i, node in enumerate(tree.nodes):
-            if node.depth > hp.max_depth:
-                problems.append(f"tree {t} node {i}: depth {node.depth}")
-            if node.is_leaf:
-                if len(tree.nodes) > 1 and node.n_samples < hp.min_data_in_leaf:
-                    problems.append(
-                        f"tree {t} node {i}: leaf population {node.n_samples}"
-                        f" < {hp.min_data_in_leaf}"
-                    )
-            else:
-                left, right = tree.nodes[node.left], tree.nodes[node.right]
-                if left.n_samples + right.n_samples != node.n_samples:
-                    problems.append(f"tree {t} node {i}: child populations")
-                if left.depth != node.depth + 1 or right.depth != node.depth + 1:
-                    problems.append(f"tree {t} node {i}: child depths")
-        if len(tree.split_gains) != len(tree.nodes) - len(leaves):
-            problems.append(f"tree {t}: gain trace length mismatch")
-        for g, gain in enumerate(tree.split_gains):
-            if gain <= 0:
-                problems.append(f"tree {t} split {g}: non-positive gain {gain}")
-    return problems

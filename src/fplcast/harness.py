@@ -2,12 +2,14 @@
 holdout evaluation.
 
 Every family shares one pipeline; FAMILIES holds all that differs between
-them. Every trial, fold and holdout score windows one dataset.Players
-value: its split map is fixed before a grid starts and shared by every
-configuration, and a CV fold is the same players under the fold's split
-map. Each trial's training seed derives deterministically from the grid
-seed and the configuration, so editing one axis value leaves every other
-trial's randomness untouched. Each trial is fit once: run_grid keeps the
+them, and Family.design alone turns windows into a family's inputs. Every
+trial, fold and holdout score windows one dataset.Players value: its split
+map is fixed before a grid starts and shared by every configuration, and a
+CV fold is the same players under the fold's split map. Each trial's
+training seed derives deterministically from the grid seed and the
+configuration, so editing one axis value leaves every other trial's
+randomness untouched. Each trial is fit once, and train_family predicts
+its train and validation windows once, for every MSE. run_grid keeps the
 model of its best trial, and select_final scores that model on the test
 split, whose examples are never built before it runs.
 """
@@ -27,6 +29,7 @@ from . import cnn as cnn_mod
 from . import serialize as ser
 from .cnn import LearningCurve, TrainConfig
 from .dataset import (
+    DIFFICULTY_FEATURE,
     FeatureTier,
     Players,
     PlayerSeries,
@@ -338,11 +341,12 @@ def train_family(
     train_windows: WindowSet,
     val_windows: WindowSet,
     seed: int,
-) -> tuple[FittedTrial, float, float]:
-    """Fit one configuration; returns (fitted trial, train MSE, val MSE)."""
+) -> tuple[FittedTrial, np.ndarray, np.ndarray]:
+    """Fit one configuration; returns (fitted trial, train predictions,
+    validation predictions), each set predicted once, in window order."""
     fam = _family(family)
     _, tier = _window_spec(config)
-    feature_names = tier.columns() + ["difficulty_gap"]
+    feature_names = tier.columns() + [DIFFICULTY_FEATURE]
     if not train_windows or not val_windows:
         raise ValueError("train and validation example sets must be non-empty")
     scaler = fam.fit_scaler(train_windows)
@@ -351,8 +355,8 @@ def train_family(
     model, curve = fam.fit(fam.resolve(config), train, val, seed, feature_names)
     return (
         FittedTrial(family, model, scaler, curve),
-        mse(train[1], fam.predict_batch(model, train[0])),
-        mse(val[1], fam.predict_batch(model, val[0])),
+        fam.predict_batch(model, train[0]),
+        fam.predict_batch(model, val[0]),
     )
 
 
@@ -363,9 +367,10 @@ def _run_trial(family: str, config: dict, players: Players, grid_seed: int) -> T
     try:
         w, tier = _window_spec(config)
         train_ex, val_ex = (players.windows(w, tier, s) for s in ("train", "validation"))
-        fitted, train_err, val_err = train_family(
+        fitted, train_pred, val_pred = train_family(
             family, config, train_ex, val_ex, trial_seed
         )
+        train_err, val_err = mse(train_ex.y, train_pred), mse(val_ex.y, val_pred)
     except Exception as exc:  # noqa: BLE001 - failed trials are data, not fatal
         error = f"{type(exc).__name__}: {exc}"
     return TrialResult(
@@ -440,9 +445,9 @@ def cross_validate(
         })
         train_ex, val_ex = (fold.windows(w, tier, s) for s in ("train", "validation"))
         seed = derive_seed(cv.seed, {**config, "fold": held})
-        _, train_err, val_err = train_family(family, config, train_ex, val_ex, seed)
-        train_errs.append(train_err)
-        val_errs.append(val_err)
+        _, train_pred, val_pred = train_family(family, config, train_ex, val_ex, seed)
+        train_errs.append(mse(train_ex.y, train_pred))
+        val_errs.append(mse(val_ex.y, val_pred))
     return float(np.mean(train_errs)), float(np.mean(val_errs))
 
 
@@ -455,11 +460,10 @@ def _assign_folds(series_list: list[PlayerSeries], cv: CvConfig) -> list[int]:
     return [fold[s.key] for s in series_list]
 
 
-def select_final(
-    results: list[TrialResult], players: Players
-) -> tuple[TrialResult, FittedTrial]:
+def select_final(results: list[TrialResult], players: Players) -> TrialResult:
     """Score the holdout split exactly once, with the model that run_grid
-    kept on its lowest-validation-MSE trial."""
+    kept on its lowest-validation-MSE trial; the scored trial keeps that
+    model as its `fitted`."""
     best = next((r for r in results if r.fitted is not None), None)
     if best is None:
         raise ValueError("no successful trials to select from")
@@ -468,4 +472,4 @@ def select_final(
         raise ValueError("holdout split has no examples")
     fitted = best.fitted
     predictions = predict(FAMILIES[fitted.family], fitted.model, fitted.scaler, test_ex)
-    return replace(best, test_mse=mse(test_ex.y, predictions)), fitted
+    return replace(best, test_mse=mse(test_ex.y, predictions))

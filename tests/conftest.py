@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from fplcast.dataset import build_series, generate_synthetic_season
+from fplcast.dataset import WindowSet, build_series, generate_synthetic_season
+from fplcast.gbm import GbmModel
 from fplcast.ingest import GAMEWEEK_SCHEMA, GameweekTable, Position, TeamStrengthTable
 
 # Where CI is set, Hypothesis loads its `ci` profile, which replays one
@@ -109,3 +112,48 @@ def linear_design(seed: int, n: int, f: int, noise: float = 0.1):
     true_w = rng.normal(size=f)
     y = A @ true_w + 1.5 + noise * rng.normal(size=n)
     return A, y, true_w
+
+
+def concat_windows(parts) -> WindowSet:
+    """The rows of every part, in order; parts share w and f."""
+    return WindowSet(*(
+        np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(WindowSet)
+    ))
+
+
+def structural_violations(model: GbmModel) -> list[str]:
+    """Walk every tree, reporting any violated growth constraint.
+
+    Checks depth, leaf count, minimum leaf population (single-node trees
+    exempt: an unsplittable root holds the whole dataset), positive
+    recorded gains, and child-link consistency.
+    """
+    hp = model.hyperparams
+    problems = []
+    for t, tree in enumerate(model.trees):
+        leaves = [n for n in tree.nodes if n.is_leaf]
+        if not leaves:
+            problems.append(f"tree {t}: no leaves")
+        if len(leaves) > hp.num_leaves:
+            problems.append(f"tree {t}: {len(leaves)} leaves > {hp.num_leaves}")
+        for i, node in enumerate(tree.nodes):
+            if node.depth > hp.max_depth:
+                problems.append(f"tree {t} node {i}: depth {node.depth}")
+            if node.is_leaf:
+                if len(tree.nodes) > 1 and node.n_samples < hp.min_data_in_leaf:
+                    problems.append(
+                        f"tree {t} node {i}: leaf population {node.n_samples}"
+                        f" < {hp.min_data_in_leaf}"
+                    )
+            else:
+                left, right = tree.nodes[node.left], tree.nodes[node.right]
+                if left.n_samples + right.n_samples != node.n_samples:
+                    problems.append(f"tree {t} node {i}: child populations")
+                if left.depth != node.depth + 1 or right.depth != node.depth + 1:
+                    problems.append(f"tree {t} node {i}: child depths")
+        if len(tree.split_gains) != len(tree.nodes) - len(leaves):
+            problems.append(f"tree {t}: gain trace length mismatch")
+        for g, gain in enumerate(tree.split_gains):
+            if gain <= 0:
+                problems.append(f"tree {t} split {g}: non-positive gain {gain}")
+    return problems

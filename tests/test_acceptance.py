@@ -24,18 +24,19 @@ from fplcast.dataset import (
     generate_synthetic_season,
     sliding_average,
 )
-from fplcast.evaluation import average_ranks, spearman_tied
+from fplcast.evaluation import average_ranks, mse, spearman_tied
 from fplcast.gbm import (
     GbmHyperparams,
     fit_gbm,
     predict_gbm,
     predict_gbm_batch,
     shapley_values,
-    structural_violations,
 )
 from fplcast.harness import train_family
 from fplcast.ingest import Position, parse_gameweek_csv, parse_strengths_csv
 from fplcast.ridge import fit_ridge
+
+from conftest import structural_violations
 
 
 def report(line):
@@ -335,7 +336,8 @@ def test_criterion_7_desk_scale_end_to_end():
             ("gbm", DESK_GBM),
             ("cnn", DESK_CNN),
         ):
-            _, _, val_mse = train_family(family, config, train_ex, val_ex, seed=7)
+            _, _, val_pred = train_family(family, config, train_ex, val_ex, seed=7)
+            val_mse = mse(val_ex.y, val_pred)
             assert val_mse <= 0.95 * baseline, (
                 f"{family} {position.value}: val {val_mse:.3f} vs "
                 f"baseline {baseline:.3f}"
@@ -382,7 +384,7 @@ def test_criterion_8_real_data_reproduction_soft():
     if not strengths_path.exists():
         pytest.skip(f"criterion 8: missing {strengths_path}")
 
-    from fplcast.harness import select_final, sliding_design, run_grid, GridSpec
+    from fplcast.harness import select_final, run_grid, GridSpec
     from fplcast.ingest import GameweekTable, canonicalize_name, drop_benched
 
     strengths = parse_strengths_csv(strengths_path.read_text(encoding="utf-8"))
@@ -404,7 +406,7 @@ def test_criterion_8_real_data_reproduction_soft():
         ):
             grid = GridSpec(family=family, axes={"w": [3, 6, 9]}, fixed=config)
             results = run_grid(grid, players, seed=8)
-            final, fitted = select_final(results, players)
+            final = select_final(results, players)
             paper = PAPER_HOLDOUT_MSE[family][position.value]
             ratio = final.test_mse / paper
             flag = "" if 0.8 <= ratio <= 1.2 else "  [outside +-20%]"

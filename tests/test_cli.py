@@ -400,22 +400,40 @@ class TestTrainCommand:
 
     @pytest.fixture(scope="class", params=["ridge", "gbm", "cnn"])
     def trained(self, request, pipeline, tmp_path_factory):
-        """(family, out) of one MID `train` into an out directory of its own."""
+        """(family, out, stdout) of one MID `train` into an out directory of
+        its own, run with cli.predict raising: train predicts each window
+        set once, inside train_family, and never again."""
         _, cleaned, strengths, splits = pipeline
         out = tmp_path_factory.mktemp(f"train_{request.param}")
-        assert main(
-            ["--out", str(out), "--seed", "5", "--position", "MID", "train",
-             "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
-             "--family", request.param]
-        ) == 0
-        return request.param, out
+
+        def second_pass(*args, **kwargs):
+            raise AssertionError("train predicted a window set a second time")
+
+        stdout = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout):
+            patch.setattr(cli, "predict", second_pass)
+            assert main(
+                ["--out", str(out), "--seed", "5", "--position", "MID", "train",
+                 "--cleaned", *cleaned, "--strengths", strengths, "--splits", splits,
+                 "--family", request.param]
+            ) == 0
+        return request.param, out, stdout.getvalue()
+
+    def test_prints_the_mses_of_its_report(self, trained):
+        family, out, stdout = trained
+        rows = csv.DictReader((out / f"report_{family}.csv").read_text().splitlines())
+        mses = {row["split"]: float(row["mse"]) for row in rows}
+        assert stdout == (
+            f"{family}_MID: train mse {mses['train']:.4f}, "
+            f"val mse {mses['validation']:.4f}\n"
+        )
 
     def test_reports_only_train_and_validation_windows(self, pipeline, trained):
         from fplcast.dataset import FeatureTier, Players, build_series
         from fplcast.ingest import Position, parse_strengths_csv
 
         _, cleaned, strengths, splits = pipeline
-        family, out = trained
+        family, out, _ = trained
         # Holdout discipline: the report covers the train and validation
         # windows only, whichever representation the family consumes.
         rows = list(csv.DictReader((out / f"report_{family}.csv").read_text().splitlines()))
@@ -432,7 +450,7 @@ class TestTrainCommand:
     def test_writes_its_model_and_reports_and_no_examples(self, trained):
         from fplcast.harness import model_family
 
-        family, out = trained
+        family, out, _ = trained
         written = {p.name for p in out.iterdir()}
         curve = {"learning_curve_MID.csv"} if family == "cnn" else set()
         assert written == {f"model_{family}_MID.txt", f"report_{family}.csv",
@@ -755,6 +773,28 @@ class TestExplainCommands:
         model, _ = read_gbm((out / "model_gbm_MID.txt").read_text())
         assert float(base[2]) + phi_sum == pytest.approx(float(prediction[2]), abs=1e-9)
         assert float(base[2]) + phi_sum == pytest.approx(predict_gbm(model, x), abs=1e-9)
+
+    def test_gbm_shapley_rows_take_the_model_files_scaler(self, tmp_path):
+        """explain builds its rows as evaluate does: through the family's
+        design, with the scaler that the model file holds."""
+        from fplcast.dataset import ScalerParams
+
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        data = ["--cleaned", *cleaned, "--strengths", strengths, "--splits", splits]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"gbm_min_data_in_leaf": 5}), encoding="utf-8")
+        assert main(["--config", str(config), "--out", str(out), "--seed", "5",
+                     "--position", "MID", "train", *data, "--family", "gbm"]) == 0
+        path = out / "model_gbm_MID.txt"
+        model, ctx = read_gbm(path.read_text())
+        scaler = ScalerParams(mean=np.array([2.0]), std=np.array([3.0]))
+        path.write_text(write_gbm(model, ModelContext(ctx.w, ctx.tier, ctx.position, scaler)))
+        assert main(["--out", str(out), "evaluate", "--model", str(path), *data]) == 0
+        assert main(["--out", str(out), "explain", "--model", str(path), *data]) == 0
+        rows = list(csv.reader((out / "shapley_MID.csv").read_text().splitlines()))
+        x = np.array([float(r[1]) for r in rows[1:-2]])
+        predictions = (out / "predictions_gbm_MID_test.csv").read_text().splitlines()
+        assert predict_gbm(model, x) == float(next(csv.DictReader(predictions))["predicted"])
 
     def test_gbm_shapley_for_a_tree_on_16_features(self, tmp_path):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)

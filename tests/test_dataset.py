@@ -16,7 +16,6 @@ from fplcast.dataset import (
     _synth_name,
     assign_splits,
     build_series,
-    concat_windows,
     fit_scaler,
     generate_synthetic_season,
     sliding_average,
@@ -34,7 +33,12 @@ from fplcast.ingest import (
     compute_difficulty,
 )
 
-from conftest import assert_every_column_is_an_array, assert_tables_equal, make_table
+from conftest import (
+    assert_every_column_is_an_array,
+    assert_tables_equal,
+    concat_windows,
+    make_table,
+)
 
 
 def mitrovic_series():

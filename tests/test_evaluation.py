@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fplcast.dataset import WindowSet, concat_windows
+from fplcast.dataset import WindowSet
 from fplcast.evaluation import (
     average_ranks,
     export_predictions,
@@ -16,6 +16,8 @@ from fplcast.evaluation import (
 )
 from fplcast.ingest import CanonicalPlayerKey, Position
 from fplcast.serialize import write_predictions_csv
+
+from conftest import concat_windows
 
 
 def rank_oracle(values):

@@ -21,13 +21,14 @@ from fplcast.gbm import (
     predict_gbm_batch,
     shapley_values,
     split_importance,
-    structural_violations,
     _leaf_value,
     _score,
 )
 from fplcast.harness import sliding_design
 from fplcast.ingest import Position
 from fplcast.serialize import ModelContext, read_gbm, write_gbm
+
+from conftest import structural_violations
 
 TOY_HP = dict(n_trees=1, max_depth=3, num_leaves=2, min_data_in_leaf=1, eta=1.0)
 

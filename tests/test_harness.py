@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fplcast.dataset import (
     FeatureTier,
     Players,
     assign_splits,
     build_series,
+    generate_synthetic_season,
 )
 from fplcast.harness import (
     CvConfig,
@@ -22,7 +25,7 @@ from fplcast.harness import (
 )
 from fplcast import harness
 from fplcast.evaluation import mse
-from fplcast.ingest import TeamLookupError
+from fplcast.ingest import Position, TeamLookupError
 from fplcast.serialize import ModelContext
 
 RIDGE_GRID = GridSpec(family="ridge", axes={"lambda": [0.1, 1.0], "w": [2, 3]})
@@ -267,8 +270,8 @@ class TestSelectFinal:
             raise AssertionError("select_final fitted a model")
 
         monkeypatch.setattr(harness, "train_family", no_fit)
-        final, fitted = select_final(results, mid_players)
-        assert fitted is results[0].fitted
+        final = select_final(results, mid_players)
+        assert final.fitted is results[0].fitted
         assert final.test_mse is not None and np.isfinite(final.test_mse)
 
     @pytest.mark.parametrize("family", sorted(FINAL_GRIDS))
@@ -276,36 +279,38 @@ class TestSelectFinal:
         """The oracle is the refit that select_final used to run: the best
         configuration trained again with its stored seed."""
         results = run_grid(FINAL_GRIDS[family], mid_players, seed=7)
-        final, fitted = select_final(results, mid_players)
+        final = select_final(results, mid_players)
         best = results[0]
         w, tier = harness._window_spec(best.config)
         train_ex, val_ex, test_ex = (
             mid_players.windows(w, tier, s) for s in ("train", "validation", "test")
         )
-        refit, train_err, val_err = train_family(
+        refit, train_pred, val_pred = train_family(
             family, best.config, train_ex, val_ex, best.seed
         )
         fam = harness.FAMILIES[family]
         predictions = harness.predict(fam, refit.model, refit.scaler, test_ex)
         assert final.test_mse == mse(test_ex.y, predictions)
-        assert (final.train_mse, final.val_mse) == (train_err, val_err)
+        assert (final.train_mse, final.val_mse) == (
+            mse(train_ex.y, train_pred), mse(val_ex.y, val_pred)
+        )
 
         def model_file(f):
             return fam.write(f.model, ModelContext(w, tier.value, "MID", f.scaler))
 
-        assert model_file(fitted) == model_file(refit)
-        assert fitted.curve == refit.curve
+        assert model_file(final.fitted) == model_file(refit)
+        assert final.fitted.curve == refit.curve
 
     def test_single_trial_selected_with_test_mse(self, mid_players):
         grid = GridSpec(family="ridge", axes={"lambda": [1.0]}, fixed={"w": 3})
         results = run_grid(grid, mid_players, seed=4)
-        final, fitted = select_final(results, mid_players)
+        final = select_final(results, mid_players)
         assert final.test_mse is not None and np.isfinite(final.test_mse)
         assert final.config == results[0].config
 
     def test_selection_is_argmin_of_val(self, mid_players):
         results = run_grid(RIDGE_GRID, mid_players, seed=5)
-        final, _ = select_final(results, mid_players)
+        final = select_final(results, mid_players)
         best = min(r.val_mse for r in results if r.error is None)
         assert final.config == next(
             r.config for r in results if r.val_mse == best
@@ -348,11 +353,65 @@ class TestTrainFamilyContract:
             ("gbm", {"min_data_in_leaf": 10, "w": 3}),
             ("cnn", {"epochs": 2, "filters": 2, "hidden": 2, "w": 3}),
         ):
-            fitted, train_err, val_err = train_family(
+            fitted, train_pred, val_pred = train_family(
                 family, config, train_ex, val_ex, seed=11
             )
             assert fitted.family == family
-            assert np.isfinite(train_err) and np.isfinite(val_err)
+            assert train_pred.shape == (len(train_ex),) and val_pred.shape == (len(val_ex),)
+            assert np.isfinite(train_pred).all() and np.isfinite(val_pred).all()
             assert (fitted.curve is not None) == (family == "cnn")
             if family != "cnn":
                 assert fitted.model.feature_names[-1] == "difficulty_gap"
+
+
+# Built once for the property below: a function-scoped fixture would be
+# shared by every example Hypothesis draws.
+_ROWS, _STRENGTHS = generate_synthetic_season(seed=11, n_players=60, n_weeks=16)
+_MID = [s for s in build_series(_ROWS) if s.key.position == Position.MID]
+_MID_PLAYERS = Players(_MID, _STRENGTHS, assign_splits(_MID, seed=3).assignments)
+
+
+@st.composite
+def small_trials(draw):
+    """(family, trial config): a small fit of any family, with w, tier and
+    the family's parameters drawn."""
+    family = draw(st.sampled_from(sorted(harness.FAMILIES)))
+    w = draw(st.integers(1, 4))
+    config = {"w": w, "tier": draw(st.sampled_from([t.value for t in FeatureTier]))}
+    if family == "ridge":
+        config["lambda"] = draw(st.floats(1e-3, 100.0))
+    elif family == "gbm":
+        config.update(
+            n_trees=draw(st.integers(0, 6)), max_depth=draw(st.integers(1, 3)),
+            num_leaves=draw(st.integers(2, 6)), min_data_in_leaf=draw(st.integers(1, 40)),
+            lambda_l2=draw(st.floats(0.0, 10.0)), eta=draw(st.floats(0.01, 1.0)),
+        )
+    else:
+        config.update(
+            k=draw(st.integers(1, w)), filters=draw(st.integers(1, 4)),
+            hidden=draw(st.integers(1, 4)),
+            activation=draw(st.sampled_from(["relu", "tanh"])),
+            epochs=draw(st.integers(1, 3)), batch_size=draw(st.integers(1, 64)),
+            lambda1=draw(st.floats(0.0, 0.1)), lambda2=draw(st.floats(0.0, 0.1)),
+        )
+    return family, config
+
+
+class TestTrainFamilyPredictions:
+    @settings(max_examples=40, deadline=None)
+    @given(small_trials(), st.integers(0, 2**31 - 1))
+    def test_equal_a_second_pass_bit_for_bit(self, trial, seed):
+        """The oracle is the second pass that train_family's callers ran:
+        predicting each set again with the fitted model and scaler."""
+        family, config = trial
+        w, tier = harness._window_spec(config)
+        train_ex, val_ex = (
+            _MID_PLAYERS.windows(w, tier, s) for s in ("train", "validation")
+        )
+        fitted, train_pred, val_pred = train_family(family, config, train_ex, val_ex, seed)
+        for windows, predictions in ((train_ex, train_pred), (val_ex, val_pred)):
+            oracle = harness.predict(
+                harness.FAMILIES[family], fitted.model, fitted.scaler, windows
+            )
+            assert predictions.dtype == oracle.dtype
+            assert predictions.tobytes() == oracle.tobytes()
