@@ -63,7 +63,6 @@ from .cnn import (
 from .evaluation import (
     EvalReport,
     average_ranks,
-    export_predictions,
     extreme_examples,
     mse,
     spearman_tied,

@@ -1,15 +1,19 @@
 """Command-line pipeline: ingest, synth, split, train, search, evaluate,
 rank, explain.
 
-Commands communicate only through files. Data outputs are byte-identical
+Commands communicate only through files. Each command returns the files
+it makes ({name: text}); main writes them, and appends the command line
+to a sidecar run.log, only once the command has succeeded, so a failed
+command changes nothing under --out. Data outputs are byte-identical
 across reruns with the same inputs and seed; wall-clock timestamps go to
-a sidecar run.log, never into data files.
+run.log, never into data files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 import time
 import warnings
@@ -31,7 +35,6 @@ from .dataset import (
 from .evaluation import (
     EvalReport,
     average_ranks,
-    export_predictions,
     extreme_examples,
     mse,
     spearman_by_gameweek,
@@ -126,6 +129,8 @@ def _config_problem(key: str, value, default) -> str | None:
         if isinstance(value, list) and len(value) == 3 and all(map(_is_number, value)):
             return None
         return "a list of three finite numbers in float range"
+    if key == "seed" and not (_is_number(value, integral=True) and value >= 0):
+        return "a non-negative integer"  # numpy's generators take no negative seed
     if isinstance(default, (int, float)):
         if _is_number(value, integral=isinstance(default, int)):
             return None
@@ -159,6 +164,8 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
                 )
             config[key] = value
     if seed_override is not None:
+        if seed_override < 0:
+            raise CliError("usage", f"--seed must be a non-negative integer, got {seed_override}")
         config["seed"] = seed_override
     return config
 
@@ -193,11 +200,6 @@ def _write(path: Path, text: str, mode: str = "w"):
         raise CliError("io", f"cannot write output file {path}: {reason}") from None
 
 
-def _log(out: Path, message: str):
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _write(out / "run.log", f"{stamp} {message}\n", "a")
-
-
 def _read_cleaned(paths: list[str]) -> GameweekTable:
     table = GameweekTable.concat(
         [ser.read_cleaned_csv(_read_text(path, "cleaned")) for path in paths]
@@ -210,8 +212,8 @@ def _read_cleaned(paths: list[str]) -> GameweekTable:
 def _players(args, config, positions: str):
     """(position, Players) for each of `positions` ("all" or one), under the
     config's difficulty sign. Reads --cleaned, --strengths and any --splits,
-    applies any --season and checks that the strengths rate every season and
-    team of the rows, when called; checks a position when reached."""
+    applies any --season, and checks that the strengths rate every season and
+    team of the rows and that each position has players, before any fit."""
     rows = _read_cleaned(args.cleaned)
     strengths = parse_strengths_csv(_read_text(args.strengths, "strengths"))
     splits = None
@@ -225,22 +227,20 @@ def _players(args, config, positions: str):
     check_ratings(rows, strengths)
     all_series = build_series(rows)
     flip = config["difficulty_sign"] == "own_minus_opponent"
-
-    def each():
-        for position in Position.ordered() if positions == "all" else [Position(positions)]:
-            series = [s for s in all_series if s.key.position == position]
-            if not series:
-                raise CliError("data", f"no players with position {position.value}")
-            yield position, Players(series, strengths, splits, flip_difficulty=flip)
-
-    return each()
+    players = []
+    for position in Position.ordered() if positions == "all" else [Position(positions)]:
+        series = [s for s in all_series if s.key.position == position]
+        if not series:
+            raise CliError("data", f"no players with position {position.value}")
+        players.append((position, Players(series, strengths, splits, flip_difficulty=flip)))
+    return players
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_ingest(args, config) -> int:
+def cmd_ingest(args, config) -> dict[str, str]:
     strengths = parse_strengths_csv(_read_text(args.strengths, "strengths"))
     threshold = float(config["fuzzy_threshold"])
 
@@ -302,10 +302,6 @@ def cmd_ingest(args, config) -> int:
     check_ratings(kept, strengths)
 
     per_position = {p: kept.take(kept.position == p) for p in Position.ordered()}
-    out = _out_dir(args)
-    for position, rows in per_position.items():
-        _write(out / f"cleaned_{position.value}.csv", ser.write_cleaned_csv(rows))
-
     report = [
         "ingest report",
         *[f"read {len(table)} rows from {path}" for path, table in parts],
@@ -320,58 +316,44 @@ def cmd_ingest(args, config) -> int:
             for query, target, score in resolutions
         ],
     ]
-    _write(out / "ingest_report.txt", "\n".join(report) + "\n")
-    _log(out, f"ingest raw={args.raw}")
-    print(f"ingested {len(kept)} rows ({dropped} benched dropped) -> {out}")
-    return 0
+    print(f"ingested {len(kept)} rows ({dropped} benched dropped) -> {Path(args.out)}")
+    return {
+        **{f"cleaned_{position.value}.csv": ser.write_cleaned_csv(rows)
+           for position, rows in per_position.items()},
+        "ingest_report.txt": "\n".join(report) + "\n",
+    }
 
 
-def cmd_synth(args, config) -> int:
-    out = _out_dir(args)
+def cmd_synth(args, config) -> dict[str, str]:
     rows, strengths = generate_synthetic_season(
         seed=config["seed"], n_players=args.players, n_weeks=args.weeks
     )
-    _write(out / "synthetic_gameweeks.csv", ser.write_raw_csv(rows))
-    _write(out / "synthetic_strengths.csv", ser.write_table("season,team,strength", (
-        [strengths.season, team, strengths.entries[team]]
-        for team in sorted(strengths.entries)
-    )))
-    _log(out, f"synth players={args.players} weeks={args.weeks} seed={config['seed']}")
-    print(f"wrote {len(rows)} synthetic rows -> {out}")
-    return 0
+    print(f"wrote {len(rows)} synthetic rows -> {Path(args.out)}")
+    return {
+        "synthetic_gameweeks.csv": ser.write_raw_csv(rows),
+        "synthetic_strengths.csv": ser.write_table("season,team,strength", (
+            [strengths.season, team, strengths.entries[team]]
+            for team in sorted(strengths.entries)
+        )),
+    }
 
 
-def cmd_split(args, config) -> int:
+def cmd_split(args, config) -> dict[str, str]:
     rows = _read_cleaned(args.cleaned)
-    fractions = tuple(config["fractions"])
+    # The same split settings serve every position and the splits file.
+    settings = {"fractions": tuple(config["fractions"]),
+                **{key: config[key] for key in ("n_bins", "strat_on", "seed")}}
     all_series = build_series(rows)
     merged: dict = {}
     for position in Position.ordered():
         series = [s for s in all_series if s.key.position == position]
-        if not series:
-            continue
-        part = assign_splits(
-            series,
-            fractions=fractions,
-            n_bins=config["n_bins"],
-            strat_on=config["strat_on"],
-            seed=config["seed"],
-        )
-        merged.update(part.assignments)
+        if series:
+            merged.update(assign_splits(series, **settings).assignments)
     if not merged:
         raise CliError("data", "no players found in cleaned files")
-    splits = SplitAssignment(
-        assignments=merged,
-        fractions=fractions,
-        n_bins=config["n_bins"],
-        strat_on=config["strat_on"],
-        seed=config["seed"],
-    )
-    out = _out_dir(args)
-    _write(out / "splits.csv", ser.write_splits(splits))
-    _log(out, f"split players={len(merged)} seed={config['seed']}")
-    print(f"assigned {len(merged)} players -> {out / 'splits.csv'}")
-    return 0
+    splits = SplitAssignment(assignments=merged, **settings)
+    print(f"assigned {len(merged)} players -> {Path(args.out) / 'splits.csv'}")
+    return {"splits.csv": ser.write_splits(splits)}
 
 
 def _eval_report(windows, predictions, position, split, model_id) -> EvalReport:
@@ -385,13 +367,13 @@ def _eval_report(windows, predictions, position, split, model_id) -> EvalReport:
     )
 
 
-def cmd_train(args, config) -> int:
+def cmd_train(args, config) -> dict[str, str]:
     family = FAMILIES[args.family]
     w = int(config["w"])
     tier = FeatureTier(config["tier"])
     family_config = family.from_cli(config)
 
-    reports = []
+    files, reports = {}, []
     for position, players in _players(args, config, args.position):
         train_ex, val_ex = (players.windows(w, tier, s) for s in ("train", "validation"))
         if not train_ex or not val_ex:
@@ -406,12 +388,10 @@ def cmd_train(args, config) -> int:
             w=w, tier=tier.value, position=position.value, scaler=fitted.scaler
         )
         model_id = f"{family.name}_{position.value}"
-        out = _out_dir(args)
-        _write(out / f"model_{model_id}.txt", family.write(fitted.model, ctx))
+        files[f"model_{model_id}.txt"] = family.write(fitted.model, ctx)
         if fitted.curve is not None:
-            _write(
-                out / f"learning_curve_{position.value}.csv",
-                ser.write_learning_curve(fitted.curve),
+            files[f"learning_curve_{position.value}.csv"] = ser.write_learning_curve(
+                fitted.curve
             )
 
         train_report = _eval_report(train_ex, train_pred, position, "train", model_id)
@@ -420,9 +400,8 @@ def cmd_train(args, config) -> int:
         print(
             f"{model_id}: train mse {train_report.mse:.4f}, val mse {val_report.mse:.4f}"
         )
-    _write(out / f"report_{family.name}.csv", ser.write_reports_csv(reports))
-    _log(out, f"train family={family.name} seed={config['seed']}")
-    return 0
+    files[f"report_{family.name}.csv"] = ser.write_reports_csv(reports)
+    return files
 
 
 def _load_model(path: str):
@@ -434,7 +413,7 @@ def _load_model(path: str):
     return family, model, ctx
 
 
-def cmd_evaluate(args, config) -> int:
+def cmd_evaluate(args, config) -> dict[str, str]:
     family, model, ctx = _load_model(args.model)
     [(position, players)] = _players(args, config, ctx.position)
     windows = players.windows(ctx.w, FeatureTier(ctx.tier), args.split)
@@ -447,34 +426,31 @@ def cmd_evaluate(args, config) -> int:
         report.spearman = spearman_by_gameweek(
             windows.target_gameweek, windows.y, predictions
         )
-    out = _out_dir(args)
-    _write(
-        out / f"eval_{model_id}_{args.split}.csv", ser.write_reports_csv([report])
-    )
-    _write(
-        out / f"predictions_{model_id}_{args.split}.csv",
-        ser.write_predictions_csv(export_predictions(windows, predictions)),
-    )
     k = min(int(config["extreme_k"]), len(windows))
     extremes = extreme_examples(windows, predictions, k)
-    _write(
-        out / f"extremes_{model_id}_{args.split}.csv",
-        ser.write_table("kind,true,predicted,squared_error,d,points_history", (
-            [kind, y, yhat, err, d, " ".join(map(ser.fmt_num, history))]
-            for kind, entries in (("worst", extremes.worst), ("best", extremes.best))
-            for y, yhat, err, d, history in entries
-        )),
-    )
     rho = "null" if report.spearman is None else f"{report.spearman:.4f}"
     print(
         f"{model_id} on {args.split}: n={report.n} mse={report.mse:.4f} "
         f"spearman={rho}"
     )
-    _log(out, f"evaluate model={args.model} split={args.split}")
-    return 0
+    return {
+        f"eval_{model_id}_{args.split}.csv": ser.write_reports_csv([report]),
+        f"predictions_{model_id}_{args.split}.csv": ser.write_table(
+            "true,predicted,player,gameweek,position", (
+                [float(y), float(yhat), key.canonical_name, int(gw), key.position.value]
+                for y, yhat, key, gw in zip(
+                    windows.y, predictions, windows.players, windows.target_gameweek)
+            )),
+        f"extremes_{model_id}_{args.split}.csv": ser.write_table(
+            "kind,true,predicted,squared_error,d,points_history", (
+                [kind, y, yhat, err, d, " ".join(map(ser.fmt_num, history))]
+                for kind, entries in (("worst", extremes.worst), ("best", extremes.best))
+                for y, yhat, err, d, history in entries
+            )),
+    }
 
 
-def cmd_gridsearch(args, config) -> int:
+def cmd_gridsearch(args, config) -> dict[str, str]:
     family = args.family
     if config["top_k"] < 1:
         raise CliError("data", f"top-k size must be >= 1, got {config['top_k']}")
@@ -497,10 +473,14 @@ def cmd_gridsearch(args, config) -> int:
     axes = config["grid"] if config["grid"] is not None else FAMILIES[family].grid
     grid = GridSpec(family=family, axes={k: list(v) for k, v in axes.items()},
                     fixed=FAMILIES[family].from_cli(config))
-    summary = {}
+    files, summary = {}, {}
     for position, players in _players(args, config, args.position):
         results = run_grid(grid, players, seed=config["seed"])
-        out = _out_dir(args)
+        succeeded = [r for r in results if r.error is None]
+        if not succeeded:
+            raise CliError(
+                "data", f"every {position.value} trial failed (first: {results[0].error})"
+            )
         axis_names = sorted(grid.axes)
         header = ser.csv_line([*axis_names, "train_mse", "val_mse", "seed", "status", "reason"])
         trials = (
@@ -510,11 +490,7 @@ def cmd_gridsearch(args, config) -> int:
         )
         # A missing MSE or reason is an empty cell.
         rows = (["" if c is None else c for c in cells] for cells in trials)
-        _write(out / f"trials_{family}_{position.value}.csv", ser.write_table(header, rows))
-
-        succeeded = [r for r in results if r.error is None]
-        if not succeeded:
-            raise CliError("data", f"every {position.value} trial failed")
+        files[f"trials_{family}_{position.value}.csv"] = ser.write_table(header, rows)
         best = succeeded[0]
         entry = {
             "config": best.config,
@@ -533,15 +509,11 @@ def cmd_gridsearch(args, config) -> int:
             f"{family}_{position.value}: best val mse {best.val_mse:.4f} "
             f"({len(results)} trials, {entry['failed']} failed)"
         )
-    _write(
-        out / f"summary_{family}.json",
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
-    _log(out, f"gridsearch family={family} seed={config['seed']}")
-    return 0
+    files[f"summary_{family}.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return files
 
 
-def cmd_cv(args, config) -> int:
+def cmd_cv(args, config) -> dict[str, str]:
     players_by_position = _players(args, config, args.position)
     family = args.family
     family_config = FAMILIES[family].from_cli(config)
@@ -559,16 +531,11 @@ def cmd_cv(args, config) -> int:
             f"{family}_{position.value} cv: train mse {train_err:.4f}, "
             f"val mse {val_err:.4f}"
         )
-    out = _out_dir(args)
-    _write(
-        out / f"cv_{family}.csv",
-        ser.write_table("family,position,mean_train_mse,mean_val_mse", results),
-    )
-    _log(out, f"cv family={family} k={cv.k}")
-    return 0
+    header = "family,position,mean_train_mse,mean_val_mse"
+    return {f"cv_{family}.csv": ser.write_table(header, results)}
 
 
-def cmd_rank(args, config) -> int:
+def cmd_rank(args, config) -> dict[str, str]:
     family, model, ctx = _load_model(args.model)
     [(position, players)] = _players(args, config, ctx.position)
     windows = players.windows(ctx.w, FeatureTier(ctx.tier))
@@ -584,15 +551,12 @@ def cmd_rank(args, config) -> int:
         key=lambda i: (-predictions[i], candidates.players[i].canonical_name),
     )
     tied = average_ranks(-np.asarray(predictions))
-    out = _out_dir(args)
-    path = out / f"rank_{position.value}_gw{args.gameweek}.csv"
-    _write(path, ser.write_table("rank,player,predicted,tied_rank", (
+    name = f"rank_{position.value}_gw{args.gameweek}.csv"
+    print(f"ranked {len(candidates)} players -> {Path(args.out) / name}")
+    return {name: ser.write_table("rank,player,predicted,tied_rank", (
         [rank, candidates.players[i].canonical_name, float(predictions[i]), float(tied[i])]
         for rank, i in enumerate(order, start=1)
-    )))
-    print(f"ranked {len(candidates)} players -> {path}")
-    _log(out, f"rank model={args.model} gameweek={args.gameweek}")
-    return 0
+    ))}
 
 
 def _explain_coefficients(args, config, loaded):
@@ -663,7 +627,7 @@ _EXPLAINERS = {
 }
 
 
-def cmd_explain(args, config) -> int:
+def cmd_explain(args, config) -> dict[str, str]:
     if config["shapley_background"] < 1:
         raise CliError("data", "shapley_background must be >= 1, got "
                        f"{config['shapley_background']}")
@@ -674,12 +638,8 @@ def cmd_explain(args, config) -> int:
         raise CliError("usage", "several --model files must be ridge models, one per position")
     kind = loaded[0][0].explain
     files, message = _EXPLAINERS[kind](args, config, loaded)
-    out = _out_dir(args)
-    for name, text in files.items():
-        _write(out / name, text)
     print(message)
-    _log(out, f"explain kind={kind}")
-    return 0
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +759,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     # Each warning the filters let through is one stderr line; the filters
     # themselves are left as they are.
     with warnings.catch_warnings():
@@ -806,7 +767,13 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             config = load_config(args.config, args.seed)
-            return _COMMANDS[args.command](args, config)
+            files = _COMMANDS[args.command](args, config)
+            out = _out_dir(args)
+            for name, text in files.items():
+                _write(out / name, text)
+            stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
+            _write(out / "run.log", f"{stamp} {shlex.join(argv)}\n", "a")
+            return 0
         except (CliError, *(kind for kind, _ in _CATEGORIES)) as exc:
             if isinstance(exc, CliError):
                 category = exc.category

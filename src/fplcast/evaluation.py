@@ -22,7 +22,6 @@ __all__ = [
     "spearman_tied",
     "spearman_by_gameweek",
     "extreme_examples",
-    "export_predictions",
 ]
 
 
@@ -149,24 +148,3 @@ def extreme_examples(windows, predictions, k: int) -> ExtremeExamples:
     return ExtremeExamples(
         worst=[record(*t) for t in worst], best=[record(*t) for t in by_err[:k]]
     )
-
-
-def export_predictions(windows, predictions) -> list[dict]:
-    """One record per window: true, predicted, player, gameweek, position.
-
-    Stable input order; feeds the predictions-vs-true scatter exports.
-    """
-    if len(predictions) != len(windows):
-        raise ValueError("examples and predictions must align")
-    return [
-        {
-            "true": float(y),
-            "predicted": float(pred),
-            "player": player.canonical_name,
-            "gameweek": int(gameweek),
-            "position": player.position.value,
-        }
-        for y, pred, player, gameweek in zip(
-            windows.y, predictions, windows.players, windows.target_gameweek
-        )
-    ]

@@ -600,11 +600,3 @@ def write_coefficient_table(
     return write_table(csv_line(["position", *features, "intercept"]), (
         [pos, *map(float, coef[i]), float(intercepts[i])] for i, pos in enumerate(positions)
     ))
-
-
-def write_predictions_csv(records: list[dict]) -> str:
-    return write_table("true,predicted,player,gameweek,position", (
-        [r["true"], r["predicted"], r["player"], r["gameweek"], r["position"]]
-        for r in records
-    ))
-

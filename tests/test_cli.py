@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -17,13 +18,14 @@ from hypothesis import strategies as st
 
 from fplcast import cli
 from fplcast.cli import build_parser, load_config, main
-from fplcast.dataset import generate_synthetic_season
+from fplcast.dataset import FeatureTier, generate_synthetic_season
 from fplcast.evaluation import average_ranks
 from fplcast.ingest import GameweekTable
 from fplcast.gbm import predict_gbm
+from fplcast.harness import predict
 from fplcast.serialize import (
     ModelContext, fmt_num, read_cleaned_csv, read_cnn, read_gbm, read_splits, write_gbm,
-    write_raw_csv, write_table,
+    write_raw_csv, write_splits, write_table,
 )
 
 from test_gbm import sixteen_feature_model
@@ -498,6 +500,30 @@ class TestEvaluateCommand:
         assert predictions.startswith("true,predicted,player,gameweek,position")
         extremes = (out / "extremes_ridge_MID_test.csv").read_text()
         assert '"worst"' in extremes and '"best"' in extremes
+
+    def test_predictions_are_every_window_in_order_at_full_precision(
+        self, tiny_season, tmp_path
+    ):
+        _, files = tiny_season
+        assert main(_argv("evaluate", "ridge", files, tmp_path / "o")) == 0
+        text = (tmp_path / "o" / "predictions_ridge_MID_validation.csv").read_text()
+        header, *rows = csv.reader(text.splitlines())
+        assert header == ["true", "predicted", "player", "gameweek", "position"]
+        # The windows the command scored, and their predictions, from the library.
+        family, model, ctx = cli._load_model(files["ridge"])
+        args = argparse.Namespace(cleaned=[files["cleaned"]], strengths=files["strengths"],
+                                  splits=files["splits"])
+        [(_, players)] = cli._players(args, load_config(files["config"], None), "MID")
+        windows = players.windows(ctx.w, FeatureTier(ctx.tier), "validation")
+        predictions = predict(family, model, ctx.scaler, windows)
+        assert [(float(y), float(yhat), name, int(gw), position)
+                for y, yhat, name, gw, position in rows] == [
+            (float(y), float(yhat), key.canonical_name, int(gw), key.position.value)
+            for y, yhat, key, gw in zip(
+                windows.y, predictions, windows.players, windows.target_gameweek)
+        ]
+        # Each prediction reads back exactly, long fractions included.
+        assert any(len(yhat) > 15 for _, yhat, *_ in rows)
 
     def test_truncated_model_is_a_format_error(self, tmp_path, capsys):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)
@@ -1240,6 +1266,86 @@ def damaged(draw, data: bytes):
     return draw(corruptions(data.decode())).encode()
 
 
+class TestOutputsOnlyOnSuccess:
+    """A command's files and its run.log line are written only once it has
+    succeeded; a failed command leaves --out as it found it."""
+
+    @staticmethod
+    def snapshot(out: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_a_late_failure_leaves_out_untouched(self, tmp_path, capsys):
+        _, cleaned, strengths, splits_path = synth_pipeline(tmp_path)
+        # Every FWD player in train leaves FWD, the last position, no
+        # validation windows, after the GK, DEF and MID fits.
+        splits = read_splits(open(splits_path).read())
+        splits.assignments = {
+            key: "train" if key.position.value == "FWD" else split
+            for key, split in splits.assignments.items()
+        }
+        all_train = tmp_path / "splits_fwd_train.csv"
+        all_train.write_text(write_splits(splits))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report_ridge.csv").write_text("stale report\n")
+        (out / "model_ridge_GK.txt").write_text("stale model\n")
+        (out / "run.log").write_text("2000-01-01T00:00:00 earlier command\n")
+        before = self.snapshot(out)
+        capsys.readouterr()
+        assert main(["--out", str(out), "--seed", "5", "train", "--cleaned", *cleaned,
+                     "--strengths", strengths, "--splits", str(all_train),
+                     "--family", "ridge"]) == 1
+        captured = capsys.readouterr()
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+            "ridge_GK", "ridge_DEF", "ridge_MID"]
+        assert captured.err == "error:data: position FWD has an empty train or val split\n"
+        assert self.snapshot(out) == before
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch", "cv"])
+    def test_a_missing_position_stops_before_any_fit(self, tmp_path, capsys, command):
+        _, cleaned, strengths, splits = synth_pipeline(tmp_path)
+        capsys.readouterr()
+        argv = ["--out", str(tmp_path / "out"), "--position", "all", command,
+                "--cleaned", *cleaned[:3], "--strengths", strengths, "--family", "ridge"]
+        assert main(argv + ([] if command == "cv" else ["--splits", splits])) == 1
+        assert capsys.readouterr() == ("", "error:data: no players with position FWD\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_gridsearch_with_every_trial_failed_names_the_first_reason(
+        self, tiny_season, tmp_path, capsys
+    ):
+        _, files = tiny_season
+        files = TestConfigChecks.with_config(
+            files, tmp_path / "cfg.json", {"grid": {"k": [5, 4], "w": [3]}}
+        )
+        capsys.readouterr()
+        assert main(_argv("gridsearch", "cnn", files, tmp_path / "out")) == 1
+        assert capsys.readouterr() == ("", "error:data: every MID trial failed "
+                                           "(first: ValueError: kernel 5 exceeds window 3)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_each_success_appends_its_command_line_to_run_log(
+        self, tiny_season, tmp_path
+    ):
+        _, files = tiny_season
+        out = tmp_path / "out"
+        succeeded = []
+        for command in ("synth", "ingest", "split", "train", "gridsearch", "cv",
+                        "evaluate", "rank", "explain"):
+            argv = _argv(command, "ridge", files, out)
+            assert main(argv) == 0
+            succeeded.append(argv)
+        # A failed command appends nothing.
+        assert main(_argv("train", "ridge", {**files, "splits": str(tmp_path / "no")},
+                          out)) == 1
+        lines = (out / "run.log").read_text().splitlines()
+        assert len(lines) == len(succeeded)
+        for line, argv in zip(lines, succeeded):
+            stamp, logged = line.split(" ", 1)
+            assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", stamp)
+            assert logged == shlex.join(argv)
+
+
 class TestEveryFailureIsOneLine:
     INPUTS = {
         "ingest": ["raw", "strengths"],
@@ -1411,6 +1517,22 @@ class TestConfigChecks:
             assert main(_argv("train", "ridge", {**files, "config": str(config)}, out)) == 0
             outputs.append((out / "model_ridge_MID.txt").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_a_negative_seed_is_one_error_line(self, tiny_season, tmp_path, capsys, command):
+        _, files = tiny_season
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["--seed", "-1", *_argv(command, "ridge", files, out)]) == 1
+        assert capsys.readouterr().err == (
+            "error:usage: --seed must be a non-negative integer, got -1\n"
+        )
+        files = self.with_config(files, tmp_path / "cfg.json", {"seed": -1})
+        assert main(_argv(command, "ridge", files, out)) == 1
+        assert capsys.readouterr().err == (
+            "error:config: config key 'seed' must be a non-negative integer, got -1\n"
+        )
+        assert not out.exists()
 
     def test_integer_keys_take_any_integer(self, tmp_path):
         config = tmp_path / "cfg.json"

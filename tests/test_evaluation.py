@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,14 +6,12 @@ from hypothesis import strategies as st
 from fplcast.dataset import WindowSet
 from fplcast.evaluation import (
     average_ranks,
-    export_predictions,
     extreme_examples,
     mse,
     spearman_by_gameweek,
     spearman_tied,
 )
 from fplcast.ingest import CanonicalPlayerKey, Position
-from fplcast.serialize import write_predictions_csv
 
 from conftest import concat_windows
 
@@ -209,27 +205,3 @@ class TestExtremeExamples:
         examples = concat_windows([_example(1), _example(1)])
         result = extreme_examples(examples, [2.0, 2.0], 1)
         assert result.worst[0] == result.best[0]
-
-
-class TestExportPredictions:
-    def test_one_record_per_example(self):
-        examples = concat_windows([_example(2, name="a"), _example(3, name="b")])
-        records = export_predictions(examples, [2.5, 3.5])
-        assert len(records) == 2
-        assert records[0]["player"] == "a"
-        assert records[1]["predicted"] == 3.5
-
-    def test_round_trip(self):
-        examples = concat_windows([_example(2, name="a"), _example(3, name="b")])
-        records = export_predictions(examples, [2.5, 1 / 3])
-        header, *rows = csv.reader(write_predictions_csv(records).splitlines())
-        assert header == ["true", "predicted", "player", "gameweek", "position"]
-        parsed = [
-            {"true": float(y), "predicted": float(yhat), "player": player,
-             "gameweek": int(gameweek), "position": position}
-            for y, yhat, player, gameweek, position in rows
-        ]
-        assert parsed == records
-
-    def test_empty_gives_header_only(self):
-        assert write_predictions_csv([]) == "true,predicted,player,gameweek,position\n"
