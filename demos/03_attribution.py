@@ -15,7 +15,7 @@ from fplcast.dataset import (
 from fplcast.harness import FAMILIES, train_family
 from fplcast.ingest import Position
 from fplcast.ridge import export_coefficients
-from fplcast.gbm import predict_gbm, shapley_values, split_importance
+from fplcast.gbm import predict_gbm_batch, shapley_values, split_importance
 from fplcast.cnn import mean_normalized_filter
 
 rows, strengths = generate_synthetic_season(seed=3, n_players=160, n_weeks=30)
@@ -70,7 +70,7 @@ print(f"  base value E[f]: {result.base_value:.3f}")
 for name, phi in zip(full_names, result.phi):
     print(f"  phi {name:17} {phi:+.3f}")
 print(f"  reconstructed prediction: {result.base_value + result.phi.sum():.3f}")
-print(f"  direct prediction:        {predict_gbm(fitted.model, x):.3f}")
+print(f"  direct prediction:        {predict_gbm_batch(fitted.model, x[None])[0]:.3f}")
 
 print("\n== CNN mean normalized filter (kernel x features) ==")
 fitted, _, _ = train_family(

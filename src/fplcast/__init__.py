@@ -40,12 +40,12 @@ from .dataset import (
     generate_synthetic_season,
     sliding_average,
 )
-from .ridge import RidgeModel, export_coefficients, fit_ridge, predict_ridge
+from .ridge import RidgeModel, export_coefficients, fit_ridge, predict_ridge_batch
 from .gbm import (
     GbmHyperparams,
     GbmModel,
     fit_gbm,
-    predict_gbm,
+    predict_gbm_batch,
     shapley_values,
     split_importance,
 )
@@ -55,7 +55,7 @@ from .cnn import (
     adam_step,
     backward,
     cost,
-    forward,
+    forward_batch,
     init_model,
     mean_normalized_filter,
     train,

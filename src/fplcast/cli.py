@@ -62,7 +62,7 @@ from .ingest import (
     SchemaError,
     TeamLookupError,
     canonicalize_name,
-    check_ratings,
+    compute_difficulty,
     drop_benched,
     fuzzy_match,
     parse_gameweek_csv,
@@ -224,7 +224,7 @@ def _players(args, config, positions: str):
         rows = rows.take(rows.season == season)
         if not len(rows):
             raise CliError("data", f"no cleaned rows for season '{season}'")
-    check_ratings(rows, strengths)
+    compute_difficulty(rows, strengths)  # every row rated, before any fit
     all_series = build_series(rows)
     flip = config["difficulty_sign"] == "own_minus_opponent"
     players = []
@@ -299,7 +299,7 @@ def cmd_ingest(args, config) -> dict[str, str]:
     kept = drop_benched(read.replace(player_name=names))
     dropped = len(read) - len(kept)
 
-    check_ratings(kept, strengths)
+    compute_difficulty(kept, strengths)  # every kept row rated
 
     per_position = {p: kept.take(kept.position == p) for p in Position.ordered()}
     report = [
@@ -332,8 +332,8 @@ def cmd_synth(args, config) -> dict[str, str]:
     return {
         "synthetic_gameweeks.csv": ser.write_raw_csv(rows),
         "synthetic_strengths.csv": ser.write_table("season,team,strength", (
-            [strengths.season, team, strengths.entries[team]]
-            for team in sorted(strengths.entries)
+            [season, team, table.entries[team]]
+            for season, table in strengths.items() for team in sorted(table.entries)
         )),
     }
 

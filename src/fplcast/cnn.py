@@ -35,7 +35,6 @@ __all__ = [
     "TrainConfig",
     "LearningCurve",
     "init_model",
-    "forward",
     "forward_batch",
     "cost",
     "backward",
@@ -211,13 +210,6 @@ def forward_batch(model: CnnModel, X: np.ndarray, d: np.ndarray):
     _activate(a_hidden, model.activation, out=a_hidden)
     yhat = a_hidden @ model.out_w + model.out_b[0]
     return yhat, (U, a_conv, hidden_in, a_hidden)
-
-
-def forward(model: CnnModel, X: np.ndarray, d: float):
-    """Single-example forward pass: scalar prediction plus cache."""
-    X = np.asarray(X, dtype=np.float64)
-    yhat, cache = forward_batch(model, X[None, :, :], np.array([float(d)]))
-    return float(yhat[0]), cache
 
 
 def _penalty(model: CnnModel, lambda1: float, lambda2: float) -> float:

@@ -3,11 +3,12 @@
 A cleaned player series becomes one training example per retained gameweek
 that has a full window of w prior appearances in its season: the w-by-f
 feature window, that match's difficulty gap, and its points as the target.
-Players.windows gathers them from every series' rows held as one table.
-Examples are held column by column in a WindowSet. Baseline models consume
-the per-feature window means instead of the full window. A synthetic
-season draws its random numbers row by row and derives the rest column by
-column.
+Players.windows gathers them from every series' rows held as one table,
+and rates the target rows alone with one ingest.compute_difficulty call
+against the per-season strength tables. Examples are held column by
+column in a WindowSet. Baseline models consume the per-feature window
+means instead of the full window. A synthetic season draws its random
+numbers row by row and derives the rest column by column.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .ingest import (
     TeamStrengthTable,
     canonicalize_name,
     compute_difficulty,
-    season_strengths,
 )
 
 __all__ = [
@@ -198,7 +198,7 @@ class Players:
     strength tables, each player's split, and the difficulty sign."""
 
     series: list[PlayerSeries]
-    strengths: dict[str, TeamStrengthTable] | TeamStrengthTable
+    strengths: dict[str, TeamStrengthTable]  # season -> its strength table
     splits: dict[CanonicalPlayerKey, str] | None = None  # player key -> split
     # True for difficulty_sign own_minus_opponent: every difficulty negated.
     flip_difficulty: bool = False
@@ -231,16 +231,9 @@ class Players:
         if not len(t):
             return WindowSet.empty(w, len(columns))
         table = rows.table
-        # One difficulty call per run of targets in one season, in series
-        # order: a missing season table or an unrated team fails at the
-        # first target row that needs it.
-        d = np.empty(len(t), dtype=np.int64)
-        seasons = table.season[t].tolist()
-        for run in _runs(seasons):
-            strengths = self.strengths
-            if isinstance(strengths, dict):
-                strengths = season_strengths(strengths, seasons[run.start])
-            d[run] = compute_difficulty(table.take(t[run]), strengths)
+        # A missing season table or an unrated team fails at the first
+        # target row, in series order, that needs it.
+        d = compute_difficulty(table.take(t), self.strengths)
         return WindowSet(
             X=table.matrix(columns)[t[:, None] - w + np.arange(w)],
             d=-d if self.flip_difficulty else d,
@@ -399,8 +392,9 @@ def generate_synthetic_season(
     n_players: int,
     n_weeks: int,
     position_mix: tuple[float, float, float, float] = (2 / 15, 5 / 15, 5 / 15, 3 / 15),
-) -> tuple[GameweekTable, TeamStrengthTable]:
-    """Deterministic desk-scale season standing in for real data.
+) -> tuple[GameweekTable, dict[str, TeamStrengthTable]]:
+    """Deterministic desk-scale season standing in for real data, and its
+    strengths as {"synthetic": table}.
 
     Each player gets a latent skill drawn once and a slowly-mixing form
     state; weekly points are a right-skewed integer draw centered on
@@ -486,4 +480,4 @@ def generate_synthetic_season(
         **{c.field: np.zeros(len(player), dtype=np.int64) for c in GAMEWEEK_SCHEMA
            if c.kind == "opt_int"},
     )
-    return table, strengths
+    return table, {season: strengths}

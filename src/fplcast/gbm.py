@@ -59,7 +59,6 @@ __all__ = [
     "SplitImportance",
     "ShapleyResult",
     "fit_gbm",
-    "predict_gbm",
     "predict_gbm_batch",
     "split_importance",
     "shapley_values",
@@ -342,13 +341,6 @@ def fit_gbm(x_list, y_list, hp: GbmHyperparams | None = None,
         n_features=X.shape[1],
         feature_names=feature_names,
     )
-
-
-def predict_gbm(model: GbmModel, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {x.shape[-1]}")
-    return float(predict_gbm_batch(model, x.reshape(1, -1))[0])
 
 
 def predict_gbm_batch(model: GbmModel, X) -> np.ndarray:

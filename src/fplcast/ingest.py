@@ -3,9 +3,11 @@
 Raw input is the public per-gameweek CSV schema (one row per player per
 gameweek), held column by column in a GameweekTable whose columns
 GAMEWEEK_SCHEMA declares once for every reader and writer. It parses
-gameweek and strength CSVs, scores and matches player names, drops
+gameweek and strength CSV text, scores and matches player names, drops
 benched appearances and computes match difficulty; cli.cmd_ingest merges
-the spellings and dataset.Players.windows attaches difficulty.
+the spellings. Strengths are always per season ({season: table}), and
+compute_difficulty alone looks ratings up: the commands call it to check
+every row before any fit, and dataset.Players.windows on its target rows.
 
 Every CSV record comes from csv_records, numbered by its physical line.
 A gameweek file is read in blocks of rows. A clean block is converted
@@ -38,8 +40,6 @@ __all__ = [
     "TeamLookupError",
     "parse_gameweek_csv",
     "parse_strengths_csv",
-    "season_strengths",
-    "check_ratings",
     "canonicalize_name",
     "token_sort_similarity",
     "fuzzy_match",
@@ -221,23 +221,6 @@ class TeamStrengthTable:
         return self.entries[key]
 
 
-def season_strengths(strengths: dict[str, TeamStrengthTable], season: str) -> TeamStrengthTable:
-    """The strength table of `season`, or TeamLookupError if it has none."""
-    if season not in strengths:
-        raise TeamLookupError(f"no strength table for season '{season}'")
-    return strengths[season]
-
-
-def check_ratings(rows: GameweekTable, strengths: dict[str, TeamStrengthTable]) -> None:
-    """Raise TeamLookupError for the first row whose season has no strength
-    table, or whose team or opponent has no rating in it."""
-    matches = zip(rows.season.tolist(), rows.team.tolist(), rows.opponent.tolist())
-    for season, team, opponent in dict.fromkeys(matches):
-        ratings = season_strengths(strengths, season)
-        ratings.strength(team)
-        ratings.strength(opponent)
-
-
 @dataclass(frozen=True)
 class CanonicalPlayerKey:
     """Identity of a player after name cleaning: folded name + position."""
@@ -360,20 +343,32 @@ def drop_benched(table: GameweekTable) -> GameweekTable:
     return table.take(table.minutes > 0)
 
 
-def compute_difficulty(table: GameweekTable, strengths: TeamStrengthTable) -> np.ndarray:
+def compute_difficulty(
+    rows: GameweekTable, strengths: dict[str, TeamStrengthTable]
+) -> np.ndarray:
     """Upcoming-match difficulty gap of every row: opponent strength minus
-    own strength.
+    own strength, both rated in the row's season.
 
     Positive means a harder match. The pipeline's difficulty_sign config
-    key flips the convention downstream if needed.
+    key flips the convention downstream if needed. Raises TeamLookupError
+    at the first row, in row order, whose season has no strength table,
+    then whose team has no rating in it, then whose opponent has none.
     """
-    # Each name is looked up once, in row order, so the first row with an
-    # unrated team is the one an error names.
-    teams, opponents = table.team.tolist(), table.opponent.tolist()
-    names = dict.fromkeys(n for pair in zip(opponents, teams) for n in pair)
-    rating = {name: strengths.strength(name) for name in names}
-    gaps = [rating[opp] - rating[team] for team, opp in zip(teams, opponents)]
-    return np.array(gaps, dtype=np.int64)
+    # Each distinct (season, team, opponent) in row order, and each row's
+    # index into them.
+    matches: dict[tuple[str, str, str], int] = {}
+    index = [matches.setdefault(match, len(matches)) for match in zip(
+        rows.season.tolist(), rows.team.tolist(), rows.opponent.tolist())]
+    rating: dict[tuple[str, str], int] = {}  # (season, name) -> strength, looked up once
+    gaps = []
+    for season, team, opponent in matches:
+        if season not in strengths:
+            raise TeamLookupError(f"no strength table for season '{season}'")
+        for name in (team, opponent):
+            if (season, name) not in rating:
+                rating[season, name] = strengths[season].strength(name)
+        gaps.append(rating[season, opponent] - rating[season, team])
+    return np.array(gaps, dtype=np.int64)[index]
 
 
 def _parse_int(value: str, column: str, line: int) -> int:
@@ -448,22 +443,12 @@ def numeric_column(cells: Sequence[str], kind: str) -> tuple[np.ndarray, int | N
     return np.fromiter(map(int, cells), np.int64, len(cells)), None
 
 
-def csv_records(source):
-    """(line, record) for each record of a csv.reader over `source` (str,
-    bytes, or a text or byte stream), less one leading byte-order mark, as
-    spreadsheets write it. `line` is the physical line the record ends on: a
-    quoted cell may span lines. An unreadable record raises RowParseError."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-    lines = iter(source)
-    first = next(lines, None)
-    if first is not None:
-        lines = itertools.chain([first.removeprefix("\ufeff")], lines)
-    reader = csv.reader(lines)
+def csv_records(text: str):
+    """(line, record) for each record of a csv.reader over `text`, less one
+    leading byte-order mark, as spreadsheets write it. `line` is the
+    physical line the record ends on: a quoted cell may span lines. An
+    unreadable record raises RowParseError."""
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         for record in reader:
             yield reader.line_num, record
@@ -482,7 +467,7 @@ def _blocks(reader):
                 if len(records) == _BLOCK_ROWS:
                     yield records, lines
                     records, lines = [], []
-    except (ValueError, OSError):
+    except ValueError:
         # The rows read before an unreadable one are checked first.
         yield records, lines
         raise
@@ -558,16 +543,16 @@ def _parse_rows(records, lines, cells, kickoff_col, season):
     return GameweekTable(season=(season,) * n, kickoff_order=np.zeros(n, int), **columns), keys
 
 
-def parse_gameweek_csv(source, season: str) -> GameweekTable:
-    """Parse one season's raw per-gameweek CSV into a table, preserving order.
+def parse_gameweek_csv(text: str, season: str) -> GameweekTable:
+    """Parse one season's raw per-gameweek CSV text into a table, preserving
+    order.
 
-    `source` is a byte or text stream (or str/bytes). The header must carry
-    every required column; unknown extra columns are ignored. kickoff_order
-    is assigned per (gameweek, kickoff_time, file order) so each player's
-    rows sort into a total order within the season. Rows are converted a
-    block at a time, column by column.
+    The header must carry every required column; unknown extra columns are
+    ignored. kickoff_order is assigned per (gameweek, kickoff_time, file
+    order) so each player's rows sort into a total order within the season.
+    Rows are converted a block at a time, column by column.
     """
-    reader = csv_records(source)
+    reader = csv_records(text)
     header = next((record for _, record in reader), None)
     if header is None:
         raise SchemaError("empty file: no header row")
@@ -594,10 +579,10 @@ def parse_gameweek_csv(source, season: str) -> GameweekTable:
     )
 
 
-def parse_strengths_csv(source) -> dict[str, TeamStrengthTable]:
-    """Parse a season/team/strength CSV into per-season strength tables.
+def parse_strengths_csv(text: str) -> dict[str, TeamStrengthTable]:
+    """Parse a season/team/strength CSV text into per-season strength tables.
     Each team is rated at most once per season."""
-    reader = csv_records(source)
+    reader = csv_records(text)
     header = next((record for _, record in reader), None)
     if header is None:
         raise SchemaError("empty strengths file: no header row")

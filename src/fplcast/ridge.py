@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RidgeModel", "fit_ridge", "predict_ridge", "export_coefficients"]
+__all__ = ["RidgeModel", "fit_ridge", "predict_ridge_batch", "export_coefficients"]
 
 
 @dataclass
@@ -68,15 +68,6 @@ def fit_ridge(x_list, y_list, lam: float, feature_names: list[str] | None = None
     return RidgeModel(
         weights=beta, intercept=intercept, lam=float(lam), feature_names=list(feature_names)
     )
-
-
-def predict_ridge(model: RidgeModel, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.weights.shape[0]:
-        raise ValueError(
-            f"expected {model.weights.shape[0]} features, got {x.shape[-1]}"
-        )
-    return float(model.intercept + x @ model.weights)
 
 
 def predict_ridge_batch(model: RidgeModel, X) -> np.ndarray:

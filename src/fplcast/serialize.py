@@ -359,6 +359,12 @@ def _read_model(text: str, magic: str, fields, what: str):
             f"scaler has {len(mean)} means and {len(std)} stds; "
             f"tier {values['tier']} has {n_columns} columns"
         )
+    # A ridge or GBM model takes each tier column and the difficulty gap.
+    if "n_features" in values and values["n_features"] != n_columns + 1:
+        raise FormatError(
+            f"n_features is {values['n_features']}; "
+            f"tier {values['tier']} has {n_columns} columns and the difficulty gap"
+        )
     scaler = None if mean is None else ScalerParams(mean=mean, std=std)
     ctx = ModelContext(values["w"], values["tier"], values["position"], scaler)
     return values, ctx, lines[pos:]
@@ -556,9 +562,10 @@ def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
     if sorted(params) != sorted(PARAM_NAMES):
         raise FormatError(f"expected parameters {sorted(PARAM_NAMES)}, found {sorted(params)}")
     # conv_w (filters, k, f) and hidden_w's rows fix every other shape.
-    conv = params["conv_w"].shape
-    if len(conv) != 3 or min(conv) < 1 or conv[1] > ctx.w:
-        raise FormatError(f"conv_w shape {conv} does not fit window {ctx.w}")
+    conv, n_columns = params["conv_w"].shape, len(FeatureTier(ctx.tier).columns())
+    if len(conv) != 3 or min(conv) < 1 or conv[1] > ctx.w or conv[2] != n_columns:
+        raise FormatError(f"conv_w shape {conv} does not fit window {ctx.w}; "
+                          f"tier {ctx.tier} has {n_columns} columns")
     filters, hidden = conv[0], params["hidden_w"].shape[0]
     expected = {
         "conv_b": (filters,),

@@ -86,10 +86,11 @@ def assert_every_column_is_an_array(table: GameweekTable):
 
 @pytest.fixture
 def strengths():
-    return TeamStrengthTable(
+    """make_table's season, rated."""
+    return {"2021-22": TeamStrengthTable(
         season="2021-22",
         entries={"fulham": 3, "arsenal": 4, "brentford": 2, "liverpool": 5},
-    )
+    )}
 
 
 @pytest.fixture

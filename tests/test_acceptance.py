@@ -28,7 +28,6 @@ from fplcast.evaluation import average_ranks, mse, spearman_tied
 from fplcast.gbm import (
     GbmHyperparams,
     fit_gbm,
-    predict_gbm,
     predict_gbm_batch,
     shapley_values,
 )
@@ -238,7 +237,7 @@ def test_criterion_5_shapley_axioms():
         result = shapley_values(model, x, background)
 
         # Efficiency.
-        full = predict_gbm(model, x)
+        full = predict_gbm_batch(model, [x])[0]
         assert abs(result.phi.sum() - (full - result.base_value)) < 1e-10
 
         # Dummy: unused features get exactly zero.

@@ -21,7 +21,7 @@ from fplcast.cli import build_parser, load_config, main
 from fplcast.dataset import FeatureTier, generate_synthetic_season
 from fplcast.evaluation import average_ranks
 from fplcast.ingest import GameweekTable
-from fplcast.gbm import predict_gbm
+from fplcast.gbm import predict_gbm_batch
 from fplcast.harness import predict
 from fplcast.serialize import (
     ModelContext, fmt_num, read_cleaned_csv, read_cnn, read_gbm, read_splits, write_gbm,
@@ -105,7 +105,8 @@ class TestIngest:
         early.write_text(write_raw_csv(rows.take(rows.gameweek <= 3)))
         strengths_file = tmp_path / "strengths.csv"
         strengths_file.write_text(write_table("season,team,strength", (
-            [strengths.season, team, rating] for team, rating in strengths.entries.items()
+            [season, team, rating]
+            for season, table in strengths.items() for team, rating in table.entries.items()
         )))
         out = tmp_path / "out"
         capsys.readouterr()
@@ -798,7 +799,8 @@ class TestExplainCommands:
         phi_sum = sum(float(r[2]) for r in features)
         model, _ = read_gbm((out / "model_gbm_MID.txt").read_text())
         assert float(base[2]) + phi_sum == pytest.approx(float(prediction[2]), abs=1e-9)
-        assert float(base[2]) + phi_sum == pytest.approx(predict_gbm(model, x), abs=1e-9)
+        [direct] = predict_gbm_batch(model, [x])
+        assert float(base[2]) + phi_sum == pytest.approx(direct, abs=1e-9)
 
     def test_gbm_shapley_rows_take_the_model_files_scaler(self, tmp_path):
         """explain builds its rows as evaluate does: through the family's
@@ -820,7 +822,8 @@ class TestExplainCommands:
         rows = list(csv.reader((out / "shapley_MID.csv").read_text().splitlines()))
         x = np.array([float(r[1]) for r in rows[1:-2]])
         predictions = (out / "predictions_gbm_MID_test.csv").read_text().splitlines()
-        assert predict_gbm(model, x) == float(next(csv.DictReader(predictions))["predicted"])
+        [direct] = predict_gbm_batch(model, [x])
+        assert direct == float(next(csv.DictReader(predictions))["predicted"])
 
     def test_gbm_shapley_for_a_tree_on_16_features(self, tmp_path):
         out, cleaned, strengths, splits = synth_pipeline(tmp_path)
@@ -1235,6 +1238,30 @@ class TestInputFileFailures:
         )
         # The rows are checked before any fit, so no trial is run or recorded.
         assert not list((tmp_path / "out").glob("trials_*"))
+
+    def test_a_row_with_team_and_opponent_unrated_names_the_team(
+        self, tiny_season, tmp_path, capsys
+    ):
+        """ingest and train rate a row's team before its opponent, so both
+        print the same one error line."""
+        _, files = tiny_season
+        edited = dict(files)
+        for name in ("raw", "cleaned"):
+            rows = list(csv.reader(open(files[name], newline="")))
+            team, opponent = rows[0].index("team"), rows[0].index("opponent_team")
+            rows[1][team], rows[1][opponent] = "nowhere", "never"
+            edited[name] = str(tmp_path / f"{name}.csv")
+            with open(edited[name], "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+        errors = []
+        for command in ("ingest", "train"):
+            capsys.readouterr()
+            assert main(_argv(command, "ridge", edited, tmp_path / "out")) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == [
+            "error:lookup: no strength rating for team 'nowhere' in season synthetic\n"
+        ] * 2
+        assert not (tmp_path / "out").exists()
 
     def test_a_team_without_a_rating_stops_gridsearch_before_any_trial(
         self, tiny_season, tmp_path, capsys

@@ -15,7 +15,6 @@ from fplcast.cnn import (
     adam_step,
     backward,
     cost,
-    forward,
     forward_batch,
     init_model,
     mean_normalized_filter,
@@ -141,8 +140,8 @@ class TestInitModel:
         # The cache holds the unrolled windows (n, w-k+1, k*f) and the conv
         # activations (n*(w-k+1), filters).
         model = init_model(5, 3, 2, n_filters=4, n_hidden=3, seed=1)
-        yhat, (unrolled, a_conv, *_rest) = forward(
-            model, np.zeros((5, 2)), 0.0
+        yhat, (unrolled, a_conv, *_rest) = forward_batch(
+            model, np.zeros((1, 5, 2)), np.array([0.0])
         )
         assert unrolled.shape == (1, 5 - 3 + 1, 3 * 2)
         assert a_conv.shape == (1 * (5 - 3 + 1), 4)
@@ -182,26 +181,26 @@ class TestForward:
     def test_all_zero_parameters_give_zero(self):
         model = init_model(3, 1, 2, n_filters=2, n_hidden=2, seed=0)
         zeros = {k: np.zeros_like(v) for k, v in model.params().items()}
-        yhat, _ = forward(model.with_params(zeros), np.ones((3, 2)), 5.0)
+        [yhat], _ = forward_batch(model.with_params(zeros), np.ones((1, 3, 2)), np.array([5.0]))
         assert yhat == 0.0
 
     def test_sum_network_hand_arithmetic(self):
         model = sum_network(w=3)
         X = np.array([[1.0], [2.0], [4.0]])
-        yhat, _ = forward(model, X, 3.0)
+        [yhat], _ = forward_batch(model, X[None], np.array([3.0]))
         assert yhat == pytest.approx(1 + 2 + 4 + 3)
 
     def test_relu_positive_homogeneity(self):
         model = init_model(4, 2, 2, n_filters=3, n_hidden=3, seed=4)
         X = np.abs(np.random.default_rng(0).normal(size=(4, 2)))
-        _, (u1, a1, *_r1) = forward(model, X, 0.0)
-        _, (u2, a2, *_r2) = forward(model, 2 * X, 0.0)
+        _, (u1, a1, *_r1) = forward_batch(model, X[None], np.array([0.0]))
+        _, (u2, a2, *_r2) = forward_batch(model, 2 * X[None], np.array([0.0]))
         np.testing.assert_allclose(a2, 2 * a1, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         model = init_model(3, 1, 2, seed=0)
         with pytest.raises(ValueError):
-            forward(model, np.zeros((4, 2)), 0.0)
+            forward_batch(model, np.zeros((1, 4, 2)), np.array([0.0]))
 
 
 class TestCost:

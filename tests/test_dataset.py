@@ -58,7 +58,7 @@ def build_windows(
     series: PlayerSeries,
     w: int,
     tier: FeatureTier,
-    strengths: dict[str, TeamStrengthTable] | TeamStrengthTable,
+    strengths: dict[str, TeamStrengthTable],
 ) -> WindowSet:
     """Slide a w-week window over the series; the week after each window
     supplies the target points and difficulty.
@@ -75,15 +75,10 @@ def build_windows(
     for run in _runs(table.season):
         if run.stop - run.start < w + 1:
             continue
-        season, season_strengths = table.season[run.start], strengths
-        if isinstance(strengths, dict):
-            if season not in strengths:
-                raise TeamLookupError(f"no strength table for season '{season}'")
-            season_strengths = strengths[season]
         # Window i holds rows i..i+w-1 and predicts row i+w.
         windows.append(sliding_window_view(feats[run], w, axis=0)[:-1].transpose(0, 2, 1))
         targets.append(table.take(slice(run.start + w, run.stop)))
-        d.append(compute_difficulty(targets[-1], season_strengths))
+        d.append(compute_difficulty(targets[-1], strengths))
     if not targets:
         return WindowSet.empty(w, len(columns))
     target = GameweekTable.concat(targets)
@@ -139,8 +134,8 @@ class TestBuildWindows:
         series = PlayerSeries(
             key=CanonicalPlayerKey("someone", Position.FWD), table=rows
         )
-        tables = {"2020-21": TeamStrengthTable("2020-21", dict(strengths.entries)),
-                  "2021-22": strengths}
+        tables = {"2020-21": TeamStrengthTable("2020-21", dict(strengths["2021-22"].entries)),
+                  **strengths}
         windows = Players([series], tables).windows(2, FeatureTier.PTSONLY)
         # One per season segment; none spanning gameweeks 3->1.
         assert len(windows) == 2
@@ -721,10 +716,11 @@ class TestSyntheticSeason:
         assert all(m > 0 for m in rows.minutes)
 
     def test_strengths_cover_all_teams(self):
-        rows, table = generate_synthetic_season(4, 25, 5)
+        rows, strengths = generate_synthetic_season(4, 25, 5)
+        assert list(strengths) == ["synthetic"]
         for team, opponent in zip(rows.team, rows.opponent):
-            assert table.strength(team) in range(1, 6)
-            assert table.strength(opponent) in range(1, 6)
+            assert strengths["synthetic"].strength(team) in range(1, 6)
+            assert strengths["synthetic"].strength(opponent) in range(1, 6)
 
     def test_names_survive_fuzzy_merge(self):
         from fplcast.ingest import token_sort_similarity
@@ -748,7 +744,7 @@ class TestSyntheticSeason:
         assert_tables_equal(rows, want_rows)
         same_csv = write_raw_csv(rows) == write_raw_csv(want_rows)
         assert same_csv
-        assert strengths == want_strengths
+        assert strengths == {"synthetic": want_strengths}
 
 
 class TestBuildSeries:

@@ -17,7 +17,6 @@ from fplcast.gbm import (
     RegressionTree,
     TreeNode,
     fit_gbm,
-    predict_gbm,
     predict_gbm_batch,
     shapley_values,
     split_importance,
@@ -81,7 +80,7 @@ class TestFitGbm:
     def test_zero_trees_predicts_mean(self):
         hp = GbmHyperparams(n_trees=0, min_data_in_leaf=1)
         model = fit_gbm([[1.0], [2.0], [3.0]], [1.0, 5.0, 9.0], hp)
-        assert predict_gbm(model, [7.0]) == 5.0
+        assert predict_gbm_batch(model, [[7.0]])[0] == 5.0
 
     def test_first_split_gain_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(10)
@@ -159,7 +158,7 @@ class TestFitGbm:
         hp = GbmHyperparams()  # min_data_in_leaf 70 >> 6 rows
         with pytest.warns(UserWarning, match="base score"):
             model = fit_gbm(np.zeros((6, 2)), np.arange(6.0), hp)
-        assert predict_gbm(model, [0.0, 0.0]) == pytest.approx(2.5)
+        assert predict_gbm_batch(model, [[0.0, 0.0]])[0] == pytest.approx(2.5)
 
     @pytest.mark.parametrize("n, m, reason", [
         (8, 1, "every feature is constant"),
@@ -174,7 +173,7 @@ class TestFitGbm:
             f"{reason}: no split is possible and the model degenerates to its base score"
         ]
         assert all(len(t.nodes) == 1 for t in model.trees)
-        assert predict_gbm(model, [5.0, 1.0]) == pytest.approx((n - 1) / 2)
+        assert predict_gbm_batch(model, [[5.0, 1.0]])[0] == pytest.approx((n - 1) / 2)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0, pytest.param(10**400, id="int_too_large_for_a_float")])
     def test_rejects_non_finite_or_negative_lambda_l2(self, lam):
@@ -483,10 +482,10 @@ class TestPresortedSplitSearch:
 class TestPredictGbm:
     def test_empty_tree_list_gives_base(self):
         model = GbmModel(3.25, [], 0.1, GbmHyperparams(), n_features=2)
-        assert predict_gbm(model, [0.0, 0.0]) == 3.25
+        assert predict_gbm_batch(model, [[0.0, 0.0]])[0] == 3.25
 
     def test_toy_at_zero(self):
-        assert predict_gbm(toy_model(), [0.0]) == 0.0
+        assert predict_gbm_batch(toy_model(), [[0.0]])[0] == 0.0
 
     def test_batch_equals_a_walk_per_row(self):
         rng = np.random.default_rng(33)
@@ -515,13 +514,13 @@ class TestPredictGbm:
             n_features=1,
         )
         x = [1.0]
-        margin = predict_gbm(base_model, x) - base_model.base_score
-        margin2 = predict_gbm(doubled, x) - doubled.base_score
+        margin = predict_gbm_batch(base_model, [x])[0] - base_model.base_score
+        margin2 = predict_gbm_batch(doubled, [x])[0] - doubled.base_score
         assert margin2 == pytest.approx(2 * margin)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            predict_gbm(toy_model(), [1.0, 2.0])
+            predict_gbm_batch(toy_model(), [[1.0, 2.0]])
 
 
 class TestSplitImportance:
@@ -575,7 +574,7 @@ def shapley_oracle(model, x, background):
             hybrid = np.array(b, dtype=float)
             for j in subset:
                 hybrid[j] = x[j]
-            total += predict_gbm(model, hybrid)
+            total += predict_gbm_batch(model, [hybrid])[0]
         return total / len(background)
 
     phi = np.zeros(m)
@@ -730,7 +729,7 @@ def assert_efficient(model, x, background):
     assert result.base_value == pytest.approx(
         float(predict_gbm_batch(model, background).mean()), rel=0, abs=1e-12
     )
-    assert abs(result.base_value + result.phi.sum() - predict_gbm(model, x)) <= 1e-10
+    assert abs(result.base_value + result.phi.sum() - predict_gbm_batch(model, [x])[0]) <= 1e-10
     return result
 
 
@@ -946,7 +945,7 @@ class TestShapley:
         x = X[3]
         background = X[10:40]
         result = shapley_values(model, x, background)
-        full = predict_gbm(model, x)
+        full = predict_gbm_batch(model, [x])[0]
         assert result.phi.sum() == pytest.approx(full - result.base_value, abs=1e-10)
 
     def test_dummy_feature_exactly_zero(self):
@@ -1084,8 +1083,8 @@ class TestShapley:
 
 class TestGbmSerialization:
     def test_round_trip_preserves_predictions(self):
-        model, X = fitted_small_model(seed=30)
-        ctx = ModelContext(w=3, tier="full", position="FWD")
+        model, X = fitted_small_model(seed=30, n_features=3)
+        ctx = ModelContext(w=3, tier="pts_minutes", position="FWD")
         parsed, parsed_ctx = read_gbm(write_gbm(model, ctx))
         np.testing.assert_array_equal(
             predict_gbm_batch(parsed, X), predict_gbm_batch(model, X)
@@ -1095,8 +1094,8 @@ class TestGbmSerialization:
         assert structural_violations(parsed) == []
 
     def test_round_trip_preserves_gain_trace(self):
-        model, _ = fitted_small_model(seed=31)
-        ctx = ModelContext(w=3, tier="full", position="GK")
+        model, _ = fitted_small_model(seed=31, n_features=3)
+        ctx = ModelContext(w=3, tier="pts_minutes", position="GK")
         parsed, _ = read_gbm(write_gbm(model, ctx))
         for a, b in zip(parsed.trees, model.trees):
             assert a.split_gains == b.split_gains

@@ -81,10 +81,6 @@ class TestParseGameweekCsv:
         text = HEADER + ",expected_goals\n" + row_line() + ",0.7"
         assert len(parse_gameweek_csv(text, "2021-22")) == 1
 
-    def test_accepts_byte_streams(self):
-        data = (HEADER + "\n" + row_line()).encode("utf-8")
-        assert len(parse_gameweek_csv(io.BytesIO(data), "2021-22")) == 1
-
     def test_file_order_preserved(self):
         text = HEADER + "\n" + row_line(name="A") + "\n" + row_line(name="B")
         names = parse_gameweek_csv(text, "2021-22").player_name
@@ -342,10 +338,6 @@ class TestColumnarParse:
         text = HEADER + "\n" + row_line()
         assert_tables_equal(
             parse_gameweek_csv("\ufeff" + text, "2021-22"), parse_gameweek_csv(text, "2021-22")
-        )
-        data = ("\ufeff" + text).encode("utf-8")
-        assert_tables_equal(
-            parse_gameweek_csv(io.BytesIO(data), "2021-22"), parse_gameweek_csv(text, "2021-22")
         )
 
     def test_a_clean_season_never_reaches_the_row_loop(self):
@@ -690,7 +682,61 @@ class TestDropBenched:
         assert drop_benched(rows).gameweek.tolist() == [1, 3]
 
 
+def _difficulty_oracle(rows, strengths):
+    """Each row's gap, rated row by row: the first row whose season has no
+    table, or whose team or opponent (in that order) has no rating, raises."""
+    gaps = []
+    for season, team, opponent in zip(rows.season, rows.team, rows.opponent):
+        if season not in strengths:
+            raise TeamLookupError(f"no strength table for season '{season}'")
+        entries = strengths[season].entries
+        for name in (team, opponent):
+            if canonicalize_name(name) not in entries:
+                raise TeamLookupError(f"no strength rating for team '{name}' in season {season}")
+        gaps.append(entries[canonicalize_name(opponent)] - entries[canonicalize_name(team)])
+    return gaps
+
+
+_DIFFICULTY_SEASONS = ("2020-21", "2021-22", "2022-23")
+# Spellings of four teams; every one folds to its team's canonical name.
+_DIFFICULTY_TEAMS = ("Arsenal", "arsenal", "Brentford", " fulham", "FULHAM", "Liverpool")
+
+
+@st.composite
+def rated_rows(draw):
+    """Rows over three seasons, and strength tables that leave out some
+    seasons and, in the seasons they keep, some teams."""
+    n = draw(st.integers(0, 12))
+    names = st.lists(st.sampled_from(_DIFFICULTY_TEAMS), min_size=n, max_size=n)
+    rows = make_table(
+        season=draw(st.lists(st.sampled_from(_DIFFICULTY_SEASONS), min_size=n, max_size=n)),
+        team=draw(names), opponent=draw(names),
+    )
+    teams = sorted({canonicalize_name(name) for name in _DIFFICULTY_TEAMS})
+    strengths = {
+        season: ingest.TeamStrengthTable(season, {
+            team: draw(st.integers(1, 5)) for team in teams
+            if draw(st.integers(0, 9)) > 0  # about one team in ten unrated
+        })
+        for season in _DIFFICULTY_SEASONS if draw(st.integers(0, 5)) > 0
+    }
+    return rows, strengths
+
+
 class TestComputeDifficulty:
+    @settings(max_examples=200, deadline=None)
+    @given(rated_rows())
+    def test_matches_the_row_by_row_oracle(self, drawn):
+        """The gaps of every row, or the first error the oracle raises."""
+        rows, strengths = drawn
+        outcomes = []
+        for difficulty in (compute_difficulty, _difficulty_oracle):
+            try:
+                outcomes.append(list(difficulty(rows, strengths)))
+            except TeamLookupError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
     def test_equal_strengths_zero(self, strengths):
         row = make_table(team="fulham", opponent="fulham")
         assert compute_difficulty(row, strengths).tolist() == [0]
@@ -709,8 +755,8 @@ class TestComputeDifficulty:
             compute_difficulty(row, strengths)
 
     def test_bounded_by_rating_range(self, strengths):
-        for team in strengths.entries:
-            for opponent in strengths.entries:
+        for team in strengths["2021-22"].entries:
+            for opponent in strengths["2021-22"].entries:
                 row = make_table(team=team, opponent=opponent)
                 assert -4 <= compute_difficulty(row, strengths)[0] <= 4
 
@@ -724,7 +770,7 @@ class TestComputeDifficulty:
     def test_first_unrated_row_is_named(self, strengths):
         rows = make_table(team=["fulham", "wolves", "fulham"],
                           opponent=["arsenal", "burnley", "chelsea"])
-        with pytest.raises(TeamLookupError, match="burnley"):
+        with pytest.raises(TeamLookupError, match="'wolves'"):
             compute_difficulty(rows, strengths)
 
 
@@ -754,7 +800,6 @@ class TestParseStrengths:
     def test_byte_order_mark_is_dropped(self):
         text = "season,team,strength\n2021-22,Fulham,3\n"
         assert parse_strengths_csv("\ufeff" + text) == parse_strengths_csv(text)
-        assert parse_strengths_csv(("\ufeff" + text).encode("utf-8")) == parse_strengths_csv(text)
 
     def test_unreadable_row_is_a_parse_error_after_the_rows_before_it(self):
         unreadable = "k" * (csv.field_size_limit() + 1)

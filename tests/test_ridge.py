@@ -8,7 +8,6 @@ from fplcast.ridge import (
     RidgeModel,
     export_coefficients,
     fit_ridge,
-    predict_ridge,
     predict_ridge_batch,
 )
 from fplcast.serialize import ModelContext, read_ridge, write_ridge
@@ -120,11 +119,11 @@ class TestFitRidge:
 class TestPredictRidge:
     def test_zero_weights_gives_intercept(self):
         model = RidgeModel(np.zeros(3), 1.25, 1.0, ["a", "b", "c"])
-        assert predict_ridge(model, [9.0, 9.0, 9.0]) == 1.25
+        assert predict_ridge_batch(model, [[9.0, 9.0, 9.0]])[0] == 1.25
 
     def test_unit_weight(self):
         model = RidgeModel(np.array([1.0, 0.0]), 0.5, 1.0, ["a", "b"])
-        assert predict_ridge(model, [3.0, 99.0]) == pytest.approx(3.5)
+        assert predict_ridge_batch(model, [[3.0, 99.0]])[0] == pytest.approx(3.5)
 
     def test_reproduces_training_targets_on_exact_fit(self):
         x = np.array([[0.0], [1.0], [2.0]])
@@ -135,7 +134,7 @@ class TestPredictRidge:
     def test_dimension_mismatch(self):
         model = RidgeModel(np.zeros(2), 0.0, 1.0, ["a", "b"])
         with pytest.raises(ValueError):
-            predict_ridge(model, [1.0])
+            predict_ridge_batch(model, [[1.0]])
 
 
 class TestExportCoefficients:
@@ -186,7 +185,7 @@ class TestRidgeSerialization:
     def test_model_file_round_trip(self):
         A, y, _ = linear_design(seed=5, n=20, f=3)
         model = fit_ridge(A, y, lam=0.5, feature_names=["a", "b", "c"])
-        ctx = ModelContext(w=3, tier="ptsonly", position="MID")
+        ctx = ModelContext(w=3, tier="pts_minutes", position="MID")  # 2 columns and d
         parsed, parsed_ctx = read_ridge(write_ridge(model, ctx))
         np.testing.assert_array_equal(parsed.weights, model.weights)
         assert parsed.intercept == model.intercept
@@ -194,6 +193,6 @@ class TestRidgeSerialization:
         assert parsed.feature_names == model.feature_names
         assert (parsed_ctx.w, parsed_ctx.tier, parsed_ctx.position) == (
             3,
-            "ptsonly",
+            "pts_minutes",
             "MID",
         )

@@ -485,6 +485,13 @@ class TestModelFileCorruption:
             for edit, pattern, replacement, message, families in [
                 ("tier_full", "\ntier ptsonly\n", "\ntier full\n", "tier full has 18",
                  ("ridge", "cnn")),
+                # A tier whose column count the model's features do not fit.
+                ("tier_pts_minutes", "\ntier ptsonly\n", "\ntier pts_minutes\n",
+                 "tier pts_minutes has 2 columns", ("gbm",)),
+                ("tier_and_scaler_pts_minutes",
+                 r"\ntier ptsonly\n(position MID\n)scaler_mean ([^\n]*)\nscaler_std ([^\n]*)\n",
+                 r"\ntier pts_minutes\n\1scaler_mean \2 0\nscaler_std \3 1\n",
+                 "tier pts_minutes has 2 columns", ("ridge", "cnn")),
                 ("tier_nope", "\ntier ptsonly\n", "\ntier nope\n", "unknown tier",
                  ("ridge", "gbm", "cnn")),
                 ("position_XX", "\nposition MID\n", "\nposition XX\n", "unknown position",
