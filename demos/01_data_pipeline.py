@@ -9,7 +9,6 @@ from fplcast.dataset import (
     FeatureTier,
     Players,
     assign_splits,
-    build_series,
     fit_scaler,
     apply_scaler,
     generate_synthetic_season,
@@ -30,11 +29,11 @@ played = drop_benched(rows)
 print(f"  {len(rows) - len(played)} benched rows dropped (synthetic players all play)")
 
 print("\n== Windowed examples ==")
-series = build_series(played)
-mid = [s for s in series if s.key.position is Position.MID]
+mid = played.take(played.position == Position.MID)
 w, tier = 3, FeatureTier.PTS_MINUTES
-windows = Players(mid, strengths).windows(w, tier)
-print(f"  {len(mid)} midfielders -> {len(windows)} windows of w={w}")
+midfielders = Players(mid, strengths)
+windows = midfielders.windows(w, tier)
+print(f"  {len(midfielders.keys)} midfielders -> {len(windows)} windows of w={w}")
 X, d, y = windows.X[0], windows.d[0], windows.y[0]
 print(f"  one example: X shape {X.shape}, d={d}, y={y}")
 print(f"  window rows (points, minutes):\n{X}")

@@ -9,7 +9,6 @@ from fplcast.dataset import (
     FeatureTier,
     Players,
     assign_splits,
-    build_series,
     generate_synthetic_season,
 )
 from fplcast.evaluation import mse, spearman_tied
@@ -17,11 +16,11 @@ from fplcast.harness import train_family
 from fplcast.ingest import Position
 
 rows, strengths = generate_synthetic_season(seed=7, n_players=200, n_weeks=38)
-series = [s for s in build_series(rows) if s.key.position is Position.MID]
-splits = assign_splits(series, seed=7)
+mid = rows.take(rows.position == Position.MID)
+splits = assign_splits(mid, seed=7)
 
 w, tier = 3, FeatureTier.PTSONLY
-players = Players(series, strengths, splits.assignments)
+players = Players(mid, strengths, splits.assignments)
 train_ex, val_ex = (players.windows(w, tier, bucket) for bucket in ("train", "validation"))
 
 val_y = val_ex.y.astype(float)

@@ -9,7 +9,6 @@ from fplcast.dataset import (
     FeatureTier,
     Players,
     assign_splits,
-    build_series,
     generate_synthetic_season,
 )
 from fplcast.harness import FAMILIES, train_family
@@ -19,20 +18,19 @@ from fplcast.gbm import predict_gbm_batch, shapley_values, split_importance
 from fplcast.cnn import mean_normalized_filter
 
 rows, strengths = generate_synthetic_season(seed=3, n_players=160, n_weeks=30)
-all_series = build_series(rows)
 w, tier = 3, FeatureTier.PTS_ICT
 names = tier.columns() + ["difficulty_gap"]
 
 
 def players_of(position):
     """One position's players, split with seed 3."""
-    series = [s for s in all_series if s.key.position is position]
-    return Players(series, strengths, assign_splits(series, seed=3).assignments)
+    mine = rows.take(rows.position == position)
+    return Players(mine, strengths, assign_splits(mine, seed=3).assignments)
 
 
 print("== Ridge coefficients per position ==")
 ridge_models = {}
-for position in Position.ordered():
+for position in Position:
     players = players_of(position)
     train_ex, val_ex = (players.windows(w, tier, b) for b in ("train", "validation"))
     fitted, _, _ = train_family(

@@ -3,7 +3,7 @@
 Run from the repository root:  python demos/04_grid_search.py
 """
 
-from fplcast.dataset import Players, assign_splits, build_series, generate_synthetic_season
+from fplcast.dataset import Players, assign_splits, generate_synthetic_season
 from fplcast.harness import (
     CvConfig,
     GridSpec,
@@ -15,11 +15,11 @@ from fplcast.harness import (
 from fplcast.ingest import Position
 
 rows, strengths = generate_synthetic_season(seed=21, n_players=150, n_weeks=30)
-series = [s for s in build_series(rows) if s.key.position is Position.FWD]
+forwards = rows.take(rows.position == Position.FWD)
 # One Players value holds the forwards, their strengths and the split map
 # that every configuration and the holdout score share.
-players = Players(series, strengths, assign_splits(series, seed=21).assignments)
-print(f"{len(series)} forwards, splits fixed once for every configuration\n")
+players = Players(forwards, strengths, assign_splits(forwards, seed=21).assignments)
+print(f"{len(players.keys)} forwards, splits fixed once for every configuration\n")
 
 grid = GridSpec(
     family="cnn",

@@ -29,13 +29,11 @@ from .ingest import (
 from .dataset import (
     FeatureTier,
     Players,
-    PlayerSeries,
     ScalerParams,
     SplitAssignment,
     WindowSet,
     apply_scaler,
     assign_splits,
-    build_series,
     fit_scaler,
     generate_synthetic_season,
     sliding_average,

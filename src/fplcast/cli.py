@@ -29,7 +29,6 @@ from .dataset import (
     Players,
     SplitAssignment,
     assign_splits,
-    build_series,
     generate_synthetic_season,
 )
 from .evaluation import (
@@ -225,14 +224,13 @@ def _players(args, config, positions: str):
         if not len(rows):
             raise CliError("data", f"no cleaned rows for season '{season}'")
     compute_difficulty(rows, strengths)  # every row rated, before any fit
-    all_series = build_series(rows)
     flip = config["difficulty_sign"] == "own_minus_opponent"
     players = []
-    for position in Position.ordered() if positions == "all" else [Position(positions)]:
-        series = [s for s in all_series if s.key.position == position]
-        if not series:
+    for position in Position if positions == "all" else [Position(positions)]:
+        mine = rows.take(rows.position == position)
+        if not len(mine):
             raise CliError("data", f"no players with position {position.value}")
-        players.append((position, Players(series, strengths, splits, flip_difficulty=flip)))
+        players.append((position, Players(mine, strengths, splits, flip_difficulty=flip)))
     return players
 
 
@@ -301,7 +299,7 @@ def cmd_ingest(args, config) -> dict[str, str]:
 
     compute_difficulty(kept, strengths)  # every kept row rated
 
-    per_position = {p: kept.take(kept.position == p) for p in Position.ordered()}
+    per_position = {p: kept.take(kept.position == p) for p in Position}
     report = [
         "ingest report",
         *[f"read {len(table)} rows from {path}" for path, table in parts],
@@ -343,12 +341,11 @@ def cmd_split(args, config) -> dict[str, str]:
     # The same split settings serve every position and the splits file.
     settings = {"fractions": tuple(config["fractions"]),
                 **{key: config[key] for key in ("n_bins", "strat_on", "seed")}}
-    all_series = build_series(rows)
     merged: dict = {}
-    for position in Position.ordered():
-        series = [s for s in all_series if s.key.position == position]
-        if series:
-            merged.update(assign_splits(series, **settings).assignments)
+    for position in Position:
+        mine = rows.take(rows.position == position)
+        if len(mine):
+            merged.update(assign_splits(mine, **settings).assignments)
     if not merged:
         raise CliError("data", "no players found in cleaned files")
     splits = SplitAssignment(assignments=merged, **settings)

@@ -1,14 +1,16 @@
 """Windowed example construction, splits, scaling, and synthetic seasons.
 
-A cleaned player series becomes one training example per retained gameweek
-that has a full window of w prior appearances in its season: the w-by-f
+Players groups cleaned gameweek rows, given in any order, once: it sorts
+them by player (canonical name and position), then season and kickoff,
+and keeps each player's key beside the sorted table. A row becomes one
+training example when w rows of its player's season precede it: the w-by-f
 feature window, that match's difficulty gap, and its points as the target.
-Players.windows gathers them from every series' rows held as one table,
-and rates the target rows alone with one ingest.compute_difficulty call
-against the per-season strength tables. Examples are held column by
-column in a WindowSet. Baseline models consume the per-feature window
-means instead of the full window. A synthetic season draws its random
-numbers row by row and derives the rest column by column.
+Players.windows gathers them from the sorted table and rates the target
+rows alone with one ingest.compute_difficulty call against the per-season
+strength tables. Examples are held column by column in a WindowSet.
+Baseline models consume the per-feature window means instead of the full
+window. A synthetic season draws its random numbers row by row and derives
+the rest column by column.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import enum
 import hashlib
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,13 +34,11 @@ from .ingest import (
 )
 
 __all__ = [
-    "PlayerSeries",
     "FeatureTier",
     "WindowSet",
     "SplitAssignment",
     "Players",
     "ScalerParams",
-    "build_series",
     "sliding_average",
     "stratified_bins",
     "assign_splits",
@@ -51,26 +50,9 @@ __all__ = [
 
 DIFFICULTY_FEATURE = "difficulty_gap"
 
-# What stratified_bins can rank players on: a PlayerSeries statistic, or
-# "none" for name order.
+# What stratified_bins can rank players on: the mean or the population
+# standard deviation of a player's points, or "none" for name order.
 STRAT_ON = ("avg_score", "stdev_score", "none")
-
-
-@dataclass
-class PlayerSeries:
-    """All retained rows for one player, in chronological order."""
-
-    key: CanonicalPlayerKey
-    table: GameweekTable
-
-    @property
-    def avg_score(self) -> float:
-        return float(np.mean(self.table.total_points))
-
-    @property
-    def stdev_score(self) -> float:
-        # Population standard deviation, consistent with the scaler.
-        return float(np.std(self.table.total_points))
 
 
 class FeatureTier(enum.Enum):
@@ -142,77 +124,61 @@ class ScalerParams:
     std: np.ndarray
 
 
-def _runs(keys: Sequence) -> list[slice]:
-    """The maximal runs of equal consecutive keys, as slices."""
-    if not len(keys):
-        return []
-    bounds = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def build_series(table: GameweekTable) -> list[PlayerSeries]:
-    """Group cleaned rows into per-player series ordered chronologically.
-
-    Rows must already carry canonical player names. A player appearing in
-    two seasons forms a single series; rows order by (season, kickoff_order).
-    """
-    names, seasons = table.player_name.tolist(), table.season.tolist()
+def _group(rows: GameweekTable):
+    """`rows` in player order: sorted by (canonical name, position, season,
+    kickoff_order). Returns the sorted table, one CanonicalPlayerKey per
+    player, each sorted row's player index and its place in its (player,
+    season) run."""
+    names, positions = rows.player_name.tolist(), rows.position.tolist()
     canonical = {name: canonicalize_name(name) for name in set(names)}
-    keys = [
-        CanonicalPlayerKey(canonical[name], position)
-        for name, position in zip(names, table.position.tolist())
-    ]
-    kickoff_order = table.kickoff_order.tolist()
-    order = sorted(
-        range(len(table)),
-        key=lambda i: (keys[i].canonical_name, keys[i].position.value,
-                       seasons[i], kickoff_order[i]),
-    )
-    ordered, keys = table.take(np.array(order)), [keys[i] for i in order]
-    return [PlayerSeries(keys[run.start], ordered.take(run)) for run in _runs(keys)]
-
-
-class _Rows(NamedTuple):
-    """Every series' rows end to end, in series order: what windows are
-    gathered from, whatever the split."""
-
-    series: list[PlayerSeries]  # the list the rows were built from
-    keys: np.ndarray  # each series' CanonicalPlayerKey (dtype object)
-    table: GameweekTable
-    owner: np.ndarray  # each row's index into `series` and `keys`
-    run_pos: np.ndarray  # each row's position inside its (player, season) run
-
-    @classmethod
-    def of(cls, series: list[PlayerSeries]) -> _Rows:
-        keys = np.array([s.key for s in series], dtype=object)
-        table = GameweekTable.concat([s.table for s in series])
-        owner = np.repeat(np.arange(len(series)), [len(s.table) for s in series])
-        runs = _runs(list(zip(owner.tolist(), table.season.tolist())))
-        run_start = np.array([r.start for r in runs for _ in range(r.start, r.stop)], int)
-        return cls(series, keys, table, owner, np.arange(len(table)) - run_start)
+    player = [(canonical[name], position.value) for name, position in zip(names, positions)]
+    seasons, kickoffs = rows.season.tolist(), rows.kickoff_order.tolist()
+    order = sorted(range(len(rows)), key=lambda i: (*player[i], seasons[i], kickoffs[i]))
+    table = rows.take(np.array(order, dtype=np.int64))
+    player = [player[i] for i in order]
+    first = np.array([i == 0 or player[i] != player[i - 1] for i in range(len(player))], bool)
+    keys = np.array([CanonicalPlayerKey(name, Position(value))
+                     for (name, value), new in zip(player, first) if new], dtype=object)
+    run_start = first.copy()
+    run_start[1:] |= table.season[1:] != table.season[:-1]
+    index = np.arange(len(table))
+    run_pos = index - np.maximum.accumulate(np.where(run_start, index, 0))
+    return table, keys, np.cumsum(first) - 1, run_pos
 
 
 @dataclass(frozen=True, eq=False)
 class Players:
-    """What windows are built from: the players' series, their season
-    strength tables, each player's split, and the difficulty sign."""
+    """What windows are built from: the players' gameweek rows, in any
+    order, their season strength tables, each player's split, and the
+    difficulty sign. A player is a canonical name and a position."""
 
-    series: list[PlayerSeries]
-    strengths: dict[str, TeamStrengthTable]  # season -> its strength table
+    rows: GameweekTable
+    strengths: dict[str, TeamStrengthTable] = field(default_factory=dict)  # season -> table
     splits: dict[CanonicalPlayerKey, str] | None = None  # player key -> split
     # True for difficulty_sign own_minus_opponent: every difficulty negated.
     flip_difficulty: bool = False
-    # Built from `series` once; a copy by dataclasses.replace with the same
-    # series (a CV fold) shares them.
-    _rows: _Rows | None = field(default=None, repr=False)
+    # (rows, *_group(rows)), made once; a copy by dataclasses.replace with
+    # the same rows (a CV fold) shares it.
+    _grouping: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self._rows is None or self._rows.series is not self.series:
-            object.__setattr__(self, "_rows", _Rows.of(self.series))
+        if self._grouping is None or self._grouping[0] is not self.rows:
+            object.__setattr__(self, "_grouping", (self.rows, *_group(self.rows)))
+
+    @property
+    def keys(self) -> np.ndarray:
+        """One CanonicalPlayerKey per player (dtype object), in player order."""
+        return self._grouping[2]
+
+    def points_statistic(self, statistic) -> dict[CanonicalPlayerKey, float]:
+        """`statistic` (np.mean or np.std) of each player's points."""
+        _, table, keys, owner, _ = self._grouping
+        points = np.split(table.total_points, np.flatnonzero(np.diff(owner)) + 1)
+        return {key: float(statistic(p)) for key, p in zip(keys.tolist(), points)}
 
     def windows(self, w: int, tier: FeatureTier, split: str | None = None) -> WindowSet:
-        """Windows of every series, or only of the players `splits` assigns to
-        `split`, in series order.
+        """Windows of every player, or only of the players `splits` assigns
+        to `split`, in player order.
 
         A row is a target when w rows of its (player, season) run precede
         it; they are its window. Difficulty is computed on target rows only.
@@ -221,24 +187,23 @@ class Players:
             raise ValueError(f"no split map to select '{split}' players from")
         if w < 1:
             raise ValueError(f"window size must be >= 1, got {w}")
-        rows = self._rows
-        targets = rows.run_pos >= w
+        _, table, keys, owner, run_pos = self._grouping
+        targets = run_pos >= w
         if split is not None:
-            member = np.array([self.splits.get(s.key) == split for s in self.series], bool)
-            targets &= member[rows.owner]
+            member = np.array([self.splits.get(key) == split for key in keys.tolist()], bool)
+            targets &= member[owner]
         t = np.flatnonzero(targets)
         columns = tier.columns()
         if not len(t):
             return WindowSet.empty(w, len(columns))
-        table = rows.table
         # A missing season table or an unrated team fails at the first
-        # target row, in series order, that needs it.
+        # target row, in player order, that needs it.
         d = compute_difficulty(table.take(t), self.strengths)
         return WindowSet(
             X=table.matrix(columns)[t[:, None] - w + np.arange(w)],
             d=-d if self.flip_difficulty else d,
             y=table.total_points[t],
-            players=rows.keys[rows.owner[t]],
+            players=keys[owner[t]],
             target_gameweek=table.gameweek[t],
         )
 
@@ -268,9 +233,9 @@ def _largest_remainder(n: int, fractions: tuple[float, ...]) -> list[int]:
 
 
 def stratified_bins(
-    series_list: list[PlayerSeries], n_bins: int, strat_on: str, seed: int
-) -> list[list[PlayerSeries]]:
-    """Players in equal-count quantile bins of the `strat_on` statistic.
+    players: Players, n_bins: int, strat_on: str, seed: int
+) -> list[list[CanonicalPlayerKey]]:
+    """Player keys in equal-count quantile bins of the `strat_on` statistic.
 
     Players rank by the statistic then canonical name (by name alone, in a
     single bin, for "none"); n_bins is clamped to the player count. Inside
@@ -281,32 +246,33 @@ def stratified_bins(
         raise ValueError(f"unknown stratification statistic '{strat_on}'")
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    if not series_list:
+    keys = players.keys.tolist()
+    if not keys:
         raise ValueError("no players to bin")
     if strat_on == "none":
         n_bins = 1
-        ranked = sorted(series_list, key=lambda s: s.key.canonical_name)
+        ranked = sorted(keys, key=lambda k: k.canonical_name)
     else:
-        n_bins = min(n_bins, len(series_list))
-        ranked = sorted(
-            series_list, key=lambda s: (getattr(s, strat_on), s.key.canonical_name)
-        )
+        n_bins = min(n_bins, len(keys))
+        score = players.points_statistic(np.mean if strat_on == "avg_score" else np.std)
+        ranked = sorted(keys, key=lambda k: (score[k], k.canonical_name))
     # Equal-count rank chunks = empirical quantile bins.
     edges = [round(i * len(ranked) / n_bins) for i in range(n_bins + 1)]
     return [
-        sorted(ranked[a:b], key=lambda s: stable_hash(seed, s.key.canonical_name))
+        sorted(ranked[a:b], key=lambda k: stable_hash(seed, k.canonical_name))
         for a, b in zip(edges, edges[1:])
     ]
 
 
 def assign_splits(
-    series_list: list[PlayerSeries],
+    rows: GameweekTable,
     fractions: tuple[float, float, float] = (0.60, 0.25, 0.15),
     n_bins: int = 4,
     strat_on: str = "avg_score",
     seed: int = 0,
 ) -> SplitAssignment:
-    """Partition players into train/validation/test, stratified on skill.
+    """Partition the players of `rows` into train/validation/test,
+    stratified on skill.
 
     Players are dealt from their stratified_bins; largest-remainder
     rounding fixes the per-bin counts. Examples never cross splits because
@@ -316,22 +282,23 @@ def assign_splits(
         raise ValueError("split fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {sum(fractions)}")
-    if not series_list:
+    players = Players(rows)
+    if not len(players.keys):
         raise ValueError("no players to split")
-    if n_bins > len(series_list):
+    if n_bins > len(players.keys):
         warnings.warn(
-            f"n_bins={n_bins} exceeds player count {len(series_list)}; clamping",
+            f"n_bins={n_bins} exceeds player count {len(players.keys)}; clamping",
             stacklevel=2,
         )
 
-    bins = stratified_bins(series_list, n_bins, strat_on, seed)
+    bins = stratified_bins(players, n_bins, strat_on, seed)
     assignments: dict[CanonicalPlayerKey, str] = {}
-    for bin_players in bins:
-        counts = _largest_remainder(len(bin_players), fractions)
+    for bin_keys in bins:
+        counts = _largest_remainder(len(bin_keys), fractions)
         cursor = 0
         for split, count in zip(("train", "validation", "test"), counts):
-            for s in bin_players[cursor : cursor + count]:
-                assignments[s.key] = split
+            for key in bin_keys[cursor : cursor + count]:
+                assignments[key] = split
             cursor += count
     return SplitAssignment(
         assignments=assignments,
@@ -423,7 +390,7 @@ def generate_synthetic_season(
         n_players, tuple(m / mix_total for m in position_mix)
     )
     positions: list[Position] = []
-    for pos, count in zip(Position.ordered(), counts):
+    for pos, count in zip(Position, counts):
         positions.extend([pos] * count)
 
     # Every random draw is made row by row, in the order that defines the

@@ -32,7 +32,6 @@ from .dataset import (
     DIFFICULTY_FEATURE,
     FeatureTier,
     Players,
-    PlayerSeries,
     ScalerParams,
     WindowSet,
     apply_scaler,
@@ -433,15 +432,15 @@ def cross_validate(
 
     Each fold is `players` with a split map that holds out one fold as
     validation; `players.splits` is not read."""
-    if len(players.series) < cv.k:
-        raise ValueError(f"{len(players.series)} players cannot fill {cv.k} folds")
-    folds = _assign_folds(players.series, cv)
+    keys = players.keys.tolist()
+    if len(keys) < cv.k:
+        raise ValueError(f"{len(keys)} players cannot fill {cv.k} folds")
+    folds = _assign_folds(players, cv)
     w, tier = _window_spec(config)
     train_errs, val_errs = [], []
     for held in range(cv.k):
         fold = replace(players, splits={
-            s.key: "validation" if f == held else "train"
-            for s, f in zip(players.series, folds)
+            key: "validation" if f == held else "train" for key, f in zip(keys, folds)
         })
         train_ex, val_ex = (fold.windows(w, tier, s) for s in ("train", "validation"))
         seed = derive_seed(cv.seed, {**config, "fold": held})
@@ -451,13 +450,13 @@ def cross_validate(
     return float(np.mean(train_errs)), float(np.mean(val_errs))
 
 
-def _assign_folds(series_list: list[PlayerSeries], cv: CvConfig) -> list[int]:
-    """Quantile-bin players on skill, then deal the bins round-robin."""
-    bins = stratified_bins(series_list, cv.n_bins, cv.strat_on, cv.seed)
+def _assign_folds(players: Players, cv: CvConfig) -> list[int]:
+    """Each player's fold, in key order: quantile-bin players on skill, then
+    deal the bins round-robin."""
+    bins = stratified_bins(players, cv.n_bins, cv.strat_on, cv.seed)
     # Dealing continues across bins so every fold stays populated.
-    dealt = itertools.chain.from_iterable(bins)
-    fold = {s.key: i % cv.k for i, s in enumerate(dealt)}
-    return [fold[s.key] for s in series_list]
+    fold = {key: i % cv.k for i, key in enumerate(itertools.chain.from_iterable(bins))}
+    return [fold[key] for key in players.keys.tolist()]
 
 
 def select_final(results: list[TrialResult], players: Players) -> TrialResult:

@@ -54,11 +54,6 @@ class Position(enum.Enum):
     MID = "MID"
     FWD = "FWD"
 
-    @classmethod
-    def ordered(cls) -> list["Position"]:
-        """Fixed export ordering used by all report tables."""
-        return [cls.GK, cls.DEF, cls.MID, cls.FWD]
-
 
 class SchemaError(ValueError):
     """A required CSV column is missing."""
@@ -443,17 +438,19 @@ def numeric_column(cells: Sequence[str], kind: str) -> tuple[np.ndarray, int | N
     return np.fromiter(map(int, cells), np.int64, len(cells)), None
 
 
-def csv_records(text: str):
+def csv_records(text: str, first_line: int = 1):
     """(line, record) for each record of a csv.reader over `text`, less one
     leading byte-order mark, as spreadsheets write it. `line` is the
-    physical line the record ends on: a quoted cell may span lines. An
-    unreadable record raises RowParseError."""
+    physical line the record ends on, counting the first line of `text` as
+    `first_line`: a quoted cell may span lines. An unreadable record raises
+    RowParseError."""
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    offset = first_line - 1
     try:
         for record in reader:
-            yield reader.line_num, record
+            yield reader.line_num + offset, record
     except csv.Error as exc:
-        raise RowParseError(str(exc), reader.line_num) from None
+        raise RowParseError(str(exc), reader.line_num + offset) from None
 
 
 def _blocks(reader):

@@ -88,7 +88,7 @@ def export_coefficients(models: dict) -> tuple[list[str], list[str], np.ndarray,
     """
     from .ingest import Position
 
-    ordered = [p for p in Position.ordered() if p in models]
+    ordered = [p for p in Position if p in models]
     if not ordered:
         raise ValueError("no models to export")
     names = models[ordered[0]].feature_names

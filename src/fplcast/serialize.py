@@ -14,8 +14,10 @@ ends with a newline.
 Every CSV table other than the gameweek files (the rows of splits files,
 and each report table) is written by `write_table`: a header line, one
 `csv_line` per row, a final newline. Of these, only the splits file is
-read back: its reader takes the rows through `_table_rows`, which
-requires the header line and gives each row the header's cell count.
+read back. Its reader and the cleaned file's take their rows through
+`_table_rows`: the records of ingest.csv_records, numbered by physical
+line, where the first must be the column header and every other non-empty
+one has the header's cell count.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-import io
 import math
 from dataclasses import dataclass
 
@@ -80,23 +81,20 @@ def write_table(header: str, rows) -> str:
     return "\n".join([header, *map(csv_line, rows)]) + "\n"
 
 
-def _parse_csv_line(line: str) -> list[str]:
-    return next(csv.reader(io.StringIO(line)))
-
-
-def _table_rows(lines: list[str], start: int, header: str, what: str):
-    """(line number, cells) of each non-empty line after lines[start],
-    which must be `header`; every row has as many cells as the header."""
-    if lines[start : start + 1] != [header]:
-        raise FormatError(f"{what} lacks its column header")
-    n_cells = len(_parse_csv_line(header))
-    for number, line in enumerate(lines[start + 1 :], start=start + 2):
-        if not line:
+def _table_rows(text: str, header: list[str], bad_header: str, first_line: int = 1):
+    """(line number, cells) of each non-empty record of the CSV `text`,
+    whose first record must be the `header` cells (else FormatError
+    `bad_header`); every row has as many cells as the header. Line numbers
+    are physical, counting the first line of `text` as `first_line`."""
+    records = csv_records(text, first_line)
+    if next((rec for _, rec in records), None) != header:
+        raise FormatError(bad_header)
+    for line, rec in records:
+        if not rec:
             continue
-        cells = _parse_csv_line(line)
-        if len(cells) != n_cells:
-            raise FormatError(f"line {number}: expected {n_cells} cells, found {len(cells)}")
-        yield number, cells
+        if len(rec) != len(header):
+            raise FormatError(f"line {line}: expected {len(header)} cells, found {len(rec)}")
+        yield line, rec
 
 
 def _format_checked(read):
@@ -261,17 +259,10 @@ def _read_column(c, cells: tuple[str, ...], lines: list[int]):
 def read_cleaned_csv(text: str) -> GameweekTable:
     """A cleaned gameweek file as a table. Its records come from
     ingest.csv_records, so each error names the physical line of a record."""
-    reader = csv_records(text)
-    if next((rec for _, rec in reader), None) != _CLEANED_HEADER:
-        raise FormatError("not a cleaned gameweek file (unexpected header)")
     records, lines = [], []
-    for line, rec in reader:
-        if not rec:
-            continue
-        if len(rec) != len(_CLEANED_HEADER):
-            raise FormatError(
-                f"line {line}: expected {len(_CLEANED_HEADER)} cells, found {len(rec)}"
-            )
+    for line, rec in _table_rows(
+        text, _CLEANED_HEADER, "not a cleaned gameweek file (unexpected header)"
+    ):
         records.append(rec)
         lines.append(line)
     columns = zip(*records) if records else [()] * len(GAMEWEEK_SCHEMA)
@@ -305,7 +296,9 @@ def read_splits(text: str) -> SplitAssignment:
     lines = _file_lines(text, MAGIC_SPLITS, "splits file")
     meta, body_start = _read_header(lines, 1, _SPLITS_FIELDS, "# ")
     assignments = {}
-    rows = _table_rows(lines, body_start, _SPLITS_HEADER, "splits file")
+    body = "".join(text.splitlines(keepends=True)[body_start:])
+    rows = _table_rows(body, _SPLITS_HEADER.split(","), "splits file lacks its column header",
+                       first_line=body_start + 1)
     for number, (name, pos, split) in rows:
         if split not in _SPLIT_NAMES:
             raise FormatError(f"unknown split {split!r} for player {name!r}")

@@ -1,12 +1,20 @@
 from dataclasses import fields
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from fplcast.dataset import WindowSet, build_series, generate_synthetic_season
+from fplcast.dataset import WindowSet, generate_synthetic_season
 from fplcast.gbm import GbmModel
-from fplcast.ingest import GAMEWEEK_SCHEMA, GameweekTable, Position, TeamStrengthTable
+from fplcast.ingest import (
+    GAMEWEEK_SCHEMA,
+    CanonicalPlayerKey,
+    GameweekTable,
+    Position,
+    TeamStrengthTable,
+    canonicalize_name,
+)
 
 # Where CI is set, Hypothesis loads its `ci` profile, which replays one
 # fixed set of draws on every run (derandomize=True). This profile keeps the
@@ -101,9 +109,54 @@ def small_season():
 
 
 @pytest.fixture
-def mid_series(small_season):
+def mid_rows(small_season):
+    """small_season's midfielders' rows."""
     rows, _ = small_season
-    return [s for s in build_series(rows) if s.key.position == Position.MID]
+    return rows.take(rows.position == Position.MID)
+
+
+def runs(keys: Sequence) -> list[slice]:
+    """The maximal runs of equal consecutive keys, as slices."""
+    if not len(keys):
+        return []
+    bounds = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+class Series(NamedTuple):
+    """One player's rows, in chronological order."""
+
+    key: CanonicalPlayerKey
+    table: GameweekTable
+
+
+def row_keys(table: GameweekTable) -> list[CanonicalPlayerKey]:
+    """Each row's player: its canonical name and position."""
+    return [
+        CanonicalPlayerKey(canonicalize_name(name), position)
+        for name, position in zip(table.player_name.tolist(), table.position.tolist())
+    ]
+
+
+def build_series(table: GameweekTable) -> list[Series]:
+    """The players of `table` one table each, the oracle of Players'
+    grouping: rows keyed by canonical name and position, ordered by (name,
+    position, season, kickoff_order), cut into one Series per player."""
+    keys = row_keys(table)
+    seasons, kickoff_order = table.season.tolist(), table.kickoff_order.tolist()
+    order = sorted(
+        range(len(table)),
+        key=lambda i: (keys[i].canonical_name, keys[i].position.value,
+                       seasons[i], kickoff_order[i]),
+    )
+    ordered, keys = table.take(np.array(order, dtype=np.int64)), [keys[i] for i in order]
+    return [Series(keys[run.start], ordered.take(run)) for run in runs(keys)]
+
+
+def first_players(rows: GameweekTable, n: int) -> GameweekTable:
+    """The rows of the first `n` players of `rows`, in Players' key order."""
+    keep = {s.key for s in build_series(rows)[:n]}
+    return rows.take(np.array([key in keep for key in row_keys(rows)], dtype=bool))
 
 
 def linear_design(seed: int, n: int, f: int, noise: float = 0.1):

@@ -20,7 +20,6 @@ from fplcast.dataset import (
     FeatureTier,
     Players,
     assign_splits,
-    build_series,
     generate_synthetic_season,
     sliding_average,
 )
@@ -289,8 +288,7 @@ def test_criterion_6_pipeline_worked_example():
         "2021-22,brentford,2\n"
     )
     rows = parse_gameweek_csv(rows_csv, "2021-22")
-    [series] = build_series(rows)
-    windows = Players([series], strengths).windows(2, FeatureTier.FULL)
+    windows = Players(rows, strengths).windows(2, FeatureTier.FULL)
     assert len(windows) == 1
     assert windows.y[0] == 2
     assert windows.d[0] == -1  # brentford (2) - fulham (3)
@@ -316,14 +314,13 @@ DESK_RIDGE = {"w": 3, "tier": "ptsonly", "lambda": 1.0}
 
 def test_criterion_7_desk_scale_end_to_end():
     rows, strengths = generate_synthetic_season(seed=707, n_players=200, n_weeks=38)
-    all_series = build_series(rows)
     w, tier = 3, FeatureTier.PTSONLY
     lines = []
-    for position in Position.ordered():
+    for position in Position:
         position_started = time.perf_counter()
-        series = [s for s in all_series if s.key.position == position]
-        splits = assign_splits(series, seed=707)
-        players = Players(series, strengths, splits.assignments)
+        mine = rows.take(rows.position == position)
+        splits = assign_splits(mine, seed=707)
+        players = Players(mine, strengths, splits.assignments)
         train_ex, val_ex = (
             players.windows(w, tier, bucket) for bucket in ("train", "validation")
         )
@@ -395,9 +392,9 @@ def test_criterion_8_real_data_reproduction_soft():
     rows = drop_benched(rows)
 
     deviations = []
-    for position in Position.ordered():
-        series = [s for s in build_series(rows) if s.key.position == position]
-        players = Players(series, strengths, assign_splits(series, seed=8).assignments)
+    for position in Position:
+        mine = rows.take(rows.position == position)
+        players = Players(mine, strengths, assign_splits(mine, seed=8).assignments)
         for family, config in (
             ("ridge", DESK_RIDGE),
             ("gbm", {"w": 3, "tier": "full"}),

@@ -25,7 +25,7 @@ from fplcast.gbm import predict_gbm_batch
 from fplcast.harness import predict
 from fplcast.serialize import (
     ModelContext, fmt_num, read_cleaned_csv, read_cnn, read_gbm, read_splits, write_gbm,
-    write_raw_csv, write_splits, write_table,
+    write_cleaned_csv, write_raw_csv, write_splits, write_table,
 )
 
 from test_gbm import sixteen_feature_model
@@ -339,6 +339,25 @@ class TestSplitCommand:
         assert len(splits.assignments) == len(players)
         assert set(splits.assignments.values()) <= {"train", "validation", "test"}
 
+    def test_row_order_changes_no_output(self, tmp_path):
+        """The splits file and a model file do not depend on the order of
+        the cleaned files or of the rows in them."""
+        out, cleaned, strengths, splits = synth_pipeline(tmp_path, players=40, weeks=8)
+        mid = read_cleaned_csv(open(cleaned[2]).read())
+        shuffled = tmp_path / "shuffled_MID.csv"
+        order = np.random.default_rng(0).permutation(len(mid))
+        shuffled.write_text(write_cleaned_csv(mid.take(order)))
+        assert main(["--out", str(tmp_path / "again"), "--seed", "5", "split", "--cleaned",
+                     cleaned[3], str(shuffled), cleaned[1], cleaned[0]]) == 0
+        assert (tmp_path / "again" / "splits.csv").read_bytes() == Path(splits).read_bytes()
+        models = []
+        for name, path in (("given", cleaned[2]), ("shuffled", str(shuffled))):
+            assert main(["--out", str(tmp_path / name), "--position", "MID", "train",
+                         "--cleaned", path, "--strengths", strengths, "--splits", splits,
+                         "--family", "ridge"]) == 0
+            models.append((tmp_path / name / "model_ridge_MID.txt").read_bytes())
+        assert models[0] == models[1]
+
 
 class TestTrainCommand:
     def test_ridge_beats_mean_predictor(self, tmp_path):
@@ -355,7 +374,7 @@ class TestTrainCommand:
         )
         val_mse = float(val_line.split(",")[4])
         # Mean-predictor oracle on the validation targets.
-        from fplcast.dataset import FeatureTier, Players, build_series
+        from fplcast.dataset import FeatureTier, Players
         from fplcast.ingest import Position, parse_strengths_csv
 
         rows = GameweekTable.concat(
@@ -364,7 +383,7 @@ class TestTrainCommand:
         tables = parse_strengths_csv(open(strengths).read())
         assignment = read_splits(open(splits).read()).assignments
         train_y, val_y = [], []
-        mid = [s for s in build_series(rows) if s.key.position is Position.MID]
+        mid = rows.take(rows.position == Position.MID)
         windows = Players(mid, tables).windows(3, FeatureTier.PTSONLY)
         for key, y in zip(windows.players, windows.y):
             if assignment[key] == "train":
@@ -432,8 +451,8 @@ class TestTrainCommand:
         )
 
     def test_reports_only_train_and_validation_windows(self, pipeline, trained):
-        from fplcast.dataset import FeatureTier, Players, build_series
-        from fplcast.ingest import Position, parse_strengths_csv
+        from fplcast.dataset import FeatureTier, Players
+        from fplcast.ingest import parse_strengths_csv
 
         _, cleaned, strengths, splits = pipeline
         family, out, _ = trained
@@ -441,11 +460,9 @@ class TestTrainCommand:
         # windows only, whichever representation the family consumes.
         rows = list(csv.DictReader((out / f"report_{family}.csv").read_text().splitlines()))
         assert [r["split"] for r in rows] == ["train", "validation"]
-        series = [
-            s for s in build_series(read_cleaned_csv(open(cleaned[2]).read()))
-            if s.key.position is Position.MID
-        ]
-        players = Players(series, parse_strengths_csv(open(strengths).read()),
+        # cleaned[2] is the MID file.
+        players = Players(read_cleaned_csv(open(cleaned[2]).read()),
+                          parse_strengths_csv(open(strengths).read()),
                           read_splits(open(splits).read()).assignments)
         for row in rows:
             assert int(row["n"]) == len(players.windows(3, FeatureTier.PTSONLY, row["split"]))

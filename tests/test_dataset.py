@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from fplcast.dataset import (
     FeatureTier,
     Players,
-    PlayerSeries,
     WindowSet,
     apply_scaler,
     _SYNTH_TEAMS,
     _largest_remainder,
-    _runs,
     _synth_name,
     assign_splits,
-    build_series,
     fit_scaler,
     generate_synthetic_season,
     sliding_average,
@@ -34,28 +33,30 @@ from fplcast.ingest import (
 )
 
 from conftest import (
+    Series,
     assert_every_column_is_an_array,
     assert_tables_equal,
+    build_series,
     concat_windows,
     make_table,
+    row_keys,
+    runs,
 )
 
 
-def mitrovic_series():
+def mitrovic_rows():
     """The two-week worked window plus the following (target) match."""
     # The third week is the target: 2 points against a weaker side
     # (difficulty -1).
-    rows = make_table(
+    return make_table(
         gameweek=[1, 2, 3], kickoff_order=[0, 1, 2], total_points=[1, 12, 2],
         goals_scored=[0, 2, 0], assists=0,
         opponent=["arsenal", "liverpool", "brentford"],
     )
-    key = CanonicalPlayerKey("aleksandar mitrovic", Position.FWD)
-    return PlayerSeries(key=key, table=rows)
 
 
 def build_windows(
-    series: PlayerSeries,
+    series: Series,
     w: int,
     tier: FeatureTier,
     strengths: dict[str, TeamStrengthTable],
@@ -72,7 +73,7 @@ def build_windows(
     table = series.table
     feats = table.matrix(columns)
     windows, d, targets = [], [], []
-    for run in _runs(table.season):
+    for run in runs(table.season):
         if run.stop - run.start < w + 1:
             continue
         # Window i holds rows i..i+w-1 and predicts row i+w.
@@ -94,7 +95,7 @@ def build_windows(
 class TestBuildWindows:
     def test_worked_example(self, strengths):
         tier = FeatureTier.FULL
-        windows = Players([mitrovic_series()], strengths).windows(2, tier)
+        windows = Players(mitrovic_rows(), strengths).windows(2, tier)
         assert len(windows) == 1
         assert windows.y[0] == 2
         assert windows.d[0] == -1
@@ -107,12 +108,11 @@ class TestBuildWindows:
         assert list(goals) == [0.0, 2.0]
 
     def test_series_of_length_w_yields_nothing(self, strengths):
-        series = mitrovic_series()
-        series.table = series.table.take(slice(0, 2))
-        assert len(Players([series], strengths).windows(2, FeatureTier.PTSONLY)) == 0
+        rows = mitrovic_rows().take(slice(0, 2))
+        assert len(Players(rows, strengths).windows(2, FeatureTier.PTSONLY)) == 0
 
     def test_series_of_length_w_plus_one_yields_one(self, strengths):
-        windows = Players([mitrovic_series()], strengths).windows(2, FeatureTier.PTSONLY)
+        windows = Players(mitrovic_rows(), strengths).windows(2, FeatureTier.PTSONLY)
         assert len(windows) == 1
 
     def test_count_identity(self, strengths):
@@ -120,35 +120,29 @@ class TestBuildWindows:
             gameweek=list(range(1, 11)), kickoff_order=list(range(10)),
             opponent="arsenal",
         )
-        series = PlayerSeries(
-            key=CanonicalPlayerKey("someone", Position.FWD), table=rows
-        )
         for w in (1, 2, 5, 9):
-            assert len(Players([series], strengths).windows(w, FeatureTier.PTSONLY)) == 10 - w
+            assert len(Players(rows, strengths).windows(w, FeatureTier.PTSONLY)) == 10 - w
 
     def test_windows_never_cross_seasons(self, strengths):
         rows = make_table(
             season=["2020-21"] * 3 + ["2021-22"] * 3,
             gameweek=[1, 2, 3] * 2, kickoff_order=[0, 1, 2] * 2,
         )
-        series = PlayerSeries(
-            key=CanonicalPlayerKey("someone", Position.FWD), table=rows
-        )
         tables = {"2020-21": TeamStrengthTable("2020-21", dict(strengths["2021-22"].entries)),
                   **strengths}
-        windows = Players([series], tables).windows(2, FeatureTier.PTSONLY)
+        windows = Players(rows, tables).windows(2, FeatureTier.PTSONLY)
         # One per season segment; none spanning gameweeks 3->1.
         assert len(windows) == 2
         assert list(windows.target_gameweek) == [3, 3]
 
     def test_w_below_one_rejected(self, strengths):
         with pytest.raises(ValueError):
-            Players([mitrovic_series()], strengths).windows(0, FeatureTier.PTSONLY)
+            Players(mitrovic_rows(), strengths).windows(0, FeatureTier.PTSONLY)
 
 
 class TestWindowSet:
     def test_take_selects_rows_by_index_or_mask(self, strengths):
-        windows = Players([mitrovic_series()], strengths).windows(1, FeatureTier.PTSONLY)
+        windows = Players(mitrovic_rows(), strengths).windows(1, FeatureTier.PTSONLY)
         picked = windows.take([1])
         assert len(picked) == 1
         assert (picked.y[0], picked.d[0]) == (windows.y[1], windows.d[1])
@@ -157,13 +151,13 @@ class TestWindowSet:
         _same_keys(masked.players, picked.players)
 
     def test_concat_keeps_order(self, strengths):
-        windows = Players([mitrovic_series()], strengths).windows(1, FeatureTier.PTSONLY)
+        windows = Players(mitrovic_rows(), strengths).windows(1, FeatureTier.PTSONLY)
         both = concat_windows([windows.take([1]), windows.take([0])])
         assert list(both.target_gameweek) == [3, 2]
         np.testing.assert_array_equal(both.X, windows.X[::-1])
 
     def test_players_stay_an_object_array_of_keys(self, strengths):
-        windows = Players([mitrovic_series()], strengths).windows(1, FeatureTier.PTSONLY)
+        windows = Players(mitrovic_rows(), strengths).windows(1, FeatureTier.PTSONLY)
         for picked in (
             windows, windows.take([1, 0]), windows.take(windows.target_gameweek == 3),
             windows.take(slice(1, None)), windows.take([]), WindowSet.empty(1, 1),
@@ -238,9 +232,10 @@ _TEAMS = ("arsenal", "brentford", "fulham", "liverpool")
 
 @st.composite
 def multi_season_players(draw):
-    """1-4 players, each with 1-3 season runs of 0-8 rows (a season may
-    come back after another), and a strength table for every season."""
-    series_list = []
+    """The rows of 1-4 players, each with 1-3 season runs of 0-8 rows (a
+    season may come back after another), and a strength table for every
+    season."""
+    parts = []
     for p in range(draw(st.integers(1, 4))):
         seasons = []
         for season in draw(st.lists(st.sampled_from(_SEASONS), min_size=1, max_size=3)):
@@ -248,24 +243,29 @@ def multi_season_players(draw):
         n = len(seasons)
         ints = st.lists(st.integers(-5, 24), min_size=n, max_size=n)
         teams = st.lists(st.sampled_from(_TEAMS), min_size=n, max_size=n)
-        rows = make_table(
+        parts.append(make_table(
+            player_name=f"p{p}", position=Position.MID,
             season=seasons, gameweek=list(range(1, n + 1)), kickoff_order=list(range(n)),
             total_points=draw(ints), minutes=draw(ints), team=draw(teams),
             opponent=draw(teams),
             influence=draw(st.lists(st.floats(0, 100), min_size=n, max_size=n)),
-        )
-        series_list.append(PlayerSeries(CanonicalPlayerKey(f"p{p}", Position.MID), rows))
+        ))
+    return GameweekTable.concat(parts), draw(season_strengths())
+
+
+@st.composite
+def season_strengths(draw):
+    """A strength table for every one of _SEASONS."""
     ratings = st.lists(st.integers(1, 5), min_size=len(_TEAMS), max_size=len(_TEAMS))
-    strengths = {
+    return {
         season: TeamStrengthTable(season, dict(zip(_TEAMS, draw(ratings))))
         for season in _SEASONS
     }
-    return series_list, strengths
 
 
-# One synthetic season's series, shared by the window-selection property.
+# One synthetic season's rows, shared by the window-selection property.
 _SEASON_ROWS, _STRENGTHS = generate_synthetic_season(seed=5, n_players=24, n_weeks=8)
-_SEASON_SERIES = build_series(_SEASON_ROWS)
+_SEASON_KEYS = Players(_SEASON_ROWS).keys.tolist()
 
 
 class TestPlayersWindows:
@@ -273,7 +273,7 @@ class TestPlayersWindows:
     @given(
         st.lists(
             st.sampled_from(["train", "validation", "test", None]),
-            min_size=len(_SEASON_SERIES), max_size=len(_SEASON_SERIES),
+            min_size=len(_SEASON_KEYS), max_size=len(_SEASON_KEYS),
         ),
         st.integers(1, 4),
         st.sampled_from(list(FeatureTier)),
@@ -283,8 +283,8 @@ class TestPlayersWindows:
     def test_split_is_a_row_selection_of_every_window(self, labels, w, tier, split, flip):
         """A split's windows are the windows of every player with the other
         players' rows dropped, in order, under either difficulty sign."""
-        split_map = {s.key: label for s, label in zip(_SEASON_SERIES, labels) if label}
-        players = Players(_SEASON_SERIES, _STRENGTHS, split_map, flip)
+        split_map = {key: label for key, label in zip(_SEASON_KEYS, labels) if label}
+        players = Players(_SEASON_ROWS, _STRENGTHS, split_map, flip)
         every = players.windows(w, tier)
         picked = players.windows(w, tier, split)
         expected = every.take([split_map.get(key) == split for key in every.players])
@@ -305,9 +305,10 @@ class TestPlayersWindows:
         """Every column is bit-equal to the per-series oracle's, over
         several seasons, windows longer than some runs and players the
         split map leaves out."""
-        series_list, strengths = drawn
+        rows, strengths = drawn
+        series_list = build_series(rows)
         split_map = {s.key: label for s, label in zip(series_list, labels) if label}
-        players = Players(series_list, strengths, split_map, flip)
+        players = Players(rows, strengths, split_map, flip)
         _same_windows(
             players.windows(w, tier, split),
             _oracle(series_list, strengths, split_map, w, tier, split, flip),
@@ -320,23 +321,22 @@ class TestPlayersWindows:
         """Two players over two seasons of 4 rows: a missing season table or
         an unrated opponent raises what the oracle raises, or nothing when
         no target row needs it (the first w rows of a run)."""
-        series_list = []
-        for p in range(2):
-            opponents = ["arsenal"] * 8
-            if unrated is not None and unrated[0] == p:
-                opponents[unrated[1]] = "nowhere"
-            rows = make_table(
-                season=["2020-21"] * 4 + ["2021-22"] * 4, gameweek=[1, 2, 3, 4] * 2,
-                kickoff_order=[0, 1, 2, 3] * 2, opponent=opponents,
-            )
-            series_list.append(PlayerSeries(CanonicalPlayerKey(f"p{p}", Position.FWD), rows))
+        opponents = ["arsenal"] * 16
+        if unrated is not None:
+            opponents[8 * unrated[0] + unrated[1]] = "nowhere"
+        rows = make_table(
+            player_name=["p0"] * 8 + ["p1"] * 8, opponent=opponents,
+            season=(["2020-21"] * 4 + ["2021-22"] * 4) * 2, gameweek=[1, 2, 3, 4] * 4,
+            kickoff_order=[0, 1, 2, 3] * 4,
+        )
+        series_list = build_series(rows)
         strengths = {
             season: TeamStrengthTable(season, {"fulham": 3, "arsenal": 4})
             for season in ("2020-21", "2021-22") if season != missing
         }
         outcomes = []
         for windows in (
-            lambda: Players(series_list, strengths).windows(2, FeatureTier.PTSONLY),
+            lambda: Players(rows, strengths).windows(2, FeatureTier.PTSONLY),
             lambda: _oracle(series_list, strengths, {}, 2, FeatureTier.PTSONLY, None, False),
         ):
             try:
@@ -352,15 +352,15 @@ class TestPlayersWindows:
     def test_every_window_under_either_sign(self):
         tier = FeatureTier.PTSONLY
         whole = concat_windows(
-            [build_windows(s, 3, tier, _STRENGTHS) for s in _SEASON_SERIES]
+            [build_windows(s, 3, tier, _STRENGTHS) for s in build_series(_SEASON_ROWS)]
         )
-        _same_bits(Players(_SEASON_SERIES, _STRENGTHS).windows(3, tier).d, whole.d)
-        flipped = Players(_SEASON_SERIES, _STRENGTHS, flip_difficulty=True)
+        _same_bits(Players(_SEASON_ROWS, _STRENGTHS).windows(3, tier).d, whole.d)
+        flipped = Players(_SEASON_ROWS, _STRENGTHS, flip_difficulty=True)
         _same_bits(flipped.windows(3, tier).d, -whole.d)
 
     def test_split_needs_a_split_map(self):
         with pytest.raises(ValueError):
-            Players(_SEASON_SERIES, _STRENGTHS).windows(3, FeatureTier.PTSONLY, "train")
+            Players(_SEASON_ROWS, _STRENGTHS).windows(3, FeatureTier.PTSONLY, "train")
 
 
 class TestColumnarOracle:
@@ -369,16 +369,15 @@ class TestColumnarOracle:
 
     @pytest.fixture(scope="class")
     def season(self):
-        rows, strengths = generate_synthetic_season(seed=7, n_players=40, n_weeks=14)
-        return build_series(rows), strengths
+        return generate_synthetic_season(seed=7, n_players=40, n_weeks=14)
 
     @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "scaled"])
     @pytest.mark.parametrize("w", [1, 3, 9])
     @pytest.mark.parametrize("tier", list(FeatureTier), ids=lambda t: t.value)
     def test_matches_per_window_path(self, season, tier, w, scaled):
-        series, strengths = season
-        windows = Players(series, strengths).windows(w, tier)
-        per_window = _per_window_windows(series, w, tier)
+        rows, strengths = season
+        windows = Players(rows, strengths).windows(w, tier)
+        per_window = _per_window_windows(build_series(rows), w, tier)
         _same_bits(windows.X, np.stack(per_window))
 
         means = [x.mean(axis=0) for x in per_window]
@@ -424,7 +423,7 @@ class TestFeatureTiers:
 class TestSlidingAverage:
     def test_worked_example_means(self, strengths):
         tier = FeatureTier.FULL
-        windows = Players([mitrovic_series()], strengths).windows(2, tier)
+        windows = Players(mitrovic_rows(), strengths).windows(2, tier)
         [sa] = sliding_average(windows)
         cols = tier.columns()
         assert sa[cols.index("total_points")] == pytest.approx(6.5)
@@ -436,36 +435,36 @@ class TestSlidingAverage:
     def test_constant_window(self, strengths):
         rows = make_table(gameweek=[1, 2, 3, 4], kickoff_order=[0, 1, 2, 3],
                           total_points=4)
-        series = PlayerSeries(
-            key=CanonicalPlayerKey("someone", Position.FWD), table=rows
-        )
-        windows = Players([series], strengths).windows(3, FeatureTier.PTSONLY)
+        windows = Players(rows, strengths).windows(3, FeatureTier.PTSONLY)
         assert sliding_average(windows).tolist() == [[4.0]]
 
     def test_w1_is_identity(self, strengths):
-        windows = Players([mitrovic_series()], strengths).windows(1, FeatureTier.PTSONLY)
+        windows = Players(mitrovic_rows(), strengths).windows(1, FeatureTier.PTSONLY)
         np.testing.assert_array_equal(sliding_average(windows), windows.X[:, 0, :])
 
     def test_exact_mean_of_columns(self, strengths):
-        windows = Players([mitrovic_series()], strengths).windows(2, FeatureTier.FULL)
+        windows = Players(mitrovic_rows(), strengths).windows(2, FeatureTier.FULL)
         np.testing.assert_allclose(
             sliding_average(windows), windows.X.sum(axis=1) / 2, rtol=0, atol=0
         )
 
 
-def _player(name, points):
-    rows = make_table(
-        player_name=name,
-        gameweek=list(range(1, len(points) + 1)),
-        kickoff_order=list(range(len(points))),
-        total_points=list(points),
-    )
-    return PlayerSeries(key=CanonicalPlayerKey(name, Position.FWD), table=rows)
+def _players(points_of: dict[str, list[int]]) -> GameweekTable:
+    """The rows of one forward per name, one gameweek per point score."""
+    return GameweekTable.concat([
+        make_table(
+            player_name=name,
+            gameweek=list(range(1, len(points) + 1)),
+            kickoff_order=list(range(len(points))),
+            total_points=list(points),
+        )
+        for name, points in points_of.items()
+    ])
 
 
 class TestAssignSplits:
     def make_players(self, n):
-        return [_player(f"player {i:02d}", [i % 7, 2, 5]) for i in range(n)]
+        return _players({f"player {i:02d}": [i % 7, 2, 5] for i in range(n)})
 
     def test_twenty_players_single_bin(self):
         splits = assign_splits(
@@ -477,9 +476,9 @@ class TestAssignSplits:
         assert counts == {"train": 12, "validation": 5, "test": 3}
 
     def test_partition_property(self):
-        players = self.make_players(23)
-        splits = assign_splits(players, seed=5)
-        assert set(splits.assignments) == {p.key for p in players}
+        rows = self.make_players(23)
+        splits = assign_splits(rows, seed=5)
+        assert set(splits.assignments) == set(row_keys(rows))
 
     def test_single_player_goes_to_train(self):
         with pytest.warns(UserWarning):
@@ -514,33 +513,38 @@ class TestAssignSplits:
         with pytest.raises(ValueError):
             assign_splits(self.make_players(5), (0.5, 0.2, 0.2))
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="no players"):
+            assign_splits(GameweekTable.empty())
+
     def test_adding_player_perturbs_minimally(self):
         players = self.make_players(30)
         before = assign_splits(players, n_bins=1, seed=4).assignments
-        extra = _player("zz extra", [3, 3, 3])
-        after = assign_splits(players + [extra], n_bins=1, seed=4).assignments
-        moved = sum(
-            1 for p in players if before[p.key] != after[p.key]
-        )
+        extra = _players({"zz extra": [3, 3, 3]})
+        after = assign_splits(GameweekTable.concat([players, extra]), n_bins=1,
+                              seed=4).assignments
+        moved = sum(1 for key in before if before[key] != after[key])
         assert moved <= 3
 
 
 class TestStratifiedBins:
     def players(self, n):
-        return [_player(f"player {i:02d}", [i % 7, 2, i % 3]) for i in range(n)]
+        return Players(_players({f"player {i:02d}": [i % 7, 2, i % 3] for i in range(n)}))
 
     @pytest.mark.parametrize("strat_on", ["avg_score", "stdev_score", "none"])
     def test_bins_partition_the_players(self, strat_on):
         players = self.players(11)
         bins = stratified_bins(players, 3, strat_on, seed=1)
         assert len(bins) == (1 if strat_on == "none" else 3)
-        assert sorted(s.key.canonical_name for b in bins for s in b) == sorted(
-            s.key.canonical_name for s in players
+        assert sorted(key.canonical_name for b in bins for key in b) == sorted(
+            key.canonical_name for key in players.keys
         )
 
     def test_bins_rank_by_the_statistic(self):
-        bins = stratified_bins(self.players(12), 3, "avg_score", seed=1)
-        means = [[s.avg_score for s in b] for b in bins]
+        players = self.players(12)
+        bins = stratified_bins(players, 3, "avg_score", seed=1)
+        mean = players.points_statistic(np.mean)
+        means = [[mean[key] for key in b] for b in bins]
         assert max(means[0]) <= min(means[1]) and max(means[1]) <= min(means[2])
 
     def test_bin_count_clamped_to_players(self):
@@ -551,7 +555,7 @@ class TestStratifiedBins:
         with pytest.raises(ValueError, match="n_bins"):
             stratified_bins(self.players(5), n_bins, "avg_score", seed=0)
         with pytest.raises(ValueError, match="n_bins"):
-            assign_splits(self.players(5), n_bins=n_bins)
+            assign_splits(self.players(5).rows, n_bins=n_bins)
 
     def test_unknown_statistic_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -635,7 +639,7 @@ def _synthetic_season_oracle(seed, n_players, n_weeks, position_mix):
     mix_total = sum(position_mix)
     counts = _largest_remainder(n_players, tuple(m / mix_total for m in position_mix))
     positions = []
-    for pos, count in zip(Position.ordered(), counts):
+    for pos, count in zip(Position, counts):
         positions.extend([pos] * count)
 
     name_width = max(3, len(str(n_players - 1)))
@@ -747,20 +751,101 @@ class TestSyntheticSeason:
         assert strengths == {"synthetic": want_strengths}
 
 
-class TestBuildSeries:
-    def test_groups_by_player_and_orders(self):
+class TestGrouping:
+    def test_groups_by_player_and_orders(self, strengths):
         rows = make_table(player_name=["b", "a", "b"], gameweek=[2, 1, 1],
-                          kickoff_order=[5, 0, 1])
-        series = build_series(rows)
-        assert [s.key.canonical_name for s in series] == ["a", "b"]
-        assert series[1].table.kickoff_order.tolist() == [1, 5]
+                          kickoff_order=[5, 0, 1], total_points=[20, 0, 10])
+        players = Players(rows, strengths)
+        assert [key.canonical_name for key in players.keys] == ["a", "b"]
+        # b's rows in kickoff order: its gameweek 1 is the window of its 2.
+        windows = players.windows(1, FeatureTier.PTSONLY)
+        assert windows.X.tolist() == [[[10.0]]] and windows.y.tolist() == [20]
+        assert windows.target_gameweek.tolist() == [2]
 
-    def test_stats_recomputed_from_rows(self):
-        rows = make_table(gameweek=[1, 2], kickoff_order=[0, 1], total_points=[2, 6])
-        [series] = build_series(rows)
-        assert series.avg_score == pytest.approx(4.0)
-        assert series.stdev_score == pytest.approx(2.0)  # population
-        series.table = GameweekTable.concat(
-            [series.table, make_table(gameweek=3, kickoff_order=2, total_points=10)]
+    def test_one_player_per_canonical_name_and_position(self):
+        rows = make_table(
+            player_name=["Pelé", " pele ", "PELE", "pele"],
+            position=[Position.FWD, Position.FWD, Position.FWD, Position.MID],
+            gameweek=[1, 2, 3, 1], kickoff_order=[0, 1, 2, 0],
         )
-        assert series.avg_score == pytest.approx(6.0)
+        # Positions order by their value, as in a splits file.
+        assert Players(rows).keys.tolist() == [
+            CanonicalPlayerKey("pele", Position.FWD), CanonicalPlayerKey("pele", Position.MID),
+        ]
+
+    def test_statistics_of_each_players_points(self):
+        rows = make_table(gameweek=[1, 2], kickoff_order=[0, 1], total_points=[2, 6])
+        players = Players(rows)
+        [key] = players.keys.tolist()
+        assert players.points_statistic(np.mean) == {key: 4.0}
+        assert players.points_statistic(np.std) == {key: 2.0}  # population
+
+    def test_a_fold_shares_the_grouping(self, strengths):
+        players = Players(mitrovic_rows(), strengths)
+        fold = replace(players, splits={})
+        assert fold._grouping is players._grouping
+        regrouped = replace(players, rows=mitrovic_rows())
+        assert regrouped._grouping is not players._grouping
+
+
+_NAMES = ("zoë ødegaard", "son heung-min", "ab", "b a")
+
+
+def _spellings(name: str):
+    """Spellings of `name` that canonicalize to what it does."""
+    return st.sampled_from([name, name.upper(), f"  {name} ", name.replace(" ", "   ")])
+
+
+@st.composite
+def shuffled_players(draw):
+    """Rows of 1-5 players of two positions, each with runs of 0-6 rows in
+    1-3 seasons, every row spelled its own way, and then shuffled."""
+    parts = []
+    for name, position in draw(st.lists(
+        st.tuples(st.sampled_from(_NAMES), st.sampled_from([Position.MID, Position.FWD])),
+        min_size=1, max_size=5, unique=True,
+    )):
+        seasons = []
+        for season in draw(st.lists(st.sampled_from(_SEASONS), min_size=1, max_size=3,
+                                    unique=True)):
+            seasons += [season] * draw(st.integers(0, 6))
+        n = len(seasons)
+        parts.append(make_table(
+            player_name=[draw(_spellings(name)) for _ in range(n)], position=position,
+            season=seasons, gameweek=list(range(1, n + 1)), kickoff_order=list(range(n)),
+            total_points=draw(st.lists(st.integers(-5, 24), min_size=n, max_size=n)),
+            team=draw(st.lists(st.sampled_from(_TEAMS), min_size=n, max_size=n)),
+            opponent=draw(st.lists(st.sampled_from(_TEAMS), min_size=n, max_size=n)),
+        ))
+    rows = GameweekTable.concat(parts)
+    order = draw(st.permutations(range(len(rows))))
+    return rows.take(np.array(order, dtype=np.int64)), draw(season_strengths())
+
+
+class TestGroupingOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_players(), st.integers(1, 4), st.booleans(), st.randoms(use_true_random=False))
+    def test_matches_build_series(self, drawn, w, flip, random):
+        """Players groups rows in any order as build_series does: the same
+        keys, windows bit for bit, each player's statistics bit for bit, and
+        the same splits whatever the row order."""
+        rows, strengths = drawn
+        series_list = build_series(rows)
+        players = Players(rows, strengths, flip_difficulty=flip)
+        assert players.keys.tolist() == [s.key for s in series_list]
+        _same_windows(
+            players.windows(w, FeatureTier.PTSONLY),
+            _oracle(series_list, strengths, {}, w, FeatureTier.PTSONLY, None, flip),
+        )
+        for statistic in (np.mean, np.std):
+            got = players.points_statistic(statistic)
+            assert list(got) == [s.key for s in series_list]
+            for s in series_list:
+                _same_bits(got[s.key], float(statistic(s.table.total_points)))
+        if len(players.keys):
+            order = list(range(len(rows)))
+            random.shuffle(order)
+            shuffled = rows.take(np.array(order, dtype=np.int64))
+            n_bins = min(2, len(players.keys))
+            assert (assign_splits(rows, n_bins=n_bins, seed=3).assignments
+                    == assign_splits(shuffled, n_bins=n_bins, seed=3).assignments)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fplcast import gbm
-from fplcast.dataset import FeatureTier, Players, build_series, generate_synthetic_season
+from fplcast.dataset import FeatureTier, Players, generate_synthetic_season
 from fplcast.gbm import (
     GbmHyperparams,
     GbmModel,
@@ -212,8 +212,8 @@ def season_design(seed, n_players, n_weeks):
     """The w3 full-tier design of a synthetic season's midfielders."""
     rows, strengths = generate_synthetic_season(seed=seed, n_players=n_players,
                                                 n_weeks=n_weeks)
-    series = [s for s in build_series(rows) if s.key.position == Position.MID]
-    X, y = sliding_design(Players(series, strengths).windows(3, FeatureTier.FULL))
+    mid = rows.take(rows.position == Position.MID)
+    X, y = sliding_design(Players(mid, strengths).windows(3, FeatureTier.FULL))
     assert X.shape[1] == 19
     return X, y
 
@@ -404,8 +404,8 @@ class TestPresortedSplitSearch:
         self, min_data_in_leaf, lambda_l2
     ):
         rows, strengths = generate_synthetic_season(seed=5, n_players=80, n_weeks=24)
-        series = [s for s in build_series(rows) if s.key.position == Position.MID]
-        X, y = sliding_design(Players(series, strengths).windows(9, FeatureTier.FULL))
+        mid = rows.take(rows.position == Position.MID)
+        X, y = sliding_design(Players(mid, strengths).windows(9, FeatureTier.FULL))
         assert X.shape[1] == 19
         assert (X == X[0]).all(axis=0).sum() == 6  # saves, cards, own goals, penalties
         hp = GbmHyperparams(n_trees=50, min_data_in_leaf=min_data_in_leaf,
@@ -1013,8 +1013,8 @@ class TestShapley:
 
     def test_equals_enumeration_oracle_on_a_12_feature_season_design(self):
         rows, strengths = generate_synthetic_season(seed=5, n_players=60, n_weeks=20)
-        series = [s for s in build_series(rows) if s.key.position == Position.MID]
-        X, y = sliding_design(Players(series, strengths).windows(3, FeatureTier.FULL))
+        mid = rows.take(rows.position == Position.MID)
+        X, y = sliding_design(Players(mid, strengths).windows(3, FeatureTier.FULL))
         X = X[:, list(range(11)) + [18]]  # full[:11] and difficulty
         model = fit_gbm(X, y)
         assert sum(len(t.split_gains) for t in model.trees) > 0
@@ -1041,8 +1041,8 @@ class TestShapley:
     @pytest.mark.parametrize("num_leaves", [31, 63])
     def test_efficient_on_a_fitted_full_tier_model(self, num_leaves):
         rows, strengths = generate_synthetic_season(seed=6, n_players=120, n_weeks=20)
-        series = [s for s in build_series(rows) if s.key.position == Position.MID]
-        X, y = sliding_design(Players(series, strengths).windows(3, FeatureTier.FULL))
+        mid = rows.take(rows.position == Position.MID)
+        X, y = sliding_design(Players(mid, strengths).windows(3, FeatureTier.FULL))
         hp = GbmHyperparams(n_trees=20, max_depth=8, num_leaves=num_leaves,
                             min_data_in_leaf=3)
         model = fit_gbm(X, y, hp)

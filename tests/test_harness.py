@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,6 @@ from fplcast.dataset import (
     FeatureTier,
     Players,
     assign_splits,
-    build_series,
     generate_synthetic_season,
 )
 from fplcast.harness import (
@@ -28,20 +25,22 @@ from fplcast.evaluation import mse
 from fplcast.ingest import Position, TeamLookupError
 from fplcast.serialize import ModelContext
 
+from conftest import first_players, row_keys
+
 RIDGE_GRID = GridSpec(family="ridge", axes={"lambda": [0.1, 1.0], "w": [2, 3]})
 
 
 @pytest.fixture
-def mid_setup(mid_series, small_season):
+def mid_setup(mid_rows, small_season):
     _, strengths = small_season
-    splits = assign_splits(mid_series, seed=3)
-    return mid_series, strengths, splits
+    splits = assign_splits(mid_rows, seed=3)
+    return mid_rows, strengths, splits
 
 
 @pytest.fixture
 def mid_players(mid_setup):
-    series, strengths, splits = mid_setup
-    return Players(series, strengths, splits.assignments)
+    rows, strengths, splits = mid_setup
+    return Players(rows, strengths, splits.assignments)
 
 
 class TestGridSpec:
@@ -151,8 +150,8 @@ class TestRunGrid:
 
 class TestPlayersWindows:
     def test_flip_negates_copies(self, mid_setup):
-        series, strengths, splits = mid_setup
-        args = (series, strengths, splits.assignments)
+        rows, strengths, splits = mid_setup
+        args = (rows, strengths, splits.assignments)
         plain = Players(*args).windows(3, FeatureTier.PTSONLY, "train")
         before = list(plain.d)
         flipped = [
@@ -200,51 +199,52 @@ class TestTopKSummary:
 
 
 class TestCrossValidate:
-    def test_every_player_in_one_fold(self, mid_series, small_season):
+    def test_every_player_in_one_fold(self, mid_rows):
         from fplcast.harness import _assign_folds
 
         cv = CvConfig(k=5, seed=1)
-        folds = _assign_folds(mid_series, cv)
-        assert len(folds) == len(mid_series)
+        players = Players(mid_rows)
+        folds = _assign_folds(players, cv)
+        assert len(folds) == len(players.keys) == len(set(row_keys(mid_rows)))
         assert set(folds) == set(range(5))
 
-    def test_fold_assignment_deterministic(self, mid_series):
+    def test_fold_assignment_deterministic(self, mid_rows):
         from fplcast.harness import _assign_folds
 
         cv = CvConfig(k=4, seed=2)
-        assert _assign_folds(mid_series, cv) == _assign_folds(mid_series, cv)
+        assert _assign_folds(Players(mid_rows), cv) == _assign_folds(Players(mid_rows), cv)
 
     @pytest.mark.parametrize(
         "cv", [CvConfig(strat_on="bogus"), CvConfig(n_bins=0)], ids=["strat_on", "n_bins"],
     )
-    def test_bad_binning_rejected(self, mid_series, small_season, cv):
+    def test_bad_binning_rejected(self, mid_rows, small_season, cv):
         _, strengths = small_season
         with pytest.raises(ValueError):
-            cross_validate("ridge", {"lambda": 1.0}, Players(mid_series, strengths), cv)
+            cross_validate("ridge", {"lambda": 1.0}, Players(mid_rows, strengths), cv)
 
     def test_folds_ignore_the_split_map(self, mid_players):
         cv = CvConfig(k=3, seed=4)
         config = {"lambda": 1.0, "w": 3}
-        unsplit = Players(mid_players.series, mid_players.strengths)
+        unsplit = Players(mid_players.rows, mid_players.strengths)
         assert cross_validate("ridge", config, mid_players, cv) == cross_validate(
             "ridge", config, unsplit, cv
         )
 
-    def test_two_fold_symmetric_run(self, mid_series, small_season):
+    def test_two_fold_symmetric_run(self, mid_rows, small_season):
         _, strengths = small_season
         cv = CvConfig(k=2, seed=3)
         train_err, val_err = cross_validate(
-            "ridge", {"lambda": 1.0, "w": 3}, Players(mid_series, strengths), cv
+            "ridge", {"lambda": 1.0, "w": 3}, Players(mid_rows, strengths), cv
         )
         assert np.isfinite(train_err) and np.isfinite(val_err)
         # Same data family on both folds: errors in the same ballpark.
         assert val_err < 4 * train_err + 10
 
-    def test_too_few_players(self, mid_series, small_season):
+    def test_too_few_players(self, mid_rows, small_season):
         _, strengths = small_season
         with pytest.raises(ValueError):
             cross_validate(
-                "ridge", {"lambda": 1.0}, Players(mid_series[:3], strengths),
+                "ridge", {"lambda": 1.0}, Players(first_players(mid_rows, 3), strengths),
                 CvConfig(k=5),
             )
 
@@ -321,18 +321,13 @@ class TestSelectFinal:
         with pytest.raises(ValueError):
             select_final(failed, mid_players)
 
-    def test_holdout_untouched_during_search(self, mid_series, small_season):
+    def test_holdout_untouched_during_search(self, mid_rows, small_season):
         """Poison the test players' rows so that merely building their
         windows raises; the grid must run clean anyway."""
         _, strengths = small_season
-        splits = assign_splits(mid_series, seed=6)
-        poisoned = []
-        for s in mid_series:
-            if splits.assignments[s.key] == "test":
-                s = replace(
-                    s, table=s.table.replace(opponent=["ghost town fc"] * len(s.table))
-                )
-            poisoned.append(s)
+        splits = assign_splits(mid_rows, seed=6)
+        test = [splits.assignments[key] == "test" for key in row_keys(mid_rows)]
+        poisoned = mid_rows.replace(opponent=np.where(test, "ghost town fc", mid_rows.opponent))
         players = Players(poisoned, strengths, splits.assignments)
         results = run_grid(RIDGE_GRID, players, seed=6)
         assert all(r.error is None for r in results)
@@ -342,8 +337,8 @@ class TestSelectFinal:
 
 class TestTrainFamilyContract:
     def test_families_agree_on_interface(self, mid_setup):
-        series, strengths, splits = mid_setup
-        players = Players(series, strengths, splits.assignments)
+        rows, strengths, splits = mid_setup
+        players = Players(rows, strengths, splits.assignments)
         train_ex, val_ex = (
             players.windows(3, FeatureTier.PTSONLY, target)
             for target in ("train", "validation")
@@ -367,7 +362,7 @@ class TestTrainFamilyContract:
 # Built once for the property below: a function-scoped fixture would be
 # shared by every example Hypothesis draws.
 _ROWS, _STRENGTHS = generate_synthetic_season(seed=11, n_players=60, n_weeks=16)
-_MID = [s for s in build_series(_ROWS) if s.key.position == Position.MID]
+_MID = _ROWS.take(_ROWS.position == Position.MID)
 _MID_PLAYERS = Players(_MID, _STRENGTHS, assign_splits(_MID, seed=3).assignments)
 
 

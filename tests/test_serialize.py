@@ -12,7 +12,6 @@ from fplcast.dataset import (
     Players,
     ScalerParams,
     assign_splits,
-    build_series,
     generate_synthetic_season,
 )
 from fplcast.evaluation import EvalReport
@@ -70,26 +69,31 @@ class TestTables:
     def test_rows_come_back_as_their_csv_line_cells(self, data):
         n = data.draw(st.integers(1, 5))
         if data.draw(st.booleans()):
-            header = csv_line(data.draw(st.lists(_TABLE_TEXT, min_size=n, max_size=n)))
+            names = data.draw(st.lists(_TABLE_TEXT, min_size=n, max_size=n))
+            header = csv_line(names)
         else:
-            header = ",".join(data.draw(st.lists(
+            names = data.draw(st.lists(
                 st.from_regex(r"[a-z_]{1,8}", fullmatch=True), min_size=n, max_size=n
-            )))
+            ))
+            header = ",".join(names)
         cell = _TABLE_TEXT | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
         rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), max_size=5))
         text = write_table(header, rows)
+        first_line = data.draw(st.integers(1, 9))
         assert text.endswith("\n") and text.splitlines()[0] == header
-        assert list(_table_rows(text.splitlines(), 0, header, "table")) == [
+        assert list(_table_rows(text, names, "no header", first_line)) == [
             (number, [c if isinstance(c, str) else fmt_num(c) for c in row])
-            for number, row in enumerate(rows, start=2)
+            for number, row in enumerate(rows, start=first_line + 1)
         ]
 
     def test_header_and_cell_count_are_required(self):
-        lines = write_table("a,b", [[1, "x"], [2.5, "y", 3]]).splitlines()
-        with pytest.raises(FormatError, match="column header"):
-            list(_table_rows(lines, 0, "a,c", "table"))
-        with pytest.raises(FormatError, match="line 3: expected 2 cells, found 3"):
-            list(_table_rows(lines, 0, "a,b", "table"))
+        text = write_table("a,b", [[1, "x"], [2.5, "y", 3]])
+        with pytest.raises(FormatError, match="^no column header$"):
+            list(_table_rows(text, ["a", "c"], "no column header"))
+        with pytest.raises(FormatError, match="^line 3: expected 2 cells, found 3$"):
+            list(_table_rows(text, ["a", "b"], "no column header"))
+        with pytest.raises(FormatError, match="^line 7: expected 2 cells, found 3$"):
+            list(_table_rows(text, ["a", "b"], "no column header", first_line=5))
 
 
 @pytest.fixture
@@ -197,8 +201,7 @@ def gameweek_tables(draw, **fields):
 class TestSplitsRoundTrip:
     def test_full_round_trip(self, season):
         rows, _ = season
-        series = build_series(rows)
-        splits = assign_splits(series, seed=4)
+        splits = assign_splits(rows, seed=4)
         parsed = read_splits(write_splits(splits))
         assert parsed.assignments == splits.assignments
         assert parsed.fractions == pytest.approx(splits.fractions)
@@ -234,9 +237,9 @@ def fitted_models():
     from fplcast.serialize import ModelContext
 
     rows, strengths = generate_synthetic_season(seed=8, n_players=60, n_weeks=10)
-    series = [s for s in build_series(rows) if s.key.position is Position.MID]
-    splits = assign_splits(series, seed=8)
-    players = Players(series, strengths, splits.assignments)
+    mid = rows.take(rows.position == Position.MID)
+    splits = assign_splits(mid, seed=8)
+    players = Players(mid, strengths, splits.assignments)
     train_ex, val_ex = (
         players.windows(3, FeatureTier.PTSONLY, split) for split in ("train", "validation")
     )
@@ -257,9 +260,8 @@ def fitted_models():
 def data_files():
     """(reader, writer of what it read, text) for each data file format."""
     rows, strengths = generate_synthetic_season(seed=8, n_players=24, n_weeks=5)
-    series = build_series(rows)
     return {
-        "splits": (read_splits, write_splits, write_splits(assign_splits(series, seed=4))),
+        "splits": (read_splits, write_splits, write_splits(assign_splits(rows, seed=4))),
         "cleaned": (read_cleaned_csv, write_cleaned_csv, write_cleaned_csv(rows)),
     }
 
@@ -354,6 +356,14 @@ class TestModelFileTruncation:
             read_splits("".join(lines[:header] + lines[header + 1 :]))
         with pytest.raises(FormatError, match="no players"):
             read_splits("".join(lines[: header + 1]))
+
+    def test_a_splits_row_error_names_its_file_line(self, data_files):
+        _, _, text = data_files["splits"]
+        number = len(text.splitlines()) + 1
+        with pytest.raises(FormatError, match=f"^line {number}: expected 3 cells, found 4$"):
+            read_splits(text + '"x","MID","train",1\n')
+        with pytest.raises(FormatError, match=f"^line {number + 1}: player 'x'.*twice$"):
+            read_splits(text + '"x","MID","train"\n"x","MID","test"\n')
 
     def test_a_player_assigned_twice_is_a_format_error(self, data_files):
         _, _, text = data_files["splits"]
