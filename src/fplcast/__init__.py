@@ -18,7 +18,6 @@ from .ingest import (
     CanonicalPlayerKey,
     GameweekTable,
     Position,
-    TeamStrengthTable,
     canonicalize_name,
     compute_difficulty,
     drop_benched,

@@ -24,7 +24,7 @@ import numpy as np
 from . import cnn as cnn_mod
 from . import serialize as ser
 from .dataset import (
-    STRAT_ON,
+    SPLIT_NAMES,
     FeatureTier,
     Players,
     SplitAssignment,
@@ -42,6 +42,7 @@ from .evaluation import (
 from .gbm import shapley_values, split_importance
 from .harness import (
     FAMILIES,
+    WINDOW_DEFAULTS,
     CvConfig,
     GridSpec,
     _is_number,
@@ -53,6 +54,7 @@ from .harness import (
     select_final,
     top_k_summary,
     train_family,
+    value_problem,
 )
 from .ingest import (
     GameweekTable,
@@ -80,14 +82,13 @@ class CliError(Exception):
 
 
 # Config keys and their defaults; each family's keys and defaults come
-# from its registry record.
+# from its registry record, the window keys' and CV keys' from harness.
 def default_config() -> dict:
     return {
         "seed": 0,
         "difficulty_sign": "opponent_minus_own",
         "fuzzy_threshold": 0.85,
-        "w": 3,
-        "tier": "ptsonly",
+        **WINDOW_DEFAULTS,
         "fractions": [0.60, 0.25, 0.15],
         "n_bins": 4,
         "strat_on": "avg_score",
@@ -98,26 +99,17 @@ def default_config() -> dict:
         },
         "shapley_background": 100,
         "extreme_k": 2,
-        "cv_k": 5,
-        "cv_bins": 4,
+        "cv_k": CvConfig().k,
+        "cv_bins": CvConfig().n_bins,
         "grid_workers": 1,  # accepted so older configs load; trials run serially
         "top_k": 10,
         "grid": None,
     }
 
 
-# The allowed values of each text key.
-_CONFIG_CHOICES = {
-    "difficulty_sign": ("opponent_minus_own", "own_minus_opponent"),
-    "tier": tuple(t.value for t in FeatureTier),
-    "strat_on": STRAT_ON,
-    "cnn_activation": cnn_mod.ACTIVATIONS,
-}
-
-
 def _config_problem(key: str, value, default) -> str | None:
-    """What `value` must be, unless it fits `key`: its default's JSON type
-    (an integer where the default is a float), a finite float, a known choice."""
+    """What `value` must be, unless it fits `key`: harness.value_problem's
+    rule, with the CLI's own rules for grid, fractions and seed."""
     if key == "grid":
         if value is None or (isinstance(value, dict) and all(
             isinstance(v, list) and v for v in value.values()
@@ -130,12 +122,7 @@ def _config_problem(key: str, value, default) -> str | None:
         return "a list of three finite numbers in float range"
     if key == "seed" and not (_is_number(value, integral=True) and value >= 0):
         return "a non-negative integer"  # numpy's generators take no negative seed
-    if isinstance(default, (int, float)):
-        if _is_number(value, integral=isinstance(default, int)):
-            return None
-        return "an integer" if isinstance(default, int) else "a finite number in float range"
-    choices = _CONFIG_CHOICES[key]
-    return None if value in choices else "one of " + ", ".join(choices)
+    return value_problem(key, value, default)
 
 
 def _shown(value) -> str:
@@ -330,8 +317,8 @@ def cmd_synth(args, config) -> dict[str, str]:
     return {
         "synthetic_gameweeks.csv": ser.write_raw_csv(rows),
         "synthetic_strengths.csv": ser.write_table("season,team,strength", (
-            [season, team, table.entries[team]]
-            for season, table in strengths.items() for team in sorted(table.entries)
+            [season, team, ratings[team]]
+            for season, ratings in strengths.items() for team in sorted(ratings)
         )),
     }
 
@@ -453,19 +440,15 @@ def cmd_gridsearch(args, config) -> dict[str, str]:
         raise CliError("data", f"top-k size must be >= 1, got {config['top_k']}")
     if config["grid"] is not None:
         # Each axis stands for a config key, and its values are typed like it.
-        keys = {"w": "w", "tier": "tier"}
-        keys.update((k, cli_key) for k, (cli_key, _) in FAMILIES[family].params.items())
-        defaults = default_config()
+        keys, defaults = FAMILIES[family].config_keys, default_config()
         for axis, values in config["grid"].items():
             if axis not in keys:
                 raise CliError("config", f"unknown grid axis '{axis}' for family {family}")
             for value in values:
-                problem = _config_problem(keys[axis], value, defaults[keys[axis]])
+                problem = value_problem(keys[axis], value, defaults[keys[axis]])
                 if problem is not None:
-                    raise CliError(
-                        "config",
-                        f"grid axis '{axis}' values must be {problem}, got {_shown(value)}",
-                    )
+                    raise CliError("config", f"grid axis '{axis}' values must be "
+                                   f"{problem}, got {_shown(value)}")
     # Config keys outside the grid hold for every trial.
     axes = config["grid"] if config["grid"] is not None else FAMILIES[family].grid
     grid = GridSpec(family=family, axes={k: list(v) for k, v in axes.items()},
@@ -667,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument(
         "--position",
-        choices=["GK", "DEF", "MID", "FWD", "all"],
+        choices=[*(p.value for p in Position), "all"],
         default="all",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -700,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a saved model on one split")
     p.add_argument("--model", required=True)
     _add_shared(p, "cleaned", "strengths", "splits")
-    p.add_argument("--split", choices=["train", "validation", "test"], default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument(
         "--per-gameweek",
         action="store_true",
@@ -717,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", nargs="+", required=True)
     # Only Shapley explanations read the data files.
     _add_shared(p, "cleaned", "strengths", "splits", required=False)
-    p.add_argument("--split", choices=["train", "validation", "test"], default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--example-index", type=int, default=0)
 
     return parser

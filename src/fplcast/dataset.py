@@ -7,7 +7,7 @@ training example when w rows of its player's season precede it: the w-by-f
 feature window, that match's difficulty gap, and its points as the target.
 Players.windows gathers them from the sorted table and rates the target
 rows alone with one ingest.compute_difficulty call against the per-season
-strength tables. Examples are held column by column in a WindowSet.
+strength ratings. Examples are held column by column in a WindowSet.
 Baseline models consume the per-feature window means instead of the full
 window. A synthetic season draws its random numbers row by row and derives
 the rest column by column.
@@ -28,7 +28,6 @@ from .ingest import (
     CanonicalPlayerKey,
     GameweekTable,
     Position,
-    TeamStrengthTable,
     canonicalize_name,
     compute_difficulty,
 )
@@ -50,13 +49,18 @@ __all__ = [
 
 DIFFICULTY_FEATURE = "difficulty_gap"
 
+# The three splits a player can be dealt to, in dealing order.
+SPLIT_NAMES = ("train", "validation", "test")
+
 # What stratified_bins can rank players on: the mean or the population
 # standard deviation of a player's points, or "none" for name order.
 STRAT_ON = ("avg_score", "stdev_score", "none")
 
 
 class FeatureTier(enum.Enum):
-    """How many of the numeric gameweek statistics enter the window."""
+    """How many of the numeric gameweek statistics enter the window: the
+    first 1, 2, 6 or all 18 of NUMERIC_STATS, so each tier holds the one
+    before it."""
 
     PTSONLY = "ptsonly"
     PTS_MINUTES = "pts_minutes"
@@ -64,20 +68,8 @@ class FeatureTier(enum.Enum):
     FULL = "full"
 
     def columns(self) -> list[str]:
-        if self is FeatureTier.PTSONLY:
-            return ["total_points"]
-        if self is FeatureTier.PTS_MINUTES:
-            return ["total_points", "minutes"]
-        if self is FeatureTier.PTS_ICT:
-            return [
-                "total_points",
-                "minutes",
-                "influence",
-                "creativity",
-                "threat",
-                "ict_index",
-            ]
-        return list(NUMERIC_STATS)
+        widths = {"ptsonly": 1, "pts_minutes": 2, "pts_ict": 6, "full": len(NUMERIC_STATS)}
+        return list(NUMERIC_STATS[: widths[self.value]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,11 +141,11 @@ def _group(rows: GameweekTable):
 @dataclass(frozen=True, eq=False)
 class Players:
     """What windows are built from: the players' gameweek rows, in any
-    order, their season strength tables, each player's split, and the
+    order, their per-season strength ratings, each player's split, and the
     difficulty sign. A player is a canonical name and a position."""
 
     rows: GameweekTable
-    strengths: dict[str, TeamStrengthTable] = field(default_factory=dict)  # season -> table
+    strengths: dict[str, dict[str, int]] = field(default_factory=dict)  # season -> ratings
     splits: dict[CanonicalPlayerKey, str] | None = None  # player key -> split
     # True for difficulty_sign own_minus_opponent: every difficulty negated.
     flip_difficulty: bool = False
@@ -296,7 +288,7 @@ def assign_splits(
     for bin_keys in bins:
         counts = _largest_remainder(len(bin_keys), fractions)
         cursor = 0
-        for split, count in zip(("train", "validation", "test"), counts):
+        for split, count in zip(SPLIT_NAMES, counts):
             for key in bin_keys[cursor : cursor + count]:
                 assignments[key] = split
             cursor += count
@@ -359,9 +351,9 @@ def generate_synthetic_season(
     n_players: int,
     n_weeks: int,
     position_mix: tuple[float, float, float, float] = (2 / 15, 5 / 15, 5 / 15, 3 / 15),
-) -> tuple[GameweekTable, dict[str, TeamStrengthTable]]:
+) -> tuple[GameweekTable, dict[str, dict[str, int]]]:
     """Deterministic desk-scale season standing in for real data, and its
-    strengths as {"synthetic": table}.
+    strengths as {"synthetic": {team: rating}}.
 
     Each player gets a latent skill drawn once and a slowly-mixing form
     state; weekly points are a right-skewed integer draw centered on
@@ -377,13 +369,7 @@ def generate_synthetic_season(
     season = "synthetic"
 
     teams = [f"team{t:02d}" for t in range(_SYNTH_TEAMS)]
-    strengths = TeamStrengthTable(
-        season=season,
-        entries={
-            team: int(s)
-            for team, s in zip(teams, rng.integers(1, 6, size=_SYNTH_TEAMS))
-        },
-    )
+    ratings = {team: int(s) for team, s in zip(teams, rng.integers(1, 6, size=_SYNTH_TEAMS))}
 
     mix_total = sum(position_mix)
     counts = _largest_remainder(
@@ -405,7 +391,7 @@ def generate_synthetic_season(
             opponent = teams[int(rng.integers(0, _SYNTH_TEAMS - 1))]
             if opponent == team:
                 opponent = teams[_SYNTH_TEAMS - 1]
-            gap = strengths.entries[opponent] - strengths.entries[team]
+            gap = ratings[opponent] - ratings[team]
             form = 0.6 * form + float(rng.normal(0.0, 1.0))
             # gamma(2, 1.5) has mean 3: re-centered it is a right-skewed
             # zero-mean disturbance.
@@ -447,4 +433,4 @@ def generate_synthetic_season(
         **{c.field: np.zeros(len(player), dtype=np.int64) for c in GAMEWEEK_SCHEMA
            if c.kind == "opt_int"},
     )
-    return table, {season: strengths}
+    return table, {season: ratings}

@@ -30,6 +30,7 @@ from . import serialize as ser
 from .cnn import LearningCurve, TrainConfig
 from .dataset import (
     DIFFICULTY_FEATURE,
+    STRAT_ON,
     FeatureTier,
     Players,
     ScalerParams,
@@ -62,6 +63,18 @@ __all__ = [
 ]
 
 
+# The window keys of every trial config, with their defaults.
+WINDOW_DEFAULTS = {"w": 3, "tier": FeatureTier.PTSONLY.value}
+
+# The allowed values of each text config key.
+CONFIG_CHOICES = {
+    "difficulty_sign": ("opponent_minus_own", "own_minus_opponent"),
+    "tier": tuple(t.value for t in FeatureTier),
+    "strat_on": STRAT_ON,
+    "cnn_activation": cnn_mod.ACTIVATIONS,
+}
+
+
 @dataclass(frozen=True)
 class Family:
     """Everything that differs between model families.
@@ -85,21 +98,23 @@ class Family:
     explain: str  # the one explanation kind the family supports
     grid: dict[str, list]  # default gridsearch axes
 
+    @property
+    def config_keys(self) -> dict[str, str]:
+        """Each trial key (a grid axis) and the CLI config key it stands for."""
+        return {**{key: key for key in WINDOW_DEFAULTS},
+                **{key: cli_key for key, (cli_key, _) in self.params.items()}}
+
     def resolve(self, config: dict) -> dict:
         """This family's parameters from a trial config, each of its
         default's type."""
         return {
-            key: _typed(key, config.get(key, default), default)
-            for key, (_, default) in self.params.items()
+            key: _typed(key, cli_key, config.get(key, default), default)
+            for key, (cli_key, default) in self.params.items()
         }
 
     def from_cli(self, cli_config: dict) -> dict:
         """The trial config that a CLI config describes."""
-        return {
-            "w": cli_config["w"],
-            "tier": cli_config["tier"],
-            **{key: cli_config[cli_key] for key, (cli_key, _) in self.params.items()},
-        }
+        return {key: cli_config[cli_key] for key, cli_key in self.config_keys.items()}
 
     def fit_scaler(self, windows: WindowSet) -> ScalerParams | None:
         if not self.scaled:
@@ -131,16 +146,24 @@ def _is_number(value, integral: bool = False) -> bool:
         return False
 
 
-def _typed(key: str, value, default):
-    """`value` as its default's type: an integer for an integer, a real
-    number that converts to a finite float for a float, a string for a
-    string."""
-    if isinstance(default, (int, float)):
-        ok = _is_number(value, integral=isinstance(default, int))
-    else:
-        ok = isinstance(value, str)
-    if not ok:
-        raise ValueError(f"{key} must be of type {type(default).__name__}, got {value!r}")
+def value_problem(key: str, value, default) -> str | None:
+    """What a value of config key `key` must be, unless `value` is one: one
+    of the key's CONFIG_CHOICES, else its default's JSON type (an integer
+    for an integer, a number that converts to a finite float for a float)."""
+    if key in CONFIG_CHOICES:
+        choices = CONFIG_CHOICES[key]
+        return None if value in choices else "one of " + ", ".join(choices)
+    if _is_number(value, integral=isinstance(default, int)):
+        return None
+    return "an integer" if isinstance(default, int) else "a finite number in float range"
+
+
+def _typed(name: str, key: str, value, default):
+    """`value` of trial key `name` (config key `key`) as its default's type,
+    or a ValueError in value_problem's words."""
+    problem = value_problem(key, value, default)
+    if problem is not None:
+        raise ValueError(f"{name} must be {problem}, got {value!r}")
     return type(default)(value)
 
 
@@ -331,7 +354,8 @@ def derive_seed(seed: int, config: dict) -> int:
 
 def _window_spec(config: dict) -> tuple[int, FeatureTier]:
     """The (w, tier) a trial config's windows are built with."""
-    return _typed("w", config.get("w", 3), 3), FeatureTier(config.get("tier", "ptsonly"))
+    w, tier = (_typed(k, k, config.get(k, d), d) for k, d in WINDOW_DEFAULTS.items())
+    return w, FeatureTier(tier)
 
 
 def train_family(

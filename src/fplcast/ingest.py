@@ -5,7 +5,7 @@ gameweek), held column by column in a GameweekTable whose columns
 GAMEWEEK_SCHEMA declares once for every reader and writer. It parses
 gameweek and strength CSV text, scores and matches player names, drops
 benched appearances and computes match difficulty; cli.cmd_ingest merges
-the spellings. Strengths are always per season ({season: table}), and
+the spellings. Strengths are {season: {canonical team name: rating}}, and
 compute_difficulty alone looks ratings up: the commands call it to check
 every row before any fit, and dataset.Players.windows on its target rows.
 
@@ -24,7 +24,7 @@ import itertools
 import math
 import unicodedata
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "Position",
     "GameweekTable",
     "GAMEWEEK_SCHEMA",
-    "TeamStrengthTable",
     "CanonicalPlayerKey",
     "SchemaError",
     "RowParseError",
@@ -200,22 +199,6 @@ NUMERIC_STATS = (
 )
 
 
-@dataclass
-class TeamStrengthTable:
-    """Per-season map from canonical team name to a 1..5 strength rating."""
-
-    season: str
-    entries: dict[str, int] = field(default_factory=dict)
-
-    def strength(self, team: str) -> int:
-        key = canonicalize_name(team)
-        if key not in self.entries:
-            raise TeamLookupError(
-                f"no strength rating for team '{team}' in season {self.season}"
-            )
-        return self.entries[key]
-
-
 @dataclass(frozen=True)
 class CanonicalPlayerKey:
     """Identity of a player after name cleaning: folded name + position."""
@@ -339,7 +322,7 @@ def drop_benched(table: GameweekTable) -> GameweekTable:
 
 
 def compute_difficulty(
-    rows: GameweekTable, strengths: dict[str, TeamStrengthTable]
+    rows: GameweekTable, strengths: dict[str, dict[str, int]]
 ) -> np.ndarray:
     """Upcoming-match difficulty gap of every row: opponent strength minus
     own strength, both rated in the row's season.
@@ -361,7 +344,12 @@ def compute_difficulty(
             raise TeamLookupError(f"no strength table for season '{season}'")
         for name in (team, opponent):
             if (season, name) not in rating:
-                rating[season, name] = strengths[season].strength(name)
+                key = canonicalize_name(name)
+                if key not in strengths[season]:
+                    raise TeamLookupError(
+                        f"no strength rating for team '{name}' in season {season}"
+                    )
+                rating[season, name] = strengths[season][key]
         gaps.append(rating[season, opponent] - rating[season, team])
     return np.array(gaps, dtype=np.int64)[index]
 
@@ -408,9 +396,8 @@ def _parse_position(value: str, column: str, line: int) -> Position:
     try:
         return Position(value.strip().upper())
     except ValueError:
-        raise RowParseError(
-            f"unknown position {value!r} (expected one of GK, DEF, MID, FWD)", line
-        ) from None
+        raise RowParseError(f"unknown position {value!r} (expected one of "
+                            f"{', '.join(p.value for p in Position)})", line) from None
 
 
 _CELL_PARSERS = {
@@ -576,9 +563,9 @@ def parse_gameweek_csv(text: str, season: str) -> GameweekTable:
     )
 
 
-def parse_strengths_csv(text: str) -> dict[str, TeamStrengthTable]:
-    """Parse a season/team/strength CSV text into per-season strength tables.
-    Each team is rated at most once per season."""
+def parse_strengths_csv(text: str) -> dict[str, dict[str, int]]:
+    """Parse a season/team/strength CSV text into {season: {canonical team
+    name: rating}}. Each team is rated at most once per season."""
     reader = csv_records(text)
     header = next((record for _, record in reader), None)
     if header is None:
@@ -588,7 +575,7 @@ def parse_strengths_csv(text: str) -> dict[str, TeamStrengthTable]:
         if required not in col:
             raise SchemaError(f"missing required column '{required}'")
 
-    tables: dict[str, TeamStrengthTable] = {}
+    tables: dict[str, dict[str, int]] = {}
     rated_on: dict[tuple[str, str], int] = {}  # (season, team) -> line
     width = 1 + max(col["season"], col["team"], col["strength"])
     for line_no, record in reader:
@@ -607,5 +594,5 @@ def parse_strengths_csv(text: str) -> dict[str, TeamStrengthTable]:
                 f"team '{team}' is rated twice in season {season} (first on line {first})",
                 line_no,
             )
-        tables.setdefault(season, TeamStrengthTable(season=season)).entries[key] = strength
+        tables.setdefault(season, {})[key] = strength
     return tables

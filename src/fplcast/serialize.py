@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnn import ACTIVATIONS, PARAM_NAMES, CnnModel, LearningCurve
-from .dataset import FeatureTier, ScalerParams, SplitAssignment
+from .dataset import SPLIT_NAMES, FeatureTier, ScalerParams, SplitAssignment
 from .evaluation import EvalReport
 from .gbm import GbmHyperparams, GbmModel, RegressionTree, TreeNode
 from .ingest import (
@@ -50,6 +50,8 @@ MAGIC_SPLITS = "# fplcast-splits v1"
 MAGIC_RIDGE = "fplcast-ridge v1"
 MAGIC_GBM = "fplcast-gbm v1"
 MAGIC_CNN = "fplcast-cnn v1"
+
+_POSITIONS = tuple(p.value for p in Position)
 
 
 class FormatError(ValueError):
@@ -236,23 +238,44 @@ def write_raw_csv(table: GameweekTable) -> str:
 _CLEANED_HEADER = [c.csv for c in GAMEWEEK_SCHEMA]
 
 
-def _read_column(c, cells: tuple[str, ...], lines: list[int]):
-    """One cleaned-file column from its cells; `lines` are their line numbers."""
-    if c.kind in ("int", "opt_int", "float"):
-        values, bad = numeric_column(cells, c.kind)
-        if bad is not None:
-            raise FormatError(f"line {lines[bad]}: {c.csv} must be finite, got {cells[bad]!r}")
-        return values
-    if c.kind == "bool":
-        for cell, line in zip(cells, lines):
-            if cell not in ("True", "False"):
-                raise FormatError(
-                    f"line {line}: {c.csv} must be True or False, got {cell!r}"
-                )
-        return [cell == "True" for cell in cells]
-    if c.kind == "position":
+# What a cleaned-file cell of each kind must be.
+_CELL_RULES = {
+    "int": "an integer in int64 range", "opt_int": "an integer in int64 range",
+    "float": "finite", "bool": "True or False", "position": "one of " + ", ".join(_POSITIONS),
+}
+
+
+def _column_values(kind: str, cells: tuple[str, ...]):
+    """A cleaned-file column's values; ValueError or OverflowError if a cell
+    is bad."""
+    if kind == "text":
+        return cells
+    if kind == "position":
         return [Position(cell) for cell in cells]
-    return cells
+    if kind == "bool":
+        if not set(cells) <= {"True", "False"}:
+            raise ValueError("a cell is neither True nor False")
+        return [cell == "True" for cell in cells]
+    values, bad = numeric_column(cells, kind)
+    if bad is not None:
+        raise ValueError("a cell is not finite")
+    return values
+
+
+def _read_column(c, cells: tuple[str, ...], lines: list[int]):
+    """One cleaned-file column from its cells; `lines` are their line numbers.
+    Only a column that fails to convert is searched for its first bad cell."""
+    try:
+        return _column_values(c.kind, cells)
+    except (ValueError, OverflowError):
+        for cell, line in zip(cells, lines):
+            try:
+                _column_values(c.kind, (cell,))
+            except (ValueError, OverflowError):
+                raise FormatError(
+                    f"line {line}: {c.csv} must be {_CELL_RULES[c.kind]}, got {cell!r}"
+                ) from None
+        raise
 
 
 @_format_checked
@@ -280,7 +303,6 @@ _SPLITS_FIELDS = (
     ("seed", "int"), ("fractions", "floats"), ("n_bins", "int"), ("strat_on", "str"),
 )
 _SPLITS_HEADER = "player,position,split"
-_SPLIT_NAMES = ("train", "validation", "test")
 
 
 def write_splits(splits: SplitAssignment) -> str:
@@ -300,8 +322,10 @@ def read_splits(text: str) -> SplitAssignment:
     rows = _table_rows(body, _SPLITS_HEADER.split(","), "splits file lacks its column header",
                        first_line=body_start + 1)
     for number, (name, pos, split) in rows:
-        if split not in _SPLIT_NAMES:
-            raise FormatError(f"unknown split {split!r} for player {name!r}")
+        if split not in SPLIT_NAMES:
+            raise FormatError(f"line {number}: unknown split {split!r} for player {name!r}")
+        if pos not in _POSITIONS:
+            raise FormatError(f"line {number}: unknown position {pos!r} for player {name!r}")
         key = CanonicalPlayerKey(name, Position(pos))
         if key in assignments:
             raise FormatError(f"line {number}: player {name!r} ({pos}) is assigned twice")
@@ -343,7 +367,7 @@ def _read_model(text: str, magic: str, fields, what: str):
         raise FormatError(f"w must be >= 1, got {values['w']}")
     if values["tier"] not in {t.value for t in FeatureTier}:
         raise FormatError(f"unknown tier {values['tier']!r}")
-    if values["position"] not in {p.value for p in Position}:
+    if values["position"] not in _POSITIONS:
         raise FormatError(f"unknown position {values['position']!r}")
     mean, std = values["scaler_mean"], values["scaler_std"]
     n_columns = len(FeatureTier(values["tier"]).columns())

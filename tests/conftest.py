@@ -12,7 +12,6 @@ from fplcast.ingest import (
     CanonicalPlayerKey,
     GameweekTable,
     Position,
-    TeamStrengthTable,
     canonicalize_name,
 )
 
@@ -95,10 +94,7 @@ def assert_every_column_is_an_array(table: GameweekTable):
 @pytest.fixture
 def strengths():
     """make_table's season, rated."""
-    return {"2021-22": TeamStrengthTable(
-        season="2021-22",
-        entries={"fulham": 3, "arsenal": 4, "brentford": 2, "liverpool": 5},
-    )}
+    return {"2021-22": {"fulham": 3, "arsenal": 4, "brentford": 2, "liverpool": 5}}
 
 
 @pytest.fixture

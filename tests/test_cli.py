@@ -106,7 +106,7 @@ class TestIngest:
         strengths_file = tmp_path / "strengths.csv"
         strengths_file.write_text(write_table("season,team,strength", (
             [season, team, rating]
-            for season, table in strengths.items() for team, rating in table.entries.items()
+            for season, ratings in strengths.items() for team, rating in ratings.items()
         )))
         out = tmp_path / "out"
         capsys.readouterr()
@@ -326,6 +326,24 @@ class TestConfig:
         assert (out / "synthetic_gameweeks.csv").read_bytes() == (
             direct / "synthetic_gameweeks.csv"
         ).read_bytes()
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        """The README's `### Config file` table names exactly default_config()'s
+        keys, each with its default as JSON (a note in parentheses aside)."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1].split("\n## ", 1)[0]
+        listed = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                cells = [cell.strip() for cell in line.split("|")]
+                for key, default in (cells[1:3], cells[4:6]):
+                    if key:
+                        default = re.sub(r" \(.*\)$", "", default).strip("`")
+                        listed[key.strip("`")] = json.loads(default)
+        defaults = cli.default_config()
+        assert list(listed) != [] and sorted(listed) == sorted(defaults)
+        for key, default in defaults.items():
+            assert (type(listed[key]), listed[key]) == (type(default), default), key
 
 
 class TestSplitCommand:
@@ -1171,6 +1189,30 @@ class TestInputFileFailures:
         assert err.startswith("error:format:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, column, value, message", [
+        ("cleaned", "minutes", "x", "minutes must be an integer in int64 range, got 'x'"),
+        ("cleaned", "position", '"XX"', "position must be one of GK, DEF, MID, FWD, got 'XX'"),
+        ("splits", "split", '"trian"', "unknown split 'trian' for player "),
+        ("splits", "position", '"XX"', "unknown position 'XX' for player "),
+    ])
+    def test_a_bad_cell_is_one_format_error_naming_its_line(
+        self, tiny_season, tmp_path, capsys, flag, column, value, message
+    ):
+        _, files = tiny_season
+        lines = open(files[flag], encoding="utf-8").read().splitlines()
+        header = next(i for i, line in enumerate(lines) if column in line.split(","))
+        cells = lines[header + 2].split(",")
+        cells[lines[header].split(",").index(column)] = value
+        lines[header + 2] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(_argv("train", "ridge", {**files, flag: str(bad)}, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith(f"error:format: line {header + 3}: {message}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "rank", "explain"])
     def test_a_tree_nested_1200_deep_is_one_format_error(
         self, tiny_season, tmp_path, capsys, command
@@ -1610,6 +1652,32 @@ class TestConfigChecks:
         assert err.startswith("error:config:") and f"'{axis}'" in err
         assert not list((tmp_path / "o").glob("trials_*"))
 
+    @pytest.mark.parametrize("family, key, cli_key, value", [
+        ("cnn", "activation", "cnn_activation", "sigmoid"),
+        ("ridge", "tier", "tier", "nope"),
+        ("gbm", "min_data_in_leaf", "gbm_min_data_in_leaf", 20.5),
+    ])
+    def test_a_library_trial_fails_in_the_cli_words(
+        self, tiny_season, tmp_path, capsys, family, key, cli_key, value
+    ):
+        from fplcast.dataset import Players
+        from fplcast.harness import GridSpec, run_grid
+        from fplcast.ingest import parse_strengths_csv
+
+        _, files = tiny_season
+        capsys.readouterr()
+        config = self.with_config(files, tmp_path / "cfg.json", {cli_key: value})
+        assert main(_argv("train", family, config, tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        rule = re.fullmatch(rf"error:config: config key '{cli_key}' must be (.*), got .*\n", err)
+        players = Players(
+            read_cleaned_csv(open(files["cleaned"], encoding="utf-8").read()),
+            parse_strengths_csv(open(files["strengths"], encoding="utf-8").read()),
+            read_splits(open(files["splits"], encoding="utf-8").read()).assignments,
+        )
+        [trial] = run_grid(GridSpec(family, axes={key: [value]}), players, seed=1)
+        assert trial.error == f"ValueError: {key} must be {rule.group(1)}, got {value!r}"
+
     @pytest.mark.parametrize("command", ["train", "cv"])
     @pytest.mark.parametrize("keys", DIVERGING, ids=["huge_lambda1", "huge_learning_rate"])
     def test_diverging_cnn_is_one_data_error_and_no_model(
@@ -1703,8 +1771,8 @@ class TestAnyConfig:
         """Mostly a value of `key`'s type, otherwise any JSON value; a key
         that sets the amount of work never takes a large integer, and `grid`
         never null."""
-        from fplcast.cli import _CONFIG_CHOICES, default_config
-        from fplcast.harness import FAMILIES
+        from fplcast.cli import default_config
+        from fplcast.harness import CONFIG_CHOICES, FAMILIES
 
         default = default_config()[key]
         # Now and then where a float is expected, an integer no float holds.
@@ -1722,8 +1790,8 @@ class TestAnyConfig:
             good = st.lists(axis, max_size=2).map(dict)
         elif key in cls.WORK:
             good = st.integers(-1, 4)
-        elif key in _CONFIG_CHOICES:
-            good = st.sampled_from(_CONFIG_CHOICES[key])
+        elif key in CONFIG_CHOICES:
+            good = st.sampled_from(CONFIG_CHOICES[key])
         elif key == "fractions":
             good = st.lists(_mostly(st.floats(-0.5, 1.5) | st.integers(-1, 2), too_large),
                             min_size=3, max_size=3)

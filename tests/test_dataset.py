@@ -24,11 +24,11 @@ from fplcast.harness import FAMILIES, sliding_design
 from fplcast.serialize import write_raw_csv
 from fplcast.ingest import (
     GAMEWEEK_SCHEMA,
+    NUMERIC_STATS,
     CanonicalPlayerKey,
     GameweekTable,
     Position,
     TeamLookupError,
-    TeamStrengthTable,
     compute_difficulty,
 )
 
@@ -59,7 +59,7 @@ def build_windows(
     series: Series,
     w: int,
     tier: FeatureTier,
-    strengths: dict[str, TeamStrengthTable],
+    strengths: dict[str, dict[str, int]],
 ) -> WindowSet:
     """Slide a w-week window over the series; the week after each window
     supplies the target points and difficulty.
@@ -90,6 +90,19 @@ def build_windows(
         players=np.array([series.key] * len(target), dtype=object),
         target_gameweek=target.gameweek,
     )
+
+
+class TestFeatureTier:
+    def test_each_tier_is_a_prefix_of_the_numeric_stats(self):
+        assert len(NUMERIC_STATS) == 18
+        widths = [len(tier.columns()) for tier in FeatureTier]
+        assert widths == [1, 2, 6, 18]
+        for tier, width in zip(FeatureTier, widths):
+            assert tier.columns() == list(NUMERIC_STATS[:width])
+        assert FeatureTier.PTS_ICT.columns()[2:] == [
+            "influence", "creativity", "threat", "ict_index"]
+        for smaller, larger in zip(FeatureTier, list(FeatureTier)[1:]):
+            assert larger.columns()[: len(smaller.columns())] == smaller.columns()
 
 
 class TestBuildWindows:
@@ -128,8 +141,7 @@ class TestBuildWindows:
             season=["2020-21"] * 3 + ["2021-22"] * 3,
             gameweek=[1, 2, 3] * 2, kickoff_order=[0, 1, 2] * 2,
         )
-        tables = {"2020-21": TeamStrengthTable("2020-21", dict(strengths["2021-22"].entries)),
-                  **strengths}
+        tables = {"2020-21": dict(strengths["2021-22"]), **strengths}
         windows = Players(rows, tables).windows(2, FeatureTier.PTSONLY)
         # One per season segment; none spanning gameweeks 3->1.
         assert len(windows) == 2
@@ -258,7 +270,7 @@ def season_strengths(draw):
     """A strength table for every one of _SEASONS."""
     ratings = st.lists(st.integers(1, 5), min_size=len(_TEAMS), max_size=len(_TEAMS))
     return {
-        season: TeamStrengthTable(season, dict(zip(_TEAMS, draw(ratings))))
+        season: dict(zip(_TEAMS, draw(ratings)))
         for season in _SEASONS
     }
 
@@ -331,7 +343,7 @@ class TestPlayersWindows:
         )
         series_list = build_series(rows)
         strengths = {
-            season: TeamStrengthTable(season, {"fulham": 3, "arsenal": 4})
+            season: {"fulham": 3, "arsenal": 4}
             for season in ("2020-21", "2021-22") if season != missing
         }
         outcomes = []
@@ -629,13 +641,10 @@ def _synthetic_season_oracle(seed, n_players, n_weeks, position_mix):
     rng = np.random.default_rng(seed)
     season = "synthetic"
     teams = [f"team{t:02d}" for t in range(_SYNTH_TEAMS)]
-    strengths = TeamStrengthTable(
-        season=season,
-        entries={
-            team: int(s)
-            for team, s in zip(teams, rng.integers(1, 6, size=_SYNTH_TEAMS))
-        },
-    )
+    strengths = {
+        team: int(s)
+        for team, s in zip(teams, rng.integers(1, 6, size=_SYNTH_TEAMS))
+    }
     mix_total = sum(position_mix)
     counts = _largest_remainder(n_players, tuple(m / mix_total for m in position_mix))
     positions = []
@@ -653,7 +662,7 @@ def _synthetic_season_oracle(seed, n_players, n_weeks, position_mix):
             opponent = teams[int(rng.integers(0, _SYNTH_TEAMS - 1))]
             if opponent == team:
                 opponent = teams[_SYNTH_TEAMS - 1]
-            gap = strengths.entries[opponent] - strengths.entries[team]
+            gap = strengths[opponent] - strengths[team]
             form = 0.6 * form + float(rng.normal(0.0, 1.0))
             noise = float(rng.gamma(2.0, 1.5)) - 3.0
             points = int(np.clip(round(skill + form - 0.4 * gap + noise), -5, 24))
@@ -723,8 +732,8 @@ class TestSyntheticSeason:
         rows, strengths = generate_synthetic_season(4, 25, 5)
         assert list(strengths) == ["synthetic"]
         for team, opponent in zip(rows.team, rows.opponent):
-            assert strengths["synthetic"].strength(team) in range(1, 6)
-            assert strengths["synthetic"].strength(opponent) in range(1, 6)
+            assert strengths["synthetic"][team] in range(1, 6)
+            assert strengths["synthetic"][opponent] in range(1, 6)
 
     def test_names_survive_fuzzy_merge(self):
         from fplcast.ingest import token_sort_similarity

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,7 +130,8 @@ class TestRunGrid:
     def test_mistyped_value_fails_its_trial(self, mid_players, family, key, value):
         grid = GridSpec(family=family, axes={key: [value]}, fixed={"epochs": 1})
         [result] = run_grid(grid, mid_players, seed=1)
-        assert result.error.startswith(f"ValueError: {key} must be of type")
+        assert re.match(rf"ValueError: {key} must be (an integer|a finite number in float "
+                        r"range|one of relu, tanh), got ", result.error)
 
     def test_numpy_and_python_integers_are_accepted(self, mid_players):
         def val_mse(config):
@@ -139,6 +142,18 @@ class TestRunGrid:
 
         typed = {"min_data_in_leaf": 20, "lambda_l2": 10.0}
         assert val_mse({"min_data_in_leaf": np.int64(20), "lambda_l2": 10}) == val_mse(typed)
+
+    def test_a_config_without_window_keys_windows_as_the_cli_default(self, mid_players):
+        from fplcast.cli import default_config
+
+        defaults = default_config()
+        assert harness._window_spec({}) == (defaults["w"], FeatureTier(defaults["tier"]))
+        bare, explicit = (
+            run_grid(GridSpec(family="ridge", axes={"lambda": [1.0]}, fixed=fixed),
+                     mid_players, seed=1)[0]
+            for fixed in ({}, {"w": defaults["w"], "tier": defaults["tier"]})
+        )
+        assert bare.error is None and bare.val_mse == explicit.val_mse
 
     def test_seed_isolation_across_axis_edits(self):
         touched = {"lambda": 0.1, "w": 2}

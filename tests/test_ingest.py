@@ -689,7 +689,7 @@ def _difficulty_oracle(rows, strengths):
     for season, team, opponent in zip(rows.season, rows.team, rows.opponent):
         if season not in strengths:
             raise TeamLookupError(f"no strength table for season '{season}'")
-        entries = strengths[season].entries
+        entries = strengths[season]
         for name in (team, opponent):
             if canonicalize_name(name) not in entries:
                 raise TeamLookupError(f"no strength rating for team '{name}' in season {season}")
@@ -714,10 +714,10 @@ def rated_rows(draw):
     )
     teams = sorted({canonicalize_name(name) for name in _DIFFICULTY_TEAMS})
     strengths = {
-        season: ingest.TeamStrengthTable(season, {
+        season: {
             team: draw(st.integers(1, 5)) for team in teams
             if draw(st.integers(0, 9)) > 0  # about one team in ten unrated
-        })
+        }
         for season in _DIFFICULTY_SEASONS if draw(st.integers(0, 5)) > 0
     }
     return rows, strengths
@@ -755,8 +755,8 @@ class TestComputeDifficulty:
             compute_difficulty(row, strengths)
 
     def test_bounded_by_rating_range(self, strengths):
-        for team in strengths["2021-22"].entries:
-            for opponent in strengths["2021-22"].entries:
+        for team in strengths["2021-22"]:
+            for opponent in strengths["2021-22"]:
                 row = make_table(team=team, opponent=opponent)
                 assert -4 <= compute_difficulty(row, strengths)[0] <= 4
 
@@ -778,8 +778,7 @@ class TestParseStrengths:
     def test_round_trip(self):
         text = "season,team,strength\n2021-22,Fulham,3\n2021-22,Arsenal,4\n"
         tables = parse_strengths_csv(text)
-        assert tables["2021-22"].strength("Fulham") == 3
-        assert tables["2021-22"].strength("arsenal") == 4
+        assert tables == {"2021-22": {"fulham": 3, "arsenal": 4}}
 
     def test_short_row_rejected(self):
         with pytest.raises(RowParseError, match="line 3"):
@@ -794,8 +793,7 @@ class TestParseStrengths:
 
     def test_same_team_in_two_seasons_accepted(self):
         tables = parse_strengths_csv("season,team,strength\n2021-22,Fulham,3\n2022-23,Fulham,4\n")
-        assert tables["2021-22"].strength("fulham") == 3
-        assert tables["2022-23"].strength("fulham") == 4
+        assert tables == {"2021-22": {"fulham": 3}, "2022-23": {"fulham": 4}}
 
     def test_byte_order_mark_is_dropped(self):
         text = "season,team,strength\n2021-22,Fulham,3\n"

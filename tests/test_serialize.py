@@ -348,6 +348,24 @@ class TestModelFileTruncation:
         with pytest.raises(FormatError, match=f"line 3: {column} must be finite"):
             read_cleaned_csv("\n".join([header, first, ",".join(cells)]) + "\n")
 
+    @pytest.mark.parametrize("column, value, rule", [
+        ("minutes", "x", "an integer in int64 range"),
+        ("minutes", "inf", "an integer in int64 range"),
+        ("minutes", "1" * 23, "an integer in int64 range"),
+        ("influence", "abc", "finite"),
+        ("position", '"XX"', "one of GK, DEF, MID, FWD"),
+        ("was_home", "maybe", "True or False"),
+    ])
+    def test_a_bad_cleaned_cell_names_its_line_and_column(self, data_files, column, value, rule):
+        _, _, text = data_files["cleaned"]
+        header, first, second, *_ = text.splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index(column)] = value
+        shown = repr(value.strip('"'))
+        with pytest.raises(FormatError, match=re.escape(f"line 3: {column} must be {rule}, "
+                                                        f"got {shown}")):
+            read_cleaned_csv("\n".join([header, first, ",".join(cells)]) + "\n")
+
     def test_splits_need_a_column_header_and_a_row(self, data_files):
         _, _, text = data_files["splits"]
         lines = text.splitlines(keepends=True)
@@ -364,6 +382,20 @@ class TestModelFileTruncation:
             read_splits(text + '"x","MID","train",1\n')
         with pytest.raises(FormatError, match=f"^line {number + 1}: player 'x'.*twice$"):
             read_splits(text + '"x","MID","train"\n"x","MID","test"\n')
+
+    def test_an_unknown_split_names_its_line(self, data_files):
+        _, _, text = data_files["splits"]
+        number = len(text.splitlines()) + 1
+        with pytest.raises(FormatError, match=f"^line {number}: unknown split 'trian' for "
+                                              "player 'x'$"):
+            read_splits(text + '"x","MID","trian"\n')
+
+    def test_an_unknown_position_names_its_line(self, data_files):
+        _, _, text = data_files["splits"]
+        number = len(text.splitlines()) + 1
+        with pytest.raises(FormatError, match=f"^line {number}: unknown position 'XX' for "
+                                              "player 'x'$"):
+            read_splits(text + '"x","XX","train"\n')
 
     def test_a_player_assigned_twice_is_a_format_error(self, data_files):
         _, _, text = data_files["splits"]
