@@ -43,12 +43,12 @@ print(f"  sliding average: {np.round(means[0], 2)}")
 print("\n== Player-disjoint stratified splits ==")
 splits = assign_splits(mid, fractions=(0.6, 0.25, 0.15), n_bins=4, seed=42)
 counts = {"train": 0, "validation": 0, "test": 0}
-for bucket in splits.assignments.values():
+for bucket in splits.values():
     counts[bucket] += 1
 print(f"  players per split: {counts}")
 
 print("\n== Standard scaling (train statistics only) ==")
-train = Players(mid, strengths, splits.assignments).windows(w, tier, "train")
+train = Players(mid, strengths, splits).windows(w, tier, "train")
 scaler = fit_scaler(train.X)
 print(f"  mu = {np.round(scaler.mean, 3)}")
 print(f"  sigma = {np.round(scaler.std, 3)}")

@@ -20,7 +20,7 @@ mid = rows.take(rows.position == Position.MID)
 splits = assign_splits(mid, seed=7)
 
 w, tier = 3, FeatureTier.PTSONLY
-players = Players(mid, strengths, splits.assignments)
+players = Players(mid, strengths, splits)
 train_ex, val_ex = (players.windows(w, tier, bucket) for bucket in ("train", "validation"))
 
 val_y = val_ex.y.astype(float)

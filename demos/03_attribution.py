@@ -25,7 +25,7 @@ names = tier.columns() + ["difficulty_gap"]
 def players_of(position):
     """One position's players, split with seed 3."""
     mine = rows.take(rows.position == position)
-    return Players(mine, strengths, assign_splits(mine, seed=3).assignments)
+    return Players(mine, strengths, assign_splits(mine, seed=3))
 
 
 print("== Ridge coefficients per position ==")

@@ -18,7 +18,7 @@ rows, strengths = generate_synthetic_season(seed=21, n_players=150, n_weeks=30)
 forwards = rows.take(rows.position == Position.FWD)
 # One Players value holds the forwards, their strengths and the split map
 # that every configuration and the holdout score share.
-players = Players(forwards, strengths, assign_splits(forwards, seed=21).assignments)
+players = Players(forwards, strengths, assign_splits(forwards, seed=21))
 print(f"{len(players.keys)} forwards, splits fixed once for every configuration\n")
 
 grid = GridSpec(

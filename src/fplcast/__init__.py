@@ -29,7 +29,6 @@ from .dataset import (
     FeatureTier,
     Players,
     ScalerParams,
-    SplitAssignment,
     WindowSet,
     apply_scaler,
     assign_splits,

@@ -27,7 +27,6 @@ from .dataset import (
     SPLIT_NAMES,
     FeatureTier,
     Players,
-    SplitAssignment,
     assign_splits,
     generate_synthetic_season,
 )
@@ -204,7 +203,7 @@ def _players(args, config, positions: str):
     strengths = parse_strengths_csv(_read_text(args.strengths, "strengths"))
     splits = None
     if getattr(args, "splits", None):
-        splits = ser.read_splits(_read_text(args.splits, "splits")).assignments
+        splits = ser.read_splits(_read_text(args.splits, "splits"))
     if "season" in args:
         season = args.season or max(rows.season)
         rows = rows.take(rows.season == season)
@@ -332,12 +331,11 @@ def cmd_split(args, config) -> dict[str, str]:
     for position in Position:
         mine = rows.take(rows.position == position)
         if len(mine):
-            merged.update(assign_splits(mine, **settings).assignments)
+            merged.update(assign_splits(mine, **settings))
     if not merged:
         raise CliError("data", "no players found in cleaned files")
-    splits = SplitAssignment(assignments=merged, **settings)
     print(f"assigned {len(merged)} players -> {Path(args.out) / 'splits.csv'}")
-    return {"splits.csv": ser.write_splits(splits)}
+    return {"splits.csv": ser.write_splits(merged, settings)}
 
 
 def _eval_report(windows, predictions, position, split, model_id) -> EvalReport:
@@ -557,6 +555,9 @@ def _explain_filter(args, config, loaded):
 
 
 def _explain_shapley(args, config, loaded):
+    if config["shapley_background"] < 1:
+        raise CliError("data", "shapley_background must be >= 1, got "
+                       f"{config['shapley_background']}")
     missing = [f"--{flag}" for flag in ("cleaned", "strengths", "splits")
                if not getattr(args, flag)]
     if missing:
@@ -608,9 +609,6 @@ _EXPLAINERS = {
 
 
 def cmd_explain(args, config) -> dict[str, str]:
-    if config["shapley_background"] < 1:
-        raise CliError("data", "shapley_background must be >= 1, got "
-                       f"{config['shapley_background']}")
     loaded = [_load_model(path) for path in args.model]
     # Only a coefficient table explains several models at once.
     positions = {ctx.position for f, _, ctx in loaded if f.explain == "coefficients"}

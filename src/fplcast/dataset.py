@@ -35,7 +35,6 @@ from .ingest import (
 __all__ = [
     "FeatureTier",
     "WindowSet",
-    "SplitAssignment",
     "Players",
     "ScalerParams",
     "sliding_average",
@@ -95,17 +94,6 @@ class WindowSet:
     def take(self, idx) -> WindowSet:
         """The rows that `idx` (a slice, indices or a boolean mask) selects."""
         return WindowSet(*(getattr(self, f.name)[idx] for f in fields(self)))
-
-
-@dataclass
-class SplitAssignment:
-    """Player-disjoint train/validation/test membership."""
-
-    assignments: dict[CanonicalPlayerKey, str]
-    fractions: tuple[float, float, float]
-    n_bins: int
-    strat_on: str
-    seed: int
 
 
 @dataclass
@@ -262,9 +250,9 @@ def assign_splits(
     n_bins: int = 4,
     strat_on: str = "avg_score",
     seed: int = 0,
-) -> SplitAssignment:
+) -> dict[CanonicalPlayerKey, str]:
     """Partition the players of `rows` into train/validation/test,
-    stratified on skill.
+    stratified on skill: each player's split name.
 
     Players are dealt from their stratified_bins; largest-remainder
     rounding fixes the per-bin counts. Examples never cross splits because
@@ -292,13 +280,7 @@ def assign_splits(
             for key in bin_keys[cursor : cursor + count]:
                 assignments[key] = split
             cursor += count
-    return SplitAssignment(
-        assignments=assignments,
-        fractions=fractions,
-        n_bins=len(bins),
-        strat_on=strat_on,
-        seed=seed,
-    )
+    return assignments
 
 
 def fit_scaler(A: np.ndarray) -> ScalerParams:

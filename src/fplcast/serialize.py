@@ -22,16 +22,14 @@ one has the header's cell count.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cnn import ACTIVATIONS, PARAM_NAMES, CnnModel, LearningCurve
-from .dataset import SPLIT_NAMES, FeatureTier, ScalerParams, SplitAssignment
+from .dataset import SPLIT_NAMES, FeatureTier, ScalerParams
 from .evaluation import EvalReport
 from .gbm import GbmHyperparams, GbmModel, RegressionTree, TreeNode
 from .ingest import (
@@ -89,34 +87,17 @@ def _table_rows(text: str, header: list[str], bad_header: str, first_line: int =
     `bad_header`); every row has as many cells as the header. Line numbers
     are physical, counting the first line of `text` as `first_line`."""
     records = csv_records(text, first_line)
-    if next((rec for _, rec in records), None) != header:
-        raise FormatError(bad_header)
-    for line, rec in records:
-        if not rec:
-            continue
-        if len(rec) != len(header):
-            raise FormatError(f"line {line}: expected {len(header)} cells, found {len(rec)}")
-        yield line, rec
-
-
-def _format_checked(read):
-    """Make a reader fail only with FormatError: a truncated or corrupt
-    file otherwise surfaces as whatever lookup or conversion failed first."""
-
-    @functools.wraps(read)
-    def checked(text: str):
-        try:
-            return read(text)
-        except FormatError:
-            raise
-        except RowParseError as exc:  # already names its line
-            raise FormatError(str(exc)) from None
-        except (IndexError, KeyError, ValueError, OverflowError, csv.Error) as exc:
-            raise FormatError(
-                f"truncated or corrupt file ({type(exc).__name__}: {exc})"
-            ) from None
-
-    return checked
+    try:
+        if next((rec for _, rec in records), None) != header:
+            raise FormatError(bad_header)
+        for line, rec in records:
+            if not rec:
+                continue
+            if len(rec) != len(header):
+                raise FormatError(f"line {line}: expected {len(header)} cells, found {len(rec)}")
+            yield line, rec
+    except RowParseError as exc:  # already names its line
+        raise FormatError(str(exc)) from None
 
 
 def _require_final_newline(text: str, what: str) -> None:
@@ -129,10 +110,21 @@ def _require_final_newline(text: str, what: str) -> None:
 
 def _finite(cell: str, what: str) -> float:
     """float(cell), which must be finite; `what` names the cell in errors."""
-    value = float(cell)
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise FormatError(f"{what} must be finite, got {cell!r}")
+        raise FormatError(f"{what} must be a finite number, got {cell!r}")
     return value
+
+
+def _integer(cell: str, what: str) -> int:
+    """int(cell); `what` names the cell in errors."""
+    try:
+        return int(cell)
+    except ValueError:
+        raise FormatError(f"{what} must be an integer, got {cell!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +141,7 @@ def _finite_floats(text: str, what: str) -> np.ndarray:
 
 # kind -> (render, parse); parse(text, key) names the key in errors
 _KINDS = {
-    "int": (str, lambda v, key: int(v)),
+    "int": (str, _integer),
     "float": (fmt_num, _finite),
     "str": (str, lambda v, key: v),
     "words": (" ".join, lambda v, key: v.split()),
@@ -241,7 +233,7 @@ _CLEANED_HEADER = [c.csv for c in GAMEWEEK_SCHEMA]
 # What a cleaned-file cell of each kind must be.
 _CELL_RULES = {
     "int": "an integer in int64 range", "opt_int": "an integer in int64 range",
-    "float": "finite", "bool": "True or False", "position": "one of " + ", ".join(_POSITIONS),
+    "float": "a finite number", "bool": "True or False", "position": "one of " + ", ".join(_POSITIONS),
 }
 
 
@@ -264,7 +256,9 @@ def _column_values(kind: str, cells: tuple[str, ...]):
 
 def _read_column(c, cells: tuple[str, ...], lines: list[int]):
     """One cleaned-file column from its cells; `lines` are their line numbers.
-    Only a column that fails to convert is searched for its first bad cell."""
+    Only a column that fails to convert is searched for its first bad cell.
+    Every kind converts cell by cell, so a column fails only where one of its
+    cells does, and the search always finds one."""
     try:
         return _column_values(c.kind, cells)
     except (ValueError, OverflowError):
@@ -278,7 +272,6 @@ def _read_column(c, cells: tuple[str, ...], lines: list[int]):
         raise
 
 
-@_format_checked
 def read_cleaned_csv(text: str) -> GameweekTable:
     """A cleaned gameweek file as a table. Its records come from
     ingest.csv_records, so each error names the physical line of a record."""
@@ -305,18 +298,20 @@ _SPLITS_FIELDS = (
 _SPLITS_HEADER = "player,position,split"
 
 
-def write_splits(splits: SplitAssignment) -> str:
-    keys = sorted(splits.assignments, key=lambda k: (k.canonical_name, k.position.value))
-    head = [MAGIC_SPLITS, *_header_lines(_SPLITS_FIELDS, vars(splits), "# ")]
+def write_splits(assignments: dict[CanonicalPlayerKey, str], settings: dict) -> str:
+    """A splits file of `assignments`, headed by the split `settings`
+    (seed, fractions, n_bins and strat_on) that made them."""
+    keys = sorted(assignments, key=lambda k: (k.canonical_name, k.position.value))
+    head = [MAGIC_SPLITS, *_header_lines(_SPLITS_FIELDS, settings, "# ")]
     return "\n".join(head) + "\n" + write_table(_SPLITS_HEADER, (
-        [key.canonical_name, key.position.value, splits.assignments[key]] for key in keys
+        [key.canonical_name, key.position.value, assignments[key]] for key in keys
     ))
 
 
-@_format_checked
-def read_splits(text: str) -> SplitAssignment:
+def read_splits(text: str) -> dict[CanonicalPlayerKey, str]:
+    """Each player's split name; the header's settings are checked, not kept."""
     lines = _file_lines(text, MAGIC_SPLITS, "splits file")
-    meta, body_start = _read_header(lines, 1, _SPLITS_FIELDS, "# ")
+    _, body_start = _read_header(lines, 1, _SPLITS_FIELDS, "# ")
     assignments = {}
     body = "".join(text.splitlines(keepends=True)[body_start:])
     rows = _table_rows(body, _SPLITS_HEADER.split(","), "splits file lacks its column header",
@@ -332,8 +327,7 @@ def read_splits(text: str) -> SplitAssignment:
         assignments[key] = split
     if not assignments:
         raise FormatError("splits file assigns no players")
-    meta["fractions"] = tuple(meta["fractions"].tolist())
-    return SplitAssignment(assignments=assignments, **meta)
+    return assignments
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +400,6 @@ def write_ridge(model: RidgeModel, ctx: ModelContext) -> str:
     return _write_model(MAGIC_RIDGE, _RIDGE_FIELDS, ctx, values, body)
 
 
-@_format_checked
 def read_ridge(text: str) -> tuple[RidgeModel, ModelContext]:
     values, ctx, body = _read_model(text, MAGIC_RIDGE, _RIDGE_FIELDS, "ridge model file")
     n_features = values["n_features"]
@@ -414,9 +407,11 @@ def read_ridge(text: str) -> tuple[RidgeModel, ModelContext]:
     for line in body:
         if not line:
             continue
-        _, name, weight = line.split("\t")
-        names.append(name)
-        weights.append(_finite(weight, f"weight of {name}"))
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[0] != "feature":
+            raise FormatError(f"expected feature<TAB>name<TAB>weight, got {line[:60]!r}")
+        names.append(parts[1])
+        weights.append(_finite(parts[2], f"weight of {parts[1]}"))
     if len(names) != n_features:
         raise FormatError(f"declared {n_features} features, found {len(names)}")
     model = RidgeModel(weights=np.array(weights), intercept=values["intercept"],
@@ -449,7 +444,8 @@ def _dump_tree(tree: RegressionTree) -> list[str]:
 
 def _parse_tree(lines: list[str], start: int, n_features: int,
                 max_depth: int) -> tuple[RegressionTree, int]:
-    gains_line = lines[start]
+    """The tree whose gains line is lines[start], and the line after it."""
+    gains_line = lines[start] if start < len(lines) else ""
     if not gains_line.startswith("gains"):
         raise FormatError(f"expected gains line, got {gains_line!r}")
     gains = [_finite(v, "split gain") for v in gains_line.split()[1:]]
@@ -462,30 +458,28 @@ def _parse_tree(lines: list[str], start: int, n_features: int,
         parent, side, depth = slots.pop()
         if depth > max_depth:
             raise FormatError(f"tree node at depth {depth} is deeper than max_depth={max_depth}")
+        if pos == len(lines):
+            raise FormatError(f"tree ends after {len(tree.nodes)} nodes")
         parts = lines[pos].split()
         pos += 1
         node_id = len(tree.nodes)
-        if parts[0] == "L":
-            tree.nodes.append(
-                TreeNode(
-                    value=_finite(parts[1], "leaf value"), n_samples=int(parts[2]), depth=depth
-                )
-            )
-        elif parts[0] == "I":
-            feature = int(parts[1])
+        if len(parts) == 3 and parts[0] == "L":
+            tree.nodes.append(TreeNode(
+                value=_finite(parts[1], "leaf value"),
+                n_samples=_integer(parts[2], "leaf n_samples"), depth=depth,
+            ))
+        elif len(parts) == 4 and parts[0] == "I":
+            feature = _integer(parts[1], "split feature")
             if not 0 <= feature < n_features:
                 raise FormatError(f"split feature {feature} outside [0, {n_features})")
-            tree.nodes.append(
-                TreeNode(
-                    feature=feature,
-                    threshold=_finite(parts[2], "split threshold"),
-                    n_samples=int(parts[3]),
-                    depth=depth,
-                )
-            )
+            tree.nodes.append(TreeNode(
+                feature=feature, threshold=_finite(parts[2], "split threshold"),
+                n_samples=_integer(parts[3], "split n_samples"), depth=depth,
+            ))
             slots += [(node_id, "right", depth + 1), (node_id, "left", depth + 1)]
         else:
-            raise FormatError(f"bad node line {lines[pos - 1]!r}")
+            raise FormatError(f"expected 'L value n' or 'I feature threshold n', "
+                              f"got {lines[pos - 1][:60]!r}")
         if parent is not None:
             setattr(tree.nodes[parent], side, node_id)
     return tree, pos
@@ -515,7 +509,6 @@ def write_gbm(model: GbmModel, ctx: ModelContext) -> str:
     return _write_model(MAGIC_GBM, _GBM_FIELDS, ctx, values, body)
 
 
-@_format_checked
 def read_gbm(text: str) -> tuple[GbmModel, ModelContext]:
     values, ctx, body = _read_model(text, MAGIC_GBM, _GBM_FIELDS, "gbm model file")
     body = [l for l in body if l]
@@ -523,14 +516,27 @@ def read_gbm(text: str) -> tuple[GbmModel, ModelContext]:
     hp, used = _read_header(words, 0, _HYPERPARAM_FIELDS, sep="=")
     if used != len(words):
         raise FormatError(f"unexpected hyperparams {words[used:]}")
-    hp = GbmHyperparams(**hp)
+    try:
+        hp = GbmHyperparams(**hp)
+    except ValueError as exc:
+        raise FormatError(f"hyperparams: {exc}") from None
+    # The eta and n_trees lines and the feature_names count restate facts.
+    for key in ("eta", "n_trees"):
+        if values[key] != getattr(hp, key):
+            raise FormatError(f"{key} is {values[key]}, but hyperparams say "
+                              f"{key}={getattr(hp, key)}")
+    names = values["feature_names"]
+    if names != ["-"] and len(names) != values["n_features"]:
+        raise FormatError(f"{len(names)} feature_names for {values['n_features']} features")
     trees, pos = [], 0
-    for _ in range(values["n_trees"]):
-        if not body[pos].startswith("tree "):
-            raise FormatError(f"expected tree marker, got {body[pos]!r}")
+    for i in range(values["n_trees"]):
+        marker = body[pos] if pos < len(body) else "end of file"
+        if marker != f"tree {i}":
+            raise FormatError(f"expected 'tree {i}' of {values['n_trees']}, got {marker[:60]!r}")
         tree, pos = _parse_tree(body, pos + 1, values["n_features"], hp.max_depth)
         trees.append(tree)
-    names = values["feature_names"]
+    if pos < len(body):
+        raise FormatError(f"unexpected line after the last tree: {body[pos][:60]!r}")
     model = GbmModel(
         base_score=values["base_score"], trees=trees, eta=values["eta"],
         hyperparams=hp, n_features=values["n_features"],
@@ -555,7 +561,6 @@ def write_cnn(model: CnnModel, ctx: ModelContext) -> str:
     return _write_model(MAGIC_CNN, _CNN_FIELDS, ctx, {"activation": model.activation}, body)
 
 
-@_format_checked
 def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
     values, ctx, lines = _read_model(text, MAGIC_CNN, _CNN_FIELDS, "cnn model file")
     activation = values["activation"]
@@ -568,13 +573,17 @@ def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
             i += 1
             continue
         parts = lines[i].split()
-        if parts[0] != "param":
-            raise FormatError(f"expected param header at line {i + 1}")
+        if len(parts) < 2 or parts[0] != "param" or i + 1 == len(lines):
+            raise FormatError(f"expected a 'param name shape' line and its values line, "
+                              f"got {lines[i][:60]!r}")
         name = parts[1]
         if name in params:
             raise FormatError(f"parameter {name} is listed twice")
-        shape = tuple(int(s) for s in parts[2:])
-        params[name] = _finite_floats(lines[i + 1], name).reshape(shape)
+        shape = tuple(_integer(s, f"shape of {name}") for s in parts[2:])
+        values = _finite_floats(lines[i + 1], name)
+        if min(shape, default=0) < 0 or math.prod(shape) != values.size:
+            raise FormatError(f"{name} has {values.size} values for shape {shape}")
+        params[name] = values.reshape(shape)
         i += 2
     if sorted(params) != sorted(PARAM_NAMES):
         raise FormatError(f"expected parameters {sorted(PARAM_NAMES)}, found {sorted(params)}")
@@ -583,12 +592,13 @@ def read_cnn(text: str) -> tuple[CnnModel, ModelContext]:
     if len(conv) != 3 or min(conv) < 1 or conv[1] > ctx.w or conv[2] != n_columns:
         raise FormatError(f"conv_w shape {conv} does not fit window {ctx.w}; "
                           f"tier {ctx.tier} has {n_columns} columns")
-    filters, hidden = conv[0], params["hidden_w"].shape[0]
+    # hidden_w's rows, or () if it has no axis; a bad hidden_w fails below.
+    filters, hidden = conv[0], params["hidden_w"].shape[:1]
     expected = {
         "conv_b": (filters,),
-        "hidden_w": (hidden, filters * (ctx.w - conv[1] + 1) + 1),
-        "hidden_b": (hidden,),
-        "out_w": (hidden,),
+        "hidden_w": (*hidden, filters * (ctx.w - conv[1] + 1) + 1),
+        "hidden_b": hidden,
+        "out_w": hidden,
         "out_b": (1,),
     }
     for name, shape in expected.items():

@@ -320,7 +320,7 @@ def test_criterion_7_desk_scale_end_to_end():
         position_started = time.perf_counter()
         mine = rows.take(rows.position == position)
         splits = assign_splits(mine, seed=707)
-        players = Players(mine, strengths, splits.assignments)
+        players = Players(mine, strengths, splits)
         train_ex, val_ex = (
             players.windows(w, tier, bucket) for bucket in ("train", "validation")
         )
@@ -394,7 +394,7 @@ def test_criterion_8_real_data_reproduction_soft():
     deviations = []
     for position in Position:
         mine = rows.take(rows.position == position)
-        players = Players(mine, strengths, assign_splits(mine, seed=8).assignments)
+        players = Players(mine, strengths, assign_splits(mine, seed=8))
         for family, config in (
             ("ridge", DESK_RIDGE),
             ("gbm", {"w": 3, "tier": "full"}),

@@ -30,7 +30,7 @@ from fplcast.serialize import (
 
 from test_gbm import sixteen_feature_model
 from test_ingest import _fuzzy_match_oracle, _similarity_oracle
-from test_serialize import corruptions, deep_chain_gbm
+from test_serialize import SPLIT_SETTINGS, corruptions, deep_chain_gbm
 
 HEADER = (
     "name,position,GW,team,opponent_team,minutes,total_points,goals_scored,"
@@ -354,8 +354,8 @@ class TestSplitCommand:
             [read_cleaned_csv(open(path).read()) for path in cleaned]
         )
         players = set(zip(rows.player_name, rows.position))
-        assert len(splits.assignments) == len(players)
-        assert set(splits.assignments.values()) <= {"train", "validation", "test"}
+        assert len(splits) == len(players)
+        assert set(splits.values()) <= {"train", "validation", "test"}
 
     def test_row_order_changes_no_output(self, tmp_path):
         """The splits file and a model file do not depend on the order of
@@ -399,7 +399,7 @@ class TestTrainCommand:
             [read_cleaned_csv(open(path).read()) for path in cleaned]
         )
         tables = parse_strengths_csv(open(strengths).read())
-        assignment = read_splits(open(splits).read()).assignments
+        assignment = read_splits(open(splits).read())
         train_y, val_y = [], []
         mid = rows.take(rows.position == Position.MID)
         windows = Players(mid, tables).windows(3, FeatureTier.PTSONLY)
@@ -481,7 +481,7 @@ class TestTrainCommand:
         # cleaned[2] is the MID file.
         players = Players(read_cleaned_csv(open(cleaned[2]).read()),
                           parse_strengths_csv(open(strengths).read()),
-                          read_splits(open(splits).read()).assignments)
+                          read_splits(open(splits).read()))
         for row in rows:
             assert int(row["n"]) == len(players.windows(3, FeatureTier.PTSONLY, row["split"]))
 
@@ -1189,6 +1189,40 @@ class TestInputFileFailures:
         assert err.startswith("error:format:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        (r"\neta [^\n]*", "\neta 0.5", "eta is 0.5, but hyperparams say eta=0.1"),
+        (r"\nn_trees \d+\n", "\nn_trees 1\n", "n_trees is 1, but hyperparams say n_trees="),
+        (r"(\nfeature_names \S+) \S+", r"\1", "1 feature_names for 2 features"),
+        (r"\Z", "L 1 1\n", "unexpected line after the last tree: 'L 1 1'"),
+    ], ids=["eta", "n_trees", "feature_names", "line_after_last_tree"])
+    def test_a_gbm_file_whose_restated_facts_disagree_is_one_format_error(
+        self, tiny_season, tmp_path, capsys, pattern, replacement, message
+    ):
+        _, files = tiny_season
+        text = open(files["gbm"]).read()
+        bad = tmp_path / "model.txt"
+        bad.write_text(re.sub(pattern, replacement, text, count=1))
+        assert bad.read_text() != text
+        capsys.readouterr()
+        assert main(_argv("evaluate", "gbm", {**files, "gbm": str(bad)}, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        _assert_one_error_line(err)
+        assert err.startswith(f"error:format: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_fault_in_a_reader_is_a_traceback(self, tiny_season, tmp_path, monkeypatch):
+        """Only a reader's own checks make an error:format: line; a bug in a
+        helper it calls is not reported as a corrupt file."""
+        _, files = tiny_season
+
+        def injected(*args):
+            raise IndexError("injected fault")
+
+        monkeypatch.setattr("fplcast.serialize._parse_tree", injected)
+        with pytest.raises(IndexError, match="injected fault"):
+            main(_argv("evaluate", "gbm", files, tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, column, value, message", [
         ("cleaned", "minutes", "x", "minutes must be an integer in int64 range, got 'x'"),
         ("cleaned", "position", '"XX"', "position must be one of GK, DEF, MID, FWD, got 'XX'"),
@@ -1364,13 +1398,12 @@ class TestOutputsOnlyOnSuccess:
         _, cleaned, strengths, splits_path = synth_pipeline(tmp_path)
         # Every FWD player in train leaves FWD, the last position, no
         # validation windows, after the GK, DEF and MID fits.
-        splits = read_splits(open(splits_path).read())
-        splits.assignments = {
+        splits = {
             key: "train" if key.position.value == "FWD" else split
-            for key, split in splits.assignments.items()
+            for key, split in read_splits(open(splits_path).read()).items()
         }
         all_train = tmp_path / "splits_fwd_train.csv"
-        all_train.write_text(write_splits(splits))
+        all_train.write_text(write_splits(splits, SPLIT_SETTINGS))
         out = tmp_path / "out"
         out.mkdir()
         (out / "report_ridge.csv").write_text("stale report\n")
@@ -1579,12 +1612,26 @@ class TestConfigChecks:
         _, files = tiny_season
         files = self.with_config(files, tmp_path / "cfg.json", keys)
         capsys.readouterr()
-        assert main(_argv(command, "ridge", files, tmp_path / "o")) == 1
+        # Only a Shapley explanation, of a gbm model, reads shapley_background.
+        family = "gbm" if command == "explain" else "ridge"
+        assert main(_argv(command, family, files, tmp_path / "o")) == 1
         err = capsys.readouterr().err
         _assert_one_error_line(err)
         assert named in err
         # The count is checked before any trial runs.
         assert not list((tmp_path / "o").glob("trials_*.csv"))
+
+    @pytest.mark.parametrize("family", ["ridge", "cnn"])
+    def test_only_shapley_reads_shapley_background(self, tiny_season, tmp_path, family):
+        _, files = tiny_season
+        outputs = []
+        for name, keys in (("plain", {}), ("zero", {"shapley_background": 0})):
+            out = tmp_path / name
+            argv = _argv("explain", family, self.with_config(files, tmp_path / f"{name}.json",
+                                                             keys), out)
+            assert main(argv) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.log"})
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_extreme_k_zero_writes_only_the_header(self, tiny_season, tmp_path):
         _, files = tiny_season
@@ -1673,7 +1720,7 @@ class TestConfigChecks:
         players = Players(
             read_cleaned_csv(open(files["cleaned"], encoding="utf-8").read()),
             parse_strengths_csv(open(files["strengths"], encoding="utf-8").read()),
-            read_splits(open(files["splits"], encoding="utf-8").read()).assignments,
+            read_splits(open(files["splits"], encoding="utf-8").read()),
         )
         [trial] = run_grid(GridSpec(family, axes={key: [value]}), players, seed=1)
         assert trial.error == f"ValueError: {key} must be {rule.group(1)}, got {value!r}"

@@ -483,37 +483,37 @@ class TestAssignSplits:
             self.make_players(20), (0.6, 0.25, 0.15), n_bins=1, seed=3
         )
         counts = {"train": 0, "validation": 0, "test": 0}
-        for split in splits.assignments.values():
+        for split in splits.values():
             counts[split] += 1
         assert counts == {"train": 12, "validation": 5, "test": 3}
 
     def test_partition_property(self):
         rows = self.make_players(23)
         splits = assign_splits(rows, seed=5)
-        assert set(splits.assignments) == set(row_keys(rows))
+        assert set(splits) == set(row_keys(rows))
 
     def test_single_player_goes_to_train(self):
         with pytest.warns(UserWarning):
             splits = assign_splits(self.make_players(1), seed=0)
-        assert list(splits.assignments.values()) == ["train"]
+        assert list(splits.values()) == ["train"]
 
     def test_deterministic(self):
         players = self.make_players(17)
         a = assign_splits(players, seed=9)
         b = assign_splits(players, seed=9)
-        assert a.assignments == b.assignments
+        assert a == b
 
     def test_seed_changes_assignment(self):
         players = self.make_players(40)
         a = assign_splits(players, seed=1)
         b = assign_splits(players, seed=2)
-        assert a.assignments != b.assignments
+        assert a != b
 
     def test_per_bin_counts_near_targets(self):
         players = self.make_players(37)
         splits = assign_splits(players, (0.6, 0.25, 0.15), n_bins=4, seed=2)
         counts = {"train": 0, "validation": 0, "test": 0}
-        for split in splits.assignments.values():
+        for split in splits.values():
             counts[split] += 1
         # Largest-remainder keeps each bin within 1 of target, so the
         # total stays within n_bins of the global target.
@@ -531,10 +531,10 @@ class TestAssignSplits:
 
     def test_adding_player_perturbs_minimally(self):
         players = self.make_players(30)
-        before = assign_splits(players, n_bins=1, seed=4).assignments
+        before = assign_splits(players, n_bins=1, seed=4)
         extra = _players({"zz extra": [3, 3, 3]})
         after = assign_splits(GameweekTable.concat([players, extra]), n_bins=1,
-                              seed=4).assignments
+                              seed=4)
         moved = sum(1 for key in before if before[key] != after[key])
         assert moved <= 3
 
@@ -856,5 +856,5 @@ class TestGroupingOracle:
             random.shuffle(order)
             shuffled = rows.take(np.array(order, dtype=np.int64))
             n_bins = min(2, len(players.keys))
-            assert (assign_splits(rows, n_bins=n_bins, seed=3).assignments
-                    == assign_splits(shuffled, n_bins=n_bins, seed=3).assignments)
+            assert (assign_splits(rows, n_bins=n_bins, seed=3)
+                    == assign_splits(shuffled, n_bins=n_bins, seed=3))

@@ -844,7 +844,7 @@ def path_tree(features):
 
 def sixteen_feature_model():
     """19 features; one tree is a path of splits on 16 of them."""
-    hp = GbmHyperparams(n_trees=1, max_depth=16, num_leaves=17, min_data_in_leaf=1)
+    hp = GbmHyperparams(n_trees=1, max_depth=16, num_leaves=17, min_data_in_leaf=1, eta=1.0)
     return GbmModel(0.5, [path_tree(range(16))], 1.0, hp, n_features=19)
 
 

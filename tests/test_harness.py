@@ -42,7 +42,7 @@ def mid_setup(mid_rows, small_season):
 @pytest.fixture
 def mid_players(mid_setup):
     rows, strengths, splits = mid_setup
-    return Players(rows, strengths, splits.assignments)
+    return Players(rows, strengths, splits)
 
 
 class TestGridSpec:
@@ -166,7 +166,7 @@ class TestRunGrid:
 class TestPlayersWindows:
     def test_flip_negates_copies(self, mid_setup):
         rows, strengths, splits = mid_setup
-        args = (rows, strengths, splits.assignments)
+        args = (rows, strengths, splits)
         plain = Players(*args).windows(3, FeatureTier.PTSONLY, "train")
         before = list(plain.d)
         flipped = [
@@ -174,7 +174,7 @@ class TestPlayersWindows:
             for _ in range(2)
         ]
         assert any(before)
-        assert {splits.assignments[p] for p in plain.players} == {"train"}
+        assert {splits[p] for p in plain.players} == {"train"}
         for run in flipped:
             assert list(run.d) == [-d for d in before]
             assert list(run.y) == list(plain.y)
@@ -341,9 +341,9 @@ class TestSelectFinal:
         windows raises; the grid must run clean anyway."""
         _, strengths = small_season
         splits = assign_splits(mid_rows, seed=6)
-        test = [splits.assignments[key] == "test" for key in row_keys(mid_rows)]
+        test = [splits[key] == "test" for key in row_keys(mid_rows)]
         poisoned = mid_rows.replace(opponent=np.where(test, "ghost town fc", mid_rows.opponent))
-        players = Players(poisoned, strengths, splits.assignments)
+        players = Players(poisoned, strengths, splits)
         results = run_grid(RIDGE_GRID, players, seed=6)
         assert all(r.error is None for r in results)
         with pytest.raises((KeyError, TeamLookupError)):
@@ -353,7 +353,7 @@ class TestSelectFinal:
 class TestTrainFamilyContract:
     def test_families_agree_on_interface(self, mid_setup):
         rows, strengths, splits = mid_setup
-        players = Players(rows, strengths, splits.assignments)
+        players = Players(rows, strengths, splits)
         train_ex, val_ex = (
             players.windows(3, FeatureTier.PTSONLY, target)
             for target in ("train", "validation")
@@ -378,7 +378,7 @@ class TestTrainFamilyContract:
 # shared by every example Hypothesis draws.
 _ROWS, _STRENGTHS = generate_synthetic_season(seed=11, n_players=60, n_weeks=16)
 _MID = _ROWS.take(_ROWS.position == Position.MID)
-_MID_PLAYERS = Players(_MID, _STRENGTHS, assign_splits(_MID, seed=3).assignments)
+_MID_PLAYERS = Players(_MID, _STRENGTHS, assign_splits(_MID, seed=3))
 
 
 @st.composite

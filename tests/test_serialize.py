@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fplcast import serialize
 from fplcast.cnn import LearningCurve
 from fplcast.dataset import (
     FeatureTier,
@@ -24,6 +25,7 @@ from fplcast.ingest import (
 )
 from fplcast.serialize import (
     FormatError,
+    _column_values,
     _table_rows,
     csv_line,
     fmt_num,
@@ -198,15 +200,19 @@ def gameweek_tables(draw, **fields):
     })
 
 
+# The header of the splits files these tests write.
+SPLIT_SETTINGS = {"seed": 4, "fractions": (0.6, 0.25, 0.15), "n_bins": 4,
+                  "strat_on": "avg_score"}
+
+
 class TestSplitsRoundTrip:
     def test_full_round_trip(self, season):
         rows, _ = season
         splits = assign_splits(rows, seed=4)
-        parsed = read_splits(write_splits(splits))
-        assert parsed.assignments == splits.assignments
-        assert parsed.fractions == pytest.approx(splits.fractions)
-        assert parsed.seed == splits.seed
-        assert parsed.strat_on == splits.strat_on
+        text = write_splits(splits, SPLIT_SETTINGS)
+        parsed = read_splits(text)
+        assert parsed == splits
+        assert write_splits(parsed, SPLIT_SETTINGS) == text
 
 
 class TestReportWriters:
@@ -239,7 +245,7 @@ def fitted_models():
     rows, strengths = generate_synthetic_season(seed=8, n_players=60, n_weeks=10)
     mid = rows.take(rows.position == Position.MID)
     splits = assign_splits(mid, seed=8)
-    players = Players(mid, strengths, splits.assignments)
+    players = Players(mid, strengths, splits)
     train_ex, val_ex = (
         players.windows(3, FeatureTier.PTSONLY, split) for split in ("train", "validation")
     )
@@ -261,7 +267,8 @@ def data_files():
     """(reader, writer of what it read, text) for each data file format."""
     rows, strengths = generate_synthetic_season(seed=8, n_players=24, n_weeks=5)
     return {
-        "splits": (read_splits, write_splits, write_splits(assign_splits(rows, seed=4))),
+        "splits": (read_splits, lambda splits: write_splits(splits, SPLIT_SETTINGS),
+                   write_splits(assign_splits(rows, seed=4), SPLIT_SETTINGS)),
         "cleaned": (read_cleaned_csv, write_cleaned_csv, write_cleaned_csv(rows)),
     }
 
@@ -345,14 +352,14 @@ class TestModelFileTruncation:
         header, first, second, *_ = text.splitlines()
         cells = second.split(",")
         cells[header.split(",").index(column)] = value
-        with pytest.raises(FormatError, match=f"line 3: {column} must be finite"):
+        with pytest.raises(FormatError, match=f"line 3: {column} must be a finite number"):
             read_cleaned_csv("\n".join([header, first, ",".join(cells)]) + "\n")
 
     @pytest.mark.parametrize("column, value, rule", [
         ("minutes", "x", "an integer in int64 range"),
         ("minutes", "inf", "an integer in int64 range"),
         ("minutes", "1" * 23, "an integer in int64 range"),
-        ("influence", "abc", "finite"),
+        ("influence", "abc", "a finite number"),
         ("position", '"XX"', "one of GK, DEF, MID, FWD"),
         ("was_home", "maybe", "True or False"),
     ])
@@ -503,7 +510,7 @@ class TestModelFileCorruption:
         read, _, text = model_files[name]
         changed = re.sub(pattern, rf"\g<1>{value}", text, count=1)
         assert changed != text
-        with pytest.raises(FormatError, match=f"{message} must be finite"):
+        with pytest.raises(FormatError, match=f"{message} must be a finite number"):
             read(changed)
 
     def test_cnn_parameter_listed_twice_is_a_format_error(self, model_files):
@@ -565,6 +572,141 @@ class TestModelFileCorruption:
                 pass
 
         check()
+
+
+# A line with no line break in it.
+_ONE_LINE = st.text(min_size=1, max_size=40).filter(lambda line: line.splitlines() == [line])
+
+
+class TestOneFailureRoute:
+    """A reader raises FormatError at its own checks only, each naming what
+    is wrong: a fault in a helper it calls comes out unchanged."""
+
+    @pytest.mark.parametrize("helper, name, fault", [
+        ("_parse_tree", "gbm", IndexError),
+        ("_parse_tree", "gbm", ValueError),
+        ("_read_header", "ridge", ValueError),
+        ("_read_header", "cnn", KeyError),
+        ("_read_header", "splits", IndexError),
+        ("_read_column", "cleaned", ValueError),
+    ])
+    def test_a_fault_in_a_helper_comes_out_unchanged(
+        self, monkeypatch, model_files, data_files, helper, name, fault
+    ):
+        read, _, text = {**model_files, **data_files}[name]
+
+        def injected(*args, **kwargs):
+            raise fault("injected fault")
+
+        monkeypatch.setattr(serialize, helper, injected)
+        with pytest.raises(fault, match="injected fault") as caught:
+            read(text)
+        assert type(caught.value) is fault
+
+    @pytest.mark.parametrize("name, pattern, replacement, message", [
+        ("ridge", r"(\nfeature\ttotal_points\t)[^\n]*", r"\g<1>abc",
+         "weight of total_points must be a finite number, got 'abc'"),
+        ("ridge", r"\nfeature\ttotal_points\t", "\nfeature\ttotal_points ",
+         "expected feature<TAB>name<TAB>weight, got 'feature\\ttotal_points "),
+        ("ridge", r"\nfeature\t", "\nfeat\t",
+         "expected feature<TAB>name<TAB>weight, got 'feat\\t"),
+        ("ridge", r"\nw 3\n", "\nw three\n", "w must be an integer, got 'three'"),
+        ("gbm", r"\nI 0 ", "\nI x ", "split feature must be an integer, got 'x'"),
+        ("gbm", r"(\nL [^ ]*) \d+\n", r"\1 4.5\n", "leaf n_samples must be an integer, got '4.5'"),
+        ("gbm", r"(\nI [^\n]*) \d+\n", r"\1 x\n", "split n_samples must be an integer, got 'x'"),
+        ("gbm", r"(\nL [^ ]*) \d+\n", r"\1\n", "expected 'L value n' or 'I feature threshold n'"),
+        ("gbm", r"\nL [^\n]*\n$", "\n", "tree ends after 2 nodes"),
+        ("gbm", r"\ntree 2\n[\s\S]*", "\n", "expected 'tree 2' of 3, got 'end of file'"),
+        ("gbm", r"\ntree 1\n", "\ntree 7\n", "expected 'tree 1' of 3, got 'tree 7'"),
+        ("gbm", r" max_depth=3 ", " max_depth=0 ",
+         "hyperparams: max_depth must be an integer >= 1, got 0"),
+        ("gbm", r" num_leaves=7 ", " num_leaves=x ", "num_leaves must be an integer, got 'x'"),
+        ("cnn", r"\nparam out_b 1\n", "\nparam out_b one\n",
+         "shape of out_b must be an integer, got 'one'"),
+        ("cnn", r"\nparam out_b 1\n", "\nparam\n", "expected a 'param name shape' line"),
+        ("cnn", r"\n[^\n]*\n$", "\n",
+         "expected a 'param name shape' line and its values line, got 'param out_b 1'"),
+        ("cnn", r"(\nparam out_w 2\n[^ ]*) [^\n]*", r"\1", "out_w has 1 values for shape (2,)"),
+        ("cnn", r"\nparam out_b 1\n", "\nparam out_b -1 -1\n",
+         "out_b has 1 values for shape (-1, -1)"),
+        ("splits", r"\n# seed 4\n", "\n# seed four\n", "seed must be an integer, got 'four'"),
+        ("splits", r"(\n# fractions )[^ ]*", r"\g<1>0.6x", "fractions must be a finite number"),
+    ])
+    def test_a_corrupt_field_is_named(
+        self, model_files, data_files, name, pattern, replacement, message
+    ):
+        read, _, text = {**model_files, **data_files}[name]
+        changed = re.sub(pattern, replacement, text, count=1)
+        assert changed != text
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read(changed)
+
+    @pytest.mark.parametrize("name", ["ridge", "gbm", "cnn", "cnn_without_scaler"])
+    def test_an_appended_line_fails_or_round_trips(self, model_files, name):
+        read, write, text = model_files[name]
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.sampled_from(text.splitlines()[1:]) | _ONE_LINE)
+        def check(line):
+            changed = text + line + "\n"
+            try:
+                loaded = read(changed)
+            except FormatError:
+                return
+            assert write(loaded) == changed
+
+        check()
+
+    @pytest.mark.parametrize("kind", ["int", "opt_int", "float", "bool", "position"])
+    def test_a_cleaned_column_fails_only_where_one_of_its_cells_does(self, kind):
+        """So _read_column's search for the bad cell always finds one."""
+
+        def fails(cells) -> bool:
+            try:
+                _column_values(kind, tuple(cells))
+            except (ValueError, OverflowError):
+                return True
+            return False
+
+        cell = st.sampled_from(
+            ["0", "-3", "1.5", "nan", "inf", "1e400", "9" * 20, "True", "False", "MID", ""]
+        ) | st.text(max_size=4)
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.lists(cell, max_size=6))
+        def check(cells):
+            assert fails(cells) == any(fails([c]) for c in cells)
+
+        check()
+
+
+class TestGbmRestatedFacts:
+    """The eta and n_trees lines and the feature_names count restate the
+    hyperparams and n_features; a gbm file where they disagree, or with a
+    line after its last tree, is a FormatError."""
+
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        (r"\neta [^\n]*", "\neta 0.5", "eta is 0.5, but hyperparams say eta=0.1"),
+        (r"\nn_trees 3\n", "\nn_trees 2\n", "n_trees is 2, but hyperparams say n_trees=3"),
+        (r"\nfeature_names [^\n]*", "\nfeature_names total_points",
+         "1 feature_names for 2 features"),
+        (r"\nfeature_names [^\n]*", "\nfeature_names a b c", "3 feature_names for 2 features"),
+        (r"\n$", "\nL 1 1\n", "unexpected line after the last tree: 'L 1 1'"),
+        (r"\n$", "\ntree 3\n", "unexpected line after the last tree: 'tree 3'"),
+    ])
+    def test_a_disagreement_is_a_format_error(self, model_files, pattern, replacement, message):
+        read, _, text = model_files["gbm"]
+        changed = re.sub(pattern, replacement, text, count=1)
+        assert changed != text
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read(changed)
+
+    def test_unnamed_features_need_no_count(self, model_files):
+        read, write, text = model_files["gbm"]
+        changed = re.sub(r"\nfeature_names [^\n]*", "\nfeature_names -", text, count=1)
+        model, _ = read(changed)
+        assert model.feature_names is None
+        assert write((model, _)) == changed
 
 
 def _header_variants(text: str, body_marker: str):
